@@ -61,6 +61,31 @@ def transformer_flops_per_replica(
     return base * b * s * L * h * h * (1.0 + s / (6.0 * h) + v / (16.0 * L * h))
 
 
+def compute_split_seconds(
+    config: GPTConfig,
+    batch: int,
+    seq_len: int,
+    *,
+    checkpointing: bool,
+    mp_degree: int,
+    peak_flops: float,
+) -> tuple[float, float]:
+    """Modeled (forward, backward) GEMM seconds of one micro-batch on one rank.
+
+    Hardware FLOPs per replica, divided over the tensor-parallel degree,
+    over achieved GEMM throughput. With recompute the 96-FLOP accounting
+    splits 1/4 forward : 3/4 backward(+recompute); without, 1/3 : 2/3.
+    The traced spans, both tier runtimes and the offload cost models all
+    price compute here, so they agree by construction.
+    """
+    flops = transformer_flops_per_replica(
+        config, batch, seq_len, checkpointing=checkpointing
+    ) / mp_degree
+    sec = flops / (peak_flops * gemm_efficiency(config.hidden))
+    f_frac = 0.25 if checkpointing else 1.0 / 3.0
+    return sec * f_frac, sec * (1.0 - f_frac)
+
+
 @dataclass(frozen=True)
 class ThroughputBreakdown:
     """Per-step seconds and the resulting per-GPU throughput."""

@@ -18,11 +18,8 @@ contracted exception).
 
 from repro.infinity.config import InfinityConfig
 from repro.infinity.cost_model import InfinityCostModel, InfinityStepPrediction
-from repro.infinity.engine import (
-    OPT_STATE_BYTES_PER_ELEM,
-    InfinityEngine,
-    InfinityStepReport,
-)
+from repro.infinity.engine import InfinityEngine, InfinityStepReport
+from repro.infinity.schedule import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import (
     TIER_NAMES,
     Tier,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from repro.analysis.perf_model import SEQ_LEN
 from repro.hardware.specs import NVME_RAID, InterconnectSpec
 from repro.infinity.config import InfinityConfig
-from repro.infinity.engine import OPT_STATE_BYTES_PER_ELEM
+from repro.infinity.schedule import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import wire_seconds
 from repro.offload.cost_model import OffloadCostModel, relative_error
 from repro.offload.host_optim import CPU_ADAM_LATENCY_S

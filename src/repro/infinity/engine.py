@@ -2,45 +2,41 @@
 
 The per-engine companion that turns byte-level events from a ZeRO stage
 engine into a multi-tier transfer timeline on the simulated within-step
-clock (t = 0 at forward begin), generalizing ``repro.offload.engine
-.OffloadRuntime`` from one host tier to the full device -> host -> NVMe
-stack. It drives three overlap mechanisms:
-
-- **Prefetched parameter gathers** (stage 3, ``param_tier != "device"``):
-  each unit's parameter shard piece is paged in ``prefetch_depth`` units
-  ahead of its compute, so tier reads ride the links while earlier units
-  compute. A unit split into tiles (memory-centric tiling) pages tile by
-  tile, bounding device residency to one tile.
-- **Streamed gradients**: reduced gradient pieces cross PCIe while
-  backward still runs (and are forwarded to NVMe when that is the
-  gradient tier), exactly the ZeRO-Offload schedule plus one more hop.
-- **Paged optimizer state**: when the optimizer tier is NVMe, the fp32
-  master/moment vectors page host-side in chunks around the update — an
-  in -> update -> out pipeline whose chunks overlap, so the boundary costs
-  roughly max(page-in, CPU Adam, page-out), not their sum.
+clock, generalizing ``repro.offload.engine.OffloadRuntime`` from one host
+tier to the full device -> host -> NVMe stack. It captures each step's
+inputs (compute time, paged unit gathers, streamed gradient pieces), owns
+the ledgered PCIe/NVMe streams and the tier pools, and at each boundary
+has ``repro.infinity.schedule`` lay the step out — prefetched parameter
+gathers, streamed gradients, chunk-paged optimizer state — and reports
+the result as an ``InfinityStepReport``.
 
 The engine exposes the same driver surface as ``OffloadRuntime``
 (``begin_micro`` / ``queue_grad_d2h`` / ``finish_step`` / ``trace_step``
-plus ``reports``), so ``BaseEngine`` uses it through the identical hooks;
-``InfinityConfig`` provides the ``offload_*`` flags the stage engines
-consult. Placement never changes numerics — values move through the same
-kernels in the same order regardless of tier.
+plus ``reports`` and the pool attributes), so ``BaseEngine`` and the stage
+engines use either through ``self.offload``; ``InfinityConfig`` provides
+the ``offload_*`` flags they consult. Placement never changes numerics —
+values move through the same kernels in the same order regardless of tier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.perf_model import gemm_efficiency, transformer_flops_per_replica
 from repro.infinity.config import InfinityConfig
-from repro.infinity.tiers import TierStream, TierTopology, TransferHandle
+from repro.infinity.schedule import (
+    NVME_LANES,
+    Placement,
+    StepInputs,
+    StepSchedule,
+    accrue_micro,
+    close_step,
+    trace_schedule,
+)
+from repro.infinity.tiers import TierStream
 from repro.memsim.device import HostMemory
 from repro.nn.transformer import GPTConfig
-from repro.offload.host_optim import CPU_ADAM_LATENCY_S
+from repro.offload.streams import PCIeStream
 from repro.runtime import RankContext
-
-#: optimizer-state bytes per element paged each way (fp32 master + m + v).
-OPT_STATE_BYTES_PER_ELEM = 12
 
 
 @dataclass(frozen=True)
@@ -74,133 +70,68 @@ class InfinityEngine:
         self.model_config = model_config
         self.mp_degree = mp_degree
         self.peak_flops = ctx.device.spec.peak_flops
-        self.tiers = TierTopology.from_cluster(
-            ctx.topology, pcie=config.pcie, nvme=config.nvme
-        )
-        # The host link stream is the PCIe lane pair (``repro.offload``'s
-        # PCIeStream is this same TierStream specialization).
-        self.pcie = TierStream(
-            config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
-            directions=("d2h", "h2d"),
+        self.pcie = PCIeStream(
+            config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank
         )
         self.nvme_stream = TierStream(
             config.nvme or ctx.topology.nvme, ledger=ctx.ledger, rank=ctx.rank,
-            directions=("nvme-out", "nvme-in"),
+            directions=NVME_LANES,
+        )
+        self.placement = Placement(
+            "infinity", config.optimizer_tier, config.grad_tier, config.param_tier,
+            config.delayed_param_update, config.cpu_adam_elements_per_s,
+            prefetch_depth=config.prefetch_depth, opt_chunk_bytes=config.opt_chunk_bytes,
         )
         # Tier pools: host is the context's shared DRAM pool; the NVMe pool
         # comes from the context too (clusters share one per node), with a
         # topology-sized fallback for contexts built before it existed.
         self._pools = {
+            "device": None,  # the device allocator accounts its own bytes
             "host": ctx.host,
             "nvme": ctx.nvme or HostMemory(ctx.topology.node.nvme_bytes, name="nvme"),
         }
+        self.optimizer_pool = self.pool(config.optimizer_tier)
+        self.grad_pool = self.pool(config.grad_tier)
+        self.param_pool = self.pool(config.param_tier)
         self.reports: list[InfinityStepReport] = []
-        #: the most recent boundary's gather / gradient-piece profile.
-        self.last_gathers: dict[str, list[tuple[int, int]]] = {
-            "forward": [], "backward": [],
-        }
-        self.last_grad_pieces: list[int] = []
-        #: scheduling inputs of the last boundary (see finish_step).
-        self.last_capture: dict = {}
-        self._carry_s = 0.0  # DPU: deferred (update + refresh) tail
-        self._fwd_s = 0.0
-        self._bwd_s = 0.0
-        self._grad_pieces: list[int] = []
-        self._gathers: dict[str, list[tuple[int, int]]] = {"forward": [], "backward": []}
+        #: the last closed boundary (its inputs ride along as ``.inputs``).
+        self.last_schedule: StepSchedule | None = None
+        self._pending = StepInputs()
 
-    # -- placement -----------------------------------------------------------
+    @property
+    def last_capture(self) -> StepInputs:
+        """Inputs of the last closed boundary (empty before the first)."""
+        return self.last_schedule.inputs if self.last_schedule is not None else StepInputs()
+
+    @property
+    def last_gathers(self) -> dict[str, list[tuple[int, int]]]:
+        """The last boundary's per-pass ``(nbytes, tiles)`` gather profile."""
+        return self.last_capture.gathers
+
+    @property
+    def last_grad_pieces(self) -> list[int]:
+        return self.last_capture.grad_pieces
 
     def pool(self, tier: str) -> HostMemory | None:
         """Byte-accounting pool for a tier (None = the device allocator)."""
-        if tier == "device":
-            return None
         return self._pools[tier]
-
-    @property
-    def optimizer_pool(self) -> HostMemory | None:
-        return self.pool(self.config.optimizer_tier)
-
-    @property
-    def grad_pool(self) -> HostMemory | None:
-        return self.pool(self.config.grad_tier)
-
-    @property
-    def param_pool(self) -> HostMemory | None:
-        return self.pool(self.config.param_tier)
-
-    # -- per-step event intake ----------------------------------------------
 
     def begin_micro(self, batch: int, seq_len: int) -> None:
         """Accrue one micro-batch's forward/backward compute time."""
-        flops = transformer_flops_per_replica(
-            self.model_config, batch, seq_len, checkpointing=self.config.checkpointing
-        ) / self.mp_degree
-        sec = flops / (self.peak_flops * gemm_efficiency(self.model_config.hidden))
-        f_frac = 0.25 if self.config.checkpointing else 1.0 / 3.0
-        self._fwd_s += sec * f_frac
-        self._bwd_s += sec * (1.0 - f_frac)
+        accrue_micro(self, batch, seq_len)
 
     def queue_grad_d2h(self, nbytes: int) -> None:
         """One owned gradient piece became tier-bound during backward."""
         if nbytes > 0:
-            self._grad_pieces.append(int(nbytes))
+            self._pending.grad_pieces.append(int(nbytes))
 
     def note_gather(self, nbytes: int, *, mode: str, tiles: int = 1) -> None:
         """One unit gather paged ``nbytes`` of this rank's shard in from the
         parameter tier (stage 3 with ``param_tier != "device"``), split into
         ``tiles`` sequential transfers under memory-centric tiling."""
-        if mode not in self._gathers:
+        if mode not in self._pending.gathers:
             raise ValueError(f"mode must be forward|backward, got {mode!r}")
-        self._gathers[mode].append((int(nbytes), max(1, int(tiles))))
-
-    # -- timeline pieces ------------------------------------------------------
-
-    def _page_in_hops(self, nbytes: int, submit_t: float, phase: str) -> TransferHandle:
-        """Schedule one device-bound page-in from the parameter tier;
-        returns the final-hop handle (NVMe reads chain into PCIe h2d)."""
-        if self.config.param_tier == "nvme":
-            r = self.nvme_stream.copy_async(
-                nbytes, "nvme-in", submit_t=submit_t, phase=phase
-            )
-            submit_t = r.done_t
-        return self.pcie.copy_async(nbytes, "h2d", submit_t=submit_t, phase=phase)
-
-    def _gathered_window(
-        self, gathers: list[tuple[int, int]], window_s: float, t0: float
-    ) -> float:
-        """Replay one pass (forward or backward) with prefetched gathers.
-
-        Units compute in sequence (uniform slices of ``window_s``); unit
-        i's page-in is submitted when unit ``i - prefetch_depth`` starts
-        computing (t0 for the leading units), tiles chained per unit. A
-        unit starts once its first tile landed and ends no earlier than
-        its last tile plus one tile's compute. Returns the pass end time.
-        """
-        if not gathers:
-            return t0 + window_s
-        n = len(gathers)
-        slice_s = window_s / n
-        depth = self.config.prefetch_depth
-        starts: list[float] = []
-        t = t0
-        for i, (nbytes, tiles) in enumerate(gathers):
-            submit = starts[i - depth] if i >= depth else t0
-            # Even byte split across tiles (remainder on the last tile).
-            base, rem = divmod(nbytes, tiles)
-            first_arrive = last_arrive = submit
-            for j in range(tiles):
-                h = self._page_in_hops(
-                    base + (rem if j == tiles - 1 else 0), submit, "infinity-param"
-                )
-                if j == 0:
-                    first_arrive = h.done_t
-                last_arrive = h.done_t
-            start = max(t, first_arrive)
-            starts.append(start)
-            t = max(start + slice_s, last_arrive + slice_s / tiles)
-        return t
-
-    # -- the boundary ---------------------------------------------------------
+        self._pending.gathers[mode].append((int(nbytes), max(1, int(tiles))))
 
     def finish_step(
         self,
@@ -216,190 +147,28 @@ class InfinityEngine:
         ``boundary_grad_bytes`` is the one-shot shard d2h when gradients
         stayed device-resident.
         """
-        cfg = self.config
-        self.pcie.reset()
-        self.nvme_stream.reset()
-        # 1. Compute window, stretched by paged parameter gathers.
-        fwd_end = self._gathered_window(self._gathers["forward"], self._fwd_s, 0.0)
-        bwd_end = self._gathered_window(self._gathers["backward"], self._bwd_s, fwd_end)
-        compute_end = bwd_end
-        gather_stall = compute_end - (self._fwd_s + self._bwd_s)
-        # 2. Gradients stream out during backward (piece i of k submitted
-        # when (i+1)/k of the backward window has elapsed), forwarded one
-        # more hop when the gradient tier is NVMe.
-        bwd_window = bwd_end - fwd_end
-        last_hops: list[TransferHandle] = []
-        k = len(self._grad_pieces)
-        for i, nbytes in enumerate(self._grad_pieces):
-            submit = fwd_end + bwd_window * (i + 1) / k
-            h = self.pcie.copy_async(nbytes, "d2h", submit_t=submit, phase="infinity-grad")
-            if cfg.grad_tier == "nvme":
-                h = self.nvme_stream.copy_async(
-                    nbytes, "nvme-out", submit_t=h.done_t, phase="infinity-grad"
-                )
-            last_hops.append(h)
-        if boundary_grad_bytes:
-            last_hops.append(
-                self.pcie.copy_async(
-                    boundary_grad_bytes, "d2h", submit_t=compute_end, phase="infinity-grad"
-                )
-            )
-        grads_ready = compute_end
-        for h in last_hops:
-            h.synchronized = True
-            grads_ready = max(grads_ready, h.done_t)
-        # 3. The update: host Adam, with NVMe paging chunks pipelined
-        # around it when the optimizer state lives on NVMe.
-        adam_s, update_done = self._schedule_update(adam_numel, grads_ready)
-        # 4. fp16 shard refresh to the parameter tier.
-        refresh_done, refresh_wire = self._schedule_refresh(param_h2d_bytes, update_done)
-        carry_in = self._carry_s
-        if cfg.delayed_param_update:
-            step_s = max(compute_end, grads_ready, carry_in)
-            self._carry_s = refresh_done - grads_ready
-        else:
-            step_s = max(compute_end, refresh_done)
-            self._carry_s = 0.0
+        sched = close_step(
+            self, self.pcie, self.nvme_stream, adam_numel=adam_numel,
+            refresh_bytes=param_h2d_bytes, boundary_grad_bytes=boundary_grad_bytes,
+        )
+        inputs = sched.inputs
         report = InfinityStepReport(
-            compute_s=compute_end,
-            gather_stall_s=gather_stall,
+            compute_s=sched.compute_end,
+            gather_stall_s=sched.compute_end - (inputs.fwd_s + inputs.bwd_s),
             grad_out_s=self.pcie.lane_busy_s("d2h"),
-            opt_page_in_s=sum(
-                h.wire_s for h in self.nvme_stream.handles
-                if h.direction == "nvme-in" and h.phase == "infinity-opt"
-            ),
-            opt_page_out_s=sum(
-                h.wire_s for h in self.nvme_stream.handles
-                if h.direction == "nvme-out" and h.phase == "infinity-opt"
-            ),
-            cpu_adam_s=adam_s,
-            param_refresh_s=refresh_wire,
-            grads_ready_s=grads_ready,
-            carry_in_s=carry_in,
-            step_s=step_s,
+            opt_page_in_s=sched.opt_page_in_s,
+            opt_page_out_s=sched.opt_page_out_s,
+            cpu_adam_s=sched.cpu_adam_s,
+            param_refresh_s=sched.refresh_wire_s,
+            grads_ready_s=sched.grads_ready,
+            carry_in_s=inputs.carry_in_s,
+            step_s=sched.step_s,
         )
         self.reports.append(report)
-        # Keep the step's gather/grad profile readable (the sweep feeds it
-        # to the closed-form model) before clearing for the next step.
-        self.last_gathers = {m: list(g) for m, g in self._gathers.items()}
-        self.last_grad_pieces = list(self._grad_pieces)
-        # Scheduling inputs of this boundary, for Perfscope's replay.
-        self.last_capture = {
-            "fwd_s": self._fwd_s,
-            "bwd_s": self._bwd_s,
-            "gathers": {m: tuple(g) for m, g in self._gathers.items()},
-            "grad_pieces": tuple(self._grad_pieces),
-            "boundary_grad_bytes": int(boundary_grad_bytes),
-            "adam_numel": int(adam_numel),
-            "param_h2d_bytes": int(param_h2d_bytes),
-            "carry_in_s": carry_in,
-            "step_s": step_s,
-            "delayed_param_update": cfg.delayed_param_update,
-            "cpu_adam_elements_per_s": cfg.cpu_adam_elements_per_s,
-            "optimizer_tier": cfg.optimizer_tier,
-            "grad_tier": cfg.grad_tier,
-            "param_tier": cfg.param_tier,
-            "prefetch_depth": cfg.prefetch_depth,
-            "opt_chunk_bytes": cfg.opt_chunk_bytes,
-            "pcie": self.pcie.link,
-            "nvme": self.nvme_stream.link,
-        }
-        self._fwd_s = 0.0
-        self._bwd_s = 0.0
-        self._grad_pieces = []
-        self._gathers = {"forward": [], "backward": []}
         return report
-
-    def _schedule_update(self, adam_numel: int, t0: float) -> tuple[float, float]:
-        """Host Adam (plus NVMe state paging) starting at ``t0``; returns
-        (total adam seconds, time the last updated byte is back on the
-        optimizer tier)."""
-        cfg = self.config
-        if adam_numel <= 0 or cfg.optimizer_tier == "device":
-            return 0.0, t0
-        per_s = cfg.cpu_adam_elements_per_s
-        if cfg.optimizer_tier == "host":
-            adam_s = CPU_ADAM_LATENCY_S + adam_numel / per_s
-            return adam_s, t0 + adam_s
-        # NVMe-resident optimizer state: chunked in -> update -> out
-        # pipeline. Gradients already host-resident feed the update for
-        # free; NVMe-resident gradients page in alongside the state.
-        in_bpe = OPT_STATE_BYTES_PER_ELEM + (2 if cfg.grad_tier == "nvme" else 0)
-        out_bpe = OPT_STATE_BYTES_PER_ELEM
-        chunk_elems = max(1, cfg.opt_chunk_bytes // (in_bpe + out_bpe))
-        adam_total = 0.0
-        adam_free = t0
-        out_done = t0
-        lo = 0
-        first = True
-        while lo < adam_numel:
-            hi = min(lo + chunk_elems, adam_numel)
-            e = hi - lo
-            r = self.nvme_stream.copy_async(
-                e * in_bpe, "nvme-in", submit_t=t0, phase="infinity-opt"
-            )
-            chunk_adam = e / per_s + (CPU_ADAM_LATENCY_S if first else 0.0)
-            first = False
-            adam_start = max(adam_free, r.done_t)
-            adam_free = adam_start + chunk_adam
-            adam_total += chunk_adam
-            w = self.nvme_stream.copy_async(
-                e * out_bpe, "nvme-out", submit_t=adam_free, phase="infinity-opt"
-            )
-            out_done = w.done_t
-            lo = hi
-        return adam_total, out_done
-
-    def _schedule_refresh(self, nbytes: int, t0: float) -> tuple[float, float]:
-        """Push the freshly-converted fp16 shard to the parameter tier;
-        returns (completion time, total wire seconds)."""
-        cfg = self.config
-        if nbytes <= 0:
-            return t0, 0.0
-        master_on_host = cfg.optimizer_tier != "device"
-        done = t0
-        wire = 0.0
-        if cfg.param_tier == "device":
-            if master_on_host:
-                h = self.pcie.copy_async(nbytes, "h2d", submit_t=t0, phase="infinity-refresh")
-                done, wire = h.done_t, h.wire_s
-        elif cfg.param_tier == "host":
-            if not master_on_host:
-                h = self.pcie.copy_async(nbytes, "d2h", submit_t=t0, phase="infinity-refresh")
-                done, wire = h.done_t, h.wire_s
-        else:  # nvme shard
-            if not master_on_host:
-                h = self.pcie.copy_async(nbytes, "d2h", submit_t=t0, phase="infinity-refresh")
-                t0, wire = h.done_t, h.wire_s
-            w = self.nvme_stream.copy_async(
-                nbytes, "nvme-out", submit_t=t0, phase="infinity-refresh"
-            )
-            done, wire = w.done_t, wire + w.wire_s
-        return done, wire
-
-    # -- telemetry -------------------------------------------------------------
 
     def trace_step(self, tracer, t0: float) -> None:
         """Emit the just-finished boundary's tier transfers onto telemetry
-        side tracks (call after ``finish_step``); same explicit-interval
-        convention as the offload runtime."""
-        if not self.reports:
-            return
-        report = self.reports[-1]
-        for h in self.pcie.handles:
-            tracer.add_span(
-                h.direction, t0 + h.start_t, h.done_t - h.start_t,
-                track=f"pcie-{h.direction}", bytes=h.nbytes, phase=h.phase,
-            )
-        for h in self.nvme_stream.handles:
-            tracer.add_span(
-                h.direction, t0 + h.start_t, h.done_t - h.start_t,
-                track=h.direction, bytes=h.nbytes, phase=h.phase,
-            )
-        if report.cpu_adam_s > 0:
-            tracer.add_span(
-                "cpu-adam", t0 + report.grads_ready_s, report.cpu_adam_s,
-                track="host", delayed=self.config.delayed_param_update,
-            )
-        if getattr(tracer, "record_comm", False):
-            tracer.record_runtime_step("infinity", dict(self.last_capture))
+        side tracks (call after ``finish_step``): PCIe and NVMe lanes each
+        on their own track, host Adam chunks on "host"."""
+        trace_schedule(self.last_schedule, tracer, t0)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.perf_model import SEQ_LEN, gemm_efficiency, transformer_flops_per_replica
+from repro.analysis.perf_model import SEQ_LEN, compute_split_seconds
 from repro.hardware.specs import PCIE_3_X16, GPUSpec, InterconnectSpec, V100_32GB
 from repro.nn.transformer import GPTConfig
 from repro.offload.host_optim import CPU_ADAM_ELEMENTS_PER_S, cpu_adam_seconds
@@ -67,12 +67,10 @@ class OffloadCostModel:
 
     def compute_seconds(self, batch: int, seq_len: int = SEQ_LEN) -> tuple[float, float]:
         """(forward, backward) seconds for one micro-batch on one rank."""
-        flops = transformer_flops_per_replica(
-            self.model_config, batch, seq_len, checkpointing=self.checkpointing
-        ) / self.mp_degree
-        sec = flops / (self.gpu.peak_flops * gemm_efficiency(self.model_config.hidden))
-        f_frac = 0.25 if self.checkpointing else 1.0 / 3.0
-        return sec * f_frac, sec * (1.0 - f_frac)
+        return compute_split_seconds(
+            self.model_config, batch, seq_len, checkpointing=self.checkpointing,
+            mp_degree=self.mp_degree, peak_flops=self.gpu.peak_flops,
+        )
 
     def transfer_seconds(self, nbytes: int) -> float:
         """Wire time of one PCIe copy (shared per-tier alpha-beta form)."""

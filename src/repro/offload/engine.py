@@ -13,11 +13,12 @@ their numerics untouched:
   the one-step-stale DPU schedule that hides the CPU Adam + parameter
   h2d behind the next step's compute.
 
-- ``OffloadRuntime`` is the per-engine companion object that turns the
+- ``OffloadRuntime`` is the per-engine companion object that captures the
   engine's byte-level events (grad pieces reduced, Adam over N elements,
-  parameters refreshed) into a per-step transfer timeline on a
-  ``PCIeStream`` and a modeled step time, reported per boundary as an
-  ``OffloadStepReport`` and surfaced through ``StepResult.step_time_model_s``.
+  parameters refreshed) and, at each boundary, has the tier schedule
+  (``repro.infinity.schedule``) lay them out on a ``PCIeStream`` under the
+  host-only placement; the result is reported as an ``OffloadStepReport``
+  and surfaced through ``StepResult.step_time_model_s``.
 
 Staleness contract under DPU: after optimizer step t, the fp16 parameters
 equal fp16(master after step t-1) — the update computed from step t's
@@ -31,13 +32,20 @@ the one-step lag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.perf_model import gemm_efficiency, transformer_flops_per_replica
 from repro.hardware.specs import InterconnectSpec
+from repro.infinity.schedule import (
+    Placement,
+    StepInputs,
+    StepSchedule,
+    accrue_micro,
+    close_step,
+    trace_schedule,
+)
 from repro.nn.transformer import GPTConfig
-from repro.offload.host_optim import CPU_ADAM_ELEMENTS_PER_S, cpu_adam_seconds
-from repro.offload.streams import PCIeStream, TransferHandle
+from repro.offload.host_optim import CPU_ADAM_ELEMENTS_PER_S
+from repro.offload.streams import PCIeStream
 from repro.runtime import RankContext
 
 
@@ -68,6 +76,20 @@ class OffloadConfig:
             raise ValueError("delayed_param_update requires offload_optimizer")
         if self.cpu_adam_elements_per_s <= 0:
             raise ValueError("cpu_adam_elements_per_s must be positive")
+
+    # -- the tier vocabulary of ``InfinityConfig``, derived ------------------
+
+    @property
+    def optimizer_tier(self) -> str:
+        return "host" if self.offload_optimizer else "device"
+
+    @property
+    def grad_tier(self) -> str:
+        return "host" if self.offload_gradients else "device"
+
+    @property
+    def param_tier(self) -> str:
+        return "device"
 
 
 @dataclass(frozen=True)
@@ -112,34 +134,26 @@ class OffloadRuntime:
         self.stream = PCIeStream(
             config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank
         )
+        self.placement = Placement(
+            "offload", config.optimizer_tier, config.grad_tier, config.param_tier,
+            config.delayed_param_update, config.cpu_adam_elements_per_s,
+        )
+        # Everything that leaves the device lands in host DRAM (the pool
+        # surface the stage engines read, as on ``InfinityEngine``).
+        self.optimizer_pool = self.grad_pool = ctx.host
         self.reports: list[OffloadStepReport] = []
-        #: scheduling inputs of the last boundary (see finish_step).
-        self.last_capture: dict = {}
-        self._carry_s = 0.0  # DPU: deferred (adam + h2d) from the last step
-        self._fwd_s = 0.0
-        self._bwd_s = 0.0
-        self._grad_pieces: list[int] = []
-
-    # -- per-micro-batch compute accounting ---------------------------------
+        #: the last closed boundary (its inputs ride along as ``.inputs``).
+        self.last_schedule: StepSchedule | None = None
+        self._pending = StepInputs()
 
     def begin_micro(self, batch: int, seq_len: int) -> None:
         """Accrue one micro-batch's forward/backward compute time."""
-        flops = transformer_flops_per_replica(
-            self.model_config, batch, seq_len, checkpointing=self.config.checkpointing
-        ) / self.mp_degree
-        sec = flops / (self.peak_flops * gemm_efficiency(self.model_config.hidden))
-        # With recompute the 96-FLOP accounting splits 1/4 forward : 3/4
-        # backward(+recompute); without, 1/3 : 2/3.
-        f_frac = 0.25 if self.config.checkpointing else 1.0 / 3.0
-        self._fwd_s += sec * f_frac
-        self._bwd_s += sec * (1.0 - f_frac)
+        accrue_micro(self, batch, seq_len)
 
     def queue_grad_d2h(self, nbytes: int) -> None:
         """One owned gradient piece became host-bound during backward."""
         if nbytes > 0:
-            self._grad_pieces.append(int(nbytes))
-
-    # -- the boundary -------------------------------------------------------
+            self._pending.grad_pieces.append(int(nbytes))
 
     def finish_step(
         self,
@@ -155,103 +169,24 @@ class OffloadRuntime:
         is the one-shot gradient-shard d2h used when gradients stay
         device-resident (offload_optimizer without offload_gradients).
         """
-        st = self.stream
-        st.reset()
-        fwd, bwd = self._fwd_s, self._bwd_s
-        compute_end = fwd + bwd
-        d2h: list[TransferHandle] = []
-        # Streamed pieces ride the link as backward produces them: piece i
-        # of k is submitted when (i+1)/k of backward has elapsed.
-        k = len(self._grad_pieces)
-        for i, nbytes in enumerate(self._grad_pieces):
-            submit = fwd + bwd * (i + 1) / k
-            d2h.append(st.copy_async(nbytes, "d2h", submit_t=submit, phase="offload-grad"))
-        if boundary_grad_bytes:
-            d2h.append(
-                st.copy_async(
-                    boundary_grad_bytes, "d2h", submit_t=compute_end, phase="offload-grad"
-                )
-            )
-        grads_ready = st.synchronize(d2h, at=compute_end)
-        adam_s = cpu_adam_seconds(
-            adam_numel, elements_per_s=self.config.cpu_adam_elements_per_s
+        sched = close_step(
+            self, self.stream, None, adam_numel=adam_numel,
+            refresh_bytes=param_h2d_bytes, boundary_grad_bytes=boundary_grad_bytes,
         )
-        h2d_done = grads_ready + adam_s
-        h2d_wire = 0.0
-        if param_h2d_bytes:
-            h = st.copy_async(
-                param_h2d_bytes, "h2d", submit_t=grads_ready + adam_s,
-                phase="offload-param",
-            )
-            h2d_done = h.done_t
-            h2d_wire = h.wire_s
-        carry_in = self._carry_s
-        if self.config.delayed_param_update:
-            # The update runs concurrently with the *next* step's compute;
-            # this step only waits for its gradients (and for the previous
-            # step's deferred tail, which must land before the stale
-            # parameters it produced can be consumed).
-            step_s = max(compute_end, grads_ready, carry_in)
-            self._carry_s = adam_s + h2d_wire
-        else:
-            step_s = max(compute_end, h2d_done)
-            self._carry_s = 0.0
         report = OffloadStepReport(
-            compute_s=compute_end,
-            grad_d2h_s=st.lane_busy_s("d2h"),
-            param_h2d_s=h2d_wire,
-            cpu_adam_s=adam_s,
-            grads_ready_s=grads_ready,
-            carry_in_s=carry_in,
-            step_s=step_s,
+            compute_s=sched.compute_end,
+            grad_d2h_s=self.stream.lane_busy_s("d2h"),
+            param_h2d_s=sched.refresh_wire_s,
+            cpu_adam_s=sched.cpu_adam_s,
+            grads_ready_s=sched.grads_ready,
+            carry_in_s=sched.inputs.carry_in_s,
+            step_s=sched.step_s,
         )
         self.reports.append(report)
-        # Scheduling inputs of the boundary just closed, kept so Perfscope
-        # can replay (and re-price) the overlapped schedule after the
-        # accumulators below are cleared.
-        self.last_capture = {
-            "fwd_s": fwd,
-            "bwd_s": bwd,
-            "grad_pieces": tuple(self._grad_pieces),
-            "boundary_grad_bytes": int(boundary_grad_bytes),
-            "adam_numel": int(adam_numel),
-            "param_h2d_bytes": int(param_h2d_bytes),
-            "carry_in_s": carry_in,
-            "step_s": step_s,
-            "delayed_param_update": self.config.delayed_param_update,
-            "cpu_adam_elements_per_s": self.config.cpu_adam_elements_per_s,
-            "pcie": self.stream.link,
-        }
-        self._fwd_s = 0.0
-        self._bwd_s = 0.0
-        self._grad_pieces = []
         return report
-
-    # -- telemetry -----------------------------------------------------------
 
     def trace_step(self, tracer, t0: float) -> None:
         """Emit the just-finished boundary's transfer timeline onto
-        telemetry side tracks (call after ``finish_step``).
-
-        ``t0`` is the tracer clock at forward begin; the runtime's
-        within-step times (t=0 at forward begin) are shifted by it. Each
-        PCIe transfer lands on a per-direction lane track and the host
-        Adam on a "host" track. These are explicit-interval complete
-        events, not clock spans — under DPU the deferred tail legitimately
-        overlaps the next step's compute.
-        """
-        if not self.reports:
-            return
-        report = self.reports[-1]
-        for h in self.stream.handles:
-            tracer.add_span(
-                h.direction, t0 + h.start_t, h.done_t - h.start_t,
-                track=f"pcie-{h.direction}", bytes=h.nbytes, phase=h.phase,
-            )
-        if report.cpu_adam_s > 0:
-            tracer.add_span(
-                "cpu-adam", t0 + report.grads_ready_s, report.cpu_adam_s,
-                track="host", delayed=self.config.delayed_param_update,
-            )
-        if getattr(tracer, "record_comm", False):
-            tracer.record_runtime_step("offload", dict(self.last_capture))
+        telemetry side tracks (call after ``finish_step``): each PCIe
+        transfer on a per-direction lane track, the host Adam on "host"."""
+        trace_schedule(self.last_schedule, tracer, t0)

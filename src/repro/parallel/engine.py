@@ -175,7 +175,9 @@ class BaseEngine:
                 )
             from repro.offload.engine import OffloadRuntime
 
-            self.offload = OffloadRuntime(ctx, self.config.offload, model.config)
+            self.offload = OffloadRuntime(
+                ctx, self.config.offload, model.config, mp_degree=self._mp_degree()
+            )
         elif self.config.infinity is not None:
             inf_cfg = self.config.infinity
             if inf_cfg.offload_optimizer and not self.supports_offload:
@@ -190,10 +192,8 @@ class BaseEngine:
                 )
             from repro.infinity.engine import InfinityEngine
 
-            mp_group = getattr(model, "mp_group", None)
             self.infinity = InfinityEngine(
-                ctx, inf_cfg, model.config,
-                mp_degree=mp_group.size if mp_group is not None else 1,
+                ctx, inf_cfg, model.config, mp_degree=self._mp_degree()
             )
             # The infinity runtime implements the offload driver surface
             # (begin_micro / queue_grad_d2h / finish_step / trace_step /
@@ -485,32 +485,21 @@ class BaseEngine:
         memprof_set_phase(phase)
 
     def _compute_split(self, batch: int, seq_len: int) -> tuple[float, float]:
-        """Modeled (forward_s, backward_s) GEMM seconds for one micro-batch.
+        """Modeled (forward_s, backward_s) GEMM seconds for one micro-batch
+        of this engine's model on this rank's device (the durations the
+        traced forward/backward spans advance the clock by)."""
+        from repro.analysis.perf_model import compute_split_seconds
 
-        Identical accounting to ``OffloadRuntime.begin_micro`` and
-        ``analysis.sim_time``: hardware FLOPs per replica (scaled down by
-        the MP degree for tensor-parallel models) over achieved GEMM
-        throughput, split 1/4 : 3/4 with activation recompute, 1/3 : 2/3
-        without — so traced span durations and the ledger-driven step-time
-        estimate agree by construction.
-        """
-        from repro.analysis.perf_model import (
-            gemm_efficiency,
-            transformer_flops_per_replica,
+        return compute_split_seconds(
+            self.model.config, batch, seq_len,
+            checkpointing=bool(getattr(self.model, "checkpoint_activations", False)),
+            mp_degree=self._mp_degree(), peak_flops=self.ctx.device.spec.peak_flops,
         )
 
-        ckpt = bool(getattr(self.model, "checkpoint_activations", False))
+    def _mp_degree(self) -> int:
+        """Tensor-parallel degree of the wrapped model (1 when not MP)."""
         mp_group = getattr(self.model, "mp_group", None)
-        degree = mp_group.size if mp_group is not None else 1
-        flops = transformer_flops_per_replica(
-            self.model.config, batch, seq_len, checkpointing=ckpt
-        ) / degree
-        sec = flops / (
-            self.ctx.device.spec.peak_flops
-            * gemm_efficiency(self.model.config.hidden)
-        )
-        f_frac = 0.25 if ckpt else 1.0 / 3.0
-        return sec * f_frac, sec * (1.0 - f_frac)
+        return mp_group.size if mp_group is not None else 1
 
     def _before_forward(self) -> None:
         return

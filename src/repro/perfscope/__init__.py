@@ -1,8 +1,8 @@
 """Perfscope: critical-path analytics over the traced step timeline.
 
 The observability capstone on top of ``repro.telemetry``: reconstruct
-each traced step as a blocking-dependency graph (``graph``), replay the
-offload/infinity overlapped schedules bit-exactly (``runtime_replay``),
+each traced step as a blocking-dependency graph (``graph``), read the
+offload/infinity runtimes' own step schedules into it (``runtime_replay``),
 attribute every second of step time to a stall category (``critpath``),
 answer counterfactuals by re-pricing the graph (``whatif``), and surface
 it all as reports / gauges / trace annotation (``report``).

@@ -13,12 +13,12 @@ modes cover every engine:
   *exactly*. Cross-rank edges come from rendezvous matching: the k-th
   occurrence of a collective on a group couples all member ranks, and a
   recv depends on its matched send (peers are recorded in the ledger).
-- **Runtime replay** (ZeRO-Offload / ZeRO-Infinity boundaries): the
-  overlapped schedule of ``finish_step`` is replayed from the captured
-  scheduling inputs (``repro.perfscope.runtime_replay``), reproducing
-  ``OffloadStepReport.step_s`` / ``InfinityStepReport.step_s`` bit-exactly
-  while exposing the full dependency structure (prefetch windows, lane
-  queueing, the NVMe in->update->out pipeline, DPU carry).
+- **Runtime schedules** (ZeRO-Offload / ZeRO-Infinity boundaries): the
+  runtime's own ``StepSchedule`` (``repro.infinity.schedule``) already is
+  a dependency graph — ``repro.perfscope.runtime_replay`` copies its ops
+  into nodes, so the rank's step end is ``OffloadStepReport.step_s`` /
+  ``InfinityStepReport.step_s`` and the full structure (prefetch windows,
+  lane queueing, the NVMe in->update->out pipeline, DPU carry) is kept.
 
 ``schedule`` assigns start/end times (step-relative, t=0 at step begin).
 With ``observed_floors=True`` (the baseline) reconstructed nodes keep
@@ -66,7 +66,7 @@ class Node:
     # observed step-relative interval (main-track reconstruction only)
     obs_start: float | None = None
     obs_end: float | None = None
-    # runtime-replay nodes carry authoritative times; schedule() keeps them
+    # runtime-schedule nodes carry authoritative times; schedule() keeps them
     fixed: bool = False
     # filled by schedule()
     start_s: float = 0.0
@@ -94,7 +94,7 @@ class StepGraph:
         #: checked against.
         self.observed_step_s: dict[int, float] = {}
         #: build sources kept for what-if re-pricing:
-        #: rank -> ("main", [entry...]) | ("runtime", kind, payload).
+        #: rank -> ("main", [entry...]) | ("runtime", kind, StepSchedule).
         self.sources: dict[int, tuple] = {}
         #: per-rank tracer-clock time of the step begin (graph times are
         #: step-relative; this rebases them for trace annotation).

@@ -1,352 +1,57 @@
-"""Replay the offload/infinity overlapped step schedule as graph nodes.
+"""Offload/infinity boundaries as graph nodes: an adapter over the tier schedule.
 
-``OffloadRuntime.finish_step`` / ``InfinityEngine.finish_step`` schedule a
-boundary's transfers on within-step lane clocks and collapse the result to
-an ``OffloadStepReport`` / ``InfinityStepReport``. Both engines capture
-their scheduling *inputs* (``last_capture``, recorded per step into
-``Tracer.runtime_steps``); this module replays that schedule as explicit
-``Node``s in a ``StepGraph`` — same lane serialization, same float
-expressions in the same order, so the replayed step end reproduces the
-engine's ``step_s`` bit-exactly while exposing the dependency structure
-(what bound: compute, the grad stream, the CPU Adam, a lane, the DPU
-carry) that the scalar report throws away.
+``OffloadRuntime`` / ``InfinityEngine`` evaluate each boundary with
+``repro.infinity.schedule.evaluate_step`` and, when Perfscope recording is
+on, leave the resulting ``StepSchedule`` in ``Tracer.runtime_steps``. Its
+ops already carry times and dependency edges (what bound: compute, the
+grad stream, the CPU Adam, a lane, the DPU carry), so building the rank's
+part of a ``StepGraph`` is a one-to-one copy and the replayed step end *is*
+the engine's ``step_s``.
 
-Bit-exactness rules the arithmetic here mirrors:
-
-- lane scheduling is ``start = max(submit, lane_free)`` then
-  ``done = start + latency + nbytes / bandwidth`` — never a precomputed
-  duration added afterward (float addition is not associative);
-- grad piece i of k is submitted at ``fwd + bwd * (i + 1) / k``;
-- tile j of a unit gather carries ``base + (rem if last else 0)`` bytes
-  from ``divmod(nbytes, tiles)``, every tile submitted at the unit's
-  prefetch anchor (the lane serializes them);
-- the NVMe optimizer pipeline prices chunk Adam as ``e / per_s`` with the
-  one-time latency on the first chunk only.
-
-Replaying with *overridden* links / CPU-Adam rate is what powers the
-what-if probes: same structure, re-priced edges.
+A what-if re-prices the same boundary: the schedule keeps its inputs and
+placement, so ``evaluate_step`` runs again on unledgered streams over the
+overridden links (and CPU-Adam rate) — same structure, re-priced edges.
 """
 
 from __future__ import annotations
 
-from repro.offload.host_optim import CPU_ADAM_LATENCY_S, cpu_adam_seconds
+from dataclasses import replace
+
+from repro.infinity.schedule import NVME_LANES, PHASES, StepSchedule, evaluate_step
+from repro.infinity.tiers import TierStream
+from repro.offload.streams import PCIeStream
 from repro.perfscope.graph import XFER_LINK, StepGraph
 
-#: optimizer-state bytes per element each way (mirrors infinity.engine).
-_OPT_BPE = 12
 
-
-class _Lanes:
-    """Per-direction lane clocks mirroring ``TierStream.copy_async``."""
-
-    def __init__(self, links: dict):
-        self.links = links
-        self.free = {d: 0.0 for d in links}
-        self.last = {d: None for d in links}  # previous occupant node id
-
-    def copy(self, g: StepGraph, rank: int, nbytes, direction: str,
-             submit, phase: str, deps: list[int]):
-        link = self.links[direction]
-        start = max(float(submit), self.free[direction])
-        done = start + link.latency_s + nbytes / link.bandwidth_bytes_per_s
-        self.free[direction] = done
-        node_deps = list(deps)
-        if self.last[direction] is not None:
-            node_deps.append(self.last[direction])
-        node = g.add(
-            rank=rank, kind="xfer", label=direction, track=f"lane-{direction}",
-            dur_s=done - start, deps=node_deps, op=direction,
-            nbytes=int(nbytes), phase=phase, link=XFER_LINK[direction],
-            fixed=True, start_s=start, end_s=done,
-        )
-        self.last[direction] = node.nid
-        return node
-
-
-def _milestone(g, rank, label, t, deps):
-    return g.add(
-        rank=rank, kind="milestone", label=label, track="main",
-        deps=deps, fixed=True, start_s=t, end_s=t,
-    )
-
-
-def _span_node(g, rank, kind, label, track, start, end, deps):
-    return g.add(
-        rank=rank, kind=kind, label=label, track=track, dur_s=end - start,
-        deps=deps, fixed=True, start_s=start, end_s=end,
-    )
-
-
-def replay_offload(g: StepGraph, rank: int, payload: dict, *,
-                   pcie=None, adam_rate=None) -> None:
-    """Mirror ``OffloadRuntime.finish_step`` from its captured inputs."""
-    link = pcie if pcie is not None else payload["pcie"]
-    per_s = adam_rate if adam_rate is not None else payload["cpu_adam_elements_per_s"]
-    fwd, bwd = payload["fwd_s"], payload["bwd_s"]
-    compute_end = fwd + bwd
-    lanes = _Lanes({"d2h": link, "h2d": link})
-    begin = _milestone(g, rank, "step-begin", 0.0, [])
-    fwd_node = _span_node(g, rank, "compute", "forward", "main", 0.0, fwd, [begin.nid])
-    bwd_node = _span_node(
-        g, rank, "compute", "backward", "main", fwd, compute_end, [fwd_node.nid]
-    )
-    d2h_nodes = []
-    pieces = payload["grad_pieces"]
-    k = len(pieces)
-    for i, nbytes in enumerate(pieces):
-        submit = fwd + bwd * (i + 1) / k
-        win = _span_node(
-            g, rank, "window", "grad-stream-window", "main", fwd, submit,
-            [fwd_node.nid],
-        )
-        d2h_nodes.append(
-            lanes.copy(g, rank, nbytes, "d2h", submit, "offload-grad", [win.nid])
-        )
-    if payload["boundary_grad_bytes"]:
-        d2h_nodes.append(lanes.copy(
-            g, rank, payload["boundary_grad_bytes"], "d2h", compute_end,
-            "offload-grad", [bwd_node.nid],
-        ))
-    grads_ready = compute_end
-    for n in d2h_nodes:
-        grads_ready = max(grads_ready, n.end_s)
-    gr = _milestone(
-        g, rank, "grads-ready", grads_ready,
-        [bwd_node.nid] + [n.nid for n in d2h_nodes],
-    )
-    adam_s = cpu_adam_seconds(payload["adam_numel"], elements_per_s=per_s)
-    tail = gr
-    if adam_s > 0:
-        tail = _span_node(
-            g, rank, "host", "cpu-adam", "host", grads_ready,
-            grads_ready + adam_s, [gr.nid],
-        )
-    h2d_done = grads_ready + adam_s
-    if payload["param_h2d_bytes"]:
-        h = lanes.copy(
-            g, rank, payload["param_h2d_bytes"], "h2d", grads_ready + adam_s,
-            "offload-param", [tail.nid],
-        )
-        h2d_done = h.end_s
-        tail = h
-    carry_in = payload["carry_in_s"]
-    if payload["delayed_param_update"]:
-        step_s = max(compute_end, grads_ready, carry_in)
-        end_deps = [bwd_node.nid, gr.nid]
-        if carry_in > 0:
-            carry = _span_node(
-                g, rank, "carry", "dpu-carry", "host", 0.0, carry_in, [begin.nid]
-            )
-            end_deps.append(carry.nid)
-    else:
-        step_s = max(compute_end, h2d_done)
-        end_deps = [bwd_node.nid, tail.nid]
-    end = _milestone(g, rank, "step-end", step_s, end_deps)
-    g.rank_chain[rank] = [begin.nid, fwd_node.nid, bwd_node.nid]
-    g.rank_end[rank] = end.nid
-    g.observed_step_s[rank] = payload["step_s"]
-
-
-def replay_infinity(g: StepGraph, rank: int, payload: dict, *,
-                    pcie=None, nvme=None, adam_rate=None) -> None:
-    """Mirror ``InfinityEngine.finish_step`` from its captured inputs."""
-    pl = payload
-    pcie_link = pcie if pcie is not None else pl["pcie"]
-    nvme_link = nvme if nvme is not None else pl["nvme"]
-    per_s = adam_rate if adam_rate is not None else pl["cpu_adam_elements_per_s"]
-    lanes = _Lanes({
-        "d2h": pcie_link, "h2d": pcie_link,
-        "nvme-in": nvme_link, "nvme-out": nvme_link,
-    })
-    begin = _milestone(g, rank, "step-begin", 0.0, [])
-    chain = [begin.nid]
-
-    def page_in(nbytes, submit, anchor_nid):
-        deps = [anchor_nid]
-        if pl["param_tier"] == "nvme":
-            r = lanes.copy(g, rank, nbytes, "nvme-in", submit, "infinity-param", deps)
-            submit, deps = r.end_s, [r.nid]
-        return lanes.copy(g, rank, nbytes, "h2d", submit, "infinity-param", deps)
-
-    def gathered_window(gathers, window_s, t0, t0_node, mode):
-        """Mirror ``InfinityEngine._gathered_window``; returns (pass end
-        time, node whose end is the pass end)."""
-        if not gathers:
-            return t0 + window_s, _span_node(
-                g, rank, "compute", mode, "main", t0, t0 + window_s, [t0_node.nid]
-            )
-        n = len(gathers)
-        slice_s = window_s / n
-        depth = pl["prefetch_depth"]
-        starts, begin_nids = [], []
-        t = t0
-        prev = t0_node
-        for i, (nbytes, tiles) in enumerate(gathers):
-            submit = starts[i - depth] if i >= depth else t0
-            anchor = begin_nids[i - depth] if i >= depth else t0_node.nid
-            base, rem = divmod(nbytes, tiles)
-            first = last = None
-            first_arrive = last_arrive = submit
-            for j in range(tiles):
-                h = page_in(base + (rem if j == tiles - 1 else 0), submit, anchor)
-                if j == 0:
-                    first, first_arrive = h, h.end_s
-                last, last_arrive = h, h.end_s
-            start = max(t, first_arrive)
-            ubegin = _milestone(
-                g, rank, f"{mode}-unit-begin", start, [prev.nid, first.nid]
-            )
-            comp = _span_node(
-                g, rank, "compute", f"{mode}-unit", "main",
-                start, start + slice_s, [ubegin.nid],
-            )
-            tail_end = last_arrive + slice_s / tiles
-            wnode = _span_node(
-                g, rank, "window", f"{mode}-gather-tail", "main",
-                last_arrive, tail_end, [last.nid],
-            )
-            t = max(start + slice_s, tail_end)
-            prev = _milestone(
-                g, rank, f"{mode}-unit-end", t, [comp.nid, wnode.nid]
-            )
-            starts.append(start)
-            begin_nids.append(ubegin.nid)
-            chain.append(comp.nid)
-        return t, prev
-
-    fwd_end, fwd_tail = gathered_window(
-        pl["gathers"]["forward"], pl["fwd_s"], 0.0, begin, "forward"
-    )
-    bwd_end, bwd_tail = gathered_window(
-        pl["gathers"]["backward"], pl["bwd_s"], fwd_end, fwd_tail, "backward"
-    )
-    compute_end = bwd_end
-    bwd_window = bwd_end - fwd_end
-    last_hops = []
-    pieces = pl["grad_pieces"]
-    k = len(pieces)
-    for i, nbytes in enumerate(pieces):
-        submit = fwd_end + bwd_window * (i + 1) / k
-        win = _span_node(
-            g, rank, "window", "grad-stream-window", "main", fwd_end, submit,
-            [fwd_tail.nid],
-        )
-        h = lanes.copy(g, rank, nbytes, "d2h", submit, "infinity-grad", [win.nid])
-        if pl["grad_tier"] == "nvme":
-            h = lanes.copy(
-                g, rank, nbytes, "nvme-out", h.end_s, "infinity-grad", [h.nid]
-            )
-        last_hops.append(h)
-    if pl["boundary_grad_bytes"]:
-        last_hops.append(lanes.copy(
-            g, rank, pl["boundary_grad_bytes"], "d2h", compute_end,
-            "infinity-grad", [bwd_tail.nid],
-        ))
-    grads_ready = compute_end
-    for h in last_hops:
-        grads_ready = max(grads_ready, h.end_s)
-    gr = _milestone(
-        g, rank, "grads-ready", grads_ready,
-        [bwd_tail.nid] + [h.nid for h in last_hops],
-    )
-    # The update (mirrors _schedule_update).
-    adam_numel = pl["adam_numel"]
-    if adam_numel <= 0 or pl["optimizer_tier"] == "device":
-        update_done, upd_tail = grads_ready, gr
-    elif pl["optimizer_tier"] == "host":
-        adam_s = CPU_ADAM_LATENCY_S + adam_numel / per_s
-        upd_tail = _span_node(
-            g, rank, "host", "cpu-adam", "host", grads_ready,
-            grads_ready + adam_s, [gr.nid],
-        )
-        update_done = grads_ready + adam_s
-    else:  # NVMe-paged state: chunked in -> update -> out pipeline
-        in_bpe = _OPT_BPE + (2 if pl["grad_tier"] == "nvme" else 0)
-        out_bpe = _OPT_BPE
-        chunk_elems = max(1, pl["opt_chunk_bytes"] // (in_bpe + out_bpe))
-        adam_free = grads_ready
-        out_done = grads_ready
-        lo = 0
-        first = True
-        prev_adam = gr
-        upd_tail = gr
-        while lo < adam_numel:
-            hi = min(lo + chunk_elems, adam_numel)
-            e = hi - lo
-            r = lanes.copy(
-                g, rank, e * in_bpe, "nvme-in", grads_ready, "infinity-opt",
-                [gr.nid],
-            )
-            chunk_adam = e / per_s + (CPU_ADAM_LATENCY_S if first else 0.0)
-            first = False
-            adam_start = max(adam_free, r.end_s)
-            anode = _span_node(
-                g, rank, "host", "cpu-adam-chunk", "host", adam_start,
-                adam_start + chunk_adam, [prev_adam.nid, r.nid],
-            )
-            adam_free = adam_start + chunk_adam
-            w = lanes.copy(
-                g, rank, e * out_bpe, "nvme-out", adam_free, "infinity-opt",
-                [anode.nid],
-            )
-            out_done = w.end_s
-            prev_adam = anode
-            upd_tail = w
-            lo = hi
-        update_done = out_done
-    # fp16 shard refresh (mirrors _schedule_refresh).
-    nbytes = pl["param_h2d_bytes"]
-    refresh_done, refresh_tail = update_done, upd_tail
-    if nbytes > 0:
-        master_on_host = pl["optimizer_tier"] != "device"
-        param_tier = pl["param_tier"]
-        if param_tier == "device":
-            if master_on_host:
-                h = lanes.copy(
-                    g, rank, nbytes, "h2d", update_done, "infinity-refresh",
-                    [upd_tail.nid],
-                )
-                refresh_done, refresh_tail = h.end_s, h
-        elif param_tier == "host":
-            if not master_on_host:
-                h = lanes.copy(
-                    g, rank, nbytes, "d2h", update_done, "infinity-refresh",
-                    [upd_tail.nid],
-                )
-                refresh_done, refresh_tail = h.end_s, h
-        else:  # NVMe-resident shard
-            sub, deps = update_done, [upd_tail.nid]
-            if not master_on_host:
-                h = lanes.copy(
-                    g, rank, nbytes, "d2h", update_done, "infinity-refresh", deps
-                )
-                sub, deps = h.end_s, [h.nid]
-            w = lanes.copy(g, rank, nbytes, "nvme-out", sub, "infinity-refresh", deps)
-            refresh_done, refresh_tail = w.end_s, w
-    carry_in = pl["carry_in_s"]
-    if pl["delayed_param_update"]:
-        step_s = max(compute_end, grads_ready, carry_in)
-        end_deps = [bwd_tail.nid, gr.nid]
-        if carry_in > 0:
-            carry = _span_node(
-                g, rank, "carry", "dpu-carry", "host", 0.0, carry_in, [begin.nid]
-            )
-            end_deps.append(carry.nid)
-    else:
-        step_s = max(compute_end, refresh_done)
-        end_deps = [bwd_tail.nid, refresh_tail.nid]
-    end = _milestone(g, rank, "step-end", step_s, end_deps)
-    g.rank_chain[rank] = chain
-    g.rank_end[rank] = end.nid
-    g.observed_step_s[rank] = pl["step_s"]
-
-
-def replay_runtime(g: StepGraph, rank: int, kind: str, payload: dict, *,
+def replay_runtime(g: StepGraph, rank: int, kind: str, payload: StepSchedule, *,
                    pcie=None, nvme=None, adam_rate=None) -> None:
-    """Dispatch one captured runtime boundary into graph nodes."""
-    if kind == "offload":
-        replay_offload(g, rank, payload, pcie=pcie, adam_rate=adam_rate)
-    elif kind == "infinity":
-        replay_infinity(g, rank, payload, pcie=pcie, nvme=nvme, adam_rate=adam_rate)
-    else:
+    """Add one captured runtime boundary to ``g`` as rank ``rank``'s nodes."""
+    if kind not in PHASES:
         raise ValueError(f"unknown runtime capture kind {kind!r}")
+    sched = payload
+    if pcie is not None or nvme is not None or adam_rate is not None:
+        placement = sched.placement
+        if adam_rate is not None:
+            placement = replace(placement, cpu_adam_elements_per_s=adam_rate)
+        pcie_link, nvme_link = sched.links
+        nvme_link = nvme_link if nvme is None else nvme
+        sched = evaluate_step(
+            sched.inputs, placement,
+            PCIeStream(pcie_link if pcie is None else pcie),
+            TierStream(nvme_link, directions=NVME_LANES) if nvme_link is not None else None,
+        )
+    base = len(g.nodes)
+    chain = []
+    for op_kind, label, track, start, end, nbytes, phase, deps in sched.ops:
+        is_xfer = op_kind == "xfer"
+        node = g.add(
+            rank=rank, kind=op_kind, label=label, track=track, dur_s=end - start,
+            deps=[base + d for d in deps], op=label if is_xfer else None,
+            nbytes=nbytes, phase=phase, link=XFER_LINK[label] if is_xfer else None,
+            fixed=True, start_s=start, end_s=end,
+        )
+        if op_kind == "compute" or not chain:
+            chain.append(node.nid)
+    g.rank_chain[rank] = chain  # step-begin, then the compute spine
+    g.rank_end[rank] = node.nid  # step-end is the schedule's last op
+    g.observed_step_s[rank] = payload.step_s

@@ -68,9 +68,9 @@ def reprice(
     transfers keep their cost); ``cost_model`` re-prices them through a
     different ``CommCostModel``; ``pcie``/``nvme`` (``InterconnectSpec``)
     re-band the tier links everywhere they appear (main-track copies and
-    the runtime replay's lanes); ``adam_rate`` overrides the CPU Adam
-    throughput. With no overrides this returns the pure re-scheduled
-    baseline.
+    the re-evaluated tier schedule's lanes); ``adam_rate`` overrides the
+    CPU Adam throughput. With no overrides this returns the pure
+    re-scheduled baseline.
     """
 
     def pricer(entry):

@@ -130,9 +130,9 @@ class Tracer:
         #: priced comm events as clock intervals (see CommInterval).
         self.comm_intervals: list[CommInterval] = []
         #: per-step runtime-schedule captures keyed by step index:
-        #: (kind, payload) recorded by OffloadRuntime / InfinityEngine
-        #: trace_step so Perfscope can replay the overlapped schedule.
-        self.runtime_steps: dict[int, tuple[str, dict]] = {}
+        #: (kind, StepSchedule) recorded by OffloadRuntime / InfinityEngine
+        #: trace_step: the boundary's overlapped schedule, for Perfscope.
+        self.runtime_steps: dict[int, tuple[str, object]] = {}
         self._stack: list[Span] = []
         self._comm_nominal_bytes = 0.0
         self._comm_by_phase: dict[str, float] = {}
@@ -254,7 +254,7 @@ class Tracer:
                 return len(self.step_durations)
         return None
 
-    def record_runtime_step(self, kind: str, payload: dict) -> None:
+    def record_runtime_step(self, kind: str, payload) -> None:
         """Stash one boundary's runtime-schedule capture for Perfscope
         (no-op unless recording is on)."""
         if not self.record_comm:

@@ -64,15 +64,10 @@ class _ZeroDPBase(BaseEngine):
         # offload_optimizer the same partition lives in host DRAM instead
         # (ZeRO-Offload), dropping the K Psi / Nd term from the device;
         # ZeRO-Infinity may push it one tier further, to the NVMe pool.
-        off = self.config.offload
-        inf = self.config.infinity
-        self._host_adam = (off is not None and off.offload_optimizer) or (
-            inf is not None and inf.offload_optimizer
-        )
+        self._host_adam = self.offload is not None and self.offload.config.offload_optimizer
         if self._host_adam:
-            opt_pool = self.infinity.optimizer_pool if inf is not None else ctx.host
             self.opt_state = HostAdamState(
-                self.part_numel, host=opt_pool, hp=self.config.adam,
+                self.part_numel, host=self.offload.optimizer_pool, hp=self.config.adam,
                 meta=self.is_meta, tag=f"{self.name}-adam",
             )
         else:
@@ -90,15 +85,12 @@ class _ZeroDPBase(BaseEngine):
         # does — no extra buffer. Under offload_gradients the shard is
         # host-resident: each reduced piece streams d2h during backward.
         self.grad_shard: Tensor | HostTensor | None = None
-        offload_grads = (off is not None and off.offload_gradients) or (
-            inf is not None and inf.offload_gradients
-        )
+        offload_grads = self.offload is not None and self.offload.config.offload_gradients
         if self.free_grads_after_reduce:
             with memprof_category("grad_fp16", site=f"{self.name}-grad-shard"):
                 if offload_grads:
-                    grad_pool = self.infinity.grad_pool if inf is not None else ctx.host
                     self.grad_shard = HostTensor(
-                        self.part_numel, np.dtype(self.model.dtype), grad_pool,
+                        self.part_numel, np.dtype(self.model.dtype), self.offload.grad_pool,
                         meta=self.is_meta, tag=f"{self.name}-grad-shard",
                     )
                 else:

@@ -67,16 +67,12 @@ class ZeroStage3Engine(BaseEngine):
         # gradient shard) lives in host DRAM instead of on the device.
         # ZeRO-Infinity generalizes the placement to per-state-class tiers
         # (host or NVMe pools), including the fp16 parameter shard itself.
-        off = self.config.offload
         inf = self.config.infinity
         self._page_params = inf is not None and inf.page_params
-        self._host_adam = (off is not None and off.offload_optimizer) or (
-            inf is not None and inf.offload_optimizer
-        )
+        self._host_adam = self.offload is not None and self.offload.config.offload_optimizer
         if self._host_adam:
-            opt_pool = self.infinity.optimizer_pool if inf is not None else ctx.host
             self.opt_state = HostAdamState(
-                self.part_numel, host=opt_pool, hp=self.config.adam,
+                self.part_numel, host=self.offload.optimizer_pool, hp=self.config.adam,
                 meta=self.is_meta, tag="zero3-adam",
             )
         else:
@@ -103,14 +99,11 @@ class ZeroStage3Engine(BaseEngine):
                 )
         # ...and fp16 gradient shard (2 Psi / Nd), host-resident under
         # offload_gradients (each unit's reduced piece streams d2h).
-        offload_grads = (off is not None and off.offload_gradients) or (
-            inf is not None and inf.offload_gradients
-        )
+        offload_grads = self.offload is not None and self.offload.config.offload_gradients
         with memprof_category("grad_fp16", site="zero3-grad-shard"):
             if offload_grads:
-                grad_pool = self.infinity.grad_pool if inf is not None else ctx.host
                 self.grad_shard: Tensor | HostTensor = HostTensor(
-                    self.part_numel, np.dtype(self.model.dtype), grad_pool,
+                    self.part_numel, np.dtype(self.model.dtype), self.offload.grad_pool,
                     meta=self.is_meta, tag="zero3-grad-shard",
                 )
             else:

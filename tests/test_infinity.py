@@ -475,3 +475,68 @@ def test_tier_state_bytes_accounts_every_tier():
     # every model-state byte lands on exactly one tier
     all_device = model_state_bytes(psi, nd=nd, stage=3)
     assert sum(tiers.values()) == pytest.approx(all_device)
+
+
+# -- one schedule: the offload runtime is the host-only placement --------------
+
+HOST_ONLY = dict(optimizer_tier="host", grad_tier="host", param_tier="device")
+
+
+def meta_clock(zero, *, world=2, mp=1, steps=3):
+    """Meta-mode training; per rank (step reports, (op, bytes) ledger)."""
+    cluster = Cluster(world, gpu=GPU, timeout_s=60.0)
+
+    def fn(ctx):
+        mp_ranks = [r for r in range(world) if r // mp == ctx.rank // mp]
+        dp_ranks = [r for r in range(world) if r % mp == ctx.rank % mp]
+        model, engine = build_model_and_engine(
+            ctx, CFG, zero, dp_group=ctx.group(dp_ranks),
+            mp_group=ctx.group(mp_ranks) if mp > 1 else None, meta=True, seed=0,
+        )
+        ids = np.zeros((2, 16), dtype=np.int64)
+        for _ in range(steps):
+            engine.train_step(ids, ids)
+        ledger = [(e.op, e.message_bytes) for e in ctx.ledger.events]
+        return engine.offload.reports, ledger
+
+    return cluster.run(fn)
+
+
+@pytest.mark.parametrize("dpu", [False, True], ids=["sync", "dpu"])
+def test_offload_flags_equal_host_only_placement_exactly(dpu):
+    """``offload_*`` flags and the equivalent host-only ``InfinityConfig``
+    are evaluated by one schedule: same clock to the bit, same traffic."""
+    legacy = meta_clock(ZeROConfig(
+        stage=2, memory_defrag=False, offload_optimizer=True,
+        offload_gradients=True, delayed_param_update=dpu,
+    ))
+    tiered = meta_clock(ZeROConfig(
+        stage=2, memory_defrag=False,
+        infinity=InfinityConfig(delayed_param_update=dpu, **HOST_ONLY),
+    ))
+    for (off_reports, off_ledger), (inf_reports, inf_ledger) in zip(legacy, tiered):
+        assert len(off_reports) == len(inf_reports) == 3
+        for off, inf in zip(off_reports, inf_reports):
+            assert off.step_s == inf.step_s
+            assert off.grads_ready_s == inf.grads_ready_s
+            assert off.carry_in_s == inf.carry_in_s
+        assert off_ledger == inf_ledger
+    if dpu:
+        assert legacy[0][0][-1].carry_in_s > 0.0  # the carry really was exercised
+
+
+def test_offload_compute_window_divides_by_mp_degree():
+    """Under tensor parallelism both runtimes price the compute window
+    over this rank's 1/mp share of the FLOPs."""
+    base = dict(stage=1, memory_defrag=False)
+    legacy = meta_clock(ZeROConfig(offload_optimizer=True, **base), world=4, mp=2)
+    tiered = meta_clock(
+        ZeROConfig(infinity=InfinityConfig(**{**HOST_ONLY, "grad_tier": "device"}), **base),
+        world=4, mp=2,
+    )
+    unsharded = meta_clock(ZeROConfig(offload_optimizer=True, **base), world=2)
+    for (off_reports, _), (inf_reports, _) in zip(legacy, tiered):
+        assert off_reports[-1].compute_s == inf_reports[-1].compute_s
+        assert off_reports[-1].compute_s == pytest.approx(
+            unsharded[0][0][-1].compute_s / 2
+        )

@@ -462,6 +462,30 @@ class TestOffloadTrace:
         x_names = {ev["name"] for ev in trace["traceEvents"] if ev["ph"] == "X"}
         assert {"d2h", "h2d", "cpu-adam"} <= x_names
 
+    def test_nvme_paged_adam_spans_follow_their_page_in(self):
+        """With NVMe-resident optimizer state the host Adam runs chunk by
+        chunk, each after its state paged in — the trace must show those
+        intervals, not one span starting when the gradients are ready."""
+        from repro.infinity import InfinityConfig
+
+        session = TelemetrySession()
+        zero = ZeROConfig(
+            stage=2, checkpoint_activations=False, memory_defrag=False,
+            infinity=InfinityConfig(optimizer_tier="nvme", grad_tier="host",
+                                    opt_chunk_bytes=1 << 16),
+        )
+        run_meta_stage2(session, zero=zero, steps=1)
+        spans = session.tracers[0].timeline_spans
+        page_ins = [s for s in spans if s.name == "nvme-in"
+                    and s.args["phase"] == "infinity-opt"]
+        adam = [s for s in spans if s.name == "cpu-adam"]
+        assert len(adam) == len(page_ins) > 1  # one Adam chunk per page-in
+        assert {s.track for s in adam} == {"host"}
+        first_in_end = min(s.end_s for s in page_ins)
+        assert all(s.start_s >= first_in_end for s in adam)
+        for chunk, page_in in zip(adam, page_ins):
+            assert chunk.start_s >= page_in.end_s
+
 
 # -- pipeline spans ----------------------------------------------------------
 
