@@ -37,6 +37,11 @@ class SyntheticCorpus:
         ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
         self.unigram = ranks**-zipf_a
         self.unigram /= self.unigram.sum()
+        # ``Generator.choice(p=unigram)`` re-validates ``p`` and rebuilds this
+        # table on every draw; ``sample_batch`` inverts it directly, which
+        # consumes the generator identically.
+        self._unigram_cdf = self.unigram.cumsum()
+        self._unigram_cdf /= self._unigram_cdf[-1]
         # Each token deterministically prefers a few successor tokens.
         self.successors = rng.integers(0, vocab_size, size=(vocab_size, markov_fanout))
 
@@ -50,11 +55,12 @@ class SyntheticCorpus:
         """
         rng = rng_for(self.seed, "batch", rank, step)
         tokens = np.empty((batch, seq_len + 1), dtype=np.int64)
-        tokens[:, 0] = rng.choice(self.vocab_size, size=batch, p=self.unigram)
+        cdf = self._unigram_cdf
+        tokens[:, 0] = cdf.searchsorted(rng.random(batch), side="right")
         fanout = self.successors.shape[1]
         for t in range(1, seq_len + 1):
             use_markov = rng.random(batch) < self.markov_weight
             succ_pick = self.successors[tokens[:, t - 1], rng.integers(0, fanout, size=batch)]
-            fresh = rng.choice(self.vocab_size, size=batch, p=self.unigram)
+            fresh = cdf.searchsorted(rng.random(batch), side="right")
             tokens[:, t] = np.where(use_markov, succ_pick, fresh)
         return tokens[:, :-1].copy(), tokens[:, 1:].copy()

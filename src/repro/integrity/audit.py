@@ -34,6 +34,7 @@ and is byte-identical to pre-integrity behavior.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,9 @@ class IntegrityAuditor:
     """Per-engine SDC detector stack (see module docstring)."""
 
     def __init__(self, engine, config: IntegrityConfig):
-        self.engine = engine
+        # The engine owns its auditor; a strong back-pointer would make a
+        # cycle that keeps a dead incarnation's state alive until a gc pass.
+        self.engine = weakref.proxy(engine)
         self.config = config
         self.rank = engine.ctx.rank
         self._recorded: dict[str, int] = {}

@@ -10,6 +10,9 @@ bucketing (Section 5.2's reference point).
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.comm.group import ProcessGroup
@@ -24,6 +27,11 @@ from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
 
 
+def _unhook(params: Sequence[Parameter]) -> None:
+    for p in params:
+        p.grad_ready_hook = None
+
+
 class GradBucketQueue:
     """Collects parameters as their gradients become ready; flushes groups
     of ~bucket_numel elements to a callback (the engine's reduction)."""
@@ -33,6 +41,26 @@ class GradBucketQueue:
         self.flush_fn = flush_fn
         self._pending: list[Parameter] = []
         self._pending_numel = 0
+
+    @classmethod
+    def for_engine(cls, engine, hooked: Sequence[Parameter]) -> "GradBucketQueue":
+        """The queue ``engine`` owns: it flushes to ``engine._flush_bucket``
+        and every parameter in ``hooked`` reports its gradient to it.
+
+        Built so that dropping the last handle on the engine frees it, and
+        the model, without a gc pass (a Supervisor relaunch abandons a
+        whole world's engines): the queue reaches the engine through a
+        weak reference, and the parameters — which point at the queue
+        while the queue lists those with a gradient pending — are unhooked
+        when the engine goes.
+        """
+        weak_engine = weakref.proxy(engine)
+        queue = cls(engine.config.bucket_numel, lambda bucket: weak_engine._flush_bucket(bucket))
+        if hooked:
+            for p in hooked:
+                p.grad_ready_hook = queue.on_grad_ready
+            weakref.finalize(engine, _unhook, hooked).atexit = False
+        return queue
 
     def on_grad_ready(self, param: Parameter) -> None:
         self._pending.append(param)
@@ -67,13 +95,13 @@ class DDPEngine(BaseEngine):
         )
         if not self.is_meta:
             self.opt_state.init_master(self.layout.gather_params(np.float32))
-        self._queue = GradBucketQueue(self.config.bucket_numel, self._flush_bucket)
-        if self.config.gradient_accumulation_steps == 1:
-            # Overlap reduction with backward. Under accumulation, grads
-            # stay resident across micro-batches (torch no_sync) and are
-            # reduced once at the boundary instead.
-            for p in self.layout.parameters:
-                p.grad_ready_hook = self._queue.on_grad_ready
+        # Overlap reduction with backward. Under accumulation, grads stay
+        # resident across micro-batches (torch no_sync) and are reduced
+        # once at the boundary instead.
+        overlap = self.config.gradient_accumulation_steps == 1
+        self._queue = GradBucketQueue.for_engine(
+            self, self.layout.parameters if overlap else ()
+        )
 
     # -- gradient reduction -----------------------------------------------------
 

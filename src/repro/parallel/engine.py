@@ -152,10 +152,12 @@ class BaseEngine:
         self._cb_buffer: Tensor | None = None
         if self.config.fused_buffer_numel is not None:
             with memprof_category("comm_buffer", site="cb-fused-buffer"):
+                # An accounting reservation, like the transient one in
+                # ``with_fused_buffer``: nothing reads its bytes, so it
+                # carries none even in real mode.
                 self._cb_buffer = Tensor(
                     (self.config.fused_buffer_numel,), np.dtype(np.float32),
-                    data=None if self.is_meta else np.zeros(self.config.fused_buffer_numel, np.float32),
-                    device=ctx.device, tag="cb-fused-buffer",
+                    data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
         # ZeRO-Offload companion: owns the PCIe stream and the per-step
         # transfer/step-time model. Placement changes live in the ZeRO

@@ -27,6 +27,8 @@ tier capacity stays honest.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.infinity.tiers import TierStream, TierTopology, wire_seconds
@@ -39,7 +41,9 @@ class RedundancyManager:
     """One rank's view of the buddy-redundancy machinery."""
 
     def __init__(self, engine, store: BuddyStore):
-        self.engine = engine
+        # The engine owns its manager; a strong back-pointer would make a
+        # cycle that keeps a dead incarnation's state alive until a gc pass.
+        self.engine = weakref.proxy(engine)
         self.store = store
         self.config = store.config
         ctx = engine.ctx

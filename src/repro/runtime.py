@@ -253,11 +253,16 @@ class Cluster:
 
         root = [e for e in errors if e is not None and not isinstance(e, FabricAbortedError)]
         secondary = [e for e in errors if isinstance(e, FabricAbortedError)]
-        if root:
-            raise root[0]
-        for e in secondary:
-            if e.__cause__ is not None:
-                raise e
-        if secondary:
-            raise secondary[0]
-        return results
+        chained = [e for e in secondary if e.__cause__ is not None]
+        failure = (root or chained or secondary or [None])[0]
+        if failure is None:
+            return results
+        try:
+            raise failure
+        finally:
+            # The raised exception's traceback now holds this frame. Drop the
+            # frame's own references to the rank exceptions (each of which
+            # holds its rank's training frame — engine, model, context), or
+            # the failed run stays alive as a cycle until a gc pass.
+            errors.clear()
+            del root, secondary, chained, failure

@@ -221,6 +221,11 @@ class Supervisor:
         world = self.world_size
         events: list[RestartEvent] = []
         restarts = 0
+        # ``ctx.fabric`` is an attempt's identity to the training function
+        # (per-attempt state gets keyed on it). A dead attempt is freed at
+        # once, so its fabric is held until the run is over: a later
+        # attempt's fabric must not be handed the same address.
+        fabrics = []
         rec = self.recorder
         if rec is not None:
             from repro.obs import EventKind
@@ -244,6 +249,7 @@ class Supervisor:
                 redundancy=self.redundancy,
                 recorder=rec,
             )
+            fabrics.append(cluster.fabric)
             try:
                 results = cluster.run(fn, *args, **kwargs)
             except (

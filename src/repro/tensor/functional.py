@@ -7,10 +7,21 @@ lives in exactly one place. Results inherit the first operand's device.
 Precision convention: half-precision matmuls accumulate in float32 and cast
 the result back to float16, matching tensor-core semantics (and keeping the
 ZeRO == DDP equivalence tests meaningful at fp16).
+
+Kernel rules (docs/ARCHITECTURE.md, "Numerics contract"): no ``**`` with an
+exponent other than 2 on arrays (``np.power`` is ~150x a multiply), and a
+result never aliases an input. The second rule is what lets the up-casts
+use ``astype(copy=False)`` (a no-op at fp32) and the kernels work in place
+on their own temporaries; ``reshape`` and ``transpose`` are the two views.
+
+A paper-scale meta step calls these ~13 000 times, so the module reads
+meta-ness as ``t.data is None`` (``Tensor.is_meta`` is a property call) and
+leaves shape and dtype normalisation to ``Tensor.__init__``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,13 +39,14 @@ def _result(
     tag: str,
     alloc: bool = True,
 ) -> Tensor:
-    return Tensor(
-        tuple(shape), np.dtype(dtype), data=data, device=ref.device, tag=tag, alloc=alloc
-    )
+    return Tensor(shape, dtype, data=data, device=ref.device, tag=tag, alloc=alloc)
 
 
 def _any_meta(*tensors: Tensor) -> bool:
-    return any(t.is_meta for t in tensors)
+    for t in tensors:
+        if t.data is None:
+            return True
+    return False
 
 
 def _compute_dtype(dtype: np.dtype) -> np.dtype:
@@ -43,23 +55,34 @@ def _compute_dtype(dtype: np.dtype) -> np.dtype:
     return np.promote_types(dtype, np.float32)
 
 
+def _broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """``np.broadcast_shapes`` of two shapes; numpy is only asked when
+    neither is a suffix of the other (equal shapes, a bias under a batch
+    and a 2-D weight under batch dims all are)."""
+    if a == b or not b or a[-len(b):] == b:
+        return a
+    if not a or b[-len(a):] == a:
+        return b
+    return tuple(np.broadcast_shapes(a, b))
+
+
 # -- shape ops ----------------------------------------------------------------
 
 
 def reshape(x: Tensor, shape: tuple[int, ...], tag: str = "reshape") -> Tensor:
-    shape = tuple(int(s) for s in shape)
+    shape = tuple(map(int, shape))
     if -1 in shape:
         known = 1
         for s in shape:
             if s != -1:
                 known *= s
-        shape = tuple(x.size // known if s == -1 else s for s in shape)
+        shape = tuple([x.size // known if s == -1 else s for s in shape])
     size = 1
     for s in shape:
         size *= s
     if size != x.size:
         raise ValueError(f"cannot reshape {x.shape} ({x.size}) to {shape}")
-    data = None if x.is_meta else x.data.reshape(shape)
+    data = None if x.data is None else x.data.reshape(shape)
     # Reshape is a metadata op on the device: a view, not an allocation.
     return _result(x, data, shape, x.dtype, tag, alloc=False)
 
@@ -67,14 +90,14 @@ def reshape(x: Tensor, shape: tuple[int, ...], tag: str = "reshape") -> Tensor:
 def transpose(x: Tensor, axes: tuple[int, ...], tag: str = "transpose") -> Tensor:
     """Transposed view. Real GEMM kernels take transpose flags, so this is
     accounted as a view (no device allocation)."""
-    shape = tuple(x.shape[a] for a in axes)
-    data = None if x.is_meta else np.ascontiguousarray(x.data.transpose(axes))
+    shape = tuple(map(x.shape.__getitem__, axes))
+    data = None if x.data is None else np.ascontiguousarray(x.data.transpose(axes))
     return _result(x, data, shape, x.dtype, tag, alloc=False)
 
 
 def cast(x: Tensor, dtype, tag: str = "cast") -> Tensor:
     dtype = np.dtype(dtype)
-    data = None if x.is_meta else x.data.astype(dtype)
+    data = None if x.data is None else x.data.astype(dtype)
     return _result(x, data, x.shape, dtype, tag)
 
 
@@ -83,7 +106,7 @@ def index_axis0(x: Tensor, i: int, tag: str = "index0") -> Tensor:
     if not 0 <= i < x.shape[0]:
         raise IndexError(f"index {i} out of range for axis-0 size {x.shape[0]}")
     shape = x.shape[1:]
-    data = None if x.is_meta else np.ascontiguousarray(x.data[i])
+    data = None if x.data is None else x.data[i].copy()
     return _result(x, data, shape, x.dtype, tag)
 
 
@@ -105,7 +128,7 @@ def slice_last(x: Tensor, lo: int, hi: int, tag: str = "slice") -> Tensor:
     if not 0 <= lo <= hi <= x.shape[-1]:
         raise IndexError(f"slice [{lo}:{hi}] out of range for last dim {x.shape[-1]}")
     shape = x.shape[:-1] + (hi - lo,)
-    data = None if x.is_meta else np.ascontiguousarray(x.data[..., lo:hi])
+    data = None if x.data is None else x.data[..., lo:hi].copy()
     return _result(x, data, shape, x.dtype, tag)
 
 
@@ -117,20 +140,19 @@ def _matmul_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError(f"matmul needs >=2-D operands, got {a} @ {b}")
     if a[-1] != b[-2]:
         raise ValueError(f"matmul inner dims mismatch: {a} @ {b}")
-    batch = np.broadcast_shapes(a[:-2], b[:-2])
-    return tuple(batch) + (a[-2], b[-1])
+    return _broadcast_shape(a[:-2], b[:-2]) + (a[-2], b[-1])
 
 
 def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
     """Batched matmul; fp16 inputs accumulate in fp32 (tensor-core style)."""
     shape = _matmul_shape(a.shape, b.shape)
-    out_dtype = np.result_type(a.dtype, b.dtype)
+    out_dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
     if _any_meta(a, b):
         return _result(a, None, shape, out_dtype, tag)
     if a.dtype == np.float16 or b.dtype == np.float16:
-        acc = a.data.astype(np.float32) @ b.data.astype(np.float32)
+        acc = a.data.astype(np.float32, copy=False) @ b.data.astype(np.float32, copy=False)
         with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
-            return _result(a, acc.astype(out_dtype), shape, out_dtype, tag)
+            return _result(a, acc.astype(out_dtype, copy=False), shape, out_dtype, tag)
     return _result(a, a.data @ b.data, shape, out_dtype, tag)
 
 
@@ -138,15 +160,15 @@ def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
 
 
 def add(a: Tensor, b: Tensor, tag: str = "add") -> Tensor:
-    shape = tuple(np.broadcast_shapes(a.shape, b.shape))
-    dtype = np.result_type(a.dtype, b.dtype)
+    shape = _broadcast_shape(a.shape, b.shape)
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
     data = None if _any_meta(a, b) else (a.data + b.data).astype(dtype, copy=False)
     return _result(a, data, shape, dtype, tag)
 
 
 def mul(a: Tensor, b: Tensor, tag: str = "mul") -> Tensor:
-    shape = tuple(np.broadcast_shapes(a.shape, b.shape))
-    dtype = np.result_type(a.dtype, b.dtype)
+    shape = _broadcast_shape(a.shape, b.shape)
+    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
     data = None if _any_meta(a, b) else (a.data * b.data).astype(dtype, copy=False)
     return _result(a, data, shape, dtype, tag)
 
@@ -155,11 +177,11 @@ def scale(x: Tensor, factor: float, tag: str = "scale") -> Tensor:
     """Multiply by a scalar in the compute dtype (an fp16 tensor scaled by
     a factor beyond fp16 range saturates only after the multiply, matching
     mixed-precision loss-scaling semantics)."""
-    if x.is_meta:
+    if x.data is None:
         return _result(x, None, x.shape, x.dtype, tag)
     ct = _compute_dtype(x.dtype)
     with np.errstate(over="ignore"):  # loss-scale overflow saturates to inf
-        data = (x.data.astype(ct) * ct.type(factor)).astype(x.dtype)
+        data = (x.data.astype(ct, copy=False) * ct.type(factor)).astype(x.dtype, copy=False)
     return _result(x, data, x.shape, x.dtype, tag)
 
 
@@ -169,8 +191,8 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
     Accumulates in the compute dtype (fp32 for fp16 inputs, like real
     reduction kernels) and casts back, saturating on overflow.
     """
-    shape = tuple(int(s) for s in shape)
-    if x.is_meta:
+    shape = tuple(map(int, shape))
+    if x.data is None:
         return _result(x, None, shape, x.dtype, tag)
     data = x.data.astype(_compute_dtype(x.dtype), copy=False)
     # Sum away leading dims, then broadcasted (size-1) dims.
@@ -181,6 +203,8 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
             data = data.sum(axis=axis, keepdims=True)
     if data.shape != shape:
         raise ValueError(f"cannot sum {x.shape} to {shape}")
+    if data is x.data:  # nothing was reduced and nothing was cast
+        data = data.copy()
     with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
         return _result(x, data.astype(x.dtype, copy=False), shape, x.dtype, tag)
 
@@ -189,26 +213,48 @@ def sum_to(x: Tensor, shape: tuple[int, ...], tag: str = "sum_to") -> Tensor:
 
 
 def gelu(x: Tensor, tag: str = "gelu") -> Tensor:
-    if x.is_meta:
+    if x.data is None:
         return _result(x, None, x.shape, x.dtype, tag)
-    x32 = x.data.astype(_compute_dtype(x.dtype))
-    inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
-    data = (0.5 * x32 * (1.0 + np.tanh(inner))).astype(x.dtype)
-    return _result(x, data, x.shape, x.dtype, tag)
+    x32 = x.data.astype(_compute_dtype(x.dtype), copy=False)
+    # 0.5 * x * (1 + tanh(c * (x + 0.044715 * x^3))), in place on ``t``
+    t = x32 * x32
+    t *= x32
+    t *= 0.044715
+    t += x32
+    t *= SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    t += 1.0
+    y = 0.5 * x32
+    y *= t
+    return _result(x, y.astype(x.dtype, copy=False), x.shape, x.dtype, tag)
 
 
 def gelu_grad(x: Tensor, dy: Tensor, tag: str = "gelu_grad") -> Tensor:
     if _any_meta(x, dy):
         return _result(x, None, x.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
-    x32 = x.data.astype(ct)
-    inner = SQRT_2_OVER_PI * (x32 + 0.044715 * x32**3)
-    tanh_inner = np.tanh(inner)
-    sech2 = 1.0 - tanh_inner**2
-    dinner = SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x32**2)
-    grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x32 * sech2 * dinner
-    data = (dy.data.astype(ct) * grad).astype(dy.dtype)
-    return _result(x, data, x.shape, dy.dtype, tag)
+    x32 = x.data.astype(ct, copy=False)
+    # dy * (0.5 * (1 + tanh(u)) + 0.5 * x * sech^2(u) * u'),
+    # u = c * (x + 0.044715 * x^3), u' = c * (1 + 3 * 0.044715 * x^2)
+    du = x32 * x32
+    t = du * x32
+    t *= 0.044715
+    t += x32
+    t *= SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= SQRT_2_OVER_PI
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    right = 0.5 * x32
+    right *= sech2
+    right *= du
+    t += 1.0
+    t *= 0.5
+    t += right
+    t *= dy.data.astype(ct, copy=False)
+    return _result(x, t.astype(dy.dtype, copy=False), x.shape, dy.dtype, tag)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -216,13 +262,13 @@ def gelu_grad(x: Tensor, dy: Tensor, tag: str = "gelu_grad") -> Tensor:
 
 def softmax(x: Tensor, tag: str = "softmax") -> Tensor:
     """Numerically stable softmax over the last axis, computed in fp32."""
-    if x.is_meta:
+    if x.data is None:
         return _result(x, None, x.shape, x.dtype, tag)
-    x32 = x.data.astype(_compute_dtype(x.dtype))
-    x32 = x32 - x32.max(axis=-1, keepdims=True)
-    e = np.exp(x32)
-    data = (e / e.sum(axis=-1, keepdims=True)).astype(x.dtype)
-    return _result(x, data, x.shape, x.dtype, tag)
+    x32 = x.data.astype(_compute_dtype(x.dtype), copy=False)
+    e = x32 - x32.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return _result(x, e.astype(x.dtype, copy=False), x.shape, x.dtype, tag)
 
 
 def softmax_grad(y: Tensor, dy: Tensor, tag: str = "softmax_grad") -> Tensor:
@@ -230,14 +276,26 @@ def softmax_grad(y: Tensor, dy: Tensor, tag: str = "softmax_grad") -> Tensor:
     if _any_meta(y, dy):
         return _result(y, None, y.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(y.dtype, dy.dtype))
-    y32 = y.data.astype(ct)
-    dy32 = dy.data.astype(ct)
+    y32 = y.data.astype(ct, copy=False)
+    dy32 = dy.data.astype(ct, copy=False)
     dot = (dy32 * y32).sum(axis=-1, keepdims=True)
-    data = (y32 * (dy32 - dot)).astype(dy.dtype)
-    return _result(y, data, y.shape, dy.dtype, tag)
+    dx = dy32 - dot
+    dx *= y32
+    return _result(y, dx.astype(dy.dtype, copy=False), y.shape, dy.dtype, tag)
 
 
 # -- causal mask ---------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_mask(s: int) -> np.ndarray:
+    """Strictly-upper-triangular (future) positions of an (s, s) score
+    matrix. Built once per sequence length and shared by every rank
+    thread, so it is read-only; bounded because generation walks through
+    every length up to the context size."""
+    mask = np.triu(np.ones((s, s), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def causal_mask_fill(scores: Tensor, value: float = -1e4, tag: str = "mask") -> Tensor:
@@ -248,22 +306,20 @@ def causal_mask_fill(scores: Tensor, value: float = -1e4, tag: str = "mask") -> 
     s = scores.shape[-1]
     if scores.shape[-2] != s:
         raise ValueError(f"causal mask needs square last dims, got {scores.shape}")
-    if scores.is_meta:
+    if scores.data is None:
         return _result(scores, None, scores.shape, scores.dtype, tag)
-    mask = np.triu(np.ones((s, s), dtype=bool), k=1)
     data = scores.data.copy()
-    data[..., mask] = scores.dtype.type(value)
+    np.copyto(data, scores.dtype.type(value), where=_causal_mask(s))
     return _result(scores, data, scores.shape, scores.dtype, tag)
 
 
 def causal_mask_zero_grad(dscores: Tensor, tag: str = "mask_grad") -> Tensor:
     """Zero gradients flowing into masked positions."""
     s = dscores.shape[-1]
-    if dscores.is_meta:
+    if dscores.data is None:
         return _result(dscores, None, dscores.shape, dscores.dtype, tag)
-    mask = np.triu(np.ones((s, s), dtype=bool), k=1)
     data = dscores.data.copy()
-    data[..., mask] = 0
+    np.copyto(data, 0, where=_causal_mask(s))
     return _result(dscores, data, dscores.shape, dscores.dtype, tag)
 
 
@@ -285,13 +341,15 @@ def layernorm(
         rstd = _result(x, None, stat_shape, _compute_dtype(x.dtype), tag + ".rstd")
         return y, mean, rstd
     ct = _compute_dtype(x.dtype)
-    x32 = x.data.astype(ct)
+    x32 = x.data.astype(ct, copy=False)
     mean32 = x32.mean(axis=-1, keepdims=True)
     var32 = x32.var(axis=-1, keepdims=True)
     rstd32 = 1.0 / np.sqrt(var32 + eps)
-    xhat = (x32 - mean32) * rstd32
-    y32 = xhat * gamma.data.astype(ct) + beta.data.astype(ct)
-    y = _result(x, y32.astype(x.dtype), x.shape, x.dtype, tag)
+    y32 = x32 - mean32
+    y32 *= rstd32
+    y32 *= gamma.data.astype(ct, copy=False)
+    y32 += beta.data.astype(ct, copy=False)
+    y = _result(x, y32.astype(x.dtype, copy=False), x.shape, x.dtype, tag)
     mean = _result(x, mean32, stat_shape, ct, tag + ".mean")
     rstd = _result(x, rstd32, stat_shape, ct, tag + ".rstd")
     return y, mean, rstd
@@ -314,19 +372,19 @@ def layernorm_grad(
         return dx, dgamma, dbeta
     n = x.shape[-1]
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
-    x32 = x.data.astype(ct)
-    dy32 = dy.data.astype(ct)
-    xhat = (x32 - mean.data) * rstd.data
-    g32 = gamma.data.astype(ct)
+    x32 = x.data.astype(ct, copy=False)
+    dy32 = dy.data.astype(ct, copy=False)
+    xhat = x32 - mean.data
+    xhat *= rstd.data
     dgamma32 = (dy32 * xhat).reshape(-1, n).sum(axis=0)
     dbeta32 = dy32.reshape(-1, n).sum(axis=0)
-    dxhat = dy32 * g32
+    dxhat = dy32 * gamma.data.astype(ct, copy=False)
     dx32 = rstd.data * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    dx = _result(x, dx32.astype(dy.dtype), x.shape, dy.dtype, tag + ".dx")
+    dx = _result(x, dx32.astype(dy.dtype, copy=False), x.shape, dy.dtype, tag + ".dx")
     dgamma = _result(x, dgamma32, feat_shape, np.float32, tag + ".dgamma")
     dbeta = _result(x, dbeta32, feat_shape, np.float32, tag + ".dbeta")
     return dx, dgamma, dbeta
@@ -352,7 +410,8 @@ def embedding_grad(table: Tensor, ids: Tensor, dy: Tensor, tag: str = "embed_gra
     if _any_meta(table, ids, dy):
         return _result(table, None, table.shape, np.float32, tag)
     grad = np.zeros(table.shape, dtype=np.float32)
-    np.add.at(grad, ids.data.reshape(-1), dy.data.reshape(-1, dy.shape[-1]).astype(np.float32))
+    rows = dy.data.reshape(-1, dy.shape[-1]).astype(np.float32, copy=False)
+    np.add.at(grad, ids.data.reshape(-1), rows)
     return _result(table, grad, table.shape, np.float32, tag)
 
 
@@ -371,10 +430,10 @@ def cross_entropy(logits: Tensor, targets: Tensor, tag: str = "xent") -> tuple[T
         probs = _result(logits, None, (n, v), ct, tag + ".probs")
         return loss, probs
     ct = _compute_dtype(logits.dtype)
-    x32 = logits.data.astype(ct)
-    x32 = x32 - x32.max(axis=-1, keepdims=True)
-    e = np.exp(x32)
-    probs32 = e / e.sum(axis=-1, keepdims=True)
+    x32 = logits.data.astype(ct, copy=False)
+    probs32 = x32 - x32.max(axis=-1, keepdims=True)
+    np.exp(probs32, out=probs32)
+    probs32 /= probs32.sum(axis=-1, keepdims=True)
     picked = probs32[np.arange(n), targets.data]
     loss32 = np.asarray(-np.log(np.maximum(picked, 1e-30)).mean(), dtype=ct)
     loss = _result(logits, loss32, (), ct, tag)
@@ -386,11 +445,11 @@ def cross_entropy_grad(probs: Tensor, targets: Tensor, dtype=np.float16, tag: st
     """d(mean CE)/dlogits = (probs - onehot)/N, cast to the model dtype."""
     n, v = probs.shape
     if _any_meta(probs, targets):
-        return _result(probs, None, (n, v), np.dtype(dtype), tag)
+        return _result(probs, None, (n, v), dtype, tag)
     grad = probs.data.copy()
     grad[np.arange(n), targets.data] -= 1.0
     grad /= n
-    return _result(probs, grad.astype(dtype), (n, v), np.dtype(dtype), tag)
+    return _result(probs, grad.astype(dtype, copy=False), (n, v), dtype, tag)
 
 
 # -- dropout ----------------------------------------------------------------------
@@ -401,24 +460,25 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, tag: str = "dr
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p must be in [0, 1), got {p}")
     if p == 0.0:
-        y = _result(x, None if x.is_meta else x.data.copy(), x.shape, x.dtype, tag)
+        y = _result(x, None if x.data is None else x.data.copy(), x.shape, x.dtype, tag)
         return y, None
-    if x.is_meta:
+    if x.data is None:
         y = _result(x, None, x.shape, x.dtype, tag)
         mask = _result(x, None, x.shape, np.float32, tag + ".mask")
         return y, mask
     if rng is None:
         raise ValueError("dropout with p > 0 needs an rng in real mode")
     keep = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    y = _result(x, (x.data.astype(np.float32) * keep).astype(x.dtype), x.shape, x.dtype, tag)
+    y32 = x.data.astype(np.float32, copy=False) * keep
+    y = _result(x, y32.astype(x.dtype, copy=False), x.shape, x.dtype, tag)
     mask = _result(x, keep, x.shape, np.float32, tag + ".mask")
     return y, mask
 
 
 def dropout_grad(dy: Tensor, mask: Tensor | None, tag: str = "dropout_grad") -> Tensor:
     if mask is None:
-        return _result(dy, None if dy.is_meta else dy.data.copy(), dy.shape, dy.dtype, tag)
+        return _result(dy, None if dy.data is None else dy.data.copy(), dy.shape, dy.dtype, tag)
     if _any_meta(dy, mask):
         return _result(dy, None, dy.shape, dy.dtype, tag)
-    data = (dy.data.astype(np.float32) * mask.data).astype(dy.dtype)
+    data = (dy.data.astype(np.float32, copy=False) * mask.data).astype(dy.dtype, copy=False)
     return _result(dy, data, dy.shape, dy.dtype, tag)

@@ -46,7 +46,7 @@ def dtype_size(dtype: np.dtype) -> int:
 class Tensor:
     """A shape+dtype value, optionally backed by numpy data and device memory."""
 
-    __slots__ = ("shape", "dtype", "data", "device", "extent", "tag", "_freed")
+    __slots__ = ("shape", "dtype", "size", "nbytes", "data", "device", "extent", "tag", "_freed")
 
     def __init__(
         self,
@@ -60,21 +60,34 @@ class Tensor:
     ):
         """``alloc=False`` builds a *view*: it carries ``device`` for
         propagation to downstream results but reserves no memory itself
-        (reshape/transpose on a GPU are metadata ops, not copies)."""
-        self.shape = tuple(int(s) for s in shape)
-        self.dtype = np.dtype(dtype)
-        dtype_size(self.dtype)  # validate
+        (reshape/transpose on a GPU are metadata ops, not copies).
+
+        ``size`` and ``nbytes`` are computed here, once: they are plain
+        attributes, and ``shape`` changes only through ``reshaped_inplace``,
+        which keeps the element count."""
+        shape = tuple(map(int, shape))
+        dtype = np.dtype(dtype)
+        itemsize = DTYPE_SIZES.get(dtype)
+        if itemsize is None:
+            raise ValueError(f"unsupported dtype {dtype}")
         if data is not None:
-            data = np.asarray(data, dtype=self.dtype)
-            if data.shape != self.shape:
-                raise ValueError(f"data shape {data.shape} != tensor shape {self.shape}")
+            data = np.asarray(data, dtype=dtype)
+            if data.shape != shape:
+                raise ValueError(f"data shape {data.shape} != tensor shape {shape}")
+        size = 1
+        for s in shape:
+            size *= s
+        self.shape = shape
+        self.dtype = dtype
+        self.size = size
+        self.nbytes = nbytes = size * itemsize
         self.data = data
         self.device = device
         self.tag = tag
         self._freed = False
         self.extent: Optional[Extent] = None
-        if alloc and device is not None and self.nbytes > 0:
-            self.extent = device.alloc(self.nbytes, tag)
+        if alloc and device is not None and nbytes > 0:
+            self.extent = device.alloc(nbytes, tag)
 
     # -- construction helpers ------------------------------------------------
 
@@ -99,7 +112,7 @@ class Tensor:
         if shape is None or dtype is None:
             raise ValueError("meta result needs explicit shape and dtype")
         return Tensor(
-            tuple(shape), dtype, data=data, device=self.device,
+            shape, dtype, data=data, device=self.device,
             tag=self.tag if tag is None else tag,
         )
 
@@ -108,17 +121,6 @@ class Tensor:
     @property
     def is_meta(self) -> bool:
         return self.data is None
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * dtype_size(self.dtype)
 
     @property
     def ndim(self) -> int:
@@ -131,7 +133,7 @@ class Tensor:
         keeps ownership with the same Tensor — the natural way to fix up an
         op output's shape without allocation or ownership transfer.
         """
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
         size = 1
         for s in shape:
             size *= s

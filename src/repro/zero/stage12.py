@@ -101,13 +101,13 @@ class _ZeroDPBase(BaseEngine):
                         device=ctx.device,
                         tag=f"{self.name}-grad-shard",
                     )
-        self._queue = GradBucketQueue(self.config.bucket_numel, self._flush_bucket)
-        if self.config.gradient_accumulation_steps == 1 or self.free_grads_after_reduce:
-            # Stage 2 reduces (and frees) every micro-step, so its hooks
-            # re-fire per micro-batch; stage 1 under accumulation keeps
-            # gradients resident and reduces once at the boundary.
-            for p in self.layout.parameters:
-                p.grad_ready_hook = self._queue.on_grad_ready
+        # Stage 2 reduces (and frees) every micro-step, so its hooks re-fire
+        # per micro-batch; stage 1 under accumulation keeps gradients
+        # resident and reduces once at the boundary.
+        overlap = self.config.gradient_accumulation_steps == 1 or self.free_grads_after_reduce
+        self._queue = GradBucketQueue.for_engine(
+            self, self.layout.parameters if overlap else ()
+        )
 
     # -- gradient reduction: reduce each owner's piece to that owner ---------
 

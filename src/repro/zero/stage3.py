@@ -23,6 +23,8 @@ DDP numerics like the other stages.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from repro.comm.group import ProcessGroup
@@ -130,7 +132,9 @@ class ZeroStage3Engine(BaseEngine):
             p.data.free_if_alive()
         self._materialized: set[str] = set()
         self._mode = "forward"
-        model.unit_listener = self
+        # The engine holds the model; the model must not hold the engine
+        # back, or neither is freed without a gc pass.
+        model.unit_listener = weakref.proxy(self)
 
     # -- UnitListener ------------------------------------------------------------
 

@@ -20,6 +20,33 @@ class TestSyntheticCorpus:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
+    def test_token_streams_equal_generator_choice(self, seed):
+        """The cached-CDF draw is ``Generator.choice(p=unigram)`` bit for
+        bit; the reference below is the implementation it replaced."""
+        from repro.utils.seeding import rng_for
+
+        c = SyntheticCorpus(61 + seed % 5, seed=seed)
+
+        def reference(batch, seq_len, rank, step):
+            rng = rng_for(c.seed, "batch", rank, step)
+            tokens = np.empty((batch, seq_len + 1), dtype=np.int64)
+            tokens[:, 0] = rng.choice(c.vocab_size, size=batch, p=c.unigram)
+            fanout = c.successors.shape[1]
+            for t in range(1, seq_len + 1):
+                use_markov = rng.random(batch) < c.markov_weight
+                succ = c.successors[tokens[:, t - 1], rng.integers(0, fanout, size=batch)]
+                fresh = rng.choice(c.vocab_size, size=batch, p=c.unigram)
+                tokens[:, t] = np.where(use_markov, succ, fresh)
+            return tokens[:, :-1], tokens[:, 1:]
+
+        for rank in (0, 1, 5):
+            for step in (0, 3):
+                ids, tgt = c.sample_batch(3, 24, rank=rank, step=step)
+                ref_ids, ref_tgt = reference(3, 24, rank, step)
+                np.testing.assert_array_equal(ids, ref_ids)
+                np.testing.assert_array_equal(tgt, ref_tgt)
+
     def test_ranks_see_different_data(self):
         c = SyntheticCorpus(100, seed=1)
         a, _ = c.sample_batch(4, 16, rank=0, step=0)

@@ -543,3 +543,54 @@ class TestRestartKinds:
                 attempt=1, world_before=2, world_after=2, killed_ranks=(),
                 error="x", kind="definitely-not-a-kind",
             )
+
+
+# -- teardown: a relaunch leaves no reference cycles behind -------------------
+
+
+@pytest.mark.parametrize("stage,redundant", [(2, True), (3, True), (0, False), (2, False)])
+def test_dead_incarnations_are_freed_without_a_gc_pass(stage, redundant, tmp_path):
+    """With the collector off, every engine, model and device of the killed
+    incarnation is gone by the time the relaunched world starts, and the
+    last incarnation's are gone when ``Supervisor.run`` returns: nothing
+    between a context, its engine and the engine's companions (bucket
+    queue, integrity auditor, redundancy manager) or between a failed
+    ``Cluster.run`` and its exceptions forms a cycle. Campaigns used to
+    leave 50-100 MB each to the collector."""
+    import gc
+    import weakref
+
+    born: dict[int, list] = {3: [], 2: []}
+    alive_at_relaunch = []
+
+    def train_fn(ctx):
+        if ctx.world_size == 2:
+            alive_at_relaunch.append(sum(r() is not None for r in born[3]))
+        model, engine = build(ctx, stage, audit=1 if redundant else 0)
+        born[ctx.world_size] += [weakref.ref(engine), weakref.ref(model), weakref.ref(ctx.device)]
+        if not resume_from_buddies(engine):
+            latest = latest_checkpoint(tmp_path)
+            if latest is not None:
+                load_checkpoint_resharded(engine, latest)
+        for step in range(engine.step_count, TOTAL_STEPS):
+            ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step)
+            engine.train_step(ids, tgt)
+            if engine.step_count % CKPT_EVERY == 0:
+                save_checkpoint(engine, tmp_path / f"step{engine.step_count}")
+            ctx.barrier()
+        return engine.step_count
+
+    gc.collect()
+    gc.disable()
+    try:
+        sup = Supervisor(
+            3, gpu=GPU, fault_plan=FaultPlan().kill_rank(1, at_step=4), timeout_s=15.0,
+            redundancy=RedundancyConfig() if redundant else None,
+        )
+        report = sup.run(train_fn)
+        assert report.restarts == 1 and report.results == [TOTAL_STEPS] * 2
+        assert len(born[3]) == 9 and len(born[2]) == 6
+        assert alive_at_relaunch == [0, 0]
+        assert [r() for r in born[2]] == [None] * 6
+    finally:
+        gc.enable()

@@ -159,12 +159,32 @@ def test_programming_errors_propagate_without_restart(tmp_path):
 def test_two_sequential_failures_shrink_twice(tmp_path):
     """4 ranks -> kill one at step 2 -> 3 ranks -> kill one at step 4 ->
     2 ranks finish the job; every transition re-shards."""
+    import gc
+    import weakref
+
     root = tmp_path / "ckpts"
     plan = FaultPlan().kill_rank(3, at_step=2).kill_rank(2, at_step=4)
     sup = Supervisor(4, gpu=GPU, fault_plan=plan, timeout_s=15.0)
-    report = sup.run(make_train_fn(root, stage=2))
+    train = make_train_fn(root, stage=2)
+    fabrics, alive_at_start = [], []
+
+    def train_fn(ctx):
+        if ctx.rank == 0:
+            gc.collect()  # free whatever of the dead attempts can be freed
+            alive_at_start.append([ref() is not None for ref in fabrics])
+            fabrics.append(weakref.ref(ctx.fabric))
+        return train(ctx)
+
+    report = sup.run(train_fn)
     assert report.restarts == 2
     assert report.final_world_size == 2
     assert [e.world_after for e in report.events] == [3, 2]
     losses, _ = report.results[0]
     assert losses  # the surviving world completed the remaining steps
+    # ``ctx.fabric`` identifies the attempt to the training function, so a
+    # dead attempt's fabric outlives it (its address cannot be handed to a
+    # later attempt's) — until the run is over.
+    assert alive_at_start == [[], [True], [True, True]]
+    del report
+    gc.collect()
+    assert [ref() for ref in fabrics] == [None] * 3

@@ -91,8 +91,55 @@ def test_reshaped_inplace_keeps_ownership():
 def test_zero_size_tensor_costs_nothing():
     d = Device(SPEC)
     t = Tensor((0,), np.float32, data=np.zeros((0,), np.float32), device=d)
+    meta = Tensor.meta((4, 0, 2), np.float16, device=d)
     assert d.allocated_bytes == 0
+    assert t.extent is None and meta.extent is None
+    assert (t.size, t.nbytes, meta.size, meta.nbytes) == (0, 0, 0, 0)
     t.free()
+    meta.free()
+
+
+def _assert_sizes(t, shape, itemsize):
+    assert t.shape == shape
+    assert t.size == int(np.prod(shape, dtype=np.int64))
+    assert t.nbytes == t.size * itemsize
+    assert type(t.size) is int and type(t.nbytes) is int
+
+
+def test_size_and_nbytes_are_kept_with_the_shape():
+    """``size`` and ``nbytes`` are computed once, at construction; every
+    way a tensor comes to be or changes shape must leave them right."""
+    d = Device(SPEC)
+    t = Tensor((3, 4, 5), np.float16, data=np.zeros((3, 4, 5), np.float16), device=d)
+    _assert_sizes(t, (3, 4, 5), 2)
+    t.reshaped_inplace((12, 5))
+    _assert_sizes(t, (12, 5), 2)
+    t.reshaped_inplace([np.int64(60)])
+    _assert_sizes(t, (60,), 2)
+    _assert_sizes(t.like(np.ones((2, 7), np.float64)), (2, 7), 8)
+    _assert_sizes(t.like(None, shape=(6,), dtype=np.int32), (6,), 4)
+    _assert_sizes(Tensor.meta((), np.float32), (), 4)
+    _assert_sizes(Tensor.zeros((2, 3), np.uint8), (2, 3), 1)
+    _assert_sizes(Tensor.from_numpy(np.arange(5)), (5,), 8)
+    t.free()
+    _assert_sizes(t, (60,), 2)  # freeing drops the data, not the description
+    assert d.allocated_bytes == d.raw.aligned(2 * 7 * 8) + d.raw.aligned(6 * 4)
+
+
+def test_numpy_integer_shape_entries_become_python_ints():
+    a = np.zeros((2, 3), np.float32)
+    for shape in ((np.int64(2), np.int32(3)), np.array([2, 3]), a.shape, [2, 3]):
+        t = Tensor(shape, np.float32, data=a)
+        assert t.shape == (2, 3)
+        assert all(type(s) is int for s in t.shape)
+        assert type(t.size) is int and type(t.nbytes) is int
+
+
+def test_unsupported_dtype_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unsupported dtype"):
+        Tensor.meta((2,), np.complex64)
+    with pytest.raises(ValueError, match="unsupported dtype"):
+        Tensor.from_numpy(np.zeros(2, np.bool_))
 
 
 def test_scalar_tensor():
