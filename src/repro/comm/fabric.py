@@ -3,14 +3,17 @@
 Every simulated rank is an OS thread running the same program (the mpi4py
 model from the domain guides). A collective is a rendezvous on shared slots:
 
-    deposit own contribution -> barrier -> read everyone's -> barrier
+    deposit own contribution -> arrive (one mutex section) -> wait to be
+    woken by the last arriver -> read everyone's
 
-The second barrier guarantees no rank starts the *next* collective (and
-overwrites a slot) before every rank has read the current one. All ranks
-must issue collectives in the same order with the same tag; a mismatch is
-detected and raised as ``CollectiveMismatchError`` instead of deadlocking,
-and any rank failure aborts the barrier so peers fail fast instead of
-hanging (``FabricAbortedError``).
+There is one wait per collective, not two, because the slots are
+double-buffered by generation parity: a rank cannot deposit generation
+g+2 (the next use of g's buffer) before every peer has arrived at g+1,
+and a peer arrives at g+1 only after it has read g. All ranks must issue
+collectives in the same order with the same tag; a mismatch is detected
+on arrival and raised as ``CollectiveMismatchError`` instead of
+deadlocking, and any rank failure or timeout aborts the rendezvous so
+peers fail fast instead of hanging (``FabricAbortedError``).
 """
 
 from __future__ import annotations
@@ -78,16 +81,25 @@ class Fabric:
             for rv in self._rendezvous.values():
                 rv.abort()
 
+    def _release_payloads(self) -> None:
+        """Drop every payload reference the fabric still holds: the two
+        buffered generations of each rendezvous and undelivered messages.
+        For the launcher, once no rank thread is running."""
+        with self._rendezvous_lock:
+            for rv in self._rendezvous.values():
+                rv.release_payloads()
+        with self._mailbox_lock:
+            self._mailboxes.clear()
+
     # -- point-to-point ----------------------------------------------------
 
     def _mailbox(self, src: int, dst: int, tag: Any) -> queue.Queue:
         key = (src, dst, tag)
-        with self._mailbox_lock:
-            box = self._mailboxes.get(key)
-            if box is None:
-                box = queue.Queue()
-                self._mailboxes[key] = box
-            return box
+        box = self._mailboxes.get(key)
+        if box is None:
+            with self._mailbox_lock:
+                box = self._mailboxes.setdefault(key, queue.Queue())
+        return box
 
     def send(self, src: int, dst: int, payload: Any, tag: Any = 0) -> None:
         if self.fault_plan is not None:
@@ -112,43 +124,96 @@ class Fabric:
 
 
 class _Rendezvous:
-    """Barrier + slots for one rank group."""
+    """Arrival counter + wake locks + double-buffered slots for one rank group.
+
+    Each member owns one wake lock, held (pre-acquired) whenever its owner
+    is not being woken. A collective costs a rank one section under
+    ``_mutex`` (abort check, tag check, count) and one blocking acquire of
+    its own wake lock; the last arriver does not block and releases the
+    others' locks instead. A woken rank holds its lock again, which is
+    the pre-acquired state the next generation needs.
+    """
 
     def __init__(self, ranks: tuple[int, ...], timeout_s: float):
         self.ranks = ranks
         self.index_of = {r: i for i, r in enumerate(ranks)}
         self.timeout_s = timeout_s
-        self._barrier = threading.Barrier(len(ranks))
-        self._slots: list[Any] = [None] * len(ranks)
-        self._tags: list[Any] = [None] * len(ranks)
+        n = self._size = len(ranks)
+        self._mutex = threading.Lock()
+        self._arrived = 0
+        self._tag: Any = None  # the current generation's first arriver's tag
+        self._aborted = False
+        self._wake = [threading.Lock() for _ in range(n)]
+        for lock in self._wake:
+            lock.acquire()
+        # Slots of even and odd generations; each rank counts its own
+        # generations (only its parity is kept, touched by that rank alone).
+        self._slots: tuple[list[Any], list[Any]] = ([None] * n, [None] * n)
+        self._parity = [0] * n
 
     def abort(self) -> None:
-        self._barrier.abort()
+        """Sticky: every blocked member raises now, every later exchange
+        raises on entry."""
+        with self._mutex:
+            self._abort_locked()
+
+    def _abort_locked(self) -> None:
+        self._aborted = True
+        for lock in self._wake:
+            try:
+                lock.release()
+            except RuntimeError:
+                pass  # already released: its owner is awake or about to be
+
+    def release_payloads(self) -> None:
+        for slots in self._slots:
+            slots[:] = [None] * len(slots)
 
     def exchange(self, rank: int, value: Any, tag: Any) -> list[Any]:
         """All-to-all deposit-and-read. Returns all group members' values
         ordered by group index. ``value`` objects must be treated read-only
         by receivers."""
-        idx = self.index_of[rank]
-        self._slots[idx] = value
-        self._tags[idx] = tag
-        self._wait()
-        if any(t != tag for t in self._tags):
-            self._barrier.abort()
-            raise CollectiveMismatchError(
-                f"rank {rank} ran collective {tag!r} but group tags were {self._tags!r}"
-            )
-        result = list(self._slots)
-        self._wait()
-        return result
-
-    def barrier(self, rank: int) -> None:
-        self.exchange(rank, None, "barrier")
-
-    def _wait(self) -> None:
         try:
-            self._barrier.wait(timeout=self.timeout_s)
-        except threading.BrokenBarrierError:
+            idx = self.index_of[rank]
+        except KeyError:
+            raise self.not_a_member(rank) from None
+        parity = self._parity[idx]
+        self._parity[idx] = parity ^ 1
+        slots = self._slots[parity]
+        slots[idx] = value
+        own = self._wake[idx]
+        with self._mutex:
+            if self._aborted:
+                raise self._aborted_error()
+            if self._arrived == 0:
+                self._tag = tag
+            elif tag != self._tag:
+                self._abort_locked()
+                raise CollectiveMismatchError(
+                    f"rank {rank} ran collective {tag!r} but a peer in group "
+                    f"{self.ranks} ran {self._tag!r}"
+                )
+            self._arrived += 1
+            if self._arrived == self._size:
+                self._arrived = 0
+                for lock in self._wake:
+                    if lock is not own:
+                        lock.release()
+                return list(slots)
+        if not own.acquire(True, self.timeout_s):
+            self.abort()
             raise FabricAbortedError(
-                f"rendezvous aborted in group {self.ranks} (a peer failed or timed out)"
-            ) from None
+                f"rendezvous timed out in group {self.ranks}: rank {rank} waited "
+                f"{self.timeout_s}s at {tag!r} for a peer that never arrived"
+            )
+        if self._aborted:
+            raise self._aborted_error()
+        return list(slots)
+
+    def not_a_member(self, rank: int) -> ValueError:
+        return ValueError(f"rank {rank} is not in group {self.ranks}")
+
+    def _aborted_error(self) -> FabricAbortedError:
+        return FabricAbortedError(
+            f"rendezvous aborted in group {self.ranks} (a peer failed or timed out)"
+        )

@@ -81,7 +81,7 @@ class ProcessGroup:
         try:
             return self._rendezvous.index_of[rank]
         except KeyError:
-            raise ValueError(f"rank {rank} is not in group {self.ranks}") from None
+            raise self._rendezvous.not_a_member(rank) from None
 
     def attach_ledger(self, rank: int, ledger: CommLedger) -> None:
         self._ledgers[rank] = ledger
@@ -121,9 +121,12 @@ class ProcessGroup:
     def _exchange(self, rank: int, value, tag, op: str) -> list:
         """Enter the rendezvous, consulting the fabric's fault plan first.
 
+        The rendezvous checks membership (``ValueError`` for a rank outside
+        the group), so callers do not look the index up first.
+
         A transient injected fault fails *before* the deposit, so the
         faulting rank simply retries (with exponential backoff under the
-        fabric's ``RetryPolicy``) while its peers wait at the barrier —
+        fabric's ``RetryPolicy``) while its peers wait at the rendezvous —
         once the fault clears, the exchange happens exactly once and the
         result is bitwise identical to a fault-free run. Every failed
         attempt is recorded in this rank's ledger. Exhausted retries (or
@@ -176,16 +179,15 @@ class ProcessGroup:
     # -- collectives ---------------------------------------------------------
 
     def barrier(self, rank: int) -> None:
-        self.group_index(rank)
         self._exchange(rank, None, "barrier", "barrier")
         self._record(rank, "barrier", 0, "")
 
     def meta_collective(self, rank: int, op: str, message_bytes: int, phase: str = "") -> None:
         """Meta-mode collective: synchronize SPMD order and record volume
         without moving data (the 100B-scale engines run on meta tensors)."""
-        self.group_index(rank)
-        self._exchange(rank, None, ("meta", op, int(message_bytes)), op)
-        self._record(rank, op, int(message_bytes), phase)
+        message_bytes = int(message_bytes)
+        self._exchange(rank, None, ("meta", op, message_bytes), op)
+        self._record(rank, op, message_bytes, phase)
 
     def all_reduce(
         self, rank: int, array: np.ndarray, op: str = "sum", phase: str = ""

@@ -126,14 +126,14 @@ class CommLedger:
             return
         if op not in NOMINAL_FACTOR:
             raise ValueError(f"unknown communication op {op!r}")
-        event = CommEvent(
-            op=op,
-            message_bytes=int(message_bytes),
-            group_size=len(group_ranks),
-            group_ranks=tuple(group_ranks),
-            phase=phase,
-            peer=peer,
-        )
+        # Normalise what a caller may pass (numpy integers, lists, ranges) so
+        # events stay hashable and JSON-exportable; process groups already
+        # pass int and tuple, and that path pays two identity checks, no call.
+        if message_bytes.__class__ is not int:
+            message_bytes = int(message_bytes)
+        if group_ranks.__class__ is not tuple:
+            group_ranks = tuple(group_ranks)
+        event = CommEvent(op, message_bytes, len(group_ranks), group_ranks, phase, peer)
         self.events.append(event)
         if self.listener is not None:
             self.listener.on_comm_event(event)

@@ -20,14 +20,11 @@ SEQ_LEN = 1024
 
 
 def virtual_groups(ctx: RankContext, n_gpus: int, mp: int) -> tuple[VirtualGroup, VirtualGroup]:
-    """(dp_group, mp_group) for rank 0 of an (mp x dp) decomposition."""
+    """(dp_group, mp_group) of an (mp x dp) decomposition for a virtual
+    context on rank 0, volume recorded in ``ctx.ledger``."""
     if n_gpus % mp:
         raise ValueError(f"n_gpus {n_gpus} not divisible by mp {mp}")
-    mp_group = VirtualGroup.of_size(mp, member_rank=0)
-    mp_group.attach_ledger(0, ctx.ledger)
-    dp_group = VirtualGroup(tuple(range(0, n_gpus, mp)), member_rank=0)
-    dp_group.attach_ledger(0, ctx.ledger)
-    return dp_group, mp_group
+    return ctx.group(range(0, n_gpus, mp)), ctx.group(range(mp))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from repro.comm.fabric import Fabric
 from repro.comm.faults import FaultPlan, RetryPolicy
 from repro.comm.group import ProcessGroup
 from repro.comm.ledger import CommLedger
+from repro.comm.virtual import VirtualGroup
 from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.hardware.topology import ClusterTopology
 from repro.memsim.device import Device, HostMemory
@@ -38,7 +39,7 @@ class RankContext:
 
     rank: int
     world_size: int
-    world: ProcessGroup
+    world: ProcessGroup | VirtualGroup
     device: Device
     host: HostMemory
     ledger: CommLedger
@@ -60,42 +61,29 @@ class RankContext:
     #: unless the Supervisor (or caller) enabled recording; instrumented
     #: layers treat None as "recording disabled" and append nothing.
     recorder: Any = None
-    _groups: dict[tuple[int, ...], ProcessGroup] = field(default_factory=dict)
+    #: builds the group over a sorted rank tuple: ``Cluster._shared_group``
+    #: (one ``ProcessGroup`` shared by all member threads) or, on a
+    #: ``virtual_rank_context``, a peerless ``VirtualGroup``. Required.
+    _new_group: Callable[[tuple[int, ...]], ProcessGroup | VirtualGroup] = field(kw_only=True)
+    _groups: dict[tuple[int, ...], ProcessGroup | VirtualGroup] = field(default_factory=dict)
 
-    def group(self, ranks: Sequence[int]) -> ProcessGroup:
-        """The (shared) process group over ``ranks``, ledger attached.
+    def group(self, ranks: Sequence[int]) -> ProcessGroup | VirtualGroup:
+        """The process group over ``ranks``, this rank's ledger attached.
 
-        Group objects are shared across member threads via the fabric's
-        rendezvous registry; this method caches the per-rank wrapper lookup.
+        On a cluster the group object is shared with the other member
+        threads; on a virtual context it is a ``VirtualGroup`` whose only
+        member is this rank. Cached per context.
         """
         key = tuple(sorted(ranks))
         pg = self._groups.get(key)
         if pg is None:
-            pg = self.fabric.group_registry.setdefault_group(key)
-            self._groups[key] = pg
-        pg.attach_ledger(self.rank, self.ledger)
+            pg = self._groups[key] = self._new_group(key)
+            pg.attach_ledger(self.rank, self.ledger)
         return pg
 
     # Convenience pass-throughs for the world group.
     def barrier(self) -> None:
         self.world.barrier(self.rank)
-
-
-class _GroupRegistry:
-    """Process-group cache shared by all rank threads of one cluster."""
-
-    def __init__(self, fabric: Fabric):
-        self.fabric = fabric
-        self._groups: dict[tuple[int, ...], ProcessGroup] = {}
-        self._lock = threading.Lock()
-
-    def setdefault_group(self, ranks: tuple[int, ...]) -> ProcessGroup:
-        with self._lock:
-            pg = self._groups.get(ranks)
-            if pg is None:
-                pg = ProcessGroup(self.fabric, ranks)
-                self._groups[ranks] = pg
-            return pg
 
 
 def virtual_rank_context(
@@ -114,8 +102,6 @@ def virtual_rank_context(
     the single-thread path behind the Table 2 / Figure 6 / Figure 7
     memory measurements.
     """
-    from repro.comm.virtual import VirtualGroup
-
     world = VirtualGroup.of_size(world_size, member_rank=rank)
     ledger = CommLedger(rank=rank)
     world.attach_ledger(rank, ledger)
@@ -128,7 +114,7 @@ def virtual_rank_context(
     return RankContext(
         rank=rank,
         world_size=world_size,
-        world=world,  # type: ignore[arg-type]
+        world=world,
         device=Device(gpu, index=rank),
         host=HostMemory(topo.node.host_memory_bytes),
         ledger=ledger,
@@ -136,6 +122,7 @@ def virtual_rank_context(
         fabric=fabric,
         tracer=tracer,
         nvme=HostMemory(topo.node.nvme_bytes, name="nvme"),
+        _new_group=lambda ranks: VirtualGroup(ranks, member_rank=rank),
     )
 
 
@@ -182,7 +169,10 @@ class Cluster:
             world_size, timeout_s=timeout_s,
             fault_plan=fault_plan, retry_policy=retry_policy,
         )
-        self.fabric.group_registry = _GroupRegistry(self.fabric)  # type: ignore[attr-defined]
+        #: process groups by sorted rank tuple, shared by all rank threads
+        #: (beside the fabric's rendezvous cache, which they resolve into).
+        self._groups: dict[tuple[int, ...], ProcessGroup] = {}
+        self._groups_lock = threading.Lock()
         self.devices = [Device(gpu, index=i) for i in range(world_size)]
         # One shared host pool per cluster, sized to a single node's DRAM
         # (the simulated worlds here fit one node's worth of ranks).
@@ -191,9 +181,14 @@ class Cluster:
         # byte counter until an infinity placement parks state on it.
         self.nvme = HostMemory(self.topology.node.nvme_bytes, name="nvme")
         self.ledgers = [CommLedger(rank=i) for i in range(world_size)]
-        self._world_group = self.fabric.group_registry.setdefault_group(
-            tuple(range(world_size))
-        )
+        self._world_group = self._shared_group(tuple(range(world_size)))
+
+    def _shared_group(self, ranks: tuple[int, ...]) -> ProcessGroup:
+        with self._groups_lock:
+            pg = self._groups.get(ranks)
+            if pg is None:
+                pg = self._groups[ranks] = ProcessGroup(self.fabric, ranks)
+            return pg
 
     def context(self, rank: int) -> RankContext:
         """Build rank ``rank``'s context (exposed for single-rank tests)."""
@@ -218,6 +213,7 @@ class Cluster:
             nvme=self.nvme,
             redundancy=self.redundancy,
             recorder=self.recorder,
+            _new_group=self._shared_group,
         )
 
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:
@@ -245,6 +241,9 @@ class Cluster:
             t.start()
         for t in threads:
             t.join()
+        # Success or failure, the fabric must not keep the last collectives'
+        # arrays (two generations per rendezvous) or undelivered messages alive.
+        self.fabric._release_payloads()
         # Prefer the root cause: a rank's own failure outranks the
         # FabricAbortedError its peers raised when the fabric was torn down.
         # Among aborts, one chained to a cause (e.g. a collective whose

@@ -1,11 +1,19 @@
 """Thread-SPMD fabric and cluster launcher: rendezvous, aborts, p2p."""
 
+import gc
+import random
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.comm.fabric import CollectiveMismatchError, Fabric, FabricAbortedError
+from repro.comm.virtual import VirtualGroup
 from repro.hardware.specs import GPUSpec
-from repro.runtime import Cluster
+from repro.runtime import Cluster, virtual_rank_context
 
 GPU = GPUSpec("t", 10**8, 1e12)
 
@@ -170,3 +178,351 @@ def test_subgroups_share_state_across_ranks():
 def test_world_size_validation():
     with pytest.raises(ValueError):
         Fabric(0)
+
+
+def test_group_is_shared_on_a_cluster_and_virtual_on_a_virtual_context():
+    """``ctx.group`` on both context kinds: one ``ProcessGroup`` object for
+    all member threads of a cluster, a peerless ``VirtualGroup`` containing
+    the context's own rank on a ``virtual_rank_context`` — the ledger
+    attached either way."""
+    cluster = make_cluster(4)
+
+    def fn(ctx):
+        group = ctx.group([3, 1] if ctx.rank % 2 else [0, 2])
+        assert ctx.group(group.ranks) is group  # cached per context
+        group.all_reduce(ctx.rank, np.ones(2, np.float32), phase="sub")
+        assert [(e.op, e.group_ranks, e.phase) for e in ctx.ledger.events] == [
+            ("all_reduce", group.ranks, "sub")
+        ]
+        return id(group), group.ranks
+
+    ids = cluster.run(fn)
+    assert ids[0] == ids[2] and ids[1] == ids[3] and ids[0] != ids[1]
+    assert ids[0][1] == (0, 2) and ids[1][1] == (1, 3)
+
+    ctx = virtual_rank_context(64, rank=5, gpu=GPU)
+    group = ctx.group(range(1, 64, 4))
+    assert isinstance(group, VirtualGroup)
+    assert (group.size, group.member_rank, group.group_index(5)) == (16, 5, 1)
+    assert ctx.group(range(1, 64, 4)) is group
+    group.meta_collective(5, "all_gather", 1024, "virt")
+    assert [(e.op, e.message_bytes, e.group_size, e.phase) for e in ctx.ledger.events] == [
+        ("all_gather", 1024, 16, "virt")
+    ]
+    with pytest.raises(ValueError, match="not in group"):
+        ctx.group([0, 1])  # a virtual rank can only build groups it belongs to
+
+
+def test_no_payload_outlives_the_run():
+    """After ``Cluster.run`` has joined its threads — success or failure —
+    neither a rendezvous slot (two generations are buffered) nor a mailbox
+    keeps an array alive. gc is off so only reference counts can free."""
+
+    class Tracked(np.ndarray):
+        pass  # plain ndarrays cannot be weakly referenced
+
+    def tracked(refs, values):
+        array = np.asarray(values, np.float32).view(Tracked)
+        refs.append(weakref.ref(array))
+        return array
+
+    def fn(ctx, refs, fail):
+        rank = ctx.rank
+        for i in range(3):  # odd count: both slot generations end up filled
+            ctx.world.all_reduce(rank, tracked(refs, [rank, i]))
+            ctx.world.all_gather(rank, tracked(refs, [rank]))
+        sub = ctx.group([0, 1] if rank < 2 else [2, 3])
+        sub.all_reduce(rank, tracked(refs, [rank]))
+        if rank == 0:
+            # The fabric stores the copy ``send`` makes; track that one.
+            ctx.fabric.send(0, 1, tracked(refs, [7.0]), tag="undelivered")
+        if fail:
+            if rank == 3:
+                raise RuntimeError("rank 3 dies with payloads in flight")
+            ctx.world.all_reduce(rank, tracked(refs, [rank]))  # aborted mid-wait
+
+    gc.collect()
+    gc.disable()
+    try:
+        for fail in (False, True):
+            refs: list = []
+            cluster = make_cluster(4, timeout_s=5.0)
+            if fail:
+                with pytest.raises(RuntimeError, match="rank 3 dies"):
+                    cluster.run(fn, refs, fail)
+            else:
+                cluster.run(fn, refs, fail)
+            assert len(refs) >= 4 * 6  # the world-group loop at least
+            alive = [r() for r in refs if r() is not None]
+            assert alive == [], f"{len(alive)} payloads still referenced (fail={fail})"
+    finally:
+        gc.enable()
+
+
+# -- fabric stress (ROADMAP robustness item 5) ---------------------------------
+#
+# Everything below runs real threads against the rendezvous with a short
+# interpreter switch interval, under the conftest SIGALRM guard: a hang is
+# a test failure, not a stalled suite.
+
+
+@pytest.fixture
+def fast_switching():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+class _DawdlingLock:
+    """A rendezvous wake lock whose owner sleeps right after being woken,
+    i.e. between wake-up and reading the slots."""
+
+    def __init__(self, lock, rng):
+        self._lock = lock
+        self._rng = rng
+
+    def acquire(self, blocking=True, timeout=-1):
+        got = self._lock.acquire(blocking, timeout)
+        time.sleep(self._rng.uniform(0.0, 0.002))
+        return got
+
+    def release(self):
+        self._lock.release()
+
+
+@pytest.mark.timeout_guard(120)
+def test_stress_every_rank_reads_its_own_generation(fast_switching):
+    """Generation safety of the one-wait rendezvous: with random delays
+    between wake-up and read and before the next deposit, every rank still
+    reads exactly the values deposited for *its* collective — on the world
+    group interleaved with two overlapping sub-groups, so peers run ahead
+    on one group while a slow rank is still reading another."""
+    rounds = 200
+    world = tuple(range(8))
+    sub_a, sub_b = (0, 1, 2, 3, 4), (3, 4, 5, 6, 7)
+    fabric = Fabric(8, timeout_s=20.0)
+    for ranks in (world, sub_a, sub_b):
+        rv = fabric.rendezvous_for(ranks)
+        rv._wake = [  # white box: the only seam between wake-up and read
+            _DawdlingLock(lock, random.Random(f"{ranks}/{i}"))
+            for i, lock in enumerate(rv._wake)
+        ]
+    errors: list = [None] * 8
+
+    def worker(rank):
+        rng = random.Random(rank)
+        counts = {world: 0, sub_a: 0, sub_b: 0}
+        try:
+            for i in range(rounds):
+                groups = [world]
+                if i % 2 == 0:
+                    groups += [g for g in (sub_a, sub_b) if rank in g]
+                for ranks in groups:
+                    time.sleep(rng.uniform(0.0, 0.002))
+                    k = counts[ranks]
+                    counts[ranks] = k + 1
+                    got = fabric.rendezvous_for(ranks).exchange(rank, (rank, k), ("round", k))
+                    assert got == [(r, k) for r in ranks], (rank, ranks, k, got)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors[rank] = exc
+            fabric.abort()
+
+    threads = [threading.Thread(target=worker, args=(r,), daemon=True) for r in world]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(100.0)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [None] * 8
+
+
+def _outcomes(world, fn, *, timeout_s):
+    """Run ``fn`` on a fresh cluster. Per rank, the exception type it ended
+    with (None for a clean return) and how long it took; and the type
+    ``Cluster.run`` re-raised to the caller."""
+    cluster = make_cluster(world, timeout_s=timeout_s)
+    seen: list = [None] * world
+
+    def wrapped(ctx):
+        t0 = time.monotonic()
+        try:
+            fn(ctx)
+        except BaseException as exc:
+            seen[ctx.rank] = (type(exc), time.monotonic() - t0)
+            raise
+        seen[ctx.rank] = (None, time.monotonic() - t0)
+
+    raised = None
+    try:
+        cluster.run(wrapped)
+    except Exception as exc:  # noqa: BLE001 - its type is part of the result
+        raised = type(exc)
+    return seen, raised
+
+
+def _kill_before_deposit(ctx):
+    if ctx.rank == 5:
+        raise RuntimeError("killed before deposit")
+    ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32))
+
+
+def _kill_while_peers_wait(ctx):
+    ctx.world.barrier(ctx.rank)
+    if ctx.rank == 5:
+        time.sleep(0.05)  # the other seven are blocked by now
+        raise RuntimeError("killed while peers wait")
+    ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32))
+
+
+def _tag_mismatch(ctx):
+    ctx.world.barrier(ctx.rank)
+    ctx.world.all_reduce(ctx.rank, np.ones(3 if ctx.rank == 5 else 2, np.float32))
+
+
+def _absent_peer(ctx):
+    if ctx.rank != 5:  # rank 5 returns cleanly and never shows up
+        ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32))
+
+
+def _group_created_after_abort(ctx):
+    if ctx.rank == 5:
+        ctx.fabric.abort()
+    else:
+        time.sleep(0.05)
+    ctx.group([r for r in range(8) if r % 2 == ctx.rank % 2]).barrier(ctx.rank)
+
+
+def _recv_timeout(ctx):
+    # Rank 5's recv has no sender; the other seven block in an all_reduce
+    # it never joins.
+    if ctx.rank == 5:
+        ctx.world.recv(5, src=0, tag="never sent")
+    else:
+        ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32))
+
+
+#: Fabric timeout of the failure-mode runs. Where an abort is the detector
+#: the timeout is long and the ranks must end well inside it; where the
+#: timeout itself is the detector (nobody fails, a peer just never comes)
+#: it is short and the ranks must end right after it.
+ABORT_TIMEOUT_S, DETECTING_TIMEOUT_S, SCHEDULING_MARGIN_S = 5.0, 0.3, 2.0
+
+#: (what every rank runs, whether the fabric timeout is what detects it,
+#: the ranks that do not end in a typed fabric error and how they end,
+#: what ``Cluster.run`` re-raises)
+FAILURE_MODES = [
+    (_kill_before_deposit, False, {5: RuntimeError}, RuntimeError),
+    (_kill_while_peers_wait, False, {5: RuntimeError}, RuntimeError),
+    (_tag_mismatch, False, {}, CollectiveMismatchError),
+    (_absent_peer, True, {5: None}, FabricAbortedError),
+    (_group_created_after_abort, False, {}, FabricAbortedError),
+    (_recv_timeout, True, {}, FabricAbortedError),
+]
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize(
+    "fn, by_timeout, expected, reraised", FAILURE_MODES,
+    ids=[mode[0].__name__.strip("_") for mode in FAILURE_MODES],
+)
+def test_stress_every_failure_mode_is_a_typed_error_on_all_ranks(
+    fast_switching, fn, by_timeout, expected, reraised
+):
+    """No failure mode hangs or leaks an untyped error: every rank not
+    named in ``expected`` ends in exactly ``FabricAbortedError`` — except
+    the one rank that detects a tag mismatch, which ends in
+    ``CollectiveMismatchError`` — and ``Cluster.run`` re-raises the root
+    cause. Abort-detected modes end in under half the fabric timeout;
+    timeout-detected ones within a scheduling margin after it."""
+    timeout_s = DETECTING_TIMEOUT_S if by_timeout else ABORT_TIMEOUT_S
+    bound_s = timeout_s + SCHEDULING_MARGIN_S if by_timeout else timeout_s / 2
+    outcomes, raised = _outcomes(8, fn, timeout_s=timeout_s)
+    assert raised is reraised
+    kinds = [kind for kind, _ in outcomes]
+    fabric_errors = [kind for rank, kind in enumerate(kinds) if rank not in expected]
+    if fn is _tag_mismatch:
+        assert fabric_errors.count(CollectiveMismatchError) == 1, kinds
+        fabric_errors.remove(CollectiveMismatchError)
+    assert all(kind is FabricAbortedError for kind in fabric_errors), kinds
+    for rank, kind in expected.items():
+        assert kinds[rank] is kind, (rank, kinds)
+    for rank, (_, seconds) in enumerate(outcomes):
+        assert seconds < bound_s, (rank, seconds, bound_s)
+
+
+@pytest.mark.faults
+def test_stress_abort_racing_the_wake_loop(fast_switching):
+    """``abort()`` from outside while eight ranks exchange flat out: it
+    lands before, inside and after the last arriver's wake loop. Every
+    rank must raise ``FabricAbortedError`` promptly — no lost wake-up, no
+    double-release error from the lock the abort and the last arriver
+    both release."""
+    for seed in range(25):
+        fabric = Fabric(8, timeout_s=ABORT_TIMEOUT_S)
+        rv = fabric.rendezvous_for(tuple(range(8)))
+        ended: list = [None] * 8
+
+        def worker(rank):
+            try:
+                i = 0
+                while True:
+                    assert rv.exchange(rank, i, i) == [i] * 8
+                    i += 1
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                ended[rank] = type(exc)
+
+        threads = [threading.Thread(target=worker, args=(r,), daemon=True) for r in range(8)]
+        for t in threads:
+            t.start()
+        time.sleep(random.Random(seed).uniform(0.0, 0.004))
+        fabric.abort()
+        for t in threads:
+            t.join(ABORT_TIMEOUT_S / 2)  # released by the abort, not by its own timeout
+        assert not any(t.is_alive() for t in threads), f"seed {seed}: a rank hung"
+        assert ended == [FabricAbortedError] * 8, f"seed {seed}: {ended}"
+
+
+@pytest.mark.timeout_guard(10)
+def test_one_rank_group_exchanges_without_blocking():
+    """What hostbench's probe resolves: the sole member is its own last
+    arriver, generation after generation."""
+    rv = Fabric(1).rendezvous_for((0,))
+    for i in range(5):
+        assert rv.exchange(0, i, ("solo", i)) == [i]
+    with pytest.raises(ValueError, match="not in group"):
+        rv.exchange(1, None, "barrier")
+
+
+def test_collective_call_count_guard():
+    """The rendezvous must not quietly grow back: one world-group
+    ``meta_collective`` at world 8, ledger attached, is at most 20
+    function calls (Python + C, as ``sys.setprofile`` counts them) on
+    every rank — it was 93 with two ``threading.Barrier`` rounds; the last
+    arriver pays one ``release`` per peer instead of its own wait.
+
+    Calibrated on CPython 3.11.7: 11-12 on a waiting rank, 17 on the last
+    arriver (10 + one ``release`` per peer). That interpreter reports a
+    ``with lock:`` as one C call (``__exit__``, not ``__enter__``); one that
+    reports both adds one, which the slack up to 20 covers."""
+    cluster = make_cluster(8)
+
+    def fn(ctx):
+        world, rank = ctx.world, ctx.rank
+        world.meta_collective(rank, "all_gather", 1024, "warm-up")
+        calls = []
+
+        def on_event(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(event)
+
+        sys.setprofile(on_event)
+        world.meta_collective(rank, "all_gather", 1024, "counted")
+        sys.setprofile(None)
+        assert ctx.ledger.events[-1].phase == "counted"
+        return len(calls) - 1  # the closing setprofile call is not the collective's
+
+    counts = cluster.run(fn)
+    assert max(counts) <= 20, (counts, sys.version)

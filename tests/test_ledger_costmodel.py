@@ -41,6 +41,19 @@ class TestLedger:
         ledger.clear()
         assert ledger.nominal_bytes() == 0
 
+    def test_record_normalises_caller_types(self):
+        # record() is public (tiers, activation offload, redundancy call it
+        # directly): numpy integers and rank lists/ranges must not end up
+        # inside the frozen, hashable, JSON-exported event.
+        ledger = CommLedger(rank=0)
+        ledger.record("h2d", np.int64(100), [0], phase="copy")
+        ledger.record("all_gather", np.int32(8), range(4))
+        assert [(type(e.message_bytes), type(e.group_ranks)) for e in ledger.events] == [
+            (int, tuple), (int, tuple)
+        ]
+        assert ledger.events[1] == event("all_gather", 8)
+        assert len({*ledger.events}) == 2
+
     def test_disabled_ledger_skips_recording(self):
         ledger = CommLedger(rank=0)
         ledger.enabled = False

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Cluster, GPTConfig, ZeROConfig
-from repro.comm.ledger import exact_ring_factor
+from repro.analysis.comm_model import dp_volume_elements
+from repro.comm.ledger import CommEvent, exact_ring_factor
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.parallel.engine import EngineConfig
@@ -106,3 +107,46 @@ def test_exact_ring_volume_scales_with_group():
 
     ratio = cluster.run(fn)[0]
     assert ratio == pytest.approx(exact_ring_factor("all_reduce", 4) / 2.0)
+
+
+#: One stage-3 step of CFG at world 4, bucket 1500, fp16, as (op, bytes):
+#: forward gathers each unit, backward re-gathers it and reduces its
+#: gradient buckets. Recorded before the rendezvous rewrite; the fabric
+#: may get cheaper but this sequence may not move.
+STAGE3_STEP = [
+    ("broadcast", 4928), ("broadcast", 10016), ("broadcast", 14944), ("broadcast", 448),
+    ("broadcast", 14496), ("broadcast", 10912), ("broadcast", 4032),
+    ("broadcast", 4032), ("reduce", 4032),
+    ("broadcast", 14496), ("broadcast", 10912), ("reduce", 14496), ("reduce", 10912),
+    ("broadcast", 10016), ("broadcast", 14944), ("broadcast", 448),
+    ("reduce", 10016), ("reduce", 14944), ("reduce", 448),
+    ("broadcast", 4928), ("reduce", 4928),
+]
+
+
+def test_stage3_ledger_sequence_is_golden():
+    """Three stage-3 steps at world 4 record, on every rank, exactly the
+    golden ``CommEvent`` list — op order, sizes, group, phase — and each
+    step's volume is ``comm_model``'s 3 Psi."""
+    cluster = Cluster(4, gpu=GPU, timeout_s=60.0)
+
+    def fn(ctx):
+        zero = ZeROConfig(stage=3, checkpoint_activations=True, memory_defrag=False)
+        _, engine = build_model_and_engine(
+            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float16, seed=0,
+            engine_config=EngineConfig(bucket_numel=1500),
+        )
+        ctx.ledger.clear()
+        for step in range(3):
+            engine.train_step(*CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step))
+        return list(ctx.ledger.events), engine.layout.numel
+
+    phase_of = {"broadcast": "param-gather", "reduce": "grad-reduce"}
+    golden = [
+        CommEvent(op, nbytes, 4, (0, 1, 2, 3), phase_of[op]) for op, nbytes in STAGE3_STEP
+    ] * 3
+    for events, psi in cluster.run(fn):
+        assert events == golden
+        assert all(type(e.message_bytes) is int for e in events)
+        step_elements = sum(e.nominal_bytes for e in events) / 3 / 2  # fp16
+        assert step_elements == dp_volume_elements(psi, 3) == 3 * psi
