@@ -18,13 +18,48 @@ All byte counts use the paper's decimal GB and its constants:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.optim.mixed_precision import ADAM_K
 from repro.utils.units import GB
+from repro.zero.placement import STATE_CLASSES, state_placement
 
-# Bytes per parameter for fp16 weights / fp16 grads / fp32 optimizer states.
-PARAM_BYTES = 2
-GRAD_BYTES = 2
+
+def _state_bytes_by_tier(
+    psi: float, nd: int, stage: int, k: int, tiers, tile_bytes: int | None = None
+) -> dict[str, float]:
+    """Per-rank model-state bytes on each tier: the one loop over the
+    placement table's rows that the three functions below are views of.
+    A replicated class costs its full bytes/param on the device; a
+    partitioned one costs 1/Nd of that on its tier."""
+    if psi < 0 or nd < 1:
+        raise ValueError(f"need psi >= 0 and nd >= 1, got psi={psi}, nd={nd}")
+    placed = state_placement(stage, tiers)
+    rows = [  # summed in Figure 1's order: parameters, gradients, optimizer state
+        (k if row.name == "optimizer" else row.bytes_per_param, *placed[row.name])
+        for row in reversed(STATE_CLASSES)
+    ]
+    replicated = sum(per_param for per_param, partitioned, _ in rows if not partitioned)
+    out = {"device": replicated * psi, "host": 0.0, "nvme": 0.0}
+    if placed["param"].tier != "device":
+        # Paged parameters leave only memory-centric tiling's staging
+        # bound on the device (nothing persistent without tiling).
+        out["device"] += float(tile_bytes or 0)
+    for per_param, partitioned, tier in rows:
+        if partitioned:
+            out[tier] += per_param * psi / nd
+    return out
+
+
+def _flag_tiers(offload_optimizer: bool, offload_gradients: bool, page_params: bool = False):
+    """The ZeRO-Offload boolean flags in the placement table's tier names."""
+    if offload_gradients and not offload_optimizer:
+        raise ValueError("offload_gradients requires offload_optimizer")
+    return SimpleNamespace(
+        optimizer_tier="host" if offload_optimizer else "device",
+        grad_tier="host" if offload_gradients else "device",
+        param_tier="host" if page_params else "device",
+    )
 
 
 def model_state_bytes(
@@ -49,26 +84,8 @@ def model_state_bytes(
     paged in per unit gather; with memory-centric tiling the persistent
     device-side staging bound is ``tile_bytes``.
     """
-    if psi < 0 or nd < 1:
-        raise ValueError(f"need psi >= 0 and nd >= 1, got psi={psi}, nd={nd}")
-    if offload_optimizer and stage < 1:
-        raise ValueError("offload_optimizer requires stage >= 1")
-    if offload_gradients and (stage < 2 or not offload_optimizer):
-        raise ValueError("offload_gradients requires offload_optimizer and stage >= 2")
-    if page_params and stage != 3:
-        raise ValueError("page_params requires partitioned parameters (stage 3)")
-    opt_shard = 0.0 if offload_optimizer else k * psi / nd
-    grad_shard = 0.0 if offload_gradients else GRAD_BYTES * psi / nd
-    if stage == 0:
-        return (PARAM_BYTES + GRAD_BYTES + k) * psi
-    if stage == 1:
-        return (PARAM_BYTES + GRAD_BYTES) * psi + opt_shard
-    if stage == 2:
-        return PARAM_BYTES * psi + grad_shard + opt_shard
-    if stage == 3:
-        param_shard = float(tile_bytes or 0) if page_params else PARAM_BYTES * psi / nd
-        return param_shard + grad_shard + opt_shard
-    raise ValueError(f"stage must be 0-3, got {stage}")
+    tiers = _flag_tiers(offload_optimizer, offload_gradients, page_params)
+    return _state_bytes_by_tier(psi, nd, stage, k, tiers, tile_bytes)["device"]
 
 
 def host_state_bytes(
@@ -82,18 +99,8 @@ def host_state_bytes(
 ) -> float:
     """Per-rank host DRAM taken by offloaded model states — exactly the
     terms ``model_state_bytes`` dropped from the device."""
-    if psi < 0 or nd < 1:
-        raise ValueError(f"need psi >= 0 and nd >= 1, got psi={psi}, nd={nd}")
-    if offload_optimizer and stage < 1:
-        raise ValueError("offload_optimizer requires stage >= 1")
-    if offload_gradients and (stage < 2 or not offload_optimizer):
-        raise ValueError("offload_gradients requires offload_optimizer and stage >= 2")
-    total = 0.0
-    if offload_optimizer:
-        total += k * psi / nd
-    if offload_gradients:
-        total += GRAD_BYTES * psi / nd
-    return total
+    tiers = _flag_tiers(offload_optimizer, offload_gradients)
+    return _state_bytes_by_tier(psi, nd, stage, k, tiers)["host"]
 
 
 def tier_state_bytes(
@@ -111,23 +118,7 @@ def tier_state_bytes(
     placement moved there (shards this rank owns — activations and
     transient materializations are not model state).
     """
-    if psi < 0 or nd < 1:
-        raise ValueError(f"need psi >= 0 and nd >= 1, got psi={psi}, nd={nd}")
-    out = {"device": 0.0, "host": 0.0, "nvme": 0.0}
-    out["device"] = model_state_bytes(
-        psi, nd, stage, k,
-        offload_optimizer=infinity.offload_optimizer,
-        offload_gradients=infinity.offload_gradients,
-        page_params=stage == 3 and infinity.page_params,
-        tile_bytes=infinity.tile_bytes,
-    )
-    if infinity.offload_optimizer:
-        out[infinity.optimizer_tier] += k * psi / nd
-    if infinity.offload_gradients and stage >= 2:
-        out[infinity.grad_tier] += GRAD_BYTES * psi / nd
-    if infinity.page_params and stage == 3:
-        out[infinity.param_tier] += PARAM_BYTES * psi / nd
-    return out
+    return _state_bytes_by_tier(psi, nd, stage, k, infinity, infinity.tile_bytes)
 
 
 def max_model_params(memory_bytes: float, nd: int = 1, stage: int = 0, k: int = ADAM_K) -> float:

@@ -1,8 +1,8 @@
-"""Meta-aware flat-array collectives for the training engines.
+"""The meta-aware flat-array collective of the training engines.
 
 Engines communicate flattened parameter/gradient vectors. In real mode
-these helpers run the actual collective; in meta mode (``is_meta=True``,
-arrays are None) they synchronize the SPMD schedule and record the
+the helper runs the actual collective; in meta mode (``is_meta=True``,
+arrays are None) it synchronizes the SPMD schedule and records the
 identical communication volume, so a 100B-parameter meta run produces the
 same ledger a real run would.
 """
@@ -13,49 +13,6 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.tensor.tensor import dtype_size
-
-
-def _nbytes(numel: int, dtype) -> int:
-    return numel * dtype_size(np.dtype(dtype))
-
-
-def all_reduce_flat(
-    group: ProcessGroup,
-    rank: int,
-    flat: np.ndarray | None,
-    *,
-    numel: int,
-    dtype,
-    is_meta: bool,
-    op: str = "sum",
-    phase: str = "",
-) -> np.ndarray | None:
-    if is_meta:
-        group.meta_collective(rank, "all_reduce", _nbytes(numel, dtype), phase)
-        return None
-    if flat is None or flat.shape != (numel,):
-        raise ValueError(f"all_reduce_flat needs a ({numel},) array in real mode")
-    return group.all_reduce(rank, flat, op=op, phase=phase)
-
-
-def reduce_scatter_flat(
-    group: ProcessGroup,
-    rank: int,
-    flat: np.ndarray | None,
-    *,
-    numel: int,
-    dtype,
-    is_meta: bool,
-    op: str = "sum",
-    phase: str = "",
-) -> np.ndarray | None:
-    """Full ``numel`` vector in, own 1/N shard (reduced) out."""
-    if is_meta:
-        group.meta_collective(rank, "reduce_scatter", _nbytes(numel, dtype), phase)
-        return None
-    if flat is None or flat.shape != (numel,):
-        raise ValueError(f"reduce_scatter_flat needs a ({numel},) array in real mode")
-    return group.reduce_scatter(rank, flat, op=op, phase=phase)
 
 
 def all_gather_flat(
@@ -69,30 +26,10 @@ def all_gather_flat(
     phase: str = "",
 ) -> np.ndarray | None:
     """Own shard in, full concatenated vector out."""
-    full_bytes = _nbytes(shard_numel * group.size, dtype)
     if is_meta:
+        full_bytes = shard_numel * group.size * dtype_size(np.dtype(dtype))
         group.meta_collective(rank, "all_gather", full_bytes, phase)
         return None
     if shard is None or shard.shape != (shard_numel,):
         raise ValueError(f"all_gather_flat needs a ({shard_numel},) shard in real mode")
     return group.all_gather(rank, shard, phase=phase)
-
-
-def broadcast_flat(
-    group: ProcessGroup,
-    rank: int,
-    flat: np.ndarray | None,
-    src: int,
-    *,
-    numel: int,
-    dtype,
-    is_meta: bool,
-    phase: str = "",
-) -> np.ndarray | None:
-    """src's ``numel`` vector delivered to every rank."""
-    if is_meta:
-        group.meta_collective(rank, "broadcast", _nbytes(numel, dtype), phase)
-        return None
-    if rank == src and (flat is None or flat.shape != (numel,)):
-        raise ValueError(f"broadcast_flat src needs a ({numel},) array in real mode")
-    return group.broadcast(rank, flat, src, phase=phase)

@@ -87,9 +87,9 @@ class InfinityConfig:
             raise ValueError("cpu_adam_elements_per_s must be positive")
 
     # -- OffloadConfig-compatible view ---------------------------------------
-    # The stage engines and BaseEngine drive offload placement through
-    # these three flags; deriving them from the tier assignment lets the
-    # infinity runtime ride the exact same hooks.
+    # The tier assignment as ZeRO-Offload's boolean flags, for readers that
+    # only ask "did it leave the device" (the cost models). Placement
+    # itself reads the ``*_tier`` fields (``repro.zero.placement``).
 
     @property
     def offload_optimizer(self) -> bool:

@@ -12,9 +12,10 @@ the result as an ``InfinityStepReport``.
 
 The engine exposes the same driver surface as ``OffloadRuntime``
 (``begin_micro`` / ``queue_grad_d2h`` / ``finish_step`` / ``trace_step``
-plus ``reports`` and the pool attributes), so ``BaseEngine`` and the stage
-engines use either through ``self.offload``; ``InfinityConfig`` provides
-the ``offload_*`` flags they consult. Placement never changes numerics —
+plus ``reports`` and ``pool``), so ``BaseEngine`` and the stage
+engines use either through ``self.offload``; both configs name their tiers
+``optimizer_tier`` / ``grad_tier`` / ``param_tier``, which is what the
+placement table reads. Placement never changes numerics —
 values move through the same kernels in the same order regardless of tier.
 """
 
@@ -33,7 +34,7 @@ from repro.infinity.schedule import (
     trace_schedule,
 )
 from repro.infinity.tiers import TierStream
-from repro.memsim.device import HostMemory
+from repro.memsim.device import Device, HostMemory
 from repro.nn.transformer import GPTConfig
 from repro.offload.streams import PCIeStream
 from repro.runtime import RankContext
@@ -82,17 +83,9 @@ class InfinityEngine:
             config.delayed_param_update, config.cpu_adam_elements_per_s,
             prefetch_depth=config.prefetch_depth, opt_chunk_bytes=config.opt_chunk_bytes,
         )
-        # Tier pools: host is the context's shared DRAM pool; the NVMe pool
-        # comes from the context too (clusters share one per node), with a
-        # topology-sized fallback for contexts built before it existed.
-        self._pools = {
-            "device": None,  # the device allocator accounts its own bytes
-            "host": ctx.host,
-            "nvme": ctx.nvme or HostMemory(ctx.topology.node.nvme_bytes, name="nvme"),
-        }
-        self.optimizer_pool = self.pool(config.optimizer_tier)
-        self.grad_pool = self.pool(config.grad_tier)
-        self.param_pool = self.pool(config.param_tier)
+        # Tier pools: the rank's own device, and the context's DRAM and
+        # NVMe pools (clusters share one of each per node).
+        self._pools = {"device": ctx.device, "host": ctx.host, "nvme": ctx.nvme}
         self.reports: list[InfinityStepReport] = []
         #: the last closed boundary (its inputs ride along as ``.inputs``).
         self.last_schedule: StepSchedule | None = None
@@ -112,8 +105,8 @@ class InfinityEngine:
     def last_grad_pieces(self) -> list[int]:
         return self.last_capture.grad_pieces
 
-    def pool(self, tier: str) -> HostMemory | None:
-        """Byte-accounting pool for a tier (None = the device allocator)."""
+    def pool(self, tier: str) -> Device | HostMemory:
+        """Byte-accounting pool for a tier."""
         return self._pools[tier]
 
     def begin_micro(self, batch: int, seq_len: int) -> None:

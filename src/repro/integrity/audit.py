@@ -133,7 +133,9 @@ class IntegrityAuditor:
         """[param_digest, scalar_digest] as float64 (CRC-32 fits exactly)."""
         e = self.engine
         param_digest = 0
-        if e.replicates_params:
+        if not e.placement["param"].partitioned:
+            # Only a replicated fp16 copy can be compared across ranks
+            # (stage 3's per-unit materializations are transient).
             crc = 0
             for p in e.layout.parameters:
                 crc = digest_array(p.data.numpy()) ^ ((crc << 1) & 0xFFFFFFFF)

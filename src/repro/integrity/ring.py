@@ -93,7 +93,7 @@ class VerifiedCheckpointRing:
                 engine.ctx.ledger.enabled = True
         ok = bool(verdict[0] > 0)
 
-        rec = getattr(engine.ctx, "recorder", None)
+        rec = engine.ctx.recorder
         if rec is not None and rank == rank0:
             rec.record(
                 "checkpoint-verified", rank=rank, step=engine.step_count,

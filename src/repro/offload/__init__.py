@@ -11,8 +11,6 @@ from repro.offload.engine import OffloadConfig, OffloadRuntime, OffloadStepRepor
 from repro.offload.host_optim import (
     CPU_ADAM_ELEMENTS_PER_S,
     CPU_ADAM_LATENCY_S,
-    HostAdamState,
-    HostTensor,
     cpu_adam_seconds,
 )
 from repro.offload.streams import PCIeStream, TransferHandle
@@ -20,8 +18,6 @@ from repro.offload.streams import PCIeStream, TransferHandle
 __all__ = [
     "CPU_ADAM_ELEMENTS_PER_S",
     "CPU_ADAM_LATENCY_S",
-    "HostAdamState",
-    "HostTensor",
     "OffloadConfig",
     "OffloadCostModel",
     "OffloadRuntime",

@@ -43,6 +43,7 @@ from repro.infinity.schedule import (
     close_step,
     trace_schedule,
 )
+from repro.memsim.device import Device, HostMemory
 from repro.nn.transformer import GPTConfig
 from repro.offload.host_optim import CPU_ADAM_ELEMENTS_PER_S
 from repro.offload.streams import PCIeStream
@@ -138,13 +139,17 @@ class OffloadRuntime:
             "offload", config.optimizer_tier, config.grad_tier, config.param_tier,
             config.delayed_param_update, config.cpu_adam_elements_per_s,
         )
-        # Everything that leaves the device lands in host DRAM (the pool
-        # surface the stage engines read, as on ``InfinityEngine``).
-        self.optimizer_pool = self.grad_pool = ctx.host
+        # Everything that leaves the device lands in host DRAM.
+        self._pools = {"device": ctx.device, "host": ctx.host}
         self.reports: list[OffloadStepReport] = []
         #: the last closed boundary (its inputs ride along as ``.inputs``).
         self.last_schedule: StepSchedule | None = None
         self._pending = StepInputs()
+
+    def pool(self, tier: str) -> Device | HostMemory:
+        """Byte-accounting pool for a tier (the surface the partitioned
+        engine reads, as on ``InfinityEngine``)."""
+        return self._pools[tier]
 
     def begin_micro(self, batch: int, seq_len: int) -> None:
         """Accrue one micro-batch's forward/backward compute time."""

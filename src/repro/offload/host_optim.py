@@ -3,13 +3,13 @@
 ZeRO-Offload's key design decision is that the fp32 master parameters,
 momentum, and variance (the K = 12 bytes/param of Section 3.1) move to the
 CPU along with the Adam step itself, freeing 12 Psi / Nd bytes of device
-memory per rank. ``HostAdamState`` is the drop-in replacement for
-``repro.optim.mixed_precision.FlatAdamState`` that allocates those three
-vectors from a ``HostMemory`` pool — same ``master``/``m``/``v`` surface,
-same ``init_master``/``free`` lifecycle, and the update runs through the
-*same* ``adam_step_inplace`` arithmetic, which is what makes offloaded
+memory per rank. Placement is nothing but the pool the state is allocated
+on: the partitioned engine builds the same ``FlatAdamState`` on a
+``HostMemory`` pool instead of the ``Device``, and the update runs through
+the *same* ``adam_step_inplace`` arithmetic, which is what makes offloaded
 training bitwise identical to the all-device path (the equivalence the
 paper's Section 2.2.3 argument demands and tests/test_offload.py checks).
+This module keeps what the host placement adds — the cost of the step.
 
 ``cpu_adam_seconds`` models the host-side step cost. Adam is memory-bound
 on CPU: each element touches ~28 bytes of fp32 state (read master/m/v/
@@ -20,13 +20,6 @@ for its optimized CPU Adam on a DGX-2 class host.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro.memprof.provenance import category as memprof_category
-from repro.memsim.device import HostMemory
-from repro.optim.adam import AdamHyperparams
-from repro.tensor.tensor import dtype_size
 
 # Host Adam throughput model (see module docstring).
 CPU_ADAM_ELEMENTS_PER_S = 1.0e9
@@ -40,131 +33,3 @@ def cpu_adam_seconds(
     if numel <= 0:
         return 0.0
     return CPU_ADAM_LATENCY_S + numel / elements_per_s
-
-
-class HostTensor:
-    """A flat host-resident tensor: numpy values + HostMemory accounting.
-
-    Mirrors the slice of the ``Tensor`` surface the engines and
-    ``checkpoint_io`` actually use (``data``, ``numpy()``, ``nbytes``,
-    ``free`` / ``free_if_alive``, ``is_meta``), so host-resident optimizer
-    state and gradient shards slot into existing code paths unchanged.
-    """
-
-    __slots__ = ("shape", "dtype", "data", "host", "handle", "tag", "_freed")
-
-    def __init__(
-        self,
-        numel: int,
-        dtype: np.dtype,
-        host: HostMemory,
-        *,
-        data: np.ndarray | None = None,
-        meta: bool = False,
-        tag: str = "",
-    ):
-        if numel <= 0:
-            raise ValueError(f"numel must be positive, got {numel}")
-        self.shape = (int(numel),)
-        self.dtype = np.dtype(dtype)
-        self.host = host
-        self.tag = tag
-        self._freed = False
-        self.handle = host.alloc(self.nbytes, tag)
-        if meta:
-            self.data = None
-        elif data is None:
-            self.data = np.zeros(numel, self.dtype)
-        else:
-            data = np.asarray(data, self.dtype)
-            if data.shape != self.shape:
-                raise ValueError(f"data shape {data.shape} != tensor shape {self.shape}")
-            self.data = data
-
-    @property
-    def size(self) -> int:
-        return self.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        return self.size * dtype_size(self.dtype)
-
-    @property
-    def is_meta(self) -> bool:
-        return self.data is None
-
-    def numpy(self) -> np.ndarray:
-        if self.data is None:
-            raise ValueError(f"host tensor {self.tag!r} is meta; it has no values")
-        return self.data
-
-    @property
-    def freed(self) -> bool:
-        return self._freed
-
-    def free(self) -> None:
-        if self._freed:
-            raise ValueError(f"host tensor {self.tag!r} already freed")
-        self._freed = True
-        self.host.free(self.handle)
-        self.data = None
-
-    def free_if_alive(self) -> None:
-        if not self._freed:
-            self.free()
-
-    def __repr__(self) -> str:
-        kind = "meta" if self.is_meta else "real"
-        return f"HostTensor({kind}, shape={self.shape}, dtype={self.dtype}, tag={self.tag!r})"
-
-
-class HostAdamState:
-    """fp32 master / momentum / variance over ``numel`` flat elements,
-    resident in host memory (the ZeRO-Offload optimizer-state placement).
-
-    Drop-in for ``FlatAdamState``: the engines and checkpoint_io only touch
-    ``master``/``m``/``v`` (``.data``/``.numpy()``), ``step_count``,
-    ``init_master``, ``nbytes``, and ``free``.
-    """
-
-    def __init__(
-        self,
-        numel: int,
-        *,
-        host: HostMemory,
-        hp: AdamHyperparams | None = None,
-        meta: bool = False,
-        tag: str = "optstate",
-    ):
-        if numel <= 0:
-            raise ValueError(f"numel must be positive, got {numel}")
-        self.numel = numel
-        self.host = host
-        self.hp = hp or AdamHyperparams()
-        self.step_count = 0
-        with memprof_category("optimizer_state", site=tag):
-            self.master = HostTensor(numel, np.float32, host, meta=meta, tag=f"{tag}.master")
-            self.m = HostTensor(numel, np.float32, host, meta=meta, tag=f"{tag}.m")
-            self.v = HostTensor(numel, np.float32, host, meta=meta, tag=f"{tag}.v")
-
-    @property
-    def is_meta(self) -> bool:
-        return self.master.is_meta
-
-    @property
-    def nbytes(self) -> int:
-        """Host bytes held by optimizer state: 12 bytes/element (K = 12)."""
-        return self.master.nbytes + self.m.nbytes + self.v.nbytes
-
-    def init_master(self, flat_params32: np.ndarray | None) -> None:
-        """Seed the master copy from the (fp16) parameter values."""
-        if self.is_meta:
-            return
-        if flat_params32 is None or flat_params32.shape != (self.numel,):
-            raise ValueError(f"expected flat fp32 vector of {self.numel} elements")
-        self.master.data[:] = flat_params32
-
-    def free(self) -> None:
-        self.master.free_if_alive()
-        self.m.free_if_alive()
-        self.v.free_if_alive()

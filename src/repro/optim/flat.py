@@ -70,6 +70,18 @@ class FlatLayout:
     def partition_size(self, n_partitions: int) -> int:
         return self.partition_bounds(n_partitions, 0)[1]
 
+    def owner_segments(self, n_partitions: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        """Split the flat range [lo, hi) into ``(owner_index, lo, hi)``
+        pieces, one per equal partition the range crosses, in order."""
+        out = []
+        size = self.numel // n_partitions
+        while lo < hi:
+            owner = lo // size
+            seg_hi = min(hi, (owner + 1) * size)
+            out.append((owner, lo, seg_hi))
+            lo = seg_hi
+        return out
+
     # -- gather / scatter (real mode; callers skip these in meta mode) -------
 
     def gather_params(self, dtype=np.float32) -> np.ndarray:

@@ -4,7 +4,8 @@ Memory layout per Section 3.1: for Psi parameters, fp16 parameters (2 Psi
 bytes) and fp16 gradients (2 Psi) live with the model; the *optimizer
 states* are an fp32 master copy of the parameters, fp32 momentum and fp32
 variance (4 Psi each, K = 12). ``FlatAdamState`` is those three fp32
-tensors over a flat range, device-accounted — instantiated over the full
+tensors over a flat range, accounted on the pool it is given (the device,
+or a host / NVMe ``HostMemory`` under offload) — instantiated over the full
 flat space by the baseline, and over a 1/Nd partition slice by ZeRO-DP
 (which is the entire trick of Pos).
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memprof.provenance import category as memprof_category
-from repro.memsim.device import Device
+from repro.memsim.device import Device, HostMemory
 from repro.nn.module import Module
 from repro.optim.adam import AdamHyperparams, adam_step_inplace
 from repro.optim.flat import FlatLayout
@@ -32,7 +33,7 @@ class FlatAdamState:
         self,
         numel: int,
         *,
-        device: Device | None = None,
+        device: Device | HostMemory | None = None,
         hp: AdamHyperparams | None = None,
         meta: bool = False,
         tag: str = "optstate",
@@ -58,7 +59,7 @@ class FlatAdamState:
 
     @property
     def nbytes(self) -> int:
-        """Device bytes held by optimizer state: 12 bytes per element (K=12)."""
+        """Bytes held by optimizer state on its pool: 12 per element (K=12)."""
         return self.master.nbytes + self.m.nbytes + self.v.nbytes
 
     def init_master(self, flat_params32: np.ndarray | None) -> None:

@@ -93,17 +93,11 @@ class BaseEngine:
     """Common step orchestration; subclasses implement reduction + update."""
 
     name = "base"
-    #: ZeRO-Offload needs a partitioned optimizer (a ``part_numel`` range
-    #: to ship host-side); stages 1-3 flip this on.
-    supports_offload = False
-    #: ZeRO-Infinity parameter paging/tiling needs partitioned parameters
-    #: that are gathered per unit; only stage 3 flips this on.
-    supports_param_paging = False
-    #: whether this engine keeps the full fp16 parameters replicated on
-    #: every DP rank between steps — the invariant the integrity layer's
-    #: cross-rank audit compares. Stage 3 partitions parameters too and
-    #: flips this off (its per-unit materializations are transient).
-    replicates_params = True
+    #: ZeRO stage: the row of ``repro.zero.placement`` this engine
+    #: implements. 0 partitions nothing (the DDP oracle); what a stage
+    #: partitions, and therefore what may leave the device, is read from
+    #: ``self.placement`` — never restated per class.
+    stage = 0
 
     def __init__(
         self,
@@ -169,33 +163,25 @@ class BaseEngine:
                 "offload and infinity are mutually exclusive — InfinityConfig "
                 "subsumes the host tier (set param/grad/optimizer tiers instead)"
             )
+        # Imported here: repro.zero's engines import this module.
+        from repro.zero.placement import state_placement
+
+        #: (partitioned, tier) per state class; raises the one validity
+        #: error when a tier config parks a class this stage replicates.
+        self.placement = state_placement(
+            self.stage, self.config.offload or self.config.infinity
+        )
         if self.config.offload is not None:
-            if not self.supports_offload:
-                raise ValueError(
-                    f"engine {self.name!r} does not support offload "
-                    "(requires a partitioned optimizer, ZeRO stage >= 1)"
-                )
             from repro.offload.engine import OffloadRuntime
 
             self.offload = OffloadRuntime(
                 ctx, self.config.offload, model.config, mp_degree=self._mp_degree()
             )
         elif self.config.infinity is not None:
-            inf_cfg = self.config.infinity
-            if inf_cfg.offload_optimizer and not self.supports_offload:
-                raise ValueError(
-                    f"engine {self.name!r} does not support off-device optimizer "
-                    "state (requires a partitioned optimizer, ZeRO stage >= 1)"
-                )
-            if inf_cfg.page_params and not self.supports_param_paging:
-                raise ValueError(
-                    f"engine {self.name!r} does not support parameter paging "
-                    "(requires partitioned parameters, ZeRO stage 3)"
-                )
             from repro.infinity.engine import InfinityEngine
 
             self.infinity = InfinityEngine(
-                ctx, inf_cfg, model.config, mp_degree=self._mp_degree()
+                ctx, self.config.infinity, model.config, mp_degree=self._mp_degree()
             )
             # The infinity runtime implements the offload driver surface
             # (begin_micro / queue_grad_d2h / finish_step / trace_step /
@@ -245,7 +231,7 @@ class BaseEngine:
 
             self.integrity = IntegrityAuditor(self, self.config.integrity)
         if (
-            getattr(self.ctx, "redundancy", None) is not None
+            self.ctx.redundancy is not None
             and self.redundancy is None
             and not self.is_meta
         ):
@@ -364,7 +350,7 @@ class BaseEngine:
                 # Buddy refresh last: a boundary the detectors rejected
                 # raised above, so corrupt state never reaches the store.
                 self.redundancy.on_boundary(applied)
-            rec = getattr(self.ctx, "recorder", None)
+            rec = self.ctx.recorder
             if rec is not None:
                 rec.on_step_completed(
                     self.ctx.rank, self.step_count,
@@ -456,19 +442,23 @@ class BaseEngine:
             raise ValueError(f"grad_clip_norm must be positive, got {clip}")
         total_sq = local_norm_sq
         if partitioned and self.dp_group.size > 1:
-            flag = np.array([local_norm_sq], dtype=np.float64)
-            self.ctx.ledger.enabled = False
-            try:
-                total_sq = float(
-                    self.dp_group.all_reduce(self.ctx.rank, flag, op="sum",
-                                             phase="control")[0]
-                )
-            finally:
-                self.ctx.ledger.enabled = True
+            total_sq = float(self._control_all_reduce(
+                np.array([local_norm_sq], dtype=np.float64), "sum"
+            )[0])
         norm = float(np.sqrt(total_sq))
         if norm <= clip:
             return 1.0
         return clip / (norm + 1e-6)
+
+    def _control_all_reduce(self, value: np.ndarray, op: str) -> np.ndarray:
+        """All-reduce a tiny control message (the overflow vote, the clip
+        norm) across the DP group, excluded from volume accounting on
+        purpose."""
+        self.ctx.ledger.enabled = False
+        try:
+            return self.dp_group.all_reduce(self.ctx.rank, value, op=op, phase="control")
+        finally:
+            self.ctx.ledger.enabled = True
 
     @property
     def current_adam_hp(self):
@@ -540,13 +530,12 @@ class BaseEngine:
         boundary d2h. An overflow-skip step (``applied`` False) moves no
         optimizer bytes; its gradients already crossed the link.
         """
-        cfg = self.offload.config
-        itemsize = np.dtype(self.model.dtype).itemsize
-        shard_bytes = self.part_numel * itemsize
+        shard_bytes = self.part_numel * np.dtype(self.model.dtype).itemsize
+        streamed = self.placement["grad"].tier != "device"
         self.offload.finish_step(
             adam_numel=self.part_numel if applied else 0,
             param_h2d_bytes=shard_bytes if applied else 0,
-            boundary_grad_bytes=0 if cfg.offload_gradients else shard_bytes,
+            boundary_grad_bytes=0 if streamed else shard_bytes,
         )
 
     def _release_gradients(self) -> None:

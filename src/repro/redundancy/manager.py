@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.infinity.tiers import TierStream, TierTopology, wire_seconds
 from repro.integrity.digest import fast_digest_array
-from repro.offload.host_optim import HostTensor
 from repro.redundancy.store import SCALAR_KEYS, BuddyStore, ShardSnapshot
+from repro.tensor.tensor import Tensor
 
 
 class RedundancyManager:
@@ -84,7 +84,7 @@ class RedundancyManager:
         #: the ``buddy-replicate`` spans sum to) — analytic, so benchmarks
         #: report it with or without telemetry attached.
         self.replication_s = 0.0
-        self._resident: HostTensor | None = None
+        self._resident: Tensor | None = None
 
     # -- the boundary hook ---------------------------------------------------
 
@@ -142,7 +142,7 @@ class RedundancyManager:
         """Bytes that must cross PCIe before the NIC sees them: everything,
         minus the fp32 Adam vectors when they already live host-side."""
         eng = self.engine
-        if not getattr(eng, "_host_adam", False):
+        if eng.placement["optimizer"].tier == "device":
             return out_bytes
         host_side = sum(
             arr.nbytes
@@ -196,7 +196,7 @@ class RedundancyManager:
             out_bytes, in_bytes, d2h_bytes
         )
         self._account_residency(out_bytes, in_bytes)
-        rec = getattr(ctx, "recorder", None)
+        rec = ctx.recorder
         if rec is not None:
             rec.record(
                 "buddy-refresh", rank=ctx.rank, step=step,
@@ -238,8 +238,8 @@ class RedundancyManager:
         keep = self.config.keep
         pool = self.ctx.nvme if self.config.tier == "nvme" else self.ctx.host
         nbytes = keep * (out_bytes + in_bytes)
-        if pool is None or nbytes <= 0:
+        if nbytes <= 0:
             return
-        self._resident = HostTensor(
-            nbytes, np.dtype(np.uint8), pool, meta=True, tag="redundancy-replica"
+        self._resident = Tensor(
+            (nbytes,), np.dtype(np.uint8), device=pool, tag="redundancy-replica"
         )

@@ -50,7 +50,7 @@ def resume_from_buddies(engine: BaseEngine) -> bool:
     ``BuddyStore`` or the store has no prepared snapshot — the caller
     then resumes from the checkpoint ring as before.
     """
-    store = getattr(engine.ctx, "redundancy", None)
+    store = engine.ctx.redundancy
     if store is None:
         return False
     snap: RecoverySnapshot | None = store.pending
@@ -83,10 +83,11 @@ def resume_from_buddies(engine: BaseEngine) -> bool:
     engine.scaler.good_steps = int(scalars["scaler_good_steps"])
     engine.scaler.n_skipped = int(scalars["scaler_skipped"])
     dtype = np.dtype(engine.model.dtype)
-    if "param16" in snap.arrays and hasattr(engine, "_all_gather_params"):
-        # DPU carry: the fp16 params of the fault step were one update
-        # stale; rebuild them from the snapshotted stale values.
-        engine._all_gather_params(
+    if "param16" in snap.arrays:
+        # DPU carry (stages 1-2 only publish one): the fp16 params of the
+        # fault step were one update stale; rebuild them from the
+        # snapshotted stale values.
+        engine._publish_params(
             _reshard(snap.arrays["param16"], snap, engine).astype(dtype)
         )
     else:
@@ -100,7 +101,7 @@ def resume_from_buddies(engine: BaseEngine) -> bool:
             "fast-recovery-resume", step=snap.step,
             sources=dict(snap.sources),
         )
-    rec = getattr(engine.ctx, "recorder", None)
+    rec = engine.ctx.recorder
     if rec is not None and engine.dp_group.group_index(engine.ctx.rank) == 0:
         rec.record(
             "reshard", rank=engine.ctx.rank, step=snap.step,

@@ -42,6 +42,10 @@ class RankContext:
     world: ProcessGroup | VirtualGroup
     device: Device
     host: HostMemory
+    #: node NVMe pool (ZeRO-Infinity third tier) — a ``HostMemory`` counter
+    #: named "nvme"; shared per node like ``host``. Holds zero bytes unless
+    #: an infinity placement parks state there.
+    nvme: HostMemory
     ledger: CommLedger
     topology: ClusterTopology
     fabric: Fabric
@@ -49,10 +53,6 @@ class RankContext:
     #: a ``TelemetrySession`` is attached; engines must treat None as
     #: "telemetry disabled" and record nothing.
     tracer: Any = None
-    #: node NVMe pool (ZeRO-Infinity third tier) — a ``HostMemory`` counter
-    #: named "nvme"; shared per node like ``host``. Always present but holds
-    #: zero bytes unless an infinity placement parks state there.
-    nvme: HostMemory | None = None
     #: buddy-shard redundancy store (``repro.redundancy.BuddyStore``) —
     #: None unless the Supervisor (or caller) enabled redundancy; engines
     #: treat None as "redundancy disabled" and allocate/record nothing.

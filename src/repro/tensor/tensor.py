@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.memsim.block_allocator import Extent
-from repro.memsim.device import Device
+from repro.memsim.device import Device, HostMemory
 
 DTYPE_SIZES = {
     np.dtype(np.float16): 2,
@@ -54,11 +54,16 @@ class Tensor:
         dtype: np.dtype,
         *,
         data: Optional[np.ndarray] = None,
-        device: Optional[Device] = None,
+        device: Optional[Device | HostMemory] = None,
         tag: str = "",
         alloc: bool = True,
     ):
-        """``alloc=False`` builds a *view*: it carries ``device`` for
+        """``device`` is the pool the bytes are accounted on — a ``Device``,
+        or a ``HostMemory`` (host DRAM / NVMe) for state parked on a lower
+        tier; the two share the ``alloc(size, tag)`` / ``free(handle)``
+        surface.
+
+        ``alloc=False`` builds a *view*: it carries ``device`` for
         propagation to downstream results but reserves no memory itself
         (reshape/transpose on a GPU are metadata ops, not copies).
 
@@ -85,7 +90,7 @@ class Tensor:
         self.device = device
         self.tag = tag
         self._freed = False
-        self.extent: Optional[Extent] = None
+        self.extent: Optional[Extent | int] = None  # the pool's allocation handle
         if alloc and device is not None and nbytes > 0:
             self.extent = device.alloc(nbytes, tag)
 

@@ -141,7 +141,7 @@ def save_checkpoint(engine: BaseEngine, directory: str | pathlib.Path) -> pathli
         _atomic_write_text(
             directory / "meta.json", json.dumps(_meta_for(engine), indent=2)
         )
-        rec = getattr(engine.ctx, "recorder", None)
+        rec = engine.ctx.recorder
         if rec is not None:
             rec.record(
                 "checkpoint-saved", rank=engine.ctx.rank,
@@ -300,15 +300,13 @@ def _restore_scalars(engine: BaseEngine, data) -> None:
 
 def _rebuild_fp16_params(engine: BaseEngine) -> None:
     """Rebuild the replicated fp16 parameters from the restored masters."""
-    if hasattr(engine, "_all_gather_params"):  # stages 1-2
-        engine._all_gather_params(
-            engine.opt_state.master.numpy().astype(engine.model.dtype)
-        )
-    elif not hasattr(engine, "param_shard"):  # DDP: full local master
-        engine.layout.scatter_params(
-            engine.opt_state.master.numpy().astype(engine.model.dtype)
-        )
-    # Stage 3 needs nothing: parameters materialize from param_shard lazily.
+    if hasattr(engine, "param_shard"):
+        return  # stage 3: parameters materialize from param_shard lazily
+    master16 = engine.opt_state.master.numpy().astype(engine.model.dtype)
+    if engine.stage:  # stages 1-2: all-gather the partitions
+        engine._publish_params(master16)
+    else:  # DDP: full local master
+        engine.layout.scatter_params(master16)
 
 
 def load_checkpoint(engine: BaseEngine, directory: str | pathlib.Path) -> None:
@@ -421,7 +419,7 @@ def load_checkpoint_resharded(
     _rebuild_fp16_params(engine)
     if engine.integrity is not None:
         engine.integrity.record_shards()
-    rec = getattr(engine.ctx, "recorder", None)
+    rec = engine.ctx.recorder
     if rec is not None and engine.dp_group.group_index(engine.ctx.rank) == 0:
         rec.record(
             "reshard", rank=engine.ctx.rank, step=engine.step_count,

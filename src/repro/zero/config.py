@@ -5,8 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
+from repro.zero.placement import state_placement
+
 if TYPE_CHECKING:
     from repro.infinity.config import InfinityConfig
+    from repro.offload.engine import OffloadConfig
 
 
 @dataclass(frozen=True)
@@ -48,48 +51,43 @@ class ZeROConfig:
     infinity: "InfinityConfig | None" = None
 
     def __post_init__(self):
-        if self.stage not in (0, 1, 2, 3):
-            raise ValueError(f"ZeRO stage must be 0-3, got {self.stage}")
         if self.audit_cadence < 0:
             raise ValueError(
                 f"audit_cadence must be >= 0, got {self.audit_cadence}"
             )
         if self.cpu_offload_activations and not self.partition_activations:
             raise ValueError("Pa+cpu requires partition_activations (Pa)")
-        if self.offload_optimizer and self.stage < 1:
-            raise ValueError(
-                "offload_optimizer requires a partitioned optimizer (stage >= 1)"
-            )
-        if self.offload_gradients:
-            if not self.offload_optimizer:
-                raise ValueError("offload_gradients requires offload_optimizer")
-            if self.stage < 2:
-                raise ValueError(
-                    "offload_gradients requires a partitioned gradient shard (stage >= 2)"
-                )
-        if self.delayed_param_update and not self.offload_optimizer:
-            raise ValueError("delayed_param_update requires offload_optimizer")
+        # The one placement rule: a state class may leave the device only
+        # if this stage partitions it. (Resolving the tier config runs its
+        # checks too: infinity excludes the offload_* flags, and host
+        # gradients and DPU need the host optimizer.)
+        state_placement(self.stage, self.tiers)
+
+    @property
+    def tiers(self) -> "OffloadConfig | InfinityConfig | None":
+        """The tier config this asks for: ``infinity``, else the
+        ``OffloadConfig`` the ``offload_*`` flags spell, else None (every
+        state class on the device)."""
+        flags = self.offload_optimizer or self.offload_gradients or self.delayed_param_update
         if self.infinity is not None:
-            if self.offload_optimizer or self.offload_gradients or self.delayed_param_update:
+            if flags:
                 raise ValueError(
                     "infinity and the offload_* flags are mutually exclusive — "
                     "express ZeRO-Offload as InfinityConfig(optimizer_tier='host')"
                 )
-            if self.infinity.offload_optimizer and self.stage < 1:
-                raise ValueError(
-                    "off-device optimizer state requires a partitioned "
-                    "optimizer (stage >= 1)"
-                )
-            if self.infinity.offload_gradients and self.stage < 2:
-                raise ValueError(
-                    "off-device gradients require a partitioned gradient "
-                    "shard (stage >= 2)"
-                )
-            if self.infinity.page_params and self.stage != 3:
-                raise ValueError(
-                    "parameter paging/tiling requires partitioned parameters "
-                    "(stage 3)"
-                )
+            return self.infinity
+        if not flags:
+            return None
+        # Imported here: repro.offload reaches repro.analysis, which
+        # imports this module.
+        from repro.offload.engine import OffloadConfig
+
+        return OffloadConfig(
+            offload_optimizer=self.offload_optimizer,
+            offload_gradients=self.offload_gradients,
+            delayed_param_update=self.delayed_param_update,
+            checkpointing=self.checkpoint_activations,
+        )
 
     @property
     def label(self) -> str:

@@ -57,20 +57,10 @@ def build_engine(
     config = engine_config or EngineConfig()
     if zero.constant_buffers and config.fused_buffer_numel is None:
         config = replace(config, fused_buffer_numel=zero.constant_buffer_numel)
-    if zero.offload_optimizer and config.offload is None:
-        from repro.offload.engine import OffloadConfig
-
-        config = replace(
-            config,
-            offload=OffloadConfig(
-                offload_optimizer=True,
-                offload_gradients=zero.offload_gradients,
-                delayed_param_update=zero.delayed_param_update,
-                checkpointing=zero.checkpoint_activations,
-            ),
-        )
     if zero.infinity is not None and config.infinity is None:
         config = replace(config, infinity=zero.infinity)
+    elif zero.offload_optimizer and config.offload is None:
+        config = replace(config, offload=zero.tiers)
     if zero.audit_cadence and config.integrity is None:
         from repro.integrity import IntegrityConfig
 

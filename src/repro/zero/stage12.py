@@ -1,4 +1,4 @@
-"""ZeRO-DP stages 1 and 2: optimizer-state and gradient partitioning.
+"""ZeRO-DP stages 1 and 2 — and the partitioned engine all three stages share.
 
 Stage 1 (Pos, Section 5.1): every rank keeps the full fp16 parameters and
 full fp16 gradients, but only 1/Nd of the fp32 Adam state. The "dynamic
@@ -16,8 +16,11 @@ their memory can be released"), keeping only the 1/Nd gradient shard.
 Model-state memory: 2Psi + (2+K) Psi / Nd  (-> 8x reduction). Volume is
 still 2 Psi (Section 7.2.1).
 
-The only difference between the stages is one line: whether the bucket's
-full gradients are released after reduction.
+``_ZeroDPBase`` is one engine over the rows of ``repro.zero.placement``:
+each state class the stage partitions is a 1/Nd shard allocated on its
+tier's pool, gradients are reduced to their owners, and the optimizer
+steps over the owned partition. A stage adds only what its row adds —
+stage 3's per-unit parameter gathers live in ``repro.zero.stage3``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 from repro.comm.group import ProcessGroup
 from repro.comm.tensor_ops import all_gather_flat
 from repro.memprof.provenance import category as memprof_category
+from repro.memsim.device import Device, HostMemory
 from repro.nn.module import Parameter
 from repro.nn.transformer import GPT2Model
-from repro.offload.host_optim import HostAdamState, HostTensor
 from repro.optim.adam import adam_step_inplace
 from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
@@ -40,12 +43,9 @@ from repro.tensor.tensor import Tensor
 
 
 class _ZeroDPBase(BaseEngine):
-    """Shared Pos machinery: partitioned Adam state, reduce-to-owner
-    gradient buckets, end-of-step parameter all-gather."""
-
-    #: stage 2 releases the bucket's full gradients after reduction.
-    free_grads_after_reduce = False
-    supports_offload = True
+    """The partitioned engine: sharded state per ``self.placement``,
+    reduce-to-owner gradients, an optimizer step over the owned partition,
+    and one stage-specific hook — ``_publish_params``."""
 
     def __init__(
         self,
@@ -59,76 +59,83 @@ class _ZeroDPBase(BaseEngine):
         self.my_index = dp_group.group_index(ctx.rank)
         self.part_lo, self.part_hi = self.layout.partition_bounds(self.nd, self.my_index)
         self.part_numel = self.part_hi - self.part_lo
+        placed = self.placement
+        # Host-side Adam (ZeRO-Offload) and gradients streamed to their
+        # tier piece by piece; DPU is the offload schedule's one deliberate
+        # numeric change (staleness contract in repro.offload.engine).
+        self._host_adam = placed["optimizer"].tier != "device"
+        self._stream_grads = placed["grad"].tier != "device"
+        self._dpu = self.offload is not None and self.offload.config.delayed_param_update
+        # Allocation order on every pool is optimizer state, parameter
+        # shard, gradient shard — the reserved-bytes baselines depend on it.
+        part32 = None if self.is_meta else self.layout.gather_param_range(
+            self.part_lo, self.part_hi, np.float32
+        )
         # fp32 Adam state over *this rank's partition only* — the 4x / 8x
-        # memory reduction of Figure 1 comes from this line. With
-        # offload_optimizer the same partition lives in host DRAM instead
-        # (ZeRO-Offload), dropping the K Psi / Nd term from the device;
-        # ZeRO-Infinity may push it one tier further, to the NVMe pool.
-        self._host_adam = self.offload is not None and self.offload.config.offload_optimizer
-        if self._host_adam:
-            self.opt_state = HostAdamState(
-                self.part_numel, host=self.offload.optimizer_pool, hp=self.config.adam,
-                meta=self.is_meta, tag=f"{self.name}-adam",
+        # memory reduction of Figure 1 comes from this line. Off-device
+        # the same partition lives in host DRAM instead (ZeRO-Offload),
+        # dropping the K Psi / Nd term from the device; ZeRO-Infinity may
+        # push it one tier further, to the NVMe pool.
+        self.opt_state = FlatAdamState(
+            self.part_numel, device=self.pool_of("optimizer"), hp=self.config.adam,
+            meta=self.is_meta, tag=f"{self.name}-adam",
+        )
+        self.opt_state.init_master(part32)
+        # Stage 3's persistent fp16 parameter shard (2 Psi / Nd), off-device
+        # when the infinity placement pages parameters in from a lower tier.
+        if placed["param"].partitioned:
+            self.param_shard = self._shard(
+                "param", "param_fp16",
+                None if part32 is None else part32.astype(self.model.dtype),
             )
-        else:
-            self.opt_state = FlatAdamState(
-                self.part_numel, device=ctx.device, hp=self.config.adam,
-                meta=self.is_meta, tag=f"{self.name}-adam",
-            )
-        if not self.is_meta:
-            self.opt_state.init_master(
-                self.layout.gather_param_range(self.part_lo, self.part_hi, np.float32)
-            )
-        # Stage 2 keeps reduced gradients in a persistent 1/Nd shard (the
+        # Stages 2-3 keep reduced gradients in a persistent 1/Nd shard (the
         # 2 Psi -> 2 Psi/Nd reduction). Stage 1 writes reduced values back
         # into the full-size gradient tensors in place, as the paper's Pos
-        # does — no extra buffer. Under offload_gradients the shard is
-        # host-resident: each reduced piece streams d2h during backward.
-        self.grad_shard: Tensor | HostTensor | None = None
-        offload_grads = self.offload is not None and self.offload.config.offload_gradients
-        if self.free_grads_after_reduce:
-            with memprof_category("grad_fp16", site=f"{self.name}-grad-shard"):
-                if offload_grads:
-                    self.grad_shard = HostTensor(
-                        self.part_numel, np.dtype(self.model.dtype), self.offload.grad_pool,
-                        meta=self.is_meta, tag=f"{self.name}-grad-shard",
-                    )
-                else:
-                    self.grad_shard = Tensor(
-                        (self.part_numel,),
-                        np.dtype(self.model.dtype),
-                        data=None if self.is_meta else np.zeros(self.part_numel, self.model.dtype),
-                        device=ctx.device,
-                        tag=f"{self.name}-grad-shard",
-                    )
+        # does — no extra buffer. Off-device the shard is tier-resident:
+        # each reduced piece streams d2h during backward.
+        self.grad_shard: Tensor | None = None
+        if placed["grad"].partitioned:
+            self.grad_shard = self._shard(
+                "grad", "grad_fp16",
+                None if self.is_meta else np.zeros(self.part_numel, self.model.dtype),
+            )
         # Stage 2 reduces (and frees) every micro-step, so its hooks re-fire
         # per micro-batch; stage 1 under accumulation keeps gradients
-        # resident and reduces once at the boundary.
-        overlap = self.config.gradient_accumulation_steps == 1 or self.free_grads_after_reduce
+        # resident and reduces once at the boundary. Stage 3 hooks nothing:
+        # it reduces each unit's gradients as the unit's backward ends.
+        overlap = not placed["param"].partitioned and (
+            self.config.gradient_accumulation_steps == 1 or placed["grad"].partitioned
+        )
         self._queue = GradBucketQueue.for_engine(
             self, self.layout.parameters if overlap else ()
         )
 
-    # -- gradient reduction: reduce each owner's piece to that owner ---------
+    def pool_of(self, state_class: str) -> Device | HostMemory:
+        """The allocator ``state_class`` is accounted on: this rank's
+        device, or the companion's host / NVMe pool. A tier is nothing
+        more than the pool a ``Tensor`` is allocated on."""
+        tier = self.placement[state_class].tier
+        return self.ctx.device if tier == "device" else self.offload.pool(tier)
 
-    def _owner_segments(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        """Split a flat range into (owner_index, lo, hi) partition pieces."""
-        out = []
-        size = self.layout.numel // self.nd
-        while lo < hi:
-            owner = lo // size
-            seg_hi = min(hi, (owner + 1) * size)
-            out.append((owner, lo, seg_hi))
-            lo = seg_hi
-        return out
+    def _shard(self, state_class: str, category: str, data: np.ndarray | None) -> Tensor:
+        """This rank's 1/Nd fp16 shard of ``state_class``, on its pool."""
+        tag = f"{self.name}-{state_class}-shard"
+        with memprof_category(category, site=tag):
+            return Tensor(
+                (self.part_numel,), np.dtype(self.model.dtype), data=data,
+                device=self.pool_of(state_class), tag=tag,
+            )
+
+    # -- gradient reduction: reduce each owner's piece to that owner ---------
 
     def _flush_bucket(self, bucket: list[Parameter]) -> None:
         """Reduce each owner's piece of the bucket to that owner — the
-        bucketized reduce-scatter of Section 5.2."""
+        bucketized reduce-scatter of Section 5.2. The bucket queue calls
+        this per bucket, stage 3 per unit."""
         by_owner: dict[int, list[tuple[int, int]]] = {}
         for p in bucket:
             slot = self.layout.slot(p.name)
-            for owner, lo, hi in self._owner_segments(slot.offset, slot.end):
+            for owner, lo, hi in self.layout.owner_segments(self.nd, slot.offset, slot.end):
                 by_owner.setdefault(owner, []).append((lo, hi))
         dtype = np.dtype(self.model.dtype)
         for owner in sorted(by_owner):
@@ -174,25 +181,23 @@ class _ZeroDPBase(BaseEngine):
                         )
                     cursor += hi - lo
             fused.free()
-        if (
-            self.offload is not None
-            and self.offload.config.offload_gradients
-            and self.my_index in by_owner
-        ):
-            # The piece this rank owns just landed in the host shard: one
+        if self._stream_grads and self.my_index in by_owner:
+            # The piece this rank owns just landed in the tier shard: one
             # streamed d2h transfer, overlapped with the rest of backward.
             mine = sum(hi - lo for lo, hi in by_owner[self.my_index])
             self.offload.queue_grad_d2h(mine * dtype.itemsize)
-        if self.free_grads_after_reduce:
+        if self.grad_shard is not None:
+            # Partitioned gradients: the full-size ones are released as
+            # soon as they are reduced (the one line stage 2 adds to 1).
             for p in bucket:
                 p.zero_grad()
 
     def _micro_reduce(self) -> None:
-        if self.free_grads_after_reduce:
+        if self.grad_shard is not None:
             self._queue.flush()  # stage 2: reduce+free every micro-step
 
     def _reduce_gradients(self) -> None:
-        if self.config.gradient_accumulation_steps > 1 and not self.free_grads_after_reduce:
+        if self.config.gradient_accumulation_steps > 1 and self.grad_shard is None:
             for p in reversed(self.layout.parameters):
                 if p.grad is not None:
                     self._queue.on_grad_ready(p)
@@ -205,20 +210,6 @@ class _ZeroDPBase(BaseEngine):
 
     # -- optimizer step over the owned partition -------------------------------
 
-    def _global_overflow(self, local_overflow: bool) -> bool:
-        """Agree on the overflow decision across ranks (each rank only sees
-        its own shard, so the flag must be reduced)."""
-        if self.is_meta:
-            return False
-        flag = np.array([1.0 if local_overflow else 0.0], dtype=np.float32)
-        # Tiny control message; excluded from volume accounting on purpose.
-        self.ctx.ledger.enabled = False
-        try:
-            out = self.dp_group.all_reduce(self.ctx.rank, flag, op="max", phase="control")
-        finally:
-            self.ctx.ledger.enabled = True
-        return bool(out[0] > 0)
-
     def _optimizer_step(self) -> bool:
         if self.is_meta:
             self.opt_state.step_count += 1
@@ -226,7 +217,7 @@ class _ZeroDPBase(BaseEngine):
                 # Host-side Adam needs no device working buffer — one of
                 # ZeRO-Offload's device-memory savings.
                 self.with_fused_buffer(self.part_numel, lambda lo, hi: None)
-            self._all_gather_params(None)
+            self._publish_params(None)
             return True
         if self.grad_shard is not None:
             grad32 = self.grad_shard.numpy().astype(np.float32)
@@ -235,12 +226,13 @@ class _ZeroDPBase(BaseEngine):
                 self.part_lo, self.part_hi, np.float32, missing_ok=True
             )
         grad32 /= self.grad_divisor
-        overflow = self._global_overflow(LossScaler.has_overflow(grad32))
+        # Agree on the overflow decision across ranks: each rank only sees
+        # its own shard, so the flag must be reduced.
+        flag = np.array([float(LossScaler.has_overflow(grad32))], dtype=np.float32)
+        overflow = bool(self._control_all_reduce(flag, "max")[0] > 0)
         if not self.scaler.update(overflow):
-            # Other ranks reached the same decision; skip in lockstep but
-            # still run the (no-op) all-gather so the SPMD schedules match.
-            self._all_gather_params(self.layout.gather_param_range(
-                self.part_lo, self.part_hi, np.float32).astype(self.model.dtype))
+            # Other ranks reached the same decision; skip in lockstep.
+            self._publish_params(None)
             return False
         grad64 = grad32.astype(np.float64)
         clip_factor = self._clip_factor(float(np.dot(grad64, grad64)), partitioned=True)
@@ -248,11 +240,10 @@ class _ZeroDPBase(BaseEngine):
             grad32 *= np.float32(clip_factor)
         self.opt_state.step_count += 1
         hp = self.current_adam_hp
-        # DPU (ZeRO-Offload): broadcast fp16(master *before* this update) —
+        # DPU (ZeRO-Offload): publish fp16(master *before* this update) —
         # the update lands one step late, overlapped with the next step's
         # compute. See repro.offload.engine for the staleness contract.
-        dpu = self.offload is not None and self.offload.config.delayed_param_update
-        stale16 = self.opt_state.master.data.astype(self.model.dtype) if dpu else None
+        stale16 = self.opt_state.master.data.astype(self.model.dtype) if self._dpu else None
 
         def update(lo: int, hi: int) -> None:
             adam_step_inplace(
@@ -275,15 +266,24 @@ class _ZeroDPBase(BaseEngine):
             update(0, self.part_numel)
         else:
             self.with_fused_buffer(self.part_numel, update)
-        self._all_gather_params(
+        self._publish_params(
             stale16 if stale16 is not None
             else self.opt_state.master.data.astype(self.model.dtype)
         )
         return True
 
-    def _all_gather_params(self, my_shard16: np.ndarray | None) -> None:
-        """Collect every rank's updated fp16 partition into the parameters
-        (the end-of-step all-gather of Sections 5.1 / 7.2.1)."""
+    def _publish_params(self, my_shard16: np.ndarray | None) -> None:
+        """Make this rank's updated fp16 partition what the next forward
+        reads — the one step of the boundary that depends on whether
+        parameters are partitioned (stage 3 overrides it). Replicated
+        parameters: collect every rank's partition into them, the
+        end-of-step all-gather of Sections 5.1 / 7.2.1. ``None`` means no
+        new values — meta mode, or an overflow skip, which still runs the
+        (no-op) all-gather of the served values so the SPMD schedules
+        match."""
+        if my_shard16 is None and not self.is_meta:
+            my_shard16 = self.layout.gather_param_range(
+                self.part_lo, self.part_hi, np.float32).astype(self.model.dtype)
         if self.tracer is not None:
             self.tracer.begin("param-allgather")
         full = all_gather_flat(
@@ -297,7 +297,9 @@ class _ZeroDPBase(BaseEngine):
             self.tracer.end()
 
     def checkpoint_partition(self) -> tuple[int, int]:
-        """This rank's 1/Nd optimizer-state partition (for checkpoint_io)."""
+        """This rank's 1/Nd partition — covers the optimizer state and,
+        at stage 3, the fp16 parameter shard (for checkpoint_io
+        save/re-shard)."""
         return self.part_lo, self.part_hi
 
     def redundancy_shards(self) -> dict[str, np.ndarray]:
@@ -313,8 +315,7 @@ class _ZeroDPBase(BaseEngine):
         holds the stale values and is already in the integrity set.)
         """
         shards = super().redundancy_shards()
-        dpu = self.offload is not None and self.offload.config.delayed_param_update
-        if dpu and not self.is_meta:
+        if self._dpu and not self.is_meta and not self.placement["param"].partitioned:
             shards["param16"] = self.layout.gather_param_range(
                 self.part_lo, self.part_hi, np.dtype(self.model.dtype)
             )
@@ -323,6 +324,8 @@ class _ZeroDPBase(BaseEngine):
     def free(self) -> None:
         super().free()
         self.opt_state.free()
+        if self.placement["param"].partitioned:
+            self.param_shard.free_if_alive()
         if self.grad_shard is not None:
             self.grad_shard.free_if_alive()
 
@@ -331,11 +334,11 @@ class ZeroStage1Engine(_ZeroDPBase):
     """Pos: optimizer-state partitioning. Full gradients stay resident."""
 
     name = "zero1"
-    free_grads_after_reduce = False
+    stage = 1
 
 
 class ZeroStage2Engine(_ZeroDPBase):
     """Pos+g: gradients additionally partitioned and freed after reduction."""
 
     name = "zero2"
-    free_grads_after_reduce = True
+    stage = 2

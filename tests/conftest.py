@@ -73,6 +73,11 @@ def pytest_configure(config):
         "obs: Mission Control tests (run ledger, incident analytics, "
         "goodput/SLO accounting, exporters)",
     )
+    config.addinivalue_line(
+        "markers",
+        "hostbench: benchmark-can-run smoke (one short untraced child per "
+        "hostbench workload, checked against BENCHMARK.json)",
+    )
 
 
 @pytest.hookimpl(wrapper=True)

@@ -1,6 +1,7 @@
 """Documentation and example guards: the README snippet must run, the
 fast examples must execute cleanly end to end."""
 
+import importlib.util
 import pathlib
 import re
 import subprocess
@@ -38,6 +39,20 @@ class TestDesignDocs:
                     "Figure 6", "Figure 7", "Figure 8", "Table 1", "Table 2",
                     "§7", "§8", "§9"):
             assert exp in design, exp
+
+    def test_module_map_names_only_what_exists(self):
+        """Every backticked ``repro.*`` module and ``*.py`` file in
+        DESIGN §3 (the module map) resolves in ``src/repro``."""
+        design = (ROOT / "DESIGN.md").read_text()
+        section = design[design.index("## 3."):design.index("## 4.")]
+        names = re.findall(r"`([^`]+)`", section)
+        modules = [n for n in names if re.fullmatch(r"repro(\.\w+)+", n)]
+        files = [n for n in names if n.endswith(".py")]
+        assert len(modules) >= 10 and len(files) >= 10
+        for name in modules:
+            assert importlib.util.find_spec(name) is not None, name
+        for name in files:
+            assert list((ROOT / "src" / "repro").rglob(name)), name
 
     def test_experiments_doc_covers_every_figure(self):
         doc = (ROOT / "EXPERIMENTS.md").read_text()

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Cluster
-from repro.comm.tensor_ops import (
-    all_gather_flat,
-    all_reduce_flat,
-    broadcast_flat,
-    reduce_scatter_flat,
-)
+from repro.comm.tensor_ops import all_gather_flat
 from repro.comm.virtual import VirtualGroup
 from repro.hardware.specs import GPUSpec
 from repro.hardware.topology import ClusterTopology
@@ -26,57 +21,26 @@ class TestTensorOpsValidation:
         self.group = VirtualGroup.of_size(4)
 
     def test_meta_paths_return_none(self):
-        assert all_reduce_flat(self.group, 0, None, numel=8, dtype=np.float16,
-                               is_meta=True) is None
-        assert reduce_scatter_flat(self.group, 0, None, numel=8, dtype=np.float16,
-                                   is_meta=True) is None
         assert all_gather_flat(self.group, 0, None, shard_numel=2, dtype=np.float16,
                                is_meta=True) is None
-        assert broadcast_flat(self.group, 0, None, src=0, numel=8, dtype=np.float16,
-                              is_meta=True) is None
 
     def test_real_mode_shape_validation(self):
         with pytest.raises(ValueError):
-            all_reduce_flat(self.group, 0, np.ones(3, np.float32), numel=8,
-                            dtype=np.float32, is_meta=False)
-        with pytest.raises(ValueError):
-            reduce_scatter_flat(self.group, 0, None, numel=8, dtype=np.float32,
-                                is_meta=False)
-        with pytest.raises(ValueError):
             all_gather_flat(self.group, 0, np.ones(3, np.float32), shard_numel=2,
                             dtype=np.float32, is_meta=False)
-        with pytest.raises(ValueError):
-            broadcast_flat(self.group, 0, None, src=0, numel=8, dtype=np.float32,
-                           is_meta=False)
 
     def test_real_mode_collectives_work_end_to_end(self):
         cluster = Cluster(2, gpu=GPU, timeout_s=20.0)
 
         def fn(ctx):
-            full = all_reduce_flat(
-                ctx.world, ctx.rank, np.full(4, ctx.rank + 1.0, np.float32),
-                numel=4, dtype=np.float32, is_meta=False,
-            )
-            shard = reduce_scatter_flat(
-                ctx.world, ctx.rank, np.arange(4, dtype=np.float32),
-                numel=4, dtype=np.float32, is_meta=False,
-            )
             gathered = all_gather_flat(
                 ctx.world, ctx.rank, np.full(2, float(ctx.rank), np.float32),
                 shard_numel=2, dtype=np.float32, is_meta=False,
             )
-            bc = broadcast_flat(
-                ctx.world, ctx.rank,
-                np.arange(3, dtype=np.float32) if ctx.rank == 1 else None,
-                src=1, numel=3, dtype=np.float32, is_meta=False,
-            )
-            return full.tolist(), shard.tolist(), gathered.tolist(), bc.tolist()
+            return gathered.tolist()
 
-        for full, shard, gathered, bc in cluster.run(fn):
-            assert full == [3.0] * 4
+        for gathered in cluster.run(fn):
             assert gathered == [0.0, 0.0, 1.0, 1.0]
-            assert bc == [0.0, 1.0, 2.0]
-        del shard
 
 
 class TestRuntimeGuards:

@@ -22,11 +22,13 @@ from repro.memsim.device import HostMemory
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 from repro.offload.cost_model import OffloadCostModel, relative_error
 from repro.offload.engine import OffloadConfig
-from repro.offload.host_optim import HostAdamState, HostTensor, cpu_adam_seconds
+from repro.offload.host_optim import cpu_adam_seconds
 from repro.offload.streams import PCIeStream
 from repro.optim.adam import AdamHyperparams
+from repro.optim.mixed_precision import FlatAdamState
 from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
+from repro.tensor.tensor import Tensor
 from repro.zero.checkpoint_io import (
     latest_checkpoint,
     load_checkpoint_resharded,
@@ -213,10 +215,12 @@ def test_host_pool_stats_and_oom():
 
 
 def test_host_tensors_account_every_byte():
+    """A tier is the pool a tensor is allocated on: the plain ``Tensor``
+    and ``FlatAdamState`` account on a ``HostMemory`` as on a ``Device``."""
     host = HostMemory(10**6)
-    t = HostTensor(10, np.float32, host, tag="grad")
+    t = Tensor((10,), np.float32, data=np.zeros(10, np.float32), device=host, tag="grad")
     assert t.nbytes == 40 and host.allocated_bytes == 40
-    st = HostAdamState(100, host=host)
+    st = FlatAdamState(100, device=host)
     assert st.nbytes == 1200  # master + m + v, fp32
     assert host.allocated_bytes == 1240
     st.init_master(np.arange(100, dtype=np.float32))
@@ -231,13 +235,13 @@ def test_host_tensors_account_every_byte():
 def test_host_pool_overflow_fails_loudly():
     small = HostMemory(100)
     with pytest.raises(OutOfMemoryError):
-        HostAdamState(100, host=small)  # needs 1200 bytes
+        FlatAdamState(100, device=small)  # needs 1200 bytes
 
 
 def test_meta_host_tensors_still_account():
     """Meta mode skips arrays but never byte accounting."""
     host = HostMemory(10**6)
-    st = HostAdamState(50, host=host, meta=True)
+    st = FlatAdamState(50, device=host, meta=True)
     assert st.is_meta and host.allocated_bytes == 600
     with pytest.raises(ValueError):
         st.master.numpy()

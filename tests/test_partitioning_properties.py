@@ -15,16 +15,12 @@ from repro.zero.factory import build_model_and_engine
 GPU = GPUSpec("t", 10**9, 1e12)
 
 
-def owner_segments(numel, nd, lo, hi):
-    """Reference reimplementation of the engines' _owner_segments."""
-    out = []
-    size = numel // nd
-    while lo < hi:
-        owner = lo // size
-        seg_hi = min(hi, (owner + 1) * size)
-        out.append((owner, lo, seg_hi))
-        lo = seg_hi
-    return out
+def segments_of(numel, nd, lo, hi):
+    """The engines' ownership math (``FlatLayout.owner_segments``) over a
+    one-parameter layout of ``numel`` elements."""
+    layout = FlatLayout([make_param("p", (numel,), init="zeros", dtype=np.float32)])
+    assert layout.numel == numel
+    return layout.owner_segments(nd, lo, hi)
 
 
 class TestOwnerSegments:
@@ -38,7 +34,7 @@ class TestOwnerSegments:
         numel = nd * data.draw(st.integers(1, 64))
         lo = data.draw(st.integers(0, numel - 1))
         hi = data.draw(st.integers(lo + 1, numel))
-        segs = owner_segments(numel, nd, lo, hi)
+        segs = segments_of(numel, nd, lo, hi)
         # Coverage: segments tile [lo, hi) exactly, in order.
         cursor = lo
         for owner, a, b in segs:
@@ -59,7 +55,7 @@ class TestOwnerSegments:
     @given(nd=st.integers(1, 12), per=st.integers(1, 32))
     def test_full_space_splits_into_nd_equal_partitions(self, nd, per):
         numel = nd * per
-        segs = owner_segments(numel, nd, 0, numel)
+        segs = segments_of(numel, nd, 0, numel)
         assert len(segs) == nd
         assert all(b - a == per for _, a, b in segs)
 
