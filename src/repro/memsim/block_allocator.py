@@ -11,17 +11,21 @@ serve a large request even when total free memory is ample.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemoryError
 
 
-@dataclass(frozen=True)
-class Extent:
+class Extent(NamedTuple):
     """A live allocation: a contiguous byte range plus a debugging tag.
 
     ``pool`` marks which allocator owns it when a device routes long-lived
     tensors into a defragmentation region (ZeRO-R MD): "main" or "md".
+
+    Immutable, and cheap to build: one is made per allocation *and* per
+    cache hit (a cached block comes back under the new owner's tag), 11k
+    times in a paper-scale meta step.
     """
 
     handle: int
@@ -152,21 +156,15 @@ class BlockAllocator:
 
     # -- allocate / free -------------------------------------------------
 
-    def alloc(self, size: int, tag: str = "") -> Extent:
-        """Allocate ``size`` bytes (rounded to alignment), first-fit.
-
-        Raises FragmentationError when total free space would suffice but no
-        contiguous hole does, OutOfMemoryError when capacity is exhausted.
-        """
+    def try_alloc(self, size: int, tag: str = "") -> Extent | None:
+        """Allocate ``size`` bytes (rounded to alignment) from the first
+        free block that holds them; ``None`` when no block does. For
+        callers with somewhere else to go — a full MD region falls through
+        to the general heap, a full device flushes its cache first."""
         need = self.aligned(size)
         for i, block in enumerate(self._free):
             if block.size >= need:
-                extent = Extent(
-                    handle=next(self._handle_counter),
-                    offset=block.offset,
-                    size=need,
-                    tag=tag,
-                )
+                extent = Extent(next(self._handle_counter), block.offset, need, tag)
                 if block.size == need:
                     del self._free[i]
                 else:
@@ -175,8 +173,19 @@ class BlockAllocator:
                 self._live[extent.handle] = extent
                 self._allocated += need
                 return extent
-        cls = FragmentationError if self.free_bytes >= need else OutOfMemoryError
-        raise cls(need, self.free_bytes, self.largest_free_block, self.name)
+        return None
+
+    def alloc(self, size: int, tag: str = "") -> Extent:
+        """``try_alloc`` that raises instead: FragmentationError when total
+        free space would suffice but no contiguous hole does,
+        OutOfMemoryError when capacity is exhausted.
+        """
+        extent = self.try_alloc(size, tag)
+        if extent is None:
+            need = self.aligned(size)
+            cls = FragmentationError if self.free_bytes >= need else OutOfMemoryError
+            raise cls(need, self.free_bytes, self.largest_free_block, self.name)
+        return extent
 
     def free(self, extent: Extent) -> None:
         """Return an extent, coalescing with adjacent free blocks."""

@@ -16,6 +16,7 @@ Ownership rules (enforced by tests):
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
@@ -151,34 +152,64 @@ class Cache:
 
 
 class Module:
-    """Base class: parameter registration and deterministic iteration order."""
+    """Base class: parameter registration and deterministic iteration order.
+
+    The tree is walked once: every module keeps the flattened parameter
+    list of its subtree from the first time it is asked (a step asks the
+    root for ``zero_grad`` and stage 3 asks every unit four times), and a
+    registration anywhere below drops the lists of all its ancestors.
+    """
 
     def __init__(self, name: str):
         self.name = name
         self._parameters: dict[str, Parameter] = {}
         self._modules: dict[str, Module] = {}
+        self._flat: list[Parameter] | None = None
+        # Weak, so a tree stays free of reference cycles.
+        self._parents: list[weakref.ref[Module]] = []
 
     def register_parameter(self, param: Parameter) -> Parameter:
         key = param.name
         if key in self._parameters:
             raise ValueError(f"duplicate parameter {key!r} in module {self.name!r}")
         self._parameters[key] = param
+        self._drop_flat()
         return param
 
     def register_module(self, module: "Module") -> "Module":
         if module.name in self._modules:
             raise ValueError(f"duplicate submodule {module.name!r} in {self.name!r}")
         self._modules[module.name] = module
+        module._parents.append(weakref.ref(self))
+        self._drop_flat()
         return module
 
+    def _drop_flat(self) -> None:
+        """A module holding a list implies its whole subtree does (that is
+        how ``_flat_parameters`` fills them), so the walk up can stop at
+        the first ancestor that holds none."""
+        if self._flat is not None:
+            self._flat = None
+            for ref in self._parents:
+                parent = ref()
+                if parent is not None:
+                    parent._drop_flat()
+
+    def _flat_parameters(self) -> list[Parameter]:
+        flat = self._flat
+        if flat is None:
+            flat = list(self._parameters.values())
+            for module in self._modules.values():
+                flat.extend(module._flat_parameters())
+            self._flat = flat
+        return flat
+
     def parameters(self) -> list[Parameter]:
-        return list(self.named_parameters())
+        return list(self._flat_parameters())
 
     def named_parameters(self) -> Iterator[Parameter]:
         """Depth-first, registration order — identical on every rank."""
-        yield from self._parameters.values()
-        for module in self._modules.values():
-            yield from module.named_parameters()
+        return iter(self._flat_parameters())
 
     def modules(self) -> Iterator["Module"]:
         yield self
@@ -186,15 +217,15 @@ class Module:
             yield from m.modules()
 
     def num_parameters(self) -> int:
-        return sum(p.size for p in self.named_parameters())
+        return sum(p.size for p in self._flat_parameters())
 
     def zero_grad(self) -> None:
-        for p in self.named_parameters():
+        for p in self._flat_parameters():
             p.zero_grad()
 
     def free_parameters(self) -> None:
         """Release parameter (and grad) device memory — used by teardown."""
-        for p in self.named_parameters():
+        for p in self._flat_parameters():
             p.data.free_if_alive()
             if p.grad is not None:
                 p.grad.free_if_alive()

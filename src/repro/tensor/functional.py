@@ -16,7 +16,12 @@ on their own temporaries; ``reshape`` and ``transpose`` are the two views.
 
 A paper-scale meta step calls these ~13 000 times, so the module reads
 meta-ness as ``t.data is None`` (``Tensor.is_meta`` is a property call) and
-leaves shape and dtype normalisation to ``Tensor.__init__``.
+builds every result through ``_result`` — ``tensor.op_result``, the trusted
+constructor. That is this module's side of a contract: each op hands it a
+shape that is a tuple of Python ints (derived from operand shapes, or
+normalised here when the caller supplies it) and an ``np.dtype`` instance
+tensors support (an operand's, a promotion of operands', ``_F32``, or a
+caller's dtype passed through ``supported_dtype``).
 """
 
 from __future__ import annotations
@@ -26,20 +31,10 @@ import math
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, op_result as _result, supported_dtype
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def _result(
-    ref: Tensor,
-    data: np.ndarray | None,
-    shape: tuple[int, ...],
-    dtype,
-    tag: str,
-    alloc: bool = True,
-) -> Tensor:
-    return Tensor(shape, dtype, data=data, device=ref.device, tag=tag, alloc=alloc)
+_F32 = np.dtype(np.float32)
 
 
 def _any_meta(*tensors: Tensor) -> bool:
@@ -96,7 +91,7 @@ def transpose(x: Tensor, axes: tuple[int, ...], tag: str = "transpose") -> Tenso
 
 
 def cast(x: Tensor, dtype, tag: str = "cast") -> Tensor:
-    dtype = np.dtype(dtype)
+    dtype = supported_dtype(dtype)
     data = None if x.data is None else x.data.astype(dtype)
     return _result(x, data, x.shape, dtype, tag)
 
@@ -127,7 +122,7 @@ def slice_last(x: Tensor, lo: int, hi: int, tag: str = "slice") -> Tensor:
     """x[..., lo:hi] (tensor-parallel sharding helper)."""
     if not 0 <= lo <= hi <= x.shape[-1]:
         raise IndexError(f"slice [{lo}:{hi}] out of range for last dim {x.shape[-1]}")
-    shape = x.shape[:-1] + (hi - lo,)
+    shape = x.shape[:-1] + (int(hi - lo),)
     data = None if x.data is None else x.data[..., lo:hi].copy()
     return _result(x, data, shape, x.dtype, tag)
 
@@ -147,7 +142,7 @@ def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
     """Batched matmul; fp16 inputs accumulate in fp32 (tensor-core style)."""
     shape = _matmul_shape(a.shape, b.shape)
     out_dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
-    if _any_meta(a, b):
+    if a.data is None or b.data is None:
         return _result(a, None, shape, out_dtype, tag)
     if a.dtype == np.float16 or b.dtype == np.float16:
         acc = a.data.astype(np.float32, copy=False) @ b.data.astype(np.float32, copy=False)
@@ -162,14 +157,16 @@ def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
 def add(a: Tensor, b: Tensor, tag: str = "add") -> Tensor:
     shape = _broadcast_shape(a.shape, b.shape)
     dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
-    data = None if _any_meta(a, b) else (a.data + b.data).astype(dtype, copy=False)
+    meta = a.data is None or b.data is None
+    data = None if meta else (a.data + b.data).astype(dtype, copy=False)
     return _result(a, data, shape, dtype, tag)
 
 
 def mul(a: Tensor, b: Tensor, tag: str = "mul") -> Tensor:
     shape = _broadcast_shape(a.shape, b.shape)
     dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
-    data = None if _any_meta(a, b) else (a.data * b.data).astype(dtype, copy=False)
+    meta = a.data is None or b.data is None
+    data = None if meta else (a.data * b.data).astype(dtype, copy=False)
     return _result(a, data, shape, dtype, tag)
 
 
@@ -230,7 +227,7 @@ def gelu(x: Tensor, tag: str = "gelu") -> Tensor:
 
 
 def gelu_grad(x: Tensor, dy: Tensor, tag: str = "gelu_grad") -> Tensor:
-    if _any_meta(x, dy):
+    if x.data is None or dy.data is None:
         return _result(x, None, x.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
     x32 = x.data.astype(ct, copy=False)
@@ -273,7 +270,7 @@ def softmax(x: Tensor, tag: str = "softmax") -> Tensor:
 
 def softmax_grad(y: Tensor, dy: Tensor, tag: str = "softmax_grad") -> Tensor:
     """Backward through softmax given its *output* y: dx = y*(dy - sum(dy*y))."""
-    if _any_meta(y, dy):
+    if y.data is None or dy.data is None:
         return _result(y, None, y.shape, dy.dtype, tag)
     ct = _compute_dtype(np.promote_types(y.dtype, dy.dtype))
     y32 = y.data.astype(ct, copy=False)
@@ -335,12 +332,12 @@ def layernorm(
     mixed-precision practice; LayerNorm in fp16 is numerically fragile).
     """
     stat_shape = x.shape[:-1] + (1,)
+    ct = _compute_dtype(x.dtype)
     if _any_meta(x, gamma, beta):
         y = _result(x, None, x.shape, x.dtype, tag)
-        mean = _result(x, None, stat_shape, _compute_dtype(x.dtype), tag + ".mean")
-        rstd = _result(x, None, stat_shape, _compute_dtype(x.dtype), tag + ".rstd")
+        mean = _result(x, None, stat_shape, ct, tag + ".mean")
+        rstd = _result(x, None, stat_shape, ct, tag + ".rstd")
         return y, mean, rstd
-    ct = _compute_dtype(x.dtype)
     x32 = x.data.astype(ct, copy=False)
     mean32 = x32.mean(axis=-1, keepdims=True)
     var32 = x32.var(axis=-1, keepdims=True)
@@ -367,8 +364,8 @@ def layernorm_grad(
     feat_shape = (x.shape[-1],)
     if _any_meta(x, gamma, mean, rstd, dy):
         dx = _result(x, None, x.shape, dy.dtype, tag + ".dx")
-        dgamma = _result(x, None, feat_shape, np.float32, tag + ".dgamma")
-        dbeta = _result(x, None, feat_shape, np.float32, tag + ".dbeta")
+        dgamma = _result(x, None, feat_shape, _F32, tag + ".dgamma")
+        dbeta = _result(x, None, feat_shape, _F32, tag + ".dbeta")
         return dx, dgamma, dbeta
     n = x.shape[-1]
     ct = _compute_dtype(np.promote_types(x.dtype, dy.dtype))
@@ -385,8 +382,8 @@ def layernorm_grad(
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
     dx = _result(x, dx32.astype(dy.dtype, copy=False), x.shape, dy.dtype, tag + ".dx")
-    dgamma = _result(x, dgamma32, feat_shape, np.float32, tag + ".dgamma")
-    dbeta = _result(x, dbeta32, feat_shape, np.float32, tag + ".dbeta")
+    dgamma = _result(x, dgamma32, feat_shape, _F32, tag + ".dgamma")
+    dbeta = _result(x, dbeta32, feat_shape, _F32, tag + ".dbeta")
     return dx, dgamma, dbeta
 
 
@@ -399,7 +396,7 @@ def embedding_lookup(table: Tensor, ids: Tensor, tag: str = "embed") -> Tensor:
     # ids' device so ZeRO stage-3 models (whose parameters live off-device
     # until materialized) still produce device-accounted activations.
     ref = table if table.device is not None else ids
-    if _any_meta(table, ids):
+    if table.data is None or ids.data is None:
         return _result(ref, None, shape, table.dtype, tag)
     data = table.data[ids.data]
     return _result(ref, data, shape, table.dtype, tag)
@@ -408,11 +405,11 @@ def embedding_lookup(table: Tensor, ids: Tensor, tag: str = "embed") -> Tensor:
 def embedding_grad(table: Tensor, ids: Tensor, dy: Tensor, tag: str = "embed_grad") -> Tensor:
     """Scatter-add dy rows into a table-shaped gradient (fp32 accumulation)."""
     if _any_meta(table, ids, dy):
-        return _result(table, None, table.shape, np.float32, tag)
+        return _result(table, None, table.shape, _F32, tag)
     grad = np.zeros(table.shape, dtype=np.float32)
     rows = dy.data.reshape(-1, dy.shape[-1]).astype(np.float32, copy=False)
     np.add.at(grad, ids.data.reshape(-1), rows)
-    return _result(table, grad, table.shape, np.float32, tag)
+    return _result(table, grad, table.shape, _F32, tag)
 
 
 # -- cross entropy ---------------------------------------------------------------
@@ -424,12 +421,11 @@ def cross_entropy(logits: Tensor, targets: Tensor, tag: str = "xent") -> tuple[T
     ``logits``: (N, V) fp16/fp32; ``targets``: (N,) int. Loss is fp32.
     """
     n, v = logits.shape
-    if _any_meta(logits, targets):
-        ct = _compute_dtype(logits.dtype)
+    ct = _compute_dtype(logits.dtype)
+    if logits.data is None or targets.data is None:
         loss = _result(logits, None, (), ct, tag)
         probs = _result(logits, None, (n, v), ct, tag + ".probs")
         return loss, probs
-    ct = _compute_dtype(logits.dtype)
     x32 = logits.data.astype(ct, copy=False)
     probs32 = x32 - x32.max(axis=-1, keepdims=True)
     np.exp(probs32, out=probs32)
@@ -444,7 +440,8 @@ def cross_entropy(logits: Tensor, targets: Tensor, tag: str = "xent") -> tuple[T
 def cross_entropy_grad(probs: Tensor, targets: Tensor, dtype=np.float16, tag: str = "xent_grad") -> Tensor:
     """d(mean CE)/dlogits = (probs - onehot)/N, cast to the model dtype."""
     n, v = probs.shape
-    if _any_meta(probs, targets):
+    dtype = supported_dtype(dtype)
+    if probs.data is None or targets.data is None:
         return _result(probs, None, (n, v), dtype, tag)
     grad = probs.data.copy()
     grad[np.arange(n), targets.data] -= 1.0
@@ -464,21 +461,21 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None, tag: str = "dr
         return y, None
     if x.data is None:
         y = _result(x, None, x.shape, x.dtype, tag)
-        mask = _result(x, None, x.shape, np.float32, tag + ".mask")
+        mask = _result(x, None, x.shape, _F32, tag + ".mask")
         return y, mask
     if rng is None:
         raise ValueError("dropout with p > 0 needs an rng in real mode")
     keep = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
     y32 = x.data.astype(np.float32, copy=False) * keep
     y = _result(x, y32.astype(x.dtype, copy=False), x.shape, x.dtype, tag)
-    mask = _result(x, keep, x.shape, np.float32, tag + ".mask")
+    mask = _result(x, keep, x.shape, _F32, tag + ".mask")
     return y, mask
 
 
 def dropout_grad(dy: Tensor, mask: Tensor | None, tag: str = "dropout_grad") -> Tensor:
     if mask is None:
         return _result(dy, None if dy.data is None else dy.data.copy(), dy.shape, dy.dtype, tag)
-    if _any_meta(dy, mask):
+    if dy.data is None or mask.data is None:
         return _result(dy, None, dy.shape, dy.dtype, tag)
     data = (dy.data.astype(np.float32, copy=False) * mask.data).astype(dy.dtype, copy=False)
     return _result(dy, data, dy.shape, dy.dtype, tag)

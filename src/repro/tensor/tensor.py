@@ -14,6 +14,19 @@ Lifetime is explicit: the training engines free activations when their
 backward use ends, because the simulated allocator — like CUDA — has no
 garbage collector. ``free()`` is strict (double free raises) so lifetime
 bugs surface in tests instead of skewing memory measurements.
+
+Two constructors build the same object. ``Tensor(...)`` is the public one
+and validates everything it is given. ``op_result`` is the *trusted* one,
+for ``repro.tensor.functional`` only: an op has already computed its
+result's shape as a tuple of Python ints from validated operands and its
+dtype as an ``np.dtype`` instance of the supported set, so a meta result
+skips the shape re-normalisation and the ``DTYPE_SIZES`` lookup (which
+hashes the dtype); a paper-scale meta step builds 15 000 of them.
+Results that carry data go through ``Tensor(...)``.
+Either way the bytes are reserved by ``device.alloc(nbytes, tag)`` and
+returned by ``device.free(extent)``, looked up on the pool *instance* at
+every call: that pair is what ``MemoryProfiler``, ``MemoryTimeline`` and
+hostbench's probe wrap.
 """
 
 from __future__ import annotations
@@ -33,6 +46,14 @@ DTYPE_SIZES = {
     np.dtype(np.int64): 8,
     np.dtype(np.uint8): 1,
 }
+
+
+def supported_dtype(dtype) -> np.dtype:
+    """``dtype`` as an ``np.dtype`` instance; raises unless tensors support it."""
+    dt = np.dtype(dtype)
+    if dt not in DTYPE_SIZES:
+        raise ValueError(f"unsupported dtype {dt}")
+    return dt
 
 
 def dtype_size(dtype: np.dtype) -> int:
@@ -177,3 +198,42 @@ class Tensor:
     def __repr__(self) -> str:
         kind = "meta" if self.is_meta else "real"
         return f"Tensor({kind}, shape={self.shape}, dtype={self.dtype}, tag={self.tag!r})"
+
+
+_new_tensor = object.__new__
+
+
+def op_result(
+    ref: Tensor,
+    data: Optional[np.ndarray],
+    shape: tuple[int, ...],
+    dtype: np.dtype,
+    tag: str,
+    alloc: bool = True,
+) -> Tensor:
+    """An op's result on ``ref``'s device — the trusted constructor (module
+    docstring). The caller guarantees what ``Tensor.__init__`` would
+    otherwise establish: ``shape`` is a tuple of Python ints and ``dtype``
+    an ``np.dtype`` instance that ``DTYPE_SIZES`` holds (the set is closed
+    under the promotions the ops apply; a dtype that comes from *their*
+    caller goes through ``supported_dtype`` first). With ``data`` the
+    public constructor runs, shape check included."""
+    if data is not None:
+        return Tensor(shape, dtype, data=data, device=ref.device, tag=tag, alloc=alloc)
+    size = 1
+    for s in shape:
+        size *= s
+    t = _new_tensor(Tensor)
+    t.shape = shape
+    t.dtype = dtype
+    t.size = size
+    t.nbytes = nbytes = size * dtype.itemsize
+    t.data = None
+    t.device = device = ref.device
+    t.tag = tag
+    t._freed = False
+    if alloc and device is not None and nbytes > 0:
+        t.extent = device.alloc(nbytes, tag)
+    else:
+        t.extent = None
+    return t

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.block_allocator import BlockAllocator
+from repro.memsim.block_allocator import BlockAllocator, Extent
 from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemoryError
 
 KB = 1024
@@ -118,6 +118,38 @@ def test_tags_preserved():
     e = a.alloc(1 * KB, tag="weights")
     assert e.tag == "weights"
     assert a.live_extents()[0].tag == "weights"
+
+
+def test_extent_is_an_immutable_record():
+    e = Extent(handle=7, offset=1024, size=512, tag="w")
+    assert (e.handle, e.offset, e.size, e.tag, e.pool) == (7, 1024, 512, "w", "main")
+    assert e.end == 1536
+    assert Extent(1, 0, 512).tag == "" and Extent(1, 0, 512).pool == "main"
+    assert Extent(7, 1024, 512, "w", "md") == Extent(handle=7, offset=1024, size=512, tag="w", pool="md")
+    assert e == Extent(7, 1024, 512, "w") and hash(e) == hash(Extent(7, 1024, 512, "w"))
+    assert e != Extent(7, 1024, 512, "w", "md")
+    for field in ("handle", "offset", "size", "tag", "pool", "end", "anything"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, 1)
+    with pytest.raises(TypeError):
+        Extent(1, 0)  # handle, offset and size have no default
+
+
+def test_try_alloc_says_none_where_alloc_raises():
+    a = make(capacity=8 * KB)
+    held = [a.alloc(2 * KB) for _ in range(4)]
+    assert a.try_alloc(512) is None  # exhausted
+    a.free(held[0])
+    a.free(held[2])
+    before = (a.free_segments(), a.allocated_bytes)
+    assert a.try_alloc(3 * KB) is None  # 4 KB free, no 3 KB hole
+    assert (a.free_segments(), a.allocated_bytes) == before
+    with pytest.raises(FragmentationError):
+        a.alloc(3 * KB)
+    got = a.try_alloc(2 * KB, tag="fits")
+    assert (got.offset, got.size, got.tag) == (held[0].offset, 2 * KB, "fits")
+    with pytest.raises(ValueError):
+        a.try_alloc(0)
 
 
 @settings(max_examples=60, deadline=None)

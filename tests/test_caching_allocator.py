@@ -1,8 +1,12 @@
 """Caching allocator: reserved/cached semantics, flush-and-retry, peaks."""
 
+import bisect
+import hashlib
+
+import numpy as np
 import pytest
 
-from repro.memsim.block_allocator import BlockAllocator
+from repro.memsim.block_allocator import BlockAllocator, Extent
 from repro.memsim.caching_allocator import CachingAllocator
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 
@@ -131,3 +135,177 @@ def test_interleaved_sizes_accounting_consistent():
     for e in extents[1::2]:
         c.free(e)
     assert c.allocated_bytes == 0
+
+
+# -- oracle: the size-class cache against the two-list best fit it replaced ----
+
+
+class _TwoListCache(CachingAllocator):
+    """The cache as it was before size classes, kept as the reference: two
+    parallel lists sorted by block size, freed blocks inserted at
+    ``bisect_left``, requests served from ``bisect_left``."""
+
+    def __init__(self, backing):
+        super().__init__(backing)
+        self.sizes, self.blocks = [], []
+
+    def _cached_blocks(self):
+        return list(self.blocks)
+
+    def alloc(self, size, tag=""):
+        need = self.backing.aligned(size)
+        extent = self._take_cached(need, tag)
+        if extent is None:
+            self.n_cache_misses += 1
+            try:
+                extent = self.backing.alloc(need, tag)
+            except OutOfMemoryError:
+                self._flush_cache()
+                extent = self.backing.alloc(need, tag)
+            self._reserved += extent.size
+        self._live[extent.handle] = extent
+        self._allocated += extent.size
+        self.max_allocated = max(self.max_allocated, self._allocated)
+        self.max_reserved = max(self.max_reserved, self._reserved)
+        return extent
+
+    def free(self, extent):
+        live = self._live.pop(extent.handle, None)
+        if live is None:
+            raise InvalidFreeError(f"handle {extent.handle} is not live")
+        self._allocated -= live.size
+        idx = bisect.bisect_left(self.sizes, live.size)
+        self.sizes.insert(idx, live.size)
+        self.blocks.insert(idx, live)
+
+    def _take_cached(self, need, tag):
+        idx = bisect.bisect_left(self.sizes, need)
+        if idx >= len(self.sizes):
+            return None
+        block = self.blocks[idx]
+        waste = block.size - need
+        if waste > 0 and waste > block.size * 0.25 and block.size < MB:
+            return None
+        del self.sizes[idx]
+        del self.blocks[idx]
+        if waste >= self.backing.alignment and block.size >= MB:
+            self.backing.free(block)
+            self._reserved -= block.size
+            self.n_cache_misses += 1
+            fresh = self.backing.alloc(need, tag)
+            self._reserved += fresh.size
+            return fresh
+        self.n_cache_hits += 1
+        return Extent(handle=block.handle, offset=block.offset, size=block.size, tag=tag)
+
+    def _flush_cache(self):
+        released = 0
+        for block in self.blocks:
+            self.backing.free(block)
+            released += block.size
+        self._reserved -= released
+        self.sizes.clear()
+        self.blocks.clear()
+        self.n_flushes += 1
+        return released
+
+
+def _draw_size(rng, palette):
+    kind = rng.random()
+    if kind < 0.6:
+        return palette[rng.integers(len(palette))]  # repeats: exact-size hits
+    if kind < 0.7:
+        return int(rng.integers(1, 512))  # below the alignment
+    if kind < 0.85:
+        return int(rng.integers(512, 256 * KB))  # small: poor fits stay cached
+    return int(rng.integers(MB, 6 * MB))  # large: split on reuse
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_size_classes_place_every_block_where_the_two_list_cache_did(seed):
+    rng = np.random.default_rng(seed)
+    capacity = 24 * MB  # small enough for flush-and-retry and for real OOMs
+    new, ref = make(capacity), _TwoListCache(BlockAllocator(capacity, name="t"))
+    palette = [_draw_size(rng, [3 * KB]) for _ in range(10)]
+    live, ooms = [], 0
+    for event in range(1500):
+        if live and rng.random() < 0.48:
+            a, b = live.pop(rng.integers(len(live)))
+            new.free(a)
+            ref.free(b)
+        else:
+            size, tag = _draw_size(rng, palette), f"t{event}"
+            try:
+                b = ref.alloc(size, tag)
+            except OutOfMemoryError as want:
+                with pytest.raises(type(want)) as got:
+                    new.alloc(size, tag)
+                assert vars(got.value) == vars(want)
+                ooms += 1
+            else:
+                a = new.alloc(size, tag)
+                assert a == b, event  # handle, offset, size, tag, pool
+                live.append((a, b))
+        assert new.stats() == ref.stats(), event
+        assert new.reserved_bytes == ref.reserved_bytes
+        assert new.snapshot() == ref.snapshot(), event
+        assert new.backing.free_segments() == ref.backing.free_segments(), event
+    stats = new.stats()
+    assert stats.n_flushes >= 2 and ooms >= 1, "the stream must reach the retry path"
+    assert stats.n_cache_hits > 100 and stats.n_cache_misses > 100
+    assert new.empty_cache() == ref.empty_cache()
+    assert new.backing.free_segments() == ref.backing.free_segments()
+
+
+def test_an_emptied_class_is_forgotten_only_when_a_search_walks_over_it():
+    c = make()
+    small, large = c.alloc(4 * KB), c.alloc(8 * KB)
+    c.free(small)
+    c.free(large)
+    assert c.alloc(4 * KB).offset == small.offset  # exact hit empties the 4 KB class
+    again = c.alloc(7 * KB)  # no 7 KB class: the search passes 4 KB (below), takes 8 KB
+    assert again.offset == large.offset and again.size == 8 * KB
+    fresh = c.alloc(6 * KB)  # walks over the emptied 8 KB class and finds nothing
+    assert fresh.offset not in (small.offset, large.offset)
+    assert c.stats().n_cache_hits == 2 and c.stats().n_cache_misses == 3
+
+
+# -- placement golden: what peaks do not show ------------------------------------
+
+# sha256 over "size,tag,pool,offset;" of every Device.alloc of two steps of a
+# shrunk C4 job (MD on, a 512 KiB region that fills), computed at the commit
+# before the size-class cache (0c84923). The roomy device flushes once and
+# fits; the tight one flushes three times and ends in a FragmentationError.
+_PLACEMENT_GOLDEN = {
+    80_000_000: (True, 834, "b0dff6724469661b1d2511a01c96eea0ba2dbd8d0464a34da89777e54f094bdd"),
+    74_000_000: (False, 830, "b1cfdc8f1258d2474828360f5794fecd6d7e1c26189bd4accba75634843e8f66"),
+}
+
+
+@pytest.mark.parametrize("capacity", sorted(_PLACEMENT_GOLDEN))
+def test_meta_step_placement_matches_the_golden_stream(capacity, monkeypatch):
+    from repro.experiments.common import meta_memory_step
+    from repro.hardware.specs import GPUSpec
+    from repro.memsim.device import Device
+    from repro.nn.transformer import GPTConfig
+    from repro.zero.config import C4
+
+    digest, count = hashlib.sha256(), [0]
+    original = Device.alloc
+
+    def recording(self, size, tag=""):
+        extent = original(self, size, tag)
+        digest.update(f"{size},{tag},{extent.pool},{extent.offset};".encode())
+        count[0] += 1
+        return extent
+
+    monkeypatch.setattr(Device, "alloc", recording)
+    result = meta_memory_step(
+        GPTConfig(n_layers=4, hidden=512, n_heads=8, vocab_size=4096), C4,
+        n_gpus=16, mp=4, batch=4, seq_len=128, steps=2,
+        md_region_bytes=512 * KB, gpu=GPUSpec("tiny", capacity, 1e12),
+    )
+    fits, n_allocs, want = _PLACEMENT_GOLDEN[capacity]
+    assert result.fits is fits
+    assert result.oom_reason == ("" if fits else "FragmentationError")
+    assert (count[0], digest.hexdigest()) == (n_allocs, want)

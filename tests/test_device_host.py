@@ -98,6 +98,45 @@ class TestMemoryDefrag:
         assert big.pool == "main"
         d.free(big)
 
+    def test_full_region_falls_through_without_raising_inside(self, monkeypatch):
+        """A full region is an everyday event (82 times per 100B step), not
+        an error: no OutOfMemoryError is built on the way to the heap."""
+        built = []
+        init = OutOfMemoryError.__init__
+        monkeypatch.setattr(
+            OutOfMemoryError, "__init__",
+            lambda self, *a, **k: built.append(type(self)) or init(self, *a, **k),
+        )
+        d = Device(SPEC)
+        d.enable_defrag(1 * MB, lambda tag: tag.endswith(".grad"))
+        first = d.alloc(768 * 1024, tag="a.grad")
+        second = d.alloc(512 * 1024, tag="b.grad")  # 256 KB left in the region
+        assert (first.pool, second.pool) == ("md", "main")
+        assert built == []
+        # An error that escapes is still the typed, annotated one.
+        with pytest.raises(OutOfMemoryError) as exc_info:
+            d.alloc(128 * MB, tag="c.grad")
+        assert built == [OutOfMemoryError]
+        exc = exc_info.value
+        assert (exc.requested, exc.capacity, exc.allocated) == (128 * MB, 64 * MB, d.allocated_bytes)
+        assert exc.reserved == d.reserved_bytes and exc.largest_free == d.raw.largest_free_block
+
+    def test_route_memo_lives_and_dies_with_the_predicate(self):
+        d = Device(SPEC)
+        asked = []
+        d.enable_defrag(1 * MB, lambda tag: asked.append(tag) or tag.endswith(".grad"))
+        for _ in range(3):
+            grad, act = d.alloc(1000, tag="w.grad"), d.alloc(1000, tag="act")
+            assert (grad.pool, act.pool) == ("md", "main")
+            d.free(grad)
+            d.free(act)
+        assert asked == ["w.grad", "act"]  # once per tag string, not per call
+        d.disable_defrag()
+        assert d.alloc(1000, tag="w.grad").pool == "main"  # no region, no routing
+        d.enable_defrag(1 * MB, lambda tag: tag == "act")
+        assert d.alloc(1000, tag="w.grad").pool == "main"
+        assert d.alloc(1000, tag="act").pool == "md"
+
     def test_md_prevents_fragmentation_oom(self):
         """The Section 6.3 scenario: interleaved short/long lifetimes
         fragment the heap without MD; with MD the same workload fits."""

@@ -366,22 +366,28 @@ class TestGeluClosedForm:
         assert best_of_5(lambda: F.gelu(x)) <= 10 * best_of_5(lambda: np.tanh(data))
 
 
-def _op_cases(dtype):
+def _op_cases(dtype, *, meta=False, device=None):
     """Every public op that computes or materialises a result, as
-    ``name -> (callable, input tensors)``, on ``dtype`` floats."""
+    ``name -> (callable, input tensors)``, on ``dtype`` floats — or on
+    their shape-only twins with ``meta=True``."""
     rng = np.random.default_rng(5)
 
+    def from_numpy(array):
+        if meta:
+            return Tensor.meta(array.shape, array.dtype, device=device)
+        return Tensor.from_numpy(array, device=device)
+
     def f(*shape):
-        return Tensor.from_numpy(rng.standard_normal(shape).astype(dtype))
+        return from_numpy(rng.standard_normal(shape).astype(dtype))
 
     x, w, bias = f(2, 4, 8), f(8, 8), f(8)
     sq, dsq = f(2, 2, 4, 4), f(2, 2, 4, 4)
     gamma, beta = f(8), f(8)
     _, mean, rstd = F.layernorm(x, gamma, beta)
     table = f(16, 8)
-    ids = Tensor.from_numpy(rng.integers(0, 16, (2, 4)))
+    ids = from_numpy(rng.integers(0, 16, (2, 4)))
     logits = f(6, 16)
-    targets = Tensor.from_numpy(rng.integers(0, 16, 6))
+    targets = from_numpy(rng.integers(0, 16, 6))
     _, probs = F.cross_entropy(logits, targets)
     _, keep = F.dropout(x, 0.5, np.random.default_rng(1))
     dy = f(2, 4, 8)
@@ -447,6 +453,86 @@ class TestResultsNeverAliasInputs:
                     assert not np.shares_memory(result.data, t.data), name
             for t, was in zip(inputs, before):
                 np.testing.assert_array_equal(t.data, was, err_msg=name)
+
+
+class TestTrustedResults:
+    """Meta results are built by ``tensor.op_result``, which takes the
+    op's word for shape and dtype. Whatever an op hands it must come out
+    as the public constructor would have made it."""
+
+    FIELDS = ("shape", "dtype", "size", "nbytes", "tag")
+
+    @staticmethod
+    def _flat(out):
+        return [t for t in (out if isinstance(out, tuple) else (out,)) if t is not None]
+
+    def _assert_as_constructed(self, got, name):
+        want = Tensor(got.shape, got.dtype, device=got.device, tag=got.tag, alloc=got.extent is not None)
+        for field in self.FIELDS:
+            assert getattr(got, field) == getattr(want, field), (name, field)
+        assert type(got.dtype) is type(want.dtype) and type(got.shape) is tuple, name
+        assert all(type(s) is int for s in got.shape), name
+        assert type(got.size) is int and type(got.nbytes) is int, name
+        assert got.data is None and not got.freed
+        if want.extent is not None:
+            assert (got.extent.size, got.extent.pool) == (want.extent.size, want.extent.pool), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_meta_results_equal_real_and_constructed_ones(self, dtype):
+        from repro.memsim.device import Device
+
+        device = Device()
+        real = _op_cases(dtype, device=device)
+        for name, (call, _inputs) in _op_cases(dtype, meta=True, device=device).items():
+            got, want = self._flat(call()), self._flat(real[name][0]())
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                for field in self.FIELDS:
+                    assert getattr(g, field) == getattr(w, field), (name, field)
+                assert g.extent.size == w.extent.size, name
+                self._assert_as_constructed(g, name)
+
+    def test_numpy_ints_and_scalar_types_are_normalised_by_the_op(self):
+        from repro.memsim.device import Device
+
+        i = np.int64
+        x = Tensor.meta((4, 6, 8), np.float16, device=Device())
+        ids, probs = Tensor.meta((4,), np.int64), Tensor.meta((4, 8), np.float32)
+        cases = {
+            "reshape": F.reshape(x, (i(8), np.int32(-1))),
+            "reshape(array)": F.reshape(x, np.array([24, 8])),
+            "transpose": F.transpose(x, (i(2), i(0), i(1))),
+            "slice_last": F.slice_last(x, i(2), i(6)),
+            "index_axis0": F.index_axis0(x, i(1)),
+            "sum_to": F.sum_to(x, (i(1), i(8))),
+            "cast(type)": F.cast(x, np.float32),
+            "cast(str)": F.cast(x, "float64"),
+            "cross_entropy_grad(type)": F.cross_entropy_grad(probs, ids, dtype=np.float16),
+            "layernorm_grad.dgamma": F.layernorm_grad(
+                x, Tensor.meta((8,), np.float16), Tensor.meta((4, 6, 1), np.float32),
+                Tensor.meta((4, 6, 1), np.float32), x,
+            )[1],
+            "dropout.mask": F.dropout(x, 0.1, None)[1],
+        }
+        for name, got in cases.items():
+            self._assert_as_constructed(got, name)
+        assert cases["reshape"].shape == (8, 24) and cases["slice_last"].shape == (4, 6, 4)
+        assert cases["cast(type)"].dtype == np.float32 and cases["cast(str)"].nbytes == 4 * 6 * 8 * 8
+
+    def test_a_callers_dtype_is_still_validated(self):
+        x = Tensor.meta((2, 2), np.float32)
+        for dtype in (np.complex64, np.bool_, "U4"):
+            with pytest.raises(ValueError, match="unsupported dtype"):
+                F.cast(x, dtype)
+            with pytest.raises(ValueError, match="unsupported dtype"):
+                F.cross_entropy_grad(x, Tensor.meta((2,), np.int64), dtype=dtype)
+
+    def test_results_with_data_keep_the_shape_check(self):
+        from repro.tensor.tensor import op_result
+
+        x = Tensor.from_numpy(np.zeros((2, 3), np.float32))
+        with pytest.raises(ValueError, match="data shape"):
+            op_result(x, np.zeros((3, 2), np.float32), (2, 3), x.dtype, "bad")
 
 
 class TestCausalMaskCache:

@@ -160,6 +160,56 @@ class TestModuleRegistry:
         lin = Linear("l", 4, 3, dtype=np.float32, rng=rng)
         assert lin.num_parameters() == 4 * 3 + 3
 
+    def test_flattened_walk_follows_late_registrations_anywhere_below(self):
+        """``parameters()`` walks a list flattened on first use; registering
+        under any descendant — however deep, whoever else holds it — must
+        show up at every ancestor, in depth-first registration order."""
+
+        def walk(module):  # the recursive definition the flat list stands for
+            out = list(module._parameters.values())
+            for child in module._modules.values():
+                out.extend(walk(child))
+            return out
+
+        def param(name):
+            return make_param(name, (2,), init="zeros")
+
+        root, other_root = Module("root"), Module("other")
+        mid, leaf, sibling = Module("mid"), Module("leaf"), Module("sibling")
+        root.register_parameter(param("root.w"))
+        root.register_module(mid)
+        mid.register_module(leaf)
+        root.register_module(sibling)
+        other_root.register_module(leaf)  # a second parent
+        leaf.register_parameter(param("leaf.w"))
+        sibling.register_parameter(param("sibling.w"))
+        names = lambda m: [p.name for p in m.parameters()]  # noqa: E731
+        assert names(root) == ["root.w", "leaf.w", "sibling.w"] and names(other_root) == ["leaf.w"]
+        assert root.parameters() is not root.parameters()  # a copy, as before
+        assert list(root.named_parameters()) == root.parameters()
+
+        leaf.register_parameter(param("leaf.b"))
+        assert names(root) == ["root.w", "leaf.w", "leaf.b", "sibling.w"]
+        assert names(other_root) == ["leaf.w", "leaf.b"] and names(sibling) == ["sibling.w"]
+        deeper = Module("deeper")
+        deeper.register_parameter(param("deeper.w"))
+        leaf.register_module(deeper)
+        mid.register_parameter(param("mid.w"))
+        for module in (root, other_root, mid, leaf, sibling, deeper):
+            assert module.parameters() == walk(module)
+        assert names(root) == ["root.w", "mid.w", "leaf.w", "leaf.b", "deeper.w", "sibling.w"]
+        assert root.num_parameters() == 12
+
+    def test_zero_grad_reaches_every_parameter_of_the_flat_walk(self):
+        root, child = Module("root"), Module("child")
+        root.register_module(child)
+        params = [root.register_parameter(make_param("a", (2,), init="zeros")),
+                  child.register_parameter(make_param("b", (2,), init="zeros"))]
+        for p in params:
+            p.accumulate_grad(Tensor.zeros((2,), np.float16))
+        root.zero_grad()
+        assert all(p.grad is None for p in params)
+
 
 class TestCache:
     def test_free_releases_owned_only(self):

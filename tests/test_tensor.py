@@ -166,3 +166,71 @@ def test_like_builds_on_same_device():
 def test_repr_mentions_kind():
     assert "meta" in repr(Tensor.meta((2,), np.float32))
     assert "real" in repr(Tensor.zeros((2,), np.float32))
+
+
+def test_tensor_life_call_budget():
+    """The per-op floor must not quietly grow back: one ``F.add(a, b)`` and
+    the result's ``free()`` on a warm, MD-enabled device is at most 18
+    function calls (Python + C, as ``sys.setprofile`` counts them) — it was
+    26 with the two-list cache, the two-frame ``Device.alloc`` that asked
+    the MD predicate every time, the frozen-dataclass ``Extent`` and
+    results built by the validating constructor.
+
+    Calibrated on CPython 3.11.7: 15 (3 to the result constructor, 6 to
+    reserve the bytes, 6 to return them). ``object.__new__``,
+    ``tuple.__new__`` and the dict/list methods are each reported as one
+    C call there; the slack up to 18 is for an interpreter that reports
+    more of them."""
+    import sys
+
+    from repro.tensor import functional as F
+    from repro.zero.factory import _md_tag_predicate
+
+    d = Device(SPEC)
+    d.enable_defrag(1 * MB, _md_tag_predicate)
+    a = Tensor.meta((4, 8), np.float16, device=d, tag="a")
+    b = Tensor.meta((4, 8), np.float16, device=d, tag="b")
+    F.add(a, b, "sum").free()  # the size class and the tag's route now exist
+    calls = []
+
+    def on_event(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            calls.append(getattr(arg, "__qualname__", repr(arg)))
+
+    sys.setprofile(on_event)
+    out = F.add(a, b, "sum")
+    out.free()
+    sys.setprofile(None)
+    calls.pop()  # the closing setprofile call is not the tensor's
+    assert len(calls) <= 18, (calls, sys.version)
+    assert out.freed and d.allocated_bytes == a.extent.size + b.extent.size
+    assert d.cache.stats().n_cache_hits == 1
+
+
+def test_pool_entry_points_are_looked_up_on_the_instance_every_time():
+    """``MemoryProfiler``, ``MemoryTimeline`` and hostbench's probe wrap
+    ``device.alloc`` / ``device.free`` — on the instance or on the class,
+    before or after tensors exist. Both constructors and ``free`` must go
+    through whatever is there at the time of the call."""
+    from repro.tensor import functional as F
+
+    d = Device(SPEC)
+    x = Tensor.meta((8,), np.float32, device=d, tag="x")
+    seen = []
+    alloc, free = d.alloc, d.free
+    d.alloc = lambda size, tag="": seen.append(("alloc", size, tag)) or alloc(size, tag)
+    d.free = lambda extent: seen.append(("free", extent.size, extent.tag)) or free(extent)
+    try:
+        F.add(x, x, "trusted").free()
+        Tensor.meta((8,), np.float32, device=d, tag="public").free()
+        x.free()
+    finally:
+        del d.alloc, d.free
+    assert seen == [
+        ("alloc", 32, "trusted"), ("free", 512, "trusted"),
+        ("alloc", 32, "public"), ("free", 512, "public"),
+        ("free", 512, "x"),
+    ]
+    assert d.allocated_bytes == 0
