@@ -14,6 +14,11 @@ collectives in the same order with the same tag; a mismatch is detected
 on arrival and raised as ``CollectiveMismatchError`` instead of
 deadlocking, and any rank failure or timeout aborts the rendezvous so
 peers fail fast instead of hanging (``FabricAbortedError``).
+
+The rendezvous does not know what it carries. A deposit may be one
+collective's contribution or a batch of them (``ProcessGroup.coalesced``:
+a list of arrays and a tag naming every member's kind, root and size);
+either way it is one slot write, one tag comparison and one wake-up.
 """
 
 from __future__ import annotations

@@ -8,6 +8,17 @@ identical results — the property the ZeRO == DP equivalence tests rely on.
 Every call records a CommEvent in the calling rank's ledger (when one is
 attached), tagged with a caller-chosen ``phase`` label so experiments can
 attribute volume to e.g. gradient reduction vs parameter all-gather.
+
+What the simulated job communicates and how the simulator moves it are
+separate things. A *logical* collective is the unit of the first: one
+ledger event, one fault admission (``_admit``: pre-corruption, the plan's
+``on_collective`` with retry/backoff, kill handling), one post-corruption,
+one reduction in group-index order. A *rendezvous* is the unit of the
+second: one deposit, one tag check, one wake-up. ``_exchange`` pairs one
+with one; ``coalesced`` carries a batch of K same-kind logical collectives
+(a bucket's per-owner reduces, a unit's per-owner broadcasts) in one
+rendezvous whose tag names every member, so the ledger, the fault plan
+and every result are what K single calls give while the host pays for one.
 """
 
 from __future__ import annotations
@@ -118,11 +129,9 @@ class ProcessGroup:
                 registry.counter("sdc_injections", rank=rank, kind="bitflip").add(1)
         return out
 
-    def _exchange(self, rank: int, value, tag, op: str) -> list:
-        """Enter the rendezvous, consulting the fabric's fault plan first.
-
-        The rendezvous checks membership (``ValueError`` for a rank outside
-        the group), so callers do not look the index up first.
+    def _admit(self, rank: int, op: str, value):
+        """Fault admission of one logical collective — call only with a
+        fault plan attached; returns the contribution to deposit.
 
         A transient injected fault fails *before* the deposit, so the
         faulting rank simply retries (with exponential backoff under the
@@ -134,8 +143,6 @@ class ProcessGroup:
         fabric so *all* ranks raise promptly.
         """
         plan = self.fabric.fault_plan
-        if plan is None:
-            return self._rendezvous.exchange(rank, value, tag)
         # Pre-reduce corruption happens once per logical collective, not
         # per retry attempt: the flipped contribution is what every
         # attempt would have carried.
@@ -174,7 +181,86 @@ class ProcessGroup:
             except RankKilledError:
                 self.fabric.abort()
                 raise
-            return self._rendezvous.exchange(rank, value, tag)
+            return value
+
+    def _exchange(self, rank: int, value, tag, op: str) -> list:
+        """Admission, then the rendezvous — which checks membership
+        (``ValueError`` for a rank outside the group), so callers do not
+        look the index up first."""
+        if self.fabric.fault_plan is not None:
+            value = self._admit(rank, op, value)
+        return self._rendezvous.exchange(rank, value, tag)
+
+    def coalesced(
+        self,
+        rank: int,
+        op: str,
+        roots: Sequence[int],
+        arrays: Sequence[np.ndarray | None] | None = None,
+        nbytes: Sequence[int] | None = None,
+        phase: str = "",
+    ) -> list[np.ndarray | None] | None:
+        """A batch of K logical ``reduce``s or ``broadcast``s in ONE
+        rendezvous (NCCL group / DeepSpeed ``*_coalesced`` semantics).
+
+        Member ``i`` is what ``reduce(rank, arrays[i], dst=roots[i])`` (a
+        sum) or ``broadcast(rank, arrays[i], src=roots[i])`` would be. A
+        member's size is its array's; ``nbytes[i]`` declares it where this
+        rank supplies none — a broadcast's receivers pass None, and learn
+        nothing they did not declare: the tag carries every size. Without
+        ``arrays`` the batch is data-free — K ``meta_collective``s of
+        ``nbytes``. The batch shares the deposit, the wake-up and the tag
+        check; each member keeps its own ledger event, fault admission,
+        pre/post corruption and group-index-order reduction, in member
+        order. Returns one result per member (None where the single call
+        would return None), or None for a data-free batch.
+        """
+        if op not in ("reduce", "broadcast"):
+            raise ValueError(f"cannot coalesce {op!r}: only reduce and broadcast")
+        index_of = self._rendezvous.index_of
+        try:
+            root_index = [index_of[r] for r in roots]
+        except KeyError as exc:
+            raise self._rendezvous.not_a_member(exc.args[0]) from None
+        meta = arrays is None
+        if not meta:
+            # What this rank holds outranks what it declares, so a
+            # contribution of the wrong length is a tag mismatch too.
+            declared = [None] * len(arrays) if nbytes is None else nbytes
+            nbytes = [n if a is None else a.nbytes for a, n in zip(arrays, declared, strict=True)]
+        if nbytes is None or None in nbytes:
+            raise ValueError(f"coalesced {op}: a member has neither an array nor a byte count")
+        tag = ("coalesced", op, meta, tuple(roots), tuple(nbytes))
+        plan = self.fabric.fault_plan
+        if plan is not None:
+            # Every member is admitted, in order, before the one deposit: a
+            # fault on member j retries (or kills) with none of the batch
+            # exchanged yet.
+            arrays = [self._admit(rank, op, a) for a in ([None] * len(nbytes) if meta else arrays)]
+        slots = self._rendezvous.exchange(rank, None if meta else arrays, tag)
+        ledger = self._ledgers.get(rank)
+        if ledger is not None:
+            for n in nbytes:
+                ledger.record(op, n, self.ranks, phase)
+        if meta:
+            return None
+        out: list[np.ndarray | None] = []
+        for i, root in enumerate(roots):
+            if op == "reduce":
+                if rank != root:
+                    out.append(None)
+                    continue
+                result, fresh = _reduce_arrays([slot[i] for slot in slots], "sum"), True
+            else:
+                result, fresh = slots[root_index[i]][i], rank == root  # src keeps its own
+                if result is None:
+                    raise ValueError(f"broadcast: src rank {root} supplied no array")
+            if plan is not None:
+                corrupted = self._maybe_corrupt(rank, op, result, "post")
+                if corrupted is not result:
+                    result, fresh = corrupted, True  # already a private copy
+            out.append(result if fresh else result.copy())
+        return out
 
     # -- collectives ---------------------------------------------------------
 

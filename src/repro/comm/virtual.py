@@ -3,9 +3,10 @@
 Memory measurements only need ONE rank's allocator trace: partition sizes
 depend on the group *size*, not on peers actually existing. A
 ``VirtualGroup`` reports any size/topology, records communication volume,
-and supports only the meta-mode entry points (``meta_collective``; real
-data collectives raise). This is how the Table 2 "measured" column and the
-Figure 6/7 experiments simulate a rank of a 400-GPU job in one thread.
+and supports only the meta-mode entry points (``meta_collective`` and a
+data-free ``coalesced`` batch; real data collectives raise). This is how
+the Table 2 "measured" column and the Figure 6/7 experiments simulate a
+rank of a 400-GPU job in one thread.
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ class VirtualGroup:
         ledger = self._ledgers.get(rank)
         if ledger is not None:
             ledger.record(op, int(message_bytes), self.ranks, phase)
+
+    def coalesced(
+        self, rank: int, op: str, roots: Sequence[int], arrays=None,
+        nbytes: Sequence[int] = (), phase: str = "",
+    ) -> None:
+        """``ProcessGroup.coalesced`` without peers: a data-free batch
+        records its K events; one with arrays raises like every data
+        collective here."""
+        if arrays is not None:
+            self._no_data()
+        ledger = self._ledgers.get(rank)
+        if ledger is not None:
+            for n in nbytes:
+                ledger.record(op, n, self.ranks, phase)
 
     def barrier(self, rank: int) -> None:
         return

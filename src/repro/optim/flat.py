@@ -12,6 +12,8 @@ every rank, so partition i means the same parameters everywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,10 @@ class FlatLayout:
         self.numel = -(-offset // pad_multiple) * pad_multiple  # ceil to multiple
         self.pad_multiple = pad_multiple
         self._by_name = {s.name: s for s in self.slots}
+        # Slots are contiguous and ascending by construction, so both lists
+        # are sorted and a flat range finds its slots by bisection.
+        self._offsets = [s.offset for s in self.slots]
+        self._ends = [s.end for s in self.slots]
 
     def slot(self, name: str) -> ParamSlot:
         return self._by_name[name]
@@ -81,6 +87,11 @@ class FlatLayout:
             out.append((owner, lo, seg_hi))
             lo = seg_hi
         return out
+
+    def _overlapping(self, lo: int, hi: int) -> range:
+        """Indexes of the slots with ``offset < hi and end > lo`` — the
+        ones [lo, hi) overlaps — by bisection instead of a scan."""
+        return range(bisect_right(self._ends, lo), bisect_left(self._offsets, hi))
 
     # -- gather / scatter (real mode; callers skip these in meta mode) -------
 
@@ -113,7 +124,8 @@ class FlatLayout:
         """Write values for the flat range [lo, hi) into overlapping params."""
         if flat_piece.shape != (hi - lo,):
             raise ValueError(f"piece shape {flat_piece.shape} != ({hi - lo},)")
-        for p, s in zip(self.parameters, self.slots):
+        for i in self._overlapping(lo, hi):
+            p, s = self.parameters[i], self.slots[i]
             a, b = max(s.offset, lo), min(s.end, hi)
             if a >= b:
                 continue
@@ -125,7 +137,8 @@ class FlatLayout:
     def gather_param_range(self, lo: int, hi: int, dtype=np.float32) -> np.ndarray:
         """Read parameter values for the flat range [lo, hi) (pad as zeros)."""
         piece = np.zeros(hi - lo, dtype=dtype)
-        for p, s in zip(self.parameters, self.slots):
+        for i in self._overlapping(lo, hi):
+            p, s = self.parameters[i], self.slots[i]
             a, b = max(s.offset, lo), min(s.end, hi)
             if a >= b:
                 continue
@@ -138,7 +151,8 @@ class FlatLayout:
     ) -> np.ndarray:
         """Read gradient values for the flat range [lo, hi) (pad as zeros)."""
         piece = np.zeros(hi - lo, dtype=dtype)
-        for p, s in zip(self.parameters, self.slots):
+        for i in self._overlapping(lo, hi):
+            p, s = self.parameters[i], self.slots[i]
             a, b = max(s.offset, lo), min(s.end, hi)
             if a >= b:
                 continue
@@ -154,7 +168,8 @@ class FlatLayout:
         """Write values for the flat range [lo, hi) into overlapping grads."""
         if flat_piece.shape != (hi - lo,):
             raise ValueError(f"piece shape {flat_piece.shape} != ({hi - lo},)")
-        for p, s in zip(self.parameters, self.slots):
+        for i in self._overlapping(lo, hi):
+            p, s = self.parameters[i], self.slots[i]
             a, b = max(s.offset, lo), min(s.end, hi)
             if a >= b or p.grad is None:
                 continue
@@ -165,4 +180,85 @@ class FlatLayout:
 
     def slots_in_range(self, lo: int, hi: int) -> list[ParamSlot]:
         """Parameter slots overlapping the flat range [lo, hi)."""
-        return [s for s in self.slots if s.offset < hi and s.end > lo]
+        return [self.slots[i] for i in self._overlapping(lo, hi)]
+
+
+@dataclass(frozen=True, slots=True)
+class OwnerSegment:
+    """One partition owner's share of a bucket or unit.
+
+    ``pieces`` are the flat ``[lo, hi)`` ranges the owner holds of each
+    parameter, in the bucket's parameter order; concatenated in that order
+    they are the owner's fused buffer of ``numel`` elements. ``copies``
+    has one ``(parameter, source, destination)`` per piece: the slice of
+    the parameter's flat view and the slice of the fused buffer it fills.
+    """
+
+    owner: int
+    pieces: tuple[tuple[int, int], ...]
+    numel: int
+    copies: tuple[tuple[Parameter, slice, slice], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class SegmentPlan:
+    """How one bucket or unit splits across the partition owners.
+
+    ``segments`` ascend by owner; ``roots`` (each owner's global rank — the
+    ``dst`` of its reduce, the ``src`` of its gather) and ``nbytes`` (its
+    message size) run parallel to them, ready to hand to
+    ``ProcessGroup.coalesced``. ``mine`` indexes the planning rank's own
+    segment, None when it owns nothing here.
+    """
+
+    segments: tuple[OwnerSegment, ...]
+    roots: tuple[int, ...]
+    nbytes: tuple[int, ...]
+    mine: int | None
+
+
+class SegmentPlans:
+    """One rank's segment plans over an Nd-way partitioned layout.
+
+    A plan is a pure function of the layout, the group (``ranks``, this
+    rank's ``my_index`` in it), the element size and the bucket's parameter
+    names — none of which change while an engine lives — so each distinct
+    bucket or unit is planned once and never invalidated.
+    """
+
+    def __init__(self, layout: FlatLayout, ranks: tuple[int, ...], my_index: int, itemsize: int):
+        self.layout = layout
+        self.ranks = ranks
+        self.my_index = my_index
+        self.itemsize = itemsize
+        self._plans: dict[tuple[str, ...], SegmentPlan] = {}
+
+    def plan(self, params: Sequence[Parameter]) -> SegmentPlan:
+        key = tuple([p.name for p in params])
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._build(params)
+        return plan
+
+    def _build(self, params: Sequence[Parameter]) -> SegmentPlan:
+        layout, nd = self.layout, len(self.ranks)
+        by_owner: dict[int, list[tuple[int, int, Parameter, int]]] = {}
+        for p in params:
+            slot = layout.slot(p.name)
+            for owner, lo, hi in layout.owner_segments(nd, slot.offset, slot.end):
+                by_owner.setdefault(owner, []).append((lo, hi, p, slot.offset))
+        segments = []
+        for owner, held in sorted(by_owner.items()):
+            pieces, copies, cursor = [], [], 0
+            for lo, hi, p, offset in held:
+                pieces.append((lo, hi))
+                copies.append((p, slice(lo - offset, hi - offset), slice(cursor, cursor + hi - lo)))
+                cursor += hi - lo
+            segments.append(OwnerSegment(owner, tuple(pieces), cursor, tuple(copies)))
+        owners = [seg.owner for seg in segments]
+        return SegmentPlan(
+            segments=tuple(segments),
+            roots=tuple(self.ranks[o] for o in owners),
+            nbytes=tuple(seg.numel * self.itemsize for seg in segments),
+            mine=owners.index(self.my_index) if self.my_index in owners else None,
+        )

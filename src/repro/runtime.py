@@ -23,7 +23,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.comm.fabric import Fabric
+from repro.comm.fabric import Fabric, FabricAbortedError
 from repro.comm.faults import FaultPlan, RetryPolicy
 from repro.comm.group import ProcessGroup
 from repro.comm.ledger import CommLedger
@@ -248,8 +248,6 @@ class Cluster:
         # FabricAbortedError its peers raised when the fabric was torn down.
         # Among aborts, one chained to a cause (e.g. a collective whose
         # retries were exhausted) outranks the bare peer-side aborts.
-        from repro.comm.fabric import FabricAbortedError
-
         root = [e for e in errors if e is not None and not isinstance(e, FabricAbortedError)]
         secondary = [e for e in errors if isinstance(e, FabricAbortedError)]
         chained = [e for e in secondary if e.__cause__ is not None]

@@ -34,6 +34,7 @@ from repro.memsim.device import Device, HostMemory
 from repro.nn.module import Parameter
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import adam_step_inplace
+from repro.optim.flat import SegmentPlans
 from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
 from repro.parallel.ddp import GradBucketQueue
@@ -109,6 +110,12 @@ class _ZeroDPBase(BaseEngine):
         self._queue = GradBucketQueue.for_engine(
             self, self.layout.parameters if overlap else ()
         )
+        #: every bucket's (and, at stage 3, unit's) per-owner split, planned
+        #: at its first flush; ``_flush_bucket`` and stage 3's
+        #: ``_materialize`` are the only readers.
+        self._segments = SegmentPlans(
+            self.layout, dp_group.ranks, self.my_index, np.dtype(self.model.dtype).itemsize
+        )
 
     def pool_of(self, state_class: str) -> Device | HostMemory:
         """The allocator ``state_class`` is accounted on: this rank's
@@ -130,62 +137,60 @@ class _ZeroDPBase(BaseEngine):
 
     def _flush_bucket(self, bucket: list[Parameter]) -> None:
         """Reduce each owner's piece of the bucket to that owner — the
-        bucketized reduce-scatter of Section 5.2. The bucket queue calls
+        bucketized reduce-scatter of Section 5.2, one logical ``reduce`` per
+        owner and one rendezvous for the bucket. The bucket queue calls
         this per bucket, stage 3 per unit."""
-        by_owner: dict[int, list[tuple[int, int]]] = {}
-        for p in bucket:
-            slot = self.layout.slot(p.name)
-            for owner, lo, hi in self.layout.owner_segments(self.nd, slot.offset, slot.end):
-                by_owner.setdefault(owner, []).append((lo, hi))
-        dtype = np.dtype(self.model.dtype)
-        for owner in sorted(by_owner):
-            pieces = by_owner[owner]
-            numel = sum(hi - lo for lo, hi in pieces)
-            dst_rank = self.dp_group.ranks[owner]
-            if self.is_meta:
-                self.dp_group.meta_collective(
-                    self.ctx.rank, "reduce", numel * dtype.itemsize, "grad-reduce"
-                )
-                continue
-            with memprof_category("comm_buffer", site="grad-bucket"):
-                fused = Tensor(
-                    (numel,), dtype, data=np.empty(numel, dtype),
-                    device=self.ctx.device, tag="grad-bucket",
-                )
-            cursor = 0
-            for lo, hi in pieces:
-                fused.data[cursor : cursor + hi - lo] = self.layout.gather_grad_range(
-                    lo, hi, dtype
-                )
-                cursor += hi - lo
-            reduced = self.dp_group.reduce(
-                self.ctx.rank, fused.data, dst=dst_rank, op="sum", phase="grad-reduce"
+        plan = self._segments.plan(bucket)
+        rank = self.ctx.rank
+        if self.is_meta:
+            self.dp_group.coalesced(
+                rank, "reduce", plan.roots, nbytes=plan.nbytes, phase="grad-reduce"
             )
-            if reduced is not None:  # this rank owns the segment
+        else:
+            dtype = np.dtype(self.model.dtype)
+            fused = []
+            for seg in plan.segments:
+                # The simulated job holds one owner's fused buffer at a
+                # time; the host arrays of the whole bucket live until the
+                # batch is exchanged.
+                with memprof_category("comm_buffer", site="grad-bucket"):
+                    Tensor(
+                        (seg.numel,), dtype, data=None,
+                        device=self.ctx.device, tag="grad-bucket",
+                    ).free()
+                piece = np.empty(seg.numel, dtype)
+                for p, src, dst in seg.copies:
+                    if p.grad is None:
+                        raise ValueError(f"parameter {p.name} has no gradient")
+                    piece[dst] = p.grad.numpy().reshape(-1)[src]
+                fused.append(piece)
+            reduced = self.dp_group.coalesced(
+                rank, "reduce", plan.roots, fused, phase="grad-reduce"
+            )
+            if plan.mine is not None:  # this rank owns a segment
+                mine = reduced[plan.mine]
                 cursor = 0
-                for lo, hi in pieces:
+                for lo, hi in plan.segments[plan.mine].pieces:
                     if self.grad_shard is not None:
                         # Accumulate (fp32) so micro-batches under gradient
                         # accumulation sum into the shard; the shard is
                         # zeroed after each optimizer step, so with a
                         # single micro-batch this is a plain write.
                         view = self.grad_shard.data[lo - self.part_lo : hi - self.part_lo]
-                        acc = view.astype(np.float32) + reduced[
+                        acc = view.astype(np.float32) + mine[
                             cursor : cursor + hi - lo
                         ].astype(np.float32)
                         with np.errstate(over="ignore"):  # saturate like hardware
                             view[:] = acc.astype(view.dtype)
                     else:
                         self.layout.scatter_grad_range(
-                            reduced[cursor : cursor + hi - lo], lo, hi
+                            mine[cursor : cursor + hi - lo], lo, hi
                         )
                     cursor += hi - lo
-            fused.free()
-        if self._stream_grads and self.my_index in by_owner:
+        if self._stream_grads and plan.mine is not None:
             # The piece this rank owns just landed in the tier shard: one
             # streamed d2h transfer, overlapped with the rest of backward.
-            mine = sum(hi - lo for lo, hi in by_owner[self.my_index])
-            self.offload.queue_grad_d2h(mine * dtype.itemsize)
+            self.offload.queue_grad_d2h(plan.nbytes[plan.mine])
         if self.grad_shard is not None:
             # Partitioned gradients: the full-size ones are released as
             # soon as they are reduced (the one line stage 2 adds to 1).

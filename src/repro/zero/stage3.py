@@ -30,8 +30,9 @@ import numpy as np
 from repro.comm.group import ProcessGroup
 from repro.infinity.tiling import plan_unit_tiles
 from repro.memprof.provenance import category as memprof_category
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.nn.transformer import GPT2Model
+from repro.optim.flat import ParamSlot
 from repro.parallel.engine import EngineConfig
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
@@ -64,15 +65,19 @@ class ZeroStage3Engine(_ZeroDPBase):
         # tier and is paged in per unit gather.
         self._page_params = self.placement["param"].tier != "device"
 
-        # Unit index: each unit's params occupy a contiguous flat range.
-        self._unit_range: dict[str, tuple[int, int]] = {}
+        # Unit index: each unit's params occupy a contiguous flat range
+        # [lo, hi), in ascending layout order (``_materialize`` reads each
+        # owner's pieces as one run on that basis); kept with the
+        # parameters and their slots.
+        self._units: dict[str, tuple[int, int, list[Parameter], list[ParamSlot]]] = {}
         for unit in model.units():
-            slots = [self.layout.slot(p.name) for p in unit.named_parameters()]
-            lo = min(s.offset for s in slots)
-            hi = max(s.end for s in slots)
-            if sum(s.size for s in slots) != hi - lo:
-                raise ValueError(f"unit {unit.name} parameters are not contiguous in the layout")
-            self._unit_range[unit.name] = (lo, hi)
+            params = unit.parameters()
+            slots = [self.layout.slot(p.name) for p in params]
+            if any(a.end != b.offset for a, b in zip(slots, slots[1:])):
+                raise ValueError(
+                    f"unit {unit.name} parameters are not contiguous and ascending in the layout"
+                )
+            self._units[unit.name] = (slots[0].offset, slots[-1].end, params, slots)
 
         # Release the full parameters: from now on they exist per-unit only.
         for p in self.layout.parameters:
@@ -107,7 +112,11 @@ class ZeroStage3Engine(_ZeroDPBase):
             return
         if self.tracer is not None:
             self.tracer.begin("param-allgather", unit=unit.name)
-        ulo, uhi = self._unit_range[unit.name]
+        ulo, uhi, params, slots = self._units[unit.name]
+        # Who owns which run of the unit; a plain meta gather needs none of it.
+        gather = (
+            self._segments.plan(params) if self._page_params or not self.is_meta else None
+        )
         dtype = np.dtype(self.model.dtype)
         itemsize = dtype.itemsize
         tiled = False
@@ -118,13 +127,9 @@ class ZeroStage3Engine(_ZeroDPBase):
             inf_cfg = self.config.infinity
             plan = plan_unit_tiles(uhi - ulo, itemsize, inf_cfg.tile_bytes)
             tiled = plan.is_tiled
-            mine = sum(
-                hi - lo
-                for owner, lo, hi in self.layout.owner_segments(self.nd, ulo, uhi)
-                if owner == self.my_index
-            )
             self.infinity.note_gather(
-                mine * itemsize, mode=self._mode, tiles=plan.n_tiles
+                0 if gather.mine is None else gather.nbytes[gather.mine],
+                mode=self._mode, tiles=plan.n_tiles,
             )
             if tiled:
                 # Memory-centric tiling: device residency during this
@@ -144,20 +149,25 @@ class ZeroStage3Engine(_ZeroDPBase):
             )
             full = None
         else:
-            full = np.empty(uhi - ulo, dtype)
-            for owner, lo, hi in self.layout.owner_segments(self.nd, ulo, uhi):
-                src_rank = self.dp_group.ranks[owner]
-                payload = None
-                if owner == self.my_index:
-                    payload = np.ascontiguousarray(
-                        self.param_shard.data[lo - self.part_lo : hi - self.part_lo]
-                    )
-                piece = self.dp_group.broadcast(
-                    self.ctx.rank, payload, src=src_rank, phase="param-gather"
+            # One logical broadcast per owner, one rendezvous for the unit.
+            # A unit's parameters are contiguous in the layout (checked in
+            # __init__), so an owner's pieces are one run from its first.
+            payloads: list[np.ndarray | None] = [None] * len(gather.segments)
+            if gather.mine is not None:
+                seg = gather.segments[gather.mine]
+                lo = seg.pieces[0][0] - self.part_lo
+                payloads[gather.mine] = np.ascontiguousarray(
+                    self.param_shard.data[lo : lo + seg.numel]
                 )
-                full[lo - ulo : hi - ulo] = piece
-        for p in unit.named_parameters():
-            slot = self.layout.slot(p.name)
+            pieces = self.dp_group.coalesced(
+                self.ctx.rank, "broadcast", gather.roots, payloads, gather.nbytes,
+                phase="param-gather",
+            )
+            full = np.empty(uhi - ulo, dtype)
+            for seg, piece in zip(gather.segments, pieces):
+                lo = seg.pieces[0][0] - ulo
+                full[lo : lo + seg.numel] = piece
+        for p, slot in zip(params, slots):
             data = None
             if full is not None:
                 data = full[slot.offset - ulo : slot.end - ulo].reshape(slot.shape).copy()

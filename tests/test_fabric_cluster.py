@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.comm.fabric import CollectiveMismatchError, Fabric, FabricAbortedError
+from repro.comm.group import ProcessGroup
 from repro.comm.virtual import VirtualGroup
 from repro.hardware.specs import GPUSpec
 from repro.runtime import Cluster, virtual_rank_context
@@ -404,6 +405,44 @@ def _recv_timeout(ctx):
         ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32))
 
 
+def _batch(ctx, *, roots=(0, 3, 5), sizes=(2, 4, 3)):
+    """A coalesced batch of three reduces, as every well-behaved rank runs it."""
+    arrays = [np.full(n, ctx.rank, np.float32) for n in sizes]
+    ctx.world.coalesced(ctx.rank, "reduce", roots, arrays)
+
+
+def _batch_dst_mismatch(ctx):
+    ctx.world.barrier(ctx.rank)
+    _batch(ctx, roots=(0, 4, 5) if ctx.rank == 5 else (0, 3, 5))
+
+
+def _batch_shape_mismatch(ctx):
+    ctx.world.barrier(ctx.rank)
+    _batch(ctx, sizes=(2, 5, 3) if ctx.rank == 5 else (2, 4, 3))
+
+
+def _batch_one_piece_fewer(ctx):
+    ctx.world.barrier(ctx.rank)
+    if ctx.rank == 5:
+        _batch(ctx, roots=(0, 3), sizes=(2, 4))
+    else:
+        _batch(ctx)
+
+
+def _batch_gather_length_mismatch(ctx):
+    # Rank 5 declares another length for a piece it only receives — what a
+    # single ``broadcast``'s tag cannot see.
+    ctx.world.barrier(ctx.rank)
+    srcs, sizes = (1, 2), (6, 8 if ctx.rank == 5 else 4)
+    arrays = [np.ones(n, np.float32) if ctx.rank == src else None for src, n in zip(srcs, sizes)]
+    ctx.world.coalesced(ctx.rank, "broadcast", srcs, arrays, [4 * n for n in sizes])
+
+
+def _batch_absent_peer(ctx):
+    if ctx.rank != 5:
+        _batch(ctx)
+
+
 #: Fabric timeout of the failure-mode runs. Where an abort is the detector
 #: the timeout is long and the ranks must end well inside it; where the
 #: timeout itself is the detector (nobody fails, a peer just never comes)
@@ -420,6 +459,11 @@ FAILURE_MODES = [
     (_absent_peer, True, {5: None}, FabricAbortedError),
     (_group_created_after_abort, False, {}, FabricAbortedError),
     (_recv_timeout, True, {}, FabricAbortedError),
+    (_batch_dst_mismatch, False, {}, CollectiveMismatchError),
+    (_batch_shape_mismatch, False, {}, CollectiveMismatchError),
+    (_batch_one_piece_fewer, False, {}, CollectiveMismatchError),
+    (_batch_gather_length_mismatch, False, {}, CollectiveMismatchError),
+    (_batch_absent_peer, True, {5: None}, FabricAbortedError),
 ]
 
 
@@ -431,19 +475,20 @@ FAILURE_MODES = [
 def test_stress_every_failure_mode_is_a_typed_error_on_all_ranks(
     fast_switching, fn, by_timeout, expected, reraised
 ):
-    """No failure mode hangs or leaks an untyped error: every rank not
-    named in ``expected`` ends in exactly ``FabricAbortedError`` — except
-    the one rank that detects a tag mismatch, which ends in
-    ``CollectiveMismatchError`` — and ``Cluster.run`` re-raises the root
-    cause. Abort-detected modes end in under half the fabric timeout;
-    timeout-detected ones within a scheduling margin after it."""
+    """No failure mode hangs or leaks an untyped error — through a single
+    collective or a coalesced batch: every rank not named in ``expected``
+    ends in exactly ``FabricAbortedError`` — except the one rank that
+    detects a tag mismatch, which ends in ``CollectiveMismatchError`` — and
+    ``Cluster.run`` re-raises the root cause. Abort-detected modes end in
+    under half the fabric timeout; timeout-detected ones within a scheduling
+    margin after it."""
     timeout_s = DETECTING_TIMEOUT_S if by_timeout else ABORT_TIMEOUT_S
     bound_s = timeout_s + SCHEDULING_MARGIN_S if by_timeout else timeout_s / 2
     outcomes, raised = _outcomes(8, fn, timeout_s=timeout_s)
     assert raised is reraised
     kinds = [kind for kind, _ in outcomes]
     fabric_errors = [kind for rank, kind in enumerate(kinds) if rank not in expected]
-    if fn is _tag_mismatch:
+    if reraised is CollectiveMismatchError:
         assert fabric_errors.count(CollectiveMismatchError) == 1, kinds
         fabric_errors.remove(CollectiveMismatchError)
     assert all(kind is FabricAbortedError for kind in fabric_errors), kinds
@@ -496,6 +541,26 @@ def test_one_rank_group_exchanges_without_blocking():
         rv.exchange(1, None, "barrier")
 
 
+@pytest.mark.timeout_guard(10)
+def test_coalesced_member_sizes_come_from_arrays_or_nbytes():
+    """A member's size is its array's; ``nbytes`` declares it only where
+    the rank supplies none. A member with neither is refused before the
+    deposit, as is a kind that cannot be batched or a root outside the
+    group."""
+    world = ProcessGroup(Fabric(1), (0,))
+    piece = np.arange(3, dtype=np.float32)
+    (summed,) = world.coalesced(0, "reduce", (0,), [piece])
+    np.testing.assert_array_equal(summed, piece)
+    assert world.coalesced(0, "broadcast", (0,), nbytes=(12,)) is None  # data-free
+    for arrays, nbytes in ((None, None), ([None], None), ([None], [None])):
+        with pytest.raises(ValueError, match="neither an array nor a byte count"):
+            world.coalesced(0, "broadcast", (0,), arrays, nbytes)
+    with pytest.raises(ValueError, match="cannot coalesce"):
+        world.coalesced(0, "all_gather", (0,), [piece])
+    with pytest.raises(ValueError, match="not in group"):
+        world.coalesced(0, "reduce", (1,), [piece])
+
+
 def test_collective_call_count_guard():
     """The rendezvous must not quietly grow back: one world-group
     ``meta_collective`` at world 8, ledger attached, is at most 20
@@ -526,3 +591,40 @@ def test_collective_call_count_guard():
 
     counts = cluster.run(fn)
     assert max(counts) <= 20, (counts, sys.version)
+
+
+def test_coalesced_call_count_guard():
+    """A batch must cost what one collective costs plus its K ledger
+    events: K data-free reduces in one ``coalesced`` call at world 8, ledger
+    attached, are at most 20 + 5 K function calls (``sys.setprofile``) on a
+    waiting rank, where K ``meta_collective`` calls are 11-12 each.
+
+    Calibrated on CPython 3.11.7: a waiting rank measures 6 + 4 K (70 at
+    K = 16: ``CommLedger.record``, its ``len``, the ``CommEvent`` and the
+    ``append`` per member), the last arriver 6 more (a ``release`` per peer
+    instead of its own wait)."""
+    k = 16
+    cluster = make_cluster(8)
+    roots = tuple(i % 8 for i in range(k))
+    nbytes = tuple(1024 + i for i in range(k))
+
+    def fn(ctx):
+        world, rank = ctx.world, ctx.rank
+        world.coalesced(rank, "reduce", roots, nbytes=nbytes, phase="warm-up")
+        calls = []
+
+        def on_event(frame, event, arg):
+            if event in ("call", "c_call"):
+                calls.append(event)
+
+        sys.setprofile(on_event)
+        world.coalesced(rank, "reduce", roots, nbytes=nbytes, phase="counted")
+        sys.setprofile(None)
+        assert [(e.op, e.message_bytes, e.phase) for e in ctx.ledger.events[-k:]] == [
+            ("reduce", n, "counted") for n in nbytes
+        ]
+        return len(calls) - 1  # the closing setprofile call is not the batch's
+
+    counts = sorted(cluster.run(fn))
+    assert counts[-2] <= 20 + 5 * k, (counts, sys.version)  # every rank but the last arriver
+    assert counts[-1] <= 20 + 5 * k + 7, (counts, sys.version)  # + one release per peer

@@ -226,3 +226,229 @@ def test_transient_fault_exception_direct():
     with pytest.raises(TransientCollectiveFault):
         plan.on_collective(0, "all_gather", (0, 1))
     plan.on_collective(0, "all_gather", (0, 1))  # consumed: passes now
+
+
+# -- faults through the coalesced entry ----------------------------------------
+#
+# ``ProcessGroup.coalesced`` admits every member of a batch through the same
+# routine a single collective uses, so a fault plan must not be able to
+# tell a batch of K from K calls — except that the batch deposits once.
+
+BATCH_ROOTS = (0, 1, 2, 3)
+
+
+def _batch_arrays(rank):
+    """Rank ``rank``'s contribution to each of four reduces (lengths differ)."""
+    return [
+        np.arange(n, dtype=np.float32) * (rank + 1) + i
+        for i, n in enumerate((5, 3, 8, 2))
+    ]
+
+
+def _reduce_per_op(ctx):
+    return [
+        ctx.world.reduce(ctx.rank, a, dst=dst, phase="g")
+        for a, dst in zip(_batch_arrays(ctx.rank), BATCH_ROOTS)
+    ]
+
+
+def _reduce_coalesced(ctx):
+    arrays = _batch_arrays(ctx.rank)
+    return ctx.world.coalesced(ctx.rank, "reduce", BATCH_ROOTS, arrays, phase="g")
+
+
+def _broadcast_pieces(rank):
+    """What ``rank`` supplies to three broadcasts from ranks 1, 2, 1."""
+    srcs, sizes = (1, 2, 1), (6, 4, 3)
+    arrays = [
+        np.linspace(1.0, 2.0, n, dtype=np.float32) * (i + 1) if rank == src else None
+        for i, (src, n) in enumerate(zip(srcs, sizes))
+    ]
+    return srcs, [4 * n for n in sizes], arrays
+
+
+def _broadcast_per_op(ctx):
+    srcs, _, arrays = _broadcast_pieces(ctx.rank)
+    return [ctx.world.broadcast(ctx.rank, a, src=s, phase="p") for a, s in zip(arrays, srcs)]
+
+
+def _broadcast_coalesced(ctx):
+    srcs, nbytes, arrays = _broadcast_pieces(ctx.rank)
+    return ctx.world.coalesced(ctx.rank, "broadcast", srcs, arrays, nbytes, phase="p")
+
+
+def _run_with(plan_of, fn, world=4):
+    plan = plan_of()
+    cluster = make_cluster(world, plan=plan)
+    return cluster.run(fn), cluster, plan
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_coalesced_transient_on_third_member_is_the_per_op_fault():
+    """``fail_collective(rank=1, op="reduce", nth=3)`` lands on the third
+    member of a four-reduce batch: it is retried there, before the one
+    deposit, and leaves the retries, fired events, attempt counts, ledger
+    and results that four ``reduce`` calls leave under the same plan."""
+    plan_of = lambda: FaultPlan().fail_collective(rank=1, op="reduce", nth=3)  # noqa: E731
+    clean = make_cluster(4).run(_reduce_per_op)
+    per_op, per_op_cluster, per_op_plan = _run_with(plan_of, _reduce_per_op)
+    batch, batch_cluster, batch_plan = _run_with(plan_of, _reduce_coalesced)
+    for rank in range(4):
+        _assert_same_arrays(batch[rank], clean[rank])
+        _assert_same_arrays(batch[rank], per_op[rank])
+        assert batch_cluster.ledgers[rank].retries == per_op_cluster.ledgers[rank].retries
+        assert batch_cluster.ledgers[rank].events == per_op_cluster.ledgers[rank].events
+    assert [(e.op, e.attempt, e.backoff_s) for e in batch_cluster.ledgers[1].retries] == [
+        ("reduce", 1, 0.001)
+    ]
+    assert batch_plan.events == per_op_plan.events
+    assert [(e.kind, e.rank, e.op, e.detail) for e in batch_plan.events] == [
+        ("transient", 1, "reduce", "match 3")
+    ]
+    assert batch_plan._collective_count == per_op_plan._collective_count == {
+        0: 4, 1: 5, 2: 4, 3: 4
+    }
+
+
+def _flipped_bits(a, b):
+    return int(np.unpackbits((a.view(np.uint8) ^ b.view(np.uint8))).sum())
+
+
+def test_coalesced_post_flip_hits_one_logical_broadcast_on_one_rank():
+    plan_of = lambda: FaultPlan(seed=5).flip_bits(  # noqa: E731
+        rank=3, op="broadcast", when="post", nth=2
+    )
+    clean = make_cluster(4).run(_broadcast_per_op)
+    per_op, _, per_op_plan = _run_with(plan_of, _broadcast_per_op)
+    batch, _, batch_plan = _run_with(plan_of, _broadcast_coalesced)
+    for rank in range(4):
+        _assert_same_arrays(batch[rank], per_op[rank])
+        for member in range(3):
+            bits = _flipped_bits(batch[rank][member], clean[rank][member])
+            assert bits == (1 if (rank, member) == (3, 1) else 0), (rank, member)
+    assert batch_plan.events == per_op_plan.events
+    assert [(e.kind, e.rank, e.detail) for e in batch_plan.events] == [
+        ("bitflip", 3, "post-reduce, 1 bit(s), match 2")
+    ]
+
+
+def test_coalesced_pre_flip_corrupts_what_every_peer_reads():
+    """Rank 1 is the source of members 0 and 2; its second data-bearing
+    contribution is member 2. Every rank, rank 1 included, receives the
+    same flipped piece, and rank 1's resident array is untouched."""
+    plan_of = lambda: FaultPlan(seed=5).flip_bits(  # noqa: E731
+        rank=1, op="broadcast", when="pre", nth=2
+    )
+    clean = make_cluster(4).run(_broadcast_per_op)
+    resident = {}
+
+    def keeping_resident(ctx):
+        srcs, nbytes, arrays = _broadcast_pieces(ctx.rank)
+        if ctx.rank == 1:
+            resident["before"] = arrays[2].copy()
+            resident["array"] = arrays[2]
+        return ctx.world.coalesced(ctx.rank, "broadcast", srcs, arrays, nbytes)
+
+    per_op, _, per_op_plan = _run_with(plan_of, _broadcast_per_op)
+    batch, _, batch_plan = _run_with(plan_of, keeping_resident)
+    for rank in range(4):
+        _assert_same_arrays(batch[rank], per_op[rank])
+        _assert_same_arrays(batch[rank], batch[0])
+        assert [_flipped_bits(batch[rank][m], clean[rank][m]) for m in range(3)] == [0, 0, 1]
+    np.testing.assert_array_equal(resident["array"], resident["before"])
+    assert batch_plan.events == per_op_plan.events
+
+
+def _typed_outcomes(plan, fn, *, retry=FAST_RETRY, world=4, timeout_s=5.0):
+    """Per rank, the exception type it ended with and its ledger; and what
+    ``Cluster.run`` re-raised."""
+    cluster = make_cluster(world, plan=plan, retry=retry, timeout_s=timeout_s)
+    ended = [None] * world
+
+    def wrapped(ctx):
+        try:
+            fn(ctx)
+        except BaseException as exc:
+            ended[ctx.rank] = type(exc)
+            raise
+
+    t0 = time.monotonic()
+    with pytest.raises(Exception) as raised:  # noqa: PT011 - the type is the result
+        cluster.run(wrapped)
+    assert time.monotonic() - t0 < timeout_s / 2  # released by the abort, not a timeout
+    return ended, raised.value, cluster
+
+
+def test_kill_mid_batch_is_a_typed_error_everywhere_and_no_event_is_recorded():
+    """The kill fires at the third member's admission: the dying rank never
+    deposits, so no peer has exchanged — or recorded — any of the batch."""
+    plan = FaultPlan().kill_rank(2, after_collectives=2)
+    ended, raised, cluster = _typed_outcomes(plan, _reduce_coalesced)
+    assert ended == [FabricAbortedError, FabricAbortedError, RankKilledError, FabricAbortedError]
+    assert isinstance(raised, RankKilledError)
+    assert plan.killed_ranks == [2]
+    assert plan._collective_count[2] == 3
+    assert [ledger.events for ledger in cluster.ledgers] == [[], [], [], []]
+
+
+def test_exhausted_retries_mid_batch_abort_every_rank_with_the_cause():
+    plan = FaultPlan().fail_collective(rank=1, op="reduce", nth=2, times=50)
+    ended, raised, cluster = _typed_outcomes(
+        plan, _reduce_coalesced, retry=RetryPolicy(max_attempts=2, base_backoff_s=0.001)
+    )
+    assert ended == [FabricAbortedError] * 4
+    assert "failed permanently" in str(raised)
+    assert isinstance(raised.__cause__, TransientCollectiveFault)
+    assert [(e.attempt, e.gave_up) for e in cluster.ledgers[1].retries] == [(1, False), (2, True)]
+    assert [ledger.events for ledger in cluster.ledgers] == [[], [], [], []]
+
+
+def test_faulted_engine_step_counts_collectives_as_the_parent_commit_did():
+    """One stage-2 and one stage-3 step under ``fail_collective(rank=1,
+    op="reduce", nth=3)``: per rank the plan has seen as many collective
+    attempts as it did when every owner's reduce and broadcast was a
+    rendezvous of its own (counted at 499c20e), and the step is bitwise the
+    fault-free one."""
+    from repro import GPTConfig, ZeROConfig
+    from repro.data import SyntheticCorpus
+    from repro.parallel.engine import EngineConfig
+    from repro.zero.factory import build_model_and_engine
+
+    cfg = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=61, max_seq_len=16)
+    corpus = SyntheticCorpus(61, seed=7)
+
+    def step(stage, plan):
+        cluster = Cluster(
+            4, gpu=GPUSpec("t", 2 * 10**9, 1e12), timeout_s=30.0,
+            fault_plan=plan, retry_policy=FAST_RETRY,
+        )
+
+        def fn(ctx):
+            _, engine = build_model_and_engine(
+                ctx, cfg, ZeROConfig(stage=stage, memory_defrag=False),
+                dp_group=ctx.world, dtype=np.float16, seed=0,
+                engine_config=EngineConfig(bucket_numel=1500),
+            )
+            loss = engine.train_step(*corpus.sample_batch(2, 16, rank=ctx.rank, step=0)).loss
+            return loss, engine.opt_state.master.data.copy()
+
+        return cluster.run(fn), cluster
+
+    for stage, expected in ((2, {0: 17, 1: 18, 2: 17, 3: 17}), (3, {0: 22, 1: 23, 2: 22, 3: 22})):
+        plan = FaultPlan().fail_collective(rank=1, op="reduce", nth=3)
+        clean, _ = step(stage, None)
+        faulted, cluster = step(stage, plan)
+        assert plan._collective_count == expected
+        assert [(e.op, e.attempt) for e in cluster.ledgers[1].retries] == [("reduce", 1)]
+        for (loss, master), (clean_loss, clean_master) in zip(faulted, clean):
+            assert loss == clean_loss
+            np.testing.assert_array_equal(master, clean_master)

@@ -1,13 +1,14 @@
 """Hypothesis property tests on the partitioning math underlying ZeRO."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, GPTConfig, ZeROConfig
 from repro.hardware.specs import GPUSpec
 from repro.nn.layers import make_param
-from repro.optim.flat import FlatLayout
+from repro.optim.flat import FlatLayout, SegmentPlans
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.zero.factory import build_model_and_engine
@@ -142,3 +143,141 @@ def test_virtual_rank_context_shape():
     assert ctx.topology.n_nodes == 25
     ctx.world.meta_collective(0, "all_gather", 100, "x")
     assert ctx.ledger.nominal_bytes() == 100
+
+
+# -- bisected range lookups and the segment plan --------------------------------
+
+
+def _random_layout(rng, *, values=False, pad_multiple=None):
+    sizes = rng.integers(1, 5001, size=rng.integers(1, 41))
+    params = [make_param(f"p{i}", (int(s),), init="zeros", dtype=np.float32)
+              for i, s in enumerate(sizes)]
+    if values:
+        for p in params:
+            p.data.data = rng.standard_normal(p.shape).astype(np.float32)
+            p.grad = Tensor.from_numpy(rng.standard_normal(p.shape).astype(np.float32))
+    return FlatLayout(params, pad_multiple=pad_multiple or int(rng.integers(1, 65)))
+
+
+def _random_ranges(rng, layout, n=40):
+    """Ranges anywhere in the padded space — zero-size, mid-parameter, ending
+    in or lying wholly inside the pad tail — plus the fixed corner cases."""
+    numel = layout.numel
+    ranges = [(0, 0), (0, numel), (numel, numel), (layout.numel_unpadded, numel),
+              (max(layout.numel_unpadded - 1, 0), numel)]
+    for _ in range(n):
+        lo = int(rng.integers(0, numel + 1))
+        ranges.append((lo, int(rng.integers(lo, numel + 1))))
+    return ranges
+
+
+def _scanned_overlaps(layout, lo, hi):
+    """The all-slots scan the layout used before bisection — the oracle."""
+    return [
+        (i, max(s.offset, lo), min(s.end, hi))
+        for i, s in enumerate(layout.slots)
+        if max(s.offset, lo) < min(s.end, hi)
+    ]
+
+
+class TestFlatLayoutBisection:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bisected_slots_are_the_scanned_slots(self, seed):
+        rng = np.random.default_rng(seed)
+        layout = _random_layout(rng)
+        for lo, hi in _random_ranges(rng, layout):
+            scanned = [s for s in layout.slots if s.offset < hi and s.end > lo]
+            assert [layout.slots[i] for i in layout._overlapping(lo, hi)] == scanned
+            assert layout.slots_in_range(lo, hi) == scanned
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_range_gather_and_scatter_match_the_scan_and_round_trip(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        layout = _random_layout(rng, values=True)
+        full_p, full_g = layout.gather_params(np.float32), layout.gather_grads(np.float32)
+        for lo, hi in _random_ranges(rng, layout, n=12):
+            got_p = layout.gather_param_range(lo, hi, np.float32)
+            got_g = layout.gather_grad_range(lo, hi, np.float32)
+            want_p, want_g = np.zeros(hi - lo, np.float32), np.zeros(hi - lo, np.float32)
+            for i, a, b in _scanned_overlaps(layout, lo, hi):
+                p, s = layout.parameters[i], layout.slots[i]
+                want_p[a - lo : b - lo] = p.data.numpy()[a - s.offset : b - s.offset]
+                want_g[a - lo : b - lo] = p.grad.numpy()[a - s.offset : b - s.offset]
+            for got, want, full in ((got_p, want_p, full_p), (got_g, want_g, full_g)):
+                assert got.dtype == np.float32
+                assert got.tobytes() == want.tobytes() == full[lo:hi].tobytes()
+            # Scatter other values over the range, check only it moved, put
+            # the gathered ones back: bit for bit where it started.
+            layout.scatter_param_range(got_p + 1.0, lo, hi)
+            layout.scatter_grad_range(got_g + 1.0, lo, hi)
+            moved_p, moved_g = layout.gather_params(np.float32), layout.gather_grads(np.float32)
+            covered = np.zeros(layout.numel, bool)
+            covered[lo:min(hi, layout.numel_unpadded)] = True
+            for moved, full in ((moved_p, full_p), (moved_g, full_g)):
+                np.testing.assert_array_equal(moved[~covered], full[~covered])
+                np.testing.assert_array_equal(moved[covered], full[covered] + 1.0)
+            layout.scatter_param_range(got_p, lo, hi)
+            layout.scatter_grad_range(got_g, lo, hi)
+            assert layout.gather_params(np.float32).tobytes() == full_p.tobytes()
+            assert layout.gather_grads(np.float32).tobytes() == full_g.tobytes()
+
+    def test_missing_gradients_keep_their_contract(self):
+        layout = _random_layout(np.random.default_rng(7), values=True)
+        victim = layout.parameters[len(layout.parameters) // 2]
+        slot = layout.slot(victim.name)
+        victim.grad = None
+        with pytest.raises(ValueError, match=f"parameter {victim.name} has no gradient"):
+            layout.gather_grad_range(slot.offset, slot.end, np.float32)
+        piece = layout.gather_grad_range(slot.offset, slot.end, np.float64, missing_ok=True)
+        assert piece.dtype == np.float64 and not piece.any()
+        layout.scatter_grad_range(np.ones(slot.size, np.float32), slot.offset, slot.end)
+        assert victim.grad is None
+        with pytest.raises(ValueError, match="piece shape"):
+            layout.scatter_param_range(np.ones(3, np.float32), 0, 2)
+
+
+class TestSegmentPlan:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cached_plan_is_a_fresh_owner_segments_derivation(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        nd = int(rng.integers(1, 17))
+        layout = _random_layout(rng, pad_multiple=nd)
+        params = layout.parameters
+        ranks = tuple(range(3, 3 + 2 * nd, 2))  # global ranks are not group indexes
+        my_index = int(rng.integers(0, nd))
+        plans = SegmentPlans(layout, ranks, my_index, itemsize=2)
+        for _ in range(6):
+            bucket = [params[i] for i in rng.permutation(len(params))[: rng.integers(1, len(params) + 1)]]
+            plan = plans.plan(bucket)
+            assert plans.plan(list(bucket)) is plan  # planned once per distinct bucket
+
+            by_owner = {}
+            for p in bucket:  # the derivation the engines ran every step
+                slot = layout.slot(p.name)
+                for owner, lo, hi in layout.owner_segments(nd, slot.offset, slot.end):
+                    by_owner.setdefault(owner, []).append((lo, hi))
+            owners = sorted(by_owner)
+            assert [seg.owner for seg in plan.segments] == owners
+            assert [list(seg.pieces) for seg in plan.segments] == [by_owner[o] for o in owners]
+            assert [seg.numel for seg in plan.segments] == [
+                sum(hi - lo for lo, hi in by_owner[o]) for o in owners
+            ]
+            assert plan.nbytes == tuple(2 * seg.numel for seg in plan.segments)
+            assert plan.roots == tuple(ranks[o] for o in owners)
+            assert plan.mine == (owners.index(my_index) if my_index in owners else None)
+
+            # The copies fill each fused buffer exactly, one per piece, with
+            # what a range gather of that piece reads.
+            for p in bucket:
+                p.grad = Tensor.from_numpy(rng.standard_normal(p.shape).astype(np.float32))
+            for seg in plan.segments:
+                fused = np.full(seg.numel, np.nan, np.float32)
+                for p, src, dst in seg.copies:
+                    fused[dst] = p.grad.numpy().reshape(-1)[src]
+                want = np.concatenate(
+                    [layout.gather_grad_range(lo, hi, np.float32) for lo, hi in seg.pieces]
+                )
+                assert fused.tobytes() == want.tobytes()
+            for p in bucket:
+                p.grad = None
+        assert len(plans._plans) <= 6

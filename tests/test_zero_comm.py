@@ -1,13 +1,17 @@
 """Section 7 communication volumes, measured from the per-rank ledger."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import Cluster, GPTConfig, ZeROConfig
 from repro.analysis.comm_model import dp_volume_elements
+from repro.comm.fabric import Fabric
 from repro.comm.ledger import CommEvent, exact_ring_factor
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
+from repro.memsim.device import Device
 from repro.parallel.engine import EngineConfig
 from repro.tensor.tensor import Tensor
 from repro.zero.factory import build_model_and_engine
@@ -150,3 +154,141 @@ def test_stage3_ledger_sequence_is_golden():
         assert all(type(e.message_bytes) is int for e in events)
         step_elements = sum(e.nominal_bytes for e in events) / 3 / 2  # fp16
         assert step_elements == dp_volume_elements(psi, 3) == 3 * psi
+
+
+# -- the two streams behind the coalesced collectives ------------------------------
+#
+# One rendezvous now carries a bucket's per-owner reduces (or a unit's
+# per-owner broadcasts). What the simulated job communicates and allocates
+# must not notice: sha256 digests, computed at the commit before the
+# coalesced entry (499c20e), of every rank's ledger sequence
+# ("op,bytes,group,phase,peer;" per event, "|" after each rank) and of rank
+# 0's Device stream ("+size,tag;" per alloc, "-size,tag;" per free), engine
+# construction and two optimizer steps included.
+
+STREAM_MODEL = GPTConfig(n_layers=2, hidden=64, n_heads=4, vocab_size=128, max_seq_len=32)
+STREAM_CORPUS = SyntheticCorpus(128, seed=3)
+
+#: run -> (how, ledger events, ledger digest, device events, device digest)
+STREAM_GOLDEN = {
+    "stage1": (
+        dict(stage=1),
+        40, "8919df83a5cad6c0d9bd9544e80feb3bf3098cd2e7c8b9b860a92d536ea05eaf",
+        761, "396078c3c8deb9d480211a37325a6b0b98d05b8f30850bff659f6da46210ff08",
+    ),
+    "stage2": (
+        dict(stage=2),
+        40, "8919df83a5cad6c0d9bd9544e80feb3bf3098cd2e7c8b9b860a92d536ea05eaf",
+        762, "ddbe897b6453d52f56a610f46df274320e81f8be7dda7eb6a74fd0216cdf536b",
+    ),
+    "stage3": (
+        dict(stage=3),
+        168, "d5a31b35b8f21f3d586a52861ad9748e64f2d9ad2013fb94cd52d6a81ae6ab73",
+        1036, "a6f60e284a0766ded0ef16db31268ed2fd37a7c2a62a4ea6243a877fa9fca10d",
+    ),
+    "stage3-meta-w8": (
+        dict(stage=3, world=8, meta=True),
+        304, "767c99297beaab8010f0ba31d42a3623f4f1b334cc78c96ce005ce5efdfe10aa",
+        1004, "daa4c401e912bfe2f4dac2dc1941eda20072b5699705fe7f71f73678716d26a6",
+    ),
+    # Six buckets a micro-step, so the plan cache holds more than one key.
+    "stage2-accumulate2": (
+        dict(stage=2, accumulation=2, bucket=20_000),
+        168, "f42446efdfa2fc6aed0c090718e773509834c182cb3d95b115ae6840633bacb3",
+        1538, "4ad5c57575735a331fb0751b3f68345a9aaa6fee5bc499699b607d1e568846bd",
+    ),
+}
+
+
+def run_stream_model(stage, *, world=4, meta=False, accumulation=1, bucket=1 << 19, steps=2,
+                     after_step=None):
+    """``steps`` optimizer steps of ``STREAM_MODEL`` the way hostbench's
+    ``fabric_w8_s3`` builds it (fp32, ``memory_defrag=False``). Returns the
+    cluster and each rank's segment-plan count."""
+    cluster = Cluster(world, timeout_s=60.0)
+
+    def fn(ctx):
+        _, engine = build_model_and_engine(
+            ctx, STREAM_MODEL, ZeROConfig(stage=stage, memory_defrag=False),
+            dp_group=ctx.world, dtype=np.float32, seed=3, meta=meta,
+            engine_config=EngineConfig(
+                gradient_accumulation_steps=accumulation, bucket_numel=bucket
+            ),
+        )
+        for step in range(steps * accumulation):
+            if meta:
+                batch = [Tensor.meta((2, 32), np.int64, device=ctx.device) for _ in range(2)]
+            else:
+                batch = STREAM_CORPUS.sample_batch(2, 32, rank=ctx.rank, step=step)
+            engine.train_step(*batch)
+            if after_step is not None:
+                after_step(ctx)
+        return len(engine._segments._plans)
+
+    return cluster, cluster.run(fn)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_GOLDEN))
+def test_ledger_and_device_streams_match_the_parent_commit(name, monkeypatch):
+    how, n_ledger, ledger_sha, n_device, device_sha = STREAM_GOLDEN[name]
+    device_stream = hashlib.sha256()
+    device_events = [0]
+    alloc, free = Device.alloc, Device.free
+
+    def recording_alloc(self, size, tag=""):
+        if self.index == 0:
+            device_stream.update(f"+{size},{tag};".encode())
+            device_events[0] += 1
+        return alloc(self, size, tag)
+
+    def recording_free(self, extent):
+        if self.index == 0:
+            device_stream.update(f"-{extent.size},{extent.tag};".encode())
+            device_events[0] += 1
+        return free(self, extent)
+
+    monkeypatch.setattr(Device, "alloc", recording_alloc)
+    monkeypatch.setattr(Device, "free", recording_free)
+    cluster, plans = run_stream_model(**how)
+
+    ledger_stream = hashlib.sha256()
+    for ledger in cluster.ledgers:
+        for e in ledger.events:
+            ledger_stream.update(
+                f"{e.op},{e.message_bytes},{e.group_ranks},{e.phase},{e.peer};".encode()
+            )
+        ledger_stream.update(b"|")
+    assert sum(len(ledger.events) for ledger in cluster.ledgers) == n_ledger
+    assert ledger_stream.hexdigest() == ledger_sha
+    assert device_events[0] == n_device
+    assert device_stream.hexdigest() == device_sha
+    if name == "stage2-accumulate2":
+        assert plans == [6] * 4  # planned once each, over 4 micro-steps of 6 buckets
+
+
+def test_stage3_step_rendezvous_budget(monkeypatch):
+    """A stage-3 step of ``STREAM_MODEL`` on 8 ranks is 33 ledger events on
+    rank 0 (22 per-owner broadcasts, 11 per-owner reduces) and at most 13
+    entries into ``_Rendezvous.exchange``: one per unit gather (4 forward,
+    4 backward), one per unit reduce (4), one overflow vote. It was 34
+    when every owner's piece was a rendezvous of its own."""
+    rendezvous = type(Fabric(1).rendezvous_for((0,)))
+    exchange = rendezvous.exchange
+    entered = [0]
+
+    def counting(self, rank, value, tag):
+        if rank == 0:
+            entered[0] += 1
+        return exchange(self, rank, value, tag)
+
+    monkeypatch.setattr(rendezvous, "exchange", counting)
+    per_step = []
+
+    def after_step(ctx):
+        if ctx.rank == 0:
+            per_step.append((entered[0], len(ctx.ledger.events)))
+
+    run_stream_model(3, world=8, steps=3, after_step=after_step)
+    (e1, l1), (e2, l2), (e3, l3) = per_step
+    assert (l2 - l1, l3 - l2) == (33, 33)
+    assert e2 - e1 == e3 - e2 <= 13, per_step
