@@ -7,8 +7,8 @@ system, not an afterthought. This module provides the *injection* side: a
 ``FaultPlan`` is a seeded, deterministic schedule of failures that the
 fabric and process groups consult at well-defined points:
 
-* ``note_step(rank, step)``      — engine optimizer-step boundaries
-  (kill-at-step rules fire here);
+* ``note_step(rank, step)``      — optimizer-step boundaries, from the
+  step lifecycle's ``step_begin`` point (kill-at-step rules fire here);
 * ``on_collective(rank, op, g)`` — before every collective attempt
   (kill-after-N-collectives and transient-failure rules fire here);
 * ``on_send(src, dst, tag)``     — before every point-to-point send

@@ -112,9 +112,8 @@ class ProcessGroup:
         payload (repro.comm.faults.flip_bits). ``"pre"`` corrupts this
         rank's contribution (a copy — the caller's resident array is
         untouched, modeling in-flight corruption); ``"post"`` corrupts
-        the result this rank receives. Emits a telemetry instant and an
-        ``sdc_injections`` counter through the ledger's listener when a
-        flip fires; raises nothing."""
+        the result this rank receives. Tells the ledger's listener (the
+        rank's tracer) when a flip fires; raises nothing."""
         plan = self.fabric.fault_plan
         if plan is None or not isinstance(payload, np.ndarray):
             return payload
@@ -123,10 +122,7 @@ class ProcessGroup:
             return payload
         tracer = getattr(self._ledgers.get(rank), "listener", None)
         if tracer is not None:
-            tracer.instant("sdc-bitflip", op=op, when=when)
-            registry = getattr(tracer, "registry", None)
-            if registry is not None:
-                registry.counter("sdc_injections", rank=rank, kind="bitflip").add(1)
+            tracer.sdc_injected("sdc-bitflip", "bitflip", op=op, when=when)
         return out
 
     def _admit(self, rank: int, op: str, value):
@@ -345,27 +341,6 @@ class ProcessGroup:
         if corrupted is not payload:
             return corrupted  # already a private corrupted copy
         return payload if rank == src else payload.copy()
-
-    def gather(self, rank: int, array: np.ndarray, dst: int, phase: str = "") -> list[np.ndarray] | None:
-        self.group_index(dst)
-        slots = self._exchange(rank, array, ("gather", dst, array.shape), "gather")
-        self._record(rank, "gather", array.nbytes, phase)
-        if rank == dst:
-            return [np.asarray(s).copy() for s in slots]
-        return None
-
-    def scatter(
-        self, rank: int, arrays: Sequence[np.ndarray] | None, src: int, phase: str = ""
-    ) -> np.ndarray:
-        self.group_index(src)
-        tag = ("scatter", src)
-        slots = self._exchange(rank, arrays, tag, "scatter")
-        payload = slots[self.group_index(src)]
-        if payload is None or len(payload) != self.size:
-            raise ValueError(f"scatter: src must supply {self.size} arrays")
-        mine = np.asarray(payload[self.group_index(rank)])
-        self._record(rank, "scatter", mine.nbytes, phase)
-        return mine if rank == src else mine.copy()
 
     def all_to_all(self, rank: int, arrays: Sequence[np.ndarray], phase: str = "") -> list[np.ndarray]:
         """Rank i's j-th array goes to rank j's i-th output slot."""

@@ -97,8 +97,7 @@ class VerifiedCheckpointRing:
         if rec is not None and rank == rank0:
             rec.record(
                 "checkpoint-verified", rank=rank, step=engine.step_count,
-                t_s=engine.tracer.clock_s if engine.tracer is not None else None,
-                ok=ok, path=str(directory),
+                t_s=engine.clock_s, ok=ok, path=str(directory),
             )
 
         tracer = engine.tracer

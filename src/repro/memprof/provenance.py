@@ -4,8 +4,8 @@ The observatory attributes every ``Device`` allocation to a ZeRO state
 class (the taxonomy below) and an allocation *site* (engine phase from
 ``repro.utils.phase`` plus the owning module/tensor name). Engines declare
 the state class with ``with memprof.category("optimizer_state"): ...``
-around the allocating code; the engine's existing ``_mark()`` phase calls
-feed ``set_phase`` so each block also records *when* it was allocated.
+around the allocating code; the step lifecycle's ``enter_phase`` point
+feeds ``set_phase`` so each block also records *when* it was allocated.
 
 Zero-overhead contract: while no profiler is attached, ``category()``
 returns a shared no-op context-manager singleton (no object allocated per

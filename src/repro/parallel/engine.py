@@ -16,13 +16,13 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.memprof.provenance import category as memprof_category
-from repro.memprof.provenance import set_phase as memprof_set_phase
 from repro.nn.loss import CausalLMLoss
 from repro.nn.module import ExecutionContext
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import AdamHyperparams
 from repro.optim.flat import FlatLayout
 from repro.optim.scaler import LossScaler
+from repro.parallel.lifecycle import Lifecycle
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
 
@@ -64,20 +64,15 @@ class EngineConfig:
     grad_clip_norm: float | None = None
     # Optional repro.offload.OffloadConfig: host-resident optimizer state
     # (and optionally gradients) with a modeled PCIe transfer timeline.
-    # Only the partitioned engines (ZeRO stages 1-3) support it; the
-    # factory threads it through from ZeROConfig's offload_* flags.
+    # Only the partitioned engines (ZeRO stages 1-3) support it.
     offload: "OffloadConfig | None" = None
     # Optional repro.integrity.IntegrityConfig: SDC detectors (shard
     # digest guard, cross-rank replicated-state audit, loss/grad-norm
-    # sentinels). None (the default) allocates nothing — same
-    # zero-overhead convention as fault plans and telemetry. The factory
-    # threads it through from ZeROConfig.audit_cadence.
+    # sentinels). None (the default) allocates nothing.
     integrity: "IntegrityConfig | None" = None
     # Optional repro.infinity.InfinityConfig: the multi-tier (device ->
-    # host -> NVMe) generalization of ``offload``. Mutually exclusive with
-    # ``offload`` — the infinity runtime drives the same step clock through
-    # the identical ``self.offload`` driver surface. The factory threads it
-    # through from ZeROConfig.infinity.
+    # host -> NVMe) generalization of ``offload``; mutually exclusive
+    # with it.
     infinity: "InfinityConfig | None" = None
 
 
@@ -126,12 +121,13 @@ class BaseEngine:
             raise ValueError("gradient_accumulation_steps must be >= 1")
         self.step_count = 0
         self._micro_step = 0
-        # Optional repro.memsim.timeline.MemoryTimeline: when attached, the
-        # step loop labels its phases for within-step memory profiles.
+        #: the phase the step loop is in (forward / backward / reduce /
+        #: optimizer); between steps, the last one entered.
+        self.phase = ""
+        # Optional repro.memsim.timeline.MemoryTimeline, assigned by the
+        # caller: its samples are labelled with the step's phases.
         self.timeline = None
-        # Telemetry tracer (repro.telemetry.Tracer) threaded through the
-        # context; None means disabled and every instrumentation site is a
-        # single `is not None` check.
+        # repro.telemetry.Tracer from the context; None = telemetry off.
         self.tracer = ctx.tracer
         # Per-element weight-decay mask over the padded flat space (None
         # when decay applies uniformly). Engines slice their own range.
@@ -153,11 +149,10 @@ class BaseEngine:
                     (self.config.fused_buffer_numel,), np.dtype(np.float32),
                     data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
-        # ZeRO-Offload companion: owns the PCIe stream and the per-step
-        # transfer/step-time model. Placement changes live in the ZeRO
-        # engines; this base only drives the step clock.
+        # The tier runtime (ZeRO-Offload's, or ZeRO-Infinity's behind the
+        # same driver surface): owns the transfer streams and the step-time
+        # model. Placement changes live in the ZeRO engines.
         self.offload = None
-        self.infinity = None
         if self.config.offload is not None and self.config.infinity is not None:
             raise ValueError(
                 "offload and infinity are mutually exclusive — InfinityConfig "
@@ -180,21 +175,15 @@ class BaseEngine:
         elif self.config.infinity is not None:
             from repro.infinity.engine import InfinityEngine
 
-            self.infinity = InfinityEngine(
+            self.offload = InfinityEngine(
                 ctx, self.config.infinity, model.config, mp_degree=self._mp_degree()
             )
-            # The infinity runtime implements the offload driver surface
-            # (begin_micro / queue_grad_d2h / finish_step / trace_step /
-            # reports), so the step loop below needs no second code path.
-            self.offload = self.infinity
-        # SDC detector stack (repro.integrity). Constructed lazily at the
-        # first train_step — the subclass's optimizer state (the shards it
-        # fingerprints) does not exist yet at this point in __init__.
+        # repro.integrity's detectors and repro.redundancy's manager are built
+        # with the lifecycle, at the first train_step: the subclass's optimizer
+        # state (what they fingerprint and copy) does not exist yet.
         self.integrity = None
-        # Buddy-shard redundancy (repro.redundancy). Same lazy-construction
-        # rule; None whenever the context carries no BuddyStore, so a
-        # redundancy-off run allocates and records nothing.
         self.redundancy = None
+        self._lifecycle: Lifecycle | None = None
 
     # -- fused working buffer ------------------------------------------------
 
@@ -221,35 +210,16 @@ class BaseEngine:
 
     def train_step(self, token_ids: np.ndarray | Tensor, targets: np.ndarray | Tensor) -> StepResult:
         """One micro-batch forward/backward; the optimizer runs on
-        gradient-accumulation boundaries (every step by default)."""
-        if (
-            self.config.integrity is not None
-            and self.integrity is None
-            and not self.is_meta
-        ):
-            from repro.integrity.audit import IntegrityAuditor
-
-            self.integrity = IntegrityAuditor(self, self.config.integrity)
-        if (
-            self.ctx.redundancy is not None
-            and self.redundancy is None
-            and not self.is_meta
-        ):
-            from repro.redundancy.manager import RedundancyManager
-
-            self.redundancy = RedundancyManager(self, self.ctx.redundancy)
+        gradient-accumulation boundaries (every step by default). Whatever
+        else is attached acts at the points of ``repro.parallel.lifecycle``,
+        walked here in order."""
+        life = self._lifecycle or self._assemble_lifecycle()
         self._micro_step += 1
         boundary = self._micro_step % self.config.gradient_accumulation_steps == 0
         if boundary:
             self.step_count += 1
-            plan = self.ctx.fabric.fault_plan
-            if plan is not None:
-                # Kill-at-step fault rules fire here (repro.comm.faults).
-                plan.note_step(self.ctx.rank, self.step_count)
-                # Silent scribble rules fire here too — corrupting owned
-                # shards without raising. Only the integrity detectors
-                # (when enabled) can tell.
-                self._apply_scribbles(plan)
+        for sub in life.step_begin:
+            sub.step_begin(self, boundary)
         free_inputs = []
         with memprof_category("activation", site="batch-input"):
             if isinstance(token_ids, Tensor):
@@ -263,43 +233,19 @@ class BaseEngine:
                 tgt_t = Tensor.from_numpy(np.asarray(targets), device=self.ctx.device, tag="batch.targets")
                 free_inputs.append(tgt_t)
         ctx = ExecutionContext(training=True)
-        if self.offload is not None:
-            self.offload.begin_micro(ids_t.shape[0], ids_t.shape[-1])
+        for sub in life.micro_begin:
+            sub.micro_begin(self, boundary, ids_t.shape[0], ids_t.shape[-1])
 
-        tr = self.tracer
-        fwd_s = bwd_s = 0.0
-        step_t0 = 0.0
-        if tr is not None:
-            fwd_s, bwd_s = self._compute_split(ids_t.shape[0], ids_t.shape[-1])
-            perf_plan = self.ctx.fabric.fault_plan
-            if perf_plan is not None and perf_plan.has_perf_rules:
-                # Gray failures (throttle/jitter) stretch the *modeled*
-                # compute clock only — numerics stay bitwise identical.
-                # Micro-steps before a boundary belong to the upcoming
-                # optimizer step (note_step fires at the boundary).
-                scale = perf_plan.compute_scale(
-                    self.ctx.rank,
-                    self.step_count if boundary else self.step_count + 1,
-                )
-                fwd_s *= scale
-                bwd_s *= scale
-            step_t0 = tr.clock_s
-            tr.begin("step", micro_step=self._micro_step, boundary=boundary)
-            tr.sample_memory(self.ctx.device)
-            tr.begin("forward")
-        self._mark("forward")
-        self._before_forward()
+        self.phase = "forward"
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "forward")
         logits, cache = self.model.forward(ids_t, ctx)
         loss, lcache = self.loss_head.forward(logits, tgt_t)
         loss_value = None if loss.is_meta else float(loss.numpy())
         dlogits = self.loss_head.backward(lcache, loss_scale=self.scaler.scale)
-        if tr is not None:
-            tr.advance(fwd_s)
-            tr.sample_memory(self.ctx.device)
-            tr.end()  # forward
-            tr.begin("backward")
-        self._mark("backward")
-        self._before_backward()
+        self.phase = "backward"
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "backward")
         dh = self.model.backward(cache, dlogits)
         dh.free_if_alive()
         dlogits.free_if_alive()
@@ -307,71 +253,59 @@ class BaseEngine:
         cache.free()
         logits.free_if_alive()
         loss.free_if_alive()
-        if tr is not None:
-            tr.advance(bwd_s)
-            tr.sample_memory(self.ctx.device)
-            tr.end()  # backward
 
-        applied = False
-        step_time_s = 0.0
         if boundary:
-            if self.integrity is not None:
-                # Verify owned shards *before* the optimizer consumes them
-                # (a scribble must not be laundered into a legitimate
-                # update), then the cadence-gated cross-rank audit.
-                self.integrity.on_boundary(self.step_count)
-            self._mark("reduce")
-            if tr is not None:
-                tr.begin("grad-reduce")
+            for sub in life.pre_optimizer:
+                sub.pre_optimizer(self)
+        self.phase = "reduce"
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "reduce")
+        if boundary:
             self._reduce_gradients()
-            self._mark("optimizer")
-            if tr is not None:
-                tr.end()
-                tr.begin("optimizer")
-            applied = self._optimizer_step()
-            if self.offload is not None:
-                self._offload_finish(applied)
-                step_time_s = self.offload.reports[-1].step_s
-                if tr is not None:
-                    self.offload.trace_step(tr, step_t0)
+            self.phase = "optimizer"
+            for sub in life.enter_phase:
+                sub.enter_phase(self, "optimizer")
+            result = StepResult(loss=loss_value, applied=self._optimizer_step())
+            for sub in life.post_optimizer:
+                sub.post_optimizer(self, result)
             self._release_gradients()
-            if self.integrity is not None:
-                self.integrity.after_optimizer(self.step_count, applied, loss_value)
-            # Memory observatory leak sentinel: record per-category live
-            # bytes at the optimizer boundary (steady state should return
-            # every category to its baseline here).
-            prof = self.ctx.device.profiler
-            if prof is not None:
-                prof.note_step()
-            if tr is not None:
-                tr.sample_memory(self.ctx.device)
-                tr.end()  # optimizer
-            if self.redundancy is not None:
-                # Buddy refresh last: a boundary the detectors rejected
-                # raised above, so corrupt state never reaches the store.
-                self.redundancy.on_boundary(applied)
-            rec = self.ctx.recorder
-            if rec is not None:
-                rec.on_step_completed(
-                    self.ctx.rank, self.step_count,
-                    t_s=tr.clock_s if tr is not None else None,
-                    applied=applied,
-                )
+            for sub in life.boundary_closed:
+                sub.boundary_closed(self, result)
         else:
-            self._mark("reduce")
-            if tr is not None:
-                tr.begin("grad-reduce")
             self._micro_reduce()
-            if tr is not None:
-                tr.end()
+            result = StepResult(loss=loss_value, applied=False, is_boundary=False)
         for t in free_inputs:
             t.free_if_alive()
-        if tr is not None:
-            tr.end()  # step
-        return StepResult(
-            loss=loss_value, applied=applied, is_boundary=boundary,
-            step_time_model_s=step_time_s,
+        for sub in life.step_end:
+            sub.step_end(self)
+        return result
+
+    def _assemble_lifecycle(self) -> Lifecycle:
+        """Once per engine, at the first step: build the detectors that
+        need the optimizer state, then fix who acts at which point."""
+        if self.config.integrity is not None and not self.is_meta:
+            from repro.integrity.audit import IntegrityAuditor
+
+            self.integrity = IntegrityAuditor(self, self.config.integrity)
+        if self.ctx.redundancy is not None and not self.is_meta:
+            from repro.redundancy.manager import RedundancyManager
+
+            self.redundancy = RedundancyManager(self, self.ctx.redundancy)
+        self._lifecycle = Lifecycle(
+            self, tiers=self.offload, integrity=self.integrity,
+            redundancy=self.redundancy, recorder=self.ctx.recorder,
         )
+        return self._lifecycle
+
+    @property
+    def clock_s(self) -> float | None:
+        """This rank's simulated clock (what run-ledger events are stamped
+        with); None with telemetry off."""
+        return self.tracer.clock_s if self.tracer is not None else None
+
+    def _step_labels(self, boundary: bool) -> dict:
+        """Arguments of the traced ``step`` span."""
+        return {"micro_step": self._micro_step, "boundary": boundary}
 
     # -- hooks -------------------------------------------------------------------
 
@@ -397,28 +331,6 @@ class BaseEngine:
         (stages 1-2 add the stale fp16 params under delayed param
         update — see ``_ZeroDPBase.redundancy_shards``)."""
         return self.integrity_shards()
-
-    def _apply_scribbles(self, plan) -> None:
-        """Apply due scribble rules to the owned shards (silent device-
-        memory corruption). The plan raises nothing — detection is the
-        integrity layer's job."""
-        due = plan.scribbles_due(self.ctx.rank, self.step_count)
-        if not due or self.is_meta:
-            return
-        shards = self.integrity_shards()
-        for rule in due:
-            target = shards.get(rule.target)
-            if target is None:
-                continue  # engine has no such shard (e.g. param_shard below stage 3)
-            plan.corrupt_array_inplace(self.ctx.rank, target, rule.bits)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "sdc-scribble", target=rule.target, step=self.step_count
-                )
-                if self.tracer.registry is not None:
-                    self.tracer.registry.counter(
-                        "sdc_injections", rank=self.ctx.rank, kind="scribble"
-                    ).add(1)
 
     def _clip_factor(self, local_norm_sq: float, *, partitioned: bool) -> float:
         """Global-norm clip factor for this step (1.0 when clipping is off).
@@ -471,11 +383,6 @@ class BaseEngine:
 
         return _replace(self.config.adam, lr=schedule.lr(max(self.step_count, 1)))
 
-    def _mark(self, phase: str) -> None:
-        if self.timeline is not None:
-            self.timeline.mark(phase)
-        memprof_set_phase(phase)
-
     def _compute_split(self, batch: int, seq_len: int) -> tuple[float, float]:
         """Modeled (forward_s, backward_s) GEMM seconds for one micro-batch
         of this engine's model on this rank's device (the durations the
@@ -492,12 +399,6 @@ class BaseEngine:
         """Tensor-parallel degree of the wrapped model (1 when not MP)."""
         mp_group = getattr(self.model, "mp_group", None)
         return mp_group.size if mp_group is not None else 1
-
-    def _before_forward(self) -> None:
-        return
-
-    def _before_backward(self) -> None:
-        return
 
     def _micro_reduce(self) -> None:
         """Per-micro-step work on non-boundary steps. Engines with
@@ -519,24 +420,6 @@ class BaseEngine:
 
     def _optimizer_step(self) -> bool:
         raise NotImplementedError
-
-    def _offload_finish(self, applied: bool) -> None:
-        """Close the offload runtime's step clock at an optimizer boundary.
-
-        Uses the engine's ``part_numel`` partition (hence offload requires
-        a partitioned engine): the host Adam covers those elements, the
-        fp16 refresh ships that many parameter bytes back, and — when
-        gradients stayed device-resident — the shard goes host-side in one
-        boundary d2h. An overflow-skip step (``applied`` False) moves no
-        optimizer bytes; its gradients already crossed the link.
-        """
-        shard_bytes = self.part_numel * np.dtype(self.model.dtype).itemsize
-        streamed = self.placement["grad"].tier != "device"
-        self.offload.finish_step(
-            adam_numel=self.part_numel if applied else 0,
-            param_h2d_bytes=shard_bytes if applied else 0,
-            boundary_grad_bytes=0 if streamed else shard_bytes,
-        )
 
     def _release_gradients(self) -> None:
         self.model.zero_grad()

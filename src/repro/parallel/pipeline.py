@@ -24,12 +24,13 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.memprof.provenance import category as memprof_category
-from repro.memprof.provenance import set_phase as memprof_set_phase
 from repro.nn.module import Cache, ExecutionContext, Module
 from repro.nn.transformer import GPT2Model, GPTConfig
 from repro.optim.adam import AdamHyperparams, adam_step_inplace
 from repro.optim.flat import FlatLayout
 from repro.optim.mixed_precision import FlatAdamState
+from repro.parallel.engine import StepResult
+from repro.parallel.lifecycle import Lifecycle
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
 
@@ -66,6 +67,9 @@ class GPipeEngine:
     """
 
     name = "gpipe"
+    #: what a ``BaseEngine`` may carry and a pipeline stage does not: no tier
+    #: runtime (its state stays on its device), no memory timeline.
+    offload = timeline = None
 
     def __init__(
         self,
@@ -116,6 +120,7 @@ class GPipeEngine:
         self.step_count = 0
         # Telemetry tracer from the context; None means disabled.
         self.tracer = ctx.tracer
+        self._lifecycle = Lifecycle(self)
 
     # -- schedule -----------------------------------------------------------------
 
@@ -126,7 +131,10 @@ class GPipeEngine:
         replicated for simplicity); only the relevant slices are consumed.
         Returns the mean micro-batch loss on the last stage, else None.
         """
+        life = self._lifecycle
         self.step_count += 1
+        for sub in life.step_begin:
+            sub.step_begin(self, True)
         batch = token_ids.shape[0]
         if batch % self.n_microbatches:
             raise ValueError(
@@ -137,13 +145,10 @@ class GPipeEngine:
         prev = self.group.ranks[self.stage_index - 1] if not self.is_first else None
         nxt = self.group.ranks[self.stage_index + 1] if not self.is_last else None
 
-        tr = self.tracer
-        if tr is not None:
-            tr.begin("step", micro_batches=self.n_microbatches,
-                     stage=self.stage_index)
-            tr.sample_memory(self.ctx.device)
-            tr.begin("forward")
-        memprof_set_phase("forward")
+        for sub in life.micro_begin:
+            sub.micro_begin(self, True, batch, token_ids.shape[-1])
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "forward")
 
         # All-forward. Per-micro state is retained until its backward —
         # exactly GPipe's activation-memory footprint.
@@ -185,11 +190,8 @@ class GPipeEngine:
                 )
                 # The boundary activation tensor is kept for backward below.
                 loss_caches.append((None, h_out))
-        if tr is not None:
-            tr.sample_memory(self.ctx.device)
-            tr.end()  # forward
-            tr.begin("backward")
-        memprof_set_phase("backward")
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "backward")
 
         # All-backward (reverse micro order, reverse units).
         for m in reversed(range(self.n_microbatches)):
@@ -217,22 +219,27 @@ class GPipeEngine:
             for t in mids[m]:
                 t.free_if_alive()
             inputs[m].free_if_alive()
-        if tr is not None:
-            tr.sample_memory(self.ctx.device)
-            tr.end()  # backward
-            tr.begin("optimizer")
-        memprof_set_phase("optimizer")
-
+        for sub in life.pre_optimizer:
+            sub.pre_optimizer(self)
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "optimizer")
         self._optimizer_step()
+        result = StepResult(float(np.mean(losses)) if self.is_last else None, applied=True)
+        for sub in life.post_optimizer:
+            sub.post_optimizer(self, result)
         self.stage_module.zero_grad()
-        prof = self.ctx.device.profiler
-        if prof is not None:
-            prof.note_step()
-        if tr is not None:
-            tr.sample_memory(self.ctx.device)
-            tr.end()  # optimizer
-            tr.end()  # step
-        return float(np.mean(losses)) if self.is_last else None
+        for sub in life.boundary_closed:
+            sub.boundary_closed(self, result)
+        for sub in life.step_end:
+            sub.step_end(self)
+        return result.loss
+
+    def _compute_split(self, batch: int, seq_len: int) -> tuple:
+        """No GEMM model for a pipeline stage: its spans carry comm time only."""
+        return ()
+
+    def _step_labels(self, boundary: bool) -> dict:
+        return {"micro_batches": self.n_microbatches, "stage": self.stage_index}
 
     def _optimizer_step(self) -> None:
         grad32 = self.layout.gather_grads(np.float32, missing_ok=True)

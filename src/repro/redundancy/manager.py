@@ -1,8 +1,8 @@
 """RedundancyManager: per-engine buddy-refresh companion.
 
-Constructed lazily by ``BaseEngine.train_step`` when the rank context
-carries a ``BuddyStore`` (threaded from the Supervisor through the
-Cluster). At every optimizer boundary it copies the engine's owned
+Built with the engine's step lifecycle (at its first ``train_step``) when
+the rank context carries a ``BuddyStore`` (threaded from the Supervisor
+through the Cluster). At every closed boundary it copies the engine's owned
 shards (``redundancy_shards`` — the integrity set plus the DPU stale-
 parameter carry) into the store, and prices what that refresh costs on
 this rank's modeled hardware:
@@ -199,8 +199,7 @@ class RedundancyManager:
         rec = ctx.recorder
         if rec is not None:
             rec.record(
-                "buddy-refresh", rank=ctx.rank, step=step,
-                t_s=tr.clock_s if tr is not None else None,
+                "buddy-refresh", rank=ctx.rank, step=step, t_s=self.engine.clock_s,
                 bytes_out=out_bytes, bytes_in=in_bytes,
             )
 

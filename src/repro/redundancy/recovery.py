@@ -105,9 +105,8 @@ def resume_from_buddies(engine: BaseEngine) -> bool:
     if rec is not None and engine.dp_group.group_index(engine.ctx.rank) == 0:
         rec.record(
             "reshard", rank=engine.ctx.rank, step=snap.step,
-            t_s=engine.tracer.clock_s if engine.tracer is not None else None,
-            source="buddies", world_from=snap.world_size,
-            world_to=engine.dp_group.size,
+            t_s=engine.clock_s, source="buddies",
+            world_from=snap.world_size, world_to=engine.dp_group.size,
         )
     return True
 

@@ -223,6 +223,13 @@ class Tracer:
         self.log.append(("I", ev))
         return ev
 
+    def sdc_injected(self, name: str, kind: str, **args) -> None:
+        """An injected silent corruption fired on this rank: the instant
+        plus the ``sdc_injections`` counter detections are scored against."""
+        self.instant(name, **args)
+        if self.registry is not None:
+            self.registry.counter("sdc_injections", rank=self.rank, kind=kind).add(1)
+
     def counter(self, name: str, value: float) -> None:
         sample = CounterSample(
             name=name, rank=self.rank, t_s=self.clock_s, value=float(value)

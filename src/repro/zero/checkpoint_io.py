@@ -132,11 +132,7 @@ def save_checkpoint(engine: BaseEngine, directory: str | pathlib.Path) -> pathli
         # the file is silently damaged — only checksum verify-on-load or
         # the VerifiedCheckpointRing's post-save verification can tell.
         if engine.tracer is not None:
-            engine.tracer.instant("sdc-ckpt-rot", path=str(path))
-            if engine.tracer.registry is not None:
-                engine.tracer.registry.counter(
-                    "sdc_injections", rank=engine.ctx.rank, kind="ckpt-rot"
-                ).add(1)
+            engine.tracer.sdc_injected("sdc-ckpt-rot", "ckpt-rot", path=str(path))
     if rank_index == 0:
         _atomic_write_text(
             directory / "meta.json", json.dumps(_meta_for(engine), indent=2)
@@ -144,10 +140,8 @@ def save_checkpoint(engine: BaseEngine, directory: str | pathlib.Path) -> pathli
         rec = engine.ctx.recorder
         if rec is not None:
             rec.record(
-                "checkpoint-saved", rank=engine.ctx.rank,
-                step=engine.step_count,
-                t_s=engine.tracer.clock_s if engine.tracer is not None else None,
-                path=str(directory), world_size=engine.dp_group.size,
+                "checkpoint-saved", rank=engine.ctx.rank, step=engine.step_count,
+                t_s=engine.clock_s, path=str(directory), world_size=engine.dp_group.size,
             )
     # Durable point: a rank returning from save must be able to read every
     # peer's file (loaders validate all of them), so wait for the slowest.
@@ -423,7 +417,6 @@ def load_checkpoint_resharded(
     if rec is not None and engine.dp_group.group_index(engine.ctx.rank) == 0:
         rec.record(
             "reshard", rank=engine.ctx.rank, step=engine.step_count,
-            t_s=engine.tracer.clock_s if engine.tracer is not None else None,
-            source="checkpoint", world_from=meta["world_size"],
-            world_to=engine.dp_group.size,
+            t_s=engine.clock_s, source="checkpoint",
+            world_from=meta["world_size"], world_to=engine.dp_group.size,
         )

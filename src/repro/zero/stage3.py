@@ -83,7 +83,6 @@ class ZeroStage3Engine(_ZeroDPBase):
         for p in self.layout.parameters:
             p.data.free_if_alive()
         self._materialized: set[str] = set()
-        self._mode = "forward"
         # The engine holds the model; the model must not hold the engine
         # back, or neither is freed without a gc pass.
         model.unit_listener = weakref.proxy(self)
@@ -94,15 +93,9 @@ class ZeroStage3Engine(_ZeroDPBase):
         self._materialize(unit)
 
     def after_unit(self, unit: Module) -> None:
-        if self._mode == "backward":
+        if self.phase == "backward":
             self._reduce_unit_grads(unit)
         self._dematerialize(unit)
-
-    def _before_forward(self) -> None:
-        self._mode = "forward"
-
-    def _before_backward(self) -> None:
-        self._mode = "backward"
 
     # -- parameter materialization --------------------------------------------------
 
@@ -127,9 +120,10 @@ class ZeroStage3Engine(_ZeroDPBase):
             inf_cfg = self.config.infinity
             plan = plan_unit_tiles(uhi - ulo, itemsize, inf_cfg.tile_bytes)
             tiled = plan.is_tiled
-            self.infinity.note_gather(
+            self.offload.note_gather(
                 0 if gather.mine is None else gather.nbytes[gather.mine],
-                mode=self._mode, tiles=plan.n_tiles,
+                mode="backward" if self.phase == "backward" else "forward",
+                tiles=plan.n_tiles,
             )
             if tiled:
                 # Memory-centric tiling: device residency during this

@@ -121,26 +121,6 @@ def test_broadcast_receivers_get_private_copies():
     np.testing.assert_array_equal(results[2], np.zeros(4))
 
 
-def test_gather_to_dst():
-    def fn(ctx):
-        return ctx.world.gather(ctx.rank, np.array([ctx.rank], np.float32), dst=1)
-
-    results = run_world(3, fn)
-    assert results[0] is None
-    np.testing.assert_array_equal(np.concatenate(results[1]), [0, 1, 2])
-
-
-def test_scatter_from_src():
-    pieces = [np.full(2, i, np.float32) for i in range(4)]
-
-    def fn(ctx):
-        return ctx.world.scatter(ctx.rank, pieces if ctx.rank == 0 else None, src=0)
-
-    results = run_world(4, fn)
-    for rank, r in enumerate(results):
-        np.testing.assert_array_equal(r, np.full(2, rank))
-
-
 def test_all_to_all_transposes():
     def fn(ctx):
         outgoing = [np.array([ctx.rank * 10 + j], np.float32) for j in range(3)]
@@ -174,13 +154,14 @@ def test_allreduce_equals_reducescatter_then_allgather():
     seed=st.integers(0, 1000),
 )
 def test_property_allgather_of_scatter_is_identity(length, world, seed):
+    """Every rank keeps its own slice of a split array (the scatter is
+    local — ``ProcessGroup`` has none); all-gather reassembles it."""
     rng = np.random.default_rng(seed)
     full = rng.standard_normal(length * world).astype(np.float32)
     pieces = [full[i * length : (i + 1) * length] for i in range(world)]
 
     def fn(ctx):
-        mine = ctx.world.scatter(ctx.rank, pieces if ctx.rank == 0 else None, src=0)
-        return ctx.world.all_gather(ctx.rank, mine)
+        return ctx.world.all_gather(ctx.rank, pieces[ctx.rank])
 
     for r in run_world(world, fn):
         np.testing.assert_array_equal(r, full)

@@ -208,3 +208,112 @@ class TestEngineInputs:
             return True
 
         assert cluster.run(fn) == [True]
+
+
+class TestStepLifecycle:
+    """What the step lifecycle owes its two kinds of caller: an outside
+    observer patching a boundary on the class, and the run with nothing
+    attached."""
+
+    def test_a_method_patched_on_the_class_after_setup_is_the_one_that_runs(self, monkeypatch):
+        """hostbench installs its probe on the classes *after* the engines
+        are built and warmed up; dispatch looks every method up at call
+        time, so the next step goes through the patched ones."""
+        from repro import RedundancyConfig
+        from repro.infinity import InfinityConfig
+        from repro.infinity.engine import InfinityEngine
+        from repro.integrity.audit import IntegrityAuditor
+        from repro.memprof import MemoryProfiler
+        from repro.redundancy import BuddyStore
+        from repro.redundancy.manager import RedundancyManager
+        from repro.telemetry import TelemetrySession
+        from repro.telemetry.spans import Tracer
+
+        cluster = Cluster(
+            2, gpu=GPU, timeout_s=60.0, telemetry=TelemetrySession(),
+            redundancy=BuddyStore(RedundancyConfig()),
+        )
+        engines = [None, None]
+
+        def setup(ctx):
+            MemoryProfiler(ctx.device)
+            zero = ZeROConfig(stage=3, memory_defrag=False, audit_cadence=1,
+                              infinity=InfinityConfig(param_tier="host"))
+            _, engines[ctx.rank] = build_model_and_engine(
+                ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=0,
+            )
+            step(ctx)
+
+        def step(ctx):
+            engine = engines[ctx.rank]
+            ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=engine.step_count)
+            engine.train_step(ids, tgt)
+
+        cluster.run(setup)
+        seen = []
+        watched = [
+            (IntegrityAuditor, "on_boundary"), (IntegrityAuditor, "after_optimizer"),
+            (RedundancyManager, "on_boundary"), (InfinityEngine, "begin_micro"),
+            (InfinityEngine, "finish_step"), (InfinityEngine, "trace_step"),
+            (MemoryProfiler, "note_step"), (Tracer, "begin"),
+        ]
+        for cls, name in watched:
+            def wrapper(self, *args, _original=getattr(cls, name), _key=(cls.__name__, name), **kwargs):
+                seen.append(_key)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+        cluster.run(step)
+        for cls, name in watched:
+            assert seen.count((cls.__name__, name)) >= 2, (cls.__name__, name)  # both ranks
+        for engine in engines:
+            engine.ctx.device.profiler.detach()
+
+    def test_a_step_with_nothing_attached_costs_no_more_calls_and_holds_no_subscriber(self):
+        """One hook-free stage-2 ``train_step`` on 2 ranks makes no more
+        function calls (Python + C, as ``sys.setprofile`` counts them) than
+        at the commit before the lifecycle: 12 170 over both ranks (6 067 +
+        6 103; the phase marks' ``_mark`` and stage 3's ``_before_forward`` /
+        ``_before_backward`` hooks paid for the one always-on subscriber).
+        Calibrated on CPython 3.11.7; another interpreter may count a
+        ``with`` or a comprehension differently, which the assertion message
+        shows. The engine holds no subscriber of its own — only the
+        module's stateless ``MEMORY`` — and is freed without a gc pass."""
+        import gc
+        import sys
+        import weakref
+
+        from repro.parallel import lifecycle
+
+        def fn(ctx):
+            model, engine = build_model_and_engine(
+                ctx, CFG, ZeROConfig(stage=2, memory_defrag=False),
+                dp_group=ctx.world, dtype=np.float32, seed=0,
+            )
+            engine.train_step(*CORPUS.sample_batch(2, 16, rank=ctx.rank, step=0))
+            batch = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=1)
+            calls = [0]
+
+            def on_event(frame, event, arg):
+                if event == "call" or event == "c_call":
+                    calls[0] += 1
+
+            sys.setprofile(on_event)
+            engine.train_step(*batch)
+            sys.setprofile(None)
+            life = engine._lifecycle
+            subscribers = {sub for point in lifecycle.POINTS for sub in getattr(life, point)}
+            ref = weakref.ref(engine)
+            del engine, model, life
+            return calls[0] - 1, subscribers, ref()  # less the closing setprofile call
+
+        gc.collect()
+        gc.disable()
+        try:
+            results = Cluster(2, gpu=GPU, timeout_s=60.0).run(fn)
+        finally:
+            gc.enable()
+        assert sum(r[0] for r in results) <= 12_170, ([r[0] for r in results], sys.version)
+        for _, subscribers, survivor in results:
+            assert subscribers == {lifecycle.MEMORY}
+            assert survivor is None

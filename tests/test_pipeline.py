@@ -108,6 +108,51 @@ class TestGPipeNumerics:
         assert all(Cluster(2, gpu=GPU, timeout_s=60.0).run(fn))
 
 
+class TestGPipeLifecycle:
+    @pytest.mark.timeout_guard(30)
+    def test_kill_at_step_fires_under_gpipe(self):
+        """The pipeline loop walks the same step lifecycle as the ZeRO
+        engines, so the fault plan hears about its steps: a kill-at-step
+        rule brings every stage down with ``RankKilledError`` well inside
+        the fabric timeout (it was silently ignored)."""
+        from repro.comm.faults import FaultPlan, RankKilledError
+
+        plan = FaultPlan().kill_rank(1, at_step=2)
+        cluster = Cluster(2, gpu=GPU, timeout_s=10.0, fault_plan=plan)
+        reached = []
+
+        def fn(ctx):
+            engine = GPipeEngine(ctx, CFG, ctx.world, n_microbatches=2,
+                                 dtype=np.float32, seed=0)
+            for step in range(3):
+                ids, tgt = CORPUS.sample_batch(4, 16, rank=0, step=step)
+                engine.train_step(ids, tgt)
+                reached.append((ctx.rank, engine.step_count))
+
+        with pytest.raises(RankKilledError):
+            cluster.run(fn)
+        assert sorted(reached) == [(0, 1), (1, 1)]
+        assert [e.kind for e in plan.events] == ["kill"]
+
+    def test_scribble_rules_are_skipped_not_invented(self):
+        """A pipeline stage exposes no ``integrity_shards``; a scribble rule
+        aimed at it stays unfired and training is untouched."""
+        from repro.comm.faults import FaultPlan
+
+        def run(plan):
+            def fn(ctx):
+                engine = GPipeEngine(ctx, CFG, ctx.world, n_microbatches=2,
+                                     dtype=np.float32, seed=0)
+                ids, tgt = CORPUS.sample_batch(4, 16, rank=0, step=0)
+                return engine.train_step(ids, tgt)
+
+            return Cluster(2, gpu=GPU, timeout_s=30.0, fault_plan=plan).run(fn)
+
+        plan = FaultPlan().scribble_tensor(rank=0, at_step=1, target="master")
+        assert run(plan) == run(None)
+        assert plan.events == []
+
+
 class TestGPipeMemory:
     def test_params_split_across_stages(self):
         def fn(ctx):
