@@ -73,8 +73,7 @@ def main():
 
     pm = PerfModel()
     est = pm.estimate(
-        point.model, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus,
-        zero_stage=2, partition_activations=True,
+        point.model, C4, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus
     )
     print("\n-- modelled throughput (calibrated alpha-beta + GEMM model) --")
     print(f"  compute {est.compute_s:.1f}s + MP comm {est.mp_comm_s:.1f}s + "

@@ -64,11 +64,7 @@ def _estimate(
     b = min(max_batch(model, zero, nd=nd, mp=mp, budget_bytes=budget_bytes), batch_cap)
     if b == 0:
         return VariantEstimate(label, zero, 0, 0.0)
-    est = perf.estimate(
-        model, batch=b, mp_degree=mp, n_gpus=n_gpus, zero_stage=zero.stage,
-        partition_activations=zero.partition_activations,
-        cpu_offload_activations=zero.cpu_offload_activations,
-    )
+    est = perf.estimate(model, zero, batch=b, mp_degree=mp, n_gpus=n_gpus)
     return VariantEstimate(label, zero, b, est.tflops_per_gpu)
 
 

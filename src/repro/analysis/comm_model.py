@@ -2,27 +2,36 @@
 
 Volumes are *nominal per-rank* element counts, the accounting the paper
 uses (a Psi-element reduce-scatter or all-gather moves Psi elements per
-rank; an all-reduce moves 2 Psi).
+rank; an all-reduce moves 2 Psi). Each volume is derived from the resolved
+rows of ``repro.zero.placement`` — what is sent follows from what is
+partitioned and where it lives — and stated here only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.zero.placement import Placed, state_placement
 
-def dp_volume_elements(psi: float, stage: int) -> float:
+
+def dp_volume_elements(psi: float, placement: dict[str, Placed] | int) -> float:
     """ZeRO-DP per-rank volume per step, in parameter elements (Section 7).
 
-    Baseline DP: all-reduce of gradients = 2 Psi.
-    Pos / Pos+g: reduce-scatter (Psi) + parameter all-gather (Psi) = 2 Psi.
-    Pos+g+p: forward gathers (Psi) + backward gathers (Psi) +
-             gradient reduce-scatter (Psi) = 3 Psi.
+    ``placement`` is a resolved placement, or a ZeRO stage standing for its
+    all-device one.
+
+    Replicated optimizer: one gradient all-reduce = 2 Psi.
+    Partitioned optimizer: gradients reduced to their owners (Psi), then
+      replicated parameters — one boundary all-gather (Psi): 2 Psi in all;
+      partitioned parameters — the per-unit forward and backward gathers
+      (2 Psi): 3 Psi in all, the 1.5x of Section 7.2.2.
     """
-    if stage in (0, 1, 2):
+    if isinstance(placement, int):
+        placement = state_placement(placement)
+    if not placement["optimizer"].partitioned:
         return 2.0 * psi
-    if stage == 3:
-        return 3.0 * psi
-    raise ValueError(f"stage must be 0-3, got {stage}")
+    gathers = 2.0 if placement["param"].partitioned else 1.0
+    return (1.0 + gathers) * psi
 
 
 @dataclass(frozen=True)
@@ -44,17 +53,21 @@ class MPCommModel:
         passes = 3 if checkpointing else 2  # fwd (+recompute) + bwd
         return passes * 2 * 2 * self.message_elements
 
-    def pa_overhead_elements_per_block(self) -> float:
-        """Pa adds one all-gather of the block's input checkpoint before
-        recomputation: batch x seq x hidden — <10% of baseline MP volume."""
-        return self.message_elements
+    def gather_elements_per_block(self, placement: dict[str, Placed]) -> float:
+        """A partitioned activation row (Pa) adds one all-gather of the
+        block's input checkpoint before recomputation: batch x seq x hidden
+        — <10% of baseline MP volume."""
+        return self.message_elements if placement["activation"].partitioned else 0.0
 
     def pa_overhead_fraction(self, *, checkpointing: bool = True) -> float:
-        return self.pa_overhead_elements_per_block() / self.baseline_elements_per_block(
+        return self.message_elements / self.baseline_elements_per_block(
             checkpointing=checkpointing
         )
 
-    def pa_cpu_transfer_elements_per_block(self, mp_degree: int) -> float:
-        """Pa+cpu moves each rank's 1/Nm checkpoint shard to the CPU and
-        back: 2x the shard per block (Section 8's '2x added data movement')."""
+    def pcie_elements_per_block(self, placement: dict[str, Placed], mp_degree: int) -> float:
+        """An off-device activation row (Pa+cpu) moves each rank's 1/Nm
+        checkpoint shard to the CPU and back: 2x the shard per block
+        (Section 8's '2x added data movement')."""
+        if placement["activation"].tier == "device":
+            return 0.0
         return 2.0 * self.message_elements / mp_degree

@@ -14,7 +14,6 @@ from repro.analysis.memory_model import ActivationModel, total_device_bytes
 from repro.nn.transformer import GPTConfig
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
-from repro.zero.placement import state_placement
 
 SEQ_LEN = 1024
 VOCAB = 50257
@@ -46,22 +45,7 @@ def device_bytes_for(
         hidden=config.hidden, n_layers=config.n_layers,
         seq_len=seq_len, batch=batch, mp_degree=mp,
     )
-    off_device = {
-        name: tier != "device"
-        for name, (_, tier) in state_placement(zero.stage, zero.tiers).items()
-    }
-    return total_device_bytes(
-        float(config.total_params), act,
-        nd=nd, stage=zero.stage, mp_degree=mp,
-        checkpointing=zero.checkpoint_activations,
-        partition_activations=zero.partition_activations,
-        cpu_offload=zero.cpu_offload_activations,
-        constant_buffers=zero.constant_buffers,
-        offload_optimizer=off_device["optimizer"],
-        offload_gradients=off_device["grad"],
-        page_params=off_device["param"],
-        tile_bytes=None if zero.infinity is None else zero.infinity.tile_bytes,
-    )
+    return total_device_bytes(float(config.total_params), act, zero, nd=nd, mp_degree=mp)
 
 
 def max_layers(

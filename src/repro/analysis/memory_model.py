@@ -13,37 +13,54 @@ All byte counts use the paper's decimal GB and its constants:
     total activation elements ~= 12 x hidden x batch x seq x layers
   (fp16, so x2 bytes). Checkpointing stores one input activation per block
   (batch x seq x hidden each) and recomputes the rest one block at a time.
+
+Which of those terms a rank holds, and on which tier, is read off the
+resolved rows of ``repro.zero.placement`` (``ZeROConfig.placement``):
+``state_bytes_by_tier`` is the one loop over the three per-Psi rows and
+``ActivationModel.checkpoint_bytes`` reads the ``activation`` row. No
+function here takes a stage's or an option's consequences as booleans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from repro.optim.mixed_precision import ADAM_K
 from repro.utils.units import GB
-from repro.zero.placement import STATE_CLASSES, state_placement
+from repro.zero.placement import STATE_CLASSES, Placed, state_placement
+
+if TYPE_CHECKING:
+    from repro.zero.config import ZeROConfig
+
+#: stage 0, no tiers, no Pa: every class replicated on the device.
+BASELINE = state_placement(0)
 
 
-def _state_bytes_by_tier(
-    psi: float, nd: int, stage: int, k: int, tiers, tile_bytes: int | None = None
+def state_bytes_by_tier(
+    psi: float,
+    nd: int,
+    placement: dict[str, Placed],
+    k: int = ADAM_K,
+    tile_bytes: int | None = None,
 ) -> dict[str, float]:
-    """Per-rank model-state bytes on each tier: the one loop over the
-    placement table's rows that the three functions below are views of.
-    A replicated class costs its full bytes/param on the device; a
-    partitioned one costs 1/Nd of that on its tier."""
+    """Per-rank model-state bytes on each tier under a resolved placement:
+    the one loop over the table's per-Psi rows. A replicated class costs
+    its full bytes/param on the device; a partitioned one costs 1/Nd of
+    that on its tier (shards this rank owns — activations and transient
+    materializations are not model state). Off-device parameters
+    (ZeRO-Infinity, paged in per unit gather) leave only memory-centric
+    tiling's staging bound, ``tile_bytes``, on the device."""
     if psi < 0 or nd < 1:
         raise ValueError(f"need psi >= 0 and nd >= 1, got psi={psi}, nd={nd}")
-    placed = state_placement(stage, tiers)
     rows = [  # summed in Figure 1's order: parameters, gradients, optimizer state
-        (k if row.name == "optimizer" else row.bytes_per_param, *placed[row.name])
+        (k if row.name == "optimizer" else row.bytes_per_param, *placement[row.name])
         for row in reversed(STATE_CLASSES)
+        if row.bytes_per_param is not None
     ]
     replicated = sum(per_param for per_param, partitioned, _ in rows if not partitioned)
     out = {"device": replicated * psi, "host": 0.0, "nvme": 0.0}
-    if placed["param"].tier != "device":
-        # Paged parameters leave only memory-centric tiling's staging
-        # bound on the device (nothing persistent without tiling).
+    if placement["param"].tier != "device":
         out["device"] += float(tile_bytes or 0)
     for per_param, partitioned, tier in rows:
         if partitioned:
@@ -51,74 +68,10 @@ def _state_bytes_by_tier(
     return out
 
 
-def _flag_tiers(offload_optimizer: bool, offload_gradients: bool, page_params: bool = False):
-    """The ZeRO-Offload boolean flags in the placement table's tier names."""
-    if offload_gradients and not offload_optimizer:
-        raise ValueError("offload_gradients requires offload_optimizer")
-    return SimpleNamespace(
-        optimizer_tier="host" if offload_optimizer else "device",
-        grad_tier="host" if offload_gradients else "device",
-        param_tier="host" if page_params else "device",
-    )
-
-
-def model_state_bytes(
-    psi: float,
-    nd: int = 1,
-    stage: int = 0,
-    k: int = ADAM_K,
-    *,
-    offload_optimizer: bool = False,
-    offload_gradients: bool = False,
-    page_params: bool = False,
-    tile_bytes: int | None = None,
-) -> float:
-    """Per-device model-state bytes for a Psi-parameter model (Figure 1).
-
-    ZeRO-Offload placement flags remove host-resident terms from the
-    device: ``offload_optimizer`` drops the K Psi / Nd optimizer partition
-    (stages 1-3), ``offload_gradients`` additionally drops the 2 Psi / Nd
-    gradient shard (stages 2-3). ``host_state_bytes`` returns what moved.
-    ZeRO-Infinity's ``page_params`` (stage 3 only) additionally drops the
-    2 Psi / Nd fp16 parameter shard — it lives on a lower tier and is
-    paged in per unit gather; with memory-centric tiling the persistent
-    device-side staging bound is ``tile_bytes``.
-    """
-    tiers = _flag_tiers(offload_optimizer, offload_gradients, page_params)
-    return _state_bytes_by_tier(psi, nd, stage, k, tiers, tile_bytes)["device"]
-
-
-def host_state_bytes(
-    psi: float,
-    nd: int = 1,
-    stage: int = 0,
-    k: int = ADAM_K,
-    *,
-    offload_optimizer: bool = False,
-    offload_gradients: bool = False,
-) -> float:
-    """Per-rank host DRAM taken by offloaded model states — exactly the
-    terms ``model_state_bytes`` dropped from the device."""
-    tiers = _flag_tiers(offload_optimizer, offload_gradients)
-    return _state_bytes_by_tier(psi, nd, stage, k, tiers)["host"]
-
-
-def tier_state_bytes(
-    psi: float,
-    nd: int = 1,
-    stage: int = 3,
-    k: int = ADAM_K,
-    *,
-    infinity,
-) -> dict[str, float]:
-    """Per-rank model-state bytes on each tier under an InfinityConfig.
-
-    The device entry matches ``model_state_bytes`` with the config's
-    derived placement flags; the host/NVMe entries are the terms the
-    placement moved there (shards this rank owns — activations and
-    transient materializations are not model state).
-    """
-    return _state_bytes_by_tier(psi, nd, stage, k, infinity, infinity.tile_bytes)
+def model_state_bytes(psi: float, nd: int = 1, stage: int = 0, k: int = ADAM_K) -> float:
+    """Per-device model-state bytes for a Psi-parameter model with every
+    class on the device (Figure 1)."""
+    return state_bytes_by_tier(psi, nd, state_placement(stage), k)["device"]
 
 
 def max_model_params(memory_bytes: float, nd: int = 1, stage: int = 0, k: int = ADAM_K) -> float:
@@ -164,18 +117,21 @@ class ActivationModel:
         are shared, the big internals split across MP ranks."""
         return self.elements_per_layer * self.n_layers * self.bytes_per_element / self.mp_degree
 
-    def checkpoint_bytes(self, *, partition_activations: bool = False, cpu_offload: bool = False) -> float:
-        """Stored checkpoints: one block-input (batch x seq x hidden) per layer.
+    def checkpoint_bytes(self, placement: dict[str, Placed] = BASELINE) -> float:
+        """On-device stored checkpoints: one block-input (batch x seq x
+        hidden) per layer, placed by the ``activation`` row.
 
-        Without Pa each MP rank replicates every checkpoint (Section 6.1's
-        redundancy); Pa divides by the MP degree; Pa+cpu moves them off-device.
+        Replicated, each MP rank holds every checkpoint (Section 6.1's
+        redundancy); partitioned (Pa) divides by the MP degree; off-device
+        (Pa+cpu) moves them off.
         """
-        if cpu_offload:
+        partitioned, tier = placement["activation"]
+        if tier != "device":
             return 0.0
         per_ckpt = self.batch * self.seq_len * self.hidden * self.bytes_per_element
         n_checkpoints = -(-self.n_layers // self.checkpoint_interval)  # ceil
         total = per_ckpt * n_checkpoints
-        if partition_activations:
+        if partitioned:
             total /= self.mp_degree
         return total
 
@@ -188,20 +144,11 @@ class ActivationModel:
         )
 
     def iteration_bytes(
-        self,
-        *,
-        checkpointing: bool = True,
-        partition_activations: bool = False,
-        cpu_offload: bool = False,
+        self, placement: dict[str, Placed] = BASELINE, *, checkpointing: bool = True
     ) -> float:
         if not checkpointing:
             return self.total_bytes()
-        return (
-            self.checkpoint_bytes(
-                partition_activations=partition_activations, cpu_offload=cpu_offload
-            )
-            + self.working_bytes()
-        )
+        return self.checkpoint_bytes(placement) + self.working_bytes()
 
 
 def temporary_buffer_bytes(psi: float, *, constant_buffers: bool, cb_numel: int = 1 << 22) -> float:
@@ -215,43 +162,29 @@ def temporary_buffer_bytes(psi: float, *, constant_buffers: bool, cb_numel: int 
 def total_device_bytes(
     psi: float,
     activation: ActivationModel,
+    zero: ZeROConfig,
     *,
     nd: int = 1,
-    stage: int = 0,
     mp_degree: int = 1,
-    checkpointing: bool = True,
-    partition_activations: bool = False,
-    cpu_offload: bool = False,
-    constant_buffers: bool = True,
-    offload_optimizer: bool = False,
-    offload_gradients: bool = False,
-    page_params: bool = False,
-    tile_bytes: int | None = None,
     k: int = ADAM_K,
 ) -> float:
-    """End-to-end per-GPU memory: model states (split by MP) + activations
-    + temporary buffers. MP splits Psi across ranks; ZeRO-DP then splits
-    the per-rank states across the DP group (the Nd x Nm compounding of
-    Section 1)."""
+    """End-to-end per-GPU memory under ``zero``'s placement: model states
+    (split by MP) + activations + temporary buffers. MP splits Psi across
+    ranks; ZeRO-DP then splits the per-rank states across the DP group (the
+    Nd x Nm compounding of Section 1)."""
+    placement = zero.placement
     psi_local = psi / mp_degree
-    states = model_state_bytes(
-        psi_local, nd, stage, k,
-        offload_optimizer=offload_optimizer, offload_gradients=offload_gradients,
-        page_params=page_params, tile_bytes=tile_bytes,
-    )
-    acts = activation.iteration_bytes(
-        checkpointing=checkpointing,
-        partition_activations=partition_activations,
-        cpu_offload=cpu_offload,
-    )
-    if offload_optimizer and not constant_buffers:
+    tile_bytes = None if zero.infinity is None else zero.infinity.tile_bytes
+    states = state_bytes_by_tier(psi_local, nd, placement, k, tile_bytes)["device"]
+    acts = activation.iteration_bytes(placement, checkpointing=zero.checkpoint_activations)
+    if placement["optimizer"].tier != "device" and not zero.constant_buffers:
         # The fp32 update runs host-side, so the transient full-model
         # fused buffer is never allocated on the device. (With CB the
         # persistent constant buffer is still charged — engines allocate
         # it unconditionally.)
         buffers = 0.0
     else:
-        buffers = temporary_buffer_bytes(psi_local, constant_buffers=constant_buffers)
+        buffers = temporary_buffer_bytes(psi_local, constant_buffers=zero.constant_buffers)
     return states + acts + buffers
 
 

@@ -28,17 +28,20 @@ it and it keeps the model auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.analysis.comm_model import MPCommModel, dp_volume_elements
 from repro.hardware.specs import DGX2, PCIE_3_X16, NodeSpec
 from repro.nn.transformer import GPTConfig
 from repro.utils.units import TFLOP
+from repro.zero.config import ZeROConfig
 
 # GEMM-efficiency calibration (see module docstring).
 EFF_MAX = 0.55
 H_HALF = 3500.0
 
 SEQ_LEN = 1024  # the paper's sequence length throughout (Section 3.2)
+FP16_BYTES = 2.0  # communicated elements are fp16
 
 
 def gemm_efficiency(hidden: int) -> float:
@@ -126,18 +129,16 @@ class PerfModel:
         cluster = 8 InfiniBand EDR links x 12.5 GB/s = 100 GB/s."""
         return self.node.inter_node.bandwidth_bytes_per_s * 8
 
-    def dp_comm_time(
-        self, psi_local: float, volume_factor: float, mp_degree: int, n_gpus: int
-    ) -> float:
+    def dp_comm_time(self, volume_elements: float, mp_degree: int, n_gpus: int) -> float:
         """Time for the per-step DP traffic (hierarchical NCCL-style rings).
 
         Cross-node rings enter and leave each node once, so the bytes
         crossing a node's uplink per step are (rings hosted on the node) x
         (per-ring volume). With MP slices placed consecutively, a node
         hosts min(mp, gpus_per_node) distinct DP rings, each carrying
-        volume_factor x psi_local fp16 elements; DP-only jobs run one
+        ``volume_elements`` fp16 elements; DP-only jobs run one
         hierarchical ring (intra-node reduction first)."""
-        bytes_per_ring = volume_factor * psi_local * 2.0  # fp16
+        bytes_per_ring = volume_elements * FP16_BYTES
         if n_gpus <= self.node.gpus_per_node:
             return bytes_per_ring / self.node.intra_node.bandwidth_bytes_per_s
         rings_per_node = min(mp_degree, self.node.gpus_per_node)
@@ -146,16 +147,15 @@ class PerfModel:
     def estimate(
         self,
         config: GPTConfig,
+        zero: ZeROConfig,
         *,
         batch: int,
         mp_degree: int,
         n_gpus: int,
-        zero_stage: int = 2,
-        checkpointing: bool = True,
-        partition_activations: bool = False,
-        cpu_offload_activations: bool = False,
     ) -> ThroughputBreakdown:
-        """Per-GPU throughput for one (model, parallelism, batch) point.
+        """Per-GPU throughput for one (model, ZeRO config, parallelism, batch)
+        point. Every communication term is ``comm_model``'s volume for
+        ``zero.placement`` over this node's links.
 
         ``batch`` is the per-replica (per MP group) microbatch, matching
         the appendix tables' "Batch size" column.
@@ -165,6 +165,9 @@ class PerfModel:
         dp_degree = n_gpus // mp_degree
         psi = float(config.total_params)
         psi_local = psi / mp_degree
+        placement = zero.placement
+        checkpointing = zero.checkpoint_activations
+        mp = MPCommModel(batch=batch, seq_len=self.seq_len, hidden=config.hidden)
 
         # 1. Compute.
         flops_replica = transformer_flops_per_replica(
@@ -173,28 +176,26 @@ class PerfModel:
         flops_gpu = flops_replica / mp_degree
         compute_s = flops_gpu / (self.node.gpu.peak_flops * gemm_efficiency(config.hidden))
 
-        # 2. MP communication (Section 8's Megatron pattern).
+        # 2. MP communication (Section 8's Megatron pattern, plus Pa's gather).
         mp_comm_s = 0.0
         if mp_degree > 1:
-            msg_bytes = 2.0 * batch * self.seq_len * config.hidden  # fp16
-            passes = 3 if checkpointing else 2
-            per_block = passes * 2 * 2 * msg_bytes  # 2 all-reduces x 2x volume
-            if partition_activations:
-                per_block += msg_bytes  # one all-gather per checkpoint
-            mp_comm_s = config.n_layers * per_block / self.mp_link_bandwidth(mp_degree)
+            per_block = mp.baseline_elements_per_block(
+                checkpointing=checkpointing
+            ) + mp.gather_elements_per_block(placement)
+            mp_comm_s = (
+                config.n_layers * (FP16_BYTES * per_block) / self.mp_link_bandwidth(mp_degree)
+            )
 
-        # 3. DP communication: 2 Psi_local (stages 0-2) or 3 Psi_local
-        #    (stage 3) fp16 elements per step (Section 7).
+        # 3. DP communication: the placement's per-step volume (Section 7).
         dp_comm_s = 0.0
         if dp_degree > 1:
-            volume_factor = 3.0 if zero_stage == 3 else 2.0
-            dp_comm_s = self.dp_comm_time(psi_local, volume_factor, mp_degree, n_gpus)
+            dp_comm_s = self.dp_comm_time(
+                dp_volume_elements(psi_local, placement), mp_degree, n_gpus
+            )
 
         # 4. Pa+cpu PCIe traffic: each checkpoint shard goes down and back.
-        pa_cpu_s = 0.0
-        if cpu_offload_activations:
-            shard_bytes = 2.0 * batch * self.seq_len * config.hidden / max(1, mp_degree)
-            pa_cpu_s = config.n_layers * 2.0 * shard_bytes / self.pcie_bandwidth
+        shard_elements = mp.pcie_elements_per_block(placement, mp_degree)
+        pa_cpu_s = config.n_layers * (FP16_BYTES * shard_elements) / self.pcie_bandwidth
 
         return ThroughputBreakdown(
             compute_s=compute_s,

@@ -70,7 +70,7 @@ class CommCostModel:
         ring = (n - 1) / n
         if event.op == "all_reduce":
             return 2 * (n - 1) * alpha + 2 * ring * bytes_ * beta
-        if event.op in ("reduce_scatter", "all_gather", "reduce", "all_to_all"):
+        if event.op in ("reduce_scatter", "all_gather", "reduce"):
             return (n - 1) * alpha + ring * bytes_ * beta
         if event.op == "broadcast":
             # Pipelined ring broadcast: ~1x message over the bottleneck link.

@@ -342,16 +342,6 @@ class ProcessGroup:
             return corrupted  # already a private corrupted copy
         return payload if rank == src else payload.copy()
 
-    def all_to_all(self, rank: int, arrays: Sequence[np.ndarray], phase: str = "") -> list[np.ndarray]:
-        """Rank i's j-th array goes to rank j's i-th output slot."""
-        if len(arrays) != self.size:
-            raise ValueError(f"all_to_all needs {self.size} arrays, got {len(arrays)}")
-        slots = self._exchange(rank, list(arrays), ("all_to_all",), "all_to_all")
-        idx = self.group_index(rank)
-        out = [np.asarray(s[idx]).copy() for s in slots]
-        self._record(rank, "all_to_all", sum(a.nbytes for a in out), phase)
-        return out
-
     # -- point-to-point ------------------------------------------------------
 
     def send(self, rank: int, dst: int, array: np.ndarray, tag: int = 0, phase: str = "") -> None:

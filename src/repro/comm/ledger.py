@@ -25,7 +25,6 @@ NOMINAL_FACTOR = {
     "all_gather": 1.0,
     "broadcast": 1.0,       # each rank receives the full message once
     "reduce": 1.0,
-    "all_to_all": 1.0,
     "send": 1.0,
     "recv": 1.0,
     "h2d": 1.0,             # host->device copy (Pa+cpu accounting)
@@ -46,7 +45,6 @@ def exact_ring_factor(op: str, group_size: int) -> float:
         "all_gather": ring,
         "broadcast": ring,
         "reduce": ring,
-        "all_to_all": ring,
         "send": 1.0,
         "recv": 1.0,
         "h2d": 1.0,

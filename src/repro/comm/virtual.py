@@ -77,6 +77,5 @@ class VirtualGroup:
     reduce_scatter = _no_data
     all_gather = _no_data
     broadcast = _no_data
-    all_to_all = _no_data
     send = _no_data
     recv = _no_data

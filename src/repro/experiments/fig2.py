@@ -30,6 +30,7 @@ from repro.hardware.specs import GPUSpec
 from repro.hardware.topology import ClusterTopology
 from repro.utils.tables import format_table
 from repro.utils.units import GB
+from repro.zero.config import ZeROConfig
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,23 @@ class Fig2Row:
     zero_aggregate_pflops: float
 
 
+def zero_config(point: ExperimentPoint) -> ZeROConfig:
+    """The point's one configuration, read by the analytic and the measured
+    column alike: ZeRO-100B is Pos+g, with Pa wherever there is an MP group
+    to partition over; the baseline is plain DDP under Megatron MP. (MD off:
+    this experiment measures time, not fragmentation.)"""
+    if point.system == "zero":
+        return ZeROConfig(stage=2, partition_activations=point.mp > 1, memory_defrag=False)
+    return ZeROConfig(stage=0, memory_defrag=False)
+
+
 def run() -> list[Fig2Row]:
     pm = PerfModel()
     per_label: dict[str, dict[str, tuple[ExperimentPoint, float]]] = {}
     for point in TABLE5_FIGURE2:
         est = pm.estimate(
-            point.model, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus,
-            zero_stage=2 if point.system == "zero" else 0,
-            partition_activations=(point.system == "zero" and point.mp > 1),
+            point.model, zero_config(point),
+            batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus,
         )
         per_label.setdefault(point.label, {})[point.system] = (point, est.tflops_per_gpu)
     rows = []
@@ -69,7 +79,6 @@ def _measured_tflops(point: ExperimentPoint) -> float:
     """Record one meta-mode step of this configuration; price the ledger."""
     from repro.runtime import virtual_rank_context
     from repro.tensor.tensor import Tensor
-    from repro.zero.config import ZeROConfig
     from repro.zero.factory import build_model_and_engine
 
     # A roomy virtual device: the baseline's big-MP configs only fit the
@@ -81,13 +90,8 @@ def _measured_tflops(point: ExperimentPoint) -> float:
     mp_group.attach_ledger(0, ctx.ledger)
     dp_group = VirtualGroup(tuple(range(0, point.n_gpus, point.mp)), member_rank=0)
     dp_group.attach_ledger(0, ctx.ledger)
-    if point.system == "zero":
-        zero = ZeROConfig(stage=2, partition_activations=(point.mp > 1),
-                          memory_defrag=False)
-    else:
-        zero = ZeROConfig(stage=0, memory_defrag=False)
     model, engine = build_model_and_engine(
-        ctx, point.model, zero,
+        ctx, point.model, zero_config(point),
         dp_group=dp_group, mp_group=mp_group if point.mp > 1 else None,
         meta=True,
     )

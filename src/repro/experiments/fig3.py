@@ -14,7 +14,7 @@ from repro.analysis.max_model import max_batch
 from repro.analysis.perf_model import PerfModel
 from repro.configs import TABLE6_FIGURE3
 from repro.utils.tables import format_table
-from repro.zero.config import ZeROConfig
+from repro.zero.config import C4  # Pos+g + Pa: the ZeRO-100B configuration
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,11 @@ def run() -> list[Fig3Row]:
     base_per_gpu = None
     for point in TABLE6_FIGURE3:
         est = pm.estimate(
-            point.model, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus,
-            zero_stage=2, partition_activations=True,
+            point.model, C4, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus
         )
         if base_per_gpu is None:
             base_per_gpu = est.tflops_per_gpu
-        solver_b = max_batch(
-            point.model,
-            ZeROConfig(stage=2, partition_activations=True),
-            nd=point.dp, mp=point.mp,
-        )
+        solver_b = max_batch(point.model, C4, nd=point.dp, mp=point.mp)
         rows.append(
             Fig3Row(
                 n_gpus=point.n_gpus, batch=point.batch,

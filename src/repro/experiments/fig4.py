@@ -34,11 +34,10 @@ def run() -> list[Fig4Row]:
     rows = []
     for point in TABLE10_FIGURE4_DP_ONLY:
         stage = 2 if point.system == "zero" else 0
-        est = pm.estimate(
-            point.model, batch=point.batch, mp_degree=1, n_gpus=point.n_gpus,
-            zero_stage=stage,
-        )
         zero = ZeROConfig(stage=stage, checkpoint_activations=True)
+        est = pm.estimate(
+            point.model, zero, batch=point.batch, mp_degree=1, n_gpus=point.n_gpus
+        )
         mem = device_bytes_for(point.model, zero, batch=point.batch, nd=point.dp, mp=1)
         rows.append(
             Fig4Row(

@@ -44,12 +44,7 @@ def run() -> list[Fig8Row]:
             if b == 0:
                 rows.append(Fig8Row(model_label, name, 0, 0.0, False))
                 continue
-            est = pm.estimate(
-                cfg, batch=b, mp_degree=MP, n_gpus=n_gpus,
-                zero_stage=zero.stage,
-                partition_activations=zero.partition_activations,
-                cpu_offload_activations=zero.cpu_offload_activations,
-            )
+            est = pm.estimate(cfg, zero, batch=b, mp_degree=MP, n_gpus=n_gpus)
             rows.append(Fig8Row(model_label, name, b, est.tflops_per_gpu, True))
     return rows
 

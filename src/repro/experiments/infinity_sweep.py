@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.max_model import SEQ_LEN, VOCAB, device_bytes_for
-from repro.analysis.memory_model import tier_state_bytes
+from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
 from repro.infinity.cost_model import InfinityCostModel
@@ -99,7 +99,9 @@ def _fit_point(
     dev = device_bytes_for(cfg, zero, batch=BATCH, nd=1)
     psi = float(cfg.total_params)
     if zero.infinity is not None:
-        tiers = tier_state_bytes(psi, nd=1, stage=zero.stage, infinity=zero.infinity)
+        tiers = state_bytes_by_tier(
+            psi, 1, zero.placement, tile_bytes=zero.infinity.tile_bytes
+        )
     else:
         tiers = {"device": dev, "host": 0.0, "nvme": 0.0}
     binding = "search"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.analysis.max_model import max_layers
-from repro.analysis.memory_model import host_state_bytes
+from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
 from repro.nn.transformer import GPTConfig
 from repro.offload.cost_model import OffloadCostModel, relative_error
@@ -85,9 +85,7 @@ def run_fit(budgets_gb=BUDGETS_GB) -> list[OffloadFitRow]:
                       budget_bytes=budget * GB)
         base = max_layers(device_cfg, **common)
         off = max_layers(offload_cfg, **common)
-        host = host_state_bytes(
-            off.psi, nd=1, stage=2, offload_optimizer=True, offload_gradients=True
-        )
+        host = state_bytes_by_tier(off.psi, 1, offload_cfg.placement)["host"]
         rows.append(
             OffloadFitRow(
                 budget_gb=float(budget),

@@ -2,7 +2,8 @@
 
 Runs a real 4-rank cluster (and a meta-mode replica) for each stage and
 reads the per-rank ledger. Expected nominal volumes, in units of Psi
-(model-size elements): baseline 2, Pos 2, Pos+g 2, Pos+g+p 3.
+(model-size elements), are ``comm_model.dp_volume_elements`` of the stage's
+placement: baseline 2, Pos 2, Pos+g 2, Pos+g+p 3.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import Cluster, GPTConfig
+from repro.analysis.comm_model import dp_volume_elements
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.parallel.engine import EngineConfig
@@ -20,7 +22,6 @@ from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
 
 CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=64, max_seq_len=16)
-EXPECTED = {0: 2.0, 1: 2.0, 2: 2.0, 3: 3.0}
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def measure_stage(stage: int, world_size: int = 4) -> Sec7Row:
     return Sec7Row(
         stage=stage,
         measured_psi=float(np.mean(volumes)),
-        expected_psi=EXPECTED[stage],
+        expected_psi=dp_volume_elements(1.0, stage),
         by_phase=results[0][1],
     )
 

@@ -23,6 +23,7 @@ from repro.parallel.megatron import ParallelGPT2Model
 from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
 from repro.zero.activation import PartitionedCPUStore, PartitionedStore
+from repro.zero.config import C2  # Pa on: the row the analytic Pa column prices
 
 CFG = GPTConfig(n_layers=3, hidden=64, n_heads=4, vocab_size=64, max_seq_len=16)
 BATCH, SEQ = 2, 16
@@ -90,7 +91,7 @@ def measure(store_kind: str) -> Sec8Result:
         pa_overhead_fraction=act_elems / mp_elems if mp_elems else 0.0,
         cpu_transfer_elems=cpu_elems,
         analytic_mp_elems=analytic.baseline_elements_per_block() * CFG.n_layers,
-        analytic_pa_elems=analytic.pa_overhead_elements_per_block() * CFG.n_layers,
+        analytic_pa_elems=analytic.gather_elements_per_block(C2.placement) * CFG.n_layers,
     )
 
 

@@ -86,24 +86,6 @@ class InfinityConfig:
         if self.cpu_adam_elements_per_s <= 0:
             raise ValueError("cpu_adam_elements_per_s must be positive")
 
-    # -- OffloadConfig-compatible view ---------------------------------------
-    # The tier assignment as ZeRO-Offload's boolean flags, for readers that
-    # only ask "did it leave the device" (the cost models). Placement
-    # itself reads the ``*_tier`` fields (``repro.zero.placement``).
-
-    @property
-    def offload_optimizer(self) -> bool:
-        return self.optimizer_tier != "device"
-
-    @property
-    def offload_gradients(self) -> bool:
-        return self.grad_tier != "device"
-
-    @property
-    def page_params(self) -> bool:
-        """Stage-3 parameter shards live off-device (paged per gather)."""
-        return self.param_tier != "device"
-
     @property
     def label(self) -> str:
         parts = [

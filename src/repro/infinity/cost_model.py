@@ -90,7 +90,7 @@ class InfinityCostModel(OffloadCostModel):
         """One forward/backward pass with depth-1 prefetched paged gathers:
         the first chain is exposed, each later gather costs
         ``max(compute slice, its chain)``, plus the final unit's slice."""
-        if not self.infinity.page_params or not gathers:
+        if self.infinity.param_tier == "device" or not gathers:
             return window_s
         slice_s = window_s / len(gathers)
         chains = [self._gather_chain(b, t) for b, t in gathers]
@@ -136,7 +136,7 @@ class InfinityCostModel(OffloadCostModel):
         bwd_p = self._pass_seconds(bwd, gathers_backward or [])
         compute = fwd_p + bwd_p
         # -- gradients out ---------------------------------------------------
-        if cfg.offload_gradients:
+        if cfg.grad_tier != "device":
             k = grad_chunks
             c_p = self.transfer_seconds(part_bytes / k)
             c_n = self.nvme_seconds(part_bytes / k) if cfg.grad_tier == "nvme" else 0.0
@@ -146,7 +146,7 @@ class InfinityCostModel(OffloadCostModel):
                 bwd_p / k + c_p + k * c_n,
             )
             grads_ready = fwd_p + last
-        elif cfg.offload_optimizer:
+        elif cfg.optimizer_tier != "device":
             grads_ready = compute + self.transfer_seconds(part_bytes)
         else:
             grads_ready = compute

@@ -11,6 +11,13 @@ Pa+cpu additionally parks the shard in host memory, cutting the on-device
 activation footprint to ~zero at the cost of a d2h + h2d transfer per
 checkpoint (Section 8's 2x CPU data movement).
 
+This is the ``activation`` row of ``repro.zero.placement``: partitioned
+over the MP group, on the tier the row names. Like every other state class
+the shard is a ``Tensor`` on that tier's pool (``ctx.device`` or
+``ctx.host``); an off-device shard is sliced on the device, copied down
+(``d2h`` "activation-offload") and copied back up (``h2d``
+"activation-fetch") to be gathered.
+
 These classes implement the ``ActivationStore`` protocol consumed by
 ``GPT2Model(checkpoint_activations=True, activation_store=...)``.
 """
@@ -30,30 +37,37 @@ from repro.tensor.tensor import Tensor, dtype_size
 
 @dataclass
 class _PaHandle:
-    shard: Tensor | None  # device shard (Pa) or None (Pa+cpu)
+    shard: Tensor  # this rank's 1/Nm slice, on the store's pool
     shape: tuple[int, ...]
     dtype: np.dtype
     padded: int
-    host_handle: int | None = None
-    host_data: np.ndarray | None = None
 
 
 class PartitionedStore:
     """Pa: keep 1/Nm of each checkpoint on-device, all-gather on retrieval."""
 
     returns_fresh_tensor = True
+    #: the activation row's tier: where a shard waits between the passes
+    tier = "device"
 
     def __init__(self, mp_group: ProcessGroup, ctx: RankContext):
         self.group = mp_group
         self.ctx = ctx
         self.rank = ctx.rank
         self.device: Device = ctx.device
+        self.pool: Device | HostMemory = ctx.device if self.tier == "device" else ctx.host
         mp_group.attach_ledger(ctx.rank, ctx.ledger)
 
     def _shard_bounds(self, padded: int) -> tuple[int, int]:
         shard = padded // self.group.size
         idx = self.group.group_index(self.rank)
         return idx * shard, (idx + 1) * shard
+
+    def _copy(self, shard: Tensor, pool, op: str, phase: str, tag: str) -> Tensor:
+        """``shard`` copied over PCIe onto ``pool``, ledgered as ``op``."""
+        self.ctx.ledger.record(op, shard.nbytes, (self.rank,), phase)
+        with memprof_category("activation_ckpt", site=tag):
+            return Tensor(shard.shape, shard.dtype, data=shard.data, device=pool, tag=tag)
 
     def stash(self, x: Tensor):
         n = self.group.size
@@ -73,70 +87,41 @@ class PartitionedStore:
                 )
         handle = _PaHandle(shard=shard, shape=x.shape, dtype=x.dtype, padded=padded)
         x.free()  # the replicated copy dies here — that's the memory saving
+        if self.pool is not self.device:
+            handle.shard = self._copy(
+                shard, self.pool, "d2h", "activation-offload", "pa-cpu-shard"
+            )
+            shard.free()
         return handle
 
     def retrieve(self, handle: _PaHandle) -> Tensor:
         shard = handle.shard
-        if shard.is_meta:
-            self.group.meta_collective(
-                self.rank, "all_gather",
-                handle.padded * dtype_size(handle.dtype), "activation-gather",
-            )
+        if self.pool is not self.device:  # staged on the device for the gather
+            shard = self._copy(shard, self.device, "h2d", "activation-fetch", "pa-shard")
+        try:
+            if shard.is_meta:
+                self.group.meta_collective(
+                    self.rank, "all_gather",
+                    handle.padded * dtype_size(handle.dtype), "activation-gather",
+                )
+                data = None
+            else:
+                full = self.group.all_gather(self.rank, shard.data, phase="activation-gather")
+                data = full[: int(np.prod(handle.shape))].reshape(handle.shape)
             with memprof_category("activation_ckpt", site="pa-full"):
                 return Tensor(
-                    handle.shape, handle.dtype, data=None, device=self.device, tag="pa-full"
+                    handle.shape, handle.dtype, data=data, device=self.device, tag="pa-full"
                 )
-        full = self.group.all_gather(self.rank, shard.data, phase="activation-gather")
-        data = full[: int(np.prod(handle.shape))].reshape(handle.shape)
-        with memprof_category("activation_ckpt", site="pa-full"):
-            return Tensor(
-                handle.shape, handle.dtype, data=data, device=self.device, tag="pa-full"
-            )
+        finally:
+            if shard is not handle.shard:
+                shard.free()
 
     def discard(self, handle: _PaHandle) -> None:
-        if handle.shard is not None:
-            handle.shard.free_if_alive()
+        handle.shard.free_if_alive()
 
 
 class PartitionedCPUStore(PartitionedStore):
-    """Pa+cpu: the 1/Nm shard is offloaded to host memory between passes."""
+    """Pa+cpu: the same store with the 1/Nm shard on the host pool between
+    passes."""
 
-    def __init__(self, mp_group: ProcessGroup, ctx: RankContext, host: HostMemory | None = None):
-        super().__init__(mp_group, ctx)
-        self.host = host or ctx.host
-
-    def stash(self, x: Tensor):
-        handle: _PaHandle = super().stash(x)
-        shard = handle.shard
-        nbytes = shard.nbytes
-        # Device -> host: account the PCIe transfer and move the bytes.
-        self.ctx.ledger.record("d2h", nbytes, (self.rank,), "activation-offload")
-        with memprof_category("activation_ckpt", site="pa-cpu-shard"):
-            handle.host_handle = self.host.alloc(nbytes, "pa-cpu-shard")
-        handle.host_data = None if shard.is_meta else shard.data.copy()
-        shard.free()
-        handle.shard = None
-        return handle
-
-    def retrieve(self, handle: _PaHandle) -> Tensor:
-        lo, hi = self._shard_bounds(handle.padded)
-        nbytes = (hi - lo) * dtype_size(handle.dtype)
-        self.ctx.ledger.record("h2d", nbytes, (self.rank,), "activation-fetch")
-        with memprof_category("activation_ckpt", site="pa-shard"):
-            shard = Tensor(
-                (hi - lo,), handle.dtype, data=handle.host_data,
-                device=self.device, tag="pa-shard",
-            )
-        handle.shard = shard
-        try:
-            return super().retrieve(handle)
-        finally:
-            shard.free_if_alive()
-            handle.shard = None
-
-    def discard(self, handle: _PaHandle) -> None:
-        if handle.host_handle is not None:
-            self.host.free(handle.host_handle)
-            handle.host_handle = None
-            handle.host_data = None
-        super().discard(handle)
+    tier = "host"

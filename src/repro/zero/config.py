@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.zero.placement import state_placement
+from repro.zero.placement import Placed, state_placement
 
 if TYPE_CHECKING:
     from repro.infinity.config import InfinityConfig
@@ -55,13 +55,21 @@ class ZeROConfig:
             raise ValueError(
                 f"audit_cadence must be >= 0, got {self.audit_cadence}"
             )
-        if self.cpu_offload_activations and not self.partition_activations:
-            raise ValueError("Pa+cpu requires partition_activations (Pa)")
         # The one placement rule: a state class may leave the device only
-        # if this stage partitions it. (Resolving the tier config runs its
-        # checks too: infinity excludes the offload_* flags, and host
-        # gradients and DPU need the host optimizer.)
-        state_placement(self.stage, self.tiers)
+        # if it is partitioned — by this stage, or by Pa for Pa+cpu.
+        # (Resolving the tier config runs its checks too: infinity excludes
+        # the offload_* flags, and host gradients and DPU need the host
+        # optimizer.)
+        self.placement
+
+    @property
+    def placement(self) -> dict[str, Placed]:
+        """The four rows of ``repro.zero.placement`` this config resolves
+        to — what the factory, the stores and ``repro.analysis`` read."""
+        activation_tier = "host" if self.cpu_offload_activations else "device"
+        return state_placement(
+            self.stage, self.tiers, Placed(self.partition_activations, activation_tier)
+        )
 
     @property
     def tiers(self) -> "OffloadConfig | InfinityConfig | None":
@@ -118,7 +126,3 @@ C4 = ZeROConfig(stage=2, partition_activations=True)
 C5 = ZeROConfig(stage=2, partition_activations=True, cpu_offload_activations=True)
 
 PAPER_CONFIGS = {"C1": C1, "C2": C2, "C3": C3, "C4": C4, "C5": C5}
-
-
-def with_stage(config: ZeROConfig, stage: int) -> ZeROConfig:
-    return replace(config, stage=stage)

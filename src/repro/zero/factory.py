@@ -29,6 +29,8 @@ ENGINE_BY_STAGE = {
     2: ZeroStage2Engine,
     3: ZeroStage3Engine,
 }
+#: the partitioned-activation store for each tier of the ``activation`` row
+PA_STORE_BY_TIER = {"device": PartitionedStore, "host": PartitionedCPUStore}
 
 
 def build_engine(
@@ -97,7 +99,8 @@ def build_model_and_engine(
     like the 1T-parameter one — whose steady state fits comfortably.
     Parameters are accounted normally from the first materialization on.
     """
-    if zero.partition_activations and mp_group is None:
+    activation = zero.placement["activation"]
+    if activation.partitioned and mp_group is None:
         raise ValueError("Pa requires an MP group (it partitions across MP ranks)")
     if defer_param_allocation and zero.stage != 3:
         raise ValueError(
@@ -105,12 +108,8 @@ def build_model_and_engine(
             "persistent full parameters that must be accounted)"
         )
     store = KeepStore()
-    if zero.partition_activations:
-        store = (
-            PartitionedCPUStore(mp_group, ctx)
-            if zero.cpu_offload_activations
-            else PartitionedStore(mp_group, ctx)
-        )
+    if activation.partitioned:
+        store = PA_STORE_BY_TIER[activation.tier](mp_group, ctx)
     rng = np.random.default_rng(seed)
     common = dict(
         dtype=dtype,

@@ -121,18 +121,6 @@ def test_broadcast_receivers_get_private_copies():
     np.testing.assert_array_equal(results[2], np.zeros(4))
 
 
-def test_all_to_all_transposes():
-    def fn(ctx):
-        outgoing = [np.array([ctx.rank * 10 + j], np.float32) for j in range(3)]
-        return ctx.world.all_to_all(ctx.rank, outgoing)
-
-    results = run_world(3, fn)
-    for j, received in enumerate(results):
-        np.testing.assert_array_equal(
-            np.concatenate(received), [i * 10 + j for i in range(3)]
-        )
-
-
 def test_allreduce_equals_reducescatter_then_allgather():
     """The identity Section 7.1 builds on: all-reduce = RS o AG."""
     data = per_rank_data(4, 16, seed=9)

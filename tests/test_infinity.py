@@ -465,11 +465,11 @@ def test_infinity_cost_model_tracks_simulated_timeline():
 
 
 def test_tier_state_bytes_accounts_every_tier():
-    from repro.analysis.memory_model import model_state_bytes, tier_state_bytes
+    from repro.analysis.memory_model import model_state_bytes, state_bytes_by_tier
 
     psi, nd = 1_000_000.0, 4
     inf = InfinityConfig(optimizer_tier="nvme", grad_tier="host", param_tier="nvme")
-    tiers = tier_state_bytes(psi, nd=nd, stage=3, infinity=inf)
+    tiers = state_bytes_by_tier(psi, nd, ZeROConfig(stage=3, infinity=inf).placement)
     assert tiers["nvme"] == pytest.approx(12 * psi / nd + 2 * psi / nd)
     assert tiers["host"] == pytest.approx(2 * psi / nd)
     # every model-state byte lands on exactly one tier

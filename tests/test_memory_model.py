@@ -12,6 +12,7 @@ from repro.analysis.memory_model import (
     total_device_bytes,
 )
 from repro.utils.units import BILLION, GB
+from repro.zero.config import C1, C2, C5, ZeROConfig
 
 
 class TestModelStateFormulas:
@@ -104,12 +105,12 @@ class TestActivationModel:
         checkpointing every other layer; the Pa ratio (= MP degree 16x)
         holds either way and is the claim under test."""
         act = ActivationModel(hidden=8192, n_layers=125, seq_len=1024, batch=32, mp_degree=16)
-        no_pa = act.checkpoint_bytes(partition_activations=False)
-        with_pa = act.checkpoint_bytes(partition_activations=True)
+        no_pa = act.checkpoint_bytes(C1.placement)
+        with_pa = act.checkpoint_bytes(C2.placement)
         assert no_pa / GB == pytest.approx(67.1, rel=0.02)
         assert no_pa / 2 / GB == pytest.approx(33.0, rel=0.05)  # paper's number
         assert no_pa / with_pa == pytest.approx(16.0)  # Pa saves the MP factor
-        assert act.checkpoint_bytes(partition_activations=True, cpu_offload=True) == 0.0
+        assert act.checkpoint_bytes(C5.placement) == 0.0
 
     def test_checkpointing_beats_full_activations(self):
         act = ActivationModel(hidden=4096, n_layers=50, seq_len=1024, batch=8)
@@ -118,8 +119,8 @@ class TestActivationModel:
     def test_pa_divides_by_mp(self):
         a1 = ActivationModel(hidden=1024, n_layers=10, seq_len=128, batch=4, mp_degree=1)
         a16 = ActivationModel(hidden=1024, n_layers=10, seq_len=128, batch=4, mp_degree=16)
-        assert a1.checkpoint_bytes(partition_activations=True) == pytest.approx(
-            16 * a16.checkpoint_bytes(partition_activations=True)
+        assert a1.checkpoint_bytes(C2.placement) == pytest.approx(
+            16 * a16.checkpoint_bytes(C2.placement)
         )
 
 
@@ -136,7 +137,8 @@ class TestBuffersAndTotal:
     def test_total_compounds_mp_and_dp(self):
         """Section 1: max theoretical reduction Nd x Nm on model states."""
         act = ActivationModel(hidden=1024, n_layers=4, seq_len=64, batch=1, mp_degree=4)
-        dense = total_device_bytes(1e9, act, nd=1, stage=0, mp_degree=1)
-        sharded = total_device_bytes(1e9, act, nd=8, stage=3, mp_degree=4,
-                                     partition_activations=True)
+        dense = total_device_bytes(1e9, act, ZeROConfig(stage=0), nd=1, mp_degree=1)
+        sharded = total_device_bytes(
+            1e9, act, ZeROConfig(stage=3, partition_activations=True), nd=8, mp_degree=4
+        )
         assert dense / sharded > 8  # dominated by the 32x model-state cut

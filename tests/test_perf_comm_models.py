@@ -9,7 +9,9 @@ from repro.analysis.perf_model import (
     transformer_flops_per_replica,
 )
 from repro.configs import TABLE5_FIGURE2, TABLE6_FIGURE3
+from repro.experiments.fig2 import zero_config
 from repro.nn.transformer import GPTConfig
+from repro.zero.config import C3, C4, C5, ZeROConfig
 
 
 class TestCommModel:
@@ -33,9 +35,10 @@ class TestCommModel:
 
     def test_pa_cpu_is_twice_the_shard(self):
         m = MPCommModel(batch=2, seq_len=128, hidden=256)
-        assert m.pa_cpu_transfer_elements_per_block(16) == pytest.approx(
+        assert m.pcie_elements_per_block(C5.placement, 16) == pytest.approx(
             2 * 2 * 128 * 256 / 16
         )
+        assert m.pcie_elements_per_block(C4.placement, 16) == 0
 
 
 class TestGemmEfficiency:
@@ -69,9 +72,7 @@ class TestPerfModelAnchors:
         self.points = {}
         for p in TABLE5_FIGURE2:
             est = self.pm.estimate(
-                p.model, batch=p.batch, mp_degree=p.mp, n_gpus=p.n_gpus,
-                zero_stage=2 if p.system == "zero" else 0,
-                partition_activations=(p.system == "zero" and p.mp > 1),
+                p.model, zero_config(p), batch=p.batch, mp_degree=p.mp, n_gpus=p.n_gpus
             )
             self.points[(p.label, p.system)] = (p, est)
 
@@ -104,8 +105,7 @@ class TestPerfModelAnchors:
         per_gpu = []
         for p in TABLE6_FIGURE3:
             est = self.pm.estimate(
-                p.model, batch=p.batch, mp_degree=p.mp, n_gpus=p.n_gpus,
-                zero_stage=2, partition_activations=True,
+                p.model, C4, batch=p.batch, mp_degree=p.mp, n_gpus=p.n_gpus
             )
             per_gpu.append((p.n_gpus, est.tflops_per_gpu))
         # Per-GPU throughput grows with GPU count (=> aggregate superlinear).
@@ -115,26 +115,23 @@ class TestPerfModelAnchors:
 
     def test_mp_within_node_cheap_across_node_expensive(self):
         cfg = GPTConfig(n_layers=40, hidden=8192, n_heads=64)
-        inside = self.pm.estimate(cfg, batch=8, mp_degree=16, n_gpus=64, zero_stage=2)
-        across = self.pm.estimate(cfg, batch=8, mp_degree=32, n_gpus=64, zero_stage=2)
+        inside = self.pm.estimate(cfg, C3, batch=8, mp_degree=16, n_gpus=64)
+        across = self.pm.estimate(cfg, C3, batch=8, mp_degree=32, n_gpus=64)
         assert across.mp_comm_s > 5 * inside.mp_comm_s
 
     def test_stage3_dp_traffic_is_1_5x_stage2(self):
         cfg = GPTConfig(n_layers=24, hidden=4096, n_heads=32)
-        s2 = self.pm.estimate(cfg, batch=8, mp_degree=1, n_gpus=64, zero_stage=2)
-        s3 = self.pm.estimate(cfg, batch=8, mp_degree=1, n_gpus=64, zero_stage=3)
+        s2 = self.pm.estimate(cfg, C3, batch=8, mp_degree=1, n_gpus=64)
+        s3 = self.pm.estimate(cfg, ZeROConfig(stage=3), batch=8, mp_degree=1, n_gpus=64)
         assert s3.dp_comm_s / s2.dp_comm_s == pytest.approx(1.5)
 
     def test_pa_cpu_costs_time(self):
         cfg = GPTConfig(n_layers=75, hidden=8192, n_heads=64)
-        plain = self.pm.estimate(cfg, batch=16, mp_degree=16, n_gpus=128,
-                                 zero_stage=2, partition_activations=True)
-        offload = self.pm.estimate(cfg, batch=16, mp_degree=16, n_gpus=128,
-                                   zero_stage=2, partition_activations=True,
-                                   cpu_offload_activations=True)
+        plain = self.pm.estimate(cfg, C4, batch=16, mp_degree=16, n_gpus=128)
+        offload = self.pm.estimate(cfg, C5, batch=16, mp_degree=16, n_gpus=128)
         assert offload.pa_cpu_s > 0
         assert offload.tflops_per_gpu < plain.tflops_per_gpu
 
     def test_gpus_must_divide_by_mp(self):
         with pytest.raises(ValueError):
-            self.pm.estimate(GPTConfig(2, 64, 4), batch=1, mp_degree=3, n_gpus=64)
+            self.pm.estimate(GPTConfig(2, 64, 4), C3, batch=1, mp_degree=3, n_gpus=64)

@@ -1,26 +1,42 @@
 """The placement table is the single source — over the *product* of options.
 
-``repro.zero.placement.state_placement`` decides, per state class, what a
-ZeRO stage partitions and which tier it may live on. Every
+``repro.zero.placement.state_placement`` decides, per state class, what is
+partitioned over which group and which tier it may live on. Every
 (stage, optimizer tier, gradient tier, parameter tier) row it accepts is
-generated here and checked three ways: the one rule is what rejects the
-rest (through every front door alike), the bytes each pool really holds
-equal the closed form, and placement never changes the numbers.
+generated here and checked four ways: the one rule is what rejects the
+rest (through every front door alike, the activation row included), the
+bytes each pool really holds equal the closed form, the volume a step
+ledgers equals what ``comm_model`` derives from the row, and placement
+never changes the numbers.
 """
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.analysis
+import repro.experiments
+import repro.memprof
+import repro.zero.activation
+import repro.zero.factory
 from repro import GPTConfig, InfinityConfig, ZeROConfig
-from repro.analysis.memory_model import model_state_bytes, tier_state_bytes
+from repro.analysis.comm_model import MPCommModel, dp_volume_elements
+from repro.analysis.max_model import device_bytes_for
+from repro.analysis.memory_model import model_state_bytes, state_bytes_by_tier
+from repro.experiments.common import virtual_groups
 from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
+from repro.tensor.tensor import Tensor
+from repro.zero.config import C3, C4, C5
 from repro.zero.factory import build_model_and_engine
-from repro.zero.placement import STATE_CLASSES, state_placement
+from repro.zero.placement import STATE_CLASSES, Placed, state_placement
 from tests.test_infinity import CFG, GPU, PLACEMENTS, train_run
 
 pytestmark = pytest.mark.infinity
@@ -73,9 +89,20 @@ def _infinity(combo):
     return InfinityConfig(optimizer_tier=opt, grad_tier=grad, param_tier=param)
 
 
+def _smuggled(stage, **fields):
+    """A ``ZeROConfig`` carrying a combination its constructor refuses —
+    the only way to bring one to the doors behind the front door."""
+    zero = ZeROConfig(stage=stage, memory_defrag=False)
+    for name, value in fields.items():
+        object.__setattr__(zero, name, value)
+    return zero
+
+
 def test_table_rows_are_cumulative_and_valid_rows_count():
-    assert [row.name for row in STATE_CLASSES] == ["optimizer", "grad", "param"]
-    assert [row.partitioned_from for row in STATE_CLASSES] == [1, 2, 3]
+    assert [row.name for row in STATE_CLASSES] == ["optimizer", "grad", "param", "activation"]
+    # the three model states shard over DP from a stage on; activations over MP, on request
+    assert [row.partitioned_from for row in STATE_CLASSES] == [1, 2, 3, None]
+    assert [row.group for row in STATE_CLASSES] == ["dp", "dp", "dp", "mp"]
     assert state_placement(0) == {
         row.name: (False, "device") for row in STATE_CLASSES
     }
@@ -99,25 +126,44 @@ def test_forbidden_combinations_raise_from_the_one_rule(row):
     inf = _infinity(combo)
     with pytest.raises(ValueError, match=ONE_RULE):
         ZeROConfig(stage=stage, infinity=inf)
+    # The memory model reads ``zero.placement``: even a config that got
+    # around its own front door cannot tell it the row.
     with pytest.raises(ValueError, match=ONE_RULE):
-        model_state_bytes(
-            1e6, 4, stage, offload_optimizer=inf.offload_optimizer,
-            offload_gradients=inf.offload_gradients, page_params=inf.page_params,
-        )
-    with pytest.raises(ValueError, match=ONE_RULE):
-        tier_state_bytes(1e6, 4, stage, infinity=inf)
+        device_bytes_for(CFG, _smuggled(stage, infinity=inf), batch=1, nd=4)
     ctx = virtual_rank_context(4, gpu=GPU)
     with pytest.raises(ValueError, match=ONE_RULE):
         build_model_and_engine(
             ctx, CFG, ZeROConfig(stage=stage, memory_defrag=False),
             dp_group=ctx.world, meta=True, engine_config=EngineConfig(infinity=inf),
         )
-    if "nvme" not in combo and not inf.page_params:
+    if "nvme" not in combo and inf.param_tier == "device":
         with pytest.raises(ValueError, match=ONE_RULE):  # the ZeRO-Offload flags
             ZeROConfig(
-                stage=stage, offload_optimizer=inf.offload_optimizer,
-                offload_gradients=inf.offload_gradients,
+                stage=stage, offload_optimizer=inf.optimizer_tier != "device",
+                offload_gradients=inf.grad_tier != "device",
             )
+
+
+@pytest.mark.parametrize("stage", (0, 1, 2, 3))
+def test_offloaded_activations_require_pa_by_the_same_rule(stage):
+    """The activation row: off-device without Pa is the table's one rule,
+    not a check of its own — whichever door it comes through."""
+    with pytest.raises(ValueError, match=ONE_RULE):
+        state_placement(stage, None, Placed(partitioned=False, tier="host"))
+    with pytest.raises(ValueError, match=ONE_RULE):
+        ZeROConfig(stage=stage, cpu_offload_activations=True)
+    smuggled = _smuggled(stage, cpu_offload_activations=True)
+    with pytest.raises(ValueError, match=ONE_RULE):
+        device_bytes_for(CFG, smuggled, batch=1, nd=4)
+    ctx = virtual_rank_context(4, gpu=GPU)
+    with pytest.raises(ValueError, match=ONE_RULE):
+        build_model_and_engine(ctx, CFG, smuggled, dp_group=ctx.world, meta=True)
+    # Pa itself is valid at every stage; without an MP group to partition
+    # over, the factory says so in its own words.
+    pa = ZeROConfig(stage=stage, partition_activations=True, cpu_offload_activations=True)
+    assert pa.placement["activation"] == Placed(partitioned=True, tier="host")
+    with pytest.raises(ValueError, match="MP group"):
+        build_model_and_engine(ctx, CFG, pa, dp_group=ctx.world, meta=True)
 
 
 # 29 696 parameters = 4 ranks x 29 x 256 elements: every fp16 / fp32 shard is
@@ -148,7 +194,7 @@ def test_pools_hold_exactly_what_the_table_says(row):
     inf = _infinity(combo)
     pools, psi = _meta_pools(stage, inf)
     all_device, _ = _meta_pools(stage, None)
-    want = tier_state_bytes(psi, nd=4, stage=stage, infinity=inf)
+    want = state_bytes_by_tier(psi, 4, state_placement(stage, inf))
     assert pools["host"] == want["host"]
     assert pools["nvme"] == want["nvme"]
     assert all_device["host"] == all_device["nvme"] == 0
@@ -157,6 +203,94 @@ def test_pools_hold_exactly_what_the_table_says(row):
     assert all_device["device"] - pools["device"] == (
         model_state_bytes(psi, 4, stage) - want["device"]
     )
+
+
+TIER_COPIES = ("h2d", "d2h", "nvme-in", "nvme-out")
+BATCH, SEQ = 2, 16
+
+
+def _meta_step_ledger(zero, *, n_gpus=4, mp=1):
+    """The ledger of one meta training step on a virtual rank 0."""
+    ctx = virtual_rank_context(n_gpus, gpu=GPU)
+    dp_group, mp_group = virtual_groups(ctx, n_gpus, mp)
+    _, engine = build_model_and_engine(
+        ctx, ALIGNED_CFG, zero, dp_group=dp_group,
+        mp_group=mp_group if mp > 1 else None, meta=True,
+    )
+    ids = Tensor.meta((BATCH, SEQ), np.int64, device=ctx.device)
+    targets = Tensor.meta((BATCH, SEQ), np.int64, device=ctx.device)
+    ctx.ledger.clear()
+    engine.train_step(ids, targets)
+    return ctx.ledger, engine.layout.numel
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_row_id)
+def test_step_volume_is_what_the_rows_derive(row):
+    """Section 7 by rule: what a step's collectives move, in units of Psi,
+    is ``dp_volume_elements`` of *this row's* placement — and each term of
+    the derivation is the collective the engine issues for it."""
+    stage, combo = row
+    zero = ZeROConfig(stage=stage, memory_defrag=False, infinity=_infinity(combo))
+    ledger, psi = _meta_step_ledger(zero)
+    by_op = {op: nbytes / (2 * psi) for op, nbytes in ledger.by_op().items()}  # fp16
+    collectives = sum(v for op, v in by_op.items() if op not in TIER_COPIES)
+    placement = zero.placement
+    assert collectives == dp_volume_elements(1.0, placement)
+    assert placement["optimizer"].partitioned and by_op["reduce"] == 1.0  # to owners
+    if placement["param"].partitioned:  # per-unit gathers, forward + backward
+        assert by_op["broadcast"] == 2.0 and "all_gather" not in by_op
+    else:  # one boundary all-gather of the updated parameters
+        assert by_op["all_gather"] == 1.0 and "broadcast" not in by_op
+
+
+@pytest.mark.parametrize("mp", (2, 4))
+@pytest.mark.parametrize(
+    "zero", (C3, C4, C5), ids=("Pa off", "Pa", "Pa+cpu")
+)
+def test_activation_traffic_is_what_the_activation_row_derives(zero, mp):
+    """Section 8 by rule: Pa's gather and Pa+cpu's PCIe copies per block
+    are ``MPCommModel``'s readings of the activation row."""
+    ledger, _ = _meta_step_ledger(replace(zero, memory_defrag=False), n_gpus=2 * mp, mp=mp)
+    by_phase = ledger.by_phase()
+    model = MPCommModel(batch=BATCH, seq_len=SEQ, hidden=ALIGNED_CFG.hidden)
+    blocks, fp16 = ALIGNED_CFG.n_layers, 2
+    assert by_phase.get("activation-gather", 0) == (
+        blocks * fp16 * model.gather_elements_per_block(zero.placement)
+    )
+    assert by_phase.get("activation-offload", 0) + by_phase.get("activation-fetch", 0) == (
+        blocks * fp16 * model.pcie_elements_per_block(zero.placement, mp)
+    )
+
+
+RETIRED_KEYWORDS = {
+    "partition_activations", "cpu_offload", "cpu_offload_activations",
+    "offload_optimizer", "offload_gradients", "page_params", "zero_stage",
+}
+
+
+def test_no_closed_form_factory_or_store_takes_a_placement_boolean():
+    """Everything behind the front door (``ZeROConfig``) takes the resolved
+    placement, or the config that resolves to it — never the booleans."""
+    modules = [repro.zero.factory, repro.zero.activation]
+    for package in (repro.analysis, repro.experiments, repro.memprof):
+        modules.append(package)
+        modules += [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+        ]
+    hits = []
+    for module in modules:
+        for owner in vars(module).values():
+            if getattr(owner, "__module__", None) != module.__name__:
+                continue
+            members = vars(owner).values() if inspect.isclass(owner) else (owner,)
+            for fn in filter(inspect.isfunction, members):
+                hits += [
+                    f"{module.__name__}.{fn.__qualname__}({name})"
+                    for name in inspect.signature(fn).parameters
+                    if name in RETIRED_KEYWORDS
+                ]
+    assert hits == []
 
 
 _COVERED = {(stage, (i.optimizer_tier, i.grad_tier, i.param_tier)) for stage, i in PLACEMENTS}
