@@ -81,10 +81,7 @@ def main():
     print(f"  NVMe shards:      {bytes_to_str(ctx.nvme.allocated_bytes)}")
 
     runtime = engine.offload  # the InfinityEngine driving the tier clock
-    cost = InfinityCostModel(
-        CONFIG, gpu=ctx.device.spec, checkpointing=zero.checkpoint_activations,
-        infinity=PLACEMENT,
-    )
+    cost = InfinityCostModel(CONFIG, gpu=ctx.device.spec, infinity=PLACEMENT)
     pred = cost.predict_step(
         batch=BATCH, seq_len=SEQ, nd=1, numel=engine.part_numel,
         grad_chunks=max(len(runtime.last_grad_pieces), 1),

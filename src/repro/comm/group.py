@@ -63,6 +63,10 @@ def _reduce_arrays(arrays: Sequence[np.ndarray], op: str) -> np.ndarray:
         return out.astype(first.dtype, copy=False)
 
 
+#: tag entry of a broadcast member no rank declared a size for
+_PAYLOAD_SIZED = -1
+
+
 class ProcessGroup:
     """A set of global ranks that communicate collectively.
 
@@ -203,9 +207,10 @@ class ProcessGroup:
         sum) or ``broadcast(rank, arrays[i], src=roots[i])`` would be. A
         member's size is its array's; ``nbytes[i]`` declares it where this
         rank supplies none — a broadcast's receivers pass None, and learn
-        nothing they did not declare: the tag carries every size. Without
-        ``arrays`` the batch is data-free — K ``meta_collective``s of
-        ``nbytes``. The batch shares the deposit, the wake-up and the tag
+        nothing they did not declare: the tag carries every size. (A
+        broadcast member *no* rank declares is sized by its payload.)
+        Without ``arrays`` the batch is data-free — K ``meta_collective``s
+        of ``nbytes``. The batch shares the deposit, the wake-up and the tag
         check; each member keeps its own ledger event, fault admission,
         pre/post corruption and group-index-order reduction, in member
         order. Returns one result per member (None where the single call
@@ -221,9 +226,14 @@ class ProcessGroup:
         meta = arrays is None
         if not meta:
             # What this rank holds outranks what it declares, so a
-            # contribution of the wrong length is a tag mismatch too.
+            # contribution of the wrong length is a tag mismatch too. Only
+            # an undeclared broadcast is left to its payload, on every rank.
             declared = [None] * len(arrays) if nbytes is None else nbytes
-            nbytes = [n if a is None else a.nbytes for a, n in zip(arrays, declared, strict=True)]
+            nbytes = [
+                _PAYLOAD_SIZED if n is None and op == "broadcast" and (a is not None or r != rank)
+                else n if a is None else a.nbytes
+                for a, n, r in zip(arrays, declared, roots, strict=True)
+            ]
         if nbytes is None or None in nbytes:
             raise ValueError(f"coalesced {op}: a member has neither an array nor a byte count")
         tag = ("coalesced", op, meta, tuple(roots), tuple(nbytes))
@@ -234,6 +244,11 @@ class ProcessGroup:
             # exchanged yet.
             arrays = [self._admit(rank, op, a) for a in ([None] * len(nbytes) if meta else arrays)]
         slots = self._rendezvous.exchange(rank, None if meta else arrays, tag)
+        if _PAYLOAD_SIZED in nbytes:
+            nbytes = [
+                slots[root_index[i]][i].nbytes if n == _PAYLOAD_SIZED else n
+                for i, n in enumerate(nbytes)
+            ]
         ledger = self._ledgers.get(rank)
         if ledger is not None:
             for n in nbytes:
@@ -281,18 +296,9 @@ class ProcessGroup:
             rank, "all_reduce", _reduce_arrays(contributions, op), "post"
         )
 
-    def reduce(
-        self, rank: int, array: np.ndarray, dst: int, op: str = "sum", phase: str = ""
-    ) -> np.ndarray | None:
-        """Reduce to the group member with global rank ``dst``; others get None."""
-        self.group_index(dst)
-        contributions = self._exchange(rank, array, ("reduce", dst, array.shape), "reduce")
-        self._record(rank, "reduce", array.nbytes, phase)
-        if rank == dst:
-            return self._maybe_corrupt(
-                rank, "reduce", _reduce_arrays(contributions, op), "post"
-            )
-        return None
+    def reduce(self, rank: int, array: np.ndarray, dst: int, phase: str = "") -> np.ndarray | None:
+        """Sum to the group member with global rank ``dst``; others get None."""
+        return self.coalesced(rank, "reduce", [dst], [array], phase=phase)[0]
 
     def reduce_scatter(
         self, rank: int, array: np.ndarray, op: str = "sum", phase: str = ""
@@ -331,16 +337,7 @@ class ProcessGroup:
 
     def broadcast(self, rank: int, array: np.ndarray | None, src: int, phase: str = "") -> np.ndarray:
         """Send ``src``'s array to every rank. Non-src inputs are ignored."""
-        self.group_index(src)
-        slots = self._exchange(rank, array, ("broadcast", src), "broadcast")
-        payload = slots[self.group_index(src)]
-        if payload is None:
-            raise ValueError(f"broadcast: src rank {src} supplied no array")
-        self._record(rank, "broadcast", payload.nbytes, phase)
-        corrupted = self._maybe_corrupt(rank, "broadcast", payload, "post")
-        if corrupted is not payload:
-            return corrupted  # already a private corrupted copy
-        return payload if rank == src else payload.copy()
+        return self.coalesced(rank, "broadcast", [src], [array], phase=phase)[0]
 
     # -- point-to-point ------------------------------------------------------
 

@@ -30,9 +30,8 @@ from repro.analysis.max_model import SEQ_LEN, VOCAB, device_bytes_for
 from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
-from repro.infinity.cost_model import InfinityCostModel
+from repro.infinity.cost_model import InfinityCostModel, relative_error
 from repro.nn.transformer import GPTConfig
-from repro.offload.cost_model import relative_error
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
@@ -185,10 +184,7 @@ def run_time() -> list[InfinityTimeRow]:
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
         runtime = engine.offload  # the InfinityEngine driving the clock
-        cost = InfinityCostModel(
-            TIME_MODEL, gpu=ctx.device.spec,
-            checkpointing=zero.checkpoint_activations, infinity=inf,
-        )
+        cost = InfinityCostModel(TIME_MODEL, gpu=ctx.device.spec, infinity=inf)
         pred = cost.predict_step(
             batch=TIME_BATCH, seq_len=TIME_SEQ, nd=TIME_ND,
             numel=engine.part_numel,

@@ -11,8 +11,9 @@ Two results, in the spirit of the paper's Figure 4 democratization story:
    single commodity GPU.
 
 2. **Cost model vs simulated timeline.** The same meta-mode engines that
-   produce the memory figures also drive ``OffloadRuntime``'s per-step
-   transfer timeline; ``OffloadCostModel``'s closed form must predict the
+   produce the memory figures also drive the tier runtime's per-step
+   transfer timeline; ``InfinityCostModel``'s closed form, built from the
+   same host-only tiers the ``offload_*`` flags spell, must predict the
    simulated step time within 5% across stages, gradient streaming, and
    DPU.
 """
@@ -26,8 +27,8 @@ import numpy as np
 from repro.analysis.max_model import max_layers
 from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
+from repro.infinity.cost_model import InfinityCostModel, relative_error
 from repro.nn.transformer import GPTConfig
-from repro.offload.cost_model import OffloadCostModel, relative_error
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
@@ -125,17 +126,10 @@ def run_time() -> list[OffloadTimeRow]:
         for _ in range(TIME_STEPS):
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
-        chunks = sum(
-            1 for h in engine.offload.stream.handles if h.phase == "offload-grad"
-        )
-        cost = OffloadCostModel(
-            TIME_MODEL, gpu=ctx.device.spec,
-            checkpointing=zero.checkpoint_activations,
-        )
+        cost = InfinityCostModel(TIME_MODEL, gpu=ctx.device.spec, infinity=zero.tiers)
         pred = cost.predict_step(
             batch=TIME_BATCH, seq_len=TIME_SEQ, nd=TIME_ND, numel=engine.part_numel,
-            offload_gradients=streamed, delayed_param_update=dpu,
-            grad_chunks=max(chunks, 1),
+            grad_chunks=max(len(engine.offload.last_grad_pieces), 1),
         )
         rows.append(
             OffloadTimeRow(

@@ -12,7 +12,7 @@ Numbers come straight from the paper's evaluation section (Section 10):
 * Each V100 hangs off the host over PCIe gen3 x16 (~12 GB/s effective,
   "whose bandwidth is severely constrained", Section 2.2.2) and a DGX-2
   carries 1.5 TB of host DRAM — the substrate for Pa+cpu activation
-  offload and the ``repro.offload`` model-state offload engine.
+  offload and the ``repro.infinity`` model-state tier runtime.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """ZeRO-Infinity tier: NVMe offload hierarchy, overlap-centric prefetch
 engine, and memory-centric tiling.
 
-Generalizes ``repro.offload`` (one host tier) into a device -> host ->
-NVMe hierarchy: ``TierTopology`` describes the stack one GPU sees (per-
+One device -> host -> NVMe hierarchy serves ZeRO-Offload (the placement
+that stops at the host) and ZeRO-Infinity alike: ``TierTopology``
+describes the stack one GPU sees (per-
 tier capacity + alpha-beta links from ``repro.hardware``), ``TierStream``
 schedules full-duplex transfers per link, ``InfinityConfig`` assigns each
 ZeRO state class (fp16 params, grads, fp32 optimizer state) to a tier,
@@ -17,7 +18,11 @@ contracted exception).
 """
 
 from repro.infinity.config import InfinityConfig
-from repro.infinity.cost_model import InfinityCostModel, InfinityStepPrediction
+from repro.infinity.cost_model import (
+    InfinityCostModel,
+    InfinityStepPrediction,
+    relative_error,
+)
 from repro.infinity.engine import InfinityEngine, InfinityStepReport
 from repro.infinity.schedule import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import (
@@ -44,5 +49,6 @@ __all__ = [
     "TilePlan",
     "TransferHandle",
     "plan_unit_tiles",
+    "relative_error",
     "wire_seconds",
 ]

@@ -4,8 +4,9 @@ ZeRO-Infinity's placement policy is per state class: the fp16 parameter
 shards, the fp16 gradient shards, and the fp32 optimizer state (master +
 Adam moments) each get a tier — device HBM, host DRAM, or NVMe. The
 config also carries the overlap knobs (prefetch depth, optimizer paging
-chunk size, memory-centric tile size) and the link/throughput overrides
-the offload config already had.
+chunk size, memory-centric tile size) and the link/throughput overrides.
+ZeRO-Offload is the placement that stops at the host tier —
+``ZeROConfig``'s ``offload_*`` flags spell it.
 
 Placement never changes numerics: a tier is *where the bytes are
 accounted and what the transfers cost on the modeled clock*; the values

@@ -1,7 +1,9 @@
-"""Closed-form step-time model for multi-tier (ZeRO-Infinity) training.
+"""Closed-form step-time model for tiered (ZeRO-Offload / ZeRO-Infinity)
+training.
 
-Extends ``repro.offload.cost_model.OffloadCostModel`` from one host tier
-to the device -> host -> NVMe hierarchy, matching the scheduling rules
+Predicts one optimizer step's wall time as the max of the overlappable
+resources — GPU compute, the PCIe and NVMe lanes, host Adam — over the
+device -> host -> NVMe hierarchy, matching the scheduling rules
 ``InfinityEngine`` applies to its simulated timeline:
 
 - **Paged gathers** (stage 3, off-device parameter shards): with n unit
@@ -12,37 +14,42 @@ to the device -> host -> NVMe hierarchy, matching the scheduling rules
   otherwise. Pass the engine's actual per-gather byte profile for exact
   heterogeneous units (the embedding unit dwarfs a block), or counts for
   the uniform approximation.
-- **Streamed gradients**: the ZeRO-Offload two-regime bound extended one
-  hop. With k pieces over backward window B, PCIe piece time c_p and NVMe
-  piece time c_n, the last byte lands at
-  ``B + c_p + c_n`` (no lane saturates), ``B/k + k*c_p + c_n`` (PCIe
-  saturates) or ``B/k + c_p + k*c_n`` (NVMe saturates) — the max covers
-  all three regimes.
+- **Streamed gradients**: k equal pieces submitted uniformly over the
+  backward window B. ZeRO-Offload's two regimes — each piece's PCIe wire
+  time c_p fits in its B/k submission gap and the last byte lands at
+  ``B + c_p``, or the lane saturates and it lands at ``B/k + k*c_p`` —
+  extended one hop by the NVMe piece time c_n: ``B + c_p + c_n`` (no lane
+  saturates), ``B/k + k*c_p + c_n`` (PCIe saturates) or
+  ``B/k + c_p + k*c_n`` (NVMe saturates); the max covers all three.
+- **Boundary gradients** (off-device optimizer, device-resident grads):
+  one shard-sized d2h after backward.
 - **Paged optimizer update**: C equal chunks flowing through an
   in -> update -> out pipeline cost one chunk's full chain plus (C-1)
   bottleneck stages: ``a + u + o + (C-1) * max(a, u, o)``.
-- DPU and the step-level max() composition are identical to the offload
-  model; with everything on the host tier the prediction degenerates to
-  ``OffloadCostModel.predict_step`` exactly.
+- **Composition**: without DPU the update is on the critical path,
+  ``step = grads_ready + update + refresh``; in DPU steady state it rides
+  the next step's compute, ``step = max(compute, grads_ready, update +
+  refresh)`` — the third term is the previous step's deferred tail.
 
-The prediction and ``InfinityEngine`` share every constant, so agreement
-is exact up to piece granularity (the engine schedules actual unit/chunk
-sizes, the closed form assumes equal pieces); the sweep asserts <= 5%.
+The prediction and ``InfinityEngine`` share every constant (flops
+accounting, GEMM efficiency, link alpha-beta, CPU Adam throughput), so on
+uniform pieces they agree to float re-association
+(``tests/test_infinity.py``); the engine schedules the *actual*
+unit/bucket/chunk sizes, generally non-uniform, and the sweeps' benchmarks
+gate that gap at <= 5%.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.perf_model import SEQ_LEN
-from repro.hardware.specs import NVME_RAID, InterconnectSpec
+from repro.analysis.perf_model import SEQ_LEN, compute_split_seconds
+from repro.hardware.specs import NVME_RAID, PCIE_3_X16, V100_32GB, GPUSpec, InterconnectSpec
 from repro.infinity.config import InfinityConfig
 from repro.infinity.schedule import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import wire_seconds
-from repro.offload.cost_model import OffloadCostModel, relative_error
+from repro.nn.transformer import GPTConfig
 from repro.offload.host_optim import CPU_ADAM_LATENCY_S
-
-__all__ = ["InfinityCostModel", "InfinityStepPrediction", "relative_error"]
 
 
 @dataclass(frozen=True)
@@ -63,11 +70,32 @@ class InfinityStepPrediction:
 
 
 @dataclass(frozen=True)
-class InfinityCostModel(OffloadCostModel):
-    """Step-time predictor for one (model, GPU, tier hierarchy, placement)."""
+class InfinityCostModel:
+    """Step-time predictor for one (model, GPU, tier hierarchy, placement).
+    The placement's ``checkpointing`` sets the forward/backward split."""
 
+    model_config: GPTConfig
+    gpu: GPUSpec = V100_32GB
+    pcie: InterconnectSpec = PCIE_3_X16
+    mp_degree: int = 1
     infinity: InfinityConfig = field(default_factory=InfinityConfig)
     nvme: InterconnectSpec = NVME_RAID
+
+    def compute_seconds(self, batch: int, seq_len: int = SEQ_LEN) -> tuple[float, float]:
+        """(forward, backward) seconds for one micro-batch on one rank."""
+        return compute_split_seconds(
+            self.model_config, batch, seq_len, checkpointing=self.infinity.checkpointing,
+            mp_degree=self.mp_degree, peak_flops=self.gpu.peak_flops,
+        )
+
+    def transfer_seconds(self, nbytes: int | float) -> float:
+        """Wire time of one PCIe copy (shared per-tier alpha-beta form)."""
+        return wire_seconds(self.pcie, nbytes)
+
+    def partition_numel(self, nd: int) -> int:
+        """This rank's share of the flat parameter space (1/Nd, rounded up
+        like FlatLayout's padding)."""
+        return -(-self.model_config.total_params // nd)
 
     def nvme_seconds(self, nbytes: int | float) -> float:
         """Wire time of one NVMe transfer (shared per-tier alpha-beta form)."""
@@ -109,11 +137,14 @@ class InfinityCostModel(OffloadCostModel):
         gather_tiles: int = 1,
         gathers_forward: list[tuple[float, int]] | None = None,
         gathers_backward: list[tuple[float, int]] | None = None,
-        **_ignored,
     ) -> InfinityStepPrediction:
-        """Steady-state step time for a multi-tier optimizer step.
+        """Steady-state step time for a tiered optimizer step.
 
-        ``gather_units`` is the number of stage-3 unit gathers per pass
+        ``numel`` overrides the per-rank partition size (pass the engine's
+        ``part_numel`` for exact agreement with its padded layout);
+        ``grad_chunks`` is the number of streamed gradient pieces (bucket
+        flushes for stages 1-2, units for stage 3) when gradients leave the
+        device. ``gather_units`` is the number of stage-3 unit gathers per pass
         (0 when parameters are device-resident); ``gather_tiles`` the
         average memory-centric tile count per gather. Pass
         ``gathers_forward`` / ``gathers_backward`` — per-gather
@@ -193,3 +224,11 @@ class InfinityCostModel(OffloadCostModel):
             param_refresh_s=refresh,
             step_s=step_s,
         )
+
+
+def relative_error(predicted_s: float, simulated_s: float) -> float:
+    """|prediction - simulation| / simulation — the sweeps' 5% acceptance
+    metric."""
+    if simulated_s <= 0:
+        raise ValueError(f"simulated time must be positive, got {simulated_s}")
+    return abs(predicted_s - simulated_s) / simulated_s

@@ -1,42 +1,49 @@
 """InfinityEngine: overlap-centric data movement over the tier hierarchy.
 
-The per-engine companion that turns byte-level events from a ZeRO stage
-engine into a multi-tier transfer timeline on the simulated within-step
-clock, generalizing ``repro.offload.engine.OffloadRuntime`` from one host
-tier to the full device -> host -> NVMe stack. It captures each step's
-inputs (compute time, paged unit gathers, streamed gradient pieces), owns
-the ledgered PCIe/NVMe streams and the tier pools, and at each boundary
-has ``repro.infinity.schedule`` lay the step out — prefetched parameter
+The per-engine companion (``BaseEngine.offload``) that turns byte-level
+events from a ZeRO stage engine into a multi-tier transfer timeline on the
+simulated within-step clock. It captures each step's inputs (compute time,
+paged unit gathers, streamed gradient pieces), owns the ledgered PCIe/NVMe
+streams and the tier pools, and at each boundary has
+``repro.infinity.schedule`` lay the step out — prefetched parameter
 gathers, streamed gradients, chunk-paged optimizer state — and reports
-the result as an ``InfinityStepReport``.
+the result as an ``InfinityStepReport``. ZeRO-Offload is the placement
+that stops at the host tier: the same engine, nothing booked on NVMe.
 
-The engine exposes the same driver surface as ``OffloadRuntime``
-(``begin_micro`` / ``queue_grad_d2h`` / ``finish_step`` / ``trace_step``
-plus ``reports`` and ``pool``), so ``BaseEngine`` and the stage
-engines use either through ``self.offload``; both configs name their tiers
-``optimizer_tier`` / ``grad_tier`` / ``param_tier``, which is what the
-placement table reads. Placement never changes numerics —
-values move through the same kernels in the same order regardless of tier.
+The step lifecycle drives it with ``begin_micro`` once per micro-batch,
+``queue_grad_d2h`` per owned gradient piece leaving the device,
+``finish_step`` at the boundary and ``trace_step`` after it. Placement
+never changes numerics — values move through the same kernels in the same
+order regardless of tier. Works identically in meta mode: the model only
+ever sees byte and element counts.
+
+Staleness contract under ``delayed_param_update`` (ZeRO-Offload's DPU):
+after optimizer step t, the fp16 parameters equal fp16(master after step
+t-1) — the update computed from step t's gradients lands one step later,
+overlapped with step t+1's compute, so step t+1 trains on parameters one
+update stale. An overflow-skip step leaves master untouched, so the same
+stale values are re-broadcast; saving a checkpoint is a synchronization
+point (master is saved post-update, and resume rebuilds fp16 params from
+it, collapsing the one-step lag).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.perf_model import compute_split_seconds
 from repro.infinity.config import InfinityConfig
 from repro.infinity.schedule import (
     NVME_LANES,
+    PCIE_LANES,
     Placement,
     StepInputs,
     StepSchedule,
-    accrue_micro,
-    close_step,
-    trace_schedule,
+    evaluate_step,
 )
 from repro.infinity.tiers import TierStream
 from repro.memsim.device import Device, HostMemory
 from repro.nn.transformer import GPTConfig
-from repro.offload.streams import PCIeStream
 from repro.runtime import RankContext
 
 
@@ -71,15 +78,16 @@ class InfinityEngine:
         self.model_config = model_config
         self.mp_degree = mp_degree
         self.peak_flops = ctx.device.spec.peak_flops
-        self.pcie = PCIeStream(
-            config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank
+        self.pcie = TierStream(
+            config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
+            directions=PCIE_LANES,
         )
         self.nvme_stream = TierStream(
             config.nvme or ctx.topology.nvme, ledger=ctx.ledger, rank=ctx.rank,
             directions=NVME_LANES,
         )
         self.placement = Placement(
-            "infinity", config.optimizer_tier, config.grad_tier, config.param_tier,
+            config.optimizer_tier, config.grad_tier, config.param_tier,
             config.delayed_param_update, config.cpu_adam_elements_per_s,
             prefetch_depth=config.prefetch_depth, opt_chunk_bytes=config.opt_chunk_bytes,
         )
@@ -111,7 +119,12 @@ class InfinityEngine:
 
     def begin_micro(self, batch: int, seq_len: int) -> None:
         """Accrue one micro-batch's forward/backward compute time."""
-        accrue_micro(self, batch, seq_len)
+        fwd, bwd = compute_split_seconds(
+            self.model_config, batch, seq_len, checkpointing=self.config.checkpointing,
+            mp_degree=self.mp_degree, peak_flops=self.peak_flops,
+        )
+        self._pending.fwd_s += fwd
+        self._pending.bwd_s += bwd
 
     def queue_grad_d2h(self, nbytes: int) -> None:
         """One owned gradient piece became tier-bound during backward."""
@@ -133,18 +146,23 @@ class InfinityEngine:
         param_h2d_bytes: int,
         boundary_grad_bytes: int = 0,
     ) -> InfinityStepReport:
-        """Schedule the boundary's transfers and close out the step clock.
+        """Complete the open step's inputs with the boundary's byte counts
+        and the DPU carry, schedule its transfers, and open the next step.
 
-        Same contract as ``OffloadRuntime.finish_step``: zero
-        ``adam_numel`` / ``param_h2d_bytes`` on an overflow-skip step;
-        ``boundary_grad_bytes`` is the one-shot shard d2h when gradients
-        stayed device-resident.
+        ``adam_numel`` / ``param_h2d_bytes`` are 0 on an overflow-skip step
+        (master untouched, nothing to push back); ``boundary_grad_bytes``
+        is the one-shot shard d2h when gradients stayed device-resident.
         """
-        sched = close_step(
-            self, self.pcie, self.nvme_stream, adam_numel=adam_numel,
-            refresh_bytes=param_h2d_bytes, boundary_grad_bytes=boundary_grad_bytes,
+        inputs = self._pending
+        inputs.adam_numel = int(adam_numel)
+        inputs.refresh_bytes = int(param_h2d_bytes)
+        inputs.boundary_grad_bytes = int(boundary_grad_bytes)
+        if self.last_schedule is not None:
+            inputs.carry_in_s = self.last_schedule.carry_out
+        sched = self.last_schedule = evaluate_step(
+            inputs, self.placement, self.pcie, self.nvme_stream
         )
-        inputs = sched.inputs
+        self._pending = StepInputs()
         report = InfinityStepReport(
             compute_s=sched.compute_end,
             gather_stall_s=sched.compute_end - (inputs.fwd_s + inputs.bwd_s),
@@ -162,6 +180,26 @@ class InfinityEngine:
 
     def trace_step(self, tracer, t0: float) -> None:
         """Emit the just-finished boundary's tier transfers onto telemetry
-        side tracks (call after ``finish_step``): PCIe and NVMe lanes each
-        on their own track, host Adam chunks on "host"."""
-        trace_schedule(self.last_schedule, tracer, t0)
+        side tracks (call after ``finish_step``; ``t0`` is the tracer clock
+        at forward begin): PCIe and NVMe lanes each on their own track, host
+        Adam chunks on "host".
+
+        These are explicit-interval complete events, not clock spans — under
+        DPU the deferred tail legitimately overlaps the next step's compute.
+        With Perfscope recording on, the schedule itself is kept per step.
+        """
+        sched = self.last_schedule
+        if sched is None:
+            return
+        for kind, label, _track, start, end, nbytes, phase, _deps in sched.ops:
+            if kind == "xfer":
+                tracer.add_span(
+                    label, t0 + start, end - start, bytes=nbytes, phase=phase,
+                    track="pcie-" + label if label in PCIE_LANES else label,
+                )
+            elif kind == "host":
+                tracer.add_span(
+                    label, t0 + start, end - start,
+                    track="host", delayed=sched.placement.delayed_param_update,
+                )
+        tracer.record_runtime_step(sched)

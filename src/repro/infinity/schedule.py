@@ -3,14 +3,14 @@
 ZeRO-Offload and ZeRO-Infinity are one design: model states live on some
 tier of the device -> host -> NVMe stack, and the step overlaps their
 movement with compute. ``evaluate_step`` is the only place that timeline
-is computed. It takes what a runtime captured during the step
+is computed. It takes what the runtime captured during the step
 (``StepInputs``) and where the states live (``Placement``), books every
 transfer on ``TierStream`` lanes, and returns a ``StepSchedule``: the
 ordered ops with their dependency edges plus the milestones the step
-reports are filled from. Three consumers read it:
+reports are filled from. Two consumers read it:
 
-- ``OffloadRuntime`` (host-only placement) and ``InfinityEngine`` call it
-  with their ledgered streams at each boundary;
+- ``InfinityEngine`` (ZeRO-Offload is its host-only placement) calls it
+  with its ledgered streams at each boundary;
 - Perfscope turns the ops into ``StepGraph`` nodes and, for a what-if,
   calls it again on unledgered streams with re-banded links.
 
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.perf_model import compute_split_seconds
 from repro.hardware.specs import InterconnectSpec
 from repro.infinity.tiers import TierStream
 from repro.offload.host_optim import CPU_ADAM_LATENCY_S, cpu_adam_seconds
@@ -50,13 +49,10 @@ from repro.offload.host_optim import CPU_ADAM_LATENCY_S, cpu_adam_seconds
 #: optimizer-state bytes per element paged each way (fp32 master + m + v).
 OPT_STATE_BYTES_PER_ELEM = 12
 
-#: ledger phase labels per runtime (the traffic's identity in CommLedger).
+#: ledger phase labels (the tier traffic's identity in CommLedger).
 PHASES = {
-    "offload": {"grad": "offload-grad", "refresh": "offload-param"},
-    "infinity": {
-        "grad": "infinity-grad", "param": "infinity-param",
-        "opt": "infinity-opt", "refresh": "infinity-refresh",
-    },
+    "grad": "infinity-grad", "param": "infinity-param",
+    "opt": "infinity-opt", "refresh": "infinity-refresh",
 }
 PCIE_LANES = ("d2h", "h2d")
 NVME_LANES = ("nvme-out", "nvme-in")
@@ -83,7 +79,6 @@ class StepInputs:
 class Placement:
     """Where each state class lives and how the update is scheduled."""
 
-    runtime: str  # "offload" | "infinity": whose phase labels to book under
     optimizer_tier: str
     grad_tier: str
     param_tier: str
@@ -99,7 +94,7 @@ class StepSchedule:
 
     inputs: StepInputs
     placement: Placement
-    links: tuple[InterconnectSpec, InterconnectSpec | None]  # pcie, nvme
+    links: tuple[InterconnectSpec, InterconnectSpec]  # pcie, nvme
     ops: list[tuple]
     compute_end: float  # forward + backward including gather stalls
     grads_ready: float  # last gradient byte on its tier
@@ -117,16 +112,14 @@ def evaluate_step(
     inputs: StepInputs,
     placement: Placement,
     pcie: TierStream,
-    nvme: TierStream | None = None,
+    nvme: TierStream,
 ) -> StepSchedule:
     """Book one boundary's transfers on the streams (reset first) and
     return its schedule. Placements that keep everything above NVMe book
     nothing on ``nvme``."""
     pl = placement
-    phase = PHASES[pl.runtime]
     pcie.reset()
-    if nvme is not None:
-        nvme.reset()
+    nvme.reset()
     lanes = {"d2h": pcie, "h2d": pcie, "nvme-in": nvme, "nvme-out": nvme}
     ops: list[tuple] = []
     lane_last: dict[str, int] = {}
@@ -164,9 +157,9 @@ def evaluate_step(
                 tile_bytes = base + (rem if j == tiles - 1 else 0)
                 hop_submit, deps = submit, (anchor,)
                 if pl.param_tier == "nvme":
-                    r, rh = xfer(tile_bytes, "nvme-in", submit, phase["param"], deps)
+                    r, rh = xfer(tile_bytes, "nvme-in", submit, PHASES["param"], deps)
                     hop_submit, deps = rh.done_t, (r,)
-                last, h = xfer(tile_bytes, "h2d", hop_submit, phase["param"], deps)
+                last, h = xfer(tile_bytes, "h2d", hop_submit, PHASES["param"], deps)
                 if j == 0:
                     first, first_arrive = last, h.done_t
             last_arrive = h.done_t
@@ -194,13 +187,13 @@ def evaluate_step(
     for i, nbytes in enumerate(inputs.grad_pieces):
         submit = fwd_end + bwd_window * (i + 1) / k
         win = op("window", "grad-stream-window", "main", fwd_end, submit, (fwd_tail,))
-        hop, h = xfer(nbytes, "d2h", submit, phase["grad"], (win,))
+        hop, h = xfer(nbytes, "d2h", submit, PHASES["grad"], (win,))
         if pl.grad_tier == "nvme":
-            hop, h = xfer(nbytes, "nvme-out", h.done_t, phase["grad"], (hop,))
+            hop, h = xfer(nbytes, "nvme-out", h.done_t, PHASES["grad"], (hop,))
         grad_hops.append((hop, h))
     if inputs.boundary_grad_bytes:
         grad_hops.append(
-            xfer(inputs.boundary_grad_bytes, "d2h", compute_end, phase["grad"], (bwd_tail,))
+            xfer(inputs.boundary_grad_bytes, "d2h", compute_end, PHASES["grad"], (bwd_tail,))
         )
     grads_ready, ready_deps = compute_end, (bwd_tail,)
     for hop, h in grad_hops:
@@ -226,13 +219,13 @@ def evaluate_step(
         lo = 0
         while lo < inputs.adam_numel:
             e = min(chunk_elems, inputs.adam_numel - lo)
-            r, rh = xfer(e * in_bpe, "nvme-in", grads_ready, phase["opt"], (ready,))
+            r, rh = xfer(e * in_bpe, "nvme-in", grads_ready, PHASES["opt"], (ready,))
             chunk_adam = e / per_s + (CPU_ADAM_LATENCY_S if lo == 0 else 0.0)
             adam_start = max(adam_free, rh.done_t)
             adam_free = adam_start + chunk_adam
             adam_s += chunk_adam
             adam_op = op("host", "cpu-adam", "host", adam_start, adam_free, (adam_op, r))
-            tail, wh = xfer(e * out_bpe, "nvme-out", adam_free, phase["opt"], (adam_op,))
+            tail, wh = xfer(e * out_bpe, "nvme-out", adam_free, PHASES["opt"], (adam_op,))
             update_done = wh.done_t
             page_in_s += rh.wire_s
             page_out_s += wh.wire_s
@@ -248,7 +241,9 @@ def evaluate_step(
                 ("nvme-out",) if pl.param_tier == "nvme" else ()
             )
         for direction in hops:
-            tail, h = xfer(inputs.refresh_bytes, direction, refresh_done, phase["refresh"], (tail,))
+            tail, h = xfer(
+                inputs.refresh_bytes, direction, refresh_done, PHASES["refresh"], (tail,)
+            )
             refresh_done = h.done_t
             refresh_wire += h.wire_s
     # 5. Step end.
@@ -268,67 +263,9 @@ def evaluate_step(
     op("milestone", "step-end", "main", step_s, step_s, end_deps)
     return StepSchedule(
         inputs=inputs, placement=pl,
-        links=(pcie.link, nvme.link if nvme is not None else None), ops=ops,
+        links=(pcie.link, nvme.link), ops=ops,
         compute_end=compute_end, grads_ready=grads_ready, update_done=update_done,
         refresh_done=refresh_done, step_s=step_s, carry_out=carry_out,
         cpu_adam_s=adam_s, refresh_wire_s=refresh_wire,
         opt_page_in_s=page_in_s, opt_page_out_s=page_out_s,
     )
-
-
-# -- the driver surface both runtimes share -----------------------------------
-# ``rt`` is an OffloadRuntime or InfinityEngine: config, model_config,
-# mp_degree, peak_flops, placement, and the step state _pending (the open
-# step's inputs) / last_schedule (the last closed one; it keeps its inputs).
-
-
-def accrue_micro(rt, batch: int, seq_len: int) -> None:
-    """Add one micro-batch's forward/backward compute time to the open step."""
-    fwd, bwd = compute_split_seconds(
-        rt.model_config, batch, seq_len, checkpointing=rt.config.checkpointing,
-        mp_degree=rt.mp_degree, peak_flops=rt.peak_flops,
-    )
-    rt._pending.fwd_s += fwd
-    rt._pending.bwd_s += bwd
-
-
-def close_step(
-    rt, pcie: TierStream, nvme: TierStream | None, *,
-    adam_numel: int, refresh_bytes: int, boundary_grad_bytes: int,
-) -> StepSchedule:
-    """Complete the open step's inputs with the boundary's byte counts and
-    the DPU carry, evaluate it, and open the next step."""
-    inputs = rt._pending
-    inputs.adam_numel = int(adam_numel)
-    inputs.refresh_bytes = int(refresh_bytes)
-    inputs.boundary_grad_bytes = int(boundary_grad_bytes)
-    if rt.last_schedule is not None:
-        inputs.carry_in_s = rt.last_schedule.carry_out
-    rt.last_schedule = evaluate_step(inputs, rt.placement, pcie, nvme)
-    rt._pending = StepInputs()
-    return rt.last_schedule
-
-
-def trace_schedule(sched: StepSchedule | None, tracer, t0: float) -> None:
-    """Emit a closed boundary's transfers and host Adam onto telemetry
-    side tracks; ``t0`` is the tracer clock at forward begin.
-
-    These are explicit-interval complete events, not clock spans — under
-    DPU the deferred tail legitimately overlaps the next step's compute.
-    With Perfscope recording on, the schedule itself is kept per step.
-    """
-    if sched is None:
-        return
-    for kind, label, _track, start, end, nbytes, phase, _deps in sched.ops:
-        if kind == "xfer":
-            tracer.add_span(
-                label, t0 + start, end - start, bytes=nbytes, phase=phase,
-                track="pcie-" + label if label in PCIE_LANES else label,
-            )
-        elif kind == "host":
-            tracer.add_span(
-                label, t0 + start, end - start,
-                track="host", delayed=sched.placement.delayed_param_update,
-            )
-    if getattr(tracer, "record_comm", False):
-        tracer.record_runtime_step(sched.placement.runtime, sched)

@@ -6,13 +6,12 @@ a capacity and is reached over a full-duplex link with alpha-beta cost.
 sees (built from ``repro.hardware`` specs so capacities and link numbers
 are hardware truth), and ``TierStream`` the per-link transfer scheduler.
 
-``TierStream`` is the generalization of the ZeRO-Offload PCIe stream: two
-independent lanes ("out" = away from the device, "in" = toward it), each
-serializing its transfers under ``start = max(submit, lane_free)`` and
-``done = start + alpha + bytes/beta`` on a within-step clock (t = 0 at
-forward begin). ``repro.offload.streams.PCIeStream`` is now the two-tier
-special case — same scheduling, lanes labelled d2h/h2d — so the offload
-engine and the infinity engine share one duplex-bandwidth model.
+``TierStream`` models one link as two independent lanes (full duplex: one
+away from the device, one toward it — traffic in opposite directions does
+not contend), each serializing its transfers under ``start = max(submit,
+lane_free)`` and ``done = start + alpha + bytes/beta`` on a within-step
+clock (t = 0 at forward begin). The PCIe stream and the NVMe stream are
+the same class with different lane labels.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ TIER_NAMES = ("device", "host", "nvme")
 def wire_seconds(link: InterconnectSpec, nbytes: int | float) -> float:
     """Alpha-beta wire time of one transfer on ``link`` (0 for 0 bytes).
 
-    The single closed-form every tier cost shares: the offload cost model,
-    the infinity cost model, and the streams all price bytes through here.
+    The single closed-form every tier cost shares: the cost model and the
+    streams both price bytes through here.
     """
     if nbytes <= 0:
         return 0.0
@@ -161,28 +160,25 @@ class TransferHandle:
 class TierStream:
     """Full-duplex lane pair for one tier link, with async handle semantics.
 
-    Subclasses (or callers) pick the two lane labels; ZeRO-Offload's
-    ``PCIeStream`` uses ``("d2h", "h2d")``, the infinity engine's NVMe
-    stream uses ``("out", "in")``. Every copy lands in the rank's
+    Callers pick the two lane labels: ``schedule.PCIE_LANES`` (``("d2h",
+    "h2d")``) for the host link, ``schedule.NVME_LANES`` (``("nvme-out",
+    "nvme-in")``) for the drive array. Every copy lands in the rank's
     CommLedger under its lane label so volume accounting sees tier traffic
     exactly like collective traffic.
     """
-
-    directions: tuple[str, str] = ("out", "in")
 
     def __init__(
         self,
         link: InterconnectSpec,
         *,
+        directions: tuple[str, str],
         ledger: CommLedger | None = None,
         rank: int = 0,
-        directions: tuple[str, str] | None = None,
     ):
         self.link = link
         self.ledger = ledger
         self.rank = rank
-        if directions is not None:
-            self.directions = directions
+        self.directions = directions
         self._lane_free = {d: 0.0 for d in self.directions}
         self.handles: list[TransferHandle] = []
 

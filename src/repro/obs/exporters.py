@@ -28,6 +28,7 @@ import re
 from repro.obs.events import EventKind
 from repro.obs.goodput import compute_goodput
 from repro.obs.incidents import absorbed_injections, reconstruct_incidents
+from repro.telemetry.export import global_instant_events, process_meta, tracer_events
 
 _US = 1e6  # simulated seconds -> trace microseconds
 
@@ -318,80 +319,14 @@ def stitched_chrome_trace(ledger, session) -> dict:
         )
     events: list[dict] = []
     for rank, tracer in sorted(session.tracers.items()):
-        pid = rank
         tids: dict[str, int] = {}
-
-        def tid_for(track: str) -> int:
-            if track not in tids:
-                tids[track] = len(tids)
-            return tids[track]
-
-        for inc, (l0, t0, c0), (l1, t1, c1) in _rank_slices(ledger, rank, tracer):
-            if (l0, t0, c0) == (l1, t1, c1):
-                continue
-            main_tid = tid_for(f"inc{inc}:step")
-            for kind, item in tracer.log[l0:l1]:
-                if kind == "B":
-                    events.append({
-                        "name": item.name, "ph": "B", "pid": pid,
-                        "tid": main_tid, "ts": item.start_s * _US,
-                        "args": dict(item.args),
-                    })
-                elif kind == "E":
-                    events.append({
-                        "name": item.name, "ph": "E", "pid": pid,
-                        "tid": main_tid, "ts": item.end_s * _US,
-                    })
-                elif kind == "I":
-                    events.append({
-                        "name": item.name, "ph": "i", "s": "t", "pid": pid,
-                        "tid": main_tid, "ts": item.t_s * _US,
-                        "args": dict(item.args),
-                    })
-                elif kind == "C":
-                    events.append({
-                        "name": item.name, "ph": "C", "pid": pid,
-                        "tid": main_tid, "ts": item.t_s * _US,
-                        "args": {"value": item.value},
-                    })
-            for span in sorted(
-                tracer.timeline_spans[t0:t1],
-                key=lambda s: (s.track, s.start_s),
-            ):
-                events.append({
-                    "name": span.name, "ph": "X", "pid": pid,
-                    "tid": tid_for(f"inc{inc}:{span.track}"),
-                    "ts": span.start_s * _US, "dur": span.duration_s * _US,
-                    "args": dict(span.args),
-                })
-            for ci in getattr(tracer, "comm_intervals", ())[c0:c1]:
-                events.append({
-                    "name": ci.op, "ph": "X", "pid": pid,
-                    "tid": tid_for(f"inc{inc}:comm"),
-                    "ts": ci.start_s * _US, "dur": ci.duration_s * _US,
-                    "args": {
-                        "bytes": ci.message_bytes, "phase": ci.phase,
-                        "step": ci.step,
-                    },
-                })
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid,
-            "args": {"name": f"rank {pid}"},
-        })
-        events.append({
-            "name": "process_sort_index", "ph": "M", "pid": pid,
-            "args": {"sort_index": pid},
-        })
-        for track, tid in tids.items():
-            events.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": track},
-            })
-    for ev in session.global_instants:
-        events.append({
-            "name": ev.name, "ph": "i", "s": "g", "pid": -1, "tid": 0,
-            "ts": ev.t_s * _US, "args": dict(ev.args),
-        })
+        for inc, start, end in _rank_slices(ledger, rank, tracer):
+            if start != end:
+                # No cross-rank flow links: lanes of different incarnations
+                # would pair up by occurrence count.
+                events += tracer_events(tracer, tids, {}, start, end, lane=f"inc{inc}:")
+        events += process_meta(rank, tids)
+    events += global_instant_events(session.global_instants)
     for ev in ledger.events:
         if ev.kind not in _TRACE_LEDGER_KINDS:
             continue

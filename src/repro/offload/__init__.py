@@ -1,30 +1,15 @@
-"""ZeRO-Offload over the simulator: host-resident fp32 Adam, streamed PCIe
-gradient/parameter traffic, and one-step delayed parameter update.
-
-The engines' numerics never change — offload moves *placement* (device ->
-host) and adds a transfer timeline, which is why offloaded training is
-bitwise identical to the all-device path when DPU is off.
+"""ZeRO-Offload is the host-only placement of ``repro.infinity``:
+``ZeROConfig(offload_*=...)`` spells an ``InfinityConfig`` that stops at the
+host tier, and one runtime, schedule and cost model serve both. What is
+left here is the host Adam's cost (``host_optim``) and ``engine``, a stub
+hostbench's probe resolves by name — not imported here, since
+``repro.infinity`` imports this package.
 """
 
-from repro.offload.cost_model import OffloadCostModel, OffloadStepPrediction, relative_error
-from repro.offload.engine import OffloadConfig, OffloadRuntime, OffloadStepReport
 from repro.offload.host_optim import (
     CPU_ADAM_ELEMENTS_PER_S,
     CPU_ADAM_LATENCY_S,
     cpu_adam_seconds,
 )
-from repro.offload.streams import PCIeStream, TransferHandle
 
-__all__ = [
-    "CPU_ADAM_ELEMENTS_PER_S",
-    "CPU_ADAM_LATENCY_S",
-    "OffloadConfig",
-    "OffloadCostModel",
-    "OffloadRuntime",
-    "OffloadStepPrediction",
-    "OffloadStepReport",
-    "PCIeStream",
-    "TransferHandle",
-    "cpu_adam_seconds",
-    "relative_error",
-]
+__all__ = ["CPU_ADAM_ELEMENTS_PER_S", "CPU_ADAM_LATENCY_S", "cpu_adam_seconds"]

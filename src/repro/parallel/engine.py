@@ -62,17 +62,14 @@ class EngineConfig:
     # partition norm^2, summed across the DP group, sqrt — then every rank
     # applies the identical scale factor.
     grad_clip_norm: float | None = None
-    # Optional repro.offload.OffloadConfig: host-resident optimizer state
-    # (and optionally gradients) with a modeled PCIe transfer timeline.
-    # Only the partitioned engines (ZeRO stages 1-3) support it.
-    offload: "OffloadConfig | None" = None
     # Optional repro.integrity.IntegrityConfig: SDC detectors (shard
     # digest guard, cross-rank replicated-state audit, loss/grad-norm
     # sentinels). None (the default) allocates nothing.
     integrity: "IntegrityConfig | None" = None
-    # Optional repro.infinity.InfinityConfig: the multi-tier (device ->
-    # host -> NVMe) generalization of ``offload``; mutually exclusive
-    # with it.
+    # Optional repro.infinity.InfinityConfig: the tier (device -> host ->
+    # NVMe) each model-state class lives on, with a modeled transfer
+    # timeline; ZeRO-Offload is the placement that stops at the host.
+    # Only the partitioned engines (ZeRO stages 1-3) support it.
     infinity: "InfinityConfig | None" = None
 
 
@@ -149,30 +146,16 @@ class BaseEngine:
                     (self.config.fused_buffer_numel,), np.dtype(np.float32),
                     data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
-        # The tier runtime (ZeRO-Offload's, or ZeRO-Infinity's behind the
-        # same driver surface): owns the transfer streams and the step-time
-        # model. Placement changes live in the ZeRO engines.
-        self.offload = None
-        if self.config.offload is not None and self.config.infinity is not None:
-            raise ValueError(
-                "offload and infinity are mutually exclusive — InfinityConfig "
-                "subsumes the host tier (set param/grad/optimizer tiers instead)"
-            )
         # Imported here: repro.zero's engines import this module.
         from repro.zero.placement import state_placement
 
         #: (partitioned, tier) per state class; raises the one validity
         #: error when a tier config parks a class this stage replicates.
-        self.placement = state_placement(
-            self.stage, self.config.offload or self.config.infinity
-        )
-        if self.config.offload is not None:
-            from repro.offload.engine import OffloadRuntime
-
-            self.offload = OffloadRuntime(
-                ctx, self.config.offload, model.config, mp_degree=self._mp_degree()
-            )
-        elif self.config.infinity is not None:
+        self.placement = state_placement(self.stage, self.config.infinity)
+        # The tier runtime: owns the transfer streams and the step-time
+        # model. Placement changes live in the ZeRO engines.
+        self.offload = None
+        if self.config.infinity is not None:
             from repro.infinity.engine import InfinityEngine
 
             self.offload = InfinityEngine(

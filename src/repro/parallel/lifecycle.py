@@ -61,7 +61,7 @@ class _Faults:
 
 
 class _Tiers:
-    """``engine.offload`` (ZeRO-Offload / ZeRO-Infinity runtime): the
+    """``engine.offload`` (the ``InfinityEngine`` tier runtime): the
     step's transfer timeline and modeled step time."""
 
     def micro_begin(self, engine, boundary, batch, seq_len):

@@ -16,7 +16,7 @@ modes cover every engine:
 - **Runtime schedules** (ZeRO-Offload / ZeRO-Infinity boundaries): the
   runtime's own ``StepSchedule`` (``repro.infinity.schedule``) already is
   a dependency graph — ``repro.perfscope.runtime_replay`` copies its ops
-  into nodes, so the rank's step end is ``OffloadStepReport.step_s`` /
+  into nodes, so the rank's step end is
   ``InfinityStepReport.step_s`` and the full structure (prefetch windows,
   lane queueing, the NVMe in->update->out pipeline, DPU carry) is kept.
 
@@ -94,7 +94,7 @@ class StepGraph:
         #: checked against.
         self.observed_step_s: dict[int, float] = {}
         #: build sources kept for what-if re-pricing:
-        #: rank -> ("main", [entry...]) | ("runtime", kind, StepSchedule).
+        #: rank -> ("main", [entry...]) | ("runtime", StepSchedule).
         self.sources: dict[int, tuple] = {}
         #: per-rank tracer-clock time of the step begin (graph times are
         #: step-relative; this rebases them for trace annotation).
@@ -228,7 +228,7 @@ def _phase_label(phases, t: float) -> str:
 def extract_sources(tracer, step: int) -> tuple | None:
     """Build rank ``tracer.rank``'s source descriptor for one step.
 
-    Returns ``("runtime", kind, payload, duration)`` when the step closed
+    Returns ``("runtime", payload, duration)`` when the step closed
     an offload/infinity boundary, ``("main", entries, duration)`` for a
     serialized main-clock step, or None when this rank never traced the
     step. Main entries are ``("compute", label, dur, rel_start, rel_end)``
@@ -242,8 +242,7 @@ def extract_sources(tracer, step: int) -> tuple | None:
     t0, t1 = span.start_s, span.end_s
     runtime = tracer.runtime_steps.get(step)
     if runtime is not None:
-        kind, payload = runtime
-        return ("runtime", kind, payload, span.duration_s)
+        return ("runtime", runtime, span.duration_s)
     phases = [
         (s.name, s.start_s, s.end_s)
         for s in tracer.spans
@@ -396,8 +395,7 @@ def build_step_graph(
         g.sources[rank] = source
         g.step_start_s[rank] = _step_spans(tracers[rank])[step].start_s
         if source[0] == "runtime":
-            _, kind, payload, _dur = source
-            replay_runtime(g, rank, kind, payload)
+            replay_runtime(g, rank, source[1])
         else:
             _, entries, duration = source
             _add_main_rank(g, rank, entries, duration)

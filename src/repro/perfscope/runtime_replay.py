@@ -1,8 +1,8 @@
-"""Offload/infinity boundaries as graph nodes: an adapter over the tier schedule.
+"""Tier-runtime boundaries as graph nodes: an adapter over the tier schedule.
 
-``OffloadRuntime`` / ``InfinityEngine`` evaluate each boundary with
+``InfinityEngine`` evaluates each boundary with
 ``repro.infinity.schedule.evaluate_step`` and, when Perfscope recording is
-on, leave the resulting ``StepSchedule`` in ``Tracer.runtime_steps``. Its
+on, leaves the resulting ``StepSchedule`` in ``Tracer.runtime_steps``. Its
 ops already carry times and dependency edges (what bound: compute, the
 grad stream, the CPU Adam, a lane, the DPU carry), so building the rank's
 part of a ``StepGraph`` is a one-to-one copy and the replayed step end *is*
@@ -17,28 +17,24 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.infinity.schedule import NVME_LANES, PHASES, StepSchedule, evaluate_step
+from repro.infinity.schedule import NVME_LANES, PCIE_LANES, StepSchedule, evaluate_step
 from repro.infinity.tiers import TierStream
-from repro.offload.streams import PCIeStream
 from repro.perfscope.graph import XFER_LINK, StepGraph
 
 
-def replay_runtime(g: StepGraph, rank: int, kind: str, payload: StepSchedule, *,
+def replay_runtime(g: StepGraph, rank: int, payload: StepSchedule, *,
                    pcie=None, nvme=None, adam_rate=None) -> None:
     """Add one captured runtime boundary to ``g`` as rank ``rank``'s nodes."""
-    if kind not in PHASES:
-        raise ValueError(f"unknown runtime capture kind {kind!r}")
     sched = payload
     if pcie is not None or nvme is not None or adam_rate is not None:
         placement = sched.placement
         if adam_rate is not None:
             placement = replace(placement, cpu_adam_elements_per_s=adam_rate)
         pcie_link, nvme_link = sched.links
-        nvme_link = nvme_link if nvme is None else nvme
         sched = evaluate_step(
             sched.inputs, placement,
-            PCIeStream(pcie_link if pcie is None else pcie),
-            TierStream(nvme_link, directions=NVME_LANES) if nvme_link is not None else None,
+            TierStream(pcie_link if pcie is None else pcie, directions=PCIE_LANES),
+            TierStream(nvme_link if nvme is None else nvme, directions=NVME_LANES),
         )
     base = len(g.nodes)
     chain = []

@@ -93,10 +93,7 @@ def reprice(
     for rank, source in sorted(g.sources.items()):
         ng.sources[rank] = source
         if source[0] == "runtime":
-            _, kind, payload, _dur = source
-            replay_runtime(
-                ng, rank, kind, payload, pcie=pcie, nvme=nvme, adam_rate=adam_rate
-            )
+            replay_runtime(ng, rank, source[1], pcie=pcie, nvme=nvme, adam_rate=adam_rate)
         else:
             _, entries, duration = source
             _add_main_rank(ng, rank, entries, duration, pricer=pricer)

@@ -84,6 +84,102 @@ def _comm_flow_roles(tracers) -> dict[tuple[int, int], tuple[int, str]]:
     return roles
 
 
+def tracer_events(tracer, tids, flow_roles, start=(0, 0, 0), end=(None, None, None), lane=""):
+    """Trace events of one tracer's ``[start, end)`` slice of (causal log,
+    side-lane spans, comm intervals), on tracks named ``lane + track`` —
+    the whole tracer by default; one incarnation of it for the stitched
+    cross-restart trace (``repro.obs.exporters``). Track ids are handed out
+    from ``tids`` as tracks first appear."""
+    pid = tracer.rank
+    events: list[dict] = []
+    main_tid = _tid_for(lane + "step", tids)
+    # Causal log: begin/end/instant/counter entries in recorded order;
+    # the clock is monotonic, so per-track timestamps are too.
+    for kind, item in tracer.log[start[0]:end[0]]:
+        if kind == "B":
+            events.append({
+                "name": item.name, "ph": "B", "pid": pid, "tid": main_tid,
+                "ts": item.start_s * _US, "args": dict(item.args),
+            })
+        elif kind == "E":
+            events.append({
+                "name": item.name, "ph": "E", "pid": pid, "tid": main_tid,
+                "ts": item.end_s * _US,
+            })
+        elif kind == "I":
+            events.append({
+                "name": item.name, "ph": "i", "s": "t", "pid": pid,
+                "tid": main_tid, "ts": item.t_s * _US, "args": dict(item.args),
+            })
+        elif kind == "C":
+            events.append({
+                "name": item.name, "ph": "C", "pid": pid, "tid": main_tid,
+                "ts": item.t_s * _US, "args": {"value": item.value},
+            })
+    # Tier side-tracks: explicit-interval spans, complete events.
+    side = tracer.timeline_spans[start[1]:end[1]]
+    for span in sorted(side, key=lambda s: (s.track, s.start_s)):
+        events.append({
+            "name": span.name, "ph": "X", "pid": pid,
+            "tid": _tid_for(lane + span.track, tids),
+            "ts": span.start_s * _US, "dur": span.duration_s * _US,
+            "args": dict(span.args),
+        })
+    # Perfscope comm track: one complete event per priced comm event,
+    # with flow events linking a collective's per-rank spans (and a
+    # send to its recv). Interval lists are clock-ordered, and each
+    # flow rides its own span's start ts, so the track stays monotonic.
+    intervals = getattr(tracer, "comm_intervals", ())[start[2]:end[2]]
+    if intervals:
+        comm_tid = _tid_for(lane + "comm", tids)
+        for idx, ci in enumerate(intervals, start[2]):
+            events.append({
+                "name": ci.op, "ph": "X", "pid": pid, "tid": comm_tid,
+                "ts": ci.start_s * _US, "dur": ci.duration_s * _US,
+                "args": {
+                    "bytes": ci.message_bytes, "phase": ci.phase,
+                    "step": ci.step,
+                },
+            })
+            flow = flow_roles.get((tracer.rank, idx))
+            if flow is not None:
+                fid, role = flow
+                ev = {
+                    "name": ci.op, "cat": "comm-flow", "ph": role,
+                    "id": fid, "pid": pid, "tid": comm_tid,
+                    "ts": ci.start_s * _US,
+                }
+                if role == "f":
+                    ev["bp"] = "e"
+                events.append(ev)
+    return events
+
+
+def process_meta(pid: int, tids: dict[str, int]) -> list[dict]:
+    """Metadata events naming rank ``pid``'s process and its tracks."""
+    meta = [
+        {"name": "process_name", "ph": "M", "pid": pid,
+         "args": {"name": f"rank {pid}"}},
+        {"name": "process_sort_index", "ph": "M", "pid": pid,
+         "args": {"sort_index": pid}},
+    ]
+    for track, tid in tids.items():
+        meta.append({
+            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+            "args": {"name": track},
+        })
+    return meta
+
+
+def global_instant_events(instants) -> list[dict]:
+    """Supervisor-process (pid -1, tid 0) instants, one per global event."""
+    return [
+        {"name": ev.name, "ph": "i", "s": "g", "pid": -1, "tid": 0,
+         "ts": ev.t_s * _US, "args": dict(ev.args)}
+        for ev in instants
+    ]
+
+
 def chrome_trace(tracers, global_instants=()) -> dict:
     """Build the trace-event dict for ``tracers`` (iterable of Tracer).
 
@@ -96,84 +192,10 @@ def chrome_trace(tracers, global_instants=()) -> dict:
     flow_roles = _comm_flow_roles(tracers)
     events: list[dict] = []
     for tracer in tracers:
-        pid = tracer.rank
         tids: dict[str, int] = {}
-        main_tid = _tid_for("step", tids)
-        # Causal log: begin/end/instant/counter entries in recorded order;
-        # the clock is monotonic, so per-track timestamps are too.
-        for kind, item in tracer.log:
-            if kind == "B":
-                events.append({
-                    "name": item.name, "ph": "B", "pid": pid, "tid": main_tid,
-                    "ts": item.start_s * _US, "args": dict(item.args),
-                })
-            elif kind == "E":
-                events.append({
-                    "name": item.name, "ph": "E", "pid": pid, "tid": main_tid,
-                    "ts": item.end_s * _US,
-                })
-            elif kind == "I":
-                events.append({
-                    "name": item.name, "ph": "i", "s": "t", "pid": pid,
-                    "tid": main_tid, "ts": item.t_s * _US, "args": dict(item.args),
-                })
-            elif kind == "C":
-                events.append({
-                    "name": item.name, "ph": "C", "pid": pid, "tid": main_tid,
-                    "ts": item.t_s * _US, "args": {"value": item.value},
-                })
-        # Offload side-tracks: explicit-interval spans, complete events.
-        for span in sorted(tracer.timeline_spans, key=lambda s: (s.track, s.start_s)):
-            events.append({
-                "name": span.name, "ph": "X", "pid": pid,
-                "tid": _tid_for(span.track, tids),
-                "ts": span.start_s * _US, "dur": span.duration_s * _US,
-                "args": dict(span.args),
-            })
-        # Perfscope comm track: one complete event per priced comm event,
-        # with flow events linking a collective's per-rank spans (and a
-        # send to its recv). Interval lists are clock-ordered, and each
-        # flow rides its own span's start ts, so the track stays monotonic.
-        intervals = getattr(tracer, "comm_intervals", ())
-        if intervals:
-            comm_tid = _tid_for("comm", tids)
-            for idx, ci in enumerate(intervals):
-                events.append({
-                    "name": ci.op, "ph": "X", "pid": pid, "tid": comm_tid,
-                    "ts": ci.start_s * _US, "dur": ci.duration_s * _US,
-                    "args": {
-                        "bytes": ci.message_bytes, "phase": ci.phase,
-                        "step": ci.step,
-                    },
-                })
-                flow = flow_roles.get((tracer.rank, idx))
-                if flow is not None:
-                    fid, role = flow
-                    ev = {
-                        "name": ci.op, "cat": "comm-flow", "ph": role,
-                        "id": fid, "pid": pid, "tid": comm_tid,
-                        "ts": ci.start_s * _US,
-                    }
-                    if role == "f":
-                        ev["bp"] = "e"
-                    events.append(ev)
-        meta = [
-            {"name": "process_name", "ph": "M", "pid": pid,
-             "args": {"name": f"rank {pid}"}},
-            {"name": "process_sort_index", "ph": "M", "pid": pid,
-             "args": {"sort_index": pid}},
-        ]
-        for track, tid in tids.items():
-            meta.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": track},
-            })
-        events.extend(meta)
-    for ev in global_instants:
-        events.append({
-            "name": ev.name, "ph": "i", "s": "g", "pid": -1, "tid": 0,
-            "ts": ev.t_s * _US, "args": dict(ev.args),
-        })
+        events += tracer_events(tracer, tids, flow_roles)
+        events += process_meta(tracer.rank, tids)
+    events += global_instant_events(global_instants)
     if any(ev["pid"] == -1 for ev in events):
         events.append({
             "name": "process_name", "ph": "M", "pid": -1,

@@ -129,10 +129,10 @@ class Tracer:
         self.record_comm = False
         #: priced comm events as clock intervals (see CommInterval).
         self.comm_intervals: list[CommInterval] = []
-        #: per-step runtime-schedule captures keyed by step index:
-        #: (kind, StepSchedule) recorded by OffloadRuntime / InfinityEngine
-        #: trace_step: the boundary's overlapped schedule, for Perfscope.
-        self.runtime_steps: dict[int, tuple[str, object]] = {}
+        #: per-step ``StepSchedule`` captures keyed by step index, recorded
+        #: by ``InfinityEngine.trace_step``: the boundary's overlapped
+        #: schedule, for Perfscope.
+        self.runtime_steps: dict[int, object] = {}
         self._stack: list[Span] = []
         self._comm_nominal_bytes = 0.0
         self._comm_by_phase: dict[str, float] = {}
@@ -205,7 +205,7 @@ class Tracer:
         track: str, **args,
     ) -> Span:
         """Record an explicit-interval span on a named side track (the
-        offload runtime's PCIe/host lanes, whose overlap timeline does not
+        tier runtime's PCIe/NVMe/host lanes, whose overlap timeline does not
         live on the serialized main clock)."""
         span = Span(
             name=name, rank=self.rank, start_s=float(start_s),
@@ -261,14 +261,14 @@ class Tracer:
                 return len(self.step_durations)
         return None
 
-    def record_runtime_step(self, kind: str, payload) -> None:
+    def record_runtime_step(self, schedule) -> None:
         """Stash one boundary's runtime-schedule capture for Perfscope
         (no-op unless recording is on)."""
         if not self.record_comm:
             return
         step = self.current_step_index()
         if step is not None:
-            self.runtime_steps[step] = (kind, payload)
+            self.runtime_steps[step] = schedule
 
     def on_comm_event(self, event) -> None:
         """Price one recorded ``CommEvent`` into clock time + counters."""

@@ -9,7 +9,6 @@ from repro.zero.placement import Placed, state_placement
 
 if TYPE_CHECKING:
     from repro.infinity.config import InfinityConfig
-    from repro.offload.engine import OffloadConfig
 
 
 @dataclass(frozen=True)
@@ -30,6 +29,7 @@ class ZeROConfig:
     # K Psi / Nd term from device memory), optionally with the gradient
     # shard host-resident too (drops 2 Psi / Nd more, streamed over PCIe
     # during backward) and the one-step delayed parameter update schedule.
+    # Sugar for the host-only ``infinity`` placement (see ``tiers``).
     offload_optimizer: bool = False
     offload_gradients: bool = False
     delayed_param_update: bool = False
@@ -46,8 +46,8 @@ class ZeROConfig:
     # ZeRO-Infinity (repro.infinity): place each state class (fp16 params,
     # grads, fp32 optimizer state) on a device/host/NVMe tier, with paged
     # stage-3 gathers and memory-centric tiling. Mutually exclusive with
-    # the offload_* flags above — InfinityConfig subsumes the single host
-    # tier as the (os@host, g@device|host, p@device) special case.
+    # the offload_* flags above, which spell its (os@host, g@device|host,
+    # p@device) special case.
     infinity: "InfinityConfig | None" = None
 
     def __post_init__(self):
@@ -72,9 +72,9 @@ class ZeROConfig:
         )
 
     @property
-    def tiers(self) -> "OffloadConfig | InfinityConfig | None":
-        """The tier config this asks for: ``infinity``, else the
-        ``OffloadConfig`` the ``offload_*`` flags spell, else None (every
+    def tiers(self) -> "InfinityConfig | None":
+        """The tier config this asks for: ``infinity``, else the host-only
+        ``InfinityConfig`` the ``offload_*`` flags spell, else None (every
         state class on the device)."""
         flags = self.offload_optimizer or self.offload_gradients or self.delayed_param_update
         if self.infinity is not None:
@@ -86,13 +86,14 @@ class ZeROConfig:
             return self.infinity
         if not flags:
             return None
-        # Imported here: repro.offload reaches repro.analysis, which
+        # Imported here: repro.infinity reaches repro.analysis, which
         # imports this module.
-        from repro.offload.engine import OffloadConfig
+        from repro.infinity.config import InfinityConfig
 
-        return OffloadConfig(
-            offload_optimizer=self.offload_optimizer,
-            offload_gradients=self.offload_gradients,
+        return InfinityConfig(
+            optimizer_tier="host" if self.offload_optimizer else "device",
+            grad_tier="host" if self.offload_gradients else "device",
+            param_tier="device",
             delayed_param_update=self.delayed_param_update,
             checkpointing=self.checkpoint_activations,
         )

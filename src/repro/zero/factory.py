@@ -59,10 +59,8 @@ def build_engine(
     config = engine_config or EngineConfig()
     if zero.constant_buffers and config.fused_buffer_numel is None:
         config = replace(config, fused_buffer_numel=zero.constant_buffer_numel)
-    if zero.infinity is not None and config.infinity is None:
-        config = replace(config, infinity=zero.infinity)
-    elif zero.offload_optimizer and config.offload is None:
-        config = replace(config, offload=zero.tiers)
+    if config.infinity is None:
+        config = replace(config, infinity=zero.tiers)
     if zero.audit_cadence and config.integrity is None:
         from repro.integrity import IntegrityConfig
 

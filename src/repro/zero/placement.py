@@ -49,7 +49,7 @@ def state_placement(
     """``(partitioned, tier)`` per state class: the resolved placement.
 
     ``tiers`` is anything with ``optimizer_tier`` / ``grad_tier`` /
-    ``param_tier`` (``OffloadConfig``, ``InfinityConfig``); None keeps
+    ``param_tier`` (an ``InfinityConfig``); None keeps
     every model state on the device. ``activation`` is the fourth row as
     asked for (no stage implies it). A class may leave the device only if
     it is partitioned: the host-side Adam and the tier streams move this

@@ -62,8 +62,8 @@ class _ZeroDPBase(BaseEngine):
         self.part_numel = self.part_hi - self.part_lo
         placed = self.placement
         # Host-side Adam (ZeRO-Offload) and gradients streamed to their
-        # tier piece by piece; DPU is the offload schedule's one deliberate
-        # numeric change (staleness contract in repro.offload.engine).
+        # tier piece by piece; DPU is the tier schedule's one deliberate
+        # numeric change (staleness contract in repro.infinity.engine).
         self._host_adam = placed["optimizer"].tier != "device"
         self._stream_grads = placed["grad"].tier != "device"
         self._dpu = self.offload is not None and self.offload.config.delayed_param_update
@@ -247,7 +247,7 @@ class _ZeroDPBase(BaseEngine):
         hp = self.current_adam_hp
         # DPU (ZeRO-Offload): publish fp16(master *before* this update) —
         # the update lands one step late, overlapped with the next step's
-        # compute. See repro.offload.engine for the staleness contract.
+        # compute. See repro.infinity.engine for the staleness contract.
         stale16 = self.opt_state.master.data.astype(self.model.dtype) if self._dpu else None
 
         def update(lo: int, hi: int) -> None:

@@ -17,6 +17,7 @@ Acceptance properties (ISSUE 10):
 * Every RestartKind round-trips through MetricsRegistry labels.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ import pytest
 from repro import (
     Cluster,
     GPTConfig,
+    InfinityConfig,
     RedundancyConfig,
     RestartKind,
     RestartPolicy,
@@ -412,6 +414,37 @@ class TestMissionControlE2E:
         replayed = RunLedger.replay(ledger_path)
         with pytest.raises(ValueError, match="incarnation marks"):
             stitched_chrome_trace(replayed, session)
+
+
+def test_stitched_trace_matches_the_parent_commit(tmp_path):
+    """The stitched trace is built by ``telemetry.export``'s per-tracer body,
+    one slice per incarnation: its event list is what the lane loops it used
+    to carry produced (sha256 of the sorted-key JSON at ad00da6). The seeded
+    campaign above cannot pin this — where a killed rank's spans end depends
+    on thread interleaving — so the pin runs three fault-free incarnations
+    (world 3, 2, 2) of a stage-3 all-tier job with Perfscope recording on:
+    every lane kind (step, PCIe, NVMe, host, comm) in every incarnation."""
+    session = TelemetrySession(perfscope=True)
+    ledger = RunLedger(tmp_path / "run-ledger.jsonl")
+    zero = ZeROConfig(stage=3, memory_defrag=False, infinity=InfinityConfig(param_tier="host"))
+
+    def fn(ctx):
+        _, engine = build_model_and_engine(
+            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3
+        )
+        for step in range(2):
+            engine.train_step(*CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step))
+
+    for world in (3, 2, 2):
+        ledger.begin_incarnation(world, session=session)
+        Cluster(world, gpu=GPU, timeout_s=60.0, telemetry=session, recorder=ledger).run(fn)
+    ledger.close()
+    trace = stitched_chrome_trace(ledger, session)
+    validate_chrome_trace(trace)
+    events = [ev for ev in trace["traceEvents"] if ev.get("cat") != "comm-flow"]
+    assert len(events) == 1539
+    digest = hashlib.sha256(json.dumps(events, sort_keys=True).encode()).hexdigest()
+    assert digest[:32] == "6614eb83bf02252d624914361141dd60"
 
 
 # -- zero-overhead contract ---------------------------------------------------

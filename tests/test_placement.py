@@ -24,6 +24,7 @@ import pytest
 import repro.analysis
 import repro.experiments
 import repro.memprof
+import repro.offload.engine
 import repro.zero.activation
 import repro.zero.factory
 from repro import GPTConfig, InfinityConfig, ZeROConfig
@@ -268,29 +269,59 @@ RETIRED_KEYWORDS = {
 }
 
 
-def test_no_closed_form_factory_or_store_takes_a_placement_boolean():
-    """Everything behind the front door (``ZeROConfig``) takes the resolved
-    placement, or the config that resolves to it — never the booleans."""
-    modules = [repro.zero.factory, repro.zero.activation]
-    for package in (repro.analysis, repro.experiments, repro.memprof):
-        modules.append(package)
+def _walk(*packages):
+    modules = list(packages)
+    for package in packages:
         modules += [
             importlib.import_module(info.name)
             for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
         ]
-    hits = []
+    return modules
+
+
+def _signatures(modules):
+    """``(qualified name, Signature)`` of every function and method the
+    modules define (a dataclass's generated ``__init__`` included)."""
     for module in modules:
         for owner in vars(module).values():
             if getattr(owner, "__module__", None) != module.__name__:
                 continue
             members = vars(owner).values() if inspect.isclass(owner) else (owner,)
             for fn in filter(inspect.isfunction, members):
-                hits += [
-                    f"{module.__name__}.{fn.__qualname__}({name})"
-                    for name in inspect.signature(fn).parameters
-                    if name in RETIRED_KEYWORDS
-                ]
+                yield f"{module.__name__}.{fn.__qualname__}", inspect.signature(fn)
+
+
+def test_no_closed_form_factory_or_store_takes_a_placement_boolean():
+    """Everything behind the front door (``ZeROConfig``) takes the resolved
+    placement, or the config that resolves to it — never the booleans."""
+    modules = [repro.zero.factory, repro.zero.activation]
+    modules += _walk(repro.analysis, repro.experiments, repro.memprof)
+    hits = [
+        f"{where}({name})"
+        for where, signature in _signatures(modules)
+        for name in signature.parameters
+        if name in RETIRED_KEYWORDS
+    ]
     assert hits == []
+
+
+def test_one_tier_config_and_one_runtime():
+    """No signature under ``src/repro`` takes an ``offload=`` keyword or
+    names ``OffloadConfig`` — ``InfinityConfig`` is the tier config — and
+    what is left of ``OffloadRuntime`` is the four overrides hostbench's
+    probe resolves by name (``benchmarks/hostbench/probe.py``)."""
+    hits = []
+    for where, signature in _signatures(_walk(repro)):
+        annotations = [p.annotation for p in signature.parameters.values()]
+        annotations.append(signature.return_annotation)
+        if "offload" in signature.parameters or any("OffloadConfig" in str(a) for a in annotations):
+            hits.append(where)
+    assert hits == []
+    stub = repro.offload.engine.OffloadRuntime
+    assert {name for name in vars(stub) if not name.startswith("__")} == {
+        "begin_micro", "queue_grad_d2h", "finish_step", "trace_step",
+    }
+    assert stub.__mro__[1] is repro.infinity.InfinityEngine
 
 
 _COVERED = {(stage, (i.optimizer_tier, i.grad_tier, i.param_tier)) for stage, i in PLACEMENTS}

@@ -18,12 +18,12 @@ from repro.infinity import InfinityConfig
 from repro.infinity.schedule import (
     NVME_LANES,
     OPT_STATE_BYTES_PER_ELEM,
+    PCIE_LANES,
     Placement,
     StepInputs,
     evaluate_step,
 )
 from repro.infinity.tiers import TIER_NAMES, TierStream
-from repro.offload.streams import PCIeStream
 from repro.perfscope.graph import StepGraph, add_fleet_end
 from repro.perfscope.runtime_replay import replay_runtime
 
@@ -63,12 +63,8 @@ def draw_case(seed: int) -> tuple[StepInputs, Placement]:
         refresh_bytes=0 if skipped else shard_bytes,
         carry_in_s=rng.uniform(0.0, 2e-2) if tiers["delayed_param_update"] else 0.0,
     )
-    host_only = tiers["optimizer_tier"] != "nvme" and not n_units and (
-        tiers["grad_tier"] != "nvme"
-    )
     n_chunks = rng.randint(1, 5)
     placement = Placement(
-        rng.choice(("offload", "infinity")) if host_only else "infinity",
         cpu_adam_elements_per_s=rng.uniform(1e8, 1e10),
         prefetch_depth=rng.choice((1, 2, 3)),
         opt_chunk_bytes=2 * OPT_STATE_BYTES_PER_ELEM * -(-numel // n_chunks),
@@ -79,7 +75,7 @@ def draw_case(seed: int) -> tuple[StepInputs, Placement]:
 
 def evaluate(inputs, placement):
     return evaluate_step(
-        inputs, placement, PCIeStream(PCIE_3_X16),
+        inputs, placement, TierStream(PCIE_3_X16, directions=PCIE_LANES),
         TierStream(NVME_RAID, directions=NVME_LANES),
     )
 
@@ -119,7 +115,7 @@ def test_schedule_invariants(seed):
     # exactly, and with their times discarded, scheduling purely from the
     # dependency edges and durations reproduces it.
     g = StepGraph(0)
-    replay_runtime(g, 0, placement.runtime, sched)
+    replay_runtime(g, 0, sched)
     add_fleet_end(g)
     g.schedule()
     assert g.rank_step_s(0) == g.critical_path_s == sched.step_s
@@ -131,20 +127,19 @@ def test_schedule_invariants(seed):
     # Re-pricing with the links it already had is the same schedule.
     assert evaluate(inputs, placement).ops == ops
     again = StepGraph(0)
-    replay_runtime(again, 0, placement.runtime, sched, pcie=PCIE_3_X16, nvme=NVME_RAID)
+    replay_runtime(again, 0, sched, pcie=PCIE_3_X16, nvme=NVME_RAID)
     assert [(n.start_s, n.end_s, n.deps) for n in again.nodes] == [
         (o[3], o[4], list(o[7])) for o in ops
     ]
 
 
 def test_draws_cover_the_option_space():
-    """The fixed sample reaches every tier on every state class, both
-    runtimes' labels, DPU on and off, tiling, and multi-chunk paging."""
+    """The fixed sample reaches every tier on every state class, DPU on
+    and off, tiling, and multi-chunk paging."""
     cases = [draw_case(seed) for seed in range(N_DRAWS)]
     placements = [p for _, p in cases]
     for field in ("optimizer_tier", "grad_tier", "param_tier"):
         assert {getattr(p, field) for p in placements} == set(TIER_NAMES)
-    assert {p.runtime for p in placements} == {"offload", "infinity"}
     assert {p.delayed_param_update for p in placements} == {False, True}
     assert {p.prefetch_depth for p in placements} == {1, 2, 3}
     assert any(t > 1 for i, _ in cases for _, t in i.gathers["forward"])
