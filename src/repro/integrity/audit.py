@@ -42,6 +42,7 @@ import numpy as np
 from repro.integrity.digest import digest_array, digest_scalars, fast_digest_array
 from repro.integrity.errors import CorruptionDetectedError
 from repro.integrity.sentinel import SpikeWindow
+from repro.zero.owned import capture_scalars
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,17 @@ class IntegrityAuditor:
                     f"optimizer update",
                 )
 
+    def matches_recorded(self, digests: dict[str, int]) -> None:
+        """Raise unless ``digests`` — another reader's fingerprints of the
+        owned shards (the buddy refresh's copies) — equal the recorded ones:
+        a replica leaving this rank must be the state the guard vouched for."""
+        for key, digest in digests.items():
+            if self._recorded.get(key, digest) != digest:
+                raise RuntimeError(
+                    f"shard {key!r} changed between the integrity fingerprint "
+                    f"and the redundancy refresh (step {self.engine.step_count})"
+                )
+
     # -- cross-rank replicated-state audit ---------------------------------
 
     def replicated_digests(self) -> np.ndarray:
@@ -140,10 +152,7 @@ class IntegrityAuditor:
             for p in e.layout.parameters:
                 crc = digest_array(p.data.numpy()) ^ ((crc << 1) & 0xFFFFFFFF)
             param_digest = crc
-        scalar_digest = digest_scalars(
-            e.step_count, e._micro_step, e.opt_state.step_count,
-            e.scaler.scale, e.scaler.good_steps, e.scaler.n_skipped,
-        )
+        scalar_digest = digest_scalars(*capture_scalars(e).values())
         return np.array([param_digest, scalar_digest], dtype=np.float64)
 
     def cross_rank_audit(self, step: int) -> None:

@@ -303,9 +303,8 @@ class BaseEngine:
             "m": self.opt_state.m.data,
             "v": self.opt_state.v.data,
         }
-        param_shard = getattr(self, "param_shard", None)
-        if param_shard is not None:
-            shards["param_shard"] = param_shard.data
+        if self.placement["param"].partitioned:
+            shards["param_shard"] = self.param_shard.data
         return shards
 
     def redundancy_shards(self) -> dict[str, np.ndarray]:
@@ -412,8 +411,8 @@ class BaseEngine:
     def checkpoint_partition(self) -> tuple[int, int]:
         """[lo, hi) of the padded flat space this engine's optimizer state
         covers. Replicated engines own the whole space; ZeRO engines
-        override with their 1/Nd partition. ``checkpoint_io`` uses this to
-        re-shard N-rank checkpoints into M-rank worlds."""
+        override with their 1/Nd partition. ``repro.zero.owned`` captures
+        and restores exactly this range."""
         return 0, self.layout.numel
 
     # -- teardown -----------------------------------------------------------------

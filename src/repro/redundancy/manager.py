@@ -2,10 +2,10 @@
 
 Built with the engine's step lifecycle (at its first ``train_step``) when
 the rank context carries a ``BuddyStore`` (threaded from the Supervisor
-through the Cluster). At every closed boundary it copies the engine's owned
-shards (``redundancy_shards`` — the integrity set plus the DPU stale-
-parameter carry) into the store, and prices what that refresh costs on
-this rank's modeled hardware:
+through the Cluster). At every closed boundary it copies the engine's
+owned-state record (``repro.zero.owned.capture`` — the integrity set plus
+the DPU stale-parameter carry) into the store, and prices what that refresh
+costs on this rank's modeled hardware:
 
 - ``send``/``recv`` on the comm ledger for the interconnect hop to the
   buddy (phase ``buddy-replicate``), priced by the alpha-beta cost model
@@ -33,8 +33,9 @@ import numpy as np
 
 from repro.infinity.tiers import TierStream, TierTopology, wire_seconds
 from repro.integrity.digest import fast_digest_array
-from repro.redundancy.store import SCALAR_KEYS, BuddyStore, ShardSnapshot
+from repro.redundancy.store import BuddyStore, ShardSnapshot
 from repro.tensor.tensor import Tensor
+from repro.zero.owned import ADAM_KEYS, capture
 
 
 class RedundancyManager:
@@ -91,71 +92,40 @@ class RedundancyManager:
     def on_boundary(self, applied: bool) -> None:
         """Refresh this rank's snapshot after an optimizer boundary."""
         eng = self.engine
-        step = eng.step_count
-        if step % self.config.refresh_every != 0:
+        if eng.step_count % self.config.refresh_every != 0:
             return
-        shards = {
+        snap = capture(eng)
+        # The record's arrays are live views; a snapshot holds copies.
+        snap.shards = {
             key: np.array(arr, dtype=arr.dtype, copy=True)
-            for key, arr in eng.redundancy_shards().items()
+            for key, arr in snap.shards.items()
         }
-        digests = {key: fast_digest_array(arr) for key, arr in shards.items()}
+        snap.digests = {key: fast_digest_array(arr) for key, arr in snap.shards.items()}
         if eng.integrity is not None:
             # The auditor fingerprinted the same shards moments ago
             # (after_optimizer): a replica leaving this rank must match
             # the digests the recovery path will verify against.
-            recorded = eng.integrity._recorded
-            for key, digest in digests.items():
-                if key in recorded and recorded[key] != digest:
-                    raise RuntimeError(
-                        f"shard {key!r} changed between the integrity "
-                        f"fingerprint and the redundancy refresh (step {step})"
-                    )
-        snap = ShardSnapshot(
-            owner=self.owner, world_size=self.world, step=step,
-            flat_numel=eng.layout.numel,
-            flat_numel_unpadded=eng.layout.numel_unpadded,
-            engine_name=eng.name,
-            part_lo=eng.checkpoint_partition()[0],
-            part_hi=eng.checkpoint_partition()[1],
-            shards=shards,
-            scalars=self._scalars(),
-            digests=digests,
-        )
-        out_bytes = snap.nbytes
+            eng.integrity.matches_recorded(snap.digests)
         self.store.publish(snap)
         self.refreshes += 1
-        self.bytes_published += out_bytes
-        self._account(out_bytes, step=step, applied=applied)
-
-    def _scalars(self) -> dict[str, float]:
-        eng = self.engine
-        values = (
-            int(eng.opt_state.step_count), int(eng.step_count),
-            int(eng._micro_step), float(eng.scaler.scale),
-            int(eng.scaler.good_steps), int(eng.scaler.n_skipped),
-        )
-        return dict(zip(SCALAR_KEYS, values))
+        self._account(snap, applied=applied)
 
     # -- cost modeling -------------------------------------------------------
 
-    def _device_resident_bytes(self, out_bytes: int) -> int:
-        """Bytes that must cross PCIe before the NIC sees them: everything,
-        minus the fp32 Adam vectors when they already live host-side."""
-        eng = self.engine
-        if eng.placement["optimizer"].tier == "device":
-            return out_bytes
-        host_side = sum(
-            arr.nbytes
-            for key, arr in eng.redundancy_shards().items()
-            if key in ("master", "m", "v")
-        )
-        return max(0, out_bytes - host_side)
+    def _host_resident_bytes(self, snap: ShardSnapshot) -> int:
+        """Bytes that skip the PCIe staging copy on their way to the NIC:
+        the fp32 Adam vectors, when they already live host-side."""
+        if self.engine.placement["optimizer"].tier == "device":
+            return 0
+        return sum(snap.shards[key].nbytes for key in ADAM_KEYS)
 
-    def _account(self, out_bytes: int, *, step: int, applied: bool) -> None:
+    def _account(self, snap: ShardSnapshot, *, applied: bool) -> None:
         ctx = self.ctx
         tr = self.engine.tracer
+        out_bytes, step = snap.nbytes, snap.step
+        self.bytes_published += out_bytes
         in_bytes = len(self.incoming) * out_bytes
-        d2h_bytes = self._device_resident_bytes(out_bytes)
+        d2h_bytes = out_bytes - self._host_resident_bytes(snap)
         t0 = tr.clock_s if tr is not None else 0.0
         if tr is not None:
             tr.begin(

@@ -27,41 +27,20 @@ rather than resurrect bad bytes.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.integrity.digest import fast_digest_array
 from repro.redundancy.config import RedundancyConfig
+from repro.zero.owned import SCALAR_KEYS, Header, OwnedState
 
-#: lock-step scalar state replicated on every rank (mirrors the
-#: checkpoint scalar keys, so a buddy resume restores exactly what a
-#: checkpoint resume would).
-SCALAR_KEYS = (
-    "opt_step", "step_count", "micro_step",
-    "scaler_scale", "scaler_good_steps", "scaler_skipped",
-)
+__all__ = ["SCALAR_KEYS", "BuddyStore", "ParityBlock", "RecoverySnapshot", "ShardSnapshot"]
 
-
-@dataclass
-class ShardSnapshot:
-    """One rank's owned shards as copied at one optimizer boundary."""
-
-    owner: int                 # DP rank number in the world that published
-    world_size: int
-    step: int                  # engine.step_count at the refresh
-    flat_numel: int            # padded flat space of the publishing world
-    flat_numel_unpadded: int
-    engine_name: str
-    part_lo: int               # this owner's [lo, hi) slice of the flat space
-    part_hi: int
-    shards: dict[str, np.ndarray]   # contiguous copies, owner's slice
-    scalars: dict[str, float]
-    digests: dict[str, int]         # fast_digest_array per shard
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self.shards.values())
+#: One rank's owned shards as copied at one optimizer boundary: the
+#: owned-state record holding contiguous copies and their
+#: ``fast_digest_array`` fingerprints.
+ShardSnapshot = OwnedState
 
 
 @dataclass
@@ -83,20 +62,26 @@ class ParityBlock:
 
 
 @dataclass
-class RecoverySnapshot:
-    """Fully reassembled training state at one step, over the old world's
-    flat space — what the relaunched ranks re-shard and resume from."""
+class RecoverySnapshot(Header):
+    """Every old-world rank's verified piece at one step (the header is the
+    publishing, pre-shrink world's) — what each relaunched rank fills its
+    own partition from."""
 
-    step: int
-    world_size: int            # world that published (pre-shrink)
-    flat_numel: int
-    flat_numel_unpadded: int
-    engine_name: str
-    arrays: dict[str, np.ndarray]   # key -> full flat-space array
-    scalars: dict[str, float]
+    pieces: list[OwnedState]        # old-world rank order, digests verified
     #: how each old-world rank's slice was obtained:
     #: "primary" | "replica" | "parity".
     sources: dict[int, str] = field(default_factory=dict)
+
+    @property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """key -> the old world's full flat-space array, for inspection
+        (tests); the resume path never builds it."""
+        out = {}
+        for key, first in self.pieces[0].shards.items():
+            out[key] = np.empty(self.flat_numel, first.dtype)
+            for p in self.pieces:
+                out[key][p.part_lo : p.part_hi] = p.shards[key]
+        return out
 
 
 class BuddyStore:
@@ -167,15 +152,10 @@ class BuddyStore:
                     )
                     # An independent copy: tampering with the primary must
                     # not reach the replica (and vice versa).
-                    rep.append(ShardSnapshot(
-                        owner=snap.owner, world_size=snap.world_size,
-                        step=snap.step, flat_numel=snap.flat_numel,
-                        flat_numel_unpadded=snap.flat_numel_unpadded,
-                        engine_name=snap.engine_name,
-                        part_lo=snap.part_lo, part_hi=snap.part_hi,
+                    rep.append(replace(
+                        snap,
                         shards={k: v.copy() for k, v in snap.shards.items()},
-                        scalars=dict(snap.scalars),
-                        digests=dict(snap.digests),
+                        scalars=dict(snap.scalars), digests=dict(snap.digests),
                     ))
                     del rep[:-keep]
             else:
@@ -379,22 +359,14 @@ class BuddyStore:
         keys = set(parts[0][0])
         if any(set(shards) != keys for shards, _, _ in parts.values()):
             return None
-        arrays: dict[str, np.ndarray] = {}
-        for key in keys:
-            dtype = parts[0][0][key].dtype
-            full = np.zeros(meta_snap.flat_numel, dtype)
-            for shards, (lo, hi), _ in parts.values():
-                piece = shards[key]
-                if piece.shape[0] == meta_snap.flat_numel:
-                    full[:] = piece  # replicated engines (DDP): full copy
-                else:
-                    full[lo:hi] = piece
-            arrays[key] = full
+        # Hand the verified pieces on with their bounds; each relaunched
+        # rank copies out only what overlaps its own partition.
         return RecoverySnapshot(
-            step=step, world_size=world,
-            flat_numel=meta_snap.flat_numel,
-            flat_numel_unpadded=meta_snap.flat_numel_unpadded,
-            engine_name=meta_snap.engine_name,
-            arrays=arrays, scalars=scalars,
+            **meta_snap.header(),
+            pieces=[
+                replace(meta_snap, owner=r, part_lo=lo, part_hi=hi,
+                        shards=shards, scalars=scalars, digests={})
+                for r, (shards, (lo, hi), _) in parts.items()
+            ],
             sources={r: src for r, (_, _, src) in parts.items()},
         )

@@ -303,8 +303,8 @@ class _ZeroDPBase(BaseEngine):
 
     def checkpoint_partition(self) -> tuple[int, int]:
         """This rank's 1/Nd partition — covers the optimizer state and,
-        at stage 3, the fp16 parameter shard (for checkpoint_io
-        save/re-shard)."""
+        at stage 3, the fp16 parameter shard (what ``repro.zero.owned``
+        captures and restores)."""
         return self.part_lo, self.part_hi
 
     def redundancy_shards(self) -> dict[str, np.ndarray]:
@@ -315,7 +315,7 @@ class _ZeroDPBase(BaseEngine):
         the post-update master would collapse the lag and diverge from
         the uninterrupted run. The buddy snapshot therefore also carries
         this rank's *current* (stale) fp16 partition, read back from the
-        live parameters, and ``resume_from_buddies`` rebuilds the fp16
+        live parameters, and ``repro.zero.owned.restore`` rebuilds the fp16
         replicas from it. (Stage 3 needs no carry: its ``param_shard``
         holds the stale values and is already in the integrity set.)
         """

@@ -308,3 +308,148 @@ def test_resharded_same_world_is_plain_load(tmp_path):
         return train(engine, ctx, 2, 2)
 
     assert Cluster(WORLD, gpu=GPU, timeout_s=60.0).run(resumed) == ref
+
+
+# -- one read-and-verify, one record, one format ------------------------------
+
+
+def _save(stage, world, path, dtype=np.float32, steps=1):
+    def fn(ctx):
+        model, engine = build(ctx, stage, dtype=dtype)
+        train(engine, ctx, 0, steps)
+        save_checkpoint(engine, path)
+        return engine.layout.numel, engine.layout.numel_unpadded
+
+    return Cluster(world, gpu=GPU, timeout_s=60.0).run(fn)[0]
+
+
+def test_container_rot_is_the_same_rejection_through_both_doors(tmp_path):
+    """Bit rot in a rank file's npz container (not an array's payload) is a
+    ``ValueError: corrupt checkpoint`` whichever door reads it — the strict
+    loader at the saved degree and the re-sharding one at another."""
+    from repro.zero.checkpoint_io import is_complete_checkpoint, load_checkpoint_resharded
+
+    ckpt = tmp_path / "c"
+    _save(2, 4, ckpt)
+    victim = ckpt / "rank1.npz"
+    victim.write_bytes(victim.read_bytes()[:-30])
+    assert not is_complete_checkpoint(ckpt)
+
+    def reader(load):
+        def fn(ctx):
+            model, engine = build(ctx, stage=2)
+            with pytest.raises(ValueError, match=r"corrupt checkpoint: rank1\.npz is unreadable"):
+                load(engine, ckpt)
+            return True
+
+        return fn
+
+    assert all(Cluster(4, gpu=GPU, timeout_s=60.0).run(reader(load_checkpoint)))
+    assert all(Cluster(2, gpu=GPU, timeout_s=60.0).run(reader(load_checkpoint_resharded)))
+
+
+V2_SCALARS = {
+    "opt_step": "int64", "step_count": "int64", "micro_step": "int64",
+    "scaler_scale": "float64", "scaler_good_steps": "int64", "scaler_skipped": "int64",
+}
+V2_META = ["format_version", "engine", "world_size", "flat_numel",
+           "flat_numel_unpadded", "step_count", "model_dtype"]
+
+
+@pytest.mark.parametrize("stage", [2, 3])
+def test_v2_format_is_pinned(stage, tmp_path):
+    """Golden: the keys and dtypes of ``rank{r}.npz`` (in file order), the
+    ``checksums`` JSON entry, and the fields of ``meta.json``."""
+    from repro.integrity.digest import digest_array
+    from repro.zero import checkpoint_io
+
+    assert checkpoint_io.FORMAT_VERSION == 2
+    numel, unpadded = _save(stage, WORLD, tmp_path / "c", dtype=np.float16)
+    golden = {"master": "float32", "m": "float32", "v": "float32", **V2_SCALARS}
+    if stage == 3:
+        golden["param_shard"] = "float16"
+    for rank in range(WORLD):
+        with np.load(tmp_path / "c" / f"rank{rank}.npz") as data:
+            assert data.files == [*golden, "checksums"]
+            assert {k: str(data[k].dtype) for k in golden} == golden
+            assert data["checksums"].dtype.kind == "U" and data["checksums"].shape == ()
+            checksums = json.loads(str(data["checksums"][()]))
+            assert checksums == {k: digest_array(data[k]) for k in golden}
+            assert all(data[k].shape == (numel // WORLD,) for k in golden if k not in V2_SCALARS)
+    meta = json.loads((tmp_path / "c" / "meta.json").read_text())
+    assert list(meta) == V2_META
+    assert meta == {
+        "format_version": 2, "engine": f"zero{stage}", "world_size": WORLD,
+        "flat_numel": numel, "flat_numel_unpadded": unpadded, "step_count": 1,
+        "model_dtype": "float16",
+    }
+
+
+@pytest.mark.parametrize("new_world", [2, 3])
+def test_hand_assembled_v2_checkpoint_loads_through_both_doors(new_world, tmp_path):
+    """A checkpoint written with nothing but numpy and json, to the
+    documented layout, restores — at the written degree through
+    ``load_checkpoint``, at another through ``load_checkpoint_resharded``."""
+    from repro.integrity.digest import digest_array
+    from repro.zero.checkpoint_io import load_checkpoint_resharded
+
+    numel, unpadded = _save(2, 2, tmp_path / "probe")  # only to learn the flat sizes
+    ckpt = tmp_path / "by-hand"
+    ckpt.mkdir()
+    flat = {
+        k: np.where(np.arange(numel) < unpadded, scale * (1.0 + np.arange(numel)), 0.0)
+        .astype(np.float32)
+        for k, scale in (("master", 1e-3), ("m", 1e-5), ("v", 1e-7))
+    }
+    scalars = dict(zip(V2_SCALARS, (5, 5, 0, 2048.0, 3, 1)))
+    for rank in range(2):
+        part = slice(rank * numel // 2, (rank + 1) * numel // 2)
+        payload = {k: a[part] for k, a in flat.items()}
+        payload.update((k, np.asarray(v)) for k, v in scalars.items())
+        payload["checksums"] = np.asarray(
+            json.dumps({k: digest_array(v) for k, v in payload.items()})
+        )
+        np.savez(ckpt / f"rank{rank}.npz", **payload)
+    (ckpt / "meta.json").write_text(json.dumps({
+        "format_version": 2, "engine": "zero2", "world_size": 2, "flat_numel": numel,
+        "flat_numel_unpadded": unpadded, "step_count": 5, "model_dtype": "float32",
+    }))
+
+    def fn(ctx):
+        model, engine = build(ctx, stage=2)
+        (load_checkpoint if new_world == 2 else load_checkpoint_resharded)(engine, ckpt)
+        lo, hi = engine.checkpoint_partition()
+        for key, state in (("master", engine.opt_state.master), ("m", engine.opt_state.m),
+                           ("v", engine.opt_state.v)):
+            expect = np.zeros(hi - lo, np.float32)
+            valid = max(0, min(hi, unpadded) - lo)
+            expect[:valid] = flat[key][lo : lo + valid]
+            np.testing.assert_array_equal(state.numpy(), expect)
+        assert (engine.opt_state.step_count, engine.step_count, engine._micro_step) == (5, 5, 0)
+        assert (engine.scaler.scale, engine.scaler.good_steps, engine.scaler.n_skipped) == (2048.0, 3, 1)
+        # The replicated fp16 parameters were rebuilt from the masters.
+        served = np.concatenate([p.data.numpy().reshape(-1) for p in model.parameters()])
+        np.testing.assert_array_equal(served, flat["master"][:unpadded].astype(served.dtype))
+        return True
+
+    assert all(Cluster(new_world, gpu=GPU, timeout_s=60.0).run(fn))
+
+
+def test_owned_state_is_stated_once():
+    """Source sweep: under ``src/repro`` the lock-step scalar keys have one
+    definition, and whether a rank owns a ``param_shard`` is read from
+    ``engine.placement``, never duck-typed."""
+    import pathlib
+    import re
+
+    sources = {
+        p: p.read_text()
+        for p in (pathlib.Path(__file__).parents[1] / "src" / "repro").rglob("*.py")
+    }
+    defining = [
+        p.name for p, text in sources.items()
+        if re.search(r"^_?SCALAR_KEYS\s*=", text, re.M) or '"scaler_good_steps"' in text
+    ]
+    assert defining == ["owned.py"]
+    duck = re.compile(r"""(hasattr\(\s*\w+|getattr\(\s*self)\s*,\s*["']param_shard["']""")
+    assert [p.name for p, text in sources.items() if duck.search(text)] == []

@@ -231,6 +231,22 @@ class TestDetection:
         assert info.value.rank == 1
         assert info.value.step == 3
 
+    def test_matches_recorded_vouches_for_another_readers_digests(self):
+        """The buddy refresh compares its copies' fingerprints with the
+        guard's through ``matches_recorded``: equal digests pass, a shard
+        that changed since the fingerprint raises."""
+        def fn(ctx):
+            model, engine = build(ctx, 2, audit=4)
+            train(engine, ctx, 0, 1)
+            mine = {k: fast_digest_array(a) for k, a in engine.integrity_shards().items()}
+            engine.integrity.matches_recorded(mine)
+            engine.integrity.matches_recorded({**mine, "param16": 7})  # not a guarded shard
+            with pytest.raises(RuntimeError, match="changed between the integrity fingerprint"):
+                engine.integrity.matches_recorded({**mine, "m": mine["m"] ^ 1})
+            return True
+
+        assert all(Cluster(WORLD, gpu=GPU, timeout_s=15.0).run(fn))
+
     @pytest.mark.offload
     def test_scribble_on_host_resident_shard_is_detected(self):
         """ZeRO-Offload keeps the Adam moments in host DRAM, but the

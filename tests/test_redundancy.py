@@ -455,6 +455,65 @@ class TestBuddyStore:
         assert store.stored_steps(0) == (1,)
 
 
+# -- buddies and checkpoints are one restore path ------------------------------
+
+
+def _state_of(engine):
+    shards = {k: a.copy() for k, a in engine.integrity_shards().items()}
+    scalars = (
+        engine.opt_state.step_count, engine.step_count, engine._micro_step,
+        engine.scaler.scale, engine.scaler.good_steps, engine.scaler.n_skipped,
+    )
+    return shards, scalars
+
+
+@pytest.mark.parametrize("old_world,new_world", [(4, 2), (4, 3), (2, 4)])
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+def test_buddy_resume_equals_checkpoint_reshard(stage, old_world, new_world, tmp_path):
+    """An engine filled from the ``BuddyStore`` an N-rank run populated is,
+    bitwise, the engine ``load_checkpoint_resharded`` fills from a
+    checkpoint of the same boundary — shards, scalars, and the next two
+    losses — for a shrink, an uneven shrink and (2 -> 4) a buddy *up*-size."""
+    store = BuddyStore(RedundancyConfig())
+    ckpt = tmp_path / "c"
+
+    def publish(ctx):
+        model, engine = build(ctx, stage)
+        for step in range(3):
+            ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step)
+            engine.train_step(ids, tgt)
+        save_checkpoint(engine, ckpt)
+
+    Cluster(old_world, gpu=GPU, timeout_s=15.0, redundancy=store).run(publish)
+    pending = store.prepare_recovery()
+    assert pending is not None and (pending.step, pending.world_size) == (3, old_world)
+
+    def resumed(ctx):
+        model, engine = build(ctx, stage)
+        if ctx.redundancy is None:
+            load_checkpoint_resharded(engine, ckpt)
+        else:
+            assert resume_from_buddies(engine)
+        shards, scalars = _state_of(engine)
+        losses = []
+        for step in range(3, 5):
+            ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step)
+            losses.append(engine.train_step(ids, tgt).loss)
+        return shards, scalars, losses
+
+    from_buddies = Cluster(new_world, gpu=GPU, timeout_s=15.0, redundancy=store).run(resumed)
+    from_ckpt = Cluster(new_world, gpu=GPU, timeout_s=15.0).run(resumed)
+    want = {"master", "m", "v"} | ({"param_shard"} if stage == 3 else set())
+    for (b_shards, b_scalars, b_losses), (c_shards, c_scalars, c_losses) in zip(
+        from_buddies, from_ckpt
+    ):
+        assert set(b_shards) == set(c_shards) == want
+        for key in want:
+            np.testing.assert_array_equal(b_shards[key], c_shards[key])
+        assert b_scalars == c_scalars and b_scalars[1] == 3
+        assert b_losses == c_losses
+
+
 # -- cost accounting: the refresh is priced, off is free ---------------------
 
 

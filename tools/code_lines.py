@@ -1,8 +1,8 @@
-"""Count code lines under a directory (default ``src/repro``): lines that
-carry a token other than a comment, blank or docstring. Prints one row per
-package, then the total beside ``wc -l``.
+"""Count code lines: lines that carry a token other than a comment, blank
+or docstring. Given a directory (default ``src/repro``) prints one row per
+package; given file paths, one row per file. Then the total beside ``wc -l``.
 
-    python tools/code_lines.py [root]
+    python tools/code_lines.py [root | file ...]
 """
 
 import ast
@@ -31,12 +31,17 @@ def code_lines(path: Path) -> int:
 
 
 if __name__ == "__main__":
-    root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/repro")
+    args = [Path(a) for a in sys.argv[1:]] or [Path("src/repro")]
     code, wc = Counter(), Counter()
-    for path in sorted(root.rglob("*.py")):
-        package = path.relative_to(root).parts[0]
-        code[package] += code_lines(path)
-        wc[package] += len(path.read_text().splitlines())
-    for package in sorted(code):
-        print(f"{package:20s} {code[package]:6d} code {wc[package]:6d} wc -l")
-    print(f"{'total':20s} {sum(code.values()):6d} code {sum(wc.values()):6d} wc -l")
+    if len(args) == 1 and args[0].is_dir():
+        root = args[0]
+        rows = [(path.relative_to(root).parts[0], path) for path in sorted(root.rglob("*.py"))]
+    else:
+        rows = [(str(path), path) for path in args]
+    for row, path in rows:
+        code[row] += code_lines(path)
+        wc[row] += len(path.read_text().splitlines())
+    width = max(20, *map(len, code))
+    for row in code:
+        print(f"{row:{width}s} {code[row]:6d} code {wc[row]:6d} wc -l")
+    print(f"{'total':{width}s} {sum(code.values()):6d} code {sum(wc.values()):6d} wc -l")
