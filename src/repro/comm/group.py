@@ -1,9 +1,14 @@
 """Process groups with NCCL-semantics collectives over the thread fabric.
 
-All collectives operate on 1-D numpy arrays (callers flatten), return fresh
-arrays, and are *deterministic across ranks*: reductions sum contributions
-in ascending group-index order on every rank, so all ranks observe bitwise
-identical results — the property the ZeRO == DP equivalence tests rely on.
+All collectives operate on 1-D numpy arrays (callers flatten) and return
+arrays the caller may keep and write — fresh ones, or a broadcast root's
+own — except ``coalesced``, whose broadcast receivers read the root's
+array through a read-only view and copy only what they keep, once (a
+stage-3 unit gather copies each byte into the unit buffer and nowhere
+else). Collectives are *deterministic across ranks*: reductions sum
+contributions in ascending group-index order on every rank, so all ranks
+observe bitwise identical results — the property the ZeRO == DP
+equivalence tests rely on.
 
 Every call records a CommEvent in the calling rank's ledger (when one is
 attached), tagged with a caller-chosen ``phase`` label so experiments can
@@ -44,7 +49,9 @@ def _reduce_arrays(arrays: Sequence[np.ndarray], op: str) -> np.ndarray:
     acc_dtype = np.float32 if first.dtype == np.float16 else first.dtype
     if op == "sum" or op == "avg":
         out = arrays[0].astype(acc_dtype, copy=True)
-        with np.errstate(over="ignore"):  # inf-laden overflow steps saturate
+        # Inf-laden overflow steps saturate, and +inf meeting -inf is NaN:
+        # the loss scaler reads either as overflow and skips the step.
+        with np.errstate(over="ignore", invalid="ignore"):
             for a in arrays[1:]:
                 out += a.astype(acc_dtype, copy=False)
             if op == "avg":
@@ -214,7 +221,11 @@ class ProcessGroup:
         check; each member keeps its own ledger event, fault admission,
         pre/post corruption and group-index-order reduction, in member
         order. Returns one result per member (None where the single call
-        would return None), or None for a data-free batch.
+        would return None), or None for a data-free batch. A broadcast
+        member reaches its receivers as a read-only view of the root's
+        array (the root gets its own array back), so the root must not
+        write that array before its next collective with them, and a
+        receiver copies what it keeps before its own.
         """
         if op not in ("reduce", "broadcast"):
             raise ValueError(f"cannot coalesce {op!r}: only reduce and broadcast")
@@ -261,16 +272,19 @@ class ProcessGroup:
                 if rank != root:
                     out.append(None)
                     continue
-                result, fresh = _reduce_arrays([slot[i] for slot in slots], "sum"), True
+                result = _reduce_arrays([slot[i] for slot in slots], "sum")
             else:
-                result, fresh = slots[root_index[i]][i], rank == root  # src keeps its own
+                result = slots[root_index[i]][i]  # src keeps its own
                 if result is None:
                     raise ValueError(f"broadcast: src rank {root} supplied no array")
+                if rank != root:
+                    # The root's deposit itself, read-only: a receiver
+                    # copies it once, into wherever it is going.
+                    result = result.view()
+                    result.flags.writeable = False
             if plan is not None:
-                corrupted = self._maybe_corrupt(rank, op, result, "post")
-                if corrupted is not result:
-                    result, fresh = corrupted, True  # already a private copy
-            out.append(result if fresh else result.copy())
+                result = self._maybe_corrupt(rank, op, result, "post")  # a private copy if it fires
+            out.append(result)
         return out
 
     # -- collectives ---------------------------------------------------------
@@ -336,8 +350,11 @@ class ProcessGroup:
         return self._maybe_corrupt(rank, "all_gather", full, "post")
 
     def broadcast(self, rank: int, array: np.ndarray | None, src: int, phase: str = "") -> np.ndarray:
-        """Send ``src``'s array to every rank. Non-src inputs are ignored."""
-        return self.coalesced(rank, "broadcast", [src], [array], phase=phase)[0]
+        """Send ``src``'s array to every rank. Non-src inputs are ignored.
+        Every rank gets an array it may write: ``src`` its own, a receiver
+        a private copy."""
+        result = self.coalesced(rank, "broadcast", [src], [array], phase=phase)[0]
+        return result if result.flags.writeable else result.copy()
 
     # -- point-to-point ------------------------------------------------------
 

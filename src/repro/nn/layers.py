@@ -81,7 +81,8 @@ class Linear(Module):
                 f"{self.name}: input last dim {x.shape[-1]} != in_features {self.in_features}"
             )
         x2d = F.reshape(x, (-1, self.in_features), tag=f"{self.name}.x2d")  # view of x
-        wt = F.transpose(self.weight.data, (1, 0), tag=f"{self.name}.wT")  # view of W
+        # A view of W on the device; the host copies (``F.transpose``).
+        wt = F.transpose(self.weight.data, (1, 0), tag=f"{self.name}.wT")
         y2d = F.matmul(x2d, wt, tag=f"{self.name}.y")
         if self.bias is not None:
             with_bias = F.add(y2d, self.bias.data, tag=f"{self.name}.y")
@@ -96,7 +97,7 @@ class Linear(Module):
         x2d: Tensor = cache["x2d"]
         dy2d = F.reshape(dout, (-1, self.out_features), tag=f"{self.name}.dy2d")  # view
         # dW = dy^T @ x
-        dyt = F.transpose(dy2d, (1, 0), tag=f"{self.name}.dyT")  # view
+        dyt = F.transpose(dy2d, (1, 0), tag=f"{self.name}.dyT")  # device view, host copy
         dw = F.matmul(dyt, x2d, tag=f"{self.name}.dW")
         self.weight.accumulate_grad(dw)
         if self.bias is not None:

@@ -76,12 +76,13 @@ class Parameter:
             if g.dtype == self.grad_dtype:
                 self.grad = g
             else:
+                data = None
+                if not g.is_meta:
+                    with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
+                        data = g.data.astype(self.grad_dtype)
                 with memprof_category("grad_fp16", site=f"{self.name}.grad"):
                     self.grad = Tensor(
-                        g.shape,
-                        self.grad_dtype,
-                        data=None if g.is_meta else g.data.astype(self.grad_dtype),
-                        device=g.device,
+                        g.shape, self.grad_dtype, data=data, device=g.device,
                         tag=f"{self.name}.grad",
                     )
                 g.free()
@@ -97,8 +98,9 @@ class Parameter:
                 self.grad_ready_hook(self)
             return
         if not self.grad.is_meta and not g.is_meta:
-            acc = self.grad.data.astype(np.float32) + g.data.astype(np.float32)
-            self.grad.data = acc.astype(self.grad_dtype)
+            with np.errstate(over="ignore", invalid="ignore"):  # saturate, as above
+                acc = self.grad.data.astype(np.float32) + g.data.astype(np.float32)
+                self.grad.data = acc.astype(self.grad_dtype)
         g.free()
 
     def zero_grad(self) -> None:

@@ -32,7 +32,10 @@ step completed before the detection; the first step completed afterwards
 fixes ``resume_step`` (so ``lost_steps = frontier - (resume - 1)``, the
 completed work discarded and re-executed), and the first step completed
 *beyond* the frontier stamps ``recovered_t_s`` — MTTR is the wall from
-detection until the run is making new progress again.
+detection until the run is making new progress again. That stamp is the
+minimum over the step's events of each rank's own clock (``rank_t_s``),
+so it does not depend on the order in which the rank threads reached the
+ledger (the ledger clock lifts a later arrival to an earlier one's time).
 """
 
 from __future__ import annotations
@@ -146,7 +149,7 @@ def reconstruct_incidents(ledger) -> list[Incident]:
         end = cycles[n + 1][0] if n + 1 < len(cycles) else len(events)
         start = restart_idx + 1
         resume_step = None
-        recovered_t = None
+        beyond = []  # (step, rank clock) of every completion past the frontier
         reexecuted: set[int] = set()
         for ev in events[start:end]:
             if ev.kind != EventKind.STEP_COMPLETED or ev.step is None:
@@ -155,8 +158,12 @@ def reconstruct_incidents(ledger) -> list[Incident]:
                 resume_step = ev.step
             if ev.step <= frontier_step:
                 reexecuted.add(ev.step)
-            elif recovered_t is None:
-                recovered_t = ev.t_s
+            else:
+                beyond.append((ev.step, ev.args.get("rank_t_s", ev.t_s)))
+        # The first step past the frontier, at the earliest clock of any
+        # rank completing it — not the stamp of whichever rank's event
+        # reached the ledger first.
+        recovered_t = min(beyond)[1] if beyond else None
         lost = (
             max(0, frontier_step - (resume_step - 1))
             if resume_step is not None else 0

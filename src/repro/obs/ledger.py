@@ -162,10 +162,13 @@ class RunLedger:
         self, rank: int, step: int, *, t_s: float | None = None,
         applied: bool = True,
     ) -> None:
-        """Engine hook at every optimizer boundary (per rank)."""
+        """Engine hook at every optimizer boundary (per rank). The event
+        also keeps the rank's own clock (``rank_t_s``): the stamp is the
+        ledger clock, which depends on which rank's thread arrived first."""
+        clock = {} if t_s is None else {"rank_t_s": float(t_s)}
         self.record(
             EventKind.STEP_COMPLETED, rank=rank, step=step, t_s=t_s,
-            applied=bool(applied),
+            applied=bool(applied), **clock,
         )
 
     def on_fault_injected(self, fault_event) -> None:

@@ -9,19 +9,31 @@ the result back to float16, matching tensor-core semantics (and keeping the
 ZeRO == DDP equivalence tests meaningful at fp16).
 
 Kernel rules (docs/ARCHITECTURE.md, "Numerics contract"): no ``**`` with an
-exponent other than 2 on arrays (``np.power`` is ~150x a multiply), and a
-result never aliases an input. The second rule is what lets the up-casts
-use ``astype(copy=False)`` (a no-op at fp32) and the kernels work in place
-on their own temporaries; ``reshape`` and ``transpose`` are the two views.
+exponent other than 2 on arrays (``np.power`` is ~150x a multiply), a
+result never aliases an input, and a GEMM operand is C-contiguous. The
+second rule is what lets the up-casts use ``astype(copy=False)`` (a no-op
+at fp32) and the kernels work in place on their own temporaries;
+``reshape`` and ``transpose`` are accounted as views (no device memory),
+and only ``reshape``'s result shares its input's host memory. The third
+is why ``transpose`` copies on the host: a strided operand moves
+``matmul`` results by ULPs.
 
 A paper-scale meta step calls these ~13 000 times, so the module reads
 meta-ness as ``t.data is None`` (``Tensor.is_meta`` is a property call) and
 builds every result through ``_result`` — ``tensor.op_result``, the trusted
 constructor. That is this module's side of a contract: each op hands it a
 shape that is a tuple of Python ints (derived from operand shapes, or
-normalised here when the caller supplies it) and an ``np.dtype`` instance
+normalised here when the caller supplies it), an ``np.dtype`` instance
 tensors support (an operand's, a promotion of operands', ``_F32``, or a
-caller's dtype passed through ``supported_dtype``).
+caller's dtype passed through ``supported_dtype``) and, in real mode, an
+``np.ndarray`` of exactly that dtype and shape — every narrowing cast is
+written out in the op, none is left to the constructor.
+
+fp16 saturates to inf, as hardware does: the arithmetic a loss-scale
+overflow step drives past fp16 range — in ``matmul`` (where an inf also
+meets a zero weight), ``add``, ``scale``, ``sum_to`` and ``layernorm_grad``
+— runs under ``np.errstate``, and the test suite turns any other
+``RuntimeWarning`` into an error.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import numpy as np
 from repro.tensor.tensor import Tensor, op_result as _result, supported_dtype
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_F16 = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
 
 
@@ -83,10 +96,14 @@ def reshape(x: Tensor, shape: tuple[int, ...], tag: str = "reshape") -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...], tag: str = "transpose") -> Tensor:
-    """Transposed view. Real GEMM kernels take transpose flags, so this is
-    accounted as a view (no device allocation)."""
+    """Transpose, accounted as a view: device GEMM kernels take transpose
+    flags, so no device memory is reserved. The host copies it into a
+    C-contiguous array all the same: numpy's ``matmul`` does not sum a
+    strided operand in the order it sums a contiguous one (a 32-wide
+    linear layer fed ``W.T`` as a view moves most outputs by an ULP), and
+    every pinned loss and master-weight digest would move with it."""
     shape = tuple(map(x.shape.__getitem__, axes))
-    data = None if x.data is None else np.ascontiguousarray(x.data.transpose(axes))
+    data = None if x.data is None else x.data.transpose(axes).copy()
     return _result(x, data, shape, x.dtype, tag, alloc=False)
 
 
@@ -101,7 +118,7 @@ def index_axis0(x: Tensor, i: int, tag: str = "index0") -> Tensor:
     if not 0 <= i < x.shape[0]:
         raise IndexError(f"index {i} out of range for axis-0 size {x.shape[0]}")
     shape = x.shape[1:]
-    data = None if x.data is None else x.data[i].copy()
+    data = None if x.data is None else x.data[i, ...].copy()  # an array even from 1-D x
     return _result(x, data, shape, x.dtype, tag)
 
 
@@ -145,8 +162,10 @@ def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
     if a.data is None or b.data is None:
         return _result(a, None, shape, out_dtype, tag)
     if a.dtype == np.float16 or b.dtype == np.float16:
-        acc = a.data.astype(np.float32, copy=False) @ b.data.astype(np.float32, copy=False)
-        with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
+        # fp16 saturates to inf, as hardware does; an inf meeting a zero
+        # weight is NaN, which the loss scaler reads as overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = a.data.astype(np.float32, copy=False) @ b.data.astype(np.float32, copy=False)
             return _result(a, acc.astype(out_dtype, copy=False), shape, out_dtype, tag)
     return _result(a, a.data @ b.data, shape, out_dtype, tag)
 
@@ -157,9 +176,12 @@ def matmul(a: Tensor, b: Tensor, tag: str = "matmul") -> Tensor:
 def add(a: Tensor, b: Tensor, tag: str = "add") -> Tensor:
     shape = _broadcast_shape(a.shape, b.shape)
     dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
-    meta = a.data is None or b.data is None
-    data = None if meta else (a.data + b.data).astype(dtype, copy=False)
-    return _result(a, data, shape, dtype, tag)
+    if a.data is None or b.data is None:
+        return _result(a, None, shape, dtype, tag)
+    if dtype == _F16:
+        with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
+            return _result(a, a.data + b.data, shape, dtype, tag)
+    return _result(a, (a.data + b.data).astype(dtype, copy=False), shape, dtype, tag)
 
 
 def mul(a: Tensor, b: Tensor, tag: str = "mul") -> Tensor:
@@ -338,11 +360,17 @@ def layernorm(
         mean = _result(x, None, stat_shape, ct, tag + ".mean")
         rstd = _result(x, None, stat_shape, ct, tag + ".rstd")
         return y, mean, rstd
+    n = x.shape[-1]
     x32 = x.data.astype(ct, copy=False)
-    mean32 = x32.mean(axis=-1, keepdims=True)
-    var32 = x32.var(axis=-1, keepdims=True)
-    rstd32 = 1.0 / np.sqrt(var32 + eps)
+    # ``np.mean`` and ``np.var`` bitwise — the same reduction and division
+    # by the count — without their Python wrappers, and with ``x - mean``
+    # computed once for the variance and the output.
+    mean32 = np.add.reduce(x32, axis=-1, keepdims=True)
+    mean32 /= n
     y32 = x32 - mean32
+    var32 = np.add.reduce(y32 * y32, axis=-1, keepdims=True)
+    var32 /= n
+    rstd32 = 1.0 / np.sqrt(var32 + eps)
     y32 *= rstd32
     y32 *= gamma.data.astype(ct, copy=False)
     y32 += beta.data.astype(ct, copy=False)
@@ -360,7 +388,8 @@ def layernorm_grad(
     dy: Tensor,
     tag: str = "ln_grad",
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Returns (dx, dgamma, dbeta)."""
+    """Returns (dx, dgamma, dbeta); the parameter gradients are fp32 for
+    every input dtype (cast down from the compute dtype at fp64)."""
     feat_shape = (x.shape[-1],)
     if _any_meta(x, gamma, mean, rstd, dy):
         dx = _result(x, None, x.shape, dy.dtype, tag + ".dx")
@@ -373,15 +402,21 @@ def layernorm_grad(
     dy32 = dy.data.astype(ct, copy=False)
     xhat = x32 - mean.data
     xhat *= rstd.data
-    dgamma32 = (dy32 * xhat).reshape(-1, n).sum(axis=0)
-    dbeta32 = dy32.reshape(-1, n).sum(axis=0)
+    dgamma32 = np.add.reduce((dy32 * xhat).reshape(-1, n), axis=0).astype(_F32, copy=False)
+    dbeta32 = np.add.reduce(dy32.reshape(-1, n), axis=0).astype(_F32, copy=False)
     dxhat = dy32 * gamma.data.astype(ct, copy=False)
-    dx32 = rstd.data * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
-    dx = _result(x, dx32.astype(dy.dtype, copy=False), x.shape, dy.dtype, tag + ".dx")
+    # rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), the means
+    # as in ``layernorm``, in place on one temporary in the same order.
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    mean_dxhat /= n
+    mean_prod = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+    mean_prod /= n
+    dx32 = dxhat - mean_dxhat
+    xhat *= mean_prod
+    dx32 -= xhat
+    dx32 *= rstd.data
+    with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
+        dx = _result(x, dx32.astype(dy.dtype, copy=False), x.shape, dy.dtype, tag + ".dx")
     dgamma = _result(x, dgamma32, feat_shape, _F32, tag + ".dgamma")
     dbeta = _result(x, dbeta32, feat_shape, _F32, tag + ".dbeta")
     return dx, dgamma, dbeta

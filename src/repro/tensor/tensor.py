@@ -18,11 +18,12 @@ bugs surface in tests instead of skewing memory measurements.
 Two constructors build the same object. ``Tensor(...)`` is the public one
 and validates everything it is given. ``op_result`` is the *trusted* one,
 for ``repro.tensor.functional`` only: an op has already computed its
-result's shape as a tuple of Python ints from validated operands and its
-dtype as an ``np.dtype`` instance of the supported set, so a meta result
-skips the shape re-normalisation and the ``DTYPE_SIZES`` lookup (which
-hashes the dtype); a paper-scale meta step builds 15 000 of them.
-Results that carry data go through ``Tensor(...)``.
+result's shape as a tuple of Python ints from validated operands, its
+dtype as an ``np.dtype`` instance of the supported set and — in real mode
+— an array of exactly that dtype and shape, so a result skips the shape
+re-normalisation, the ``DTYPE_SIZES`` lookup (which hashes the dtype) and
+the ``np.asarray(data, dtype=)`` cast and shape check; a paper-scale meta
+step builds 15 000 of them, a real-data step a few hundred per rank.
 Either way the bytes are reserved by ``device.alloc(nbytes, tag)`` and
 returned by ``device.free(extent)``, looked up on the pool *instance* at
 every call: that pair is what ``MemoryProfiler``, ``MemoryTimeline`` and
@@ -213,13 +214,12 @@ def op_result(
 ) -> Tensor:
     """An op's result on ``ref``'s device — the trusted constructor (module
     docstring). The caller guarantees what ``Tensor.__init__`` would
-    otherwise establish: ``shape`` is a tuple of Python ints and ``dtype``
+    otherwise establish: ``shape`` is a tuple of Python ints, ``dtype``
     an ``np.dtype`` instance that ``DTYPE_SIZES`` holds (the set is closed
     under the promotions the ops apply; a dtype that comes from *their*
-    caller goes through ``supported_dtype`` first). With ``data`` the
-    public constructor runs, shape check included."""
-    if data is not None:
-        return Tensor(shape, dtype, data=data, device=ref.device, tag=tag, alloc=alloc)
+    caller goes through ``supported_dtype`` first), and ``data``, when
+    given, an ``np.ndarray`` of exactly that dtype and shape — nothing
+    here casts or checks it."""
     size = 1
     for s in shape:
         size *= s
@@ -228,7 +228,7 @@ def op_result(
     t.dtype = dtype
     t.size = size
     t.nbytes = nbytes = size * dtype.itemsize
-    t.data = None
+    t.data = data
     t.device = device = ref.device
     t.tag = tag
     t._freed = False

@@ -175,13 +175,16 @@ class _ZeroDPBase(BaseEngine):
                         # Accumulate (fp32) so micro-batches under gradient
                         # accumulation sum into the shard; the shard is
                         # zeroed after each optimizer step, so with a
-                        # single micro-batch this is a plain write.
+                        # single micro-batch this is a plain write. The
+                        # add runs in fp32 and rounds once more into the
+                        # shard's dtype, with no temporaries.
                         view = self.grad_shard.data[lo - self.part_lo : hi - self.part_lo]
-                        acc = view.astype(np.float32) + mine[
-                            cursor : cursor + hi - lo
-                        ].astype(np.float32)
-                        with np.errstate(over="ignore"):  # saturate like hardware
-                            view[:] = acc.astype(view.dtype)
+                        # Saturate like hardware (inf - inf is NaN: overflow).
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            np.add(
+                                view, mine[cursor : cursor + hi - lo], out=view,
+                                dtype=np.float32, casting="unsafe",
+                            )
                     else:
                         self.layout.scatter_grad_range(
                             mine[cursor : cursor + hi - lo], lo, hi

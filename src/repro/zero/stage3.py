@@ -146,13 +146,13 @@ class ZeroStage3Engine(_ZeroDPBase):
             # One logical broadcast per owner, one rendezvous for the unit.
             # A unit's parameters are contiguous in the layout (checked in
             # __init__), so an owner's pieces are one run from its first.
+            # Each byte is copied once: from the owner's shard (a view of
+            # it is the deposit) into the unit buffer the parameters view.
             payloads: list[np.ndarray | None] = [None] * len(gather.segments)
             if gather.mine is not None:
                 seg = gather.segments[gather.mine]
                 lo = seg.pieces[0][0] - self.part_lo
-                payloads[gather.mine] = np.ascontiguousarray(
-                    self.param_shard.data[lo : lo + seg.numel]
-                )
+                payloads[gather.mine] = self.param_shard.data[lo : lo + seg.numel]
             pieces = self.dp_group.coalesced(
                 self.ctx.rank, "broadcast", gather.roots, payloads, gather.nbytes,
                 phase="param-gather",
@@ -164,7 +164,7 @@ class ZeroStage3Engine(_ZeroDPBase):
         for p, slot in zip(params, slots):
             data = None
             if full is not None:
-                data = full[slot.offset - ulo : slot.end - ulo].reshape(slot.shape).copy()
+                data = full[slot.offset - ulo : slot.end - ulo].reshape(slot.shape)
             with memprof_category("param_fp16", site="zero3-materialize"):
                 p.data = Tensor(
                     slot.shape, dtype, data=data,

@@ -121,6 +121,30 @@ def test_broadcast_receivers_get_private_copies():
     np.testing.assert_array_equal(results[2], np.zeros(4))
 
 
+def test_coalesced_receivers_read_the_roots_array_and_broadcast_copies_it():
+    """A stage-3 gather copies each byte once: ``coalesced`` hands a
+    broadcast receiver a read-only view of the root's array (the root gets
+    its own array back), while ``broadcast`` — whose callers may write —
+    returns a writable array on every rank, private on the receivers."""
+    payload = np.arange(6, dtype=np.float32)
+
+    def fn(ctx):
+        mine = payload if ctx.rank == 1 else None
+        member = ctx.world.coalesced(ctx.rank, "broadcast", [1], [mine], [payload.nbytes])[0]
+        if ctx.rank != 1:
+            with pytest.raises(ValueError, match="read-only"):
+                member += 1  # a receiver cannot write through to the root's array
+        seen = (member.flags.writeable, np.shares_memory(member, payload), member.tolist())
+        single = ctx.world.broadcast(ctx.rank, mine, src=1)
+        return seen, member is payload, single.flags.writeable, np.shares_memory(single, payload)
+
+    results = run_world(3, fn)
+    for rank, (seen, own, writable, shared) in enumerate(results):
+        assert seen == (rank == 1, True, payload.tolist()), rank
+        assert own == (rank == 1) and writable and shared == (rank == 1), rank
+    assert payload.tolist() == list(range(6))
+
+
 def test_allreduce_equals_reducescatter_then_allgather():
     """The identity Section 7.1 builds on: all-reduce = RS o AG."""
     data = per_rank_data(4, 16, seed=9)

@@ -103,6 +103,11 @@ class TestFailureInjection:
         with pytest.raises(KeyError, match="injected failure"):
             cluster.run(fn)
 
+    # inf/NaN propagating through fp16 math is part of this test. The filter
+    # is the test's, not a ``catch_warnings`` per rank thread: the warnings
+    # filters are process-wide, so a thread leaving its block would restore
+    # the suite's error filter under a peer still inside one.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_engine_survives_skipped_step_then_trains(self):
         """After an overflow-skipped step the engine must keep training
         (state intact, no leaked gradients)."""
@@ -120,13 +125,9 @@ class TestFailureInjection:
                 engine_config=EngineConfig(loss_scale=2.0**22, dynamic_loss_scale=True),
             )
             outcomes = []
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                for step in range(10):
-                    ids, tgt = corpus.sample_batch(2, 16, rank=ctx.rank, step=step)
-                    outcomes.append(engine.train_step(ids, tgt).applied)
+            for step in range(10):
+                ids, tgt = corpus.sample_batch(2, 16, rank=ctx.rank, step=step)
+                outcomes.append(engine.train_step(ids, tgt).applied)
             return outcomes
 
         outcomes = cluster.run(fn)[0]

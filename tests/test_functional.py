@@ -394,6 +394,7 @@ def _op_cases(dtype, *, meta=False, device=None):
     return {
         "cast": (lambda: F.cast(x, dtype), [x]),  # same dtype: still a copy
         "index_axis0": (lambda: F.index_axis0(x, 1), [x]),
+        "index_axis0(1-D)": (lambda: F.index_axis0(bias, 3), [bias]),  # a 0-d array
         "stack_axis0": (lambda: F.stack_axis0([x, dy]), [x, dy]),
         "slice_last": (lambda: F.slice_last(x, 0, 8), [x]),  # the whole axis
         "matmul": (lambda: F.matmul(x, w), [x, w]),
@@ -424,22 +425,25 @@ def _op_cases(dtype, *, meta=False, device=None):
     }
 
 
+def _public_ops() -> set[str]:
+    import inspect
+
+    return {
+        name for name, fn in vars(F).items()
+        if inspect.isfunction(fn) and fn.__module__ == F.__name__ and not name.startswith("_")
+    }
+
+
 class TestResultsNeverAliasInputs:
     """The guard that makes ``astype(copy=False)`` and the in-place kernels
     safe: an op's result owns its memory and its inputs are left as they
-    were. ``reshape`` and ``transpose`` are the two views."""
+    were. ``reshape`` and ``transpose`` are accounted as views."""
 
     VIEWS = {"reshape", "transpose"}
 
     def test_every_public_op_is_covered(self):
-        import inspect
-
-        public = {
-            name for name, fn in vars(F).items()
-            if inspect.isfunction(fn) and fn.__module__ == F.__name__ and not name.startswith("_")
-        }
         covered = {name.split("(")[0] for name in _op_cases(np.float32)}
-        assert covered | self.VIEWS == public
+        assert covered | self.VIEWS == _public_ops()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_fresh_results_and_untouched_inputs(self, dtype):
@@ -527,12 +531,61 @@ class TestTrustedResults:
             with pytest.raises(ValueError, match="unsupported dtype"):
                 F.cross_entropy_grad(x, Tensor.meta((2,), np.int64), dtype=dtype)
 
-    def test_results_with_data_keep_the_shape_check(self):
-        from repro.tensor.tensor import op_result
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_results_with_data_are_what_they_declare(self, dtype):
+        """``op_result`` takes an op's array as it is — no cast, no shape
+        check — so every public op must hand over an ``np.ndarray`` of
+        exactly the dtype and shape it declares (at fp64 ``layernorm_grad``
+        casts its fp32 parameter gradients down itself)."""
+        x = Tensor.from_numpy(np.arange(24, dtype=dtype).reshape(2, 3, 4))
+        cases = {
+            **_op_cases(dtype),
+            "reshape": (lambda: F.reshape(x, (6, -1)), [x]),
+            "transpose": (lambda: F.transpose(x, (2, 0, 1)), [x]),
+        }
+        assert {name.split("(")[0] for name in cases} == _public_ops()
+        for name, (call, _inputs) in cases.items():
+            for t in self._flat(call()):
+                assert type(t.data) is np.ndarray, name
+                assert (t.data.dtype, t.data.shape) == (t.dtype, t.shape), name
+                assert t.data.nbytes == t.nbytes, name
 
-        x = Tensor.from_numpy(np.zeros((2, 3), np.float32))
-        with pytest.raises(ValueError, match="data shape"):
-            op_result(x, np.zeros((3, 2), np.float32), (2, 3), x.dtype, "bad")
+
+class TestLayerNormStatistics:
+    """``layernorm`` / ``layernorm_grad`` take their means and variance with
+    ``np.add.reduce`` and an in-place division by the count instead of
+    ``np.mean`` / ``np.var`` — bitwise the same numbers, which is what
+    keeps every pinned loss and digest where it was."""
+
+    SHAPES = [(1, 1), (3, 7), (2, 5, 32), (4, 97), (2, 16, 768)]
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_statistics_equal_numpys_mean_and_var_bitwise(self, dtype):
+        rng = np.random.default_rng(11)
+        eps = 1e-5
+        for shape in self.SHAPES:
+            x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+            gamma = Tensor.from_numpy(rng.standard_normal(shape[-1]).astype(dtype))
+            beta = Tensor.from_numpy(rng.standard_normal(shape[-1]).astype(dtype))
+            dy = rng.standard_normal(shape).astype(dtype)
+            _, mean, rstd = F.layernorm(Tensor.from_numpy(x), gamma, beta, eps)
+            x32 = x.astype(np.promote_types(dtype, np.float32))
+            want_mean = x32.mean(axis=-1, keepdims=True)
+            want_rstd = 1.0 / np.sqrt(x32.var(axis=-1, keepdims=True) + eps)
+            assert mean.numpy().tobytes() == want_mean.tobytes(), shape
+            assert rstd.numpy().tobytes() == want_rstd.tobytes(), shape
+
+            dx = F.layernorm_grad(
+                Tensor.from_numpy(x), gamma, mean, rstd, Tensor.from_numpy(dy)
+            )[0]
+            xhat = (x32 - want_mean) * want_rstd
+            dxhat = dy.astype(x32.dtype) * gamma.numpy().astype(x32.dtype)
+            want_dx = want_rstd * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            assert dx.numpy().tobytes() == want_dx.astype(dtype).tobytes(), shape
 
 
 class TestCausalMaskCache:

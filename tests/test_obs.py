@@ -152,6 +152,49 @@ class TestRunLedger:
         assert led.record_cpu_s >= 0.0
 
 
+# -- unit: incident reconstruction --------------------------------------------
+
+
+class TestIncidentRecovery:
+    @staticmethod
+    def _killed_run(order):
+        """World 4, rank 2 killed after step 2; the three survivors complete
+        steps 3 and 4, recording each step in ``order``. Rank r's clock
+        runs 0.02 * r behind rank 0's."""
+        led = RunLedger()
+        led.record(EventKind.RUN_STARTED, world_size=4)
+        led.begin_incarnation(4)
+        for step in (1, 2):
+            for rank in range(4):
+                led.on_step_completed(rank, step, t_s=0.1 * step + 0.02 * rank)
+        led.record(EventKind.FAULT_INJECTED, rank=2, t_s=0.25, fault="kill", op="", detail="")
+        led.record(EventKind.FAULT_DETECTED, rank=2, t_s=0.3, error="RankKilledError")
+        led.record(EventKind.RESTART, t_s=0.3, kind=RestartKind.FAILURE, attempt=1,
+                   world_before=4, world_after=3, removed=[2])
+        led.begin_incarnation(3)
+        for step in (3, 4):
+            for rank in order:
+                led.on_step_completed(rank, step, t_s=0.1 * step + 0.02 * rank)
+        return led
+
+    def test_recovery_time_does_not_depend_on_which_rank_records_first(self):
+        """The ledger stamps each event with its running clock, so the
+        stamp of a step's first event is whichever rank's thread got there
+        first; the recovery time is the earliest *rank* clock of the first
+        step past the frontier, in every arrival order."""
+        import itertools
+
+        stamps, incidents = set(), set()
+        for order in itertools.permutations(range(3)):
+            led = self._killed_run(order)
+            first = next(ev for ev in led.events if ev.kind == EventKind.STEP_COMPLETED and ev.step == 3)
+            stamps.add(first.t_s)
+            (inc,) = reconstruct_incidents(led)
+            incidents.add((inc.resume_step, inc.recovered_t_s, inc.frontier_step))
+        assert len(stamps) == 3  # the arrival order shows in the stamps ...
+        assert incidents == {(3, 0.1 * 3, 2)}  # ... and nowhere in the incident
+
+
 # -- unit: validate_metrics_jsonl ---------------------------------------------
 
 
