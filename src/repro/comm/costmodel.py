@@ -12,7 +12,7 @@ constrained" (Section 2.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.comm.ledger import CommEvent
 from repro.hardware.specs import PCIE_3_X16, InterconnectSpec
@@ -33,12 +33,19 @@ class CommCostModel:
     telemetry tracers each own one). With ``perf=None`` (the default,
     and what ``analysis.sim_time`` uses) pricing is the healthy-world
     alpha-beta model, unchanged.
+
+    A group's healthy (latency_s, s/byte) is resolved from the topology
+    once per ``group_ranks`` and kept in ``_links``; the gray-failure
+    adjustment is applied on every event, since it depends on the step.
     """
 
     topology: ClusterTopology
     pcie: InterconnectSpec | None = None
     perf: object | None = None
     perf_rank: int | None = None
+    _links: dict[tuple[int, ...], tuple[float, float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def pcie_link(self) -> InterconnectSpec:
@@ -47,8 +54,13 @@ class CommCostModel:
     def _alpha_beta(self, event: CommEvent) -> tuple[float, float]:
         """(latency_s, s/byte) of the group's bottleneck link, with any
         active gray-failure degradations applied."""
-        link = self.topology.link_for_group(event.group_ranks)
-        alpha, beta = link.latency_s, 1.0 / link.bandwidth_bytes_per_s
+        ab = self._links.get(event.group_ranks)
+        if ab is None:
+            link = self.topology.link_for_group(event.group_ranks)
+            ab = self._links[event.group_ranks] = (
+                link.latency_s, 1.0 / link.bandwidth_bytes_per_s
+            )
+        alpha, beta = ab
         if self.perf is not None:
             alpha, beta = self.perf.adjust_alpha_beta(
                 self.perf_rank, event.group_ranks, alpha, beta

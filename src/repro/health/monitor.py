@@ -161,7 +161,7 @@ class _RankState:
     __slots__ = (
         "samples", "verdict", "anomalous_streak", "clean_streak",
         "slowdown", "z", "link_ewma", "link_baseline", "link_samples",
-        "link_flagged",
+        "link_flagged", "link_gauge",
     )
 
     def __init__(self):
@@ -175,6 +175,7 @@ class _RankState:
         self.link_baseline: float | None = None
         self.link_samples: list[float] = []
         self.link_flagged = False
+        self.link_gauge = None  # this rank's link_slowdown_factor gauge
 
 
 class HealthMonitor:
@@ -315,11 +316,11 @@ class HealthMonitor:
     def on_comm_event(self, tracer, event, seconds: float) -> None:
         """One priced communication event from ``tracer``'s ledger
         bridge: update the rank's s/byte EWMA and baseline."""
-        bytes_ = getattr(event, "message_bytes", 0)
+        bytes_ = event.message_bytes
         if (
             bytes_ < self.config.min_link_bytes
             or seconds <= 0.0
-            or getattr(event, "op", "") in ("h2d", "d2h", "barrier")
+            or event.op in ("h2d", "d2h", "barrier")
         ):
             return
         sec_per_byte = seconds / bytes_
@@ -338,9 +339,11 @@ class HealthMonitor:
             if state.link_baseline:
                 factor = state.link_ewma / state.link_baseline
                 if self.registry is not None:
-                    self.registry.gauge(
-                        "link_slowdown_factor", rank=tracer.rank
-                    ).set(factor)
+                    if state.link_gauge is None:
+                        state.link_gauge = self.registry.gauge(
+                            "link_slowdown_factor", rank=tracer.rank
+                        )
+                    state.link_gauge.set(factor)
                 if factor > self.config.link_threshold and not state.link_flagged:
                     state.link_flagged = True
                     flagged = factor

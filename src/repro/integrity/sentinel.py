@@ -24,9 +24,12 @@ minimum history before judging) — a false positive costs a rollback.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
+
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class SpikeWindow:
@@ -50,13 +53,18 @@ class SpikeWindow:
         ``None``. Anomalous values are *not* added to the window, so one
         outlier cannot drag the median up and mask the next."""
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             # The scaler's overflow vote said this step was clean, yet the
             # signal is non-finite: state (not gradients) is corrupt.
             return f"non-finite {self.name} ({value!r}) on an applied step"
-        if len(self._history) >= self.min_history:
-            median = float(np.median(self._history))
-            threshold = self.spike_factor * max(median, np.finfo(np.float64).tiny)
+        n = len(self._history)
+        if n >= self.min_history:
+            # np.median's float, without its array round trip: the middle
+            # value, or the two middle values' sum halved.
+            ordered = sorted(self._history)
+            mid = n // 2
+            median = ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+            threshold = self.spike_factor * max(median, _TINY)
             if value > threshold:
                 return (
                     f"{self.name} spike: {value:.6g} > {self.spike_factor:g} x "

@@ -3,10 +3,11 @@
 ``MemoryProfiler`` attaches to one ``Device`` (or ``HostMemory``) by
 wrapping its ``alloc``/``free`` methods — the same observation pattern as
 ``memsim.timeline.MemoryTimeline`` — and records, for every live block,
-its ZeRO state class, allocation site, and engine phase (resolved from the
-thread-local scopes in :mod:`repro.memprof.provenance`). It never changes
-what the allocator does: sizes, handles, cache behaviour, and OOM timing
-are byte-identical with the profiler attached or not.
+its ZeRO state class, allocation site, and engine phase (read from the
+thread-local scopes in :mod:`repro.memprof.provenance`; an unscoped
+block's class comes from this profiler's memo of ``classify_tag``). It
+never changes what the allocator does: sizes, handles, cache behaviour,
+and OOM timing are byte-identical with the profiler attached or not.
 
 Accounting invariant (checked by ``verify_accounting``, and on every
 allocator event when ``self_check=True``): the sum of per-category live
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.memprof import provenance
-from repro.memprof.provenance import CATEGORIES
+from repro.memprof.provenance import CATEGORIES, _tls, classify_tag
 
 
 class _LiveBlock:
@@ -89,6 +90,8 @@ class MemoryProfiler:
         self._is_device = hasattr(device, "raw")  # Device vs HostMemory
 
         self._live: dict[tuple[str, int], _LiveBlock] = {}
+        #: (tag, phase) -> classify_tag(tag, phase), for unscoped blocks
+        self._classified: dict[tuple[str, str], str] = {}
         self.live_by_category: dict[str, int] = {c: 0 for c in CATEGORIES}
         self.peak_by_category: dict[str, int] = {c: 0 for c in CATEGORIES}
         self.md_live_by_category: dict[str, int] = {c: 0 for c in CATEGORIES}
@@ -145,7 +148,17 @@ class MemoryProfiler:
 
     def _alloc(self, size: int, tag: str = ""):
         extent = self._orig_alloc(size, tag)
-        category, site, phase = provenance.resolve(tag)
+        # Innermost scope wins; the tag classifier is the fallback.
+        stack = _tls.stack
+        phase = _tls.phase
+        if stack:
+            category, site = stack[-1]
+            site = site or tag
+        else:
+            site = tag
+            category = self._classified.get((tag, phase))
+            if category is None:
+                category = self._classified[(tag, phase)] = classify_tag(tag, phase)
         if self._is_device:
             key = (extent.pool, extent.handle)
             nbytes, pool = extent.size, extent.pool
@@ -161,42 +174,39 @@ class MemoryProfiler:
         combined = self.live_by_category[category] + self.md_live_by_category[category]
         if combined > self.peak_by_category[category]:
             self.peak_by_category[category] = combined
-        self._publish(category, combined)
+        if self.tracer is not None or self.registry is not None:
+            self._publish(category, combined)
         self.n_events += 1
         if self.self_check:
             self.verify_accounting()
         return extent
 
     def _free(self, extent) -> None:
-        if self._is_device:
-            key = (extent.pool, extent.handle)
-            unknown_size = extent.size
-            unknown_md = extent.pool == "md"
-        else:
-            key = ("host", extent)
-            # HostMemory handles are bare ints; grab the size before the
-            # pool forgets it, in case this block predates our attach.
-            unknown_size = self.device._live.get(extent, 0)
-            unknown_md = False
-        self._orig_free(extent)
+        key = (extent.pool, extent.handle) if self._is_device else ("host", extent)
         block = self._live.pop(key, None)
         if block is None:
-            # Allocated before we attached: shrink the untracked baseline.
-            if unknown_md:
-                self._md_untracked -= unknown_size
+            # Allocated before we attached: shrink the untracked baseline
+            # once the pool accepts the free. HostMemory handles are bare
+            # ints, so take the size before the pool forgets it.
+            size = extent.size if self._is_device else self.device._live.get(extent, 0)
+            self._orig_free(extent)
+            if self._is_device and extent.pool == "md":
+                self._md_untracked -= size
             else:
-                self.untracked_bytes -= unknown_size
+                self.untracked_bytes -= size
             self.n_events += 1
             return
+        self._orig_free(extent)
         if block.pool == "md":
             self.md_live_by_category[block.category] -= block.size
         else:
             self.live_by_category[block.category] -= block.size
             self._main_live -= block.size
-        self._publish(
-            block.category,
-            self.live_by_category[block.category] + self.md_live_by_category[block.category],
-        )
+        if self.tracer is not None or self.registry is not None:
+            self._publish(
+                block.category,
+                self.live_by_category[block.category] + self.md_live_by_category[block.category],
+            )
         self.n_events += 1
         if self.self_check:
             self.verify_accounting()

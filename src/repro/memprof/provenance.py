@@ -13,6 +13,12 @@ call) and ``set_phase`` is a counter check plus return — nothing is ever
 recorded, no dicts or scope objects are created, and allocator behaviour
 is byte-identical (the profiler only *observes* ``Device.alloc``/``free``;
 it never changes what they do).
+
+While profiling, an allocation's provenance is read, not computed: the
+profiler takes the innermost scope straight off ``_tls.stack`` and the
+phase off ``_tls.phase`` (plain attribute loads on a ``threading.local``
+subclass), and an unscoped allocation's class from its own memo of
+``classify_tag``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,17 @@ _CATEGORY_SET = frozenset(CATEGORIES)
 # mutated under the GIL from attach/detach; the hot path only reads it.
 _active_profilers = 0
 
-_tls = threading.local()
+
+class _Provenance(threading.local):
+    """This thread's scope stack and phase, made on the thread's first
+    access — so reading them is a plain attribute load, never a call."""
+
+    def __init__(self) -> None:
+        self.stack: list[_CategoryScope] = []
+        self.phase = ""
+
+
+_tls = _Provenance()
 
 
 def profiling_active() -> bool:
@@ -53,20 +69,15 @@ def _incr_active(delta: int) -> None:
         _active_profilers = 0
 
 
-class _CategoryScope:
-    """Pushes (category, site) on the calling thread's provenance stack."""
+class _CategoryScope(tuple):
+    """A ``(category, site)`` pair that pushes itself on the calling
+    thread's provenance stack. A tuple, so ``category()`` builds it with
+    one C-level ``tuple.__new__`` and no Python ``__init__`` frame."""
 
-    __slots__ = ("category", "site")
-
-    def __init__(self, category: str, site: str):
-        self.category = category
-        self.site = site
+    __slots__ = ()
 
     def __enter__(self) -> "_CategoryScope":
-        stack = getattr(_tls, "stack", None)
-        if stack is None:
-            stack = _tls.stack = []
-        stack.append((self.category, self.site))
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -101,15 +112,13 @@ def category(name: str, site: str = ""):
         raise ValueError(f"unknown memprof category {name!r}; expected one of {CATEGORIES}")
     if _active_profilers == 0:
         return _NOOP
-    return _CategoryScope(name, site)
+    return _CategoryScope((name, site))
 
 
 def current_scope() -> tuple[str, str] | None:
     """(category, site) innermost scope on this thread, or None."""
-    stack = getattr(_tls, "stack", None)
-    if not stack:
-        return None
-    return stack[-1]
+    stack = _tls.stack
+    return stack[-1] if stack else None
 
 
 def set_phase(phase: str) -> None:
@@ -124,7 +133,7 @@ def set_phase(phase: str) -> None:
 
 
 def current_phase() -> str:
-    return getattr(_tls, "phase", "")
+    return _tls.phase
 
 
 # Tag-based fallback classifier: explicit ``category()`` scopes at the
@@ -136,6 +145,8 @@ _CKPT_PREFIXES = ("pa-", "act-ckpt")
 
 
 def classify_tag(tag: str, phase: str = "") -> str:
+    """State class of an unscoped allocation. A pure function of its two
+    arguments, which is what lets each profiler memoize it."""
     if tag.endswith(".grad") or tag.endswith("-grad-shard"):
         return "grad_fp16"
     if tag in _GRAD_TAGS or tag.startswith("bucket"):
@@ -152,14 +163,3 @@ def classify_tag(tag: str, phase: str = "") -> str:
     if phase in ("forward", "backward"):
         return "activation"
     return "temp"
-
-
-def resolve(tag: str) -> tuple[str, str, str]:
-    """(category, site, phase) for an allocation happening *now* on this
-    thread: innermost scope wins, tag-classifier is the fallback."""
-    phase = current_phase()
-    scope = current_scope()
-    if scope is not None:
-        cat, site = scope
-        return cat, site or tag, phase
-    return classify_tag(tag, phase), tag, phase

@@ -10,6 +10,16 @@ straggler analysis of Sections 7/8 cares about.
 Thread model: label-set creation is lock-guarded; *updates* to one metric
 instance are expected to come from a single rank thread (the per-rank
 ``rank=`` labelling convention guarantees this in cluster runs).
+
+Lookup model: a metric's identity is its name plus its labels sorted and
+rendered with ``str()``. Building that key costs a sort and a ``str()``
+per label, so it is built only when a metric is created (or first asked
+for with labels in a new order); every later request is answered from a
+handle table keyed by the kind, the name and the caller's labels as given,
+with no sort and no lock. Label values that compare equal therefore share
+a handle: ``rank=3`` and ``rank=np.int64(3)`` do, as they share one
+sorted key, and so would a bool or float label equal to an integer one —
+labels here are strings and integers.
 """
 
 from __future__ import annotations
@@ -116,9 +126,18 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple], Counter | Gauge | Histogram] = {}
+        #: (kind, name, *labels in the caller's order) -> the metric
+        self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
 
     def _get(self, cls, name: str, labels: dict[str, object]):
+        try:
+            return self._handles[(cls, name, *labels.items())]
+        except (KeyError, TypeError):  # new, or a label value that cannot hash
+            pass
+        return self._create(cls, name, labels)
+
+    def _create(self, cls, name: str, labels: dict[str, object]):
         key = (name, _labels_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
@@ -130,6 +149,10 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {metric.kind}, "
                     f"not {cls.kind}"
                 )
+            try:
+                self._handles[(cls, name, *labels.items())] = metric
+            except TypeError:
+                pass  # unhashable label value: this caller keeps the sorted path
             return metric
 
     def counter(self, name: str, **labels) -> Counter:

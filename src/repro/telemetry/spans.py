@@ -134,6 +134,10 @@ class Tracer:
         #: schedule, for Perfscope.
         self.runtime_steps: dict[int, object] = {}
         self._stack: list[Span] = []
+        self._open_steps = 0  # step spans on ``_stack``
+        #: (raw phase, op) -> (normalized phase, by-phase counter, by-op
+        #: counter); the counters are None without a registry.
+        self._comm_keys: dict[tuple[str, str], tuple] = {}
         self._comm_nominal_bytes = 0.0
         self._comm_by_phase: dict[str, float] = {}
         self._comm_by_op: dict[str, float] = {}
@@ -161,6 +165,7 @@ class Tracer:
         self._stack.append(span)
         self.log.append(("B", span))
         if name == STEP_SPAN:
+            self._open_steps += 1
             self.step_phase_s.append({})
             self.step_comm_bytes.append(0.0)
             self.step_peak_alloc.append(0)
@@ -176,6 +181,7 @@ class Tracer:
             phases = self.step_phase_s[-1]
             phases[span.name] = phases.get(span.name, 0.0) + span.duration_s
         if span.name == STEP_SPAN:
+            self._open_steps -= 1
             self.step_durations.append(span.duration_s)
             if self.registry is not None:
                 self.registry.histogram("step_time_s", rank=self.rank).observe(
@@ -256,10 +262,7 @@ class Tracer:
 
     def current_step_index(self) -> int | None:
         """Index of the step span currently open (None outside a step)."""
-        for span in self._stack:
-            if span.name == STEP_SPAN:
-                return len(self.step_durations)
-        return None
+        return len(self.step_durations) if self._open_steps else None
 
     def record_runtime_step(self, schedule) -> None:
         """Stash one boundary's runtime-schedule capture for Perfscope
@@ -281,27 +284,39 @@ class Tracer:
                     op=event.op, phase=event.phase,
                     message_bytes=event.message_bytes,
                     group_ranks=event.group_ranks,
-                    peer=getattr(event, "peer", None),
+                    peer=event.peer,
                     start_s=start_s, end_s=self.clock_s,
-                    step=self.current_step_index(),
+                    step=len(self.step_durations) if self._open_steps else None,
                 ))
             if self.health is not None:
                 self.health.on_comm_event(self, event, seconds)
+        op = event.op
+        keys = self._comm_keys.get((event.phase, op))
+        if keys is None:
+            keys = self._comm_keys[(event.phase, op)] = self._comm_key(event.phase, op)
+        phase, by_phase, by_op = keys
         nominal = event.nominal_bytes
-        phase = normalize_phase(event.phase)
         self._comm_nominal_bytes += nominal
         self._comm_by_phase[phase] = self._comm_by_phase.get(phase, 0.0) + nominal
-        self._comm_by_op[event.op] = self._comm_by_op.get(event.op, 0.0) + nominal
+        self._comm_by_op[op] = self._comm_by_op.get(op, 0.0) + nominal
         if self.step_comm_bytes:
             self.step_comm_bytes[-1] += nominal
         self.counter("comm_nominal_bytes", self._comm_nominal_bytes)
-        if self.registry is not None:
-            self.registry.counter(
-                "comm_nominal_bytes", rank=self.rank, phase=phase
-            ).add(nominal)
-            self.registry.counter(
-                "comm_nominal_bytes_by_op", rank=self.rank, op=event.op
-            ).add(nominal)
+        if by_phase is not None:
+            by_phase.add(nominal)
+            by_op.add(nominal)
+
+    def _comm_key(self, raw_phase: str, op: str) -> tuple:
+        """What ``on_comm_event`` needs for one (phase, op): the
+        normalized phase and the two comm counters."""
+        phase = normalize_phase(raw_phase)
+        if self.registry is None:
+            return phase, None, None
+        return (
+            phase,
+            self.registry.counter("comm_nominal_bytes", rank=self.rank, phase=phase),
+            self.registry.counter("comm_nominal_bytes_by_op", rank=self.rank, op=op),
+        )
 
     def on_retry_event(self, retry) -> None:
         """Turn one ledger ``RetryEvent`` into an instant event + counters."""
