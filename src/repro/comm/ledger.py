@@ -8,6 +8,11 @@ reports the paper's clean 2-Psi / 3-Psi numbers.
 
 Every entry also keeps the group size and message bytes so the cost model
 can turn the ledger into time under the alpha-beta model.
+
+An event is a value: a rank's ledger holds one ``CommEvent`` object per
+*distinct* event and appends that same object each time the collective
+recurs, so a steady step adds list slots, not objects for the garbage
+collector to rescan.
 """
 
 from __future__ import annotations
@@ -102,6 +107,9 @@ class CommLedger:
         self.rank = rank
         self.events: list[CommEvent] = []
         self.retries: list[RetryEvent] = []
+        # (op, message_bytes, group_ranks, phase, peer) -> the one event
+        # object with those fields; events are immutable, so they are shared.
+        self._distinct: dict[tuple, CommEvent] = {}
         self.enabled = True
         #: optional telemetry bridge: an object with ``on_comm_event`` /
         #: ``on_retry_event`` (duck-typed; ``repro.telemetry.Tracer``).
@@ -127,7 +135,15 @@ class CommLedger:
             message_bytes = int(message_bytes)
         if group_ranks.__class__ is not tuple:
             group_ranks = tuple(group_ranks)
-        event = CommEvent(op, message_bytes, len(group_ranks), group_ranks, phase, peer)
+        if peer is not None and peer.__class__ is not tuple:
+            peer = tuple(peer)
+        key = (op, message_bytes, group_ranks, phase, peer)
+        try:
+            event = self._distinct[key]
+        except KeyError:
+            event = self._distinct[key] = CommEvent(
+                op, message_bytes, len(group_ranks), group_ranks, phase, peer
+            )
         self.events.append(event)
         if self.listener is not None:
             self.listener.on_comm_event(event)

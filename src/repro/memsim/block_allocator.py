@@ -18,25 +18,34 @@ from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemor
 
 
 class Extent(NamedTuple):
-    """A live allocation: a contiguous byte range plus a debugging tag.
+    """A pool's block: a contiguous byte range and the pool that owns it.
 
     ``pool`` marks which allocator owns it when a device routes long-lived
     tensors into a defragmentation region (ZeRO-R MD): "main" or "md".
 
-    Immutable, and cheap to build: one is made per allocation *and* per
-    cache hit (a cached block comes back under the new owner's tag), 11k
-    times in a paper-scale meta step.
+    Immutable, and made once per block the backing allocator carves: a
+    cache hit hands the cached block itself to its next owner. The owner's
+    tag is not on the record; the pool keeps it beside the live block
+    (``tag_of``), so reusing a block builds nothing.
     """
 
     handle: int
     offset: int
     size: int
-    tag: str = ""
     pool: str = "main"
 
     @property
     def end(self) -> int:
         return self.offset + self.size
+
+
+def _tag_of(tags: dict[int, str], extent: Extent, pool_name: str) -> str:
+    try:
+        return tags[extent.handle]
+    except KeyError:
+        raise InvalidFreeError(
+            f"{pool_name}: extent handle {extent.handle} is not live"
+        ) from None
 
 
 @dataclass
@@ -73,9 +82,12 @@ class BlockAllocator:
 
     Alignment: every allocation is rounded up to ``alignment`` bytes (default
     512, matching the CUDA caching allocator's minimum block granularity).
+    ``pool`` is the name stamped on every extent this allocator hands out.
     """
 
-    def __init__(self, capacity: int, *, alignment: int = 512, name: str = "gpu"):
+    def __init__(
+        self, capacity: int, *, alignment: int = 512, name: str = "gpu", pool: str = "main"
+    ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if alignment <= 0 or alignment & (alignment - 1):
@@ -83,9 +95,12 @@ class BlockAllocator:
         self.capacity = int(capacity)
         self.alignment = alignment
         self.name = name
-        # Free list kept sorted by offset; live extents keyed by handle.
+        self.pool = pool
+        # Free list kept sorted by offset; live extents and their owners'
+        # tags keyed by handle.
         self._free: list[_FreeBlock] = [_FreeBlock(0, self.capacity)]
         self._live: dict[int, Extent] = {}
+        self._tags: dict[int, str] = {}
         self._handle_counter = itertools.count(1)
         self._allocated = 0
 
@@ -117,6 +132,10 @@ class BlockAllocator:
         """Live allocations sorted by offset (for invariant checking)."""
         return sorted(self._live.values(), key=lambda e: e.offset)
 
+    def tag_of(self, extent: Extent) -> str:
+        """The tag the live ``extent`` was allocated under."""
+        return _tag_of(self._tags, extent, self.name)
+
     def free_segments(self) -> list[tuple[int, int]]:
         """Free holes as ``(offset, size)`` pairs sorted by offset."""
         return [(b.offset, b.size) for b in self._free]
@@ -139,7 +158,8 @@ class BlockAllocator:
             "largest_free": stats.largest_free,
             "external_fragmentation": stats.external_fragmentation,
             "live_blocks": [
-                {"handle": e.handle, "offset": e.offset, "size": e.size, "tag": e.tag}
+                {"handle": e.handle, "offset": e.offset, "size": e.size,
+                 "tag": self._tags[e.handle]}
                 for e in self.live_extents()
             ],
             "free_segments": [
@@ -164,13 +184,14 @@ class BlockAllocator:
         need = self.aligned(size)
         for i, block in enumerate(self._free):
             if block.size >= need:
-                extent = Extent(next(self._handle_counter), block.offset, need, tag)
+                extent = Extent(next(self._handle_counter), block.offset, need, self.pool)
                 if block.size == need:
                     del self._free[i]
                 else:
                     block.offset += need
                     block.size -= need
                 self._live[extent.handle] = extent
+                self._tags[extent.handle] = tag
                 self._allocated += need
                 return extent
         return None
@@ -194,6 +215,7 @@ class BlockAllocator:
             raise InvalidFreeError(
                 f"{self.name}: extent handle {extent.handle} is not live (double free?)"
             )
+        del self._tags[extent.handle]
         self._allocated -= live.size
         self._insert_free(_FreeBlock(live.offset, live.size))
 

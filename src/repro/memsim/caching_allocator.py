@@ -20,6 +20,11 @@ larger than the request is reused whole when the waste is small, or split
 when large, mirroring the split behaviour of the CUDA caching allocator
 closely enough for the paper's measurements (which are about
 megabyte-to-gigabyte tensors, not sub-kilobyte noise).
+
+A reused block goes to its next owner as the same ``Extent`` object the
+backing allocator made for it; the owner's tag lives in a handle-keyed map
+beside the live block. So an ``Extent`` is built once per block the device
+carves, never per cache hit, and a steady step allocates nothing here.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from repro.memsim.block_allocator import BlockAllocator, Extent
+from repro.memsim.block_allocator import BlockAllocator, Extent, _tag_of
 from repro.memsim.errors import InvalidFreeError
 
 # A cached block may be reused un-split if the request wastes at most this
@@ -35,11 +40,6 @@ from repro.memsim.errors import InvalidFreeError
 _REUSE_WASTE_LIMIT = 0.25
 # Blocks at least this large are split on reuse instead of wasted.
 _SPLIT_THRESHOLD = 1 << 20  # 1 MiB
-
-# ``Extent(...)`` without the Python frame that fills in its defaults: a
-# cache hit hands the block back under the new owner's tag, which makes this
-# the one Extent built per allocation in steady state.
-_new_extent = tuple.__new__
 
 
 @dataclass
@@ -73,7 +73,10 @@ class CachingAllocator:
         # leaves either structure.
         self._classes: dict[int, list[Extent]] = {}
         self._sizes: list[int] = []
+        # Live blocks and their current owners' tags, keyed by handle. A
+        # cache hit hands out the cached block itself; only the tag changes.
         self._live: dict[int, Extent] = {}
+        self._tags: dict[int, str] = {}
         self._allocated = 0
         self._reserved = 0
         self.max_allocated = 0
@@ -112,6 +115,10 @@ class CachingAllocator:
         self.max_allocated = self._allocated
         self.max_reserved = self._reserved
 
+    def tag_of(self, extent: Extent) -> str:
+        """The tag of the live allocation ``extent`` (its current owner's)."""
+        return _tag_of(self._tags, extent, "caching allocator")
+
     def snapshot(self) -> dict:
         """JSON-serializable view: live blocks, cached segments, the gap.
 
@@ -130,7 +137,8 @@ class CachingAllocator:
             "n_cache_misses": self.n_cache_misses,
             "n_flushes": self.n_flushes,
             "live_blocks": [
-                {"handle": e.handle, "offset": e.offset, "size": e.size, "tag": e.tag}
+                {"handle": e.handle, "offset": e.offset, "size": e.size,
+                 "tag": self._tags[e.handle]}
                 for e in sorted(self._live.values(), key=lambda e: e.offset)
             ],
             "cached_segments": [
@@ -155,9 +163,8 @@ class CachingAllocator:
         need = (int(size) + mask) & ~mask
         stack = self._classes.get(need)
         if stack:
-            block = stack.pop()
+            extent = stack.pop()
             self.n_cache_hits += 1
-            extent = _new_extent(Extent, (block.handle, block.offset, block.size, tag, "main"))
         else:
             extent = self._take_best_fit(need, tag)
             if extent is None:
@@ -170,6 +177,7 @@ class CachingAllocator:
                 if self._reserved > self.max_reserved:
                     self.max_reserved = self._reserved
         self._live[extent.handle] = extent
+        self._tags[extent.handle] = tag
         self._allocated = allocated = self._allocated + extent.size
         if allocated > self.max_allocated:
             self.max_allocated = allocated
@@ -182,6 +190,7 @@ class CachingAllocator:
             raise InvalidFreeError(
                 f"caching allocator: handle {extent.handle} is not live (double free?)"
             )
+        del self._tags[extent.handle]
         size = live.size
         self._allocated -= size
         stack = self._classes.get(size)
@@ -227,7 +236,7 @@ class CachingAllocator:
             self._reserved += fresh.size
             return fresh
         self.n_cache_hits += 1
-        return Extent(block.handle, block.offset, block.size, tag)
+        return block
 
     def _flush_cache(self) -> int:
         released = 0

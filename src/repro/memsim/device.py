@@ -57,7 +57,7 @@ class Device:
         if self._md_allocator is not None:
             raise ValueError(f"{self.name}: defrag region already enabled")
         self._md_extent = self.raw.alloc(region_bytes, "md-region")
-        self._md_allocator = BlockAllocator(region_bytes, name=f"{self.name}/md")
+        self._md_allocator = BlockAllocator(region_bytes, name=f"{self.name}/md", pool="md")
         self._md_predicate = tag_predicate
         self._md_routes = {}
 
@@ -88,9 +88,9 @@ class Device:
             except KeyError:
                 routed = self._md_routes[tag] = bool(self._md_predicate(tag))
             if routed:
-                inner = md.try_alloc(size, tag)
-                if inner is not None:
-                    return Extent(inner.handle, inner.offset, inner.size, tag, "md")
+                extent = md.try_alloc(size, tag)
+                if extent is not None:
+                    return extent
                 # region full: fall through to the general heap
         try:
             if self.cache is not None:
@@ -123,6 +123,15 @@ class Device:
             self.cache.free(extent)
         else:
             self.raw.free(extent)
+
+    def tag_of(self, extent: Extent) -> str:
+        """The tag a live ``extent`` from ``alloc`` was allocated under,
+        asked of the pool that owns it (the tag is not on the extent)."""
+        if extent.pool == "md":
+            if self._md_allocator is None:
+                raise InvalidFreeError(f"{self.name}: md extent outlived disable_defrag")
+            return self._md_allocator.tag_of(extent)
+        return (self.raw if self.cache is None else self.cache).tag_of(extent)
 
     # -- accounting (torch.cuda.* analogs) ---------------------------------
 

@@ -64,8 +64,9 @@ class MemoryTimeline:
         return extent
 
     def _free(self, extent) -> None:
+        tag = self.device.tag_of(extent)  # the pool forgets it on free
         self._orig_free(extent)
-        self._sample(-extent.size, extent.tag)
+        self._sample(-extent.size, tag)
 
     def _sample(self, delta: int, tag: str) -> None:
         sample = MemorySample(

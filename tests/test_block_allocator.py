@@ -116,19 +116,18 @@ def test_bad_construction_rejected():
 def test_tags_preserved():
     a = make()
     e = a.alloc(1 * KB, tag="weights")
-    assert e.tag == "weights"
-    assert a.live_extents()[0].tag == "weights"
+    assert a.tag_of(e) == "weights"
+    assert a.tag_of(a.live_extents()[0]) == "weights"
 
 
 def test_extent_is_an_immutable_record():
-    e = Extent(handle=7, offset=1024, size=512, tag="w")
-    assert (e.handle, e.offset, e.size, e.tag, e.pool) == (7, 1024, 512, "w", "main")
+    e = Extent(handle=7, offset=1024, size=512)
+    assert (e.handle, e.offset, e.size, e.pool) == (7, 1024, 512, "main")
     assert e.end == 1536
-    assert Extent(1, 0, 512).tag == "" and Extent(1, 0, 512).pool == "main"
-    assert Extent(7, 1024, 512, "w", "md") == Extent(handle=7, offset=1024, size=512, tag="w", pool="md")
-    assert e == Extent(7, 1024, 512, "w") and hash(e) == hash(Extent(7, 1024, 512, "w"))
-    assert e != Extent(7, 1024, 512, "w", "md")
-    for field in ("handle", "offset", "size", "tag", "pool", "end", "anything"):
+    assert Extent(7, 1024, 512, "md") == Extent(handle=7, offset=1024, size=512, pool="md")
+    assert e == Extent(7, 1024, 512) and hash(e) == hash(Extent(7, 1024, 512))
+    assert e != Extent(7, 1024, 512, "md")
+    for field in ("handle", "offset", "size", "pool", "end", "anything"):
         with pytest.raises(AttributeError):
             setattr(e, field, 1)
     with pytest.raises(TypeError):
@@ -147,7 +146,7 @@ def test_try_alloc_says_none_where_alloc_raises():
     with pytest.raises(FragmentationError):
         a.alloc(3 * KB)
     got = a.try_alloc(2 * KB, tag="fits")
-    assert (got.offset, got.size, got.tag) == (held[0].offset, 2 * KB, "fits")
+    assert (got.offset, got.size, a.tag_of(got)) == (held[0].offset, 2 * KB, "fits")
     with pytest.raises(ValueError):
         a.try_alloc(0)
 

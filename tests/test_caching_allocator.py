@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.memsim.block_allocator import BlockAllocator, Extent
+from repro.memsim.block_allocator import BlockAllocator
 from repro.memsim.caching_allocator import CachingAllocator
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 
@@ -164,6 +164,7 @@ class _TwoListCache(CachingAllocator):
                 extent = self.backing.alloc(need, tag)
             self._reserved += extent.size
         self._live[extent.handle] = extent
+        self._tags[extent.handle] = tag
         self._allocated += extent.size
         self.max_allocated = max(self.max_allocated, self._allocated)
         self.max_reserved = max(self.max_reserved, self._reserved)
@@ -173,6 +174,7 @@ class _TwoListCache(CachingAllocator):
         live = self._live.pop(extent.handle, None)
         if live is None:
             raise InvalidFreeError(f"handle {extent.handle} is not live")
+        del self._tags[extent.handle]
         self._allocated -= live.size
         idx = bisect.bisect_left(self.sizes, live.size)
         self.sizes.insert(idx, live.size)
@@ -196,7 +198,7 @@ class _TwoListCache(CachingAllocator):
             self._reserved += fresh.size
             return fresh
         self.n_cache_hits += 1
-        return Extent(handle=block.handle, offset=block.offset, size=block.size, tag=tag)
+        return block
 
     def _flush_cache(self):
         released = 0
@@ -244,7 +246,7 @@ def test_size_classes_place_every_block_where_the_two_list_cache_did(seed):
                 ooms += 1
             else:
                 a = new.alloc(size, tag)
-                assert a == b, event  # handle, offset, size, tag, pool
+                assert a == b and new.tag_of(a) == ref.tag_of(b) == tag, event
                 live.append((a, b))
         assert new.stats() == ref.stats(), event
         assert new.reserved_bytes == ref.reserved_bytes

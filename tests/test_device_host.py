@@ -28,6 +28,31 @@ def test_device_without_cache():
     assert d.reserved_bytes == 0
 
 
+def test_tag_of_asks_the_pool_that_owns_the_extent():
+    """An extent carries no tag; the pool that owns it answers for its live
+    blocks — the caching heap, the MD region and an uncached device alike —
+    and a cache hit hands back the cached block under its new owner's tag."""
+    d = Device(SPEC)
+    d.enable_defrag(1 * MB, lambda tag: tag.endswith(".grad"))
+    heap, region = d.alloc(1000, "act"), d.alloc(1000, "w.grad")
+    assert (heap.pool, region.pool) == ("main", "md")
+    assert (d.tag_of(heap), d.tag_of(region)) == ("act", "w.grad")
+    d.free(heap)
+    reused = d.alloc(1000, "next")
+    assert reused is heap and d.tag_of(reused) == "next"
+    assert [b["tag"] for b in d.snapshot()["heap"]["live_blocks"]] == ["next"]
+    assert [b["tag"] for b in d.snapshot()["md"]["live_blocks"]] == ["w.grad"]
+    d.free(region)
+    with pytest.raises(InvalidFreeError):
+        d.tag_of(region)
+    bare = Device(SPEC, use_cache=False)
+    e = bare.alloc(1000, "raw")
+    assert bare.tag_of(e) == "raw"
+    bare.free(e)
+    with pytest.raises(InvalidFreeError):
+        bare.tag_of(e)
+
+
 def test_host_memory_accounting():
     h = HostMemory(capacity=10 * MB)
     handle = h.alloc(4 * MB)

@@ -1,5 +1,8 @@
 """Communication ledger accounting and the alpha-beta cost model."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,26 @@ class TestLedger:
         ]
         assert ledger.events[1] == event("all_gather", 8)
         assert len({*ledger.events}) == 2
+
+    def test_a_repeated_event_is_one_shared_value(self):
+        # A list peer is normalised like the ranks and bytes, so the shared
+        # event stays hashable, equal to a freshly built one and exportable.
+        ledger = CommLedger(rank=0)
+        for _ in range(3):
+            ledger.record("send", np.int64(64), range(2), phase="pp", peer=[0, 1])
+        ledger.record("send", 64, (0, 1), phase="pp", peer=(0, 1))
+        first = ledger.events[0]
+        assert len(ledger.events) == 4 and all(e is first for e in ledger.events)
+        fresh = CommEvent("send", 64, 2, (0, 1), "pp", (0, 1))
+        assert first == fresh and hash(first) == hash(fresh)
+        assert json.loads(json.dumps(asdict(first))) == {
+            "op": "send", "message_bytes": 64, "group_size": 2,
+            "group_ranks": [0, 1], "phase": "pp", "peer": [0, 1],
+        }
+        ledger.record("send", 64, (0, 1), phase="pp", peer=(1, 0))
+        assert ledger.events[-1] is not first and ledger.events[-1].peer == (1, 0)
+        ledger.clear()
+        assert ledger.events == []
 
     def test_disabled_ledger_skips_recording(self):
         ledger = CommLedger(rank=0)

@@ -44,6 +44,14 @@ class TestTracerBasics:
         assert peaks["bwd"] >= peaks["fwd"]
         tl.detach()
 
+    def test_late_timeline_samples_the_tag_of_an_earlier_allocation(self):
+        d = Device(SPEC)
+        early = d.alloc(1000, "early")
+        tl = MemoryTimeline(d)
+        d.free(early)
+        assert [(s.delta, s.tag) for s in tl.samples] == [(-1024, "early")]
+        tl.detach()
+
     def test_detach_restores_device(self):
         d = Device(SPEC)
         tl = MemoryTimeline(d)

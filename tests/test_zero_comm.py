@@ -243,7 +243,7 @@ def test_ledger_and_device_streams_match_the_parent_commit(name, monkeypatch):
 
     def recording_free(self, extent):
         if self.index == 0:
-            device_stream.update(f"-{extent.size},{extent.tag};".encode())
+            device_stream.update(f"-{extent.size},{self.tag_of(extent)};".encode())
             device_events[0] += 1
         return free(self, extent)
 
