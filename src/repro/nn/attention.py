@@ -56,8 +56,9 @@ class MultiHeadAttention(Module):
         )
 
     def forward(self, x: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
-        b, s, h = x.shape
+        b, s, _ = x.shape
         nh, hd = self.n_heads, self.head_dim
+        h = nh * hd  # the merged width: x's, or a tensor-parallel rank's local slice
         qkv, c_qkv = self.qkv.forward(x, ctx)  # (B,S,3H)
         qkv5 = F.reshape(qkv, (b, s, 3, nh, hd))
         qkvt = F.transpose(qkv5, _QKV_PERM)  # (3,B,nh,S,hd) device view

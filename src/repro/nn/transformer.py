@@ -26,6 +26,7 @@ from repro.memsim.device import Device
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Embedding, LayerNorm, Linear
 from repro.nn.module import Cache, ExecutionContext, Module
+from repro.nn.tape import BlockTape
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -44,6 +45,14 @@ class _NullListener:
 
     def after_unit(self, unit: Module) -> None:
         return
+
+
+def _recompute_backward(block: Module, x: Tensor, dh: Tensor, ctx: ExecutionContext):
+    """A checkpointed block's backward as one tape region: recompute the
+    forward from the stashed input, then backward. Returns (dx, cache)."""
+    y, c_blk = block.forward(x, ctx)
+    y.free()
+    return block.backward(c_blk, dh), c_blk
 
 
 class MLP(Module):
@@ -369,9 +378,13 @@ class GPT2Model(Module):
 
         if self.checkpoint_activations:
             handles = []
+            tape = BlockTape() if h.data is None else None  # meta: repro.nn.tape
             for block in self.blocks:
                 listener.before_unit(block)
-                y, c_blk = block.forward(h, ctx)
+                if tape is None:
+                    y, c_blk = block.forward(h, ctx)
+                else:
+                    y, c_blk = tape.run(block, block.forward, h, ctx)
                 listener.after_unit(block)
                 c_blk.free()  # internals recomputed in backward
                 with memprof_category("activation_ckpt", site="act-ckpt"):
@@ -422,14 +435,19 @@ class GPT2Model(Module):
         handles = cache["handles"]
         store = self.activation_store
         listener = self.unit_listener
+        tape = BlockTape() if dh.data is None else None  # meta: repro.nn.tape
         for i in reversed(range(len(self.blocks))):
+            block = self.blocks[i]
             with memprof_category("activation_ckpt", site="act-ckpt"):
                 x = store.retrieve(handles[i])
-            listener.before_unit(self.blocks[i])
-            y, c_blk = self.blocks[i].forward(x, ctx)  # recomputation
-            y.free()
-            dprev = self.blocks[i].backward(c_blk, dh)
-            listener.after_unit(self.blocks[i])
+            listener.before_unit(block)
+            if tape is None:
+                y, c_blk = block.forward(x, ctx)  # recomputation
+                y.free()
+                dprev = block.backward(c_blk, dh)
+            else:
+                dprev, c_blk = tape.run(block, _recompute_backward, block, x, dh, ctx)
+            listener.after_unit(block)
             c_blk.free()
             dh.free()
             dh = dprev

@@ -248,8 +248,10 @@ class ParallelMultiHeadAttention(MultiHeadAttention):
     """Attention with heads split across the MP group.
 
     Reuses the serial forward/backward: after construction, ``n_heads`` and
-    ``hidden`` describe the *local* slice, and qkv/proj are the parallel
-    linears (QKV rows are picked per-head so local heads are contiguous).
+    ``hidden`` describe the *local* slice (the input keeps the full hidden;
+    the merged heads are ``n_heads * head_dim`` wide), and qkv/proj are the
+    parallel linears (QKV rows are picked per-head so local heads are
+    contiguous).
     """
 
     def __init__(
@@ -303,44 +305,6 @@ class ParallelMultiHeadAttention(MultiHeadAttention):
                 ),
             )
         )
-
-    # forward/backward inherited: shapes follow the *local* hidden/heads.
-    def forward(self, x: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
-        b, s, _ = x.shape
-        # The serial implementation reads hidden from x.shape; here x has
-        # the full hidden but local heads, so drive shapes explicitly.
-        return self._forward_local(x, ctx, b, s)
-
-    def _forward_local(self, x: Tensor, ctx: ExecutionContext, b: int, s: int):
-        import math
-
-        nh, hd = self.n_heads, self.head_dim
-        qkv, c_qkv = self.qkv.forward(x, ctx)  # (B,S,3*h_local)
-        qkv5 = F.reshape(qkv, (b, s, 3, nh, hd))
-        qkvt = F.transpose(qkv5, (2, 0, 3, 1, 4))
-        q = F.index_axis0(qkvt, 0, tag=f"{self.name}.q")
-        k = F.index_axis0(qkvt, 1, tag=f"{self.name}.k")
-        v = F.index_axis0(qkvt, 2, tag=f"{self.name}.v")
-        qkv.free()
-        kt = F.transpose(k, (0, 1, 3, 2))
-        scores = F.matmul(q, kt, tag=f"{self.name}.scores")
-        scaled = F.scale(scores, 1.0 / math.sqrt(hd), tag=f"{self.name}.scaled")
-        scores.free()
-        masked = F.causal_mask_fill(scaled, tag=f"{self.name}.masked")
-        scaled.free()
-        attn = F.softmax(masked, tag=f"{self.name}.attn")
-        masked.free()
-        ctxv = F.matmul(attn, v, tag=f"{self.name}.ctx")
-        merged = F.reshape(
-            F.transpose(ctxv, (0, 2, 1, 3)), (b, s, nh * hd), tag=f"{self.name}.merged"
-        )
-        y, c_proj = self.proj.forward(merged, ctx)
-        cache = Cache()
-        cache.own(q=q, k=k, v=v, attn=attn, ctxv=ctxv)
-        cache.ref(shape=(b, s, nh * hd))
-        cache.child("qkv", c_qkv)
-        cache.child("proj", c_proj)
-        return y, cache
 
 
 class ParallelMLP(MLP):

@@ -18,7 +18,9 @@ and only ``reshape``'s result shares its input's host memory. The third
 is why ``transpose`` copies on the host: a strided operand moves
 ``matmul`` results by ULPs.
 
-A paper-scale meta step calls these ~13 000 times, so the module reads
+A paper-scale meta step called these ~13 000 times before the block tape
+(``repro.nn.tape``) re-issued its repeated blocks, and a real-data step
+still calls them for every block, so the module reads
 meta-ness as ``t.data is None`` (``Tensor.is_meta`` is a property call) and
 builds every result through ``_result`` — ``tensor.op_result``, the trusted
 constructor. That is this module's side of a contract: each op hands it a

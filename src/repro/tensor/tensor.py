@@ -17,13 +17,15 @@ bugs surface in tests instead of skewing memory measurements.
 
 Two constructors build the same object. ``Tensor(...)`` is the public one
 and validates everything it is given. ``op_result`` is the *trusted* one,
-for ``repro.tensor.functional`` only: an op has already computed its
+for ``repro.tensor.functional`` only (and ``repro.nn.tape``, which
+rebuilds results it recorded off them): an op has already computed its
 result's shape as a tuple of Python ints from validated operands, its
 dtype as an ``np.dtype`` instance of the supported set and — in real mode
 — an array of exactly that dtype and shape, so a result skips the shape
 re-normalisation, the ``DTYPE_SIZES`` lookup (which hashes the dtype) and
 the ``np.asarray(data, dtype=)`` cast and shape check; a paper-scale meta
-step builds 15 000 of them, a real-data step a few hundred per rank.
+step builds ~1 900 of them (15 000 before the block tape re-issued its
+repeated blocks), a real-data step a few hundred per rank.
 Either way the bytes are reserved by ``device.alloc(nbytes, tag)`` and
 returned by ``device.free(extent)``, looked up on the pool *instance* at
 every call: that pair is what ``MemoryProfiler``, ``MemoryTimeline`` and

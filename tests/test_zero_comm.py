@@ -1,7 +1,5 @@
 """Section 7 communication volumes, measured from the per-rank ledger."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -11,10 +9,10 @@ from repro.comm.fabric import Fabric
 from repro.comm.ledger import CommEvent, exact_ring_factor
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
-from repro.memsim.device import Device
 from repro.parallel.engine import EngineConfig
 from repro.tensor.tensor import Tensor
 from repro.zero.factory import build_model_and_engine
+from tests.streams import DeviceStream, ledger_digest
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
 CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=61, max_seq_len=16)
@@ -231,37 +229,12 @@ def run_stream_model(stage, *, world=4, meta=False, accumulation=1, bucket=1 << 
 @pytest.mark.parametrize("name", sorted(STREAM_GOLDEN))
 def test_ledger_and_device_streams_match_the_parent_commit(name, monkeypatch):
     how, n_ledger, ledger_sha, n_device, device_sha = STREAM_GOLDEN[name]
-    device_stream = hashlib.sha256()
-    device_events = [0]
-    alloc, free = Device.alloc, Device.free
-
-    def recording_alloc(self, size, tag=""):
-        if self.index == 0:
-            device_stream.update(f"+{size},{tag};".encode())
-            device_events[0] += 1
-        return alloc(self, size, tag)
-
-    def recording_free(self, extent):
-        if self.index == 0:
-            device_stream.update(f"-{extent.size},{self.tag_of(extent)};".encode())
-            device_events[0] += 1
-        return free(self, extent)
-
-    monkeypatch.setattr(Device, "alloc", recording_alloc)
-    monkeypatch.setattr(Device, "free", recording_free)
+    device = DeviceStream(monkeypatch)
     cluster, plans = run_stream_model(**how)
-
-    ledger_stream = hashlib.sha256()
-    for ledger in cluster.ledgers:
-        for e in ledger.events:
-            ledger_stream.update(
-                f"{e.op},{e.message_bytes},{e.group_ranks},{e.phase},{e.peer};".encode()
-            )
-        ledger_stream.update(b"|")
     assert sum(len(ledger.events) for ledger in cluster.ledgers) == n_ledger
-    assert ledger_stream.hexdigest() == ledger_sha
-    assert device_events[0] == n_device
-    assert device_stream.hexdigest() == device_sha
+    assert ledger_digest(cluster.ledgers) == ledger_sha
+    assert device.events == n_device
+    assert device.digest == device_sha
     if name == "stage2-accumulate2":
         assert plans == [6] * 4  # planned once each, over 4 micro-steps of 6 buckets
 
