@@ -15,9 +15,11 @@ policy — the hook ZeRO-R's Pa / Pa+cpu use:
   shard to host memory (Pa+cpu).
 
 ``stash`` consumes the tensor (the store owns or frees it); ``retrieve``
-returns a full tensor owned by the caller. ``retain_for_backward`` says
-whether retrieve() hands back the *same* live tensor (KeepStore) or a fresh
-reconstruction the caller must free after use.
+returns the full tensor for recomputation. ``returns_fresh_tensor`` says
+whether that is a fresh reconstruction the caller must free after use
+(the Pa stores) or the *same* live tensor that was stashed (KeepStore) —
+the case in which ``GPT2Model`` re-issues a block's recompute from its
+forward's tape (``repro.nn.tape.ForwardTape``).
 """
 
 from __future__ import annotations

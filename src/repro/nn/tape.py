@@ -1,5 +1,14 @@
-"""Within-step repetition on the meta path: one block's effects, taped once
-per step and re-issued for every identical block.
+"""Block tapes: a block region's effects on the simulated job, recorded at
+the doors they pass through and re-issued without running the block.
+
+Two tapes share the recorder (``_Recorder``) and the re-issue loop
+(``_Run.play``):
+
+* ``BlockTape`` — within-step repetition on the meta path: one block's
+  effects, taped once per step and re-issued for every identical block;
+* ``ForwardTape`` — a real checkpointed block's recompute: the forward
+  region's device stream and the host arrays its cache held, re-issued
+  and reused in place of running the forward a second time.
 
 A meta step of a paper-scale stack runs the same transformer block a
 hundred times under different names, and nearly all of its host time is
@@ -42,13 +51,28 @@ region did not allocate, a tensor the region allocated left alive, a
 second device, a group used for anything but ``meta_collective`` — runs
 every block normally for the rest of the step. Nothing crosses steps: a
 tape lives as long as one loop.
+
+On real data ``GPT2Model``'s checkpointed forward loop captures a
+``ForwardTape`` per block, and the backward loop re-issues it when the
+recompute would compute, bit for bit, what the forward did: the stashed
+input is the very tensor with the very array, every parameter holds the
+forward's array or a bitwise-equal one (a stage-3 re-gather; a corrupted
+one fails), and the step trains. The recompute's stream — the forward
+region's allocations and frees, then its output's free — goes through
+``device.alloc`` / ``device.free`` on the instance as above; the cache
+comes back with the kept arrays bound to the re-issued extents, and
+``block.backward`` runs on it for real. A block holding an MP group, a
+region freeing what it did not allocate, or a cache tensor the region did
+not allocate keeps no tape, and its recompute runs the forward.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from operator import attrgetter
+from weakref import WeakKeyDictionary
 
+from repro.nn.module import Cache
 from repro.tensor.tensor import Tensor, op_result
 
 #: A taped event is an allocation's size (a positive int; its tag is in the
@@ -117,7 +141,8 @@ class BlockTape:
         paths = _holder_paths(block)
         if len(devices) != 1 or paths is None:
             return region(*args)
-        rec = _Recorder(self, devices.pop(), block, paths, signature(block, inputs))
+        params = block._flat_parameters()
+        rec = _Recorder(devices.pop(), block, paths, params, self, signature(block, inputs))
         with rec:
             out, cache = region(*args)
         if not rec.first_region_done(out, cache):
@@ -129,17 +154,18 @@ class _Recorder:
     """The doors of the first block's regions, watched while they run.
 
     The device's ``alloc`` / ``free`` are watched in both regions; the
-    parameters' ``accumulate_grad`` and the layers' groups in the first
+    ``params``' ``accumulate_grad`` and the layers' groups in the first
     only — the second is a cache's ``free()``, which can only free.
     Between the regions the recorder stands in for the block's cache: its
     ``free()`` runs the second region and, if both were clean, completes
-    the tape."""
+    ``owner``'s tape. A ``ForwardTape`` uses the first region alone."""
 
-    def __init__(self, owner: BlockTape, device, block, paths: list[str], sig: tuple):
+    def __init__(self, device, block, paths: list[str], params, owner: BlockTape | None = None,
+                 sig: tuple | None = None):
         self.owner = owner
         self.device = device
         self.block = block
-        self.params = block._flat_parameters()
+        self.params = params
         self.paths = paths
         self.holders = [attrgetter(path)(block) for path in paths]
         self.signature = sig
@@ -290,15 +316,17 @@ class _Tape:
 
 
 class _Run:
-    """One block's re-issue; its ``free()`` is the second region."""
+    """One block's re-issue; its ``free()`` is the second region. ``names``
+    maps each taped tag and phase to the target block's (None: as taped)."""
 
-    def __init__(self, tape: _Tape, params, groups, names: dict[str, str], ref: Tensor):
+    def __init__(self, tape: _Tape | ForwardTape, params, groups, names: dict[str, str] | None,
+                 ref: Tensor):
         self._tape = tape
         self._params = params
         self._groups = groups
         self._names = names
         self._ref = ref
-        self._tags = [names[t] for t in tape.tags]
+        self._tags = tape.tags if names is None else [names[t] for t in tape.tags]
         self._extents: list = [None] * len(tape.tags)
 
     def bound(self, event: tuple) -> Tensor:
@@ -330,3 +358,169 @@ class _Run:
 
     def free(self) -> None:
         self.play(*self._tape.regions[1])
+
+
+# -- real mode: a checkpointed block's recompute --------------------------------
+
+
+class ForwardTape:
+    """A real block's forward region, kept for the block's checkpoint
+    recompute.
+
+    ``capture`` runs ``block.forward(x, ctx)`` under a ``_Recorder`` and
+    keeps the region's device stream with the free of its output appended
+    — the recompute's ``y.free()`` — and the block's cache tree as plain
+    data (``_plan``), holding the host arrays of the tensors alive in it.
+    ``recompute_backward`` re-issues that stream and binds the arrays to
+    the re-issued extents in place of running the forward again, then runs
+    ``block.backward`` on the cache it rebuilds; ``matches`` says whether
+    the recompute would compute what the forward did."""
+
+    def __init__(self, rec: _Recorder, plan: tuple, x: Tensor, params: list):
+        self.tags = rec.tags
+        self.events = rec.regions[0][0] + [~rec.output[2]]
+        self.nodes, self.specs, self.allocated = plan
+        self.x = x
+        self.x_data = x.data
+        self.params = params
+
+    @classmethod
+    def capture(cls, block, x: Tensor, ctx) -> tuple:
+        """``block.forward(x, ctx)`` plus its tape: ``(y, cache, tape)``,
+        with ``tape`` None if the region is not one to keep — a block
+        holding an MP group (its forward communicates), a parameter on
+        another device, a free of an extent the region did not allocate,
+        or a cache tensor the region did not allocate."""
+        device = x.device
+        params = block._flat_parameters()
+        keep = device is not None and not _holds_groups(block)
+        for p in params:
+            if p.data.device is not device and p.data.device is not None:
+                keep = False
+                break
+        if not keep:
+            return (*block.forward(x, ctx), None)
+        rec = _Recorder(device, block, [], ())
+        with rec:
+            y, cache = block.forward(x, ctx)
+        if not rec.first_region_done(y, cache):
+            return y, cache, None
+        plan = _plan(cache, x, device, rec.live)
+        if plan is None:
+            return y, cache, None
+        return y, cache, cls(rec, plan, x, [p.data.data for p in params])
+
+    def matches(self, block, x: Tensor, ctx) -> bool:
+        """True if recomputing ``block`` on ``x`` would compute the kept
+        arrays: ``x`` is the very tensor the forward read, with the same
+        array; each parameter holds the forward's array, or one bitwise
+        equal to it (a stage-3 re-gather); and the step trains."""
+        if x is not self.x or x.data is not self.x_data or not ctx.training:
+            return False
+        for p, kept in zip(block._flat_parameters(), self.params):
+            now = p.data.data
+            if now is not kept and not (
+                now is not None and now.dtype == kept.dtype and now.shape == kept.shape
+                and now.tobytes() == kept.tobytes()
+            ):
+                return False
+        return True
+
+    def recompute_backward(self, block, dh: Tensor) -> tuple:
+        """The recompute's device stream, then ``block.backward`` on the
+        kept arrays: ``(dx, cache)``. This uses the tape up: it drops the
+        guard's parameter arrays before the backward runs, and the kept
+        arrays live on only in the cache, whose ``free()`` releases them
+        where the recomputed ones were released."""
+        x, specs = self.x, self.specs
+        self.specs = self.params = None
+        run = _Run(self, (), (), None, x)
+        run.play(self.events, 0)
+        tensors = [x]
+        tensors += [
+            op_result(x, data, shape, dtype, tag, alloc=False)
+            for shape, dtype, tag, data in specs
+        ]
+        extents = run._extents
+        for at, index in self.allocated:
+            tensors[at].extent = extents[index]
+        nodes = self.nodes
+        caches = [None] * len(nodes)
+        for i in range(len(nodes) - 1, -1, -1):  # children come after their parent
+            consts, slots, owned, children = nodes[i]
+            cache = caches[i] = Cache(
+                dict(consts), [tensors[at] for at in owned],
+                {key: caches[at] for key, at in children},
+            )
+            held = cache.slots
+            for key, at in slots:
+                held[key] = tensors[at]
+        return block.backward(caches[0], dh), caches[0]
+
+
+#: slot values a cache copy keeps as they are (a shape, a scale)
+_PLAIN = frozenset({tuple, int, float, str, bool, type(None)})
+#: block -> whether a module in it holds an MP ``group``
+_GROUP_HOLDERS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _holds_groups(block) -> bool:
+    """Whether ``block`` has tensor-parallel layers, looked up once per
+    block: a block's module tree is fixed once it is built."""
+    holds = _GROUP_HOLDERS.get(block)
+    if holds is None:
+        holds = _GROUP_HOLDERS[block] = _holder_paths(block) != []
+    return holds
+
+
+def _plan(cache: Cache, x: Tensor, device, live: dict) -> tuple | None:
+    """``cache``'s tree as plain data: ``(nodes, specs, allocated)``.
+
+    ``nodes`` holds each cache, breadth first, as ``(constant slots,
+    tensor slots, owned, children)``, a child as its node's position and
+    a tensor as its position among ``[x, *bound specs]``; ``specs`` holds
+    ``(shape, dtype, tag, array)`` per tensor; ``allocated`` pairs the
+    position of each tensor with an extent with the index of the region's
+    allocation that made it (a view has none). None if a tensor in the
+    tree is not one the region left alive or made as a view, on
+    ``device``, or a slot holds anything but a tensor or a plain value.
+
+    A loop, not a recursive closure: a closure that calls itself is a
+    reference cycle, and every array the copy holds would wait for the
+    collector."""
+    seen = {x: 0}
+    specs, allocated, nodes = [], [], []
+    queue = [cache]
+    queued = 1
+    for node in queue:  # grows as children are queued
+        consts, slots = {}, []
+        for key, value in node.slots.items():
+            if value.__class__ is Tensor:
+                if value in seen:
+                    at = seen[value]
+                else:
+                    if value._freed or value.device is not device:
+                        return None
+                    at = seen[value] = len(seen)
+                    if value.extent is not None:
+                        index = live.pop(value.extent, None)
+                        if index is None:
+                            return None
+                        allocated += ((at, index),)
+                    specs += ((value.shape, value.dtype, value.tag, value.data),)
+                slots += ((key, at),)
+            elif value.__class__ in _PLAIN:
+                consts[key] = value
+            else:
+                return None
+        try:
+            owned = [seen[t] for t in node._owned]
+        except KeyError:  # an owned tensor no slot holds
+            return None
+        children = []
+        for key, child in node.children.items():
+            children += ((key, queued),)
+            queue += (child,)
+            queued += 1
+        nodes += ((consts, slots, owned, children),)
+    return nodes, specs, allocated

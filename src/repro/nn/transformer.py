@@ -26,7 +26,7 @@ from repro.memsim.device import Device
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Embedding, LayerNorm, Linear
 from repro.nn.module import Cache, ExecutionContext, Module
-from repro.nn.tape import BlockTape
+from repro.nn.tape import BlockTape, ForwardTape
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -48,8 +48,9 @@ class _NullListener:
 
 
 def _recompute_backward(block: Module, x: Tensor, dh: Tensor, ctx: ExecutionContext):
-    """A checkpointed block's backward as one tape region: recompute the
-    forward from the stashed input, then backward. Returns (dx, cache)."""
+    """A checkpointed block's backward: recompute the forward from the
+    stashed input, then backward — one region of the meta block tape.
+    Returns (dx, cache)."""
     y, c_blk = block.forward(x, ctx)
     y.free()
     return block.backward(c_blk, dh), c_blk
@@ -301,7 +302,11 @@ class GPT2Model(Module):
     after its forward pass, retaining only the block *input* through the
     pluggable ``activation_store`` (plain checkpointing by default; ZeRO-R's
     Pa / Pa+cpu stores shard / offload it). Internals are recomputed
-    block-by-block during backward.
+    block-by-block during backward, as far as the simulated device can
+    tell: on real data a block's recompute re-issues its forward's device
+    stream and reuses the forward's host arrays when they are bitwise what
+    it would compute, and in meta mode repeated blocks re-issue one block's
+    tape (``repro.nn.tape``).
 
     ``unit_listener`` (if set) brackets every unit's forward, backward, and
     checkpoint recomputation — ZeRO stage 3 uses it to all-gather the
@@ -379,18 +384,26 @@ class GPT2Model(Module):
         if self.checkpoint_activations:
             handles = []
             tape = BlockTape() if h.data is None else None  # meta: repro.nn.tape
+            # real: each block's ForwardTape (or None), for its recompute
+            kept = (
+                [] if tape is None and ctx.training
+                and not self.activation_store.returns_fresh_tensor else None
+            )
             for block in self.blocks:
                 listener.before_unit(block)
-                if tape is None:
-                    y, c_blk = block.forward(h, ctx)
-                else:
+                if tape is not None:
                     y, c_blk = tape.run(block, block.forward, h, ctx)
+                elif kept is not None:
+                    y, c_blk, taped = ForwardTape.capture(block, h, ctx)
+                    kept.append(taped)
+                else:
+                    y, c_blk = block.forward(h, ctx)
                 listener.after_unit(block)
                 c_blk.free()  # internals recomputed in backward
                 with memprof_category("activation_ckpt", site="act-ckpt"):
                     handles.append(self.activation_store.stash(h))  # store owns h
                 h = y
-            cache.ref(handles=handles)
+            cache.ref(handles=handles, kept=kept)
             cache.own(h_last=h)
         else:
             hiddens = [h]
@@ -430,23 +443,29 @@ class GPT2Model(Module):
         return dh
 
     def _backward_checkpointed(self, cache: Cache, dh: Tensor) -> Tensor:
-        """Recompute each block's forward from its stashed input, then backward."""
+        """Recompute each block's forward from its stashed input — or
+        re-issue its ``ForwardTape`` when that computes the same — then
+        backward."""
         ctx: ExecutionContext = cache["ctx"]
         handles = cache["handles"]
         store = self.activation_store
         listener = self.unit_listener
         tape = BlockTape() if dh.data is None else None  # meta: repro.nn.tape
+        kept = None if tape is not None else cache["kept"]
         for i in reversed(range(len(self.blocks))):
             block = self.blocks[i]
             with memprof_category("activation_ckpt", site="act-ckpt"):
                 x = store.retrieve(handles[i])
             listener.before_unit(block)
-            if tape is None:
-                y, c_blk = block.forward(x, ctx)  # recomputation
-                y.free()
-                dprev = block.backward(c_blk, dh)
-            else:
+            taped = None
+            if kept:  # dropped as it is used: it holds the block's arrays
+                taped, kept[i] = kept[i], None
+            if tape is not None:
                 dprev, c_blk = tape.run(block, _recompute_backward, block, x, dh, ctx)
+            elif taped is not None and taped.matches(block, x, ctx):
+                dprev, c_blk = taped.recompute_backward(block, dh)
+            else:
+                dprev, c_blk = _recompute_backward(block, x, dh, ctx)
             listener.after_unit(block)
             c_blk.free()
             dh.free()

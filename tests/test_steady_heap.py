@@ -13,6 +13,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro import Cluster, GPTConfig, ZeROConfig
 from repro.comm.ledger import CommLedger
@@ -129,6 +130,37 @@ def test_a_steady_virtual_rank_mp_step_leaves_a_flat_heap():
             censuses.append(_census(censuses))
     assert _grown(*censuses) == {}
     assert ctx.device._md_allocator.allocated_bytes > 0  # the MD path ran
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+def test_a_steady_real_step_leaves_no_cyclic_garbage(stage):
+    """Steps run with the collector off leave nothing only it could free.
+    The census cannot see this: it collects first, so a reference cycle
+    that is freed at the next collection reads as a flat heap while every
+    object it holds waits for that collection."""
+    cluster = Cluster(2, gpu=GPU, timeout_s=60.0)
+    engines = [None, None]
+
+    def build_and_warm(ctx):
+        _, engines[ctx.rank] = build_model_and_engine(
+            ctx, CFG, ZeROConfig(stage=stage), dp_group=ctx.world, dtype=np.float32, seed=0,
+        )
+        for step in range(1, CENSUS_AFTER[0] + 1):
+            engines[ctx.rank].train_step(*CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step))
+
+    def steady(ctx):
+        for step in range(CENSUS_AFTER[0] + 1, CENSUS_AFTER[-1] + 1):
+            engines[ctx.rank].train_step(*CORPUS.sample_batch(2, 16, rank=ctx.rank, step=step))
+
+    cluster.run(build_and_warm)
+    gc.collect()
+    gc.disable()
+    try:
+        cluster.run(steady)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 # -- per-event budgets ---------------------------------------------------------
