@@ -1,4 +1,5 @@
-"""ZeRO-Infinity: max trainable model per tier reach + cost-model accuracy."""
+"""ZeRO-Infinity: max trainable model per tier reach + the tier schedule on
+uniform pieces vs the engines' real ones."""
 
 import pytest
 
@@ -39,6 +40,6 @@ def test_infinity_trillion(benchmark, record_table):
         # and each deeper reach strictly enlarges the model
         assert rows["+host DRAM"].psi_b > rows["device only"].psi_b, budget
         assert rows["+host+NVMe"].psi_b > rows["+host DRAM"].psi_b, budget
-    # The closed-form multi-tier model must track the simulated timeline.
+    # The schedule on uniform pieces must track the simulated timeline.
     for row in result.time_rows:
         assert row.rel_err <= 0.05, row

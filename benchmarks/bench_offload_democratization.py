@@ -1,4 +1,5 @@
-"""ZeRO-Offload: max trainable model vs device budget + cost-model accuracy."""
+"""ZeRO-Offload: max trainable model vs device budget + the tier schedule
+on uniform pieces vs the engines' real ones."""
 
 import pytest
 
@@ -27,6 +28,6 @@ def test_offload_democratization(benchmark, record_table):
     # Offload must strictly enlarge the max trainable model at every budget.
     for row in result.fit_rows:
         assert row.offload_psi_b > row.device_psi_b, row
-    # The closed-form step-time model must track the simulated timeline.
+    # The schedule on uniform pieces must track the simulated timeline.
     for row in result.time_rows:
         assert row.rel_err <= 0.05, row

@@ -14,8 +14,9 @@ Two demonstrations, both allocator-verified:
    32 GB GPU: fp32 optimizer state and fp16 parameter shards on NVMe,
    gradient shard in host DRAM, parameters paged in per unit gather with
    memory-centric tiling. Every byte passes through the pools, every
-   transfer lands on the tier streams' clock, and the closed-form cost
-   model predicts the simulated step time.
+   transfer lands on the tier streams' clock, and the same tier schedule
+   on uniform pieces (the inputs the closed forms assume) lands next to
+   the simulated step time.
 """
 
 import time
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.experiments.infinity_sweep import run_fit
 from repro.infinity.config import InfinityConfig
-from repro.infinity.cost_model import InfinityCostModel
+from repro.infinity.schedule import StepInputs, steady_step
 from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
@@ -81,16 +82,15 @@ def main():
     print(f"  NVMe shards:      {bytes_to_str(ctx.nvme.allocated_bytes)}")
 
     runtime = engine.offload  # the InfinityEngine driving the tier clock
-    cost = InfinityCostModel(CONFIG, gpu=ctx.device.spec, infinity=PLACEMENT)
-    pred = cost.predict_step(
-        batch=BATCH, seq_len=SEQ, nd=1, numel=engine.part_numel,
-        grad_chunks=max(len(runtime.last_grad_pieces), 1),
-        gathers_forward=runtime.last_gathers["forward"],
-        gathers_backward=runtime.last_gathers["backward"],
+    inputs = StepInputs.uniform(
+        CONFIG, PLACEMENT, batch=BATCH, seq_len=SEQ, numel=engine.part_numel,
+        peak_flops=ctx.device.spec.peak_flops,
+        grad_chunks=max(len(runtime.last_grad_pieces), 1), gathers=runtime.last_gathers,
     )
-    err = abs(pred.step_s - result.step_time_model_s) / result.step_time_model_s
+    uniform = steady_step(inputs, PLACEMENT, runtime.pcie.link, runtime.nvme_stream.link)
+    err = abs(uniform.step_s - result.step_time_model_s) / result.step_time_model_s
     print(f"\n  modeled step time: {result.step_time_model_s:.2f}s simulated, "
-          f"{pred.step_s:.2f}s closed form ({100 * err:.1f}% apart)")
+          f"{uniform.step_s:.2f}s on uniform pieces ({100 * err:.1f}% apart)")
     print("\nA single layer, a single GPU, a memory hierarchy: the model-state")
     print("wall moves from device HBM to the NVMe array.")
 

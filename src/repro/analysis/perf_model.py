@@ -78,8 +78,8 @@ def compute_split_seconds(
     Hardware FLOPs per replica, divided over the tensor-parallel degree,
     over achieved GEMM throughput. With recompute the 96-FLOP accounting
     splits 1/4 forward : 3/4 backward(+recompute); without, 1/3 : 2/3.
-    The traced spans, the tier runtime and its cost model all price
-    compute here, so they agree by construction.
+    The traced spans, the tier runtime and ``StepInputs.uniform`` all
+    price compute here, so they agree by construction.
     """
     flops = transformer_flops_per_replica(
         config, batch, seq_len, checkpointing=checkpointing

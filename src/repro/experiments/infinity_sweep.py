@@ -1,4 +1,4 @@
-"""ZeRO-Infinity tier sweep + multi-tier step-time model validation.
+"""ZeRO-Infinity tier sweep + the tier schedule on uniform vs real pieces.
 
 Two results, extending the ZeRO-Offload democratization story down the
 full memory hierarchy:
@@ -13,10 +13,13 @@ full memory hierarchy:
    reported. The paper-scale claim: host+NVMe trains a >= 10x larger
    model than device-only at the same device budget.
 
-2. **Cost model vs simulated timeline.** The same meta-mode engines that
-   produce the memory numbers drive ``InfinityEngine``'s multi-tier
-   transfer schedule; ``InfinityCostModel``'s closed form must predict
-   the simulated step time within 5% across placements, paged gathers,
+2. **Uniform schedule vs simulated timeline.** The same meta-mode
+   engines that produce the memory numbers drive ``InfinityEngine``'s
+   multi-tier transfer schedule. ``evaluate_step`` on
+   ``StepInputs.uniform`` — equal gradient pieces and optimizer chunks,
+   the inputs the ZeRO-Infinity closed forms assume, over the engine's
+   own links and gather profile — must land within 5% of the engine's
+   step time on its real pieces, across placements, paged gathers,
    tiling, and DPU.
 """
 
@@ -30,7 +33,7 @@ from repro.analysis.max_model import SEQ_LEN, VOCAB, device_bytes_for
 from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
-from repro.infinity.cost_model import InfinityCostModel, relative_error
+from repro.infinity.schedule import StepInputs, steady_step
 from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
@@ -79,7 +82,7 @@ class InfinityTimeRow:
     stage: int
     config: InfinityConfig
     sim_step_s: float
-    pred_step_s: float
+    uniform_step_s: float
     rel_err: float
 
 
@@ -170,7 +173,7 @@ TIME_CASES: tuple[tuple[str, int, InfinityConfig], ...] = (
 
 
 def run_time() -> list[InfinityTimeRow]:
-    """Meta-mode simulated step time vs the closed-form prediction."""
+    """Meta-mode simulated step time vs the same schedule on uniform inputs."""
     rows = []
     for label, stage, inf in TIME_CASES:
         zero = ZeROConfig(stage=stage, memory_defrag=False, infinity=inf)
@@ -184,19 +187,16 @@ def run_time() -> list[InfinityTimeRow]:
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
         runtime = engine.offload  # the InfinityEngine driving the clock
-        cost = InfinityCostModel(TIME_MODEL, gpu=ctx.device.spec, infinity=inf)
-        pred = cost.predict_step(
-            batch=TIME_BATCH, seq_len=TIME_SEQ, nd=TIME_ND,
-            numel=engine.part_numel,
-            grad_chunks=max(len(runtime.last_grad_pieces), 1),
-            gathers_forward=runtime.last_gathers["forward"],
-            gathers_backward=runtime.last_gathers["backward"],
+        inputs = StepInputs.uniform(
+            TIME_MODEL, inf, batch=TIME_BATCH, seq_len=TIME_SEQ, numel=engine.part_numel,
+            peak_flops=ctx.device.spec.peak_flops,
+            grad_chunks=max(len(runtime.last_grad_pieces), 1), gathers=runtime.last_gathers,
         )
+        uniform = steady_step(inputs, inf, runtime.pcie.link, runtime.nvme_stream.link).step_s
         rows.append(
             InfinityTimeRow(
-                label=label, stage=stage, config=inf,
-                sim_step_s=sim, pred_step_s=pred.step_s,
-                rel_err=relative_error(pred.step_s, sim),
+                label=label, stage=stage, config=inf, sim_step_s=sim,
+                uniform_step_s=uniform, rel_err=abs(uniform - sim) / sim,
             )
         )
     return rows
@@ -219,14 +219,14 @@ def render(result: InfinitySweepResult) -> str:
         title="ZeRO-Infinity tiers — max trainable model, 1 GPU (stage 3)",
     )
     time = format_table(
-        ["case", "stage", "placement", "sim step s", "pred step s", "err %"],
+        ["case", "stage", "placement", "sim step s", "uniform step s", "err %"],
         [
             [r.label, r.stage, r.config.label,
-             f"{r.sim_step_s:.5f}", f"{r.pred_step_s:.5f}",
+             f"{r.sim_step_s:.5f}", f"{r.uniform_step_s:.5f}",
              f"{100 * r.rel_err:.2f}"]
             for r in result.time_rows
         ],
-        title="Infinity cost model vs simulated timeline (meta engines)",
+        title="Infinity schedule, uniform pieces vs simulated timeline (meta engines)",
     )
     return fit + "\n\n" + time
 

@@ -1,4 +1,4 @@
-"""ZeRO-Offload democratization sweep + step-time cost-model validation.
+"""ZeRO-Offload democratization sweep + the tier schedule on uniform pieces.
 
 Two results, in the spirit of the paper's Figure 4 democratization story:
 
@@ -10,12 +10,14 @@ Two results, in the spirit of the paper's Figure 4 democratization story:
    PCIe, which is what puts multi-billion-parameter fine-tuning on a
    single commodity GPU.
 
-2. **Cost model vs simulated timeline.** The same meta-mode engines that
-   produce the memory figures also drive the tier runtime's per-step
-   transfer timeline; ``InfinityCostModel``'s closed form, built from the
-   same host-only tiers the ``offload_*`` flags spell, must predict the
-   simulated step time within 5% across stages, gradient streaming, and
-   DPU.
+2. **Uniform schedule vs simulated timeline.** The same meta-mode
+   engines that produce the memory figures also drive the tier runtime's
+   per-step transfer timeline. ``evaluate_step`` on
+   ``StepInputs.uniform`` — equal gradient pieces, the inputs of
+   ZeRO-Offload's closed-form streaming regimes — over the host-only
+   tiers the ``offload_*`` flags spell must land within 5% of the
+   engine's step time on its real pieces, across stages, gradient
+   streaming, and DPU.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from repro.analysis.max_model import max_layers
 from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
-from repro.infinity.cost_model import InfinityCostModel, relative_error
+from repro.infinity.schedule import StepInputs, steady_step
 from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
@@ -65,7 +67,7 @@ class OffloadTimeRow:
     streamed: bool
     dpu: bool
     sim_step_s: float
-    pred_step_s: float
+    uniform_step_s: float
     rel_err: float
 
 
@@ -109,7 +111,7 @@ TIME_CASES = (
 
 
 def run_time() -> list[OffloadTimeRow]:
-    """Meta-mode simulated step time vs the closed-form prediction."""
+    """Meta-mode simulated step time vs the same schedule on uniform inputs."""
     rows = []
     for label, stage, streamed, dpu in TIME_CASES:
         zero = ZeROConfig(
@@ -126,16 +128,17 @@ def run_time() -> list[OffloadTimeRow]:
         for _ in range(TIME_STEPS):
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
-        cost = InfinityCostModel(TIME_MODEL, gpu=ctx.device.spec, infinity=zero.tiers)
-        pred = cost.predict_step(
-            batch=TIME_BATCH, seq_len=TIME_SEQ, nd=TIME_ND, numel=engine.part_numel,
-            grad_chunks=max(len(engine.offload.last_grad_pieces), 1),
+        runtime, tiers = engine.offload, zero.tiers
+        inputs = StepInputs.uniform(
+            TIME_MODEL, tiers, batch=TIME_BATCH, seq_len=TIME_SEQ,
+            numel=engine.part_numel, peak_flops=ctx.device.spec.peak_flops,
+            grad_chunks=max(len(runtime.last_grad_pieces), 1),
         )
+        uniform = steady_step(inputs, tiers, runtime.pcie.link, runtime.nvme_stream.link).step_s
         rows.append(
             OffloadTimeRow(
-                label=label, stage=stage, streamed=streamed, dpu=dpu,
-                sim_step_s=sim, pred_step_s=pred.step_s,
-                rel_err=relative_error(pred.step_s, sim),
+                label=label, stage=stage, streamed=streamed, dpu=dpu, sim_step_s=sim,
+                uniform_step_s=uniform, rel_err=abs(uniform - sim) / sim,
             )
         )
     return rows
@@ -156,13 +159,13 @@ def render(result: OffloadSweepResult) -> str:
         title="ZeRO-Offload democratization — max trainable model, 1 GPU (stage 2)",
     )
     time = format_table(
-        ["case", "stage", "streamed", "DPU", "sim step s", "pred step s", "err %"],
+        ["case", "stage", "streamed", "DPU", "sim step s", "uniform step s", "err %"],
         [
             [r.label, r.stage, "yes" if r.streamed else "no", "yes" if r.dpu else "no",
-             f"{r.sim_step_s:.5f}", f"{r.pred_step_s:.5f}", f"{100 * r.rel_err:.2f}"]
+             f"{r.sim_step_s:.5f}", f"{r.uniform_step_s:.5f}", f"{100 * r.rel_err:.2f}"]
             for r in result.time_rows
         ],
-        title="Offload cost model vs simulated timeline (meta engines)",
+        title="Offload schedule, uniform pieces vs simulated timeline (meta engines)",
     )
     return fit + "\n\n" + time
 

@@ -79,8 +79,8 @@ class NodeSpec:
     """A multi-GPU server (DGX-2: 16 V100s on an NVSwitch fabric).
 
     ``pcie`` is the per-GPU host link and ``host_memory_bytes`` the node's
-    DRAM pool — both feed the offload stream and cost model so they read
-    hardware truth rather than scattered constants.
+    DRAM pool — both feed the tier streams and the tier sweeps so they
+    read hardware truth rather than scattered constants.
     """
 
     name: str

@@ -52,7 +52,7 @@ class ClusterTopology:
     @property
     def host_bytes_per_gpu(self) -> int:
         """Fair share of the node's DRAM per resident GPU — the budget the
-        offload cost model charges host-resident model states against."""
+        tier sweeps charge host-resident model states against."""
         return self.node.host_memory_bytes // self.node.gpus_per_node
 
     @property

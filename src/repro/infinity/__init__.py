@@ -7,10 +7,10 @@ describes the stack one GPU sees (per-
 tier capacity + alpha-beta links from ``repro.hardware``), ``TierStream``
 schedules full-duplex transfers per link, ``InfinityConfig`` assigns each
 ZeRO state class (fp16 params, grads, fp32 optimizer state) to a tier,
-and ``InfinityEngine`` overlaps the movement with compute on the
-simulated clock. ``InfinityCostModel`` is the closed-form companion;
-``repro.infinity.tiling`` bounds a single operator's device residency so
-one layer can be larger than the GPU.
+``repro.infinity.schedule.evaluate_step`` lays one step's movement out
+against compute, and ``InfinityEngine`` captures each step and keeps the
+simulated clock. ``repro.infinity.tiling`` bounds a single operator's
+device residency so one layer can be larger than the GPU.
 
 Placement never changes numerics: training with any tier assignment is
 bitwise identical to the all-device path (DPU remains the one deliberate,
@@ -18,11 +18,6 @@ contracted exception).
 """
 
 from repro.infinity.config import InfinityConfig
-from repro.infinity.cost_model import (
-    InfinityCostModel,
-    InfinityStepPrediction,
-    relative_error,
-)
 from repro.infinity.engine import InfinityEngine, InfinityStepReport
 from repro.infinity.schedule import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import (
@@ -37,9 +32,7 @@ from repro.infinity.tiling import TilePlan, plan_unit_tiles
 
 __all__ = [
     "InfinityConfig",
-    "InfinityCostModel",
     "InfinityEngine",
-    "InfinityStepPrediction",
     "InfinityStepReport",
     "OPT_STATE_BYTES_PER_ELEM",
     "TIER_NAMES",
@@ -49,6 +42,5 @@ __all__ = [
     "TilePlan",
     "TransferHandle",
     "plan_unit_tiles",
-    "relative_error",
     "wire_seconds",
 ]

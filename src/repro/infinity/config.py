@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.hardware.specs import InterconnectSpec
 from repro.infinity.tiers import TIER_NAMES
-from repro.offload.host_optim import CPU_ADAM_ELEMENTS_PER_S
+from repro.infinity.schedule import CPU_ADAM_ELEMENTS_PER_S
 
 
 @dataclass(frozen=True)

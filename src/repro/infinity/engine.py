@@ -36,7 +36,6 @@ from repro.infinity.config import InfinityConfig
 from repro.infinity.schedule import (
     NVME_LANES,
     PCIE_LANES,
-    Placement,
     StepInputs,
     StepSchedule,
     evaluate_step,
@@ -85,11 +84,6 @@ class InfinityEngine:
         self.nvme_stream = TierStream(
             config.nvme or ctx.topology.nvme, ledger=ctx.ledger, rank=ctx.rank,
             directions=NVME_LANES,
-        )
-        self.placement = Placement(
-            config.optimizer_tier, config.grad_tier, config.param_tier,
-            config.delayed_param_update, config.cpu_adam_elements_per_s,
-            prefetch_depth=config.prefetch_depth, opt_chunk_bytes=config.opt_chunk_bytes,
         )
         # Tier pools: the rank's own device, and the context's DRAM and
         # NVMe pools (clusters share one of each per node).
@@ -160,7 +154,7 @@ class InfinityEngine:
         if self.last_schedule is not None:
             inputs.carry_in_s = self.last_schedule.carry_out
         sched = self.last_schedule = evaluate_step(
-            inputs, self.placement, self.pcie, self.nvme_stream
+            inputs, self.config, self.pcie, self.nvme_stream
         )
         self._pending = StepInputs()
         report = InfinityStepReport(
@@ -200,6 +194,6 @@ class InfinityEngine:
             elif kind == "host":
                 tracer.add_span(
                     label, t0 + start, end - start,
-                    track="host", delayed=sched.placement.delayed_param_update,
+                    track="host", delayed=sched.config.delayed_param_update,
                 )
         tracer.record_runtime_step(sched)

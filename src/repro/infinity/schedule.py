@@ -4,15 +4,18 @@ ZeRO-Offload and ZeRO-Infinity are one design: model states live on some
 tier of the device -> host -> NVMe stack, and the step overlaps their
 movement with compute. ``evaluate_step`` is the only place that timeline
 is computed. It takes what the runtime captured during the step
-(``StepInputs``) and where the states live (``Placement``), books every
-transfer on ``TierStream`` lanes, and returns a ``StepSchedule``: the
-ordered ops with their dependency edges plus the milestones the step
-reports are filled from. Two consumers read it:
+(``StepInputs``) and where the states live (the ``InfinityConfig``),
+books every transfer on ``TierStream`` lanes, and returns a
+``StepSchedule``: the ordered ops with their dependency edges plus the
+milestones the step reports are filled from. Three consumers read it:
 
 - ``InfinityEngine`` (ZeRO-Offload is its host-only placement) calls it
   with its ledgered streams at each boundary;
 - Perfscope turns the ops into ``StepGraph`` nodes and, for a what-if,
-  calls it again on unledgered streams with re-banded links.
+  calls it again on unledgered streams with re-banded links;
+- the sweeps feed it ``StepInputs.uniform`` — equal pieces, the inputs
+  the ZeRO-Offload / ZeRO-Infinity closed forms assume — through
+  ``steady_step`` and compare it with the engines' real pieces.
 
 Clock: within-step model time, t = 0 at forward begin. Rules:
 
@@ -40,11 +43,26 @@ dependency ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
+from repro.analysis.perf_model import compute_split_seconds
 from repro.hardware.specs import InterconnectSpec
 from repro.infinity.tiers import TierStream
-from repro.offload.host_optim import CPU_ADAM_LATENCY_S, cpu_adam_seconds
+from repro.nn.transformer import GPTConfig
+
+if TYPE_CHECKING:
+    from repro.infinity.config import InfinityConfig
+
+# Host Adam: the fp32 master, momentum and variance (the K = 12 bytes/param
+# of the paper's Section 3.1) live on the host and the step runs there.
+# Adam is memory-bound on a CPU: each element touches ~28 bytes of fp32
+# state (read master/m/v/grad, write master/m/v), so throughput is
+# DRAM-bandwidth-limited. The default 1e9 elements/s is a vectorized
+# multi-core implementation sustaining ~28 GB/s, the ballpark ZeRO-Offload
+# reports for its optimized CPU Adam on a DGX-2 class host.
+CPU_ADAM_ELEMENTS_PER_S = 1.0e9
+CPU_ADAM_LATENCY_S = 50e-6  # kernel launch / thread-pool wake per step
 
 #: optimizer-state bytes per element paged each way (fp32 master + m + v).
 OPT_STATE_BYTES_PER_ELEM = 12
@@ -56,6 +74,15 @@ PHASES = {
 }
 PCIE_LANES = ("d2h", "h2d")
 NVME_LANES = ("nvme-out", "nvme-in")
+
+
+def cpu_adam_seconds(
+    numel: int, *, elements_per_s: float = CPU_ADAM_ELEMENTS_PER_S
+) -> float:
+    """Modeled wall time of one host Adam step over ``numel`` elements."""
+    if numel <= 0:
+        return 0.0
+    return CPU_ADAM_LATENCY_S + numel / elements_per_s
 
 
 @dataclass(slots=True)
@@ -74,18 +101,37 @@ class StepInputs:
     refresh_bytes: int = 0  # fp16 shard pushed back; 0 on a skip step
     carry_in_s: float = 0.0  # DPU: the previous step's deferred tail
 
-
-@dataclass(frozen=True)
-class Placement:
-    """Where each state class lives and how the update is scheduled."""
-
-    optimizer_tier: str
-    grad_tier: str
-    param_tier: str
-    delayed_param_update: bool
-    cpu_adam_elements_per_s: float
-    prefetch_depth: int = 1
-    opt_chunk_bytes: int = 1 << 27
+    @classmethod
+    def uniform(
+        cls,
+        model_config: GPTConfig,
+        config: InfinityConfig,
+        *,
+        batch: int,
+        seq_len: int,
+        numel: int,
+        peak_flops: float,
+        grad_chunks: int = 1,
+        gathers: dict[str, list[tuple[int, int]]] | None = None,
+    ) -> StepInputs:
+        """One micro-batch over a ``numel``-element fp16 shard, cut the way
+        the closed forms assume: ``grad_chunks`` equal gradient pieces (or
+        one boundary d2h when gradients stay on the device under a host
+        Adam). ``gathers`` is a per-pass ``(nbytes, tiles)`` profile, e.g.
+        an engine's ``last_gathers``; none by default."""
+        part = 2 * numel
+        fwd, bwd = compute_split_seconds(
+            model_config, batch, seq_len, checkpointing=config.checkpointing,
+            mp_degree=1, peak_flops=peak_flops,
+        )
+        streamed = config.grad_tier != "device"
+        return cls(
+            fwd_s=fwd, bwd_s=bwd,
+            gathers=gathers or {"forward": [], "backward": []},
+            grad_pieces=[part // grad_chunks] * grad_chunks if streamed else [],
+            boundary_grad_bytes=0 if streamed or config.optimizer_tier == "device" else part,
+            adam_numel=numel, refresh_bytes=part,
+        )
 
 
 @dataclass(slots=True)
@@ -93,7 +139,7 @@ class StepSchedule:
     """One evaluated boundary: its inputs, the ops, and the milestones."""
 
     inputs: StepInputs
-    placement: Placement
+    config: InfinityConfig
     links: tuple[InterconnectSpec, InterconnectSpec]  # pcie, nvme
     ops: list[tuple]
     compute_end: float  # forward + backward including gather stalls
@@ -108,16 +154,28 @@ class StepSchedule:
     opt_page_out_s: float
 
 
+def steady_step(
+    inputs: StepInputs, config: InfinityConfig, pcie: InterconnectSpec, nvme: InterconnectSpec
+) -> StepSchedule:
+    """The steady-state boundary of ``inputs`` repeated: evaluated on fresh
+    unledgered streams over ``pcie`` / ``nvme`` and, under DPU, once more
+    carrying the first pass's deferred tail."""
+    streams = TierStream(pcie, directions=PCIE_LANES), TierStream(nvme, directions=NVME_LANES)
+    sched = evaluate_step(inputs, config, *streams)
+    if config.delayed_param_update:
+        sched = evaluate_step(replace(inputs, carry_in_s=sched.carry_out), config, *streams)
+    return sched
+
+
 def evaluate_step(
     inputs: StepInputs,
-    placement: Placement,
+    config: InfinityConfig,
     pcie: TierStream,
     nvme: TierStream,
 ) -> StepSchedule:
     """Book one boundary's transfers on the streams (reset first) and
     return its schedule. Placements that keep everything above NVMe book
     nothing on ``nvme``."""
-    pl = placement
     pcie.reset()
     nvme.reset()
     lanes = {"d2h": pcie, "h2d": pcie, "nvme-in": nvme, "nvme-out": nvme}
@@ -144,7 +202,7 @@ def evaluate_step(
         if not gathers:
             return t0 + window_s, op("compute", mode, "main", t0, t0 + window_s, (t0_op,))
         slice_s = window_s / len(gathers)
-        depth = pl.prefetch_depth
+        depth = config.prefetch_depth
         starts: list[float] = []
         begins: list[int] = []
         t, prev = t0, t0_op
@@ -156,7 +214,7 @@ def evaluate_step(
             for j in range(tiles):
                 tile_bytes = base + (rem if j == tiles - 1 else 0)
                 hop_submit, deps = submit, (anchor,)
-                if pl.param_tier == "nvme":
+                if config.param_tier == "nvme":
                     r, rh = xfer(tile_bytes, "nvme-in", submit, PHASES["param"], deps)
                     hop_submit, deps = rh.done_t, (r,)
                 last, h = xfer(tile_bytes, "h2d", hop_submit, PHASES["param"], deps)
@@ -188,7 +246,7 @@ def evaluate_step(
         submit = fwd_end + bwd_window * (i + 1) / k
         win = op("window", "grad-stream-window", "main", fwd_end, submit, (fwd_tail,))
         hop, h = xfer(nbytes, "d2h", submit, PHASES["grad"], (win,))
-        if pl.grad_tier == "nvme":
+        if config.grad_tier == "nvme":
             hop, h = xfer(nbytes, "nvme-out", h.done_t, PHASES["grad"], (hop,))
         grad_hops.append((hop, h))
     if inputs.boundary_grad_bytes:
@@ -202,19 +260,19 @@ def evaluate_step(
         ready_deps += (hop,)
     ready = op("milestone", "grads-ready", "main", grads_ready, grads_ready, ready_deps)
     # 3. The update: host Adam, NVMe state paged around it in chunks.
-    per_s = pl.cpu_adam_elements_per_s
+    per_s = config.cpu_adam_elements_per_s
     adam_s = page_in_s = page_out_s = 0.0
     update_done, tail = grads_ready, ready
-    if inputs.adam_numel > 0 and pl.optimizer_tier == "host":
+    if inputs.adam_numel > 0 and config.optimizer_tier == "host":
         adam_s = cpu_adam_seconds(inputs.adam_numel, elements_per_s=per_s)
         update_done = grads_ready + adam_s
         tail = op("host", "cpu-adam", "host", grads_ready, update_done, (ready,))
-    elif inputs.adam_numel > 0 and pl.optimizer_tier == "nvme":
+    elif inputs.adam_numel > 0 and config.optimizer_tier == "nvme":
         # Gradients already host-resident feed the update for free;
         # NVMe-resident gradients page in alongside the state.
-        in_bpe = OPT_STATE_BYTES_PER_ELEM + (2 if pl.grad_tier == "nvme" else 0)
+        in_bpe = OPT_STATE_BYTES_PER_ELEM + (2 if config.grad_tier == "nvme" else 0)
         out_bpe = OPT_STATE_BYTES_PER_ELEM
-        chunk_elems = max(1, pl.opt_chunk_bytes // (in_bpe + out_bpe))
+        chunk_elems = max(1, config.opt_chunk_bytes // (in_bpe + out_bpe))
         adam_free, adam_op = grads_ready, ready
         lo = 0
         while lo < inputs.adam_numel:
@@ -233,12 +291,12 @@ def evaluate_step(
     # 4. fp16 shard refresh: master -> parameter tier, hop by hop.
     refresh_done, refresh_wire = update_done, 0.0
     if inputs.refresh_bytes > 0:
-        master_on_host = pl.optimizer_tier != "device"
-        if pl.param_tier == "device":
+        master_on_host = config.optimizer_tier != "device"
+        if config.param_tier == "device":
             hops = ("h2d",) if master_on_host else ()
         else:
             hops = (() if master_on_host else ("d2h",)) + (
-                ("nvme-out",) if pl.param_tier == "nvme" else ()
+                ("nvme-out",) if config.param_tier == "nvme" else ()
             )
         for direction in hops:
             tail, h = xfer(
@@ -247,7 +305,7 @@ def evaluate_step(
             refresh_done = h.done_t
             refresh_wire += h.wire_s
     # 5. Step end.
-    if pl.delayed_param_update:
+    if config.delayed_param_update:
         # This step waits only for its gradients and for the previous
         # step's deferred tail, which must land before the stale
         # parameters it produced can be consumed.
@@ -262,7 +320,7 @@ def evaluate_step(
         end_deps = (bwd_tail, tail)
     op("milestone", "step-end", "main", step_s, step_s, end_deps)
     return StepSchedule(
-        inputs=inputs, placement=pl,
+        inputs=inputs, config=config,
         links=(pcie.link, nvme.link), ops=ops,
         compute_end=compute_end, grads_ready=grads_ready, update_done=update_done,
         refresh_done=refresh_done, step_s=step_s, carry_out=carry_out,

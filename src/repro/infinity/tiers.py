@@ -16,7 +16,7 @@ the same class with different lane labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.comm.ledger import CommLedger
 from repro.hardware.specs import InterconnectSpec
@@ -27,11 +27,8 @@ TIER_NAMES = ("device", "host", "nvme")
 
 
 def wire_seconds(link: InterconnectSpec, nbytes: int | float) -> float:
-    """Alpha-beta wire time of one transfer on ``link`` (0 for 0 bytes).
-
-    The single closed-form every tier cost shares: the cost model and the
-    streams both price bytes through here.
-    """
+    """Alpha-beta wire time of one transfer on ``link`` (0 for 0 bytes):
+    the form ``TierStream`` books each copy with."""
     if nbytes <= 0:
         return 0.0
     return link.latency_s + nbytes / link.bandwidth_bytes_per_s
@@ -107,31 +104,6 @@ class TierTopology:
             if t.name == name:
                 return t
         raise KeyError(f"no tier named {name!r} in {[t.name for t in self.tiers]}")
-
-    def depth(self, name: str) -> int:
-        """0 = device, increasing toward colder tiers."""
-        for i, t in enumerate(self.tiers):
-            if t.name == name:
-                return i
-        raise KeyError(f"no tier named {name!r}")
-
-    def path(self, name: str) -> tuple[Tier, ...]:
-        """The hops between the device and tier ``name`` (fast to cold):
-        e.g. ``path("nvme") == (host, nvme)`` — a device<->NVMe transfer
-        crosses PCIe and the drive link."""
-        return self.tiers[1 : self.depth(name) + 1]
-
-    def wire_seconds_to(self, name: str, nbytes: int | float) -> float:
-        """Alpha-beta time to move ``nbytes`` device<->tier ``name``
-        assuming the hops are crossed back-to-back (no pipelining)."""
-        return sum(wire_seconds(t.link, nbytes) for t in self.path(name))
-
-    def bottleneck_link(self, name: str) -> InterconnectSpec | None:
-        """Slowest link on the device<->``name`` path (None for device)."""
-        path = self.path(name)
-        if not path:
-            return None
-        return min(path, key=lambda t: t.link.bandwidth_bytes_per_s).link
 
 
 @dataclass

@@ -9,8 +9,9 @@ part of a ``StepGraph`` is a one-to-one copy and the replayed step end *is*
 the engine's ``step_s``.
 
 A what-if re-prices the same boundary: the schedule keeps its inputs and
-placement, so ``evaluate_step`` runs again on unledgered streams over the
-overridden links (and CPU-Adam rate) — same structure, re-priced edges.
+``InfinityConfig``, so ``evaluate_step`` runs again on unledgered streams
+over the overridden links (and a config with the overridden CPU-Adam rate,
+validated like any other) — same structure, re-priced edges.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ def replay_runtime(g: StepGraph, rank: int, payload: StepSchedule, *,
     """Add one captured runtime boundary to ``g`` as rank ``rank``'s nodes."""
     sched = payload
     if pcie is not None or nvme is not None or adam_rate is not None:
-        placement = sched.placement
+        config = sched.config
         if adam_rate is not None:
-            placement = replace(placement, cpu_adam_elements_per_s=adam_rate)
+            config = replace(config, cpu_adam_elements_per_s=adam_rate)
         pcie_link, nvme_link = sched.links
         sched = evaluate_step(
-            sched.inputs, placement,
+            sched.inputs, config,
             TierStream(pcie_link if pcie is None else pcie, directions=PCIE_LANES),
             TierStream(nvme_link if nvme is None else nvme, directions=NVME_LANES),
         )

@@ -10,7 +10,8 @@ deliberate numerical change and is pinned by an explicit staleness
 contract rather than a tolerance. Around that core: byte accounting on
 both memory pools, the PCIe stream's two-lane timeline, checkpoint
 round-trips that are placement-independent, composition with fault
-injection / elastic recovery, and the closed-form step-time cost model.
+injection / elastic recovery, and the tier schedule on uniform pieces
+against ZeRO-Offload's closed forms.
 """
 
 import hashlib
@@ -22,12 +23,12 @@ import pytest
 from repro import Cluster, FaultPlan, GPTConfig, Supervisor, ZeROConfig
 from repro.comm.ledger import CommLedger
 from repro.data import SyntheticCorpus
-from repro.hardware.specs import GPUSpec, InterconnectSpec
+from repro.analysis.perf_model import SEQ_LEN
+from repro.hardware.specs import NVME_RAID, PCIE_3_X16, V100_32GB, GPUSpec, InterconnectSpec
 from repro.memsim.device import Device, HostMemory
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
-from repro.infinity import InfinityConfig, InfinityCostModel, TierStream, relative_error
-from repro.infinity.schedule import PCIE_LANES
-from repro.offload.host_optim import cpu_adam_seconds
+from repro.infinity import InfinityConfig, TierStream
+from repro.infinity.schedule import PCIE_LANES, StepInputs, cpu_adam_seconds, steady_step
 from repro.optim.adam import AdamHyperparams
 from repro.optim.mixed_precision import FlatAdamState
 from repro.parallel.engine import EngineConfig
@@ -40,7 +41,7 @@ from repro.zero.checkpoint_io import (
     save_checkpoint,
 )
 from repro.zero.factory import build_model_and_engine
-from tests.test_infinity import assert_prediction_is_the_schedule
+from tests.test_infinity import FOLD_MODELS, assert_schedule_meets_oracles
 
 pytestmark = pytest.mark.offload
 
@@ -433,7 +434,7 @@ def test_offload_composes_with_elastic_recovery(tmp_path):
         np.testing.assert_array_equal(report.results[rank][1], ref[rank][1])
 
 
-# -- cost model ---------------------------------------------------------------
+# -- the host Adam and the streaming regimes -----------------------------------
 
 
 def test_cpu_adam_seconds_model():
@@ -442,59 +443,37 @@ def test_cpu_adam_seconds_model():
     assert cpu_adam_seconds(10**6, elements_per_s=10**6) == pytest.approx(50e-6 + 1.0)
 
 
-def flag_cost_model(model=CFG, *, grads=True, dpu=False, **kw):
-    """The one cost model, over the tiers the ``offload_*`` flags spell."""
-    zero = ZeROConfig(
+def flag_tiers(*, grads=True, dpu=False):
+    """The ``InfinityConfig`` the ``offload_*`` flags spell."""
+    return ZeROConfig(
         stage=2, offload_optimizer=True, offload_gradients=grads, delayed_param_update=dpu
-    )
-    return InfinityCostModel(model, infinity=zero.tiers, **kw)
-
-
-def test_cost_model_prediction_shape():
-    model = flag_cost_model(gpu=GPU)
-    pred = model.predict_step(batch=2, seq_len=16, nd=2)
-    assert pred.step_s >= pred.compute_s > 0.0
-    assert pred.grads_ready_s >= pred.compute_s - pred.cpu_adam_s
-    assert 0.0 < pred.overlap_efficiency <= 1.0
-    assert relative_error(1.0, 2.0) == pytest.approx(0.5)
-
-
-def test_predict_step_rejects_unknown_keywords():
-    """The placement comes from the model's tier config; a retired or
-    misspelt keyword used to be swallowed (and the wrong placement priced)."""
-    model = flag_cost_model(gpu=GPU)
-    for stale in ({"offload_gradients": True}, {"delayed_param_update": True}, {"grad_chunk": 2}):
-        with pytest.raises(TypeError):
-            model.predict_step(batch=2, seq_len=16, nd=2, **stale)
+    ).tiers
 
 
 def test_cost_model_tracks_simulated_timeline():
-    """On uniform gradient pieces the closed form *is* the schedule: the
+    """On uniform gradient pieces the closed forms *are* the schedule: the
     host-only placements (boundary d2h, streamed), with and without DPU,
     agree to float re-association. (The engines' real pieces are not
     uniform; that gap is gated at <= 5% by ``BENCH_offload_democratization``.)"""
     for grads, dpu, chunks, numel in itertools.product(
         (False, True), (False, True), (1, 4, 8), (1 << 20, 3 << 22)
     ):
-        tiers = flag_cost_model(grads=grads, dpu=dpu).infinity
-        assert_prediction_is_the_schedule(tiers, numel=numel, grad_chunks=chunks)
+        assert_schedule_meets_oracles(
+            flag_tiers(grads=grads, dpu=dpu), numel=numel, grad_chunks=chunks
+        )
     from repro.experiments.offload_sweep import run_time
 
     rows = run_time()  # the sweep itself still runs; its bound is the benchmark's
-    assert len(rows) == 4 and all(row.sim_step_s > 0.0 < row.pred_step_s for row in rows)
+    assert len(rows) == 4 and all(row.sim_step_s > 0.0 < row.uniform_step_s for row in rows)
 
 
-# ``OffloadCostModel.predict_step``'s (compute, grads_ready, cpu_adam,
-# param_h2d, step) seconds at the commit before it was folded into
-# ``InfinityCostModel`` (ad00da6), nd = 4, batch = 4, 7 gradient chunks. There,
-# the two models were ``==`` field for field on all 216 cases of {3 models} x
-# nd {1, 4, 64} x batch {1, 4, 16} x chunks {1, 7} x host gradients x DPU;
-# these 12 are what is kept of that grid.
-FOLD_MODELS = (
-    CFG,
-    GPTConfig(n_layers=4, hidden=256, n_heads=8, vocab_size=1024, max_seq_len=128),
-    GPTConfig(n_layers=40, hidden=4096, n_heads=32, vocab_size=50257, max_seq_len=1024),
-)
+# The offload closed form's (compute, grads_ready, cpu_adam, param_h2d,
+# step) seconds at ad00da6, the commit before it was folded into the
+# infinity closed form, nd = 4, batch = 4, 7 gradient chunks. There, the two
+# were ``==`` field for field on all 216 cases of {3 models} x nd {1, 4, 64}
+# x batch {1, 4, 16} x chunks {1, 7} x host gradients x DPU; these 12 are
+# what is kept of that grid. Both closed forms are gone: the one evaluator
+# on uniform inputs lands on them to PIECE_SPLIT.
 #: (model, host gradients, DPU) -> float.hex per field
 FOLD_GOLDEN = {
     (0, False, False): ("0x1.0ed626d6c4e20p-7", "0x1.0f347c0225ef4p-7", "0x1.e21c2e22c1e5bp-15", "0x1.7954ad8435065p-17", "0x1.1174ed5ba9be6p-7"),
@@ -512,16 +491,25 @@ FOLD_GOLDEN = {
 }
 
 
+#: the schedule sends whole-byte pieces (``part // 7``) and sums the
+#: refresh wire hop by hop; the closed form split bytes as floats.
+PIECE_SPLIT = 1e-8
+
+
 @pytest.mark.parametrize("case", sorted(FOLD_GOLDEN))
 def test_folded_cost_model_reproduces_offload_cost_model(case):
     model, grads, dpu = case
-    pred = flag_cost_model(FOLD_MODELS[model], grads=grads, dpu=dpu).predict_step(
-        batch=4, nd=4, grad_chunks=7
+    tiers = flag_tiers(grads=grads, dpu=dpu)
+    inputs = StepInputs.uniform(
+        FOLD_MODELS[model], tiers, batch=4, seq_len=SEQ_LEN,
+        numel=-(-FOLD_MODELS[model].total_params // 4),
+        peak_flops=V100_32GB.peak_flops, grad_chunks=7,
     )
-    assert pred.opt_page_s == 0.0
-    assert tuple(x.hex() for x in (
-        pred.compute_s, pred.grads_ready_s, pred.cpu_adam_s, pred.param_refresh_s, pred.step_s,
-    )) == FOLD_GOLDEN[case]
+    sched = steady_step(inputs, tiers, PCIE_3_X16, NVME_RAID)
+    assert sched.opt_page_in_s == sched.opt_page_out_s == 0.0
+    assert (
+        sched.compute_end, sched.grads_ready, sched.cpu_adam_s, sched.refresh_wire_s, sched.step_s
+    ) == pytest.approx(tuple(map(float.fromhex, FOLD_GOLDEN[case])), rel=PIECE_SPLIT, abs=0)
 
 
 # -- the offload flags, pinned before the second runtime went ------------------

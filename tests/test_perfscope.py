@@ -258,6 +258,15 @@ class TestWhatIf:
         assert wi.predicted_s <= wi.baseline_s * (1 + 1e-12)
         assert "pcie x10" in wi.describe()
 
+    @pytest.mark.parametrize("rate", [0.0, -1e9])
+    def test_whatif_adam_rate_is_validated_like_the_config(self, rate):
+        """A what-if CPU-Adam rate re-prices through ``InfinityConfig``, so
+        a rate that is not positive is refused — never a negative Adam
+        time, never a ZeroDivisionError."""
+        analysis = analyze(run_meta(TelemetrySession(perfscope=True), OFFLOAD))
+        with pytest.raises(ValueError, match="cpu_adam_elements_per_s must be positive"):
+            analysis.whatif_links(adam_rate=rate)
+
 
 # -- zero overhead when off ---------------------------------------------------
 

@@ -10,6 +10,7 @@ scheduled purely from dependencies — reproduce the step time.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.infinity.schedule import (
     NVME_LANES,
     OPT_STATE_BYTES_PER_ELEM,
     PCIE_LANES,
-    Placement,
     StepInputs,
     evaluate_step,
 )
@@ -32,9 +32,9 @@ pytestmark = pytest.mark.infinity
 N_DRAWS = 50
 
 
-def draw_case(seed: int) -> tuple[StepInputs, Placement]:
-    """One legal (inputs, placement) pair; ``InfinityConfig`` is the
-    legality oracle, so the draw covers exactly what a user can configure."""
+def draw_case(seed: int) -> tuple[StepInputs, InfinityConfig]:
+    """One legal (inputs, config) pair; ``InfinityConfig`` is the legality
+    oracle, so the draw covers exactly what a user can configure."""
     rng = random.Random(seed)
     while True:
         tiers = dict(
@@ -42,7 +42,7 @@ def draw_case(seed: int) -> tuple[StepInputs, Placement]:
             param_tier=rng.choice(TIER_NAMES), delayed_param_update=rng.random() < 0.5,
         )
         try:
-            InfinityConfig(**tiers)
+            config = InfinityConfig(**tiers)
         except ValueError:
             continue
         break
@@ -64,26 +64,26 @@ def draw_case(seed: int) -> tuple[StepInputs, Placement]:
         carry_in_s=rng.uniform(0.0, 2e-2) if tiers["delayed_param_update"] else 0.0,
     )
     n_chunks = rng.randint(1, 5)
-    placement = Placement(
+    config = replace(
+        config,
         cpu_adam_elements_per_s=rng.uniform(1e8, 1e10),
         prefetch_depth=rng.choice((1, 2, 3)),
         opt_chunk_bytes=2 * OPT_STATE_BYTES_PER_ELEM * -(-numel // n_chunks),
-        **tiers,
     )
-    return inputs, placement
+    return inputs, config
 
 
-def evaluate(inputs, placement):
+def evaluate(inputs, config):
     return evaluate_step(
-        inputs, placement, TierStream(PCIE_3_X16, directions=PCIE_LANES),
+        inputs, config, TierStream(PCIE_3_X16, directions=PCIE_LANES),
         TierStream(NVME_RAID, directions=NVME_LANES),
     )
 
 
 @pytest.mark.parametrize("seed", range(N_DRAWS))
 def test_schedule_invariants(seed):
-    inputs, placement = draw_case(seed)
-    sched = evaluate(inputs, placement)
+    inputs, config = draw_case(seed)
+    sched = evaluate(inputs, config)
     ops = sched.ops
 
     # Every op starts exactly when its latest dependency ends (so never
@@ -106,7 +106,7 @@ def test_schedule_invariants(seed):
     # Milestone order.
     assert sched.step_s >= sched.compute_end >= inputs.fwd_s + inputs.bwd_s
     assert sched.refresh_done >= sched.update_done >= sched.grads_ready >= sched.compute_end
-    if not placement.delayed_param_update:
+    if not config.delayed_param_update:
         assert sched.carry_out == 0.0 and sched.step_s == max(
             sched.compute_end, sched.refresh_done
         )
@@ -125,7 +125,7 @@ def test_schedule_invariants(seed):
     assert g.rank_step_s(0) == pytest.approx(sched.step_s, rel=1e-12)
 
     # Re-pricing with the links it already had is the same schedule.
-    assert evaluate(inputs, placement).ops == ops
+    assert evaluate(inputs, config).ops == ops
     again = StepGraph(0)
     replay_runtime(again, 0, sched, pcie=PCIE_3_X16, nvme=NVME_RAID)
     assert [(n.start_s, n.end_s, n.deps) for n in again.nodes] == [
@@ -137,12 +137,12 @@ def test_draws_cover_the_option_space():
     """The fixed sample reaches every tier on every state class, DPU on
     and off, tiling, and multi-chunk paging."""
     cases = [draw_case(seed) for seed in range(N_DRAWS)]
-    placements = [p for _, p in cases]
+    configs = [c for _, c in cases]
     for field in ("optimizer_tier", "grad_tier", "param_tier"):
-        assert {getattr(p, field) for p in placements} == set(TIER_NAMES)
-    assert {p.delayed_param_update for p in placements} == {False, True}
-    assert {p.prefetch_depth for p in placements} == {1, 2, 3}
+        assert {getattr(c, field) for c in configs} == set(TIER_NAMES)
+    assert {c.delayed_param_update for c in configs} == {False, True}
+    assert {c.prefetch_depth for c in configs} == {1, 2, 3}
     assert any(t > 1 for i, _ in cases for _, t in i.gathers["forward"])
     assert any(
-        sum(1 for o in evaluate(i, p).ops if o[0] == "host") > 1 for i, p in cases
+        sum(1 for o in evaluate(i, c).ops if o[0] == "host") > 1 for i, c in cases
     )
