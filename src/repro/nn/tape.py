@@ -4,8 +4,9 @@ the doors they pass through and re-issued without running the block.
 Two tapes share the recorder (``_Recorder``) and the re-issue loop
 (``_Run.play``):
 
-* ``BlockTape`` — within-step repetition on the meta path: one block's
-  effects, taped once per step and re-issued for every identical block;
+* ``BlockTape`` — repetition on the meta path: one block's effects, taped
+  once per model and direction and re-issued for every identical block at
+  every step;
 * ``ForwardTape`` — a real checkpointed block's recompute: the forward
   region's device stream and the host arrays its cache held, re-issued
   and reused in place of running the forward a second time.
@@ -14,10 +15,11 @@ A meta step of a paper-scale stack runs the same transformer block a
 hundred times under different names, and nearly all of its host time is
 the Python between the allocator calls. ``GPT2Model``'s two checkpointed
 block loops therefore run the first block of each direction (block 0
-going forward, block L-1 going backward) as always while a recorder tapes
-what it does to anything outside its own Python objects, then re-issue
-that tape for every later block whose ``signature`` matches, without
-running the block's Python.
+going forward, block L-1 going backward) of the first step as always
+while a recorder tapes what it does to anything outside its own Python
+objects, then re-issue that tape, at that step and every later one, for
+every block whose ``signature`` matches — the captured block included —
+without running the block's Python.
 
 In meta mode a block region has exactly four kinds of effect, and the
 tape holds them in order:
@@ -45,12 +47,33 @@ device stream, the ledger, the peaks and an OOM (same exception at the
 same allocator state) are what running the block gives.
 
 The recorder attaches on the instances only while capturing, as
-``MemoryTimeline`` does, so nothing on the tensor-life path changes. A
-direction whose capture sees anything else — a free of an extent the
-region did not allocate, a tensor the region allocated left alive, a
-second device, a group used for anything but ``meta_collective`` — runs
-every block normally for the rest of the step. Nothing crosses steps: a
-tape lives as long as one loop.
+``MemoryTimeline`` does, so nothing on the tensor-life path changes.
+
+A model keeps one ``BlockTape`` per direction for its whole life, and
+each loop calls its ``start()`` once. Three rules govern the kept tape:
+
+* a capture that sees anything else — a free of an extent the region did
+  not allocate, a tensor the region allocated left alive, a second device,
+  a group used for anything but ``meta_collective`` — leaves its direction
+  untaped for the rest of that loop, every block running normally; the
+  next loop captures again, so one stray event does not cost the run;
+* a loop whose first block does not match the kept tape (the batch shape
+  changed) captures that block, and its tape replaces the kept one;
+* any other block that does not match runs normally.
+
+Re-issuing a tape at a later step is safe for the reason re-issuing it
+for a later block is: a block region's effects are a function of its
+``signature`` and its name prefix. What changes between steps and not
+between blocks cannot reach a region. A gradient already held (gradient
+accumulation) only changes what ``accumulate_grad`` does, and that runs
+live. Optimizer and loss-scaler state sit outside the regions. An
+observer attached after the capture sees every re-issued event, since the
+doors are looked up on the instance at re-issue. A fault rule acts in the
+collective, which goes through the target block's live group. Blocks keep
+no lazy device state, and no region reads the ``ctx`` it is handed (no
+block uses its ``rng`` or ``training``). ``tests/test_tape_lifetime.py``
+pins accumulation, a late observer and a changed batch shape against runs
+that re-issue nothing.
 
 On real data ``GPT2Model``'s checkpointed forward loop captures a
 ``ForwardTape`` per block, and the backward loop re-issues it when the
@@ -112,24 +135,38 @@ def _holder_paths(block) -> list[str] | None:
 
 
 class BlockTape:
-    """One direction of one step's block loop.
+    """One direction of a model's block loop, kept for the model's life.
 
-    ``run(block, region, *args)`` stands for ``region(*args)``, which must
-    return ``(output, cache)``: it captures the first block, re-issues the
-    tape for blocks with the captured signature, and otherwise just runs
-    the region. The cache it returns has the one method the loop calls,
-    ``free()`` — the block's second region.
+    Each loop calls ``start()`` once, then ``run(block, region, *args)``
+    per block, which stands for ``region(*args)`` and must return
+    ``(output, cache)``. The loop's first block re-issues the kept tape if
+    its signature matches and otherwise is captured, its tape replacing the
+    kept one; every later block re-issues the tape if its signature
+    matches and otherwise just runs the region. The cache ``run`` returns
+    has the one method the loop calls, ``free()`` — the block's second
+    region.
     """
 
     def __init__(self):
-        self._tape: _Tape | bool | None = None  # None: not captured yet; False: off
+        #: the kept tape; None before a clean capture; False while a capture
+        #: runs and, if it is refused, for the rest of that loop
+        self._tape: _Tape | bool | None = None
+        self._first = False  # the next block is its loop's first
+
+    def start(self) -> None:
+        """Begin a loop: a capture refused in the last one is retried."""
+        if self._tape is False:
+            self._tape = None
+        self._first = True
 
     def run(self, block, region, *args):
         inputs = [a for a in args if isinstance(a, Tensor)]
         tape = self._tape
-        if tape is None:
-            return self._capture(block, region, args, inputs)
-        if tape is False or signature(block, inputs) != tape.signature:
+        if self._first:
+            self._first = False
+            if tape is None or signature(block, inputs) != tape.signature:
+                return self._capture(block, region, args, inputs)
+        elif not tape or signature(block, inputs) != tape.signature:
             return region(*args)
         return tape.reissue(block, inputs[0])
 

@@ -356,6 +356,8 @@ class GPT2Model(Module):
             activation_store = KeepStore()
         self.activation_store = activation_store
         self.unit_listener: UnitListener = _NullListener()
+        # The meta block loops' tapes, one per direction (repro.nn.tape)
+        self._forward_tape, self._backward_tape = BlockTape(), BlockTape()
 
     def units(self) -> list[Module]:
         """Ordered units: [embedding, block_0 .. block_{L-1}, head]."""
@@ -383,7 +385,10 @@ class GPT2Model(Module):
 
         if self.checkpoint_activations:
             handles = []
-            tape = BlockTape() if h.data is None else None  # meta: repro.nn.tape
+            tape = None
+            if h.data is None:  # meta: repro.nn.tape
+                tape = self._forward_tape
+                tape.start()
             # real: each block's ForwardTape (or None), for its recompute
             kept = (
                 [] if tape is None and ctx.training
@@ -450,7 +455,10 @@ class GPT2Model(Module):
         handles = cache["handles"]
         store = self.activation_store
         listener = self.unit_listener
-        tape = BlockTape() if dh.data is None else None  # meta: repro.nn.tape
+        tape = None
+        if dh.data is None:  # meta: repro.nn.tape
+            tape = self._backward_tape
+            tape.start()
         kept = None if tape is not None else cache["kept"]
         for i in reversed(range(len(self.blocks))):
             block = self.blocks[i]

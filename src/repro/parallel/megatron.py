@@ -31,6 +31,7 @@ from repro.memprof.provenance import category as memprof_category
 from repro.memsim.device import Device
 from repro.nn.layers import make_param
 from repro.nn.module import Cache, ExecutionContext, Module, Parameter
+from repro.nn.tape import BlockTape
 from repro.nn.transformer import EmbeddingUnit, GPT2Model, GPTConfig, HeadUnit, MLP, TransformerBlock
 from repro.nn.attention import MultiHeadAttention
 from repro.runtime import RankContext
@@ -479,6 +480,7 @@ class ParallelGPT2Model(GPT2Model):
         from repro.nn.transformer import _NullListener
 
         self.unit_listener = _NullListener()
+        self._forward_tape, self._backward_tape = BlockTape(), BlockTape()
         self._rank = rank
 
     def make_loss_head(self):

@@ -161,15 +161,13 @@ class ZeroStage3Engine(_ZeroDPBase):
             for seg, piece in zip(gather.segments, pieces):
                 lo = seg.pieces[0][0] - ulo
                 full[lo : lo + seg.numel] = piece
-        for p, slot in zip(params, slots):
-            data = None
-            if full is not None:
-                data = full[slot.offset - ulo : slot.end - ulo].reshape(slot.shape)
-            with memprof_category("param_fp16", site="zero3-materialize"):
-                p.data = Tensor(
-                    slot.shape, dtype, data=data,
-                    device=None if tiled else self.ctx.device, tag=p.name,
-                )
+        device = None if tiled else self.ctx.device
+        with memprof_category("param_fp16", site="zero3-materialize"):
+            for p, slot in zip(params, slots):
+                data = None
+                if full is not None:
+                    data = full[slot.offset - ulo : slot.end - ulo].reshape(slot.shape)
+                p.data = Tensor(slot.shape, dtype, data=data, device=device, tag=p.name)
         self._materialized.add(unit.name)
         if self.tracer is not None:
             self.tracer.end()

@@ -113,6 +113,7 @@ def test_profiled_tensor_life_call_budget():
     assert "classify_tag" not in calls and "_publish" not in calls, calls
     assert out.freed and prof.live_by_category == before
     prof.verify_accounting()
+    prof.detach()
 
 
 def test_blocks_from_before_the_attach_leave_the_untracked_baseline():
@@ -143,6 +144,8 @@ def test_blocks_from_before_the_attach_leave_the_untracked_baseline():
         assert prof.untracked_bytes == 0 and sum(prof.live_by_category.values()) == 0
         prof.verify_accounting()
     assert [p.n_events for p in profs] == [4, 3]
+    for prof in profs:
+        prof.detach()
 
 
 def _bridged_tracer():
