@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.optim.mixed_precision import ADAM_K
-from repro.utils.units import GB
 from repro.zero.placement import STATE_CLASSES, Placed, state_placement
 
 if TYPE_CHECKING:
@@ -186,7 +185,3 @@ def total_device_bytes(
     else:
         buffers = temporary_buffer_bytes(psi_local, constant_buffers=zero.constant_buffers)
     return states + acts + buffers
-
-
-def format_gb(n_bytes: float) -> str:
-    return f"{n_bytes / GB:.1f}"

@@ -36,6 +36,7 @@ import numpy as np
 from repro.comm.fabric import Fabric, FabricAbortedError
 from repro.comm.faults import RankKilledError, TransientCollectiveFault
 from repro.comm.ledger import CommLedger
+from repro.utils.doors import RankDoors
 
 
 def _reduce_arrays(arrays: Sequence[np.ndarray], op: str) -> np.ndarray:
@@ -74,12 +75,19 @@ def _reduce_arrays(arrays: Sequence[np.ndarray], op: str) -> np.ndarray:
 _PAYLOAD_SIZED = -1
 
 
-class ProcessGroup:
+class ProcessGroup(RankDoors):
     """A set of global ranks that communicate collectively.
 
     One ``ProcessGroup`` object is shared by all member threads; per-rank
     state (the ledger) is passed per call via ``attach_ledger``'s registry.
+
+    Its collectives are per-rank doors (``repro.utils.doors``): after each
+    one, the calling rank's subscribers hear ``_collective(group, rank, op,
+    nbytes, phase, meta)``, ``meta`` True for a ``meta_collective`` (and
+    ``nbytes`` None for a ``coalesced`` batch).
     """
+
+    POINTS = ("_collective",)
 
     def __init__(self, fabric: Fabric, ranks: Sequence[int]):
         self.fabric = fabric
@@ -110,11 +118,14 @@ class ProcessGroup:
 
     def _record(
         self, rank: int, op: str, message_bytes: int, phase: str,
-        peer: tuple[int, int] | None = None,
+        peer: tuple[int, int] | None = None, meta: bool = False,
     ) -> None:
+        """A collective's ledger event and door (``coalesced`` has its own)."""
         ledger = self._ledgers.get(rank)
         if ledger is not None:
             ledger.record(op, message_bytes, self.ranks, phase, peer=peer)
+        if self.on_collective:
+            self._tell("_collective", rank, op, message_bytes, phase, meta)
 
     # -- fault-aware rendezvous entry ----------------------------------------
 
@@ -264,6 +275,8 @@ class ProcessGroup:
         if ledger is not None:
             for n in nbytes:
                 ledger.record(op, n, self.ranks, phase)
+        if self.on_collective:
+            self._tell("_collective", rank, op, None, phase, False)
         if meta:
             return None
         out: list[np.ndarray | None] = []
@@ -298,7 +311,7 @@ class ProcessGroup:
         without moving data (the 100B-scale engines run on meta tensors)."""
         message_bytes = int(message_bytes)
         self._exchange(rank, None, ("meta", op, message_bytes), op)
-        self._record(rank, op, message_bytes, phase)
+        self._record(rank, op, message_bytes, phase, meta=True)
 
     def all_reduce(
         self, rank: int, array: np.ndarray, op: str = "sum", phase: str = ""

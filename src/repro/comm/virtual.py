@@ -14,10 +14,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.comm.ledger import CommLedger
+from repro.utils.doors import RankDoors
 
 
-class VirtualGroup:
-    """ProcessGroup look-alike for single-rank meta-mode simulation."""
+class VirtualGroup(RankDoors):
+    """ProcessGroup look-alike for single-rank meta-mode simulation, its
+    collectives doors as ``ProcessGroup``'s are."""
+
+    POINTS = ("_collective",)
 
     def __init__(self, ranks: Sequence[int], member_rank: int):
         self.ranks = tuple(sorted(ranks))
@@ -47,6 +51,8 @@ class VirtualGroup:
         ledger = self._ledgers.get(rank)
         if ledger is not None:
             ledger.record(op, int(message_bytes), self.ranks, phase)
+        if self.on_collective:
+            self._tell("_collective", rank, op, int(message_bytes), phase, True)
 
     def coalesced(
         self, rank: int, op: str, roots: Sequence[int], arrays=None,
@@ -61,9 +67,12 @@ class VirtualGroup:
         if ledger is not None:
             for n in nbytes:
                 ledger.record(op, n, self.ranks, phase)
+        if self.on_collective:
+            self._tell("_collective", rank, op, None, phase, False)
 
     def barrier(self, rank: int) -> None:
-        return
+        if self.on_collective:
+            self._tell("_collective", rank, "barrier", 0, "", False)
 
     def _no_data(self, *_args, **_kwargs):
         raise RuntimeError(

@@ -29,7 +29,6 @@ from repro.memprof.provenance import (
     category,
     classify_tag,
     current_phase,
-    current_scope,
     profiling_active,
     set_phase,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "category",
     "classify_tag",
     "current_phase",
-    "current_scope",
     "device_stats",
     "fragmentation_ratio",
     "profiling_active",

@@ -1,8 +1,8 @@
 """The memory observatory: per-allocation provenance over ``memsim``.
 
 ``MemoryProfiler`` attaches to one ``Device`` (or ``HostMemory``) by
-wrapping its ``alloc``/``free`` methods — the same observation pattern as
-``memsim.timeline.MemoryTimeline`` — and records, for every live block,
+subscribing to its ``alloc``/``free`` doors (``repro.utils.doors``), as
+``memsim.timeline.MemoryTimeline`` does, and records, for every live block,
 its ZeRO state class, allocation site, and engine phase (read from the
 thread-local scopes in :mod:`repro.memprof.provenance`; an unscoped
 block's class comes from this profiler's memo of ``classify_tag``). It
@@ -117,13 +117,9 @@ class MemoryProfiler:
             else None
         )
 
-        self._orig_alloc = device.alloc
-        self._orig_free = device.free
-        device.alloc = self._alloc
-        device.free = self._free
+        device.subscribe(self)
         device.profiler = self
         provenance._incr_active(+1)
-        self._attached = True
 
     # -- context manager -------------------------------------------------
 
@@ -135,19 +131,16 @@ class MemoryProfiler:
         return False
 
     def detach(self) -> None:
-        """Restore the device's original alloc/free and stop tracking."""
-        if not self._attached:
+        """Unsubscribe from the device and stop tracking."""
+        if self.device.profiler is not self:
             return
-        self.device.alloc = self._orig_alloc
-        self.device.free = self._orig_free
+        self.device.unsubscribe(self)
         self.device.profiler = None
         provenance._incr_active(-1)
-        self._attached = False
 
-    # -- event hooks -----------------------------------------------------
+    # -- the pool's doors -------------------------------------------------
 
-    def _alloc(self, size: int, tag: str = ""):
-        extent = self._orig_alloc(size, tag)
+    def _alloc(self, extent, size: int, tag: str) -> None:
         # Innermost scope wins; the tag classifier is the fallback.
         stack = _tls.stack
         phase = _tls.phase
@@ -179,24 +172,18 @@ class MemoryProfiler:
         self.n_events += 1
         if self.self_check:
             self.verify_accounting()
-        return extent
 
-    def _free(self, extent) -> None:
+    def _free(self, extent, size: int) -> None:
         key = (extent.pool, extent.handle) if self._is_device else ("host", extent)
         block = self._live.pop(key, None)
         if block is None:
-            # Allocated before we attached: shrink the untracked baseline
-            # once the pool accepts the free. HostMemory handles are bare
-            # ints, so take the size before the pool forgets it.
-            size = extent.size if self._is_device else self.device._live.get(extent, 0)
-            self._orig_free(extent)
+            # Allocated before we attached: shrink the untracked baseline.
             if self._is_device and extent.pool == "md":
                 self._md_untracked -= size
             else:
                 self.untracked_bytes -= size
             self.n_events += 1
             return
-        self._orig_free(extent)
         if block.pool == "md":
             self.md_live_by_category[block.category] -= block.size
         else:

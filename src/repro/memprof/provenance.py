@@ -115,12 +115,6 @@ def category(name: str, site: str = ""):
     return _CategoryScope((name, site))
 
 
-def current_scope() -> tuple[str, str] | None:
-    """(category, site) innermost scope on this thread, or None."""
-    stack = _tls.stack
-    return stack[-1] if stack else None
-
-
 def set_phase(phase: str) -> None:
     """Record the engine phase (forward/backward/reduce/optimizer/...).
 

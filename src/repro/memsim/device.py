@@ -21,10 +21,19 @@ from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.memsim.block_allocator import BlockAllocator, Extent
 from repro.memsim.caching_allocator import CachingAllocator
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
+from repro.utils.doors import Doors
 
 
-class Device:
-    """One simulated GPU: capacity, caching allocator, peak accounting."""
+class Device(Doors):
+    """One simulated GPU: capacity, caching allocator, peak accounting.
+
+    ``alloc`` and ``free`` are the doors (``repro.utils.doors``) of its
+    bytes: a subscriber hears ``_alloc(extent, size, tag)`` after each
+    allocation and ``_free(extent, size)`` after each free, and one that
+    also has ``_freeing(extent)`` hears it before the free, while the pool
+    still knows the extent's tag."""
+
+    POINTS = ("_alloc", "_freeing", "_free")
 
     # Attached memory observatory (repro.memprof.MemoryProfiler), if any.
     # Class attribute so the default-off check is one attribute read and no
@@ -79,8 +88,9 @@ class Device:
 
     def alloc(self, size: int, tag: str = "") -> Extent:
         """The one way into this device's pools (``free`` is the one way
-        out): the memory observatory, the timeline and hostbench's probe
-        see every byte because they wrap exactly this pair."""
+        out): the memory observatory and the timeline see every byte
+        because they subscribe to exactly this pair."""
+        extent = None
         md = self._md_allocator
         if md is not None:
             try:
@@ -88,17 +98,17 @@ class Device:
             except KeyError:
                 routed = self._md_routes[tag] = bool(self._md_predicate(tag))
             if routed:
-                extent = md.try_alloc(size, tag)
-                if extent is not None:
-                    return extent
-                # region full: fall through to the general heap
-        try:
-            if self.cache is not None:
-                return self.cache.alloc(size, tag)
-            return self.raw.alloc(size, tag)
-        except OutOfMemoryError as exc:
-            self._annotate_oom(exc)
-            raise
+                extent = md.try_alloc(size, tag)  # None: full, so the general heap
+        if extent is None:
+            try:
+                extent = (self.raw if self.cache is None else self.cache).alloc(size, tag)
+            except OutOfMemoryError as exc:
+                self._annotate_oom(exc)
+                raise
+        if self.on_alloc:
+            for sub in self.on_alloc:
+                sub._alloc(extent, size, tag)
+        return extent
 
     def _annotate_oom(self, exc: OutOfMemoryError) -> None:
         """Enrich an escaping OOM with device totals (always) and, when the
@@ -115,14 +125,19 @@ class Device:
             exc.postmortem = build_postmortem(self.profiler, exc)
 
     def free(self, extent: Extent) -> None:
+        told = self.on_free
+        if told:
+            for sub in self.on_freeing:
+                sub._freeing(extent)
         if extent.pool == "md":
             if self._md_allocator is None:
                 raise InvalidFreeError(f"{self.name}: md extent freed after disable_defrag")
             self._md_allocator.free(extent)
-        elif self.cache is not None:
-            self.cache.free(extent)
         else:
-            self.raw.free(extent)
+            (self.raw if self.cache is None else self.cache).free(extent)
+        if told:
+            for sub in told:
+                sub._free(extent, extent.size)
 
     def tag_of(self, extent: Extent) -> str:
         """The tag a live ``extent`` from ``alloc`` was allocated under,
@@ -194,7 +209,7 @@ class Device:
         return ContiguousRegion(self, size, tag=tag)
 
 
-class HostMemory:
+class HostMemory(Doors):
     """CPU-side memory pool for activation (Pa+cpu) and model-state offload.
 
     Capacity defaults to a DGX-2's 1.5 TB host DRAM. The simulation only
@@ -204,7 +219,13 @@ class HostMemory:
     auditable as device residency: every byte the offload engine parks on
     the host shows up here, and overflowing the pool fails loudly instead
     of silently pretending the host is infinite.
+
+    Its ``alloc`` / ``free`` are doors as ``Device``'s are, without
+    ``_freeing``: the pool keeps no tags, and a free tells ``_free(handle,
+    size)``.
     """
+
+    POINTS = ("_alloc", "_free")
 
     # Attached memory observatory (repro.memprof.MemoryProfiler), if any.
     profiler = None
@@ -267,6 +288,9 @@ class HostMemory:
         self.allocated_bytes += size
         self.alloc_count += 1
         self.max_allocated_bytes = max(self.max_allocated_bytes, self.allocated_bytes)
+        if self.on_alloc:
+            for sub in self.on_alloc:
+                sub._alloc(handle, size, tag)
         return handle
 
     def free(self, handle: int) -> None:
@@ -275,6 +299,9 @@ class HostMemory:
             raise InvalidFreeError(f"{self.name}: handle {handle} is not live (double free?)")
         self.allocated_bytes -= size
         self.free_count += 1
+        if self.on_free:
+            for sub in self.on_free:
+                sub._free(handle, size)
 
 
 @dataclass

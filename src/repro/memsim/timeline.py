@@ -7,9 +7,10 @@ accumulate, the backward descent as caches free, the optimizer plateau.
 This is the simulated counterpart of a torch.profiler memory trace and
 powers ``examples/memory_timeline.py``.
 
-The tracer wraps the device's alloc/free; ``detach()`` restores them.
-``MemoryTimeline`` is also a context manager — ``with`` scoping guarantees
-the device's methods are restored even when the step raises::
+The timeline subscribes to the device's ``alloc`` / ``free`` doors
+(``repro.utils.doors``); ``detach()`` unsubscribes it, whatever else is
+subscribed. ``MemoryTimeline`` is also a context manager — ``with``
+scoping guarantees the timeline detaches even when the step raises::
 
     with MemoryTimeline(device) as timeline:
         engine.train_step(batch)
@@ -44,11 +45,8 @@ class MemoryTimeline:
         #: optional telemetry bridge: an object with ``on_memory_sample``
         #: (duck-typed; ``repro.telemetry.Tracer``).
         self.listener = listener
-        self._orig_alloc = device.alloc
-        self._orig_free = device.free
-        self._attached = True
-        device.alloc = self._alloc  # type: ignore[method-assign]
-        device.free = self._free  # type: ignore[method-assign]
+        self._tag = ""  # the tag of the free under way
+        device.subscribe(self)
 
     def __enter__(self) -> "MemoryTimeline":
         return self
@@ -56,17 +54,16 @@ class MemoryTimeline:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.detach()
 
-    # -- instrumented entry points ---------------------------------------------
+    # -- the device's doors -------------------------------------------------------
 
-    def _alloc(self, size: int, tag: str = ""):
-        extent = self._orig_alloc(size, tag)
+    def _alloc(self, extent, size: int, tag: str) -> None:
         self._sample(+extent.size, tag)
-        return extent
 
-    def _free(self, extent) -> None:
-        tag = self.device.tag_of(extent)  # the pool forgets it on free
-        self._orig_free(extent)
-        self._sample(-extent.size, tag)
+    def _freeing(self, extent) -> None:
+        self._tag = self.device.tag_of(extent)  # the pool forgets it on free
+
+    def _free(self, extent, size: int) -> None:
+        self._sample(-size, self._tag)
 
     def _sample(self, delta: int, tag: str) -> None:
         sample = MemorySample(
@@ -88,10 +85,7 @@ class MemoryTimeline:
         self.phase = phase
 
     def detach(self) -> None:
-        if self._attached:
-            self.device.alloc = self._orig_alloc  # type: ignore[method-assign]
-            self.device.free = self._orig_free  # type: ignore[method-assign]
-            self._attached = False
+        self.device.unsubscribe(self)
 
     # -- analysis ------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ import numpy as np
 from repro.memprof.provenance import category as memprof_category
 from repro.memsim.device import Device
 from repro.tensor.tensor import Tensor
+from repro.utils.doors import Doors
 
 
 @dataclass
@@ -36,13 +37,21 @@ class ExecutionContext:
     training: bool = True
 
 
-class Parameter:
+class Parameter(Doors):
     """A learnable tensor plus its (lazily created) gradient.
 
     ``data`` is in the model's compute dtype (fp16 under mixed precision);
     gradients are accumulated in fp32 and stored back in the gradient dtype
     (fp16, giving the paper's 2-Psi gradient footprint).
+
+    ``accumulate_grad`` is a door (``repro.utils.doors``): a subscriber
+    hears ``_accumulated(param)`` once the call that took a gradient is
+    done, and one that also has ``_accumulating(param, g)`` hears that as
+    the gradient arrives, so it can tell the call's own effects (a cast,
+    the grad hook's) from the caller's.
     """
+
+    POINTS = ("_accumulating", "_accumulated")
 
     def __init__(self, name: str, data: Tensor, grad_dtype=np.float16):
         self.name = name
@@ -68,6 +77,10 @@ class Parameter:
 
     def accumulate_grad(self, g: Tensor) -> None:
         """Add ``g`` into the gradient (fp32 accumulation), consuming ``g``."""
+        told = self.on_accumulated
+        if told:
+            for sub in self.on_accumulating:
+                sub._accumulating(self, g)
         if g.shape != self.shape:
             raise ValueError(
                 f"grad shape {g.shape} != parameter {self.name} shape {self.shape}"
@@ -96,12 +109,15 @@ class Parameter:
                     )
             if self.grad_ready_hook is not None:
                 self.grad_ready_hook(self)
-            return
-        if not self.grad.is_meta and not g.is_meta:
-            with np.errstate(over="ignore", invalid="ignore"):  # saturate, as above
-                acc = self.grad.data.astype(np.float32) + g.data.astype(np.float32)
-                self.grad.data = acc.astype(self.grad_dtype)
-        g.free()
+        else:
+            if not self.grad.is_meta and not g.is_meta:
+                with np.errstate(over="ignore", invalid="ignore"):  # saturate, as above
+                    acc = self.grad.data.astype(np.float32) + g.data.astype(np.float32)
+                    self.grad.data = acc.astype(self.grad_dtype)
+            g.free()
+        if told:
+            for sub in told:
+                sub._accumulated(self)
 
     def zero_grad(self) -> None:
         if self.grad is not None:

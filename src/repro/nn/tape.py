@@ -38,16 +38,17 @@ its output (``block.forward``, or recompute + backward) and the
 them (stage-3 gathers and reduces, the activation store) stays live.
 
 Re-issue goes through the same doors: ``device.alloc`` / ``device.free``
-looked up on the instance (so ``MemoryProfiler``, ``MemoryTimeline`` and
-any class-level probe see every event), collectives through the target
-block's own groups, gradients through its own parameters; tags and phases
+(so every subscriber, ``MemoryProfiler`` and ``MemoryTimeline`` among
+them, and any class-level probe see every event), collectives through the
+target block's own groups, gradients through its own parameters; tags and phases
 take the target block's name prefix. The region's output and each taped
 gradient come back as ``Tensor``s bound to the re-issued extents, so the
 device stream, the ledger, the peaks and an OOM (same exception at the
 same allocator state) are what running the block gives.
 
-The recorder attaches on the instances only while capturing, as
-``MemoryTimeline`` does, so nothing on the tensor-life path changes.
+The recorder subscribes to those doors (``repro.utils.doors``) only
+while capturing, and to a shared group for its own rank only, so the
+tensor-life path pays one attribute test per door and no call.
 
 A model keeps one ``BlockTape`` per direction for its whole life, and
 each loop calls its ``start()`` once. Three rules govern the kept tape:
@@ -67,8 +68,8 @@ for a later block is: a block region's effects are a function of its
 between blocks cannot reach a region. A gradient already held (gradient
 accumulation) only changes what ``accumulate_grad`` does, and that runs
 live. Optimizer and loss-scaler state sit outside the regions. An
-observer attached after the capture sees every re-issued event, since the
-doors are looked up on the instance at re-issue. A fault rule acts in the
+observer attached after the capture sees every re-issued event, since it
+subscribes to the doors the re-issue goes through. A fault rule acts in the
 collective, which goes through the target block's live group. Blocks keep
 no lazy device state, and no region reads the ``ctx`` it is handed (no
 block uses its ``rng`` or ``training``). ``tests/test_tape_lifetime.py``
@@ -82,7 +83,7 @@ input is the very tensor with the very array, every parameter holds the
 forward's array or a bitwise-equal one (a stage-3 re-gather; a corrupted
 one fails), and the step trains. The recompute's stream — the forward
 region's allocations and frees, then its output's free — goes through
-``device.alloc`` / ``device.free`` on the instance as above; the cache
+``device.alloc`` / ``device.free`` as above; the cache
 comes back with the kept arrays bound to the re-issued extents, and
 ``block.backward`` runs on it for real. A block holding an MP group, a
 region freeing what it did not allocate, or a cache tensor the region did
@@ -91,7 +92,6 @@ not allocate keeps no tape, and its recompute runs the forward.
 
 from __future__ import annotations
 
-from functools import partial
 from operator import attrgetter
 from weakref import WeakKeyDictionary
 
@@ -188,13 +188,13 @@ class BlockTape:
 
 
 class _Recorder:
-    """The doors of the first block's regions, watched while they run.
+    """A subscriber to the doors of the first block's regions while they run.
 
     The device's ``alloc`` / ``free`` are watched in both regions; the
-    ``params``' ``accumulate_grad`` and the layers' groups in the first
-    only — the second is a cache's ``free()``, which can only free.
-    Between the regions the recorder stands in for the block's cache: its
-    ``free()`` runs the second region and, if both were clean, completes
+    ``params``' ``accumulate_grad`` and, for this rank, the layers' groups
+    in the first only — the second is a cache's ``free()``, which can only
+    free. Between the regions the recorder stands in for the block's cache:
+    its ``free()`` runs the second region and, if both were clean, completes
     ``owner``'s tape. A ``ForwardTape`` uses the first region alone."""
 
     def __init__(self, device, block, paths: list[str], params, owner: BlockTape | None = None,
@@ -202,16 +202,20 @@ class _Recorder:
         self.owner = owner
         self.device = device
         self.block = block
-        self.params = params
+        self.params = {p: i for i, p in enumerate(params)}
         self.paths = paths
-        self.holders = [attrgetter(path)(block) for path in paths]
+        #: group -> (the first layer holding it, by its index in ``paths``; the rank)
+        self.groups: dict = {}
+        for i, path in enumerate(paths):
+            layer = attrgetter(path)(block)
+            self.groups.setdefault(layer.group, (i, layer.rank))
         self.signature = sig
         #: extent -> index among the block's allocations, while a region owns it
         self.live: dict = {}
         self.tags: list[str] = []  # per allocation, in order
         self.n_allocs = 0
         self.events: list = []
-        self.paused = False  # inside accumulate_grad: its own effects are not taped
+        self.paused = 0  # inside accumulate_grad: its own effects are not taped
         self.foreign = False
         # Set when the first region hands its output over:
         self.output: tuple | None = None  # shaped like a _GRAD event, for _Run.bound
@@ -236,93 +240,62 @@ class _Recorder:
         if not self.foreign and not self.live:
             self.owner._tape = _Tape(self)
 
-    # -- the doors ------------------------------------------------------------
-
     def __enter__(self) -> "_Recorder":
-        device = self.device
-        # What the instances already override (an observer's wrappers), to
-        # put back on exit.
-        own = device.__dict__
-        self._own = {(device, k): own[k] for k in ("alloc", "free") if k in own}
-        alloc, free = device.alloc, device.free
-        live, tags, append = self.live, self.tags, self.events.append
-
-        def taped_alloc(size, tag=""):
-            extent = alloc(size, tag)
-            if not self.paused:
-                if size.__class__ is int and size > 0:
-                    live[extent] = self.n_allocs
-                    self.n_allocs += 1
-                    tags.append(tag)
-                    append(size)
-                else:
-                    self.foreign = True  # a size the tape cannot hold as an event
-            return extent
-
-        def taped_free(extent):
-            free(extent)
-            index = live.pop(extent, None)
-            if self.paused:
-                self.foreign |= index is not None  # a grad hook freed the region's tensor
-            elif index is None:
-                self.foreign = True  # the region freed what it did not allocate
-            else:
-                append(~index)
-
-        device.alloc, device.free = taped_alloc, taped_free
+        self.device.subscribe(self)
         if self.output is None:  # the first region
-            for i, p in enumerate(self.params):
-                if "accumulate_grad" in p.__dict__:
-                    self._own[p, "accumulate_grad"] = p.accumulate_grad
-                p.accumulate_grad = partial(self._accumulate, i, p.accumulate_grad)
-            for i, m in enumerate(self.holders):
-                m.group = _GroupTap(self, i, m.group)
+            for p in self.params:
+                p.subscribe(self)
+            for group, (_, rank) in self.groups.items():
+                group.subscribe(self, rank)
         return self
 
     def __exit__(self, *exc) -> None:
-        del self.device.alloc, self.device.free
+        self.device.unsubscribe(self)
         if self.output is None:
             for p in self.params:
-                del p.accumulate_grad
-            for m in self.holders:
-                m.group = m.group._group
-        for (owner, attr), value in self._own.items():
-            setattr(owner, attr, value)
+                p.unsubscribe(self)
+            for group, (_, rank) in self.groups.items():
+                group.unsubscribe(self, rank)
 
-    def _accumulate(self, index: int, accumulate, g: Tensor) -> None:
+    # -- the doors ------------------------------------------------------------
+
+    def _alloc(self, extent, size, tag: str) -> None:
         if self.paused:
-            return accumulate(g)
-        at = self.live.pop(g.extent, None)
-        if at is None or g.device is not self.device:
-            self.foreign = True
+            return
+        if size.__class__ is int and size > 0:
+            self.live[extent] = self.n_allocs
+            self.n_allocs += 1
+            self.tags.append(tag)
+            self.events.append(size)
         else:
-            self.events.append((_GRAD, index, at, g.shape, g.dtype, g.tag))
-        self.paused = True
-        try:
-            return accumulate(g)
-        finally:
-            self.paused = False
+            self.foreign = True  # a size the tape cannot hold as an event
 
-    def collective(self, index: int, rank: int, op: str, nbytes: int, phase: str) -> None:
+    def _free(self, extent, size: int) -> None:
+        index = self.live.pop(extent, None)
+        if self.paused:
+            self.foreign |= index is not None  # a grad hook freed the region's tensor
+        elif index is None:
+            self.foreign = True  # the region freed what it did not allocate
+        else:
+            self.events.append(~index)
+
+    def _accumulating(self, param, g: Tensor) -> None:
         if not self.paused:
-            self.events.append((_COLLECTIVE, index, rank, op, nbytes, phase))
+            at = self.live.pop(g.extent, None)
+            if at is None or g.device is not self.device:
+                self.foreign = True
+            else:
+                self.events.append((_GRAD, self.params[param], at, g.shape, g.dtype, g.tag))
+        self.paused += 1
 
+    def _accumulated(self, param) -> None:
+        self.paused -= 1
 
-class _GroupTap:
-    """Stands in for a layer's MP group while its block is captured."""
-
-    def __init__(self, rec: _Recorder, index: int, group):
-        self._rec = rec
-        self._index = index
-        self._group = group
-
-    def meta_collective(self, rank: int, op: str, message_bytes: int, phase: str = "") -> None:
-        self._rec.collective(self._index, rank, op, message_bytes, phase)
-        return self._group.meta_collective(rank, op, message_bytes, phase)
-
-    def __getattr__(self, attr: str):
-        self._rec.foreign = True  # any other use of the group is not taped
-        return getattr(self._group, attr)
+    def _collective(self, group, rank: int, op: str, nbytes, phase: str, meta: bool) -> None:
+        if not meta:
+            self.foreign = True  # any other use of the group is not taped
+        elif not self.paused:
+            self.events.append((_COLLECTIVE, self.groups[group][0], rank, op, nbytes, phase))
 
 
 class _Tape:

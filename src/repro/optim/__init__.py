@@ -4,7 +4,7 @@ from repro.optim.adam import Adam, AdamHyperparams, SGD, adam_step_inplace
 from repro.optim.decay import build_decay_mask, default_weight_decay_filter
 from repro.optim.flat import FlatLayout, ParamSlot
 from repro.optim.mixed_precision import ADAM_K, FlatAdamState, MixedPrecisionAdam
-from repro.optim.lr_schedule import ConstantLR, LRSchedule, WarmupCosineDecay, WarmupLinearDecay
+from repro.optim.lr_schedule import ConstantLR, WarmupCosineDecay, WarmupLinearDecay
 from repro.optim.scaler import LossScaler
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "Adam",
     "AdamHyperparams",
     "ConstantLR",
-    "LRSchedule",
     "WarmupCosineDecay",
     "WarmupLinearDecay",
     "FlatAdamState",

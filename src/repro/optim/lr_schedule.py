@@ -12,12 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
-
-
-class LRSchedule(Protocol):
-    def lr(self, step: int) -> float:  # 1-based optimizer step
-        ...
 
 
 @dataclass(frozen=True)

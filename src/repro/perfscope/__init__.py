@@ -30,17 +30,15 @@ from repro.perfscope.critpath import (
     rank_scores,
     rank_stalls,
 )
-from repro.perfscope.graph import StepGraph, build_step_graph, build_step_graphs
+from repro.perfscope.graph import StepGraph, build_step_graph
 from repro.perfscope.report import (
     StepReport,
     annotate_chrome_trace,
-    build_step_report,
     publish_metrics,
 )
 from repro.perfscope.whatif import (
     WhatIf,
     reprice,
-    whatif_cost_model,
     whatif_links,
     whatif_zero_comm,
 )
@@ -55,14 +53,11 @@ __all__ = [
     "analyze",
     "annotate_chrome_trace",
     "build_step_graph",
-    "build_step_graphs",
-    "build_step_report",
     "fleet_scores",
     "publish_metrics",
     "rank_scores",
     "rank_stalls",
     "reprice",
-    "whatif_cost_model",
     "whatif_links",
     "whatif_zero_comm",
 ]
@@ -73,7 +68,17 @@ class PerfscopeAnalysis:
 
     def __init__(self, graphs: list[StepGraph]):
         self.graphs = graphs
-        self.reports = [build_step_report(g) for g in graphs]
+        self.reports = []
+        for g in graphs:
+            per_rank = fleet_scores(g)
+            self.reports.append(StepReport(
+                step_index=g.step_index,
+                critical_path_s=g.critical_path_s,
+                observed_s=max(g.observed_step_s.values()),
+                total_busy_s=g.total_busy_s(),
+                straggler_rank=max(per_rank, key=lambda r: (per_rank[r].step_s, r)),
+                per_rank=per_rank,
+            ))
 
     def graph(self, step: int) -> StepGraph:
         for g in self.graphs:
@@ -124,4 +129,6 @@ def analyze(source, *, couple: bool = True) -> PerfscopeAnalysis:
         tracers = dict(source)
     else:
         tracers = {t.rank: t for t in source}
-    return PerfscopeAnalysis(build_step_graphs(tracers, couple=couple))
+    n_steps = max((len(t.step_durations) for t in tracers.values()), default=0)
+    graphs = (build_step_graph(tracers, step, couple=couple) for step in range(n_steps))
+    return PerfscopeAnalysis([g for g in graphs if g is not None])

@@ -407,18 +407,3 @@ def build_step_graph(
         add_fleet_end(g)
     g.schedule()
     return g
-
-
-def build_step_graphs(
-    tracers: dict[int, object], *, couple: bool = True,
-) -> list[StepGraph]:
-    """One scheduled graph per fully-traced step, in step order."""
-    if not tracers:
-        return []
-    n_steps = max((len(t.step_durations) for t in tracers.values()), default=0)
-    graphs = []
-    for step in range(n_steps):
-        g = build_step_graph(tracers, step, couple=couple)
-        if g is not None:
-            graphs.append(g)
-    return graphs

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perfscope.critpath import CATEGORIES, RankStats, fleet_scores
+from repro.perfscope.critpath import CATEGORIES, RankStats
 from repro.perfscope.graph import StepGraph
 
 _US = 1e6
@@ -93,19 +93,6 @@ class StepReport:
                 f"exposed-comm {rs.exposed_comm_pct:.1f}%"
             )
         return "\n".join(lines)
-
-
-def build_step_report(g: StepGraph) -> StepReport:
-    per_rank = fleet_scores(g)
-    straggler = max(per_rank, key=lambda r: (per_rank[r].step_s, r))
-    return StepReport(
-        step_index=g.step_index,
-        critical_path_s=g.critical_path_s,
-        observed_s=max(g.observed_step_s.values()),
-        total_busy_s=g.total_busy_s(),
-        straggler_rank=straggler,
-        per_rank=per_rank,
-    )
 
 
 def publish_metrics(reports: list[StepReport], registry) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm.ledger import CommEvent
 from repro.perfscope.graph import XFER_LINK, StepGraph, _add_main_rank, couple_ranks
 from repro.perfscope.runtime_replay import replay_runtime
 
@@ -56,7 +55,6 @@ def reprice(
     g: StepGraph,
     *,
     zero_collectives: bool = False,
-    cost_model=None,
     pcie=None,
     nvme=None,
     adam_rate=None,
@@ -65,8 +63,7 @@ def reprice(
     it from dependencies alone.
 
     ``zero_collectives`` prices every collective/p2p event at 0 (tier
-    transfers keep their cost); ``cost_model`` re-prices them through a
-    different ``CommCostModel``; ``pcie``/``nvme`` (``InterconnectSpec``)
+    transfers keep their cost); ``pcie``/``nvme`` (``InterconnectSpec``)
     re-band the tier links everywhere they appear (main-track copies and
     the re-evaluated tier schedule's lanes); ``adam_rate`` overrides the
     CPU Adam throughput. With no overrides this returns the pure
@@ -74,20 +71,13 @@ def reprice(
     """
 
     def pricer(entry):
-        _tag, op, phase, nbytes, group_ranks, peer, _dur, _rs, _re = entry
+        _tag, op, _phase, nbytes, *_ = entry
         if op in XFER_LINK:
             link = pcie if XFER_LINK[op] == "pcie" else nvme
             if link is None:
                 return None
             return 0.0 if nbytes <= 0 else _wire(link, nbytes)
-        if zero_collectives:
-            return 0.0
-        if cost_model is not None:
-            return cost_model.event_time(CommEvent(
-                op=op, message_bytes=int(nbytes), group_size=len(group_ranks),
-                group_ranks=tuple(group_ranks), phase=phase, peer=peer,
-            ))
-        return None
+        return 0.0 if zero_collectives else None
 
     ng = StepGraph(g.step_index)
     for rank, source in sorted(g.sources.items()):
@@ -125,12 +115,4 @@ def whatif_links(
         label = "re-banded " + ", ".join(parts) if parts else "re-scheduled"
     baseline = reprice(g)
     predicted = reprice(g, pcie=pcie, nvme=nvme, adam_rate=adam_rate)
-    return WhatIf(label, baseline.critical_path_s, predicted.critical_path_s)
-
-
-def whatif_cost_model(g: StepGraph, cost_model, *, label: str) -> WhatIf:
-    """Step time with collectives re-priced through ``cost_model`` (e.g. a
-    different cluster topology's alpha-beta numbers)."""
-    baseline = reprice(g)
-    predicted = reprice(g, cost_model=cost_model)
     return WhatIf(label, baseline.critical_path_s, predicted.critical_path_s)

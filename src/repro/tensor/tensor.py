@@ -28,8 +28,8 @@ step builds ~1 900 of them (15 000 before the block tape re-issued its
 repeated blocks), a real-data step a few hundred per rank.
 Either way the bytes are reserved by ``device.alloc(nbytes, tag)`` and
 returned by ``device.free(extent)``, looked up on the pool *instance* at
-every call: that pair is what ``MemoryProfiler``, ``MemoryTimeline`` and
-hostbench's probe wrap.
+every call: that pair is the doors ``MemoryProfiler`` and
+``MemoryTimeline`` subscribe to, and what hostbench's probe patches.
 """
 
 from __future__ import annotations

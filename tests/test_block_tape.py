@@ -349,3 +349,50 @@ def test_a_foreign_effect_leaves_its_direction_untaped(monkeypatch):
     # step 1: every block forward, then one recomputation — the block the
     # backward direction captured; step 2: every block forward
     assert log == forward + ["gpt2.h5"] + forward
+
+
+def test_a_foreign_collective_on_a_layers_group_leaves_its_direction_untaped(monkeypatch):
+    """Going forward, every row-parallel layer also issues a data-free
+    ``coalesced`` broadcast on its MP group: a use of the group other than
+    ``meta_collective``. The capture of block ``gpt2.h0`` sees it and is
+    refused, so every forward block runs at both steps while the backward
+    direction is still taped, and the device and ledger streams are those
+    of a run that re-issues no block."""
+    from repro.nn.tape import BlockTape
+    from repro.nn.transformer import GPT2Model
+    from repro.parallel.megatron import RowParallelLinear
+
+    log, forward_pass = [], [False]
+    model_forward, row_forward, block_forward = (
+        GPT2Model.forward, RowParallelLinear.forward, TransformerBlock.forward,
+    )
+
+    def model(self, *args):
+        forward_pass[0] = True
+        try:
+            return model_forward(self, *args)
+        finally:
+            forward_pass[0] = False
+
+    def row(self, x, ctx):
+        if forward_pass[0]:  # not in a recomputation
+            self.group.coalesced(self.rank, "broadcast", [0], nbytes=[64], phase="probe")
+        return row_forward(self, x, ctx)
+
+    def block(self, x, ctx):
+        log.append(self.name)
+        return block_forward(self, x, ctx)
+
+    monkeypatch.setattr(GPT2Model, "forward", model)
+    monkeypatch.setattr(RowParallelLinear, "forward", row)
+    monkeypatch.setattr(TransformerBlock, "forward", block)
+    device = DeviceStream(monkeypatch)
+    taped = _common(virtual_job(C4), device)
+    forward = [f"gpt2.h{i}" for i in range(MODEL.n_layers)]
+    assert log == forward + ["gpt2.h5"] + forward
+
+    monkeypatch.setattr(BlockTape, "run", lambda tape, blk, region, *args: region(*args))
+    device = DeviceStream(monkeypatch)
+    untaped = _common(virtual_job(C4), device)
+    assert taped == untaped
+    assert taped["ledger"][0] == TAPE_GOLDEN["c4"]["ledger"][0] + 2 * 2 * MODEL.n_layers

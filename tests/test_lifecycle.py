@@ -102,11 +102,11 @@ def run_hooks_on(name, monkeypatch, tmp_path, steps=3):
 
     prof_alloc = MemoryProfiler._alloc
 
-    def spy_prof_alloc(self, size, tag=""):
+    def spy_prof_alloc(self, extent, size, tag):
         spied["memprof"].setdefault(self.device.index, []).append(
             f"{tag},{provenance.current_phase()}"
         )
-        return prof_alloc(self, size, tag)
+        return prof_alloc(self, extent, size, tag)
 
     monkeypatch.setattr(RunLedger, "record", spy_record)
     monkeypatch.setattr(BuddyStore, "publish", spy_publish)

@@ -245,10 +245,10 @@ def test_real_tensor_life_call_budget():
 
 
 def test_pool_entry_points_are_looked_up_on_the_instance_every_time():
-    """``MemoryProfiler``, ``MemoryTimeline`` and hostbench's probe wrap
-    ``device.alloc`` / ``device.free`` — on the instance or on the class,
-    before or after tensors exist. Both constructors and ``free`` must go
-    through whatever is there at the time of the call."""
+    """Hostbench's probe and the stream recorders patch ``device.alloc`` /
+    ``device.free`` on the class, a test may on the instance, before or
+    after tensors exist. Both constructors and ``free`` must go through
+    whatever is there at the time of the call."""
     from repro.tensor import functional as F
 
     d = Device(SPEC)
