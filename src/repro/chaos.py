@@ -70,11 +70,6 @@ class ChaosCampaign:
             out.append((at_step - 1, w))
         return tuple(out)
 
-    @property
-    def needs_audit(self) -> bool:
-        """Scribbles are silent: survival requires the integrity layer."""
-        return bool(self.scribbles)
-
     def build_plan(self) -> FaultPlan:
         plan = FaultPlan(seed=self.seed)
         for rank, at_step in self.kills:

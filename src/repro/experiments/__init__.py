@@ -5,7 +5,8 @@ render(data) -> str, and main() for CLI use:
     python -m repro.experiments.table1
     ...
 
-Modules: fig1-fig8, sec7, sec8, table1, table2, offload_sweep. See
+Modules: fig1-fig8, sec7, sec8, sec9, table1, table2, offload_sweep,
+infinity_sweep; ``report`` runs them all. See
 DESIGN.md's per-experiment index for what each reproduces. Submodules are
 imported lazily (import repro.experiments.fig2 directly) to keep
 `python -m` invocations clean.
@@ -13,7 +14,7 @@ imported lazily (import repro.experiments.fig2 directly) to keep
 
 __all__ = [
     "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "offload_sweep", "sec7", "sec8", "sec9", "table1", "table2",
+    "infinity_sweep", "offload_sweep", "sec7", "sec8", "sec9", "table1", "table2",
 ]
 
 

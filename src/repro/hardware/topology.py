@@ -65,24 +65,10 @@ class ClusterTopology:
         """Fair share of the node's NVMe capacity per resident GPU."""
         return self.node.nvme_bytes // self.node.gpus_per_node
 
-    def host_bytes_of_node(self, node_index: int) -> int:
-        """Total DRAM of one node (all its ranks share the pool)."""
-        if not 0 <= node_index < self.n_nodes:
-            raise ValueError(f"node {node_index} out of range [0, {self.n_nodes})")
-        return self.node.host_memory_bytes
-
     def node_of(self, rank: int) -> int:
         """Node index hosting a global rank."""
         self._check_rank(rank)
         return rank // self.node.gpus_per_node
-
-    def local_rank(self, rank: int) -> int:
-        """Index of the rank within its node."""
-        self._check_rank(rank)
-        return rank % self.node.gpus_per_node
-
-    def same_node(self, rank_a: int, rank_b: int) -> bool:
-        return self.node_of(rank_a) == self.node_of(rank_b)
 
     def group_spans_nodes(self, ranks: Sequence[int]) -> bool:
         """True if the rank group crosses a node boundary."""

@@ -247,25 +247,6 @@ class HealthMonitor:
             state = self._ranks.get(rank)
             return state.slowdown if state is not None else 1.0
 
-    def link_factor(self, rank: int) -> float:
-        """Current s/byte EWMA over the rank's own early baseline
-        (1.0 until enough events have been seen)."""
-        with self._lock:
-            state = self._ranks.get(rank)
-            if state is None or state.link_baseline is None or state.link_ewma is None:
-                return 1.0
-            return state.link_ewma / state.link_baseline
-
-    def confirmed_slow(self) -> list[int]:
-        with self._lock:
-            return sorted(
-                r for r, s in self._ranks.items() if s.verdict == CONFIRMED
-            )
-
-    def rows_evaluated(self) -> int:
-        with self._lock:
-            return self._rows_evaluated
-
     def verdict_for_row(self, row: int, rank: int) -> str | None:
         """Verdict of ``rank`` as of detector row ``row`` (None if the
         row was never evaluated — e.g. summary steps past a crash)."""

@@ -123,11 +123,6 @@ class TransferHandle:
         """Seconds the copy occupies the lane (latency + serialization)."""
         return self.done_t - self.start_t
 
-    @property
-    def queued_s(self) -> float:
-        """Seconds the copy waited behind earlier traffic on its lane."""
-        return self.start_t - self.submit_t
-
 
 class TierStream:
     """Full-duplex lane pair for one tier link, with async handle semantics.
@@ -181,19 +176,6 @@ class TierStream:
         self.handles.append(handle)
         return handle
 
-    def synchronize(self, handles: list[TransferHandle] | None = None, *, at: float = 0.0) -> float:
-        """Wait for ``handles`` (default: everything submitted this step)
-        starting from model time ``at``; returns the time all are done."""
-        targets = self.handles if handles is None else handles
-        t = float(at)
-        for h in targets:
-            h.synchronized = True
-            t = max(t, h.done_t)
-        return t
-
     def lane_busy_s(self, direction: str) -> float:
         """Total seconds this step's transfers occupy one lane."""
         return sum(h.wire_s for h in self.handles if h.direction == direction)
-
-    def lane_free_t(self, direction: str) -> float:
-        return self._lane_free[direction]

@@ -63,7 +63,12 @@ def profiling_active() -> bool:
 
 
 def _incr_active(delta: int) -> None:
+    """Count a profiler in or out. The first one attached starts its
+    thread's phase at ``""``: a phase set under an earlier profiler is
+    stale once that profiler has gone."""
     global _active_profilers
+    if _active_profilers == 0 and delta > 0:
+        _tls.phase = ""
     _active_profilers += delta
     if _active_profilers < 0:  # pragma: no cover - defensive
         _active_profilers = 0

@@ -38,11 +38,6 @@ class DeviceStats:
     md_region_bytes: int
     md_used_bytes: int
 
-    @property
-    def max_cached_gap_bytes(self) -> int:
-        """Peak reserved minus peak allocated — Figure 7's quantity."""
-        return self.max_reserved_bytes - self.max_allocated_bytes
-
 
 def device_stats(device) -> DeviceStats:
     """Allocator introspection for a ``memsim.Device`` (profiler optional)."""
@@ -84,15 +79,6 @@ class MemprofStats:
     untracked_bytes: int = 0
     n_events: int = 0
     leak_suspects: tuple[str, ...] = ()
-
-    @property
-    def tracked_live_bytes(self) -> int:
-        """Main-heap tracked bytes: equals allocated − untracked exactly."""
-        return sum(self.live_by_category.values())
-
-    @property
-    def total_live_bytes(self) -> int:
-        return self.tracked_live_bytes + sum(self.md_live_by_category.values())
 
 
 def compute_stats(profiler) -> MemprofStats:

@@ -6,7 +6,7 @@ Reproduces the memory behaviours the paper measures — fragmentation OOM
 
 from repro.memsim.block_allocator import AllocatorStats, BlockAllocator, Extent
 from repro.memsim.caching_allocator import CachingAllocator, CachingStats
-from repro.memsim.device import ContiguousRegion, Device, HostMemory
+from repro.memsim.device import Device, HostMemory
 from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemoryError
 from repro.memsim.timeline import MemorySample, MemoryTimeline
 
@@ -15,7 +15,6 @@ __all__ = [
     "BlockAllocator",
     "CachingAllocator",
     "CachingStats",
-    "ContiguousRegion",
     "Device",
     "Extent",
     "FragmentationError",

@@ -6,16 +6,13 @@ and exposes torch.cuda-like accounting (allocated / reserved / peaks).
 as effectively unbounded (the paper never hits CPU capacity) but fully
 accounted so experiments can report offloaded bytes.
 
-``ContiguousRegion`` is the primitive behind ZeRO-R's memory
-defragmentation (MD, Section 6.3): one long-lived extent carved out up
-front, with a trivial bump/slot allocator inside so long-lived tensors
-(activation checkpoints, parameter gradients) never interleave with
-short-lived ones in the general heap.
+ZeRO-R's memory defragmentation (MD, Section 6.3) is ``enable_defrag``:
+one long-lived extent carved out up front, with its own block allocator
+inside, so long-lived tensors (activation checkpoints, parameter
+gradients) never interleave with short-lived ones in the general heap.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.memsim.block_allocator import BlockAllocator, Extent
@@ -52,8 +49,7 @@ class Device(Doors):
         self._md_extent: Extent | None = None
         self._md_predicate = None
         # tag -> "does the predicate route it into the region?", filled as
-        # tags are first seen (a step re-uses a few hundred tag strings) and
-        # started afresh by every enable_defrag, which brings the predicate.
+        # tags are first seen (a step re-uses a few hundred tag strings).
         self._md_routes: dict[str, bool] = {}
 
     # -- ZeRO-R MD (memory defragmentation, Section 6.3) --------------------
@@ -68,17 +64,6 @@ class Device(Doors):
         self._md_extent = self.raw.alloc(region_bytes, "md-region")
         self._md_allocator = BlockAllocator(region_bytes, name=f"{self.name}/md", pool="md")
         self._md_predicate = tag_predicate
-        self._md_routes = {}
-
-    def disable_defrag(self) -> None:
-        if self._md_allocator is None:
-            return
-        if self._md_allocator.allocated_bytes:
-            raise ValueError(f"{self.name}: defrag region still has live tensors")
-        self.raw.free(self._md_extent)
-        self._md_allocator = None
-        self._md_extent = None
-        self._md_predicate = None
 
     @property
     def md_region_bytes(self) -> int:
@@ -130,8 +115,6 @@ class Device(Doors):
             for sub in self.on_freeing:
                 sub._freeing(extent)
         if extent.pool == "md":
-            if self._md_allocator is None:
-                raise InvalidFreeError(f"{self.name}: md extent freed after disable_defrag")
             self._md_allocator.free(extent)
         else:
             (self.raw if self.cache is None else self.cache).free(extent)
@@ -143,8 +126,6 @@ class Device(Doors):
         """The tag a live ``extent`` from ``alloc`` was allocated under,
         asked of the pool that owns it (the tag is not on the extent)."""
         if extent.pool == "md":
-            if self._md_allocator is None:
-                raise InvalidFreeError(f"{self.name}: md extent outlived disable_defrag")
             return self._md_allocator.tag_of(extent)
         return (self.raw if self.cache is None else self.cache).tag_of(extent)
 
@@ -204,10 +185,6 @@ class Device(Doors):
             snap["md"] = self._md_allocator.snapshot()
         return snap
 
-    def preallocate_region(self, size: int, tag: str = "md-region") -> "ContiguousRegion":
-        """Carve a long-lived contiguous region (MD optimization)."""
-        return ContiguousRegion(self, size, tag=tag)
-
 
 class HostMemory(Doors):
     """CPU-side memory pool for activation (Pa+cpu) and model-state offload.
@@ -257,10 +234,6 @@ class HostMemory(Doors):
     def free_bytes(self) -> int:
         return self.capacity - self.allocated_bytes
 
-    @property
-    def live_allocations(self) -> int:
-        return len(self._live)
-
     def reset_peak_stats(self) -> None:
         self.max_allocated_bytes = self.allocated_bytes
 
@@ -302,75 +275,3 @@ class HostMemory(Doors):
         if self.on_free:
             for sub in self.on_free:
                 sub._free(handle, size)
-
-
-@dataclass
-class _Slot:
-    offset: int
-    size: int
-
-
-class ContiguousRegion:
-    """Slab of device memory with an internal reset-style slot allocator.
-
-    MD copies long-lived tensors (gradients, activation checkpoints) into a
-    region like this as they are produced; the region is reused every
-    iteration via ``reset()``, so the general heap never sees their
-    lifetimes and cannot fragment around them.
-    """
-
-    def __init__(self, device: Device, size: int, *, tag: str = "md-region"):
-        # Bypass the cache: the region must be one *physical* extent.
-        self.device = device
-        self.extent = device.raw.alloc(size, tag)
-        self.size = self.extent.size
-        self._cursor = 0
-        self._live_slots: dict[int, _Slot] = {}
-        self._next_slot = 1
-        self.released = False
-
-    @property
-    def used_bytes(self) -> int:
-        return self._cursor
-
-    @property
-    def free_bytes(self) -> int:
-        return self.size - self._cursor
-
-    def alloc(self, size: int) -> int:
-        """Bump-allocate a slot inside the region; returns a slot handle."""
-        self._check_open()
-        if size <= 0:
-            raise ValueError(f"slot size must be positive, got {size}")
-        if self._cursor + size > self.size:
-            raise OutOfMemoryError(
-                size, self.free_bytes, self.free_bytes, device="md-region"
-            )
-        slot = _Slot(self._cursor, size)
-        self._cursor += size
-        handle = self._next_slot
-        self._next_slot += 1
-        self._live_slots[handle] = slot
-        return handle
-
-    def free_slot(self, handle: int) -> None:
-        """Mark a slot dead. Space is reclaimed only by ``reset()`` (bump style)."""
-        if self._live_slots.pop(handle, None) is None:
-            raise InvalidFreeError(f"md-region: slot {handle} is not live")
-
-    def reset(self) -> None:
-        """Recycle the whole region for the next iteration."""
-        self._check_open()
-        self._live_slots.clear()
-        self._cursor = 0
-
-    def release(self) -> None:
-        """Return the region to the device."""
-        if not self.released:
-            self.device.raw.free(self.extent)
-            self.released = True
-            self._live_slots.clear()
-
-    def _check_open(self) -> None:
-        if self.released:
-            raise InvalidFreeError("md-region: already released")

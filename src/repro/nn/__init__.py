@@ -12,12 +12,11 @@ from repro.nn.transformer import (
     TransformerBlock,
     UnitListener,
 )
-from repro.nn.checkpoint import ActivationStore, KeepStore
+from repro.nn.checkpoint import KeepStore
 from repro.nn.loss import CausalLMLoss, VocabParallelCausalLMLoss
 from repro.nn.generate import generate
 
 __all__ = [
-    "ActivationStore",
     "Cache",
     "CausalLMLoss",
     "VocabParallelCausalLMLoss",

@@ -146,9 +146,6 @@ class Embedding(Module):
         ids: Tensor = cache["ids"]
         return Tensor(ids.shape, ids.dtype, data=None, device=None, tag=f"{self.name}.dids")
 
-    def num_parameters(self) -> int:
-        return self.weight.size
-
 
 class LayerNorm(Module):
     """LayerNorm over the last axis with learnable gamma/beta."""

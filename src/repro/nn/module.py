@@ -31,9 +31,8 @@ from repro.utils.doors import Doors
 
 @dataclass
 class ExecutionContext:
-    """Per-forward-pass context: RNG for dropout/init replay, flags."""
+    """Per-forward-pass context: whether the pass is training."""
 
-    rng: np.random.Generator | None = None
     training: bool = True
 
 
@@ -233,9 +232,6 @@ class Module:
         yield self
         for m in self._modules.values():
             yield from m.modules()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self._flat_parameters())
 
     def zero_grad(self) -> None:
         for p in self._flat_parameters():

@@ -73,9 +73,6 @@ class FlatLayout:
         size = self.numel // n_partitions
         return index * size, (index + 1) * size
 
-    def partition_size(self, n_partitions: int) -> int:
-        return self.partition_bounds(n_partitions, 0)[1]
-
     def owner_segments(self, n_partitions: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
         """Split the flat range [lo, hi) into ``(owner_index, lo, hi)``
         pieces, one per equal partition the range crosses, in order."""
@@ -177,10 +174,6 @@ class FlatLayout:
             target[a - s.offset : b - s.offset] = flat_piece[a - lo : b - lo].astype(
                 p.grad.dtype
             )
-
-    def slots_in_range(self, lo: int, hi: int) -> list[ParamSlot]:
-        """Parameter slots overlapping the flat range [lo, hi)."""
-        return [self.slots[i] for i in self._overlapping(lo, hi)]
 
 
 @dataclass(frozen=True, slots=True)

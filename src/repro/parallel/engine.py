@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.memprof.provenance import category as memprof_category
-from repro.nn.loss import CausalLMLoss
 from repro.nn.module import ExecutionContext
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import AdamHyperparams
@@ -111,9 +110,7 @@ class BaseEngine:
         self.scaler = LossScaler(
             init_scale=self.config.loss_scale, dynamic=self.config.dynamic_loss_scale
         )
-        self.loss_head = (
-            model.make_loss_head() if hasattr(model, "make_loss_head") else CausalLMLoss()
-        )
+        self.loss_head = model.make_loss_head()
         if self.config.gradient_accumulation_steps < 1:
             raise ValueError("gradient_accumulation_steps must be >= 1")
         self.step_count = 0

@@ -105,30 +105,6 @@ class BuddyStore:
         self.publishes = 0
         self.digest_rejections = 0
 
-    # -- introspection (tests, benchmarks) ----------------------------------
-
-    def stored_steps(self, owner: int) -> tuple[int, ...]:
-        """Primary-history steps for ``owner`` (oldest first)."""
-        with self._lock:
-            return tuple(s.step for s in self._primary.get(owner, ()))
-
-    def replica_steps(self, owner: int) -> tuple[int, ...]:
-        with self._lock:
-            out = []
-            for by_owner in self._replicas.values():
-                out.extend(s.step for s in by_owner.get(owner, ()))
-            return tuple(sorted(out))
-
-    def total_stored_bytes(self) -> int:
-        """Bytes resident across every tier (primaries + redundancy)."""
-        with self._lock:
-            total = sum(s.nbytes for h in self._primary.values() for s in h)
-            for by_owner in self._replicas.values():
-                total += sum(s.nbytes for h in by_owner.values() for s in h)
-            for by_group in self._parity.values():
-                total += sum(b.nbytes for h in by_group.values() for b in h)
-            return total
-
     # -- the publish path (rank threads, via RedundancyManager) -------------
 
     def publish(self, snap: ShardSnapshot) -> None:

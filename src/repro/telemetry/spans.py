@@ -135,11 +135,10 @@ class Tracer:
         self.runtime_steps: dict[int, object] = {}
         self._stack: list[Span] = []
         self._open_steps = 0  # step spans on ``_stack``
-        #: (raw phase, op) -> (normalized phase, by-phase counter, by-op
-        #: counter); the counters are None without a registry.
+        #: (raw phase, op) -> (by-phase counter, by-op counter), both None
+        #: without a registry.
         self._comm_keys: dict[tuple[str, str], tuple] = {}
         self._comm_nominal_bytes = 0.0
-        self._comm_by_phase: dict[str, float] = {}
         self._comm_by_op: dict[str, float] = {}
         # Per-step accounting for the summary table; one slot per step span.
         self.step_durations: list[float] = []
@@ -294,10 +293,9 @@ class Tracer:
         keys = self._comm_keys.get((event.phase, op))
         if keys is None:
             keys = self._comm_keys[(event.phase, op)] = self._comm_key(event.phase, op)
-        phase, by_phase, by_op = keys
+        by_phase, by_op = keys
         nominal = event.nominal_bytes
         self._comm_nominal_bytes += nominal
-        self._comm_by_phase[phase] = self._comm_by_phase.get(phase, 0.0) + nominal
         self._comm_by_op[op] = self._comm_by_op.get(op, 0.0) + nominal
         if self.step_comm_bytes:
             self.step_comm_bytes[-1] += nominal
@@ -307,14 +305,14 @@ class Tracer:
             by_op.add(nominal)
 
     def _comm_key(self, raw_phase: str, op: str) -> tuple:
-        """What ``on_comm_event`` needs for one (phase, op): the
-        normalized phase and the two comm counters."""
-        phase = normalize_phase(raw_phase)
+        """The two comm counters ``on_comm_event`` adds one (phase, op)
+        event to, labelled by the normalized phase and the op."""
         if self.registry is None:
-            return phase, None, None
+            return None, None
         return (
-            phase,
-            self.registry.counter("comm_nominal_bytes", rank=self.rank, phase=phase),
+            self.registry.counter(
+                "comm_nominal_bytes", rank=self.rank, phase=normalize_phase(raw_phase)
+            ),
             self.registry.counter("comm_nominal_bytes_by_op", rank=self.rank, op=op),
         )
 
@@ -342,18 +340,5 @@ class Tracer:
 
     # -- analysis ------------------------------------------------------------
 
-    def comm_bytes_by_phase(self) -> dict[str, float]:
-        """Nominal bytes per phase, as seen through the ledger bridge —
-        equal to ``CommLedger.by_phase()`` for the bridged ledger."""
-        return dict(self._comm_by_phase)
-
     def comm_bytes_by_op(self) -> dict[str, float]:
         return dict(self._comm_by_op)
-
-    def phase_times(self) -> dict[str, float]:
-        """Total seconds per top-level phase (depth-1 spans), all steps."""
-        totals: dict[str, float] = {}
-        for per_step in self.step_phase_s:
-            for name, dur in per_step.items():
-                totals[name] = totals.get(name, 0.0) + dur
-        return totals

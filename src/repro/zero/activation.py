@@ -18,8 +18,9 @@ the shard is a ``Tensor`` on that tier's pool (``ctx.device`` or
 (``d2h`` "activation-offload") and copied back up (``h2d``
 "activation-fetch") to be gathered.
 
-These classes implement the ``ActivationStore`` protocol consumed by
-``GPT2Model(checkpoint_activations=True, activation_store=...)``.
+These classes have the store interface that ``nn.checkpoint.KeepStore``
+documents, consumed by ``GPT2Model(checkpoint_activations=True,
+activation_store=...)``.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.hardware.specs import GPUSpec
+from repro.memprof.provenance import profiling_active
 from repro.nn.transformer import GPTConfig
 
 # Per-test wall-clock budgets for the deadlock guard (seconds).
@@ -114,6 +115,15 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def _no_profiler_left_attached():
+    """Fail a test that leaves a ``MemoryProfiler`` attached: it would
+    switch memprof's hot paths on for every later test."""
+    yield
+    assert not profiling_active(), "a MemoryProfiler is still attached after this test"
+
 
 # A small simulated GPU so tests exercise real capacity limits fast.
 TEST_GPU = GPUSpec(name="test-gpu", memory_bytes=2 * 10**9, peak_flops=1e12)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.specs import GPUSpec
-from repro.memsim.device import ContiguousRegion, Device, HostMemory
+from repro.memsim.device import Device, HostMemory
 from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemoryError
 
 MB = 1024 * 1024
@@ -72,37 +72,6 @@ def test_host_oom_and_double_free():
         h.free(handle)
 
 
-class TestContiguousRegion:
-    def test_bump_alloc_and_reset(self):
-        d = Device(SPEC)
-        r = d.preallocate_region(8 * MB)
-        h1 = r.alloc(3 * MB)
-        r.alloc(3 * MB)
-        assert r.used_bytes == 6 * MB
-        with pytest.raises(OutOfMemoryError):
-            r.alloc(3 * MB)
-        r.free_slot(h1)
-        r.reset()
-        assert r.used_bytes == 0
-        r.alloc(8 * MB)  # full region reusable after reset
-        r.release()
-
-    def test_release_returns_memory(self):
-        d = Device(SPEC)
-        before = d.raw.allocated_bytes
-        r = d.preallocate_region(8 * MB)
-        assert d.raw.allocated_bytes == before + 8 * MB
-        r.release()
-        assert d.raw.allocated_bytes == before
-
-    def test_use_after_release_raises(self):
-        d = Device(SPEC)
-        r = d.preallocate_region(1 * MB)
-        r.release()
-        with pytest.raises(InvalidFreeError):
-            r.alloc(1)
-
-
 class TestMemoryDefrag:
     """ZeRO-R MD: long-lived tensors routed into a dedicated region."""
 
@@ -156,11 +125,6 @@ class TestMemoryDefrag:
             d.free(grad)
             d.free(act)
         assert asked == ["w.grad", "act"]  # once per tag string, not per call
-        d.disable_defrag()
-        assert d.alloc(1000, tag="w.grad").pool == "main"  # no region, no routing
-        d.enable_defrag(1 * MB, lambda tag: tag == "act")
-        assert d.alloc(1000, tag="w.grad").pool == "main"
-        assert d.alloc(1000, tag="act").pool == "md"
 
     def test_md_prevents_fragmentation_oom(self):
         """The Section 6.3 scenario: interleaved short/long lifetimes
@@ -190,16 +154,6 @@ class TestMemoryDefrag:
 
         assert run(with_md=False) is False
         assert run(with_md=True) is True
-
-    def test_disable_defrag_requires_empty_region(self):
-        d = Device(SPEC)
-        d.enable_defrag(1 * MB, lambda tag: tag == "x")
-        e = d.alloc(1000, tag="x")
-        with pytest.raises(ValueError):
-            d.disable_defrag()
-        d.free(e)
-        d.disable_defrag()
-        assert d.md_region_bytes == 0
 
     def test_double_enable_rejected(self):
         d = Device(SPEC)

@@ -31,9 +31,6 @@ def test_rank_to_node_mapping():
     assert topo.node_of(0) == 0
     assert topo.node_of(15) == 0
     assert topo.node_of(16) == 1
-    assert topo.local_rank(17) == 1
-    assert topo.same_node(0, 15)
-    assert not topo.same_node(15, 16)
 
 
 def test_rank_bounds_checked():

@@ -222,7 +222,7 @@ def test_tier_stream_custom_lanes_record_in_ledger():
     with pytest.raises(ValueError):
         st.copy_async(10, "d2h")  # not this stream's lanes
     st.reset()
-    assert st.handles == [] and st.lane_free_t("nvme-out") == 0.0
+    assert st.handles == [] and st.copy_async(100, "nvme-out", submit_t=0.0).start_t == 0.0
 
 
 # -- memory-centric tiling ----------------------------------------------------

@@ -153,6 +153,18 @@ class TestProvenance:
         assert memprof.classify_tag("adam-master", "") == "optimizer_state"
         assert memprof.classify_tag("x", "forward") == "activation"
 
+    def test_a_later_profiler_starts_from_no_phase(self):
+        """A phase set under a profiler that has since detached does not
+        classify a later profiler's first unscoped allocations."""
+        device = tiny_device()
+        with MemoryProfiler(device):
+            memprof.set_phase("forward")
+        with MemoryProfiler(device) as prof:
+            e = device.alloc(4 * MB, tag="x")
+            [row] = prof.live_blocks()
+            assert row["category"] == "temp"
+            device.free(e)
+
     def test_host_pool_provenance(self):
         host = HostMemory(64 * MB, name="host-test")
         with MemoryProfiler(host, self_check=True) as prof:

@@ -88,7 +88,7 @@ class TestGPTModel:
     def test_param_count_matches_config(self):
         rng = np.random.default_rng(0)
         model = GPT2Model(CFG, dtype=np.float32, rng=rng)
-        assert model.num_parameters() == CFG.total_params
+        assert sum(p.size for p in model.parameters()) == CFG.total_params
 
     def test_block_params_formula(self):
         # ~12 h^2 per block (the paper's sizing rule).

@@ -177,14 +177,12 @@ def test_stream_serializes_per_lane_and_is_full_duplex():
     c = st.copy_async(100, "h2d", submit_t=0.0)  # opposite lane: no contention
     assert (a.start_t, a.done_t) == (0.0, 2.0)
     assert (b.start_t, b.done_t) == (2.0, 4.0)
-    assert b.queued_s == 1.5 and b.wire_s == 2.0
+    assert b.start_t - b.submit_t == 1.5 and b.wire_s == 2.0
     assert (c.start_t, c.done_t) == (0.0, 2.0)
-    assert st.synchronize([a, c], at=0.0) == 2.0
-    assert st.synchronize(at=3.0) == 4.0  # everything, from a later clock
     assert st.lane_busy_s("d2h") == 4.0
-    assert st.lane_free_t("h2d") == 2.0
+    assert st.copy_async(100, "h2d", submit_t=0.0).start_t == 2.0  # behind c
     st.reset()
-    assert st.handles == [] and st.lane_free_t("d2h") == 0.0
+    assert st.handles == [] and st.copy_async(100, "d2h", submit_t=0.0).start_t == 0.0
 
 
 def test_stream_records_traffic_in_comm_ledger():
@@ -212,7 +210,7 @@ def test_host_pool_stats_and_oom():
     host = HostMemory(100, name="test-host")
     handle = host.alloc(60, "opt")
     assert host.allocated_bytes == 60 and host.free_bytes == 40
-    assert host.live_allocations == 1 and host.alloc_count == 1
+    assert host.alloc_count == 1 and host.free_count == 0
     with pytest.raises(OutOfMemoryError):
         host.alloc(50, "too-big")
     host.free(handle)

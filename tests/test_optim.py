@@ -188,9 +188,11 @@ class TestFlatLayout:
 
     def test_slots_in_range(self):
         layout = FlatLayout(self.make_params())
-        names = [s.name for s in layout.slots_in_range(4, 9)]
-        assert names == ["p0", "p1", "p2"]
-        assert [s.name for s in layout.slots_in_range(5, 8)] == ["p1"]
+        def names(lo, hi):
+            return [layout.slots[i].name for i in layout._overlapping(lo, hi)]
+
+        assert names(4, 9) == ["p0", "p1", "p2"]
+        assert names(5, 8) == ["p1"]
 
     def test_duplicate_names_rejected(self):
         p = make_param("same", (2,), init="zeros")

@@ -1,0 +1,238 @@
+"""A public surface with callers: every public top-level function or class
+in ``src/repro``, and every public method or property of a top-level
+class, is referenced by code outside ``tests/`` or has an entry in
+``PUBLIC_API`` saying why it stays and where it is documented."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+#: where a reference counts; tests never do
+CALLER_DIRS = ("src", "examples", "benchmarks", "tools")
+DOCS = (ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md")
+
+#: why a name may stay without a caller
+REASONS = {
+    "oracle": "a reference implementation that tests compare against",
+    "checker": "a validator or invariant check that tests and users run",
+    "fault-api": "a fault a test or a user injects",
+    "documented": "a README snippet calls it",
+    "decided-later": "an open ROADMAP item decides its fate",
+    "observation": "a kept test needs it to observe kept behaviour",
+}
+
+#: qualified name (relative to ``repro``) -> (reason, README or
+#: ARCHITECTURE heading that documents it)
+PUBLIC_API = {
+    "optim.adam.Adam": ("oracle", "What's implemented"),
+    "memprof.stats.validate_snapshot": ("checker", "Telemetry bridge"),
+    "telemetry.export.validate_metrics_jsonl": (
+        "checker", "Metrics (`telemetry.metrics`) and exporters (`telemetry.export`)"),
+    "memsim.block_allocator.BlockAllocator.check_invariants": ("checker", "2. Memory accounting"),
+    "comm.faults.FaultPlan.fail_randomly": ("fault-api", "Fault injection (`comm.faults`)"),
+    "comm.faults.FaultPlan.flip_bits": (
+        "fault-api", "Corruption taxonomy and injection (`comm/faults.py`)"),
+    "telemetry.session.TelemetrySession.write_metrics_jsonl": (
+        "documented", "Telemetry: trace any run"),
+    "parallel.pipeline.GPipeEngine": ("decided-later", "5. Engines"),
+    "parallel.pipeline.GPipeEngine.local_param_count": ("decided-later", "5. Engines"),
+    "obs.exporters.write_stitched_chrome_trace": ("decided-later", "Exporters (`obs.exporters`)"),
+    # Only their own tests call these; the ROADMAP item "The test-only
+    # names" deletes them with those tests, a few tests per change.
+    "optim.adam.SGD": ("decided-later", "What's implemented"),
+    "optim.lr_schedule.ConstantLR": ("decided-later", "What's implemented"),
+    "optim.lr_schedule.WarmupLinearDecay": ("decided-later", "What's implemented"),
+    "utils.units.bytes_to_gb": ("decided-later", "What's implemented"),
+    "utils.units.gb_to_bytes": ("decided-later", "What's implemented"),
+    "utils.units.params_to_str": ("decided-later", "What's implemented"),
+    "utils.units.flops_to_str": ("decided-later", "What's implemented"),
+    "tensor.functional.cast": ("decided-later", "Numerics contract"),
+    "tensor.functional.mul": ("decided-later", "Numerics contract"),
+    "tensor.functional.slice_last": ("decided-later", "Numerics contract"),
+    "tensor.functional.dropout": ("decided-later", "Numerics contract"),
+    "tensor.functional.dropout_grad": ("decided-later", "Numerics contract"),
+    "tensor.tensor.Tensor.like": ("decided-later", "4. Real vs meta execution"),
+    "hardware.topology.ClusterTopology.dp_groups": ("decided-later", "6. Performance modelling"),
+    "hardware.topology.ClusterTopology.mp_groups": ("decided-later", "6. Performance modelling"),
+    "comm.costmodel.CommCostModel.total_time": ("decided-later", "6. Performance modelling"),
+    "integrity.digest.combine_digests": (
+        "decided-later", "Detection (`IntegrityAuditor`, enabled via `ZeROConfig(audit_cadence=N)`)"),
+    "restart.kind_from_instant": (
+        "decided-later", "The fast path (`redundancy.recovery`, `supervisor`)"),
+    "restart.kind_from_counter": (
+        "decided-later", "The fast path (`redundancy.recovery`, `supervisor`)"),
+    "tensor.tensor.Tensor.freed": ("observation", "3. The NN framework's ownership contract"),
+    "memsim.timeline.MemoryTimeline.peak_allocated": ("observation", "2. Memory accounting"),
+    "memprof.provenance.current_phase": ("observation", "Provenance: who owns every byte"),
+    "memprof.provenance.profiling_active": ("observation", "Provenance: who owns every byte"),
+    "optim.decay.default_weight_decay_filter": ("observation", "What's implemented"),
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def definitions(modules: dict[str, str]) -> dict[str, str]:
+    """Qualified name -> bare name for each public top-level function or
+    class and each public method or property of a top-level class, given
+    ``{dotted module: source}``."""
+    found = {}
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not _public(node.name):
+                continue
+            found[f"{module}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(member.name):
+                        found[f"{module}.{node.name}.{member.name}"] = member.name
+    return found
+
+
+def _ignored_strings(tree) -> set[int]:
+    """ids of the string constants that are no reference: what an
+    ``__all__`` assignment holds, and a ``def`` line's default equal to
+    its own name (``def cast(x, dtype, tag="cast")``)."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            ids.update(id(c) for c in ast.walk(node.args)
+                       if isinstance(c, ast.Constant) and c.value == node.name)
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            ids.update(id(c) for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return ids
+
+
+def references(sources: dict[str, str]) -> set[str]:
+    """Every name that ``{filename: source}`` refers to: a name, an
+    attribute, a ``from``-import outside an ``__init__.py``, or a string
+    constant equal to the name or ending in ``.<name>``. ``__all__``
+    strings and package re-exports never count."""
+    names = set()
+    for filename, source in sources.items():
+        tree = ast.parse(source)
+        skip = _ignored_strings(tree)
+        in_init = Path(filename).name == "__init__.py"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and not in_init:
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
+                names.add(node.value.rsplit(".", 1)[-1])
+    return names
+
+
+def uncalled(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Qualified names that nothing in ``sources`` refers to."""
+    refs = references(sources)
+    return sorted(q for q, name in definitions(modules).items() if name not in refs)
+
+
+def _modules() -> dict[str, str]:
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path.read_text()
+    return out
+
+
+def _callers() -> dict[str, str]:
+    return {
+        str(path.relative_to(ROOT)): path.read_text()
+        for d in CALLER_DIRS for path in sorted((ROOT / d).rglob("*.py"))
+    }
+
+
+def _headings() -> set[str]:
+    return {
+        re.sub(r"^#+\s*", "", line).strip()
+        for doc in DOCS for line in doc.read_text().splitlines() if line.startswith("#")
+    }
+
+
+def test_every_public_name_has_a_caller_or_an_entry():
+    assert sorted(set(uncalled(_modules(), _callers())) - set(PUBLIC_API)) == []
+
+
+def test_no_entry_is_stale():
+    """An entry whose name now has a caller, or no longer exists, goes."""
+    modules = _modules()
+    assert sorted(set(PUBLIC_API) - set(definitions(modules))) == []
+    assert sorted(set(PUBLIC_API) - set(uncalled(modules, _callers()))) == []
+
+
+def test_every_entry_names_a_reason_and_a_heading():
+    headings = _headings()
+    for qualified, (reason, heading) in PUBLIC_API.items():
+        assert reason in REASONS, qualified
+        assert heading in headings, (qualified, heading)
+
+
+def test_every_all_entry_resolves():
+    for module, source in _modules().items():
+        tree = ast.parse(source)
+        exported = [
+            c.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+        ]
+        package = f"repro.{module}" if module else "repro"
+        mod = importlib.import_module(package)
+        for name in exported:
+            assert hasattr(mod, name), f"{package}.{name}"
+
+
+def test_the_guard_flags_a_caller_less_name():
+    """A re-export, an ``__all__`` string and a ``def`` line's own-name
+    default are no callers; a name, an attribute, a ``from``-import and a
+    dotted string are."""
+    modules = {
+        "pkg": "from .mod import used, unused\n__all__ = ['used', 'unused']\n",
+        "pkg.mod": '''
+def used(): pass
+def unused(tag="unused"): pass
+class Store:
+    def put(self): pass
+    def drop(self): pass
+    def _private(self): pass
+    @property
+    def size(self): return 0
+def by_string(): pass
+''',
+    }
+    sources = {
+        "src/pkg/__init__.py": modules["pkg"],
+        "src/pkg/mod.py": modules["pkg.mod"],
+        "tools/run.py": '''
+from pkg.mod import used
+s = Store()
+s.put(); s.size
+getattr(s, "mod.by_string")
+''',
+    }
+    assert uncalled(modules, sources) == ["pkg.mod.Store.drop", "pkg.mod.unused"]
+
+
+def test_every_experiment_runner_is_exported():
+    """``repro.experiments`` serves its runners lazily, by ``__all__``."""
+    import repro.experiments as experiments
+
+    runners = {
+        path.stem for path in (SRC / "experiments").glob("*.py")
+        if {"run", "render"} <= set(definitions({path.stem: path.read_text()}).values())
+    }
+    assert runners <= set(experiments.__all__)
+    assert experiments.infinity_sweep.run

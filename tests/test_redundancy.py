@@ -443,16 +443,18 @@ class TestBuddyStore:
 
         Cluster(2, gpu=GPU, timeout_s=15.0, redundancy=store).run(fn)
         for owner in (0, 1):
-            assert store.stored_steps(owner) == (2, 4)
-            assert store.replica_steps(owner) == (2, 4)
+            assert tuple(s.step for s in store._primary[owner]) == (2, 4)
+            assert sorted(
+                s.step for by_owner in store._replicas.values() for s in by_owner.get(owner, ())
+            ) == [2, 4]
 
     def test_world_change_invalidates_stale_snapshots(self):
         store = BuddyStore(RedundancyConfig())
         for owner in range(3):
             store.publish(_snap(owner, 3, 1, value=owner, numel=12))
         store.publish(_snap(0, 2, 1, value=9, numel=12))  # re-bound world
-        assert store.stored_steps(1) == ()
-        assert store.stored_steps(0) == (1,)
+        assert not store._primary.get(1)
+        assert [s.step for s in store._primary[0]] == [1]
 
 
 # -- buddies and checkpoints are one restore path ------------------------------
