@@ -39,6 +39,10 @@ class FabricAbortedError(RuntimeError):
     """A peer rank failed; this rank's pending rendezvous was aborted."""
 
 
+#: what ``abort()`` puts in every mailbox to wake a rank blocked in ``recv``
+_ABORTED = object()
+
+
 class Fabric:
     """Shared state for one world of ``world_size`` rank-threads.
 
@@ -80,11 +84,15 @@ class Fabric:
             return rv
 
     def abort(self) -> None:
-        """Break every rendezvous so all blocked ranks raise promptly."""
+        """Break every rendezvous and wake every mailbox so all blocked
+        ranks raise promptly."""
         self._aborted = True
         with self._rendezvous_lock:
             for rv in self._rendezvous.values():
                 rv.abort()
+        with self._mailbox_lock:
+            for box in self._mailboxes.values():
+                box.put(_ABORTED)
 
     def _release_payloads(self) -> None:
         """Drop every payload reference the fabric still holds: the two
@@ -116,8 +124,10 @@ class Fabric:
         self._mailbox(src, dst, tag).put(payload)
 
     def recv(self, src: int, dst: int, tag: Any = 0) -> Any:
+        box = self._mailbox(src, dst, tag)
         try:
-            return self._mailbox(src, dst, tag).get(timeout=self.timeout_s)
+            # A mailbox made after an abort holds no wake-up: check on entry.
+            payload = _ABORTED if self._aborted else box.get(timeout=self.timeout_s)
         except queue.Empty:
             # A lost message means the sender is gone or the link is dead:
             # abort the whole fabric so peers blocked in rendezvous fail
@@ -126,6 +136,12 @@ class Fabric:
             raise FabricAbortedError(
                 f"recv timed out: rank {dst} waiting on rank {src} tag {tag!r}"
             ) from None
+        if payload is _ABORTED:
+            raise FabricAbortedError(
+                f"recv aborted: rank {dst} waiting on rank {src} tag {tag!r} "
+                "(a peer failed or timed out)"
+            )
+        return payload
 
 
 class _Rendezvous:

@@ -19,7 +19,7 @@ from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.nn.module import ExecutionContext
 from repro.nn.checkpoint import KeepStore
-from repro.parallel.megatron import ParallelGPT2Model
+from repro.nn.transformer import GPT2Model
 from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
 from repro.zero.activation import PartitionedCPUStore, PartitionedStore
@@ -53,8 +53,8 @@ def measure(store_kind: str) -> Sec8Result:
             "pa+cpu": lambda: PartitionedCPUStore(ctx.world, ctx),
         }[store_kind]()
         rng = np.random.default_rng(0)
-        model = ParallelGPT2Model(
-            CFG, ctx.world, ctx.rank, dtype=np.float32, rng=rng, device=ctx.device,
+        model = GPT2Model(
+            CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float32, rng=rng, device=ctx.device,
             checkpoint_activations=True, activation_store=store,
         )
         loss_head = model.make_loss_head()

@@ -1,7 +1,14 @@
 """Manual-backprop NN framework: modules, layers, transformer, checkpointing."""
 
 from repro.nn.module import Cache, ExecutionContext, Module, Parameter
-from repro.nn.layers import Embedding, LayerNorm, Linear, make_param
+from repro.nn.layers import (
+    ColumnParallelLinear,
+    Embedding,
+    LayerNorm,
+    Linear,
+    RowParallelLinear,
+    make_param,
+)
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.transformer import (
     MLP,
@@ -19,6 +26,7 @@ from repro.nn.generate import generate
 __all__ = [
     "Cache",
     "CausalLMLoss",
+    "ColumnParallelLinear",
     "VocabParallelCausalLMLoss",
     "generate",
     "Embedding",
@@ -35,6 +43,7 @@ __all__ = [
     "Module",
     "MultiHeadAttention",
     "Parameter",
+    "RowParallelLinear",
     "TransformerBlock",
     "make_param",
 ]

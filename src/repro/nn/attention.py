@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from repro.memsim.device import Device
-from repro.nn.layers import Linear
+from repro.comm.group import ProcessGroup
+from repro.nn.layers import ColumnParallelLinear, Linear, RowParallelLinear
 from repro.nn.module import Cache, ExecutionContext, Module
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
@@ -22,7 +23,14 @@ _QKV_PERM_INV = (1, 3, 0, 2, 4)
 
 class MultiHeadAttention(Module):
     """Fused-QKV attention: qkv projection, scaled dot product, causal mask,
-    softmax, value aggregation, output projection."""
+    softmax, value aggregation, output projection.
+
+    With an ``mp_group`` the heads are split across it (Megatron): QKV is
+    column-parallel with its rows picked per head, so this rank's heads are
+    contiguous, and the output projection is row-parallel. ``n_heads`` and
+    ``hidden`` then describe the *local* slice; the input keeps the full
+    hidden, and the merged heads are ``n_heads * head_dim`` wide.
+    """
 
     def __init__(
         self,
@@ -30,6 +38,8 @@ class MultiHeadAttention(Module):
         hidden: int,
         n_heads: int,
         *,
+        mp_group: ProcessGroup | None = None,
+        rank: int = 0,
         dtype=np.float16,
         device: Device | None = None,
         rng: np.random.Generator | None = None,
@@ -37,23 +47,30 @@ class MultiHeadAttention(Module):
         meta: bool = False,
     ):
         super().__init__(name)
-        if hidden % n_heads:
-            raise ValueError(f"hidden {hidden} not divisible by n_heads {n_heads}")
-        self.hidden = hidden
-        self.n_heads = n_heads
+        n = 1 if mp_group is None else mp_group.size
+        if hidden % n_heads or n_heads % n:
+            raise ValueError(
+                f"{name}: hidden {hidden} must divide by heads {n_heads} and heads by MP {n}"
+            )
+        self.hidden = hidden // n
+        self.n_heads = n_heads // n
         self.head_dim = hidden // n_heads
-        self.qkv = self.register_module(
-            Linear(
-                f"{name}.qkv", hidden, 3 * hidden,
-                dtype=dtype, device=device, rng=rng, init_std=init_std, meta=meta,
-            )
-        )
-        self.proj = self.register_module(
-            Linear(
-                f"{name}.proj", hidden, hidden,
-                dtype=dtype, device=device, rng=rng, init_std=init_std, meta=meta,
-            )
-        )
+        common = dict(dtype=dtype, device=device, rng=rng, init_std=init_std, meta=meta)
+        if mp_group is None:
+            qkv = Linear(f"{name}.qkv", hidden, 3 * hidden, **common)
+            proj = Linear(f"{name}.proj", hidden, hidden, **common)
+        else:
+            # Serial qkv weight rows are laid out (3, n_heads, head_dim):
+            # pick this rank's heads within each of q, k and v.
+            idx = mp_group.group_index(rank)
+            cols = np.arange(idx * self.hidden, (idx + 1) * self.hidden)
+            rows = np.concatenate([c * hidden + cols for c in range(3)])
+            qkv = ColumnParallelLinear(f"{name}.qkv", hidden, 3 * hidden, mp_group, rank,
+                                       row_indices=rows, **common)
+            proj = RowParallelLinear(f"{name}.proj", hidden, hidden, mp_group, rank,
+                                     col_indices=cols, **common)
+        self.qkv = self.register_module(qkv)
+        self.proj = self.register_module(proj)
 
     def forward(self, x: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
         b, s, _ = x.shape

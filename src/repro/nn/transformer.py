@@ -21,10 +21,13 @@ from typing import Protocol
 
 import numpy as np
 
+from repro.comm.group import ProcessGroup
 from repro.memprof.provenance import category as memprof_category
 from repro.memsim.device import Device
 from repro.nn.attention import MultiHeadAttention
-from repro.nn.layers import Embedding, LayerNorm, Linear
+from repro.nn.layers import (
+    ColumnParallelLinear, Embedding, LayerNorm, Linear, RowParallelLinear,
+)
 from repro.nn.module import Cache, ExecutionContext, Module
 from repro.nn.tape import BlockTape, ForwardTape
 from repro.tensor import functional as F
@@ -57,13 +60,16 @@ def _recompute_backward(block: Module, x: Tensor, dh: Tensor, ctx: ExecutionCont
 
 
 class MLP(Module):
-    """fc1 -> GELU -> fc2 with the GPT-2 4x expansion."""
+    """fc1 -> GELU -> fc2 with the GPT-2 4x expansion; with an ``mp_group``,
+    fc1 is column-parallel and fc2 row-parallel (the Megatron MLP split)."""
 
     def __init__(
         self,
         name: str,
         hidden: int,
         *,
+        mp_group: ProcessGroup | None = None,
+        rank: int = 0,
         expansion: int = 4,
         dtype=np.float16,
         device: Device | None = None,
@@ -73,14 +79,15 @@ class MLP(Module):
     ):
         super().__init__(name)
         inner = expansion * hidden
-        self.fc1 = self.register_module(
-            Linear(f"{name}.fc1", hidden, inner, dtype=dtype, device=device,
-                   rng=rng, init_std=init_std, meta=meta)
-        )
-        self.fc2 = self.register_module(
-            Linear(f"{name}.fc2", inner, hidden, dtype=dtype, device=device,
-                   rng=rng, init_std=init_std, meta=meta)
-        )
+        common = dict(dtype=dtype, device=device, rng=rng, init_std=init_std, meta=meta)
+        if mp_group is None:
+            fc1 = Linear(f"{name}.fc1", hidden, inner, **common)
+            fc2 = Linear(f"{name}.fc2", inner, hidden, **common)
+        else:
+            fc1 = ColumnParallelLinear(f"{name}.fc1", hidden, inner, mp_group, rank, **common)
+            fc2 = RowParallelLinear(f"{name}.fc2", inner, hidden, mp_group, rank, **common)
+        self.fc1 = self.register_module(fc1)
+        self.fc2 = self.register_module(fc2)
 
     def forward(self, x: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
         h1, c1 = self.fc1.forward(x, ctx)
@@ -102,7 +109,9 @@ class MLP(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: x + attn(ln1(x)), then x + mlp(ln2(x))."""
+    """Pre-norm block: x + attn(ln1(x)), then x + mlp(ln2(x)). With an
+    ``mp_group`` the attention and MLP are split across it and the layer
+    norms are replicated."""
 
     def __init__(
         self,
@@ -110,6 +119,8 @@ class TransformerBlock(Module):
         hidden: int,
         n_heads: int,
         *,
+        mp_group: ProcessGroup | None = None,
+        rank: int = 0,
         dtype=np.float16,
         device: Device | None = None,
         rng: np.random.Generator | None = None,
@@ -118,20 +129,18 @@ class TransformerBlock(Module):
     ):
         super().__init__(name)
         self.hidden = hidden
+        common = dict(mp_group=mp_group, rank=rank, dtype=dtype, device=device,
+                      rng=rng, init_std=init_std, meta=meta)
         self.ln1 = self.register_module(
             LayerNorm(f"{name}.ln1", hidden, dtype=dtype, device=device, meta=meta)
         )
         self.attn = self.register_module(
-            MultiHeadAttention(f"{name}.attn", hidden, n_heads, dtype=dtype,
-                               device=device, rng=rng, init_std=init_std, meta=meta)
+            MultiHeadAttention(f"{name}.attn", hidden, n_heads, **common)
         )
         self.ln2 = self.register_module(
             LayerNorm(f"{name}.ln2", hidden, dtype=dtype, device=device, meta=meta)
         )
-        self.mlp = self.register_module(
-            MLP(f"{name}.mlp", hidden, dtype=dtype, device=device, rng=rng,
-                init_std=init_std, meta=meta)
-        )
+        self.mlp = self.register_module(MLP(f"{name}.mlp", hidden, **common))
 
     def forward(self, x: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
         n1, c_ln1 = self.ln1.forward(x, ctx)
@@ -221,7 +230,15 @@ class EmbeddingUnit(Module):
 
 
 class HeadUnit(Module):
-    """Final LayerNorm + (untied) LM head projecting to the vocabulary."""
+    """Final LayerNorm + (untied) LM head projecting to the vocabulary.
+
+    With an ``mp_group`` the LN is replicated and the LM head is
+    vocabulary-sharded: the vocabulary is padded up to a multiple of the MP
+    degree (Megatron's ``make_vocab_size_divisible_by``), each rank projects
+    to its V/Nm slice and the loss is computed vocab-parallel, so the
+    (B,S,V) logits never materialize in full — essential for the paper's
+    mp=16, V=50K models to fit.
+    """
 
     def __init__(
         self,
@@ -229,6 +246,8 @@ class HeadUnit(Module):
         hidden: int,
         vocab_size: int,
         *,
+        mp_group: ProcessGroup | None = None,
+        rank: int = 0,
         dtype=np.float16,
         device: Device | None = None,
         rng: np.random.Generator | None = None,
@@ -236,13 +255,19 @@ class HeadUnit(Module):
         meta: bool = False,
     ):
         super().__init__(name)
+        n = 1 if mp_group is None else mp_group.size
+        self.padded_vocab = -(-vocab_size // n) * n
         self.ln_f = self.register_module(
             LayerNorm(f"{name}.ln_f", hidden, dtype=dtype, device=device, meta=meta)
         )
-        self.lm_head = self.register_module(
-            Linear(f"{name}.lm_head", hidden, vocab_size, bias=False, dtype=dtype,
-                   device=device, rng=rng, init_std=init_std, meta=meta)
-        )
+        common = dict(bias=False, dtype=dtype, device=device, rng=rng,
+                      init_std=init_std, meta=meta)
+        if mp_group is None:
+            lm_head = Linear(f"{name}.lm_head", hidden, self.padded_vocab, **common)
+        else:
+            lm_head = ColumnParallelLinear(f"{name}.lm_head", hidden, self.padded_vocab,
+                                           mp_group, rank, **common)
+        self.lm_head = self.register_module(lm_head)
 
     def forward(self, h: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
         hn, c_ln = self.ln_f.forward(h, ctx)
@@ -311,12 +336,20 @@ class GPT2Model(Module):
     ``unit_listener`` (if set) brackets every unit's forward, backward, and
     checkpoint recomputation — ZeRO stage 3 uses it to all-gather the
     unit's partitioned parameters before use and free them after.
+
+    ``mp_group`` splits every block and the LM head across a Megatron
+    tensor-parallel group, of which this is rank ``rank``; a group of one
+    rank is no MP. Embeddings stay replicated (Megatron proper shards the
+    input embedding too, saving another V x h x 2 bytes per rank; see
+    DESIGN.md substitutions), and the loss is vocab-parallel.
     """
 
     def __init__(
         self,
         config: GPTConfig,
         *,
+        mp_group: ProcessGroup | None = None,
+        rank: int = 0,
         dtype=np.float16,
         device: Device | None = None,
         rng: np.random.Generator | None = None,
@@ -328,26 +361,26 @@ class GPT2Model(Module):
         super().__init__(name)
         self.config = config
         self.dtype = np.dtype(dtype)
+        if mp_group is not None and mp_group.size == 1:
+            mp_group = None
+        self.mp_group, self._rank = mp_group, rank
+        common = dict(dtype=dtype, device=device, rng=rng,
+                      init_std=config.init_std, meta=meta)
         with memprof_category("param_fp16", site=name):
             self.embedding = self.register_module(
                 EmbeddingUnit(f"{name}.emb", config.vocab_size, config.max_seq_len,
-                              config.hidden, dtype=dtype, device=device, rng=rng,
-                              init_std=config.init_std, meta=meta)
+                              config.hidden, **common)
             )
             self.blocks = [
                 self.register_module(
-                    TransformerBlock(
-                        f"{name}.h{i}", config.hidden, config.n_heads,
-                        dtype=dtype, device=device, rng=rng,
-                        init_std=config.init_std, meta=meta,
-                    )
+                    TransformerBlock(f"{name}.h{i}", config.hidden, config.n_heads,
+                                     mp_group=mp_group, rank=rank, **common)
                 )
                 for i in range(config.n_layers)
             ]
             self.head = self.register_module(
                 HeadUnit(f"{name}.head", config.hidden, config.vocab_size,
-                         dtype=dtype, device=device, rng=rng,
-                         init_std=config.init_std, meta=meta)
+                         mp_group=mp_group, rank=rank, **common)
             )
         self.checkpoint_activations = checkpoint_activations
         if activation_store is None:
@@ -364,10 +397,13 @@ class GPT2Model(Module):
         return [self.embedding, *self.blocks, self.head]
 
     def make_loss_head(self):
-        """The loss matching this model's logits layout (full vocabulary)."""
-        from repro.nn.loss import CausalLMLoss
+        """The loss matching this model's logits layout: full vocabulary,
+        or vocab-parallel cross entropy over an MP-sharded LM head."""
+        from repro.nn.loss import CausalLMLoss, VocabParallelCausalLMLoss
 
-        return CausalLMLoss()
+        if self.mp_group is None:
+            return CausalLMLoss()
+        return VocabParallelCausalLMLoss(self.mp_group, self._rank)
 
     def forward(self, token_ids: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
         """token_ids: (B, S) ints -> logits (B, S, V)."""

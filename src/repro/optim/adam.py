@@ -111,23 +111,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.zero_grad()
-
-
-class SGD:
-    """Plain SGD baseline (no extra optimizer state, K = 0)."""
-
-    def __init__(self, parameters, lr: float = 0.1):
-        self.parameters = list(parameters)
-        self.lr = lr
-
-    def step(self) -> None:
-        for p in self.parameters:
-            if p.grad is None or p.data.is_meta:
-                continue
-            p.data.data = (
-                p.data.data.astype(np.float32) - self.lr * p.grad.data.astype(np.float32)
-            ).astype(p.data.dtype)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()

@@ -15,44 +15,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ConstantLR:
-    value: float
-
-    def lr(self, step: int) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class WarmupLinearDecay:
-    """Linear ramp to ``peak_lr`` over ``warmup_steps``, then linear decay
-    to ``min_lr`` at ``total_steps`` (clamped afterwards)."""
-
-    peak_lr: float
-    warmup_steps: int
-    total_steps: int
-    min_lr: float = 0.0
-
-    def __post_init__(self):
-        if self.warmup_steps < 0 or self.total_steps <= self.warmup_steps:
-            raise ValueError(
-                f"need 0 <= warmup_steps < total_steps, got "
-                f"{self.warmup_steps} / {self.total_steps}"
-            )
-        if not 0 <= self.min_lr <= self.peak_lr:
-            raise ValueError("need 0 <= min_lr <= peak_lr")
-
-    def lr(self, step: int) -> float:
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
-        if self.warmup_steps and step <= self.warmup_steps:
-            return self.peak_lr * step / self.warmup_steps
-        if step >= self.total_steps:
-            return self.min_lr
-        frac = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
-        return self.peak_lr + (self.min_lr - self.peak_lr) * frac
-
-
-@dataclass(frozen=True)
 class WarmupCosineDecay:
     """Linear warmup then cosine decay to ``min_lr`` at ``total_steps``."""
 

@@ -1,29 +1,16 @@
-"""Parallel training baselines: DDP and Megatron-style tensor MP."""
+"""Parallel training baselines: DDP and GPipe (Megatron tensor MP is
+``GPT2Model(mp_group=...)`` over ``repro.nn.layers``' parallel linears)."""
 
 from repro.parallel.engine import BaseEngine, EngineConfig, StepResult
 from repro.parallel.ddp import DDPEngine, GradBucketQueue
 from repro.parallel.pipeline import GPipeEngine, split_units
-from repro.parallel.megatron import (
-    ColumnParallelLinear,
-    ParallelGPT2Model,
-    ParallelMLP,
-    ParallelMultiHeadAttention,
-    ParallelTransformerBlock,
-    RowParallelLinear,
-)
 
 __all__ = [
     "BaseEngine",
-    "ColumnParallelLinear",
     "DDPEngine",
     "EngineConfig",
     "GPipeEngine",
     "GradBucketQueue",
-    "ParallelGPT2Model",
-    "ParallelMLP",
-    "ParallelMultiHeadAttention",
-    "ParallelTransformerBlock",
-    "RowParallelLinear",
     "StepResult",
     "split_units",
 ]

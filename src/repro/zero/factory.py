@@ -16,7 +16,6 @@ from repro.nn.checkpoint import KeepStore
 from repro.nn.transformer import GPT2Model, GPTConfig
 from repro.parallel.ddp import DDPEngine
 from repro.parallel.engine import BaseEngine, EngineConfig
-from repro.parallel.megatron import ParallelGPT2Model
 from repro.runtime import RankContext
 from repro.zero.activation import PartitionedCPUStore, PartitionedStore
 from repro.zero.config import ZeROConfig
@@ -108,18 +107,13 @@ def build_model_and_engine(
     store = KeepStore()
     if activation.partitioned:
         store = PA_STORE_BY_TIER[activation.tier](mp_group, ctx)
-    rng = np.random.default_rng(seed)
-    common = dict(
-        dtype=dtype,
+    model = GPT2Model(
+        model_config, mp_group=mp_group, rank=ctx.rank, dtype=dtype,
         device=None if defer_param_allocation else ctx.device,
-        rng=rng, meta=meta,
+        rng=np.random.default_rng(seed), meta=meta,
         checkpoint_activations=zero.checkpoint_activations,
         activation_store=store,
     )
-    if mp_group is not None and mp_group.size > 1:
-        model = ParallelGPT2Model(model_config, mp_group, ctx.rank, **common)
-    else:
-        model = GPT2Model(model_config, **common)
     if zero.memory_defrag and md_region_bytes:
         ctx.device.enable_defrag(md_region_bytes, _md_tag_predicate)
     engine = build_engine(ctx, model, dp_group, zero, engine_config)

@@ -7,8 +7,8 @@ import pytest
 from repro import Cluster, GPTConfig
 from repro.hardware.specs import GPUSpec
 from repro.nn.checkpoint import KeepStore
+from repro.nn.transformer import GPT2Model
 from repro.nn.module import ExecutionContext
-from repro.parallel.megatron import ParallelGPT2Model
 from repro.tensor.tensor import Tensor
 from repro.zero.activation import PartitionedCPUStore, PartitionedStore
 
@@ -189,8 +189,8 @@ class TestEndToEndWithMP:
                 "pa+cpu": lambda: PartitionedCPUStore(ctx.world, ctx),
             }[kind]()
             rng = np.random.default_rng(0)
-            model = ParallelGPT2Model(
-                CFG, ctx.world, ctx.rank, dtype=np.float32, rng=rng,
+            model = GPT2Model(
+                CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float32, rng=rng,
                 checkpoint_activations=True, activation_store=store,
             )
             loss_head = model.make_loss_head()

@@ -360,7 +360,7 @@ def test_a_foreign_collective_on_a_layers_group_leaves_its_direction_untaped(mon
     of a run that re-issues no block."""
     from repro.nn.tape import BlockTape
     from repro.nn.transformer import GPT2Model
-    from repro.parallel.megatron import RowParallelLinear
+    from repro.nn.layers import RowParallelLinear
 
     log, forward_pass = [], [False]
     model_forward, row_forward, block_forward = (

@@ -405,6 +405,14 @@ def _recv_timeout(ctx):
         ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32))
 
 
+def _kill_while_peers_receive(ctx):
+    # The other seven wait on a message rank 5 dies before sending.
+    if ctx.rank == 5:
+        time.sleep(0.05)
+        raise RuntimeError("killed while peers receive")
+    ctx.world.recv(ctx.rank, src=5, tag="never sent")
+
+
 def _batch(ctx, *, roots=(0, 3, 5), sizes=(2, 4, 3)):
     """A coalesced batch of three reduces, as every well-behaved rank runs it."""
     arrays = [np.full(n, ctx.rank, np.float32) for n in sizes]
@@ -459,6 +467,7 @@ FAILURE_MODES = [
     (_absent_peer, True, {5: None}, FabricAbortedError),
     (_group_created_after_abort, False, {}, FabricAbortedError),
     (_recv_timeout, True, {}, FabricAbortedError),
+    (_kill_while_peers_receive, False, {5: RuntimeError}, RuntimeError),
     (_batch_dst_mismatch, False, {}, CollectiveMismatchError),
     (_batch_shape_mismatch, False, {}, CollectiveMismatchError),
     (_batch_one_piece_fewer, False, {}, CollectiveMismatchError),

@@ -7,7 +7,7 @@ from repro import Cluster, GPTConfig, ZeROConfig
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.optim.adam import AdamHyperparams
-from repro.optim.lr_schedule import ConstantLR, WarmupCosineDecay, WarmupLinearDecay
+from repro.optim.lr_schedule import WarmupCosineDecay
 from repro.parallel.engine import EngineConfig
 from repro.zero.factory import build_model_and_engine
 
@@ -17,18 +17,6 @@ CORPUS = SyntheticCorpus(61, seed=7)
 
 
 class TestSchedules:
-    def test_constant(self):
-        s = ConstantLR(0.01)
-        assert s.lr(1) == s.lr(1000) == 0.01
-
-    def test_linear_warmup_then_decay(self):
-        s = WarmupLinearDecay(peak_lr=1.0, warmup_steps=4, total_steps=12, min_lr=0.2)
-        assert s.lr(1) == pytest.approx(0.25)
-        assert s.lr(4) == pytest.approx(1.0)
-        assert s.lr(8) == pytest.approx(0.6)
-        assert s.lr(12) == 0.2
-        assert s.lr(100) == 0.2  # clamped after total_steps
-
     def test_cosine_shape(self):
         s = WarmupCosineDecay(peak_lr=1.0, warmup_steps=2, total_steps=10, min_lr=0.0)
         assert s.lr(2) == pytest.approx(1.0)
@@ -41,11 +29,21 @@ class TestSchedules:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WarmupLinearDecay(peak_lr=1.0, warmup_steps=10, total_steps=5)
+            WarmupCosineDecay(peak_lr=1.0, warmup_steps=10, total_steps=5)
         with pytest.raises(ValueError):
             WarmupCosineDecay(peak_lr=0.1, warmup_steps=1, total_steps=5, min_lr=0.5)
         with pytest.raises(ValueError):
-            WarmupLinearDecay(peak_lr=1.0, warmup_steps=2, total_steps=5).lr(0)
+            WarmupCosineDecay(peak_lr=1.0, warmup_steps=2, total_steps=5).lr(0)
+
+
+class _Constant:
+    """A schedule that returns one learning rate at every step."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def lr(self, step: int) -> float:
+        return self.value
 
 
 class TestEngineIntegration:
@@ -74,7 +72,7 @@ class TestEngineIntegration:
         return cluster.run(fn)
 
     def test_warmup_grows_update_magnitude(self):
-        schedule = WarmupLinearDecay(peak_lr=1e-3, warmup_steps=4, total_steps=8)
+        schedule = WarmupCosineDecay(peak_lr=1e-3, warmup_steps=4, total_steps=8)
         deltas = self.run(2, schedule)[0][0]
         # Update magnitude grows through warmup (Adam's momentum history
         # keeps the growth sub-linear in lr, so check monotonicity + a
@@ -96,5 +94,5 @@ class TestEngineIntegration:
 
     def test_schedule_none_uses_config_lr(self):
         a = self.run(2, None, steps=1)
-        b = self.run(2, ConstantLR(999.0), steps=1)
+        b = self.run(2, _Constant(999.0), steps=1)
         np.testing.assert_array_equal(a[0][1], b[0][1])

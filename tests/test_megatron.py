@@ -1,20 +1,19 @@
 """Megatron tensor MP: parallel layers == serial numerics, comm pattern."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import Cluster, GPTConfig
 from repro.hardware.specs import GPUSpec
-from repro.nn.layers import Linear
+from repro.memprof import MemoryProfiler
+from repro.nn.layers import ColumnParallelLinear, Linear, RowParallelLinear
 from repro.nn.loss import CausalLMLoss
 from repro.nn.module import ExecutionContext
 from repro.nn.transformer import GPT2Model
-from repro.parallel.megatron import (
-    ColumnParallelLinear,
-    ParallelGPT2Model,
-    RowParallelLinear,
-)
 from repro.tensor.tensor import Tensor
+from tests.streams import DeviceStream
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
 CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=64, max_seq_len=16)
@@ -95,7 +94,7 @@ class TestParallelModel:
 
         def fn(ctx):
             rng = np.random.default_rng(3)
-            model = ParallelGPT2Model(CFG, ctx.world, ctx.rank, dtype=np.float64, rng=rng)
+            model = GPT2Model(CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float64, rng=rng)
             loss_head = model.make_loss_head()
             logits, cache = model.forward(Tensor.from_numpy(ids), CTX)
             loss, lcache = loss_head.forward(logits, Tensor.from_numpy(tgt))
@@ -118,7 +117,7 @@ class TestParallelModel:
 
         def fn(ctx):
             rng = np.random.default_rng(3)
-            model = ParallelGPT2Model(CFG, ctx.world, ctx.rank, dtype=np.float64, rng=rng)
+            model = GPT2Model(CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float64, rng=rng)
             loss_head = model.make_loss_head()
             logits, cache = model.forward(Tensor.from_numpy(ids), CTX)
             loss, lcache = loss_head.forward(logits, Tensor.from_numpy(tgt))
@@ -142,7 +141,7 @@ class TestParallelModel:
 
         def fn(ctx):
             rng = np.random.default_rng(3)
-            model = ParallelGPT2Model(CFG, ctx.world, ctx.rank, dtype=np.float64, rng=rng)
+            model = GPT2Model(CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float64, rng=rng)
             loss_head = model.make_loss_head()
             logits, cache = model.forward(Tensor.from_numpy(ids), CTX)
             loss, lcache = loss_head.forward(logits, Tensor.from_numpy(tgt))
@@ -165,7 +164,7 @@ class TestParallelModel:
 
         def fn(ctx):
             rng = np.random.default_rng(3)
-            model = ParallelGPT2Model(CFG, ctx.world, ctx.rank, dtype=np.float32, rng=rng)
+            model = GPT2Model(CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float32, rng=rng)
             ctx.ledger.clear()
             logits, cache = model.forward(Tensor.from_numpy(ids), CTX)
             n_fwd = sum(1 for e in ctx.ledger.events if e.op == "all_reduce")
@@ -180,8 +179,73 @@ class TestParallelModel:
         cfg = GPTConfig(n_layers=1, hidden=16, n_heads=2, vocab_size=50257, max_seq_len=8)
 
         def fn(ctx):
-            model = ParallelGPT2Model(cfg, ctx.world, ctx.rank, dtype=np.float16, meta=True)
+            model = GPT2Model(cfg, mp_group=ctx.world, rank=ctx.rank, dtype=np.float16, meta=True)
             return model.head.padded_vocab, model.head.lm_head.out_local
 
         padded, local = run_world(2, fn)[0]
         assert padded == 50258 and local == 25129
+
+
+GOLDEN_CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=61, max_seq_len=16)
+
+#: mp -> (dtype, meta, rank 0's construction: device stream events and
+#: digest, parameter digest, the shared rng's next draw), pinned when
+#: tensor parallelism was a forked model class
+CONSTRUCTION_GOLDEN = {
+    1: (np.float32, False, (
+        29, "9290b8878c8fce4e951fe0dc510d8c326b2b9bb7b9332781652bdbd9d083adf4",
+        "3831fa0c1d6ac949e63e58133fc0d20b9a77f7e70b2b2040abf1aa3ce967851f",
+        0.825871794972282)),
+    2: (np.float32, False, (
+        29, "8c9b4c59121ecd6bbe1180d8364271b347e1b4addac5b84cd1305bc19b3ea3d9",
+        "0645446bc48d6aebcd5d7b044b43182e08e903a1abb616c0be8c93f3ee45449b",
+        -0.745638224415495)),
+    4: (np.float16, True, (
+        29, "cddb61365319c92ec7539f8d7046af601cfaf45d5f1e8e091d8a5f26c1ee090f",
+        "d34827bd8222e87420d4af3b81dc6c99aec322629772ca5a31c78a80a251b430",
+        2.0409191213851825)),
+}
+
+
+@pytest.mark.parametrize("mp", sorted(CONSTRUCTION_GOLDEN))
+def test_construction_is_bitwise_the_pinned_one(monkeypatch, mp):
+    """One ``GPT2Model`` builds the serial model (a group of one rank is no
+    MP) and every MP shard: rank 0 allocates, draws and holds exactly what
+    it did. The parameters are hashed as (name, shape, dtype, bytes)."""
+    dtype, meta, golden = CONSTRUCTION_GOLDEN[mp]
+    device = DeviceStream(monkeypatch)
+
+    def fn(ctx):
+        rng = np.random.default_rng(3)
+        model = GPT2Model(GOLDEN_CFG, mp_group=ctx.world, rank=ctx.rank, dtype=dtype,
+                          device=ctx.device, rng=rng, meta=meta)
+        sha = hashlib.sha256()
+        for p in model.parameters():
+            sha.update(f"{p.name},{p.data.shape},{p.data.dtype};".encode())
+            if not meta:
+                sha.update(p.data.numpy().tobytes())
+        return sha.hexdigest(), float(rng.standard_normal())
+
+    params, draw = run_world(mp, fn)[0]
+    assert (device.events, device.digest, params, draw) == golden
+
+
+def test_replicated_parameters_are_attributed_to_the_model_site():
+    """Construction runs under one memprof site, the model's, whatever the
+    MP degree: the replicated embeddings, layer norms and row-parallel
+    biases land on ``gpt2``, and each sharded weight keeps its own site."""
+
+    def fn(ctx):
+        with MemoryProfiler(ctx.device) as prof:
+            GPT2Model(CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float32,
+                      device=ctx.device, rng=np.random.default_rng(3))
+            return {row["tag"]: row["site"] for row in prof.live_blocks()}
+
+    sites = run_world(2, fn)[0]
+    sharded = ("qkv.weight", "qkv.bias", "proj.weight", "fc1.weight", "fc1.bias",
+               "fc2.weight", "lm_head.weight")
+    replicated = {tag: site for tag, site in sites.items() if not tag.endswith(sharded)}
+    assert {"gpt2.emb.wte.weight", "gpt2.h1.ln2.beta", "gpt2.h1.mlp.fc2.bias",
+            "gpt2.head.ln_f.gamma"} <= set(replicated)
+    assert set(replicated.values()) == {"gpt2"}
+    assert all(site == tag for tag, site in sites.items() if tag.endswith(sharded))

@@ -9,7 +9,7 @@ from repro.hardware.specs import GPUSpec
 from repro.memsim.device import Device
 from repro.nn.layers import Linear, make_param
 from repro.nn.module import ExecutionContext
-from repro.optim.adam import Adam, AdamHyperparams, SGD, adam_step_inplace
+from repro.optim.adam import Adam, AdamHyperparams, adam_step_inplace
 from repro.optim.flat import FlatLayout
 from repro.optim.mixed_precision import ADAM_K, FlatAdamState, MixedPrecisionAdam
 from repro.optim.scaler import LossScaler
@@ -72,17 +72,6 @@ class TestAdamMath:
             opt.step()
             opt.zero_grad()
         assert losses[-1] < losses[0] * 1e-3
-
-    def test_sgd_descends(self):
-        rng = np.random.default_rng(0)
-        p = make_param("p", (4,), dtype=np.float32, init="normal", std=1.0,
-                       rng=rng)
-        opt = SGD([p], lr=0.5)
-        for _ in range(30):
-            p.zero_grad()
-            p.accumulate_grad(Tensor.from_numpy(2 * p.data.numpy()))  # d/dp |p|^2
-            opt.step()
-        assert np.abs(p.data.numpy()).max() < 1e-3
 
 
 class TestLossScaler:

@@ -1,5 +1,7 @@
 """GPipe pipeline parallelism: numerics vs serial, memory split, schedule."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -113,12 +115,14 @@ class TestGPipeLifecycle:
     def test_kill_at_step_fires_under_gpipe(self):
         """The pipeline loop walks the same step lifecycle as the ZeRO
         engines, so the fault plan hears about its steps: a kill-at-step
-        rule brings every stage down with ``RankKilledError`` well inside
-        the fabric timeout (it was silently ignored)."""
+        rule brings every stage down with ``RankKilledError`` in under half
+        the fabric timeout: the stage blocked in ``recv`` on the killed one
+        hears the abort."""
         from repro.comm.faults import FaultPlan, RankKilledError
 
         plan = FaultPlan().kill_rank(1, at_step=2)
-        cluster = Cluster(2, gpu=GPU, timeout_s=10.0, fault_plan=plan)
+        timeout_s = 10.0
+        cluster = Cluster(2, gpu=GPU, timeout_s=timeout_s, fault_plan=plan)
         reached = []
 
         def fn(ctx):
@@ -129,8 +133,10 @@ class TestGPipeLifecycle:
                 engine.train_step(ids, tgt)
                 reached.append((ctx.rank, engine.step_count))
 
+        t0 = time.monotonic()
         with pytest.raises(RankKilledError):
             cluster.run(fn)
+        assert time.monotonic() - t0 < timeout_s / 2
         assert sorted(reached) == [(0, 1), (1, 1)]
         assert [e.kind for e in plan.events] == ["kill"]
 

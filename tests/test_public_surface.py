@@ -42,9 +42,6 @@ PUBLIC_API = {
     "obs.exporters.write_stitched_chrome_trace": ("decided-later", "Exporters (`obs.exporters`)"),
     # Only their own tests call these; the ROADMAP item "The test-only
     # names" deletes them with those tests, a few tests per change.
-    "optim.adam.SGD": ("decided-later", "What's implemented"),
-    "optim.lr_schedule.ConstantLR": ("decided-later", "What's implemented"),
-    "optim.lr_schedule.WarmupLinearDecay": ("decided-later", "What's implemented"),
     "utils.units.bytes_to_gb": ("decided-later", "What's implemented"),
     "utils.units.gb_to_bytes": ("decided-later", "What's implemented"),
     "utils.units.params_to_str": ("decided-later", "What's implemented"),
@@ -224,6 +221,48 @@ getattr(s, "mod.by_string")
 ''',
     }
     assert uncalled(modules, sources) == ["pkg.mod.Store.drop", "pkg.mod.unused"]
+
+
+
+def forked_constructors(modules: dict[str, str]) -> list[str]:
+    """``module.Class`` for each class in ``{dotted module: source}`` that
+    calls some ``X.__init__(self, ...)`` directly instead of going through
+    ``super()``: a constructor that bypasses its base's and rebuilds it."""
+    found = []
+    for module, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__init__"
+                        and not isinstance(node.func.value, ast.Call)
+                        and node.args and isinstance(node.args[0], ast.Name)
+                        and node.args[0].id == "self"):
+                    found.append(f"{module}.{cls.name}")
+                    break
+    return found
+
+
+def test_no_class_forks_its_base_constructor():
+    assert forked_constructors(_modules()) == []
+
+
+def test_the_guard_flags_a_forked_constructor():
+    """``Base.__init__(self, ...)`` is a fork; ``super().__init__(...)``,
+    with or without arguments, is not."""
+    modules = {"pkg.mod": '''
+class Base:
+    def __init__(self, name): self.name = name
+class Chained(Base):
+    def __init__(self, name): super().__init__(name)
+class Forked(Base):
+    def __init__(self, name):
+        Base.__init__(self, name)
+class Explicit(Base):
+    def __init__(self, name): super(Explicit, self).__init__(name)
+'''}
+    assert forked_constructors(modules) == ["pkg.mod.Forked"]
 
 
 def test_every_experiment_runner_is_exported():
