@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Any
 
-from repro.comm.faults import FaultPlan, RetryPolicy
+from repro.comm.faults import RetryPolicy
 
 
 class CollectiveMismatchError(RuntimeError):
@@ -46,8 +45,6 @@ _ABORTED = object()
 class Fabric:
     """Shared state for one world of ``world_size`` rank-threads.
 
-    ``fault_plan`` (default ``None``: zero overhead, unchanged behavior)
-    injects deterministic failures at the send/collective hooks;
     ``retry_policy`` governs how process groups retry transient
     collective faults (see repro.comm.faults).
     """
@@ -57,14 +54,12 @@ class Fabric:
         world_size: int,
         *,
         timeout_s: float = 60.0,
-        fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
         if world_size <= 0:
             raise ValueError(f"world_size must be positive, got {world_size}")
         self.world_size = world_size
         self.timeout_s = timeout_s
-        self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         self._rendezvous: dict[tuple[int, ...], _Rendezvous] = {}
         self._rendezvous_lock = threading.Lock()
@@ -115,27 +110,26 @@ class Fabric:
         return box
 
     def send(self, src: int, dst: int, payload: Any, tag: Any = 0) -> None:
-        if self.fault_plan is not None:
-            action = self.fault_plan.on_send(src, dst, tag)
-            if action is not None:
-                if action < 0:  # dropped: the recv timeout will abort the fabric
-                    return
-                time.sleep(action)
         self._mailbox(src, dst, tag).put(payload)
 
     def recv(self, src: int, dst: int, tag: Any = 0) -> Any:
         box = self._mailbox(src, dst, tag)
         try:
-            # A mailbox made after an abort holds no wake-up: check on entry.
-            payload = _ABORTED if self._aborted else box.get(timeout=self.timeout_s)
+            # A message queued before an abort is still delivered. After
+            # one, an empty mailbox is not waited on: one made after the
+            # abort holds no wake-up.
+            payload = box.get(not self._aborted, self.timeout_s)
         except queue.Empty:
-            # A lost message means the sender is gone or the link is dead:
-            # abort the whole fabric so peers blocked in rendezvous fail
-            # fast instead of waiting out their own timeout.
-            self.abort()
-            raise FabricAbortedError(
-                f"recv timed out: rank {dst} waiting on rank {src} tag {tag!r}"
-            ) from None
+            if not self._aborted:
+                # A lost message means the sender is gone or the link is
+                # dead: abort the whole fabric so peers blocked in
+                # rendezvous fail fast instead of waiting out their own
+                # timeout.
+                self.abort()
+                raise FabricAbortedError(
+                    f"recv timed out: rank {dst} waiting on rank {src} tag {tag!r}"
+                ) from None
+            payload = _ABORTED
         if payload is _ABORTED:
             raise FabricAbortedError(
                 f"recv aborted: rank {dst} waiting on rank {src} tag {tag!r} "
@@ -162,6 +156,7 @@ class _Rendezvous:
         n = self._size = len(ranks)
         self._mutex = threading.Lock()
         self._arrived = 0
+        self._completed = 0  # generations whose last member arrived
         self._tag: Any = None  # the current generation's first arriver's tag
         self._aborted = False
         self._wake = [threading.Lock() for _ in range(n)]
@@ -215,8 +210,10 @@ class _Rendezvous:
                     f"{self.ranks} ran {self._tag!r}"
                 )
             self._arrived += 1
+            generation = self._completed
             if self._arrived == self._size:
                 self._arrived = 0
+                self._completed = generation + 1
                 for lock in self._wake:
                     if lock is not own:
                         lock.release()
@@ -227,7 +224,9 @@ class _Rendezvous:
                 f"rendezvous timed out in group {self.ranks}: rank {rank} waited "
                 f"{self.timeout_s}s at {tag!r} for a peer that never arrived"
             )
-        if self._aborted:
+        # Woken by the last arriver or by an abort: only a generation that
+        # did not complete is aborted, whenever the abort lands.
+        if self._completed == generation:
             raise self._aborted_error()
         return list(slots)
 

@@ -4,19 +4,27 @@ At the 400-GPU scale the paper evaluates, model states are partitioned
 1/Nd across data-parallel ranks, so a single rank failure destroys an
 irreplaceable shard of optimizer state — fault tolerance is part of the
 system, not an afterthought. This module provides the *injection* side: a
-``FaultPlan`` is a seeded, deterministic schedule of failures that the
-fabric and process groups consult at well-defined points:
+``FaultPlan`` is a seeded, deterministic schedule of failures. It enters
+the job only as a subscriber of the doors it injects at
+(``repro.utils.doors``), answering the question each door asks:
 
-* ``note_step(rank, step)``      — optimizer-step boundaries, from the
-  step lifecycle's ``step_begin`` point (kill-at-step rules fire here);
-* ``on_collective(rank, op, g)`` — before every collective attempt
-  (kill-after-N-collectives and transient-failure rules fire here);
-* ``on_send(src, dst, tag)``     — before every point-to-point send
-  (drop / delay rules fire here).
+* ``_attempting``  — may this collective attempt proceed? (told by a
+  ``ProcessGroup`` before every attempt: kill-after-N-collectives and
+  transient-failure rules raise here);
+* ``_carrying``    — what does this collective carry? (asked ``"pre"`` for
+  a contribution, ``"post"`` for a result: flip rules answer);
+* ``_sending``     — does this send arrive, and when? (drop / delay rules);
+* ``step_begin``   — the step lifecycle's ``faults`` point (kill-at-step
+  and scribble rules fire at optimizer boundaries; it also advances the
+  perf-rule window clock);
+* ``checkpoint_written`` — told by ``save_checkpoint`` once a rank file
+  is durable (rot rules).
 
-A plan is attached to a ``Fabric`` (via ``Cluster(fault_plan=...)``);
-the default is ``None``, in which case every hook is skipped and
-behavior is byte-identical to a fault-free build.
+``Cluster(fault_plan=...)`` subscribes the plan to every group it makes,
+for each member rank, and sets each ``RankContext.faults``. Without a plan
+no door has a subscriber, and behavior is byte-identical to a fault-free
+build. How a fault is applied is known here and nowhere else; retrying a
+transient fault is ``ProcessGroup._admit``'s semantics.
 
 Fault taxonomy:
 
@@ -68,6 +76,7 @@ from __future__ import annotations
 import os
 import pathlib
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -170,8 +179,7 @@ class _SendRule:
     nth: int
     times: int
     delay_s: float = 0.0
-    count: int = 0
-    fired: int = 0
+    counts: dict[int, int] = field(default_factory=dict)  # per-src matches
 
 
 @dataclass
@@ -183,7 +191,6 @@ class _FlipRule:
     times: int
     bits: int
     counts: dict[int, int] = field(default_factory=dict)  # per-rank matches
-    fired: int = 0
 
 
 @dataclass
@@ -279,6 +286,14 @@ class RankJitterRule:
         _check_window(self.from_step, self.until_step)
 
 
+def _match(rule, rank: int) -> int:
+    """Count one more match of a count-window rule (transient, send, flip,
+    rot) for ``rank``: its number when it is one of ``nth .. nth+times-1``,
+    else 0."""
+    c = rule.counts[rank] = rule.counts.get(rank, 0) + 1
+    return c if rule.nth <= c < rule.nth + rule.times else 0
+
+
 def _window_active(rule, step: int) -> bool:
     if rule.retired or step < rule.from_step:
         return False
@@ -292,7 +307,6 @@ class _RotRule:
     times: int
     bits: int
     counts: dict[int, int] = field(default_factory=dict)  # per-rank saves
-    fired: int = 0
 
 
 class FaultPlan:
@@ -501,12 +515,11 @@ class FaultPlan:
         self._rots.append(_RotRule(rank, nth, times, bits))
         return self
 
-    # -- hooks (called by the fabric / groups / engines) -------------------
+    # -- door answers (ProcessGroup points, the step lifecycle, saves) ------
 
     def note_step(self, rank: int, step: int) -> None:
-        """Engine hook at optimizer-step boundaries; may raise
-        ``RankKilledError`` for kill-at-step rules. Also advances this
-        rank's perf-rule window clock."""
+        """Advance ``rank``'s perf-rule window clock to optimizer step
+        ``step`` and fire its kill-at-step rules (``RankKilledError``)."""
         with self._lock:
             self._steps[rank] = step
             for rule in self._kills:
@@ -515,9 +528,39 @@ class FaultPlan:
                 if step >= rule.at_step:
                     self._fire_kill(rule, f"at step {step}")
 
-    def on_collective(self, rank: int, op: str, group_ranks: tuple[int, ...]) -> None:
-        """Group hook before every collective attempt; may raise
-        ``RankKilledError`` or ``TransientCollectiveFault``."""
+    def step_begin(self, engine, boundary: bool) -> None:
+        """The lifecycle's ``faults`` subscriber: at a boundary, note the
+        step, then silently flip bits in the owned shards scribble rules
+        aim at — only the integrity detectors can tell. A consumed rule
+        stays consumed across restarts, so a rolled-back run does not
+        re-corrupt itself."""
+        if not boundary:
+            return
+        rank, step = engine.ctx.rank, engine.step_count
+        self.note_step(rank, step)
+        owned = getattr(engine, "integrity_shards", None)  # a pipeline stage has none
+        if owned is None or not self._scribbles:
+            return
+        with self._lock:
+            due = [r for r in self._scribbles if not r.fired and r.rank == rank and step >= r.at_step]
+            # no shards to hit in a meta engine; no param_shard below stage 3
+            shards = owned() if due and not engine.is_meta else {}
+            for rule in due:
+                rule.fired = True
+                self._record_event(FaultEvent(
+                    "scribble", rank, "step", f"{rule.target} at step {step}, {rule.bits} bit(s)"
+                ))
+                if rule.target in shards:
+                    self._flip_array_locked(rank, shards[rule.target], rule.bits)
+        if engine.tracer is not None:
+            for rule in due:
+                if rule.target in shards:
+                    engine.tracer.sdc_injected("sdc-scribble", "scribble", target=rule.target, step=step)
+
+    def _attempting(self, group, rank: int, op: str) -> None:
+        """Before every collective attempt: kill-after-N-collectives rules
+        raise ``RankKilledError``, transient rules
+        ``TransientCollectiveFault``."""
         with self._lock:
             count = self._collective_count.get(rank, 0) + 1
             self._collective_count[rank] = count
@@ -527,22 +570,17 @@ class FaultPlan:
                 if count > rule.after_collectives:
                     self._fire_kill(rule, f"after {rule.after_collectives} collectives")
             for t in self._transients:
-                if t.rank is not None and t.rank != rank:
+                if t.rank not in (None, rank) or t.op not in (None, op):
                     continue
-                if t.op is not None and t.op != op:
-                    continue
-                c = t.counts.get(rank, 0) + 1
-                t.counts[rank] = c
-                if t.nth <= c < t.nth + t.times:
+                c = _match(t, rank)
+                if c:
                     self._record_event(FaultEvent("transient", rank, op, f"match {c}"))
                     raise TransientCollectiveFault(
                         f"injected transient fault: {op!r} on rank {rank} "
-                        f"(match {c} in group {group_ranks})"
+                        f"(match {c} in group {group.ranks})"
                     )
             for r in self._randoms:
-                if r.op is not None and r.op != op:
-                    continue
-                if r.fired >= r.max_faults:
+                if r.op not in (None, op) or r.fired >= r.max_faults:
                     continue
                 rng = self._rng_for_locked(rank)
                 if rng.random() < r.prob:
@@ -552,117 +590,75 @@ class FaultPlan:
                         f"injected random transient fault: {op!r} on rank {rank}"
                     )
 
-    def on_send(self, src: int, dst: int, tag: Any) -> float | None:
-        """Fabric hook before a p2p send. Returns ``None`` to deliver
-        normally, ``-1.0`` to drop, or a delay in seconds."""
+    def _sending(self, group, src: int, payload, dst: int, tag: Any):
+        """What a point-to-point send delivers: the payload, after a delay
+        rule's sleep, or None when a drop rule fires."""
         with self._lock:
-            for rule in self._sends:
-                if rule.src != src:
-                    continue
-                if rule.dst is not None and rule.dst != dst:
-                    continue
-                if rule.tag is not None and rule.tag != tag:
-                    continue
-                rule.count += 1
-                if not (rule.nth <= rule.count < rule.nth + rule.times):
-                    continue
-                rule.fired += 1
-                if rule.kind == "drop":
-                    self._record_event(
-                        FaultEvent("drop_send", src, "send", f"dst {dst} tag {tag!r}")
-                    )
-                    return -1.0
-                self._record_event(
-                    FaultEvent("delay_send", src, "send",
-                               f"dst {dst} tag {tag!r} delay {rule.delay_s}s")
-                )
-                return rule.delay_s
-        return None
+            # each rule that matches counts the send, up to the first that fires
+            rule = next((r for r in self._sends if r.src == src and r.dst in (None, dst)
+                         and r.tag in (None, tag) and _match(r, src)), None)
+            if rule is None:
+                return payload
+            detail = f"dst {dst} tag {tag!r}"
+            if rule.kind == "drop":
+                self._record_event(FaultEvent("drop_send", src, "send", detail))
+                return None
+            self._record_event(FaultEvent("delay_send", src, "send", f"{detail} delay {rule.delay_s}s"))
+        time.sleep(rule.delay_s)
+        return payload
 
-    # -- corruption hooks (raise nothing, by design) -----------------------
-
-    def corrupt_payload(
-        self, rank: int, op: str, array: np.ndarray, when: str
-    ) -> np.ndarray | None:
-        """Group hook around a collective's data payload. Returns a
-        corrupted *copy* when a flip rule fires (the caller's resident
-        array is never touched — this models in-flight corruption), else
-        ``None``. Never raises."""
-        if not self._flips or not isinstance(array, np.ndarray) or array.size == 0:
-            return None
+    def _carrying(self, group, rank: int, payload, op: str, when: str):
+        """What a collective carries: flip rules return a corrupted *copy*
+        of a data payload (the caller's resident array is never touched —
+        in-flight corruption) and tell the rank's tracer; otherwise the
+        payload itself. Never raises."""
+        if not self._flips or not isinstance(payload, np.ndarray) or payload.size == 0:
+            return payload
         with self._lock:
-            out = None
+            out = payload
             for rule in self._flips:
-                if rule.when != when:
+                if rule.when != when or rule.rank not in (None, rank) or rule.op not in (None, op):
                     continue
-                if rule.rank is not None and rule.rank != rank:
+                c = _match(rule, rank)
+                if not c:
                     continue
-                if rule.op is not None and rule.op != op:
-                    continue
-                c = rule.counts.get(rank, 0) + 1
-                rule.counts[rank] = c
-                if not (rule.nth <= c < rule.nth + rule.times):
-                    continue
-                rule.fired += 1
-                if out is None:
-                    out = np.array(array, copy=True)
+                if out is payload:
+                    out = np.array(payload, copy=True)
                 self._flip_array_locked(rank, out, rule.bits)
                 self._record_event(
                     FaultEvent("bitflip", rank, op,
                                f"{when}-reduce, {rule.bits} bit(s), match {c}")
                 )
-            return out
+        if out is not payload:
+            tracer = getattr(group._ledgers.get(rank), "listener", None)
+            if tracer is not None:
+                tracer.sdc_injected("sdc-bitflip", "bitflip", op=op, when=when)
+        return out
 
-    def scribbles_due(self, rank: int, step: int) -> list[_ScribbleRule]:
-        """Engine hook at optimizer-step boundaries: consume and return
-        the scribble rules firing for this rank at this step. The engine
-        applies them via ``corrupt_array_inplace`` (it owns the target
-        tensors); consumed rules stay consumed across restarts, so a
-        rolled-back run does not re-corrupt itself."""
-        if not self._scribbles:
-            return []
-        with self._lock:
-            due = []
-            for rule in self._scribbles:
-                if rule.fired or rule.rank != rank or step < rule.at_step:
-                    continue
-                rule.fired = True
-                due.append(rule)
-                self._record_event(
-                    FaultEvent("scribble", rank, "step",
-                               f"{rule.target} at step {step}, {rule.bits} bit(s)")
-                )
-            return due
-
-    def corrupt_array_inplace(self, rank: int, array: np.ndarray, bits: int) -> None:
-        """Flip ``bits`` seeded bits of ``array`` in place (scribble
-        application; deterministic per ``(seed, rank)``)."""
-        with self._lock:
-            self._flip_array_locked(rank, array, bits)
-
-    def on_checkpoint_saved(self, rank: int, path) -> bool:
-        """Checkpoint-writer hook after a rank file is durably written;
-        flips bits in the file when a rot rule matches. Returns whether
-        the file was corrupted. Never raises."""
+    def checkpoint_written(self, engine, path) -> None:
+        """``save_checkpoint`` hands each rank file here once it is durably
+        written: rot rules flip bits in it. The save itself succeeded; only
+        checksum verify-on-load or the ``VerifiedCheckpointRing``'s
+        post-save verification can tell. Never raises."""
         if not self._rots:
-            return False
+            return
+        rank, path = engine.ctx.rank, pathlib.Path(path)
+        rotted = False
         with self._lock:
-            rotted = False
             for rule in self._rots:
-                if rule.rank is not None and rule.rank != rank:
+                if rule.rank not in (None, rank):
                     continue
-                c = rule.counts.get(rank, 0) + 1
-                rule.counts[rank] = c
-                if not (rule.nth <= c < rule.nth + rule.times):
+                c = _match(rule, rank)
+                if not c:
                     continue
-                rule.fired += 1
-                self._rot_file_locked(rank, pathlib.Path(path), rule.bits)
+                self._rot_file_locked(rank, path, rule.bits)
                 self._record_event(
                     FaultEvent("ckpt-rot", rank, "checkpoint",
-                               f"{pathlib.Path(path).name}, {rule.bits} bit(s), save {c}")
+                               f"{path.name}, {rule.bits} bit(s), save {c}")
                 )
                 rotted = True
-            return rotted
+        if rotted and engine.tracer is not None:
+            engine.tracer.sdc_injected("sdc-ckpt-rot", "ckpt-rot", path=str(path))
 
     # -- performance-fault hooks (raise nothing, by design) ----------------
 

@@ -16,14 +16,15 @@ attribute volume to e.g. gradient reduction vs parameter all-gather.
 
 What the simulated job communicates and how the simulator moves it are
 separate things. A *logical* collective is the unit of the first: one
-ledger event, one fault admission (``_admit``: pre-corruption, the plan's
-``on_collective`` with retry/backoff, kill handling), one post-corruption,
-one reduction in group-index order. A *rendezvous* is the unit of the
-second: one deposit, one tag check, one wake-up. ``_exchange`` pairs one
-with one; ``coalesced`` carries a batch of K same-kind logical collectives
-(a bucket's per-owner reduces, a unit's per-owner broadcasts) in one
-rendezvous whose tag names every member, so the ledger, the fault plan
-and every result are what K single calls give while the host pays for one.
+ledger event, one fault admission (``_admit``: the ``"pre"`` question, then
+``_attempting`` told per attempt, with retry/backoff and kill handling),
+one ``"post"`` question per result, one reduction in group-index order. A
+*rendezvous* is the unit of the second: one deposit, one tag check, one
+wake-up. ``_exchange`` pairs one with one; ``coalesced`` carries a batch of
+K same-kind logical collectives (a bucket's per-owner reduces, a unit's
+per-owner broadcasts) in one rendezvous whose tag names every member, so
+the ledger, the fault plan and every result are what K single calls give
+while the host pays for one.
 """
 
 from __future__ import annotations
@@ -84,10 +85,20 @@ class ProcessGroup(RankDoors):
     Its collectives are per-rank doors (``repro.utils.doors``): after each
     one, the calling rank's subscribers hear ``_collective(group, rank, op,
     nbytes, phase, meta)``, ``meta`` True for a ``meta_collective`` (and
-    ``nbytes`` None for a ``coalesced`` batch).
+    ``nbytes`` None for a ``coalesced`` batch). Three more points are where
+    faults enter (a ``FaultPlan`` is their subscriber):
+
+    * ``_carrying(group, rank, payload, op, when)``, a question: what a
+      logical collective carries — asked once with ``when="pre"`` for the
+      contribution, before its first attempt, and once with ``"post"`` per
+      result this rank receives;
+    * ``_attempting(group, rank, op)``, told before each attempt; it may
+      raise ``TransientCollectiveFault`` (retried) or ``RankKilledError``;
+    * ``_sending(group, rank, payload, dst, tag)``, a question: what a
+      ``send`` delivers, None for nothing.
     """
 
-    POINTS = ("_collective",)
+    POINTS = ("_collective", "_carrying", "_attempting", "_sending")
 
     def __init__(self, fabric: Fabric, ranks: Sequence[int]):
         self.fabric = fabric
@@ -129,42 +140,26 @@ class ProcessGroup(RankDoors):
 
     # -- fault-aware rendezvous entry ----------------------------------------
 
-    def _maybe_corrupt(self, rank: int, op: str, payload, when: str):
-        """Consult the fault plan's silent bit-flip rules on a collective
-        payload (repro.comm.faults.flip_bits). ``"pre"`` corrupts this
-        rank's contribution (a copy — the caller's resident array is
-        untouched, modeling in-flight corruption); ``"post"`` corrupts
-        the result this rank receives. Tells the ledger's listener (the
-        rank's tracer) when a flip fires; raises nothing."""
-        plan = self.fabric.fault_plan
-        if plan is None or not isinstance(payload, np.ndarray):
-            return payload
-        out = plan.corrupt_payload(rank, op, payload, when)
-        if out is None:
-            return payload
-        tracer = getattr(self._ledgers.get(rank), "listener", None)
-        if tracer is not None:
-            tracer.sdc_injected("sdc-bitflip", "bitflip", op=op, when=when)
-        return out
-
     def _admit(self, rank: int, op: str, value):
         """Fault admission of one logical collective — call only with a
-        fault plan attached; returns the contribution to deposit.
+        subscriber at ``_carrying`` or ``_attempting``; returns the
+        contribution to deposit.
 
-        A transient injected fault fails *before* the deposit, so the
-        faulting rank simply retries (with exponential backoff under the
-        fabric's ``RetryPolicy``) while its peers wait at the rendezvous —
-        once the fault clears, the exchange happens exactly once and the
-        result is bitwise identical to a fault-free run. Every failed
-        attempt is recorded in this rank's ledger. Exhausted retries (or
-        a blown per-collective deadline) and permanent kills abort the
-        fabric so *all* ranks raise promptly.
+        The contribution is asked for once, not per attempt: what it
+        carries is what every attempt would have carried. A transient
+        fault fails *before* the deposit, so the faulting rank simply
+        retries (with exponential backoff under the fabric's
+        ``RetryPolicy``) while its peers wait at the rendezvous — once the
+        fault clears, the exchange happens exactly once and the result is
+        bitwise identical to a fault-free run. Every failed attempt is
+        recorded in this rank's ledger. Exhausted retries (or a blown
+        per-collective deadline) and permanent kills abort the fabric so
+        *all* ranks raise promptly.
         """
-        plan = self.fabric.fault_plan
-        # Pre-reduce corruption happens once per logical collective, not
-        # per retry attempt: the flipped contribution is what every
-        # attempt would have carried.
-        value = self._maybe_corrupt(rank, op, value, "pre")
+        if self.on_carrying:
+            value = self._ask("_carrying", rank, value, op, "pre")
+        if not self.on_attempting:
+            return value
         policy = self.fabric.retry_policy
         deadline = (
             time.monotonic() + policy.deadline_s
@@ -174,7 +169,7 @@ class ProcessGroup(RankDoors):
         attempt = 1
         while True:
             try:
-                plan.on_collective(rank, op, self.ranks)
+                self._tell("_attempting", rank, op)
             except TransientCollectiveFault as fault:
                 backoff = policy.backoff_s(attempt)
                 exhausted = attempt >= policy.max_attempts or (
@@ -205,7 +200,7 @@ class ProcessGroup(RankDoors):
         """Admission, then the rendezvous — which checks membership
         (``ValueError`` for a rank outside the group), so callers do not
         look the index up first."""
-        if self.fabric.fault_plan is not None:
+        if self.on_carrying or self.on_attempting:
             value = self._admit(rank, op, value)
         return self._rendezvous.exchange(rank, value, tag)
 
@@ -259,8 +254,7 @@ class ProcessGroup(RankDoors):
         if nbytes is None or None in nbytes:
             raise ValueError(f"coalesced {op}: a member has neither an array nor a byte count")
         tag = ("coalesced", op, meta, tuple(roots), tuple(nbytes))
-        plan = self.fabric.fault_plan
-        if plan is not None:
+        if self.on_carrying or self.on_attempting:
             # Every member is admitted, in order, before the one deposit: a
             # fault on member j retries (or kills) with none of the batch
             # exchanged yet.
@@ -295,8 +289,8 @@ class ProcessGroup(RankDoors):
                     # copies it once, into wherever it is going.
                     result = result.view()
                     result.flags.writeable = False
-            if plan is not None:
-                result = self._maybe_corrupt(rank, op, result, "post")  # a private copy if it fires
+            if self.on_carrying:
+                result = self._ask("_carrying", rank, result, op, "post")
             out.append(result)
         return out
 
@@ -319,9 +313,10 @@ class ProcessGroup(RankDoors):
         """Reduce everyone's array and return the result to all ranks."""
         contributions = self._exchange(rank, array, ("all_reduce", array.shape), "all_reduce")
         self._record(rank, "all_reduce", array.nbytes, phase)
-        return self._maybe_corrupt(
-            rank, "all_reduce", _reduce_arrays(contributions, op), "post"
-        )
+        out = _reduce_arrays(contributions, op)
+        if self.on_carrying:
+            out = self._ask("_carrying", rank, out, "all_reduce", "post")
+        return out
 
     def reduce(self, rank: int, array: np.ndarray, dst: int, phase: str = "") -> np.ndarray | None:
         """Sum to the group member with global rank ``dst``; others get None."""
@@ -347,10 +342,10 @@ class ProcessGroup(RankDoors):
         shard = array.shape[0] // n
         idx = self.group_index(rank)
         lo, hi = idx * shard, (idx + 1) * shard
-        return self._maybe_corrupt(
-            rank, "reduce_scatter",
-            _reduce_arrays([c[lo:hi] for c in contributions], op), "post",
-        )
+        out = _reduce_arrays([c[lo:hi] for c in contributions], op)
+        if self.on_carrying:
+            out = self._ask("_carrying", rank, out, "reduce_scatter", "post")
+        return out
 
     def all_gather(self, rank: int, shard: np.ndarray, phase: str = "") -> np.ndarray:
         """Concatenate every rank's equal-length shard, in group order."""
@@ -360,7 +355,9 @@ class ProcessGroup(RankDoors):
             raise ValueError(f"all_gather shards have mismatched shapes: {lengths}")
         full = np.concatenate([np.asarray(s).ravel() for s in shards])
         self._record(rank, "all_gather", full.nbytes, phase)
-        return self._maybe_corrupt(rank, "all_gather", full, "post")
+        if self.on_carrying:
+            full = self._ask("_carrying", rank, full, "all_gather", "post")
+        return full
 
     def broadcast(self, rank: int, array: np.ndarray | None, src: int, phase: str = "") -> np.ndarray:
         """Send ``src``'s array to every rank. Non-src inputs are ignored.
@@ -374,7 +371,11 @@ class ProcessGroup(RankDoors):
     def send(self, rank: int, dst: int, array: np.ndarray, tag: int = 0, phase: str = "") -> None:
         self.group_index(rank)
         self.group_index(dst)
-        self.fabric.send(rank, dst, np.asarray(array).copy(), tag)
+        payload = np.asarray(array).copy()
+        if self.on_sending:
+            payload = self._ask("_sending", rank, payload, dst, tag)
+        if payload is not None:  # None: dropped; the recv timeout aborts the fabric
+            self.fabric.send(rank, dst, payload, tag)
         self._record(rank, "send", array.nbytes, phase, peer=(rank, dst))
 
     def recv(self, rank: int, src: int, tag: int = 0, phase: str = "") -> np.ndarray:

@@ -26,7 +26,6 @@ predate this package.
 
 from repro.integrity.audit import IntegrityAuditor, IntegrityConfig
 from repro.integrity.digest import (
-    combine_digests,
     digest_array,
     digest_scalars,
     fast_digest_array,
@@ -41,7 +40,6 @@ __all__ = [
     "IntegrityConfig",
     "SpikeWindow",
     "VerifiedCheckpointRing",
-    "combine_digests",
     "digest_array",
     "digest_scalars",
     "fast_digest_array",

@@ -74,7 +74,3 @@ def digest_scalars(*values) -> int:
     """
     return zlib.crc32(";".join(repr(v) for v in values).encode())
 
-
-def combine_digests(*digests: int) -> int:
-    """Order-sensitive combination of component digests."""
-    return zlib.crc32(np.asarray(digests, dtype=np.uint64).tobytes())

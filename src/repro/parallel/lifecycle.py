@@ -34,32 +34,6 @@ ORDER = {
 POINTS = tuple(ORDER)
 
 
-class _Faults:
-    """``ctx.fabric.fault_plan``: kill-at-step rules fire; scribble rules
-    silently corrupt owned shards — only the integrity detectors can tell."""
-
-    def step_begin(self, engine, boundary):
-        if not boundary:
-            return
-        plan = engine.ctx.fabric.fault_plan
-        rank, step = engine.ctx.rank, engine.step_count
-        plan.note_step(rank, step)
-        owned = getattr(engine, "integrity_shards", None)  # a pipeline stage has none
-        due = plan.scribbles_due(rank, step) if owned is not None else ()
-        if not due or engine.is_meta:
-            return
-        shards = owned()
-        for rule in due:
-            target = shards.get(rule.target)
-            if target is None:
-                continue  # engine has no such shard (e.g. param_shard below stage 3)
-            plan.corrupt_array_inplace(rank, target, rule.bits)
-            if engine.tracer is not None:
-                engine.tracer.sdc_injected(
-                    "sdc-scribble", "scribble", target=rule.target, step=step
-                )
-
-
 class _Tiers:
     """``engine.offload`` (the ``InfinityEngine`` tier runtime): the
     step's transfer timeline and modeled step time."""
@@ -90,10 +64,10 @@ class _Telemetry:
     def micro_begin(self, engine, boundary, batch, seq_len):
         tr = engine.tracer
         seconds = engine._compute_split(batch, seq_len)
-        plan = engine.ctx.fabric.fault_plan
+        plan = engine.ctx.faults
         if plan is not None and plan.has_perf_rules:
             # Micro-steps before a boundary belong to the upcoming
-            # optimizer step (note_step fires at the boundary).
+            # optimizer step (the plan notes it at the boundary).
             step = engine.step_count if boundary else engine.step_count + 1
             scale = plan.compute_scale(engine.ctx.rank, step)
             seconds = [s * scale for s in seconds]
@@ -177,20 +151,23 @@ class _Recorder:
 
 MEMORY = _Memory()
 _SHARED = {
-    "faults": _Faults(), "tiers": _Tiers(), "integrity": _Integrity(),
-    "redundancy": _Redundancy(), "recorder": _Recorder(), "memory": MEMORY,
+    "tiers": _Tiers(), "integrity": _Integrity(), "redundancy": _Redundancy(),
+    "recorder": _Recorder(), "memory": MEMORY,
 }
 
 
 class Lifecycle:
     """One engine's subscribers, a tuple per point. ``attached`` names what
-    it holds beside the fault plan and tracer; ``None`` is not attached."""
+    it holds beside the fault plan and tracer; ``None`` is not attached.
+    The ``faults`` subscriber is ``ctx.faults``, the ``FaultPlan`` itself."""
 
     __slots__ = POINTS
 
     def __init__(self, engine, **attached):
-        attached.update(faults=engine.ctx.fabric.fault_plan, memory=True)
+        attached["memory"] = True
         subs = {name: _SHARED[name] for name, what in attached.items() if what is not None}
+        if engine.ctx.faults is not None:
+            subs["faults"] = engine.ctx.faults
         if engine.tracer is not None:
             subs["telemetry"] = _Telemetry()
         for point, names in ORDER.items():

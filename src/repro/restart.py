@@ -83,20 +83,3 @@ def counter_name(kind: str) -> str:
         raise ValueError(f"unknown restart kind {kind!r}")
     return f"supervisor_{kind.replace('-', '_')}s"
 
-
-def kind_from_instant(name: str) -> str:
-    """Inverse of ``instant_name`` — lets Mission Control and the tests
-    recover the kind from a telemetry instant without re-listing the
-    mapping anywhere else."""
-    for kind in ALL_KINDS:
-        if instant_name(kind) == name:
-            return kind
-    raise ValueError(f"not a supervisor restart instant name: {name!r}")
-
-
-def kind_from_counter(name: str) -> str:
-    """Inverse of ``counter_name``."""
-    for kind in ALL_KINDS:
-        if counter_name(kind) == name:
-            return kind
-    raise ValueError(f"not a supervisor restart counter name: {name!r}")

@@ -61,6 +61,9 @@ class RankContext:
     #: unless the Supervisor (or caller) enabled recording; instrumented
     #: layers treat None as "recording disabled" and append nothing.
     recorder: Any = None
+    #: the ``FaultPlan`` subscribed to this rank's groups — None without
+    #: one; the step lifecycle and ``save_checkpoint`` tell it too.
+    faults: Any = None
     #: builds the group over a sorted rank tuple: ``Cluster._shared_group``
     #: (one ``ProcessGroup`` shared by all member threads) or, on a
     #: ``virtual_rank_context``, a peerless ``VirtualGroup``. Required.
@@ -165,10 +168,9 @@ class Cluster:
             raise ValueError(
                 f"topology world_size {self.topology.world_size} != cluster {world_size}"
             )
-        self.fabric = Fabric(
-            world_size, timeout_s=timeout_s,
-            fault_plan=fault_plan, retry_policy=retry_policy,
-        )
+        self.fabric = Fabric(world_size, timeout_s=timeout_s, retry_policy=retry_policy)
+        #: subscribed, per member rank, to every group this cluster makes
+        self.fault_plan = fault_plan
         #: process groups by sorted rank tuple, shared by all rank threads
         #: (beside the fabric's rendezvous cache, which they resolve into).
         self._groups: dict[tuple[int, ...], ProcessGroup] = {}
@@ -188,6 +190,9 @@ class Cluster:
             pg = self._groups.get(ranks)
             if pg is None:
                 pg = self._groups[ranks] = ProcessGroup(self.fabric, ranks)
+                if self.fault_plan is not None:
+                    for rank in ranks:
+                        pg.subscribe(self.fault_plan, rank)
             return pg
 
     def context(self, rank: int) -> RankContext:
@@ -197,7 +202,7 @@ class Cluster:
         if self.telemetry is not None:
             tracer = self.telemetry.tracer_for(
                 rank, topology=self.topology, gpu=self.devices[rank].spec,
-                fault_plan=self.fabric.fault_plan,
+                fault_plan=self.fault_plan,
             )
             self.ledgers[rank].listener = tracer
         return RankContext(
@@ -213,6 +218,7 @@ class Cluster:
             nvme=self.nvme,
             redundancy=self.redundancy,
             recorder=self.recorder,
+            faults=self.fault_plan,
             _new_group=self._shared_group,
         )
 

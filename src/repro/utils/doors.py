@@ -24,7 +24,14 @@ itself, so observers come and go in any order.
 
 ``RankDoors`` is the same for an object the rank threads of a group share
 (a process group): a point keeps its subscribers per rank, and a door
-tells only the calling rank's.
+tells only the calling rank's. Its points may also be *questions*
+(``_carrying``, ``_sending``): the door asks with the value its effect
+carries, each subscriber in order returns that value or a replacement (or
+raises), and the effect carries what the last one returned. The
+before-point rule is for a told point paired with an after-point; a
+question, like a told point with no after-point (``_attempting``), gates
+on its own attribute. The fault plan (``repro.comm.faults``) is the one
+subscriber that answers.
 """
 
 from __future__ import annotations
@@ -76,6 +83,14 @@ class RankDoors(Doors):
         calls this only when someone subscribed to ``point``."""
         for sub in getattr(self, "on" + point).get(rank, ()):
             getattr(sub, point)(self, rank, *event)
+
+    def _ask(self, point: str, rank: int, value, *event):
+        """Pass ``value`` through ``rank``'s subscribers at ``point`` in
+        order, each answering with what the effect carries; a door calls
+        this only when someone subscribed to ``point``."""
+        for sub in getattr(self, "on" + point).get(rank, ()):
+            value = getattr(sub, point)(self, rank, value, *event)
+        return value
 
     def _get(self, attr: str, rank) -> tuple:
         return getattr(self, attr).get(rank, ())

@@ -107,13 +107,8 @@ def save_checkpoint(engine: BaseEngine, directory: str | pathlib.Path) -> pathli
     payload["checksums"] = np.asarray(json.dumps(checksums))
     path = directory / f"rank{state.owner}.npz"
     _atomic_write_npz(path, payload)
-    plan = engine.ctx.fabric.fault_plan
-    if plan is not None and plan.on_checkpoint_saved(engine.ctx.rank, path):
-        # Injected bit rot (FaultPlan.rot_checkpoint): the save succeeded,
-        # the file is silently damaged — only checksum verify-on-load or
-        # the VerifiedCheckpointRing's post-save verification can tell.
-        if engine.tracer is not None:
-            engine.tracer.sdc_injected("sdc-ckpt-rot", "ckpt-rot", path=str(path))
+    if engine.ctx.faults is not None:  # rot rules (FaultPlan.rot_checkpoint)
+        engine.ctx.faults.checkpoint_written(engine, path)
     if state.owner == 0:
         meta = {
             "format_version": FORMAT_VERSION,

@@ -95,6 +95,54 @@ class Layer:
     ]
 
 
+#: the modules that may hold the fault plan by name (``Cluster`` subscribes
+#: it, the ``Supervisor`` hands it on); everywhere else it is met as a
+#: subscriber at the doors it injects at
+PLAN_HOLDERS = frozenset({"runtime.py", "supervisor.py"})
+
+
+def plan_reaches(source: str, filename: str = "<src>") -> list[str]:
+    """``file:line what`` for each ``.fault_plan`` attribute (a plan reached
+    through an object) and each ``fault_plan`` parameter of a
+    ``Fabric.__init__``. A ``fault_plan`` parameter elsewhere is a keyword
+    a caller passes, not a reach."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "fault_plan":
+            found.append((node.lineno, ".fault_plan"))
+        elif isinstance(node, ast.ClassDef) and node.name == "Fabric":
+            for init in node.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    args = init.args
+                    if "fault_plan" in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                        found.append((init.lineno, "Fabric(fault_plan=)"))
+    return [f"{filename}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_the_fault_plan_is_met_only_at_its_doors():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        if rel not in PLAN_HOLDERS:
+            found += plan_reaches(path.read_text(), rel)
+    assert found == []
+
+
+def test_the_plan_guard_sees_each_kind_of_reach():
+    source = '''
+class Fabric:
+    def __init__(self, world_size, *, fault_plan=None):
+        self.fault_plan = fault_plan
+
+def send(ctx, payload, fault_plan=None):
+    if ctx.fabric.fault_plan is not None:
+        payload = fault_plan
+'''
+    assert plan_reaches(source) == [
+        "<src>:3 Fabric(fault_plan=)", "<src>:4 .fault_plan", "<src>:7 .fault_plan",
+    ]
+
+
 class _Spy:
     """A pool subscriber that logs what it hears."""
 

@@ -165,6 +165,61 @@ def test_recv_timeout_releases_peer_in_collective():
         cluster.run(fn)
 
 
+@pytest.mark.timeout_guard(10)
+def test_a_message_queued_before_an_abort_is_still_delivered():
+    """``abort()`` reports what never completed, not what did: a message
+    sent before it is received, and only the next ``recv`` raises."""
+    fabric = Fabric(2, timeout_s=5.0)
+    fabric.send(0, 1, "sent", tag=3)
+    fabric.abort()
+    assert fabric.recv(0, 1, tag=3) == "sent"
+    with pytest.raises(FabricAbortedError, match="aborted"):
+        fabric.recv(0, 1, tag=3)
+
+
+@pytest.mark.timeout_guard(10)
+def test_an_exchange_completed_before_an_abort_returns_its_result():
+    """The fabric aborts right after the last arriver woke the waiting rank,
+    before that rank reads its result: its generation completed, so it gets
+    the sum, as the last arriver did."""
+    fabric = Fabric(2, timeout_s=5.0)
+    group = ProcessGroup(fabric, (0, 1))
+
+    class AbortOnWake:
+        """A wake lock whose owner aborts the fabric as soon as it is woken."""
+
+        def __init__(self, lock):
+            self.lock = lock
+
+        def acquire(self, blocking=True, timeout=-1):
+            woken = self.lock.acquire(blocking, timeout)
+            if woken:
+                fabric.abort()
+            return woken
+
+        def release(self):
+            self.lock.release()
+
+    rv = group._rendezvous
+    rv._wake = [AbortOnWake(lock) for lock in rv._wake]
+    results: list = [None, None]
+
+    def worker(rank):
+        try:
+            results[rank] = group.all_reduce(rank, np.full(2, rank + 1.0, np.float32))
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            results[rank] = exc
+
+    threads = [threading.Thread(target=worker, args=(r,), daemon=True) for r in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(5.0)
+    for out in results:
+        np.testing.assert_array_equal(out, np.full(2, 3.0, np.float32))
+    assert fabric._aborted  # the waiter did wake and abort
+
+
 def test_subgroups_share_state_across_ranks():
     cluster = make_cluster(4)
 

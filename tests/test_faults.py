@@ -9,13 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm.fabric import FabricAbortedError
+from repro.comm.fabric import Fabric, FabricAbortedError
 from repro.comm.faults import (
     FaultPlan,
     RankKilledError,
     RetryPolicy,
     TransientCollectiveFault,
 )
+from repro.comm.group import ProcessGroup
 from repro.hardware.specs import GPUSpec
 from repro.runtime import Cluster
 
@@ -222,10 +223,61 @@ def test_no_plan_means_no_overhead_paths():
 
 
 def test_transient_fault_exception_direct():
+    """The plan answers at the group's ``_attempting`` door, told outside
+    any retry loop."""
     plan = FaultPlan().fail_collective(rank=0, op="all_gather")
+    group = ProcessGroup(Fabric(2), (0, 1))
+    group.subscribe(plan, 0)
     with pytest.raises(TransientCollectiveFault):
-        plan.on_collective(0, "all_gather", (0, 1))
-    plan.on_collective(0, "all_gather", (0, 1))  # consumed: passes now
+        group._tell("_attempting", 0, "all_gather")
+    group._tell("_attempting", 0, "all_gather")  # consumed: passes now
+
+
+def test_a_pre_flip_is_asked_once_and_every_retry_carries_it():
+    """A pre-reduce flip and a transient fault on the same rank's same
+    collective: the contribution is flipped once, before the first attempt,
+    and the retry deposits that flipped copy — the result is the flip-only
+    run's, bit for bit. The flip rule could fire twice (``times=2``), so a
+    contribution asked for per attempt would read differently."""
+
+    def fn(ctx):
+        return ctx.world.all_reduce(ctx.rank, np.linspace(1.0, 2.0, 16, dtype=np.float32) * (ctx.rank + 1))
+
+    def flip():
+        return FaultPlan(seed=3).flip_bits(rank=1, op="all_reduce", when="pre", times=2)
+
+    flipped = make_cluster(2, plan=flip()).run(fn)
+    plan = flip().fail_collective(rank=1, op="all_reduce")
+    cluster = make_cluster(2, plan=plan)
+    out = cluster.run(fn)
+    clean = make_cluster(2).run(fn)
+    for r in range(2):
+        assert out[r].tobytes() == flipped[r].tobytes() != clean[r].tobytes()
+    assert [e.kind for e in plan.events] == ["bitflip", "transient"]
+    assert [e.attempt for e in cluster.ledgers[1].retries] == [1]
+
+
+def test_a_rule_added_after_the_cluster_was_built_still_fires():
+    """``Cluster`` subscribes the plan, not its rules: rules added between
+    building the cluster and running it answer at their doors too."""
+    plan = FaultPlan(seed=3)
+    cluster = make_cluster(2, plan=plan)
+    plan.fail_collective(rank=0, op="all_reduce")
+    plan.flip_bits(rank=0, op="all_reduce", when="post")
+    plan.delay_send(src=0, dst=1, delay_s=0.001)
+
+    def fn(ctx):
+        out = ctx.world.all_reduce(ctx.rank, np.ones(8, np.float32))
+        if ctx.rank == 0:
+            ctx.world.send(0, 1, out, tag=5)
+            return out
+        return ctx.world.recv(1, 0, tag=5)
+
+    sent, received = cluster.run(fn)
+    np.testing.assert_array_equal(sent, received)
+    assert sent.tobytes() != np.full(8, 2.0, np.float32).tobytes()  # rank 0's copy flipped
+    assert [e.kind for e in plan.events] == ["transient", "bitflip", "delay_send"]
+    assert [e.attempt for e in cluster.ledgers[0].retries] == [1]
 
 
 # -- faults through the coalesced entry ----------------------------------------

@@ -19,6 +19,8 @@ Acceptance properties (ISSUE 4 / docs/ARCHITECTURE.md §10):
   optimizer can launder them into a legitimate-looking update.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -32,11 +34,12 @@ from repro import (
     VerifiedCheckpointRing,
     ZeROConfig,
 )
+from repro.comm.fabric import Fabric
+from repro.comm.group import ProcessGroup
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.integrity import IntegrityConfig, SpikeWindow
 from repro.integrity.digest import (
-    combine_digests,
     digest_array,
     digest_scalars,
     fast_digest_array,
@@ -100,9 +103,6 @@ class TestDigests:
         assert base != digest_scalars(3, 0, 3, 512.0, 2, 0)
         assert base != digest_scalars(4, 0, 3, 1024.0, 2, 0)
 
-    def test_combine_is_order_sensitive(self):
-        assert combine_digests(1, 2) != combine_digests(2, 1)
-
     def test_fast_digest_single_bit_sensitivity(self):
         """The guard's fast hash must catch any single flipped bit — the
         hardware threat model — in any byte, including a non-word tail."""
@@ -158,14 +158,30 @@ class TestSpikeWindow:
 # -- injection (FaultPlan corruption rules) ----------------------------------
 
 
+def _carrying_group(plan):
+    """A two-rank group the plan answers for, as ``Cluster`` subscribes it."""
+    group = ProcessGroup(Fabric(2), (0, 1))
+    for rank in group.ranks:
+        group.subscribe(plan, rank)
+    return group
+
+
+def _engine_stub(rank, step, shards=None):
+    """What the plan's ``step_begin`` / ``checkpoint_written`` read of an engine."""
+    return SimpleNamespace(
+        ctx=SimpleNamespace(rank=rank), step_count=step, is_meta=False, tracer=None,
+        integrity_shards=lambda: shards,
+    )
+
+
 class TestInjection:
     def test_flip_is_seeded_and_copy_on_write(self):
         arr = np.arange(32, dtype=np.float32)
         outs = []
         for _ in range(2):
             plan = FaultPlan(seed=5).flip_bits(rank=0, op="all_reduce")
-            out = plan.corrupt_payload(0, "all_reduce", arr, "post")
-            assert out is not None and out is not arr
+            out = _carrying_group(plan)._ask("_carrying", 0, arr, "all_reduce", "post")
+            assert out is not arr
             outs.append(out)
         np.testing.assert_array_equal(outs[0], outs[1])  # same seed, same flip
         np.testing.assert_array_equal(arr, np.arange(32, dtype=np.float32))
@@ -173,34 +189,44 @@ class TestInjection:
 
     def test_flip_fires_bounded_times_and_matches_rule(self):
         plan = FaultPlan(seed=5).flip_bits(rank=1, op="all_gather", nth=2, times=1)
-        arr = np.ones(4, dtype=np.float32)
-        assert plan.corrupt_payload(0, "all_gather", arr, "post") is None  # rank
-        assert plan.corrupt_payload(1, "all_reduce", arr, "post") is None  # op
-        assert plan.corrupt_payload(1, "all_gather", arr, "pre") is None   # when
-        assert plan.corrupt_payload(1, "all_gather", arr, "post") is None  # match 1
-        assert plan.corrupt_payload(1, "all_gather", arr, "post") is not None
-        assert plan.corrupt_payload(1, "all_gather", arr, "post") is None  # spent
+        group, arr = _carrying_group(plan), np.ones(4, dtype=np.float32)
+
+        def carry(rank, op, when):
+            return group._ask("_carrying", rank, arr, op, when)
+
+        assert carry(0, "all_gather", "post") is arr  # rank
+        assert carry(1, "all_reduce", "post") is arr  # op
+        assert carry(1, "all_gather", "pre") is arr   # when
+        assert carry(1, "all_gather", "post") is arr  # match 1
+        assert carry(1, "all_gather", "post") is not arr
+        assert carry(1, "all_gather", "post") is arr  # spent
         assert [e.kind for e in plan.events] == ["bitflip"]
 
     def test_scribble_rule_consumed_once(self):
         plan = FaultPlan(seed=5).scribble_tensor(rank=1, at_step=3, target="m")
-        assert plan.scribbles_due(0, 3) == []
-        assert plan.scribbles_due(1, 2) == []
-        due = plan.scribbles_due(1, 3)
-        assert [(r.target, r.bits) for r in due] == [("m", 1)]
-        assert plan.scribbles_due(1, 4) == []  # stays consumed (restarts too)
-        assert plan.events[0].kind == "scribble"
+        shards = {k: np.zeros(8, np.float32) for k in ("master", "m", "v")}
+        plan.step_begin(_engine_stub(0, 3, shards), True)
+        plan.step_begin(_engine_stub(1, 2, shards), True)
+        assert plan.events == []
+        plan.step_begin(_engine_stub(1, 3, shards), True)
+        flipped = {k: int(np.unpackbits(a.view(np.uint8)).sum()) for k, a in shards.items()}
+        assert flipped == {"master": 0, "m": 1, "v": 0}  # target m, one bit
+        after = shards["m"].copy()
+        plan.step_begin(_engine_stub(1, 4, shards), True)  # stays consumed (restarts too)
+        np.testing.assert_array_equal(shards["m"], after)
+        assert [e.kind for e in plan.events] == ["scribble"]
 
     def test_rot_flips_file_bits_in_place(self, tmp_path):
         path = tmp_path / "rank0.npz"
         payload = bytes(range(256)) * 8
         path.write_bytes(payload)
         plan = FaultPlan(seed=5).rot_checkpoint(rank=0, bits=3)
-        assert plan.on_checkpoint_saved(0, path)
+        plan.checkpoint_written(_engine_stub(0, 1), path)
         rotted = path.read_bytes()
         assert len(rotted) == len(payload) and rotted != payload
-        assert plan.on_checkpoint_saved(0, path) is False  # bounded
-        assert plan.events[0].kind == "ckpt-rot"
+        plan.checkpoint_written(_engine_stub(0, 2), path)
+        assert path.read_bytes() == rotted  # bounded
+        assert [e.kind for e in plan.events] == ["ckpt-rot"]
 
     def test_builder_validation(self):
         with pytest.raises(ValueError, match="pre"):

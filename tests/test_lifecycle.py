@@ -190,14 +190,14 @@ def test_a_scribbled_shard_is_rejected_before_the_optimizer_and_never_published(
     for name in ("_reduce_gradients", "_optimizer_step"):
         spy(_ZeroDPBase, name, lambda eng, name=name: entered.append((name, eng.ctx.rank, eng.step_count)))
     spy(BuddyStore, "publish", lambda store, snap: published.append((snap.owner, snap.step)))
-    corrupt = FaultPlan.corrupt_array_inplace
+    corrupt = FaultPlan._flip_array_locked  # what the plan's step_begin scribbles with
 
     def corrupt_and_keep(self, rank, array, bits):
         seen["before"] = array.copy()
         corrupt(self, rank, array, bits)
         seen["after"] = array.copy()
 
-    monkeypatch.setattr(FaultPlan, "corrupt_array_inplace", corrupt_and_keep)
+    monkeypatch.setattr(FaultPlan, "_flip_array_locked", corrupt_and_keep)
     plan = FaultPlan(seed=1).scribble_tensor(rank=0, at_step=2, target="master", bits=3)
     cluster = Cluster(
         2, timeout_s=30.0, fault_plan=plan, redundancy=BuddyStore(RedundancyConfig())
@@ -254,7 +254,11 @@ def test_order_table_declares_the_two_safety_rules():
         engine.train_step(*CORPUS.sample_batch(2, 32, rank=ctx.rank, step=0))
         life = engine._lifecycle
         return {
-            point: [type(sub).__name__.strip("_").lower() for sub in getattr(life, point)]
+            point: [
+                # the plan is its own subscriber; the others are named for their part
+                "faults" if sub is ctx.faults else type(sub).__name__.strip("_").lower()
+                for sub in getattr(life, point)
+            ]
             for point in points
         }
 

@@ -56,9 +56,6 @@ from repro.parallel.engine import EngineConfig
 from repro.restart import (
     ALL_KINDS,
     counter_name,
-    instant_name,
-    kind_from_counter,
-    kind_from_instant,
 )
 from repro.telemetry import (
     MetricsRegistry,
@@ -250,14 +247,6 @@ class TestRestartKindRoundTrip:
         assert labelled == ALL_KINDS
         for kind in ALL_KINDS:
             assert reg.counter(counter_name(kind)).value == 1
-            assert kind_from_counter(counter_name(kind)) == kind
-            assert kind_from_instant(instant_name(kind)) == kind
-
-    def test_inverses_reject_foreign_names(self):
-        with pytest.raises(ValueError):
-            kind_from_counter("sdc_injections")
-        with pytest.raises(ValueError):
-            kind_from_instant("supervisor-gave-up")
 
 
 # -- unit: goodput ------------------------------------------------------------

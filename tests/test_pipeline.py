@@ -140,6 +140,40 @@ class TestGPipeLifecycle:
         assert sorted(reached) == [(0, 1), (1, 1)]
         assert [e.kind for e in plan.events] == ["kill"]
 
+    @pytest.mark.timeout_guard(30)
+    def test_a_grad_sent_before_the_kill_still_finishes_the_step(self, monkeypatch):
+        """Stage 0 is slow to take its last step-1 gradient: by then stage 1
+        has sent it, begun step 2 and been killed. The gradient was queued
+        before the abort, so stage 0 still finishes step 1."""
+        from repro.comm.faults import FaultPlan, RankKilledError
+        from repro.comm.group import ProcessGroup
+
+        recv = ProcessGroup.recv
+        delayed = []
+
+        def slow_last_grad(self, rank, src, tag=0, phase=""):
+            if rank == 0 and tag == ("grad", 0) and not delayed:
+                delayed.append(tag)
+                time.sleep(0.2)
+            return recv(self, rank, src, tag, phase)
+
+        monkeypatch.setattr(ProcessGroup, "recv", slow_last_grad)
+        plan = FaultPlan().kill_rank(1, at_step=2)
+        reached = []
+
+        def fn(ctx):
+            engine = GPipeEngine(ctx, CFG, ctx.world, n_microbatches=2,
+                                 dtype=np.float32, seed=0)
+            for step in range(3):
+                ids, tgt = CORPUS.sample_batch(4, 16, rank=0, step=step)
+                engine.train_step(ids, tgt)
+                reached.append((ctx.rank, engine.step_count))
+
+        with pytest.raises(RankKilledError):
+            Cluster(2, gpu=GPU, timeout_s=10.0, fault_plan=plan).run(fn)
+        assert delayed == [("grad", 0)]
+        assert sorted(reached) == [(0, 1), (1, 1)]
+
     def test_scribble_rules_are_skipped_not_invented(self):
         """A pipeline stage exposes no ``integrity_shards``; a scribble rule
         aimed at it stays unfired and training is untouched."""

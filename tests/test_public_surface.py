@@ -55,12 +55,6 @@ PUBLIC_API = {
     "hardware.topology.ClusterTopology.dp_groups": ("decided-later", "6. Performance modelling"),
     "hardware.topology.ClusterTopology.mp_groups": ("decided-later", "6. Performance modelling"),
     "comm.costmodel.CommCostModel.total_time": ("decided-later", "6. Performance modelling"),
-    "integrity.digest.combine_digests": (
-        "decided-later", "Detection (`IntegrityAuditor`, enabled via `ZeROConfig(audit_cadence=N)`)"),
-    "restart.kind_from_instant": (
-        "decided-later", "The fast path (`redundancy.recovery`, `supervisor`)"),
-    "restart.kind_from_counter": (
-        "decided-later", "The fast path (`redundancy.recovery`, `supervisor`)"),
     "tensor.tensor.Tensor.freed": ("observation", "3. The NN framework's ownership contract"),
     "memsim.timeline.MemoryTimeline.peak_allocated": ("observation", "2. Memory accounting"),
     "memprof.provenance.current_phase": ("observation", "Provenance: who owns every byte"),
