@@ -14,6 +14,7 @@ from repro.analysis.pp_model import (
 )
 from repro.utils.tables import format_table
 from repro.utils.units import GB
+from repro.zero.placement import Mesh
 
 PSI = 10e9
 MICRO_BATCH = 2
@@ -23,15 +24,16 @@ HIDDEN, LAYERS, SEQ = 4096, 50, 1024
 def run_comparison():
     rows = []
     for devices in (4, 8, 16, 32):
-        micro = microbatches_for_bubble(devices, 0.2)
-        bubble = pipeline_bubble_fraction(devices, micro)
+        pipeline, data = Mesh(pp=devices), Mesh(dp=devices)
+        micro = microbatches_for_bubble(pipeline, 0.2)
+        bubble = pipeline_bubble_fraction(pipeline, micro)
         act_micro = ActivationModel(hidden=HIDDEN, n_layers=LAYERS, seq_len=SEQ,
                                     batch=MICRO_BATCH)
-        pp = gpipe_device_bytes(PSI, act_micro, n_stages=devices, n_microbatches=micro)
+        pp = gpipe_device_bytes(PSI, act_micro, mesh=pipeline, n_microbatches=micro)
         per_rank = max(1, (MICRO_BATCH * micro) // devices)
         act_full = ActivationModel(hidden=HIDDEN, n_layers=LAYERS, seq_len=SEQ,
                                    batch=per_rank)
-        z3 = zero_device_bytes_for_comparison(PSI, act_full, nd=devices, stage=3)
+        z3 = zero_device_bytes_for_comparison(PSI, act_full, mesh=data, stage=3)
         rows.append((devices, micro, bubble, MICRO_BATCH * micro, pp, z3))
     return rows
 

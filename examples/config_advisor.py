@@ -12,6 +12,7 @@ checkpoints, the resulting max batch, and the modelled throughput.
 from repro.analysis.advisor import recommend_zero_config
 from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
+from repro.zero.placement import Mesh
 
 N_GPUS = 128
 
@@ -28,7 +29,7 @@ CANDIDATES = [
 def main():
     rows = []
     for label, model, mp in CANDIDATES:
-        advice = recommend_zero_config(model, n_gpus=N_GPUS, mp=mp)
+        advice = recommend_zero_config(model, mesh=Mesh.of_world(N_GPUS, mp))
         rows.append([
             label,
             f"{model.total_params/1e9:.1f}B",

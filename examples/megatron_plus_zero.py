@@ -19,6 +19,7 @@ from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
 from repro.utils.units import bytes_to_str
 from repro.zero import build_model_and_engine
+from repro.zero.placement import Mesh
 
 MP = 2
 WORLD = 4
@@ -28,11 +29,9 @@ CORPUS = SyntheticCorpus(96, seed=11)
 
 
 def train(ctx):
-    mp_index = ctx.rank % MP
-    mp_ranks = [r for r in range(WORLD) if r // MP == ctx.rank // MP]
-    dp_ranks = [r for r in range(WORLD) if r % MP == mp_index]
-    mp_group = ctx.group(mp_ranks)
-    dp_group = ctx.group(dp_ranks)
+    mesh = Mesh.of_world(WORLD, MP)
+    mp_group = ctx.group(mesh.mp_group(ctx.rank))
+    dp_group = ctx.group(mesh.dp_group(ctx.rank))
     zero = ZeROConfig(stage=2, partition_activations=True,
                       checkpoint_activations=True, memory_defrag=False)
     model, engine = build_model_and_engine(

@@ -21,6 +21,7 @@ from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
 from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
+from repro.zero.placement import Mesh
 
 MODEL = GPTConfig(n_layers=160, hidden=8192, n_heads=64)  # ~130B params
 N_GPUS, MP, BATCH = 400, 16, 8
@@ -56,7 +57,7 @@ def main() -> None:
     report = exc.postmortem
     print(report.render())
 
-    advice = recommend_zero_config(MODEL, n_gpus=N_GPUS, mp=MP)
+    advice = recommend_zero_config(MODEL, mesh=Mesh.of_world(N_GPUS, MP))
     cfg = advice.config
     knob = f"stage {cfg.stage}" + (" + Pa" if cfg.partition_activations else "")
     print(f"\nRe-running the same step under the advisor's pick ({knob})...")

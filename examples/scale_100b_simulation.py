@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from repro.analysis.perf_model import PerfModel
-from repro.comm.virtual import VirtualGroup
 from repro.configs import TABLE5_FIGURE2
+from repro.experiments.common import virtual_groups
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.utils.units import GB, bytes_to_str
@@ -28,14 +28,11 @@ def main():
     point = next(p for p in TABLE5_FIGURE2 if p.label == "100B" and p.system == "zero")
     print(f"model: {point.label} ({point.model.total_params/1e9:.1f}B params, "
           f"{point.layers} layers x {point.hidden} hidden)")
-    print(f"layout: {point.n_gpus} GPUs = {point.mp}-way MP x {point.dp}-way DP, "
+    print(f"layout: {point.n_gpus} GPUs = {point.mp}-way MP x {point.mesh.dp}-way DP, "
           f"batch {point.batch}/replica\n")
 
     ctx = virtual_rank_context(point.n_gpus)
-    mp_group = VirtualGroup.of_size(point.mp, member_rank=0)
-    mp_group.attach_ledger(0, ctx.ledger)
-    dp_group = VirtualGroup(tuple(range(0, point.n_gpus, point.mp)), member_rank=0)
-    dp_group.attach_ledger(0, ctx.ledger)
+    dp_group, mp_group = virtual_groups(ctx, point.n_gpus, point.mp)
 
     t0 = time.time()
     model, engine = build_model_and_engine(
@@ -72,9 +69,7 @@ def main():
             print(f"  {label:<32} {bytes_to_str(volume)}")
 
     pm = PerfModel()
-    est = pm.estimate(
-        point.model, C4, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus
-    )
+    est = pm.estimate(point.model, C4, mesh=point.mesh, batch=point.batch)
     print("\n-- modelled throughput (calibrated alpha-beta + GEMM model) --")
     print(f"  compute {est.compute_s:.1f}s + MP comm {est.mp_comm_s:.1f}s + "
           f"DP comm {est.dp_comm_s:.1f}s per step")

@@ -18,13 +18,14 @@ import time
 import numpy as np
 
 from repro.analysis.memory_model import model_state_bytes
-from repro.comm.virtual import VirtualGroup
+from repro.experiments.common import virtual_groups
 from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.utils.units import GB, bytes_to_str
 from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
+from repro.zero.placement import Mesh
 
 # ~1.0T parameters: 12 x 310 x 16384^2 plus embeddings.
 CONFIG = GPTConfig(n_layers=310, hidden=16384, n_heads=128)
@@ -33,21 +34,18 @@ BATCH = 2  # "a modest batch size"
 
 
 def main():
-    nd = N_GPUS // MP
+    mesh = Mesh.of_world(N_GPUS, MP)
     psi = CONFIG.total_params
     print(f"model: {psi / 1e12:.2f}T parameters "
           f"({CONFIG.n_layers} layers x {CONFIG.hidden} hidden)")
-    print(f"layout: {N_GPUS} GPUs = {MP}-way MP (intra-node) x {nd}-way DP, "
+    print(f"layout: {N_GPUS} GPUs = {MP}-way MP (intra-node) x {mesh.dp}-way DP, "
           f"ZeRO stage 3 (Pos+g+p) + Pa, batch {BATCH}/replica\n")
-    states = model_state_bytes(psi / MP, nd, 3)
+    states = model_state_bytes(psi, mesh, 3)
     print(f"Table 1 arithmetic: 16 x Psi_local / Nd = {states / GB:.1f} GB "
           "of model states per GPU (paper: 15.6 GB at 1T/1024)\n")
 
     ctx = virtual_rank_context(N_GPUS)
-    mp_group = VirtualGroup.of_size(MP, member_rank=0)
-    mp_group.attach_ledger(0, ctx.ledger)
-    dp_group = VirtualGroup(tuple(range(0, N_GPUS, MP)), member_rank=0)
-    dp_group.attach_ledger(0, ctx.ledger)
+    dp_group, mp_group = virtual_groups(ctx, N_GPUS, MP)
 
     zero = ZeROConfig(stage=3, partition_activations=True, memory_defrag=False)
     t0 = time.time()

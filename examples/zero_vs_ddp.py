@@ -18,6 +18,7 @@ from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
 from repro.utils.tables import format_table
 from repro.zero import build_model_and_engine
+from repro.zero.placement import Mesh
 
 WORLD = 4
 STEPS = 5
@@ -65,7 +66,7 @@ def main():
             f"{losses[-1]:.6f}",
             "bitwise == DDP" if losses == reference else "DIVERGED",
             f"{state_bytes / numel:.2f}",
-            f"{model_state_bytes(1, WORLD, stage):.2f}",
+            f"{model_state_bytes(1, Mesh(dp=WORLD), stage):.2f}",
             "yes" if identical else "no",
         ])
     print(format_table(

@@ -24,6 +24,7 @@ from repro.analysis.max_model import DEFAULT_BUDGET_BYTES, max_batch
 from repro.analysis.perf_model import PerfModel
 from repro.nn.transformer import GPTConfig
 from repro.zero.config import ZeROConfig
+from repro.zero.placement import Mesh
 
 
 @dataclass(frozen=True)
@@ -54,49 +55,38 @@ def _estimate(
     zero: ZeROConfig,
     model: GPTConfig,
     *,
-    n_gpus: int,
-    mp: int,
+    mesh: Mesh,
     budget_bytes: float,
     batch_cap: int,
     perf: PerfModel,
 ) -> VariantEstimate:
-    nd = n_gpus // mp
-    b = min(max_batch(model, zero, nd=nd, mp=mp, budget_bytes=budget_bytes), batch_cap)
+    b = min(max_batch(model, zero, mesh=mesh, budget_bytes=budget_bytes), batch_cap)
     if b == 0:
         return VariantEstimate(label, zero, 0, 0.0)
-    est = perf.estimate(model, zero, batch=b, mp_degree=mp, n_gpus=n_gpus)
+    est = perf.estimate(model, zero, mesh=mesh, batch=b)
     return VariantEstimate(label, zero, b, est.tflops_per_gpu)
 
 
 def advise_activation_strategy(
     model: GPTConfig,
     *,
-    n_gpus: int,
-    mp: int,
+    mesh: Mesh,
     stage: int = 2,
     budget_bytes: float = DEFAULT_BUDGET_BYTES,
     batch_cap: int = 64,
 ) -> Advice:
     """Decide Pa / Pa+cpu for a fixed ZeRO stage (the Section 8 question)."""
-    if n_gpus % mp:
-        raise ValueError(f"n_gpus {n_gpus} not divisible by mp {mp}")
     perf = PerfModel()
     base = ZeROConfig(stage=stage)
-    variants = [
-        _estimate("no-Pa", base, model, n_gpus=n_gpus, mp=mp,
-                  budget_bytes=budget_bytes, batch_cap=batch_cap, perf=perf)
-    ]
-    if mp > 1:
+    candidates = [("no-Pa", base)]
+    if mesh.mp > 1:  # Pa needs an MP group to partition over
         pa = replace(base, partition_activations=True)
-        variants.append(
-            _estimate("Pa", pa, model, n_gpus=n_gpus, mp=mp,
-                      budget_bytes=budget_bytes, batch_cap=batch_cap, perf=perf)
-        )
-        pa_cpu = replace(pa, cpu_offload_activations=True)
-        variants.append(
-            _estimate("Pa+cpu", pa_cpu, model, n_gpus=n_gpus, mp=mp,
-                      budget_bytes=budget_bytes, batch_cap=batch_cap, perf=perf)
-        )
+        candidates += [("Pa", pa), ("Pa+cpu", replace(pa, cpu_offload_activations=True))]
+    variants = [
+        _estimate(label, zero, model, mesh=mesh,
+                  budget_bytes=budget_bytes, batch_cap=batch_cap, perf=perf)
+        for label, zero in candidates
+    ]
     feasible = [v for v in variants if v.feasible]
     if not feasible:
         return Advice(
@@ -122,8 +112,7 @@ def advise_activation_strategy(
 def recommend_zero_config(
     model: GPTConfig,
     *,
-    n_gpus: int,
-    mp: int = 1,
+    mesh: Mesh,
     budget_bytes: float = DEFAULT_BUDGET_BYTES,
     batch_cap: int = 64,
     min_batch: int = 1,
@@ -137,7 +126,7 @@ def recommend_zero_config(
     last = None
     for stage in (0, 1, 2, 3):
         advice = advise_activation_strategy(
-            model, n_gpus=n_gpus, mp=mp, stage=stage,
+            model, mesh=mesh, stage=stage,
             budget_bytes=budget_bytes, batch_cap=batch_cap,
         )
         last = advice

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.zero.placement import Placed, state_placement
+from repro.zero.placement import Mesh, Placed, state_placement
 
 
 def dp_volume_elements(psi: float, placement: dict[str, Placed] | int) -> float:
@@ -64,10 +64,10 @@ class MPCommModel:
             checkpointing=checkpointing
         )
 
-    def pcie_elements_per_block(self, placement: dict[str, Placed], mp_degree: int) -> float:
+    def pcie_elements_per_block(self, placement: dict[str, Placed], mesh: Mesh) -> float:
         """An off-device activation row (Pa+cpu) moves each rank's 1/Nm
         checkpoint shard to the CPU and back: 2x the shard per block
         (Section 8's '2x added data movement')."""
         if placement["activation"].tier == "device":
             return 0.0
-        return 2.0 * self.message_elements / mp_degree
+        return mesh.divide(2.0 * self.message_elements, ("mp",))

@@ -14,6 +14,7 @@ from repro.analysis.memory_model import ActivationModel, total_device_bytes
 from repro.nn.transformer import GPTConfig
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
+from repro.zero.placement import Mesh
 
 SEQ_LEN = 1024
 VOCAB = 50257
@@ -35,75 +36,20 @@ def device_bytes_for(
     config: GPTConfig,
     zero: ZeROConfig,
     *,
+    mesh: Mesh,
     batch: int,
-    nd: int,
-    mp: int = 1,
     seq_len: int = SEQ_LEN,
 ) -> float:
-    """Per-GPU bytes for a concrete (model, config, parallelism, batch)."""
+    """Per-GPU bytes for a concrete (model, config, mesh, batch)."""
     act = ActivationModel(
-        hidden=config.hidden, n_layers=config.n_layers,
-        seq_len=seq_len, batch=batch, mp_degree=mp,
+        hidden=config.hidden, n_layers=config.n_layers, seq_len=seq_len, batch=batch,
     )
-    return total_device_bytes(float(config.total_params), act, zero, nd=nd, mp_degree=mp)
+    return total_device_bytes(float(config.total_params), act, zero, mesh=mesh)
 
 
-def max_layers(
-    zero: ZeROConfig,
-    *,
-    hidden: int,
-    heads: int,
-    batch: int,
-    nd: int,
-    mp: int = 1,
-    budget_bytes: float = DEFAULT_BUDGET_BYTES,
-    seq_len: int = SEQ_LEN,
-    max_search: int = 4096,
-) -> FitResult:
-    """Largest layer count (hence model size) that fits the budget."""
-
-    def fits(n_layers: int) -> tuple[bool, float, GPTConfig]:
-        cfg = GPTConfig(n_layers=n_layers, hidden=hidden, n_heads=heads,
-                        vocab_size=VOCAB, max_seq_len=seq_len)
-        used = device_bytes_for(cfg, zero, batch=batch, nd=nd, mp=mp, seq_len=seq_len)
-        return used <= budget_bytes, used, cfg
-
-    ok, used, cfg = fits(1)
-    if not ok:
-        return FitResult(config=cfg, psi=float(cfg.total_params), device_bytes=used, fits=False)
-    lo, hi = 1, 2
-    while hi <= max_search and fits(hi)[0]:
-        lo, hi = hi, hi * 2
-    hi = min(hi, max_search)
-    # Binary search in (lo, hi].
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid)[0]:
-            lo = mid
-        else:
-            hi = mid
-    ok, used, cfg = fits(lo)
-    return FitResult(config=cfg, psi=float(cfg.total_params), device_bytes=used, fits=True)
-
-
-def max_batch(
-    config: GPTConfig,
-    zero: ZeROConfig,
-    *,
-    nd: int,
-    mp: int = 1,
-    budget_bytes: float = DEFAULT_BUDGET_BYTES,
-    seq_len: int = SEQ_LEN,
-    max_search: int = 1 << 14,
-) -> int:
-    """Largest per-replica batch that fits; 0 if even batch 1 does not."""
-
-    def fits(b: int) -> bool:
-        return (
-            device_bytes_for(config, zero, batch=b, nd=nd, mp=mp, seq_len=seq_len)
-            <= budget_bytes
-        )
-
+def _largest(fits, max_search: int) -> int:
+    """Largest n in [1, max_search] with ``fits(n)`` by doubling, then
+    binary search in (lo, hi]; 0 if even 1 does not fit."""
     if not fits(1):
         return 0
     lo, hi = 1, 2
@@ -117,3 +63,44 @@ def max_batch(
         else:
             hi = mid
     return lo
+
+
+def max_layers(
+    zero: ZeROConfig,
+    *,
+    mesh: Mesh,
+    hidden: int,
+    heads: int,
+    batch: int,
+    budget_bytes: float = DEFAULT_BUDGET_BYTES,
+    seq_len: int = SEQ_LEN,
+    max_search: int = 4096,
+) -> FitResult:
+    """Largest layer count (hence model size) that fits the budget."""
+
+    def used(n_layers: int) -> tuple[float, GPTConfig]:
+        cfg = GPTConfig(n_layers=n_layers, hidden=hidden, n_heads=heads,
+                        vocab_size=VOCAB, max_seq_len=seq_len)
+        return device_bytes_for(cfg, zero, mesh=mesh, batch=batch, seq_len=seq_len), cfg
+
+    n_layers = _largest(lambda n: used(n)[0] <= budget_bytes, max_search)
+    device_bytes, cfg = used(max(n_layers, 1))
+    return FitResult(config=cfg, psi=float(cfg.total_params), device_bytes=device_bytes,
+                     fits=n_layers > 0)
+
+
+def max_batch(
+    config: GPTConfig,
+    zero: ZeROConfig,
+    *,
+    mesh: Mesh,
+    budget_bytes: float = DEFAULT_BUDGET_BYTES,
+    seq_len: int = SEQ_LEN,
+    max_search: int = 1 << 14,
+) -> int:
+    """Largest per-replica batch that fits; 0 if even batch 1 does not."""
+    return _largest(
+        lambda b: device_bytes_for(config, zero, mesh=mesh, batch=b, seq_len=seq_len)
+        <= budget_bytes,
+        max_search,
+    )

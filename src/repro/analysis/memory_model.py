@@ -17,8 +17,10 @@ All byte counts use the paper's decimal GB and its constants:
 Which of those terms a rank holds, and on which tier, is read off the
 resolved rows of ``repro.zero.placement`` (``ZeROConfig.placement``):
 ``state_bytes_by_tier`` is the one loop over the three per-Psi rows and
-``ActivationModel.checkpoint_bytes`` reads the ``activation`` row. No
-function here takes a stage's or an option's consequences as booleans.
+``ActivationModel.checkpoint_bytes`` reads the ``activation`` row. How
+many ranks share a row is the ``Mesh``'s: each row is divided by its mesh
+axes there and nowhere else. No function here takes a stage's or an
+option's consequences as booleans, or a parallel degree as a number.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.optim.mixed_precision import ADAM_K
-from repro.zero.placement import STATE_CLASSES, Placed, state_placement
+from repro.zero.placement import MODEL_AXES, STATE_CLASSES, Mesh, Placed, state_placement
 
 if TYPE_CHECKING:
     from repro.zero.config import ZeROConfig
@@ -38,44 +40,49 @@ BASELINE = state_placement(0)
 
 def state_bytes_by_tier(
     psi: float,
-    nd: int,
+    mesh: Mesh,
     placement: dict[str, Placed],
     k: int = ADAM_K,
     tile_bytes: int | None = None,
 ) -> dict[str, float]:
     """Per-rank model-state bytes on each tier under a resolved placement:
-    the one loop over the table's per-Psi rows. A replicated class costs
-    its full bytes/param on the device; a partitioned one costs 1/Nd of
-    that on its tier (shards this rank owns — activations and transient
+    the one loop over the table's per-Psi rows. Model parallelism gives
+    this rank Psi / (mp x pp) parameters; a replicated class costs its full
+    bytes/param of those on the device, a partitioned one 1/dp of that on
+    its tier (shards this rank owns — activations and transient
     materializations are not model state). Off-device parameters
     (ZeRO-Infinity, paged in per unit gather) leave only memory-centric
     tiling's staging bound, ``tile_bytes``, on the device."""
-    if psi < 0 or nd < 1:
-        raise ValueError(f"need psi >= 0 and nd >= 1, got psi={psi}, nd={nd}")
+    if psi < 0:
+        raise ValueError(f"need psi >= 0, got psi={psi}")
+    psi = mesh.divide(psi, MODEL_AXES)  # this rank's parameters: every per-Psi row's split
     rows = [  # summed in Figure 1's order: parameters, gradients, optimizer state
-        (k if row.name == "optimizer" else row.bytes_per_param, *placement[row.name])
+        (k if row.name == "optimizer" else row.bytes_per_param, row.group, *placement[row.name])
         for row in reversed(STATE_CLASSES)
         if row.bytes_per_param is not None
     ]
-    replicated = sum(per_param for per_param, partitioned, _ in rows if not partitioned)
+    replicated = sum(per_param for per_param, _, partitioned, _ in rows if not partitioned)
     out = {"device": replicated * psi, "host": 0.0, "nvme": 0.0}
     if placement["param"].tier != "device":
         out["device"] += float(tile_bytes or 0)
-    for per_param, partitioned, tier in rows:
+    for per_param, group, partitioned, tier in rows:
         if partitioned:
-            out[tier] += per_param * psi / nd
+            out[tier] += mesh.divide(per_param * psi, (group,))
     return out
 
 
-def model_state_bytes(psi: float, nd: int = 1, stage: int = 0, k: int = ADAM_K) -> float:
+def model_state_bytes(psi: float, mesh: Mesh = Mesh(), stage: int = 0, k: int = ADAM_K) -> float:
     """Per-device model-state bytes for a Psi-parameter model with every
     class on the device (Figure 1)."""
-    return state_bytes_by_tier(psi, nd, state_placement(stage), k)["device"]
+    return state_bytes_by_tier(psi, mesh, state_placement(stage), k)["device"]
 
 
-def max_model_params(memory_bytes: float, nd: int = 1, stage: int = 0, k: int = ADAM_K) -> float:
-    """Largest Psi whose model states fit in ``memory_bytes`` (Table 2 left)."""
-    denom = model_state_bytes(1.0, nd, stage, k)
+def max_model_params(
+    memory_bytes: float, mesh: Mesh = Mesh(), stage: int = 0, k: int = ADAM_K
+) -> float:
+    """Largest Psi whose model states fit in ``memory_bytes`` on every rank
+    of ``mesh`` (Table 2 left)."""
+    denom = model_state_bytes(1.0, mesh, stage, k)
     return memory_bytes / denom
 
 
@@ -89,13 +96,13 @@ class ActivationModel:
     layer (interval 1, our engines' behaviour and the Section 8 analysis)
     gives exactly twice that. A larger interval stores fewer checkpoints
     but recomputes (and transiently holds) ``interval`` layers at once.
+    Each method takes the ``Mesh`` the GPU is one rank of.
     """
 
     hidden: int
     n_layers: int
     seq_len: int
     batch: int
-    mp_degree: int = 1
     bytes_per_element: int = 2  # fp16 activations
     checkpoint_interval: int = 1
 
@@ -111,43 +118,47 @@ class ActivationModel:
         """Paper footnote 3: ~12 x hidden x batch x seq per transformer layer."""
         return 12.0 * self.hidden * self.batch * self.seq_len
 
-    def total_bytes(self) -> float:
+    def total_bytes(self, mesh: Mesh = Mesh()) -> float:
         """All activations, no checkpointing: replicated LN/residual inputs
         are shared, the big internals split across MP ranks."""
-        return self.elements_per_layer * self.n_layers * self.bytes_per_element / self.mp_degree
+        return mesh.divide(
+            self.elements_per_layer * self.n_layers * self.bytes_per_element, ("mp",)
+        )
 
-    def checkpoint_bytes(self, placement: dict[str, Placed] = BASELINE) -> float:
+    def checkpoint_bytes(
+        self, placement: dict[str, Placed] = BASELINE, mesh: Mesh = Mesh()
+    ) -> float:
         """On-device stored checkpoints: one block-input (batch x seq x
         hidden) per layer, placed by the ``activation`` row.
 
-        Replicated, each MP rank holds every checkpoint (Section 6.1's
-        redundancy); partitioned (Pa) divides by the MP degree; off-device
-        (Pa+cpu) moves them off.
+        A pipeline stage holds only its own layers' checkpoints. Replicated,
+        each MP rank holds every checkpoint (Section 6.1's redundancy);
+        partitioned (Pa) divides by the MP degree; off-device (Pa+cpu)
+        moves them off.
         """
         partitioned, tier = placement["activation"]
         if tier != "device":
             return 0.0
         per_ckpt = self.batch * self.seq_len * self.hidden * self.bytes_per_element
         n_checkpoints = -(-self.n_layers // self.checkpoint_interval)  # ceil
-        total = per_ckpt * n_checkpoints
-        if partitioned:
-            total /= self.mp_degree
-        return total
+        row = STATE_CLASSES[-1]  # the activation row
+        axes = row.split + ((row.group,) if partitioned else ())
+        return mesh.divide(per_ckpt * n_checkpoints, axes)
 
-    def working_bytes(self) -> float:
+    def working_bytes(self, mesh: Mesh = Mesh()) -> float:
         """Transient working set while (re)computing one checkpoint segment
         (``checkpoint_interval`` blocks at once)."""
-        return (
-            self.elements_per_layer * self.checkpoint_interval
-            * self.bytes_per_element / self.mp_degree
+        return mesh.divide(
+            self.elements_per_layer * self.checkpoint_interval * self.bytes_per_element, ("mp",)
         )
 
     def iteration_bytes(
-        self, placement: dict[str, Placed] = BASELINE, *, checkpointing: bool = True
+        self, placement: dict[str, Placed] = BASELINE, mesh: Mesh = Mesh(),
+        *, checkpointing: bool = True,
     ) -> float:
         if not checkpointing:
-            return self.total_bytes()
-        return self.checkpoint_bytes(placement) + self.working_bytes()
+            return self.total_bytes(mesh)
+        return self.checkpoint_bytes(placement, mesh) + self.working_bytes(mesh)
 
 
 def temporary_buffer_bytes(psi: float, *, constant_buffers: bool, cb_numel: int = 1 << 22) -> float:
@@ -163,19 +174,17 @@ def total_device_bytes(
     activation: ActivationModel,
     zero: ZeROConfig,
     *,
-    nd: int = 1,
-    mp_degree: int = 1,
+    mesh: Mesh = Mesh(),
     k: int = ADAM_K,
 ) -> float:
-    """End-to-end per-GPU memory under ``zero``'s placement: model states
-    (split by MP) + activations + temporary buffers. MP splits Psi across
-    ranks; ZeRO-DP then splits the per-rank states across the DP group (the
-    Nd x Nm compounding of Section 1)."""
+    """End-to-end per-GPU memory of one rank of ``mesh`` under ``zero``'s
+    placement: model states + activations + temporary buffers. MP splits
+    Psi across ranks; ZeRO-DP then splits the per-rank states across the DP
+    group (the Nd x Nm compounding of Section 1)."""
     placement = zero.placement
-    psi_local = psi / mp_degree
     tile_bytes = None if zero.infinity is None else zero.infinity.tile_bytes
-    states = state_bytes_by_tier(psi_local, nd, placement, k, tile_bytes)["device"]
-    acts = activation.iteration_bytes(placement, checkpointing=zero.checkpoint_activations)
+    states = state_bytes_by_tier(psi, mesh, placement, k, tile_bytes)["device"]
+    acts = activation.iteration_bytes(placement, mesh, checkpointing=zero.checkpoint_activations)
     if placement["optimizer"].tier != "device" and not zero.constant_buffers:
         # The fp32 update runs host-side, so the transient full-model
         # fused buffer is never allocated on the device. (With CB the
@@ -183,5 +192,7 @@ def total_device_bytes(
         # it unconditionally.)
         buffers = 0.0
     else:
-        buffers = temporary_buffer_bytes(psi_local, constant_buffers=zero.constant_buffers)
+        buffers = temporary_buffer_bytes(
+            mesh.divide(psi, MODEL_AXES), constant_buffers=zero.constant_buffers
+        )
     return states + acts + buffers

@@ -21,9 +21,10 @@ All DP rings that cross nodes share the node's uplink with the other MP
 slices, so effective per-ring bandwidth is inter-node bandwidth divided by
 the GPUs per node participating in distinct rings.
 
-No compute/communication overlap is modeled; the paper's qualitative
-results (who wins, by what factor, where crossovers fall) do not depend on
-it and it keeps the model auditable.
+No compute/communication overlap is modeled, nor a pipeline bubble (a
+``pp`` axis only divides the work); the paper's qualitative results (who
+wins, by what factor, where crossovers fall) do not depend on either and
+it keeps the model auditable.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.hardware.specs import DGX2, PCIE_3_X16, NodeSpec
 from repro.nn.transformer import GPTConfig
 from repro.utils.units import TFLOP
 from repro.zero.config import ZeROConfig
+from repro.zero.placement import MODEL_AXES, Mesh
 
 # GEMM-efficiency calibration (see module docstring).
 EFF_MAX = 0.55
@@ -70,20 +72,20 @@ def compute_split_seconds(
     seq_len: int,
     *,
     checkpointing: bool,
-    mp_degree: int,
+    mesh: Mesh,
     peak_flops: float,
 ) -> tuple[float, float]:
     """Modeled (forward, backward) GEMM seconds of one micro-batch on one rank.
 
-    Hardware FLOPs per replica, divided over the tensor-parallel degree,
-    over achieved GEMM throughput. With recompute the 96-FLOP accounting
+    Hardware FLOPs per replica, divided over the mesh's model-parallel
+    axes, over achieved GEMM throughput. With recompute the 96-FLOP accounting
     splits 1/4 forward : 3/4 backward(+recompute); without, 1/3 : 2/3.
     The traced spans, the tier runtime and ``StepInputs.uniform`` all
     price compute here, so they agree by construction.
     """
     flops = transformer_flops_per_replica(
         config, batch, seq_len, checkpointing=checkpointing
-    ) / mp_degree
+    ) / (mesh.mp * mesh.pp)  # MODEL_AXES, inlined: engines call this every micro-step
     sec = flops / (peak_flops * gemm_efficiency(config.hidden))
     f_frac = 0.25 if checkpointing else 1.0 / 3.0
     return sec * f_frac, sec * (1.0 - f_frac)
@@ -116,10 +118,10 @@ class PerfModel:
     seq_len: int = SEQ_LEN
     pcie_bandwidth: float = PCIE_3_X16.bandwidth_bytes_per_s
 
-    def mp_link_bandwidth(self, mp_degree: int) -> float:
+    def mp_link_bandwidth(self, mesh: Mesh) -> float:
         """MP group bandwidth: NVSwitch while the group fits in a node,
         InfiniBand once it spans nodes (the Section 10.2 cliff)."""
-        if mp_degree <= self.node.gpus_per_node:
+        if mesh.mp <= self.node.gpus_per_node:
             return self.node.intra_node.bandwidth_bytes_per_s
         return self.node.inter_node.bandwidth_bytes_per_s
 
@@ -129,7 +131,7 @@ class PerfModel:
         cluster = 8 InfiniBand EDR links x 12.5 GB/s = 100 GB/s."""
         return self.node.inter_node.bandwidth_bytes_per_s * 8
 
-    def dp_comm_time(self, volume_elements: float, mp_degree: int, n_gpus: int) -> float:
+    def dp_comm_time(self, volume_elements: float, mesh: Mesh) -> float:
         """Time for the per-step DP traffic (hierarchical NCCL-style rings).
 
         Cross-node rings enter and leave each node once, so the bytes
@@ -139,9 +141,9 @@ class PerfModel:
         ``volume_elements`` fp16 elements; DP-only jobs run one
         hierarchical ring (intra-node reduction first)."""
         bytes_per_ring = volume_elements * FP16_BYTES
-        if n_gpus <= self.node.gpus_per_node:
+        if mesh.world <= self.node.gpus_per_node:
             return bytes_per_ring / self.node.intra_node.bandwidth_bytes_per_s
-        rings_per_node = min(mp_degree, self.node.gpus_per_node)
+        rings_per_node = min(mesh.mp, self.node.gpus_per_node)
         return rings_per_node * bytes_per_ring / self.node_uplink_bandwidth
 
     def estimate(
@@ -149,53 +151,45 @@ class PerfModel:
         config: GPTConfig,
         zero: ZeROConfig,
         *,
+        mesh: Mesh,
         batch: int,
-        mp_degree: int,
-        n_gpus: int,
     ) -> ThroughputBreakdown:
-        """Per-GPU throughput for one (model, ZeRO config, parallelism, batch)
+        """Per-GPU throughput for one (model, ZeRO config, mesh, batch)
         point. Every communication term is ``comm_model``'s volume for
         ``zero.placement`` over this node's links.
 
         ``batch`` is the per-replica (per MP group) microbatch, matching
         the appendix tables' "Batch size" column.
         """
-        if n_gpus % mp_degree:
-            raise ValueError(f"n_gpus {n_gpus} not divisible by mp {mp_degree}")
-        dp_degree = n_gpus // mp_degree
-        psi = float(config.total_params)
-        psi_local = psi / mp_degree
+        psi_local = mesh.divide(float(config.total_params), MODEL_AXES)
+        layers = mesh.divide(config.n_layers, ("pp",))  # this stage's blocks
         placement = zero.placement
         checkpointing = zero.checkpoint_activations
         mp = MPCommModel(batch=batch, seq_len=self.seq_len, hidden=config.hidden)
 
         # 1. Compute.
-        flops_replica = transformer_flops_per_replica(
-            config, batch, self.seq_len, checkpointing=checkpointing
+        flops_gpu = mesh.divide(
+            transformer_flops_per_replica(config, batch, self.seq_len, checkpointing=checkpointing),
+            MODEL_AXES,
         )
-        flops_gpu = flops_replica / mp_degree
         compute_s = flops_gpu / (self.node.gpu.peak_flops * gemm_efficiency(config.hidden))
 
         # 2. MP communication (Section 8's Megatron pattern, plus Pa's gather).
         mp_comm_s = 0.0
-        if mp_degree > 1:
+        if mesh.mp > 1:
             per_block = mp.baseline_elements_per_block(
                 checkpointing=checkpointing
             ) + mp.gather_elements_per_block(placement)
-            mp_comm_s = (
-                config.n_layers * (FP16_BYTES * per_block) / self.mp_link_bandwidth(mp_degree)
-            )
+            mp_comm_s = layers * (FP16_BYTES * per_block) / self.mp_link_bandwidth(mesh)
 
         # 3. DP communication: the placement's per-step volume (Section 7).
         dp_comm_s = 0.0
-        if dp_degree > 1:
-            dp_comm_s = self.dp_comm_time(
-                dp_volume_elements(psi_local, placement), mp_degree, n_gpus
-            )
+        if mesh.dp > 1:
+            dp_comm_s = self.dp_comm_time(dp_volume_elements(psi_local, placement), mesh)
 
         # 4. Pa+cpu PCIe traffic: each checkpoint shard goes down and back.
-        shard_elements = mp.pcie_elements_per_block(placement, mp_degree)
-        pa_cpu_s = config.n_layers * (FP16_BYTES * shard_elements) / self.pcie_bandwidth
+        shard_elements = mp.pcie_elements_per_block(placement, mesh)
+        pa_cpu_s = layers * (FP16_BYTES * shard_elements) / self.pcie_bandwidth
 
         return ThroughputBreakdown(
             compute_s=compute_s,

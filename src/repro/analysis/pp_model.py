@@ -17,22 +17,23 @@ from __future__ import annotations
 
 from repro.analysis.memory_model import ActivationModel, model_state_bytes
 from repro.optim.mixed_precision import ADAM_K
+from repro.zero.placement import Mesh
 
 
-def pipeline_bubble_fraction(n_stages: int, n_microbatches: int) -> float:
-    """Idle fraction of the GPipe schedule: (S-1)/(M+S-1)."""
-    if n_stages < 1 or n_microbatches < 1:
-        raise ValueError("stages and microbatches must be >= 1")
-    return (n_stages - 1) / (n_microbatches + n_stages - 1)
+def pipeline_bubble_fraction(mesh: Mesh, n_microbatches: int) -> float:
+    """Idle fraction of the GPipe schedule over ``mesh.pp`` stages: (S-1)/(M+S-1)."""
+    if n_microbatches < 1:
+        raise ValueError(f"microbatches must be >= 1, got {n_microbatches}")
+    return (mesh.pp - 1) / (n_microbatches + mesh.pp - 1)
 
 
-def microbatches_for_bubble(n_stages: int, max_bubble: float) -> int:
+def microbatches_for_bubble(mesh: Mesh, max_bubble: float) -> int:
     """Smallest micro-batch count keeping the bubble under ``max_bubble`` —
     the 'batch size proportional to the number of partitions' requirement."""
     if not 0 < max_bubble < 1:
         raise ValueError(f"max_bubble must be in (0,1), got {max_bubble}")
     m = 1
-    while pipeline_bubble_fraction(n_stages, m) > max_bubble:
+    while pipeline_bubble_fraction(mesh, m) > max_bubble:
         m += 1
     return m
 
@@ -41,26 +42,27 @@ def gpipe_device_bytes(
     psi: float,
     activation: ActivationModel,
     *,
-    n_stages: int,
+    mesh: Mesh,
     n_microbatches: int,
     k: int = ADAM_K,
 ) -> float:
-    """Per-device bytes for a GPipe stage.
+    """Per-device bytes for a GPipe stage of ``mesh``.
 
-    Model states divide by S. Activations: with GPipe's rematerialization,
-    each in-flight micro-batch contributes its stage-boundary checkpoint
-    (batch_mb x seq x hidden) plus one micro-batch's recompute working set;
-    all M micro-batches are in flight at the schedule's peak.
-    ``activation`` must describe ONE micro-batch (batch = microbatch size).
+    Model states are the stage's rows: 1/S of the model, replicated across
+    DP (GPipe keeps every state whole). Activations: with GPipe's
+    rematerialization, each in-flight micro-batch contributes its
+    stage-boundary checkpoint (batch_mb x seq x hidden) plus the stage's own
+    layers' checkpoints, and one micro-batch's recompute working set; all M
+    micro-batches are in flight at the schedule's peak. ``activation`` must
+    describe ONE micro-batch (batch = microbatch size).
     """
-    states = model_state_bytes(psi, 1, 0, k) / n_stages
+    states = model_state_bytes(psi, mesh, 0, k)
     boundary = (
         activation.batch * activation.seq_len * activation.hidden
         * activation.bytes_per_element
     )
-    # Stage-internal checkpoints for the layers it owns, per micro-batch.
-    ckpt_per_micro = activation.checkpoint_bytes() / n_stages
-    working = activation.working_bytes()
+    ckpt_per_micro = activation.checkpoint_bytes(mesh=mesh)
+    working = activation.working_bytes(mesh)
     acts = n_microbatches * (boundary + ckpt_per_micro) + working
     return states + acts
 
@@ -69,11 +71,11 @@ def zero_device_bytes_for_comparison(
     psi: float,
     activation: ActivationModel,
     *,
-    nd: int,
+    mesh: Mesh,
     stage: int = 2,
     k: int = ADAM_K,
 ) -> float:
     """ZeRO per-device bytes for the same total device count (Nd = S)."""
-    states = model_state_bytes(psi, nd, stage, k)
-    acts = activation.iteration_bytes(checkpointing=True)
+    states = model_state_bytes(psi, mesh, stage, k)
+    acts = activation.iteration_bytes(mesh=mesh, checkpointing=True)
     return states + acts

@@ -90,7 +90,3 @@ class CommCostModel:
         if event.op in ("send", "recv"):
             return alpha + bytes_ * beta
         raise ValueError(f"unknown op {event.op!r}")
-
-    def total_time(self, events: list[CommEvent]) -> float:
-        """Serialized (no-overlap) time for a sequence of events."""
-        return sum(self.event_time(e) for e in events)

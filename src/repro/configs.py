@@ -1,7 +1,8 @@
 """Model and experiment configurations from the paper's appendix (Tables 4-10).
 
 Each row of the appendix tables becomes an ``ExperimentPoint``: the model
-shape (layers / hidden / heads), the parallelism (GPUs, MP degree), and
+shape (layers / hidden / heads), the parallelism (GPUs, MP degree; its
+``mesh``), and
 the per-replica batch size. ``label`` is the paper's model-size name
 ("1.5B", "100B", ...); ``GPTConfig.total_params`` gives the exact count.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.transformer import GPTConfig
+from repro.zero.placement import Mesh
 
 SEQ_LEN = 1024
 VOCAB = 50257
@@ -38,8 +40,8 @@ class ExperimentPoint:
         )
 
     @property
-    def dp(self) -> int:
-        return self.n_gpus // self.mp
+    def mesh(self) -> Mesh:
+        return Mesh.of_world(self.n_gpus, self.mp)
 
 
 def _p(label, system, gpus, mp, layers, hidden, heads, batch, total) -> ExperimentPoint:

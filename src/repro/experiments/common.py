@@ -15,16 +15,16 @@ from repro.tensor.tensor import Tensor
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
+from repro.zero.placement import Mesh
 
 SEQ_LEN = 1024
 
 
 def virtual_groups(ctx: RankContext, n_gpus: int, mp: int) -> tuple[VirtualGroup, VirtualGroup]:
-    """(dp_group, mp_group) of an (mp x dp) decomposition for a virtual
-    context on rank 0, volume recorded in ``ctx.ledger``."""
-    if n_gpus % mp:
-        raise ValueError(f"n_gpus {n_gpus} not divisible by mp {mp}")
-    return ctx.group(range(0, n_gpus, mp)), ctx.group(range(mp))
+    """(dp_group, mp_group) of ``ctx``'s rank in ``Mesh.of_world(n_gpus, mp)``,
+    volume recorded in ``ctx.ledger``."""
+    mesh = Mesh.of_world(n_gpus, mp)
+    return ctx.group(mesh.dp_group(ctx.rank)), ctx.group(mesh.mp_group(ctx.rank))
 
 
 @dataclass(frozen=True)

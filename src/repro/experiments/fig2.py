@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.analysis.perf_model import PerfModel, transformer_flops_per_replica
 from repro.analysis.sim_time import LedgerTimeEstimator
-from repro.comm.virtual import VirtualGroup
 from repro.configs import TABLE5_FIGURE2, ExperimentPoint
+from repro.experiments.common import virtual_groups
 from repro.hardware.specs import GPUSpec
 from repro.hardware.topology import ClusterTopology
 from repro.utils.tables import format_table
@@ -56,10 +56,7 @@ def run() -> list[Fig2Row]:
     pm = PerfModel()
     per_label: dict[str, dict[str, tuple[ExperimentPoint, float]]] = {}
     for point in TABLE5_FIGURE2:
-        est = pm.estimate(
-            point.model, zero_config(point),
-            batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus,
-        )
+        est = pm.estimate(point.model, zero_config(point), mesh=point.mesh, batch=point.batch)
         per_label.setdefault(point.label, {})[point.system] = (point, est.tflops_per_gpu)
     rows = []
     for label, systems in per_label.items():
@@ -86,10 +83,7 @@ def _measured_tflops(point: ExperimentPoint) -> float:
     # capacity (Figure 6/7 measure capacity).
     gpu = GPUSpec("fig2-virtual", 64 * int(GB), 125e12)
     ctx = virtual_rank_context(point.n_gpus, gpu=gpu)
-    mp_group = VirtualGroup.of_size(point.mp, member_rank=0)
-    mp_group.attach_ledger(0, ctx.ledger)
-    dp_group = VirtualGroup(tuple(range(0, point.n_gpus, point.mp)), member_rank=0)
-    dp_group.attach_ledger(0, ctx.ledger)
+    dp_group, mp_group = virtual_groups(ctx, point.n_gpus, point.mp)
     model, engine = build_model_and_engine(
         ctx, point.model, zero_config(point),
         dp_group=dp_group, mp_group=mp_group if point.mp > 1 else None,

@@ -36,12 +36,10 @@ def run() -> list[Fig3Row]:
     rows: list[Fig3Row] = []
     base_per_gpu = None
     for point in TABLE6_FIGURE3:
-        est = pm.estimate(
-            point.model, C4, batch=point.batch, mp_degree=point.mp, n_gpus=point.n_gpus
-        )
+        est = pm.estimate(point.model, C4, mesh=point.mesh, batch=point.batch)
         if base_per_gpu is None:
             base_per_gpu = est.tflops_per_gpu
-        solver_b = max_batch(point.model, C4, nd=point.dp, mp=point.mp)
+        solver_b = max_batch(point.model, C4, mesh=point.mesh)
         rows.append(
             Fig3Row(
                 n_gpus=point.n_gpus, batch=point.batch,

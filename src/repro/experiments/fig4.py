@@ -35,10 +35,8 @@ def run() -> list[Fig4Row]:
     for point in TABLE10_FIGURE4_DP_ONLY:
         stage = 2 if point.system == "zero" else 0
         zero = ZeROConfig(stage=stage, checkpoint_activations=True)
-        est = pm.estimate(
-            point.model, zero, batch=point.batch, mp_degree=1, n_gpus=point.n_gpus
-        )
-        mem = device_bytes_for(point.model, zero, batch=point.batch, nd=point.dp, mp=1)
+        est = pm.estimate(point.model, zero, mesh=point.mesh, batch=point.batch)
+        mem = device_bytes_for(point.model, zero, mesh=point.mesh, batch=point.batch)
         rows.append(
             Fig4Row(
                 label=point.label, system=point.system,

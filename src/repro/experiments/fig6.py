@@ -16,6 +16,7 @@ from repro.experiments.common import meta_memory_step
 from repro.utils.tables import format_table
 
 from repro.zero.config import PAPER_CONFIGS, ZeROConfig
+from repro.zero.placement import Mesh
 
 N_GPUS = 128
 MP = 16
@@ -60,9 +61,9 @@ def run() -> list[Fig6Row]:
     from repro.nn.transformer import GPTConfig
 
     rows = []
-    nd = N_GPUS // MP
+    mesh = Mesh.of_world(N_GPUS, MP)
     for name, zero in PAPER_CONFIGS.items():
-        analytic = max_layers(zero, hidden=HIDDEN, heads=HEADS, batch=BATCH, nd=nd, mp=MP)
+        analytic = max_layers(zero, mesh=mesh, hidden=HIDDEN, heads=HEADS, batch=BATCH)
         layers = _allocator_max_layers(zero, start=analytic.config.n_layers)
         cfg = GPTConfig(n_layers=max(layers, 1), hidden=HIDDEN, n_heads=HEADS)
         rows.append(

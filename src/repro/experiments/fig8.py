@@ -16,6 +16,7 @@ from repro.analysis.perf_model import PerfModel
 from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
 from repro.zero.config import PAPER_CONFIGS
+from repro.zero.placement import Mesh
 
 MODELS = {
     "60B": (GPTConfig(n_layers=75, hidden=8192, n_heads=64), 128),
@@ -38,13 +39,13 @@ def run() -> list[Fig8Row]:
     pm = PerfModel()
     rows = []
     for model_label, (cfg, n_gpus) in MODELS.items():
-        nd = n_gpus // MP
+        mesh = Mesh.of_world(n_gpus, MP)
         for name, zero in PAPER_CONFIGS.items():
-            b = min(max_batch(cfg, zero, nd=nd, mp=MP), MAX_BATCH_CAP)
+            b = min(max_batch(cfg, zero, mesh=mesh), MAX_BATCH_CAP)
             if b == 0:
                 rows.append(Fig8Row(model_label, name, 0, 0.0, False))
                 continue
-            est = pm.estimate(cfg, zero, batch=b, mp_degree=MP, n_gpus=n_gpus)
+            est = pm.estimate(cfg, zero, mesh=mesh, batch=b)
             rows.append(Fig8Row(model_label, name, b, est.tflops_per_gpu, True))
     return rows
 

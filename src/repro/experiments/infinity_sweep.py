@@ -41,6 +41,7 @@ from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
+from repro.zero.placement import Mesh
 
 BUDGETS_GB = (8, 32)
 HIDDEN = 2048
@@ -98,11 +99,11 @@ def _fit_point(
 ) -> tuple[bool, GPTConfig, float, dict[str, float], str]:
     cfg = GPTConfig(n_layers=n_layers, hidden=HIDDEN, n_heads=HEADS,
                     vocab_size=VOCAB, max_seq_len=SEQ_LEN)
-    dev = device_bytes_for(cfg, zero, batch=BATCH, nd=1)
+    dev = device_bytes_for(cfg, zero, mesh=Mesh(), batch=BATCH)
     psi = float(cfg.total_params)
     if zero.infinity is not None:
         tiers = state_bytes_by_tier(
-            psi, 1, zero.placement, tile_bytes=zero.infinity.tile_bytes
+            psi, Mesh(), zero.placement, tile_bytes=zero.infinity.tile_bytes
         )
     else:
         tiers = {"device": dev, "host": 0.0, "nvme": 0.0}
@@ -117,7 +118,7 @@ def _fit_point(
 
 
 def run_fit(budgets_gb=BUDGETS_GB) -> list[InfinityFitRow]:
-    """Single-GPU (nd=1, stage 3) max trainable model per tier reach."""
+    """Single-GPU (stage 3) max trainable model per tier reach."""
     topo = ClusterTopology.for_world_size(1)
     host_cap = topo.host_bytes_per_gpu
     nvme_cap = topo.nvme_bytes_per_gpu

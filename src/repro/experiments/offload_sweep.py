@@ -37,6 +37,7 @@ from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
+from repro.zero.placement import Mesh
 
 BUDGETS_GB = (4, 8, 16, 32)
 HIDDEN = 2048
@@ -78,17 +79,17 @@ class OffloadSweepResult:
 
 
 def run_fit(budgets_gb=BUDGETS_GB) -> list[OffloadFitRow]:
-    """Single-GPU (nd=1) max trainable model, offload off vs on."""
+    """Single-GPU max trainable model, offload off vs on."""
     device_cfg = ZeROConfig(stage=2)
     offload_cfg = replace(device_cfg, offload_optimizer=True, offload_gradients=True)
     host_budget = ClusterTopology.for_world_size(1).host_bytes_per_gpu
     rows = []
     for budget in budgets_gb:
-        common = dict(hidden=HIDDEN, heads=HEADS, batch=BATCH, nd=1,
+        common = dict(mesh=Mesh(), hidden=HIDDEN, heads=HEADS, batch=BATCH,
                       budget_bytes=budget * GB)
         base = max_layers(device_cfg, **common)
         off = max_layers(offload_cfg, **common)
-        host = state_bytes_by_tier(off.psi, 1, offload_cfg.placement)["host"]
+        host = state_bytes_by_tier(off.psi, Mesh(), offload_cfg.placement)["host"]
         rows.append(
             OffloadFitRow(
                 budget_gb=float(budget),

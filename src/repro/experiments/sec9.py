@@ -11,6 +11,7 @@ from repro.analysis.compute_gap import (
 from repro.analysis.memory_model import model_state_bytes
 from repro.hardware.specs import V100_32GB
 from repro.utils.tables import format_table
+from repro.zero.placement import Mesh
 
 
 @dataclass(frozen=True)
@@ -22,12 +23,13 @@ class Sec9Row:
 
 def run() -> list[Sec9Row]:
     summary = summarize_1t_gap()
-    fits = model_state_bytes(1e12, 1024, 3) <= V100_32GB.memory_bytes
+    per_device = model_state_bytes(1e12, Mesh(dp=1024), 3)
+    fits = per_device <= V100_32GB.memory_bytes
     return [
         Sec9Row(
             "1T fits on 1024 GPUs with Pos+g+p",
             "16 TB / 1024 = 16 GB < 32 GB",
-            f"{model_state_bytes(1e12, 1024, 3) / 1e9:.1f} GB per device; fits={fits}",
+            f"{per_device / 1e9:.1f} GB per device; fits={fits}",
         ),
         Sec9Row(
             "compute multiple vs Bert-Large",

@@ -13,6 +13,7 @@ from repro.configs import TABLE1_DP_DEGREES, TABLE1_MODEL_SIZES
 from repro.hardware.specs import V100_32GB
 from repro.utils.tables import format_table
 from repro.utils.units import GB
+from repro.zero.placement import Mesh
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ def run() -> list[Table1Cell]:
     for model, psi in TABLE1_MODEL_SIZES.items():
         for nd in TABLE1_DP_DEGREES:
             for stage in (1, 2, 3):
-                b = model_state_bytes(psi, nd, stage)
+                b = model_state_bytes(psi, Mesh(dp=nd), stage)
                 cells.append(
                     Table1Cell(
                         model=model, psi=psi, nd=nd, stage=stage, gb=b / GB,

@@ -23,6 +23,7 @@ from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
 from repro.utils.units import BILLION
 from repro.zero.config import ZeROConfig
+from repro.zero.placement import Mesh
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,9 @@ def run(*, measure: bool = True) -> list[Table2Row]:
     rows = []
     mem = V100_32GB.memory_bytes
     for mp, gpus in TABLE2_ROWS:
-        nd = gpus // mp
+        mesh = Mesh.of_world(gpus, mp)
         theo = {
-            label: mp * max_model_params(mem, nd, stage) / BILLION
+            label: max_model_params(mem, mesh, stage) / BILLION
             for label, stage in STAGES.items()
         }
         measured_base = _measured_max_b(0, mp, gpus) if measure else 0.0

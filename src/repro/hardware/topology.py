@@ -87,34 +87,7 @@ class ClusterTopology:
             return self.node.inter_node
         return self.node.intra_node
 
-    def dp_groups(self, mp_degree: int) -> list[list[int]]:
-        """Data-parallel groups for a (DP x MP) decomposition.
-
-        Megatron-style placement: MP partners are *consecutive* ranks (so an
-        MP group of degree <= gpus_per_node stays in one node); DP partners
-        are the ranks with equal MP index across MP groups.
-        """
-        self._check_mp(mp_degree)
-        dp_degree = self.world_size // mp_degree
-        return [
-            [mp_index + g * mp_degree for g in range(dp_degree)]
-            for mp_index in range(mp_degree)
-        ]
-
-    def mp_groups(self, mp_degree: int) -> list[list[int]]:
-        """Model-parallel groups (consecutive ranks) for the decomposition."""
-        self._check_mp(mp_degree)
-        return [
-            list(range(start, start + mp_degree))
-            for start in range(0, self.world_size, mp_degree)
-        ]
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:
             raise ValueError(f"rank {rank} out of range [0, {self.world_size})")
 
-    def _check_mp(self, mp_degree: int) -> None:
-        if mp_degree <= 0 or self.world_size % mp_degree:
-            raise ValueError(
-                f"MP degree {mp_degree} must evenly divide world size {self.world_size}"
-            )

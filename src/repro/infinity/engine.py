@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from repro.analysis.perf_model import compute_split_seconds
 from repro.infinity.config import InfinityConfig
+from repro.zero.placement import Mesh
 from repro.infinity.schedule import (
     NVME_LANES,
     PCIE_LANES,
@@ -71,11 +72,11 @@ class InfinityEngine:
         config: InfinityConfig,
         model_config: GPTConfig,
         *,
-        mp_degree: int = 1,
+        mesh: Mesh = Mesh(),
     ):
         self.config = config
         self.model_config = model_config
-        self.mp_degree = mp_degree
+        self.mesh = mesh
         self.peak_flops = ctx.device.spec.peak_flops
         self.pcie = TierStream(
             config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
@@ -115,7 +116,7 @@ class InfinityEngine:
         """Accrue one micro-batch's forward/backward compute time."""
         fwd, bwd = compute_split_seconds(
             self.model_config, batch, seq_len, checkpointing=self.config.checkpointing,
-            mp_degree=self.mp_degree, peak_flops=self.peak_flops,
+            mesh=self.mesh, peak_flops=self.peak_flops,
         )
         self._pending.fwd_s += fwd
         self._pending.bwd_s += bwd

@@ -50,6 +50,7 @@ from repro.analysis.perf_model import compute_split_seconds
 from repro.hardware.specs import InterconnectSpec
 from repro.infinity.tiers import TierStream
 from repro.nn.transformer import GPTConfig
+from repro.zero.placement import Mesh
 
 if TYPE_CHECKING:
     from repro.infinity.config import InfinityConfig
@@ -122,7 +123,7 @@ class StepInputs:
         part = 2 * numel
         fwd, bwd = compute_split_seconds(
             model_config, batch, seq_len, checkpointing=config.checkpointing,
-            mp_degree=1, peak_flops=peak_flops,
+            mesh=Mesh(), peak_flops=peak_flops,
         )
         streamed = config.grad_tier != "device"
         return cls(

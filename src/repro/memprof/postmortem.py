@@ -274,6 +274,7 @@ def _advisor_hint(profiler, workload) -> tuple[str, object]:
     pulls in the model stack, which itself imports memprof scopes)."""
     try:
         from repro.analysis.advisor import recommend_zero_config
+        from repro.zero.placement import Mesh
     except ImportError:  # pragma: no cover - defensive
         return "", None
     budget = workload.budget_bytes
@@ -283,7 +284,7 @@ def _advisor_hint(profiler, workload) -> tuple[str, object]:
     if budget is None:
         return "", None
     advice = recommend_zero_config(
-        workload.model, n_gpus=workload.n_gpus, mp=workload.mp, budget_bytes=budget
+        workload.model, mesh=Mesh.of_world(workload.n_gpus, workload.mp), budget_bytes=budget
     )
     if advice.batch <= 0:
         return "no modelled config fits this workload on this budget", advice

@@ -144,11 +144,14 @@ class BaseEngine:
                     data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
         # Imported here: repro.zero's engines import this module.
-        from repro.zero.placement import state_placement
+        from repro.zero.placement import Mesh, state_placement
 
         #: (partitioned, tier) per state class; raises the one validity
         #: error when a tier config parks a class this stage replicates.
         self.placement = state_placement(self.stage, self.config.infinity)
+        #: the DP x MP degrees this rank runs under, resolved once.
+        mp_group = getattr(model, "mp_group", None)
+        self.mesh = Mesh(dp=dp_group.size, mp=1 if mp_group is None else mp_group.size)
         # The tier runtime: owns the transfer streams and the step-time
         # model. Placement changes live in the ZeRO engines.
         self.offload = None
@@ -156,7 +159,7 @@ class BaseEngine:
             from repro.infinity.engine import InfinityEngine
 
             self.offload = InfinityEngine(
-                ctx, self.config.infinity, model.config, mp_degree=self._mp_degree()
+                ctx, self.config.infinity, model.config, mesh=self.mesh
             )
         # repro.integrity's detectors and repro.redundancy's manager are built
         # with the lifecycle, at the first train_step: the subclass's optimizer
@@ -371,13 +374,8 @@ class BaseEngine:
         return compute_split_seconds(
             self.model.config, batch, seq_len,
             checkpointing=bool(getattr(self.model, "checkpoint_activations", False)),
-            mp_degree=self._mp_degree(), peak_flops=self.ctx.device.spec.peak_flops,
+            mesh=self.mesh, peak_flops=self.ctx.device.spec.peak_flops,
         )
-
-    def _mp_degree(self) -> int:
-        """Tensor-parallel degree of the wrapped model (1 when not MP)."""
-        mp_group = getattr(self.model, "mp_group", None)
-        return mp_group.size if mp_group is not None else 1
 
     def _micro_reduce(self) -> None:
         """Per-micro-step work on non-boundary steps. Engines with

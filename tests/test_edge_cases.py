@@ -100,7 +100,7 @@ class TestTimelineEdges:
 class TestExperimentPoint:
     def test_dp_property(self):
         point = TABLE5_FIGURE2[0]
-        assert point.dp == point.n_gpus // point.mp
+        assert point.mesh.dp == point.n_gpus // point.mp
 
     def test_model_builds_with_paper_vocab(self):
         point = TABLE5_FIGURE2[0]

@@ -40,7 +40,7 @@ class TestPaperConfigLabels:
     def test_total_batch_consistency(self):
         """total_batch == per-replica batch x DP degree for every row."""
         for point in TABLE5_FIGURE2 + TABLE6_FIGURE3:
-            assert point.total_batch == point.batch * point.dp, point.label
+            assert point.total_batch == point.batch * point.mesh.dp, point.label
 
 
 class TestCheckpointInterval:

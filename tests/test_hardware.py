@@ -5,6 +5,7 @@ import pytest
 from repro.hardware.specs import DGX2, INFINIBAND_EDR, NVSWITCH, V100_32GB
 from repro.hardware.topology import ClusterTopology
 from repro.utils.units import GB
+from repro.zero.placement import Mesh
 
 
 def test_v100_spec_matches_paper():
@@ -49,14 +50,14 @@ def test_for_world_size_rounds_up_nodes():
 
 def test_mp_group_within_node_uses_nvswitch():
     topo = ClusterTopology()
-    mp_group = topo.mp_groups(16)[0]
+    mp_group = Mesh.of_world(topo.world_size, mp=16).mp_group(0)
     assert not topo.group_spans_nodes(mp_group)
     assert topo.link_for_group(mp_group) is NVSWITCH
 
 
 def test_dp_group_across_nodes_uses_infiniband():
     topo = ClusterTopology()
-    dp_group = topo.dp_groups(16)[0]
+    dp_group = Mesh.of_world(topo.world_size, mp=16).dp_group(0)
     assert topo.group_spans_nodes(dp_group)
     assert topo.link_for_group(dp_group) is INFINIBAND_EDR
 
@@ -64,8 +65,9 @@ def test_dp_group_across_nodes_uses_infiniband():
 def test_dp_mp_decomposition_partitions_all_ranks():
     topo = ClusterTopology.for_world_size(64)
     mp = 4
-    dp_groups = topo.dp_groups(mp)
-    mp_groups = topo.mp_groups(mp)
+    mesh = Mesh.of_world(topo.world_size, mp=mp)
+    dp_groups = sorted({tuple(mesh.dp_group(r)) for r in range(topo.world_size)})
+    mp_groups = sorted({tuple(mesh.mp_group(r)) for r in range(topo.world_size)})
     all_dp = sorted(r for g in dp_groups for r in g)
     all_mp = sorted(r for g in mp_groups for r in g)
     assert all_dp == list(range(64))
@@ -77,9 +79,9 @@ def test_dp_mp_decomposition_partitions_all_ranks():
 def test_invalid_mp_degree_rejected():
     topo = ClusterTopology.for_world_size(64)
     with pytest.raises(ValueError):
-        topo.mp_groups(3)
+        Mesh.of_world(topo.world_size, mp=3)
     with pytest.raises(ValueError):
-        topo.dp_groups(0)
+        Mesh.of_world(topo.world_size, mp=0)
 
 
 def test_empty_group_rejected():

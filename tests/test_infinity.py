@@ -563,14 +563,15 @@ def test_infinity_cost_model_tracks_simulated_timeline():
 
 def test_tier_state_bytes_accounts_every_tier():
     from repro.analysis.memory_model import model_state_bytes, state_bytes_by_tier
+    from repro.zero.placement import Mesh
 
     psi, nd = 1_000_000.0, 4
     inf = InfinityConfig(optimizer_tier="nvme", grad_tier="host", param_tier="nvme")
-    tiers = state_bytes_by_tier(psi, nd, ZeROConfig(stage=3, infinity=inf).placement)
+    tiers = state_bytes_by_tier(psi, Mesh(dp=nd), ZeROConfig(stage=3, infinity=inf).placement)
     assert tiers["nvme"] == pytest.approx(12 * psi / nd + 2 * psi / nd)
     assert tiers["host"] == pytest.approx(2 * psi / nd)
     # every model-state byte lands on exactly one tier
-    all_device = model_state_bytes(psi, nd=nd, stage=3)
+    all_device = model_state_bytes(psi, mesh=Mesh(dp=nd), stage=3)
     assert sum(tiers.values()) == pytest.approx(all_device)
 
 

@@ -156,11 +156,6 @@ class TestCostModel:
         t_small = self.model.event_time(event("all_reduce", 8, ranks))
         assert t_small >= 2 * 15 * self.topo.node.intra_node.latency_s
 
-    def test_total_time_sums(self):
-        events = [event("all_gather", 1000), event("reduce_scatter", 1000)]
-        total = self.model.total_time(events)
-        assert total == pytest.approx(sum(self.model.event_time(e) for e in events))
-
     def test_unknown_op_raises(self):
         bad = CommEvent(op="all_reduce", message_bytes=1, group_size=2, group_ranks=(0, 1))
         object.__setattr__(bad, "op", "bogus")  # bypass the frozen dataclass

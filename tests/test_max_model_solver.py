@@ -6,24 +6,25 @@ from repro.analysis.max_model import device_bytes_for, max_batch, max_layers
 from repro.nn.transformer import GPTConfig
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
+from repro.zero.placement import Mesh
 
 
 def test_solution_is_maximal():
     """The found layer count fits; one more layer does not."""
     zero = ZeROConfig(stage=2)
-    fit = max_layers(zero, hidden=4096, heads=32, batch=8, nd=128)
+    fit = max_layers(zero, hidden=4096, heads=32, batch=8, mesh=Mesh(dp=128))
     assert fit.fits
     assert fit.device_bytes <= 30 * GB
     bigger = GPTConfig(
         n_layers=fit.config.n_layers + 1, hidden=4096, n_heads=32,
     )
-    assert device_bytes_for(bigger, zero, batch=8, nd=128) > 30 * GB
+    assert device_bytes_for(bigger, zero, batch=8, mesh=Mesh(dp=128)) > 30 * GB
 
 
 def test_stage_monotone():
     sizes = {}
     for stage in (0, 1, 2, 3):
-        fit = max_layers(ZeROConfig(stage=stage), hidden=4096, heads=32, batch=8, nd=64)
+        fit = max_layers(ZeROConfig(stage=stage), hidden=4096, heads=32, batch=8, mesh=Mesh(dp=64))
         sizes[stage] = fit.psi
     assert sizes[0] < sizes[1] < sizes[2] < sizes[3]
 
@@ -31,9 +32,9 @@ def test_stage_monotone():
 def test_figure4_claim_13b_dp_only():
     """ZeRO-100B (stage 2) on 128 GPUs fits >= 13B without MP; baseline
     DP dies below 1.5B (Figure 4 / Section 10.4)."""
-    z = max_layers(ZeROConfig(stage=2), hidden=4096, heads=32, batch=2, nd=128)
+    z = max_layers(ZeROConfig(stage=2), hidden=4096, heads=32, batch=2, mesh=Mesh(dp=128))
     assert z.psi >= 13e9
-    b = max_layers(ZeROConfig(stage=0), hidden=1536, heads=16, batch=1, nd=128)
+    b = max_layers(ZeROConfig(stage=0), hidden=1536, heads=16, batch=1, mesh=Mesh(dp=128))
     # Analytic bound ~1.9B; the paper's measured 1.4B includes framework
     # overheads. Either way ZeRO's DP-only capacity is ~an order bigger.
     assert b.psi < 2e9
@@ -42,29 +43,29 @@ def test_figure4_claim_13b_dp_only():
 
 def test_max_batch_maximal_and_monotone_in_stage():
     cfg = GPTConfig(n_layers=75, hidden=8192, n_heads=64)
-    b2 = max_batch(cfg, ZeROConfig(stage=2, partition_activations=True), nd=8, mp=16)
-    b1 = max_batch(cfg, ZeROConfig(stage=1, partition_activations=True), nd=8, mp=16)
+    b2 = max_batch(cfg, ZeROConfig(stage=2, partition_activations=True), mesh=Mesh(dp=8, mp=16))
+    b1 = max_batch(cfg, ZeROConfig(stage=1, partition_activations=True), mesh=Mesh(dp=8, mp=16))
     assert b2 >= b1 >= 1
     too_big = device_bytes_for(
-        cfg, ZeROConfig(stage=2, partition_activations=True), batch=b2 + 1, nd=8, mp=16
+        cfg, ZeROConfig(stage=2, partition_activations=True), batch=b2 + 1, mesh=Mesh(dp=8, mp=16)
     )
     assert too_big > 30 * GB
 
 
 def test_max_batch_zero_when_states_alone_overflow():
     cfg = GPTConfig(n_layers=212, hidden=8192, n_heads=64)  # 170B
-    assert max_batch(cfg, ZeROConfig(stage=1), nd=8, mp=16) == 0
+    assert max_batch(cfg, ZeROConfig(stage=1), mesh=Mesh(dp=8, mp=16)) == 0
 
 
 def test_pa_increases_max_batch():
     cfg = GPTConfig(n_layers=75, hidden=8192, n_heads=64)
-    no_pa = max_batch(cfg, ZeROConfig(stage=2), nd=8, mp=16)
-    pa = max_batch(cfg, ZeROConfig(stage=2, partition_activations=True), nd=8, mp=16)
+    no_pa = max_batch(cfg, ZeROConfig(stage=2), mesh=Mesh(dp=8, mp=16))
+    pa = max_batch(cfg, ZeROConfig(stage=2, partition_activations=True), mesh=Mesh(dp=8, mp=16))
     assert pa > no_pa
 
 
 def test_nd_increases_capacity():
     """More DP replicas -> bigger trainable model (the ZeRO scaling law)."""
-    small = max_layers(ZeROConfig(stage=2), hidden=4096, heads=32, batch=4, nd=4)
-    large = max_layers(ZeROConfig(stage=2), hidden=4096, heads=32, batch=4, nd=256)
+    small = max_layers(ZeROConfig(stage=2), hidden=4096, heads=32, batch=4, mesh=Mesh(dp=4))
+    large = max_layers(ZeROConfig(stage=2), hidden=4096, heads=32, batch=4, mesh=Mesh(dp=256))
     assert large.psi > 2 * small.psi

@@ -368,6 +368,7 @@ class TestOOMDiagnostics:
         from repro.analysis.advisor import recommend_zero_config
         from repro.experiments.common import meta_memory_step
         from repro.zero.config import ZeROConfig
+        from repro.zero.placement import Mesh
 
         model = GPTConfig(n_layers=160, hidden=8192, n_heads=64)
         n_gpus, mp = 400, 16
@@ -378,7 +379,7 @@ class TestOOMDiagnostics:
         assert not result.fits
         assert "stage" in result.oom_hint  # names a concrete ZeRO knob
         advice = recommend_zero_config(
-            model, n_gpus=n_gpus, mp=mp, budget_bytes=int(32 * GB)
+            model, mesh=Mesh.of_world(n_gpus, mp), budget_bytes=int(32 * GB)
         )
         assert advice.config.stage >= 1 and advice.batch > 0
         assert f"stage {advice.config.stage}" in result.oom_hint

@@ -12,6 +12,7 @@ from repro.configs import TABLE5_FIGURE2, TABLE6_FIGURE3
 from repro.experiments.fig2 import zero_config
 from repro.nn.transformer import GPTConfig
 from repro.zero.config import C3, C4, C5, ZeROConfig
+from repro.zero.placement import Mesh
 
 
 class TestCommModel:
@@ -35,10 +36,10 @@ class TestCommModel:
 
     def test_pa_cpu_is_twice_the_shard(self):
         m = MPCommModel(batch=2, seq_len=128, hidden=256)
-        assert m.pcie_elements_per_block(C5.placement, 16) == pytest.approx(
+        assert m.pcie_elements_per_block(C5.placement, Mesh(mp=16)) == pytest.approx(
             2 * 2 * 128 * 256 / 16
         )
-        assert m.pcie_elements_per_block(C4.placement, 16) == 0
+        assert m.pcie_elements_per_block(C4.placement, Mesh(mp=16)) == 0
 
 
 class TestGemmEfficiency:
@@ -71,9 +72,7 @@ class TestPerfModelAnchors:
         self.pm = PerfModel()
         self.points = {}
         for p in TABLE5_FIGURE2:
-            est = self.pm.estimate(
-                p.model, zero_config(p), batch=p.batch, mp_degree=p.mp, n_gpus=p.n_gpus
-            )
+            est = self.pm.estimate(p.model, zero_config(p), mesh=p.mesh, batch=p.batch)
             self.points[(p.label, p.system)] = (p, est)
 
     def test_zero_sustains_30_to_50_tflops_8b_to_100b(self):
@@ -104,9 +103,7 @@ class TestPerfModelAnchors:
     def test_superlinear_scaling_figure3(self):
         per_gpu = []
         for p in TABLE6_FIGURE3:
-            est = self.pm.estimate(
-                p.model, C4, batch=p.batch, mp_degree=p.mp, n_gpus=p.n_gpus
-            )
+            est = self.pm.estimate(p.model, C4, mesh=p.mesh, batch=p.batch)
             per_gpu.append((p.n_gpus, est.tflops_per_gpu))
         # Per-GPU throughput grows with GPU count (=> aggregate superlinear).
         assert per_gpu[-1][1] > per_gpu[0][1]
@@ -115,23 +112,23 @@ class TestPerfModelAnchors:
 
     def test_mp_within_node_cheap_across_node_expensive(self):
         cfg = GPTConfig(n_layers=40, hidden=8192, n_heads=64)
-        inside = self.pm.estimate(cfg, C3, batch=8, mp_degree=16, n_gpus=64)
-        across = self.pm.estimate(cfg, C3, batch=8, mp_degree=32, n_gpus=64)
+        inside = self.pm.estimate(cfg, C3, mesh=Mesh.of_world(64, mp=16), batch=8)
+        across = self.pm.estimate(cfg, C3, mesh=Mesh.of_world(64, mp=32), batch=8)
         assert across.mp_comm_s > 5 * inside.mp_comm_s
 
     def test_stage3_dp_traffic_is_1_5x_stage2(self):
         cfg = GPTConfig(n_layers=24, hidden=4096, n_heads=32)
-        s2 = self.pm.estimate(cfg, C3, batch=8, mp_degree=1, n_gpus=64)
-        s3 = self.pm.estimate(cfg, ZeROConfig(stage=3), batch=8, mp_degree=1, n_gpus=64)
+        s2 = self.pm.estimate(cfg, C3, mesh=Mesh.of_world(64, mp=1), batch=8)
+        s3 = self.pm.estimate(cfg, ZeROConfig(stage=3), mesh=Mesh.of_world(64, mp=1), batch=8)
         assert s3.dp_comm_s / s2.dp_comm_s == pytest.approx(1.5)
 
     def test_pa_cpu_costs_time(self):
         cfg = GPTConfig(n_layers=75, hidden=8192, n_heads=64)
-        plain = self.pm.estimate(cfg, C4, batch=16, mp_degree=16, n_gpus=128)
-        offload = self.pm.estimate(cfg, C5, batch=16, mp_degree=16, n_gpus=128)
+        plain = self.pm.estimate(cfg, C4, mesh=Mesh.of_world(128, mp=16), batch=16)
+        offload = self.pm.estimate(cfg, C5, mesh=Mesh.of_world(128, mp=16), batch=16)
         assert offload.pa_cpu_s > 0
         assert offload.tflops_per_gpu < plain.tflops_per_gpu
 
     def test_gpus_must_divide_by_mp(self):
         with pytest.raises(ValueError):
-            self.pm.estimate(GPTConfig(2, 64, 4), C3, batch=1, mp_degree=3, n_gpus=64)
+            self.pm.estimate(GPTConfig(2, 64, 4), C3, mesh=Mesh.of_world(64, mp=3), batch=1)

@@ -18,6 +18,7 @@ from repro.nn.loss import CausalLMLoss
 from repro.nn.module import ExecutionContext
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import AdamHyperparams
+from repro.zero.placement import Mesh
 from repro.optim.flat import FlatLayout
 from repro.optim.mixed_precision import FlatAdamState
 from repro.parallel.pipeline import GPipeEngine, split_units
@@ -245,15 +246,15 @@ class TestGPipeComm:
 
 class TestPPAnalysis:
     def test_bubble_fraction(self):
-        assert pipeline_bubble_fraction(4, 4) == pytest.approx(3 / 7)
-        assert pipeline_bubble_fraction(1, 8) == 0.0
-        assert pipeline_bubble_fraction(8, 1) == pytest.approx(7 / 8)
+        assert pipeline_bubble_fraction(Mesh(pp=4), 4) == pytest.approx(3 / 7)
+        assert pipeline_bubble_fraction(Mesh(pp=1), 8) == 0.0
+        assert pipeline_bubble_fraction(Mesh(pp=8), 1) == pytest.approx(7 / 8)
 
     def test_microbatches_grow_with_stages(self):
         """Hiding the bubble needs M ~ proportional to S (paper Section 2.1)."""
-        m4 = microbatches_for_bubble(4, 0.2)
-        m8 = microbatches_for_bubble(8, 0.2)
-        m16 = microbatches_for_bubble(16, 0.2)
+        m4 = microbatches_for_bubble(Mesh(pp=4), 0.2)
+        m8 = microbatches_for_bubble(Mesh(pp=8), 0.2)
+        m16 = microbatches_for_bubble(Mesh(pp=16), 0.2)
         assert m4 < m8 < m16
         assert m16 / m4 == pytest.approx(16 / 4, rel=0.4)
 
@@ -265,10 +266,10 @@ class TestPPAnalysis:
 
         psi = 10e9
         devices = 16
-        micro = microbatches_for_bubble(devices, 0.2)
+        micro = microbatches_for_bubble(Mesh(pp=devices), 0.2)
         act_micro = ActivationModel(hidden=4096, n_layers=50, seq_len=1024, batch=2)
         gpipe = gpipe_device_bytes(
-            psi, act_micro, n_stages=devices, n_microbatches=micro,
+            psi, act_micro, mesh=Mesh(pp=devices), n_microbatches=micro,
         )
         # ZeRO runs the same global batch data-parallel: each of the same
         # `devices` ranks sees (2 x M) / Nd samples, and full ZeRO (stage 3)
@@ -278,11 +279,11 @@ class TestPPAnalysis:
         act_full = ActivationModel(
             hidden=4096, n_layers=50, seq_len=1024, batch=per_rank_batch
         )
-        zero = zero_device_bytes_for_comparison(psi, act_full, nd=devices, stage=3)
+        zero = zero_device_bytes_for_comparison(psi, act_full, mesh=Mesh(dp=devices), stage=3)
         assert zero <= gpipe
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            pipeline_bubble_fraction(0, 4)
+            pipeline_bubble_fraction(Mesh(pp=0), 4)
         with pytest.raises(ValueError):
-            microbatches_for_bubble(4, 1.5)
+            microbatches_for_bubble(Mesh(pp=4), 1.5)

@@ -28,16 +28,19 @@ import repro.offload.engine
 import repro.zero.activation
 import repro.zero.factory
 from repro import GPTConfig, InfinityConfig, ZeROConfig
+from repro.analysis.advisor import advise_activation_strategy
 from repro.analysis.comm_model import MPCommModel, dp_volume_elements
 from repro.analysis.max_model import device_bytes_for
-from repro.analysis.memory_model import model_state_bytes, state_bytes_by_tier
+from repro.analysis.memory_model import ActivationModel, model_state_bytes, state_bytes_by_tier
+from repro.analysis.perf_model import PerfModel
+from repro.analysis.pp_model import gpipe_device_bytes
 from repro.experiments.common import virtual_groups
 from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.zero.config import C3, C4, C5
 from repro.zero.factory import build_model_and_engine
-from repro.zero.placement import STATE_CLASSES, Placed, state_placement
+from repro.zero.placement import MODEL_AXES, STATE_CLASSES, Mesh, Placed, state_placement
 from tests.test_infinity import CFG, GPU, PLACEMENTS, train_run
 
 pytestmark = pytest.mark.infinity
@@ -104,6 +107,7 @@ def test_table_rows_are_cumulative_and_valid_rows_count():
     # the three model states shard over DP from a stage on; activations over MP, on request
     assert [row.partitioned_from for row in STATE_CLASSES] == [1, 2, 3, None]
     assert [row.group for row in STATE_CLASSES] == ["dp", "dp", "dp", "mp"]
+    assert [row.split for row in STATE_CLASSES] == [MODEL_AXES] * 3 + [("pp",)]
     assert state_placement(0) == {
         row.name: (False, "device") for row in STATE_CLASSES
     }
@@ -130,7 +134,7 @@ def test_forbidden_combinations_raise_from_the_one_rule(row):
     # The memory model reads ``zero.placement``: even a config that got
     # around its own front door cannot tell it the row.
     with pytest.raises(ValueError, match=ONE_RULE):
-        device_bytes_for(CFG, _smuggled(stage, infinity=inf), batch=1, nd=4)
+        device_bytes_for(CFG, _smuggled(stage, infinity=inf), mesh=Mesh(dp=4), batch=1)
     ctx = virtual_rank_context(4, gpu=GPU)
     with pytest.raises(ValueError, match=ONE_RULE):
         build_model_and_engine(
@@ -155,7 +159,7 @@ def test_offloaded_activations_require_pa_by_the_same_rule(stage):
         ZeROConfig(stage=stage, cpu_offload_activations=True)
     smuggled = _smuggled(stage, cpu_offload_activations=True)
     with pytest.raises(ValueError, match=ONE_RULE):
-        device_bytes_for(CFG, smuggled, batch=1, nd=4)
+        device_bytes_for(CFG, smuggled, mesh=Mesh(dp=4), batch=1)
     ctx = virtual_rank_context(4, gpu=GPU)
     with pytest.raises(ValueError, match=ONE_RULE):
         build_model_and_engine(ctx, CFG, smuggled, dp_group=ctx.world, meta=True)
@@ -195,14 +199,14 @@ def test_pools_hold_exactly_what_the_table_says(row):
     inf = _infinity(combo)
     pools, psi = _meta_pools(stage, inf)
     all_device, _ = _meta_pools(stage, None)
-    want = state_bytes_by_tier(psi, 4, state_placement(stage, inf))
+    want = state_bytes_by_tier(psi, Mesh(dp=4), state_placement(stage, inf))
     assert pools["host"] == want["host"]
     assert pools["nvme"] == want["nvme"]
     assert all_device["host"] == all_device["nvme"] == 0
     # every byte that left the device landed on exactly one other pool
     assert all_device["device"] - pools["device"] == pools["host"] + pools["nvme"]
     assert all_device["device"] - pools["device"] == (
-        model_state_bytes(psi, 4, stage) - want["device"]
+        model_state_bytes(psi, Mesh(dp=4), stage) - want["device"]
     )
 
 
@@ -259,7 +263,7 @@ def test_activation_traffic_is_what_the_activation_row_derives(zero, mp):
         blocks * fp16 * model.gather_elements_per_block(zero.placement)
     )
     assert by_phase.get("activation-offload", 0) + by_phase.get("activation-fetch", 0) == (
-        blocks * fp16 * model.pcie_elements_per_block(zero.placement, mp)
+        blocks * fp16 * model.pcie_elements_per_block(zero.placement, Mesh(mp=mp))
     )
 
 
@@ -303,6 +307,44 @@ def test_no_closed_form_factory_or_store_takes_a_placement_boolean():
         if name in RETIRED_KEYWORDS
     ]
     assert hits == []
+
+
+DEGREE_KEYWORDS = {"nd", "mp", "mp_degree", "dp_degree", "n_stages", "n_gpus"}
+
+
+def test_no_closed_form_takes_a_parallel_degree():
+    """Every closed form in ``repro.analysis`` takes a ``Mesh``: a parallel
+    degree divides a placement row by its mesh axes, never by a number
+    passed alongside."""
+    hits = [
+        f"{where}({name})"
+        for where, signature in _signatures(_walk(repro.analysis))
+        for name in signature.parameters
+        if name in DEGREE_KEYWORDS
+    ]
+    assert hits == []
+
+
+@pytest.mark.parametrize(
+    "enter, message",
+    [
+        (lambda: device_bytes_for(CFG, C3, mesh=Mesh(dp=8, mp=0), batch=4), "mesh axis mp"),
+        (lambda: device_bytes_for(CFG, C3, mesh=Mesh(dp=8, mp=-2), batch=4), "mesh axis mp"),
+        (lambda: gpipe_device_bytes(
+            1e9, ActivationModel(hidden=64, n_layers=2, seq_len=16, batch=1),
+            mesh=Mesh(pp=0), n_microbatches=4,
+        ), "mesh axis pp"),
+        (lambda: PerfModel().estimate(CFG, C3, mesh=Mesh.of_world(8, mp=0), batch=4),
+         "mesh axis mp"),
+        (lambda: advise_activation_strategy(CFG, mesh=Mesh.of_world(8, mp=0)), "mesh axis mp"),
+        (lambda: Mesh.of_world(8, mp=3), "not divisible by mp 3"),
+    ],
+    ids=("device_bytes_for mp=0", "device_bytes_for mp=-2", "gpipe pp=0",
+         "estimate mp=0", "advisor mp=0", "of_world 8/3"),
+)
+def test_a_degree_below_one_fails_at_the_door(enter, message):
+    with pytest.raises(ValueError, match=message):
+        enter()
 
 
 def test_one_tier_config_and_one_runtime():

@@ -52,9 +52,6 @@ PUBLIC_API = {
     "tensor.functional.dropout": ("decided-later", "Numerics contract"),
     "tensor.functional.dropout_grad": ("decided-later", "Numerics contract"),
     "tensor.tensor.Tensor.like": ("decided-later", "4. Real vs meta execution"),
-    "hardware.topology.ClusterTopology.dp_groups": ("decided-later", "6. Performance modelling"),
-    "hardware.topology.ClusterTopology.mp_groups": ("decided-later", "6. Performance modelling"),
-    "comm.costmodel.CommCostModel.total_time": ("decided-later", "6. Performance modelling"),
     "tensor.tensor.Tensor.freed": ("observation", "3. The NN framework's ownership contract"),
     "memsim.timeline.MemoryTimeline.peak_allocated": ("observation", "2. Memory accounting"),
     "memprof.provenance.current_phase": ("observation", "Provenance: who owns every byte"),

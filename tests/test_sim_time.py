@@ -57,8 +57,7 @@ def test_ledger_estimate_tracks_analytic_model(point_100b):
         ledger, flops_per_gpu=flops, hidden=point_100b.hidden
     )
     analytic = PerfModel().estimate(
-        point_100b.model, C4, batch=point_100b.batch, mp_degree=point_100b.mp,
-        n_gpus=point_100b.n_gpus,
+        point_100b.model, C4, mesh=point_100b.mesh, batch=point_100b.batch
     )
     assert est.total_s == pytest.approx(analytic.step_s, rel=0.5)
     assert est.compute_s == pytest.approx(analytic.compute_s, rel=0.01)

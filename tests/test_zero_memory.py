@@ -6,6 +6,7 @@ import pytest
 
 from repro import Cluster, GPTConfig, ZeROConfig
 from repro.analysis.memory_model import model_state_bytes
+from repro.zero.placement import Mesh
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
 from repro.optim.adam import AdamHyperparams
@@ -55,7 +56,7 @@ def test_model_state_bytes_match_formula(stage):
 
     results = run_stage(stage, probe)
     for measured, numel in results:
-        expected = model_state_bytes(numel, WORLD, stage)
+        expected = model_state_bytes(numel, Mesh(dp=WORLD), stage)
         # Alignment adds up to 512 bytes/allocation; tiny models feel it.
         slack = 0.25 * expected + 512 * 80
         assert abs(measured - expected) <= slack, (measured, expected)
