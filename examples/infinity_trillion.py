@@ -66,10 +66,7 @@ def main():
     ctx = virtual_rank_context(1)
     zero = ZeROConfig(stage=3, memory_defrag=False, infinity=PLACEMENT)
     t0 = time.time()
-    model, engine = build_model_and_engine(
-        ctx, CONFIG, zero, dp_group=ctx.world, meta=True,
-        defer_param_allocation=True,
-    )
+    model, engine = build_model_and_engine(ctx, CONFIG, zero, dp_group=ctx.world, meta=True)
     ids = Tensor.meta((BATCH, SEQ), np.int64, device=ctx.device)
     targets = Tensor.meta((BATCH, SEQ), np.int64, device=ctx.device)
     result = engine.train_step(ids, targets)

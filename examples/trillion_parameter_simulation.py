@@ -50,8 +50,7 @@ def main():
     zero = ZeROConfig(stage=3, partition_activations=True, memory_defrag=False)
     t0 = time.time()
     model, engine = build_model_and_engine(
-        ctx, CONFIG, zero, dp_group=dp_group, mp_group=mp_group,
-        meta=True, defer_param_allocation=True,
+        ctx, CONFIG, zero, dp_group=dp_group, mp_group=mp_group, meta=True,
     )
     ids = Tensor.meta((BATCH, 1024), np.int64, device=ctx.device)
     targets = Tensor.meta((BATCH, 1024), np.int64, device=ctx.device)

@@ -18,8 +18,8 @@ The tiling contract (verified by ``tests/test_infinity.py``):
    is charged one ``tile_bytes`` staging buffer at a time (category
    ``param_fp16``, site ``infinity-tile``); the unit's parameters
    themselves are attached unaccounted — the modeled device never holds
-   the full operator, exactly like stage 3's ``defer_param_allocation``
-   treats the never-coresident initial full model.
+   the full operator. Stage 3 charges a unit's construction the same
+   way, one staged tile at a time.
 3. **Same bytes on the wire.** A tiled gather moves the same total bytes
    as an untiled one, in more, smaller transfers (alpha is paid per
    tile); the prefetch engine overlaps tile page-ins with compute at tile

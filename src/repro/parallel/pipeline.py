@@ -61,9 +61,10 @@ class _StageParams(Module):
 class GPipeEngine:
     """One pipeline rank: a contiguous slice of the model's units.
 
-    Every rank constructs the full model deterministically (same seed) and
-    immediately frees the parameters of units it does not own, so stage s
-    holds ~1/S of the parameters and optimizer state.
+    Every rank constructs the full model uncharged and deterministically
+    (same seed), then charges its Adam state and, unit by unit, the units
+    it owns, so stage s holds ~1/S of the parameters and optimizer state
+    and never the whole model.
     """
 
     name = "gpipe"
@@ -94,28 +95,26 @@ class GPipeEngine:
         self.dtype = np.dtype(dtype)
         self.config = config
 
-        rng = np.random.default_rng(seed)
         self.model = GPT2Model(
-            config, dtype=dtype, device=ctx.device, rng=rng,
+            config, dtype=dtype, rng=np.random.default_rng(seed),
             checkpoint_activations=checkpoint_activations,
         )
         units = self.model.units()
-        bounds = split_units(len(units), self.n_stages)
-        lo, hi = bounds[self.stage_index]
+        lo, hi = split_units(len(units), self.n_stages)[self.stage_index]
         self.local_units = units[lo:hi]
         self.is_first = self.stage_index == 0
         self.is_last = self.stage_index == self.n_stages - 1
-        # Free non-local parameters: stage memory is 1/S of the model.
-        local = set(id(u) for u in self.local_units)
-        for unit in units:
-            if id(unit) not in local:
-                unit.free_parameters()
         self.stage_module = _StageParams(self.local_units)
         self.layout = FlatLayout(self.stage_module.parameters())
         self.opt_state = FlatAdamState(
             self.layout.numel, device=ctx.device, hp=adam, tag="gpipe-adam",
         )
         self.opt_state.init_master(self.layout.gather_params(np.float32))
+        with memprof_category("param_fp16", site=self.model.name):
+            for p in self.layout.parameters:
+                p.data = Tensor(
+                    p.shape, self.dtype, data=p.data.data, device=ctx.device, tag=p.name
+                )
         self.loss_head = self.model.make_loss_head() if self.is_last else None
         self.step_count = 0
         # Telemetry tracer from the context; None means disabled.

@@ -15,9 +15,9 @@ The observability layer of the reproduction (docs/ARCHITECTURE.md §9):
 * ``TelemetrySession`` (``telemetry.session``) — the cluster-level hub:
   ``Cluster(world_size, telemetry=TelemetrySession())``.
 
-Telemetry is strictly opt-in: without a session (and with
-``ZeROConfig.telemetry`` False) no tracer objects are allocated and the
-engines record nothing.
+Telemetry is strictly opt-in: without a session (``Cluster(telemetry=)``
+or ``virtual_rank_context(telemetry=)``) no tracer objects are allocated
+and the engines record nothing.
 """
 
 from repro.telemetry.export import (

@@ -10,10 +10,7 @@ from repro.utils.units import (
     TB,
     TFLOP,
     TRILLION,
-    bytes_to_gb,
     bytes_to_str,
-    flops_to_str,
-    gb_to_bytes,
     params_to_str,
 )
 from repro.utils.seeding import derive_seed, rng_for
@@ -29,10 +26,7 @@ __all__ = [
     "TB",
     "TFLOP",
     "TRILLION",
-    "bytes_to_gb",
     "bytes_to_str",
-    "flops_to_str",
-    "gb_to_bytes",
     "params_to_str",
     "derive_seed",
     "rng_for",

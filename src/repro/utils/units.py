@@ -32,16 +32,6 @@ TFLOP = 1e12
 PFLOP = 1e15
 
 
-def bytes_to_gb(n_bytes: float) -> float:
-    """Convert bytes to decimal gigabytes (paper convention)."""
-    return n_bytes / GB
-
-
-def gb_to_bytes(n_gb: float) -> float:
-    """Convert decimal gigabytes to bytes."""
-    return n_gb * GB
-
-
 def params_to_str(n_params: float) -> str:
     """Render a parameter count the way the paper writes it (e.g. '7.5B')."""
     for unit, suffix in ((TRILLION, "T"), (BILLION, "B"), (MILLION, "M"), (THOUSAND, "K")):
@@ -58,12 +48,3 @@ def bytes_to_str(n_bytes: float) -> str:
         if abs(n_bytes) >= unit:
             return f"{n_bytes / unit:.2f} {suffix}"
     return f"{n_bytes:.0f} B"
-
-
-def flops_to_str(n_flops: float) -> str:
-    """Render a FLOP/s figure the way the paper does (TFlops / PFlops)."""
-    if abs(n_flops) >= PFLOP:
-        return f"{n_flops / PFLOP:.2f} PFlops"
-    if abs(n_flops) >= TFLOP:
-        return f"{n_flops / TFLOP:.2f} TFlops"
-    return f"{n_flops / GFLOP:.2f} GFlops"

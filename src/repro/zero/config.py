@@ -33,10 +33,6 @@ class ZeROConfig:
     offload_optimizer: bool = False
     offload_gradients: bool = False
     delayed_param_update: bool = False
-    # Telemetry: when True the factory attaches a per-rank span tracer
-    # (repro.telemetry) to the context if the cluster didn't already
-    # provide one. Off by default — disabled telemetry allocates nothing.
-    telemetry: bool = False
     # SDC defense (repro.integrity): run the cross-rank replicated-state
     # audit every N optimizer steps, plus the per-boundary shard-digest
     # guard and the loss/grad-norm sentinels. 0 (the default) disables

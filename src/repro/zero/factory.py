@@ -42,19 +42,6 @@ def build_engine(
     """Wrap an existing model in the engine for ``zero.stage``."""
     from dataclasses import replace
 
-    if zero.telemetry and ctx.tracer is None:
-        # Standalone wiring for contexts built without a TelemetrySession:
-        # one tracer priced over the context's topology, with its own
-        # registry, bridged to the rank's ledger.
-        from repro.comm.costmodel import CommCostModel
-        from repro.telemetry import MetricsRegistry, Tracer
-
-        ctx.tracer = Tracer(
-            ctx.rank,
-            cost_model=CommCostModel(ctx.topology),
-            registry=MetricsRegistry(),
-        )
-        ctx.ledger.listener = ctx.tracer
     config = engine_config or EngineConfig()
     if zero.constant_buffers and config.fused_buffer_numel is None:
         config = replace(config, fused_buffer_numel=zero.constant_buffer_numel)
@@ -81,7 +68,6 @@ def build_model_and_engine(
     seed: int = 0,
     meta: bool = False,
     md_region_bytes: int | None = None,
-    defer_param_allocation: bool = False,
 ) -> tuple[GPT2Model, BaseEngine]:
     """One-call setup of the full per-rank training stack.
 
@@ -89,27 +75,23 @@ def build_model_and_engine(
     ``seed`` makes all DP replicas initialize identically, exactly like
     broadcasting initial weights in real DDP.
 
-    ``defer_param_allocation`` (stage 3 only) skips charging the *initial
-    full* parameters to the device: real ZeRO-3 initializes and shards
-    layer-by-layer so the whole model never coexists on one GPU, and
-    without this flag the construction spike would OOM configurations —
-    like the 1T-parameter one — whose steady state fits comfortably.
-    Parameters are accounted normally from the first materialization on.
+    A partitioned ``param`` row builds the model uncharged: the stage-3
+    engine charges it unit by unit beside its shards and releases each
+    unit before the next (Section 5.3; ZeRO-Infinity's partitioning during
+    initialization), so the whole model is never resident — which is what
+    lets configurations like the 1T one fit. The other stages keep
+    persistent full parameters and build them charged.
     """
-    activation = zero.placement["activation"]
+    placed = zero.placement
+    activation = placed["activation"]
     if activation.partitioned and mp_group is None:
         raise ValueError("Pa requires an MP group (it partitions across MP ranks)")
-    if defer_param_allocation and zero.stage != 3:
-        raise ValueError(
-            "defer_param_allocation requires stage 3 (other stages keep "
-            "persistent full parameters that must be accounted)"
-        )
     store = KeepStore()
     if activation.partitioned:
         store = PA_STORE_BY_TIER[activation.tier](mp_group, ctx)
     model = GPT2Model(
         model_config, mp_group=mp_group, rank=ctx.rank, dtype=dtype,
-        device=None if defer_param_allocation else ctx.device,
+        device=None if placed["param"].partitioned else ctx.device,
         rng=np.random.default_rng(seed), meta=meta,
         checkpoint_activations=zero.checkpoint_activations,
         activation_store=store,

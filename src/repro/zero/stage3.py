@@ -10,6 +10,12 @@ have been used", Section 7.2.2). The same gather happens again for the
 unit's backward (and covers checkpoint recomputation), and unit gradients
 are reduced straight to their owners.
 
+Construction is partitioned the same way (ZeRO-Infinity's partitioning
+during initialization, arXiv:2104.07857 §7.2): the model arrives
+uncharged, and the engine charges each unit in build order beside its
+shards and releases it before the next, so the whole model is never
+resident on the device.
+
 Communication per step: Psi (forward gathers) + Psi (backward gathers) +
 Psi (gradient reduce-to-owner) = 3 Psi, the paper's 1.5x bound. There is
 no end-of-step all-gather: updating the local shard suffices because the
@@ -28,7 +34,7 @@ import weakref
 import numpy as np
 
 from repro.comm.group import ProcessGroup
-from repro.infinity.tiling import plan_unit_tiles
+from repro.infinity.tiling import TilePlan, plan_unit_tiles
 from repro.memprof.provenance import category as memprof_category
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import GPT2Model
@@ -68,8 +74,14 @@ class ZeroStage3Engine(_ZeroDPBase):
         # Unit index: each unit's params occupy a contiguous flat range
         # [lo, hi), in ascending layout order (``_materialize`` reads each
         # owner's pieces as one run on that basis); kept with the
-        # parameters and their slots.
-        self._units: dict[str, tuple[int, int, list[Parameter], list[ParamSlot]]] = {}
+        # parameters, their slots and, when paged, the unit's tile plan.
+        # The model arrives uncharged (``build_model_and_engine``): each
+        # unit's construction is charged here, beside the shards, and
+        # released before the next, so the whole model is never resident.
+        self._units: dict[
+            str, tuple[int, int, list[Parameter], list[ParamSlot], TilePlan | None]
+        ] = {}
+        itemsize = np.dtype(model.dtype).itemsize
         for unit in model.units():
             params = unit.parameters()
             slots = [self.layout.slot(p.name) for p in params]
@@ -77,11 +89,18 @@ class ZeroStage3Engine(_ZeroDPBase):
                 raise ValueError(
                     f"unit {unit.name} parameters are not contiguous and ascending in the layout"
                 )
-            self._units[unit.name] = (slots[0].offset, slots[-1].end, params, slots)
-
-        # Release the full parameters: from now on they exist per-unit only.
-        for p in self.layout.parameters:
-            p.data.free_if_alive()
+            if any(p.data.extent is not None for p in params):
+                raise ValueError(
+                    f"unit {unit.name} arrived charged; build the model with device=None"
+                )
+            lo, hi = slots[0].offset, slots[-1].end
+            tiles = None
+            if self._page_params:
+                tiles = plan_unit_tiles(hi - lo, itemsize, self.config.infinity.tile_bytes)
+            self._units[unit.name] = (lo, hi, params, slots, tiles)
+            self._charge(unit.name, [p.data.data for p in params], model.name, model.name)
+            for p in params:
+                p.data.free()
         self._materialized: set[str] = set()
         # The engine holds the model; the model must not hold the engine
         # back, or neither is freed without a gc pass.
@@ -105,43 +124,26 @@ class ZeroStage3Engine(_ZeroDPBase):
             return
         if self.tracer is not None:
             self.tracer.begin("param-allgather", unit=unit.name)
-        ulo, uhi, params, slots = self._units[unit.name]
+        ulo, uhi, params, slots, tiles = self._units[unit.name]
         # Who owns which run of the unit; a plain meta gather needs none of it.
         gather = (
             self._segments.plan(params) if self._page_params or not self.is_meta else None
         )
         dtype = np.dtype(self.model.dtype)
-        itemsize = dtype.itemsize
-        tiled = False
         if self._page_params:
             # This rank pages its own shard piece in from the parameter
             # tier before contributing it to the gather; the infinity
             # engine charges that movement (tile by tile) to the timeline.
-            inf_cfg = self.config.infinity
-            plan = plan_unit_tiles(uhi - ulo, itemsize, inf_cfg.tile_bytes)
-            tiled = plan.is_tiled
             self.offload.note_gather(
                 0 if gather.mine is None else gather.nbytes[gather.mine],
                 mode="backward" if self.phase == "backward" else "forward",
-                tiles=plan.n_tiles,
+                tiles=tiles.n_tiles,
             )
-            if tiled:
-                # Memory-centric tiling: device residency during this
-                # gather is bounded to one staged tile at a time; the
-                # unit's parameters attach unaccounted below (they are
-                # never co-resident), like defer_param_allocation.
-                for tlo, thi in plan.ranges():
-                    with memprof_category("param_fp16", site="infinity-tile"):
-                        stage = Tensor(
-                            (thi - tlo,), dtype, data=None,
-                            device=self.ctx.device, tag="infinity-tile",
-                        )
-                    stage.free()
         if self.is_meta:
             self.dp_group.meta_collective(
-                self.ctx.rank, "broadcast", (uhi - ulo) * itemsize, "param-gather"
+                self.ctx.rank, "broadcast", (uhi - ulo) * dtype.itemsize, "param-gather"
             )
-            full = None
+            values = [None] * len(slots)
         else:
             # One logical broadcast per owner, one rendezvous for the unit.
             # A unit's parameters are contiguous in the layout (checked in
@@ -161,16 +163,30 @@ class ZeroStage3Engine(_ZeroDPBase):
             for seg, piece in zip(gather.segments, pieces):
                 lo = seg.pieces[0][0] - ulo
                 full[lo : lo + seg.numel] = piece
-        device = None if tiled else self.ctx.device
-        with memprof_category("param_fp16", site="zero3-materialize"):
-            for p, slot in zip(params, slots):
-                data = None
-                if full is not None:
-                    data = full[slot.offset - ulo : slot.end - ulo].reshape(slot.shape)
-                p.data = Tensor(slot.shape, dtype, data=data, device=device, tag=p.name)
+            values = [full[s.offset - ulo : s.end - ulo].reshape(s.shape) for s in slots]
+        self._charge(unit.name, values, "zero3-materialize", "infinity-tile")
         self._materialized.add(unit.name)
         if self.tracer is not None:
             self.tracer.end()
+
+    def _charge(self, name: str, values: list, site: str, tile_site: str) -> None:
+        """Attach unit ``name``'s parameters with ``values`` (``None`` in
+        meta mode), charged to the device at memprof ``site``. Under
+        memory-centric tiling the device is charged one staged tile at a
+        time instead (at ``tile_site``) and the parameters attach
+        unaccounted: they are never co-resident."""
+        _, _, params, slots, tiles = self._units[name]
+        dtype = self.model.dtype
+        device = self.ctx.device
+        if tiles is not None and tiles.is_tiled:
+            for tlo, thi in tiles.ranges():
+                with memprof_category("param_fp16", site=tile_site):
+                    stage = Tensor((thi - tlo,), dtype, device=device, tag="infinity-tile")
+                stage.free()
+            device = None
+        with memprof_category("param_fp16", site=site):
+            for p, slot, data in zip(params, slots, values):
+                p.data = Tensor(slot.shape, dtype, data=data, device=device, tag=p.name)
 
     def _dematerialize(self, unit: Module) -> None:
         if unit.name not in self._materialized:

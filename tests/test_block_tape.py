@@ -200,6 +200,10 @@ JOBS = {
     "injected": job_injected,
 }
 
+# The stage-3 cluster job was re-pinned when stage 3 began charging
+# construction unit by unit after its shards. A line-by-line diff of its
+# hashed material (``tools/golden_lines.py``) showed only construction's
+# device events moved; the ledger held, and the peaks fell to the steps'.
 #: job -> what it recorded, computed before the tape existed (lists for tuples)
 TAPE_GOLDEN = {
     "c4": {
@@ -214,9 +218,9 @@ TAPE_GOLDEN = {
         "host": [24, "8a9a4907f14810102ff4f71dc318a746c3c22c4c18dbd184bdb30e1723e4c828", 12288],
     },
     "stage3-cluster": {
-        "device": [2858, "e0d1d949b56020bd485c8a863c08687d3d0abcc5d60249d2a26a8ca4741651f4"],
+        "device": [2858, "f4ac64ffc8dbfed19a966eac816856f0381a9a94237792b3f22365b01c12ea9f"],
         "ledger": [216, "9db500cd38f77cc7a5aeca4c4b9fb03962e0b6e61405b533661974d29152e2c4"],
-        "peaks": [18703360, 18875392],
+        "peaks": [18611200, 18723840],
     },
     "stage1-accumulate2": {
         "device": [4427, "504bfe4f79677e3e664d3b4ccea8fea0d2a2a64b3947907b013fe4be16dd52cf"],

@@ -476,7 +476,9 @@ def test_stitched_trace_matches_the_parent_commit(tmp_path):
     events = [ev for ev in trace["traceEvents"] if ev.get("cat") != "comm-flow"]
     assert len(events) == 1539
     digest = hashlib.sha256(json.dumps(events, sort_keys=True).encode()).hexdigest()
-    assert digest[:32] == "6614eb83bf02252d624914361141dd60"
+    # Re-pinned when stage 3 began charging construction unit by unit: only
+    # the reserved-bytes counter values moved (``tools/golden_lines.py``).
+    assert digest[:32] == "8f962732e7b24c73c79af87f44438fbe"
 
 
 # -- zero-overhead contract ---------------------------------------------------

@@ -205,6 +205,21 @@ class TestGPipeMemory:
         assert sum(counts) == CFG.total_params
         assert max(counts) < CFG.total_params  # genuinely split
 
+    def test_a_stage_charges_only_its_units_and_adam_state(self):
+        """One unit per stage: construction's peak is the stage's own
+        parameters plus its Adam state, never the whole model."""
+
+        def fn(ctx):
+            engine = GPipeEngine(ctx, CFG, ctx.world, n_microbatches=1,
+                                 dtype=np.float32, seed=0)
+            adam = engine.opt_state
+            state = [p.data for p in engine.layout.parameters] + [adam.master, adam.m, adam.v]
+            return ctx.device.max_allocated_bytes, sum(t.extent.size for t in state)
+
+        stages = len(GPT2Model(CFG, meta=True).units())
+        for peak, own in Cluster(stages, gpu=GPU, timeout_s=60.0).run(fn):
+            assert peak == own
+
     def test_device_memory_scales_with_microbatches(self):
         """GPipe's weakness: in-flight micro-batches pile up activations."""
 

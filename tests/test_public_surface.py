@@ -42,10 +42,7 @@ PUBLIC_API = {
     "obs.exporters.write_stitched_chrome_trace": ("decided-later", "Exporters (`obs.exporters`)"),
     # Only their own tests call these; the ROADMAP item "The test-only
     # names" deletes them with those tests, a few tests per change.
-    "utils.units.bytes_to_gb": ("decided-later", "What's implemented"),
-    "utils.units.gb_to_bytes": ("decided-later", "What's implemented"),
     "utils.units.params_to_str": ("decided-later", "What's implemented"),
-    "utils.units.flops_to_str": ("decided-later", "What's implemented"),
     "tensor.functional.cast": ("decided-later", "Numerics contract"),
     "tensor.functional.mul": ("decided-later", "Numerics contract"),
     "tensor.functional.slice_last": ("decided-later", "Numerics contract"),

@@ -168,7 +168,6 @@ class TestDisabled:
             assert listener is None
 
     def test_zero_config_flag_defaults_off(self):
-        assert ZeROConfig().telemetry is False
         ctx = virtual_rank_context(8, gpu=GPU)
         from repro.nn.transformer import GPT2Model
 
@@ -177,14 +176,13 @@ class TestDisabled:
         assert ctx.tracer is None and engine.tracer is None
 
 
-# -- ZeROConfig(telemetry=True) standalone wiring ---------------------------
+# -- a virtual rank under a session ------------------------------------------
 
 
-class TestConfigFlag:
-    def test_flag_attaches_standalone_tracer(self):
-        ctx = virtual_rank_context(8, gpu=GPU)
-        zero = ZeROConfig(stage=2, telemetry=True, checkpoint_activations=False,
-                          memory_defrag=False)
+class TestVirtualRankSession:
+    def test_session_tracer_times_a_virtual_rank_step(self):
+        ctx = virtual_rank_context(8, gpu=GPU, telemetry=TelemetrySession())
+        zero = ZeROConfig(stage=2, checkpoint_activations=False, memory_defrag=False)
         model, engine = build_model_and_engine(
             ctx, CFG, zero, dp_group=ctx.world, meta=True, seed=0,
         )
@@ -196,21 +194,6 @@ class TestConfigFlag:
         assert comm_bytes_by_phase(ctx.tracer) == ctx.ledger.by_phase()
         stats = ctx.tracer.registry.aggregate("step_time_s")
         assert stats.count == 1
-
-    def test_flag_respects_cluster_provided_tracer(self):
-        session = TelemetrySession()
-        cluster = Cluster(1, gpu=GPU, telemetry=session)
-
-        def fn(ctx):
-            from repro.nn.transformer import GPT2Model
-
-            model = GPT2Model(CFG, meta=True)
-            engine = build_engine(
-                ctx, model, ctx.world, ZeROConfig(stage=1, telemetry=True)
-            )
-            return engine.tracer is session.tracers[0]
-
-        assert cluster.run(fn) == [True]
 
 
 # -- trace validation --------------------------------------------------------

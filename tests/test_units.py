@@ -6,23 +6,15 @@ from repro.utils.units import (
     BILLION,
     GB,
     TB,
-    TFLOP,
     TRILLION,
-    bytes_to_gb,
     bytes_to_str,
-    flops_to_str,
-    gb_to_bytes,
     params_to_str,
 )
 
 
 def test_paper_gb_convention_is_decimal():
     # 16 bytes x 7.5B params must read as the paper's "120 GB".
-    assert bytes_to_gb(16 * 7.5 * BILLION) == pytest.approx(120.0)
-
-
-def test_gb_roundtrip():
-    assert bytes_to_gb(gb_to_bytes(31.4)) == pytest.approx(31.4)
+    assert 16 * 7.5 * BILLION / GB == pytest.approx(120.0)
 
 
 def test_trillion_parameter_adam_footprint():
@@ -57,9 +49,3 @@ def test_params_to_str(n, expected):
 )
 def test_bytes_to_str(n, expected):
     assert bytes_to_str(n) == expected
-
-
-def test_flops_to_str_petaflops():
-    assert flops_to_str(15e15) == "15.00 PFlops"
-    assert flops_to_str(38 * TFLOP) == "38.00 TFlops"
-    assert flops_to_str(5e9) == "5.00 GFlops"

@@ -9,9 +9,13 @@ from repro.analysis.memory_model import model_state_bytes
 from repro.zero.placement import Mesh
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
+from repro.infinity import InfinityConfig
+from repro.memsim.device import Device
+from repro.nn.transformer import GPT2Model
+from repro.runtime import virtual_rank_context
 from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
-from repro.zero.factory import build_model_and_engine
+from repro.zero.factory import build_engine, build_model_and_engine
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
 CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=61, max_seq_len=16)
@@ -137,3 +141,64 @@ def test_memory_freed_after_engine_free():
 
     for leftover in cluster.run(fn):
         assert leftover == 0
+
+
+# -- stage 3 charges construction one unit at a time ---------------------------
+
+
+def built_stage3(zero, meta, monkeypatch):
+    """Build the stage-3 stack on WORLD ranks. Returns rank 0's device peak
+    and live bytes once built, its unit names, and the (tag, block size)
+    of every allocation construction made on it."""
+    blocks = []
+    alloc = Device.alloc
+
+    def recording(device, size, tag=""):
+        extent = alloc(device, size, tag)
+        if device.index == 0:
+            blocks.append((tag, extent.size))
+        return extent
+
+    monkeypatch.setattr(Device, "alloc", recording)
+
+    def fn(ctx):
+        model, _ = build_model_and_engine(
+            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float16, seed=0, meta=meta,
+        )
+        dev = ctx.device
+        return dev.max_allocated_bytes, dev.allocated_bytes, [u.name for u in model.units()]
+
+    peak, live, units = Cluster(WORLD, gpu=GPU, timeout_s=60.0).run(fn)[0]
+    return peak, live, units, blocks
+
+
+@pytest.mark.parametrize("meta", [False, True], ids=["real", "meta"])
+def test_stage3_init_holds_one_unit_beside_the_shards(meta, monkeypatch):
+    """The init peak is the live shards and CB buffer plus the largest
+    unit's blocks: below the whole model, which used to sit beside them."""
+    zero = ZeROConfig(stage=3, memory_defrag=False)
+    peak, live, units, blocks = built_stage3(zero, meta, monkeypatch)
+    by_unit = {u: sum(size for tag, size in blocks if tag.startswith(u + ".")) for u in units}
+    assert peak <= live + max(by_unit.values()) < live + sum(by_unit.values())
+
+
+def test_tiled_stage3_init_holds_one_tile(monkeypatch):
+    """Under memory-centric tiling construction stages each unit through
+    one ``tile_bytes`` buffer at a time and charges no parameter whole."""
+    tile = 1024
+    zero = ZeROConfig(
+        stage=3, memory_defrag=False, infinity=InfinityConfig(param_tier="host", tile_bytes=tile)
+    )
+    peak, live, _, blocks = built_stage3(zero, False, monkeypatch)
+    assert not [tag for tag, _ in blocks if tag.startswith("gpt2.")]
+    assert "infinity-tile" in {tag for tag, _ in blocks}
+    assert peak <= live + tile
+
+
+def test_stage3_refuses_a_charged_model():
+    """A model built on the device would stay charged beside the units the
+    engine charges itself: the engine refuses it."""
+    ctx = virtual_rank_context(WORLD, gpu=GPU)
+    model = GPT2Model(CFG, meta=True, device=ctx.device)
+    with pytest.raises(ValueError, match="arrived charged"):
+        build_engine(ctx, model, ctx.world, ZeROConfig(stage=3, memory_defrag=False))
