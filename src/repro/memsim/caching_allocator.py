@@ -25,6 +25,21 @@ A reused block goes to its next owner as the same ``Extent`` object the
 backing allocator made for it; the owner's tag lives in a handle-keyed map
 beside the live block. So an ``Extent`` is built once per block the device
 carves, never per cache hit, and a steady step allocates nothing here.
+
+A run of allocations and frees that is made again and again (a block
+tape's re-issue, ``repro.nn.tape``) can be made in one call: a
+``Transition`` summarises the run once — per size class, how deep into the
+cached stack it reaches and what it leaves on top; the net ``allocated``
+delta and its prefix maximum; the allocations that outlive it — and
+``apply`` makes it when every allocation of the run is an exact size-class
+hit. That is why the result is bitwise the event-by-event one: an exact
+hit pops a block of exactly the requested class and a free pushes it back
+onto its own class, so the stacks, ``allocated`` and its peak are a
+function of the run and the stacks' depths alone, and no best-fit choice,
+split, flush or backing allocation can occur. ``apply`` checks the depths,
+and that every block the run frees from before it is live and of the size
+the summary assumed, before it changes anything, and declines otherwise,
+leaving the caller to make the run event by event.
 """
 
 from __future__ import annotations
@@ -40,6 +55,101 @@ from repro.memsim.errors import InvalidFreeError
 _REUSE_WASTE_LIMIT = 0.25
 # Blocks at least this large are split on reuse instead of wasted.
 _SPLIT_THRESHOLD = 1 << 20  # 1 MiB
+
+
+class Transition:
+    """A run of allocator events, summarised for ``CachingAllocator.apply``.
+
+    The run is a list of ints over numbered *slots*: a positive ``size``
+    allocates that many bytes into the next slot (``first``, ``first + 1``,
+    ...) and ``~j`` frees slot ``j``. A slot below ``first`` was filled
+    before the run; ``sizes`` holds every slot's aligned size (``mask`` is
+    the alignment less one). The summary assumes each allocation pops its
+    class's stack and each free pushes onto it. ``apply`` builds a *pool*:
+    the blocks the run takes from under what it pushed itself, class by
+    class, each class's bottom first, then the blocks of the slots it frees
+    from before. The summary records, with blocks as pool positions:
+
+    * ``checks`` — ``(size, depth)`` per class the run draws ``depth``
+      blocks from and leaves as it found it (it put back what it took, in
+      order): only the depth is checked;
+    * ``takes`` — ``(size, depth)`` per class the run draws from and
+      changes: the top ``depth`` blocks go to the pool;
+    * ``frees`` — ``(slot, size)`` per slot from before the run that it
+      frees, in order;
+    * ``puts`` — ``(size, positions)`` per class the run changes or only
+      frees into: what it leaves on top of the rest, bottom first;
+    * ``survivors`` — ``(slot, position)`` per allocation still live at
+      the end, in allocation order;
+    * ``delta`` and ``peak`` — the net change of ``allocated`` and its
+      maximum just after an allocation (``n_allocs`` of them).
+    """
+
+    __slots__ = ("mask", "n_allocs", "delta", "peak", "checks", "takes", "frees", "puts",
+                 "survivors")
+
+    def __init__(self, events: list[int], first: int, sizes: list[int], mask: int):
+        self.mask = mask
+        # A run-local source is (size, k), the class's k-th block from the
+        # top when the run began, or an int, a slot freed from before.
+        depth: dict[int, int] = {}  # per class, in the order the run touches them
+        pushed: dict[int, list] = {}  # per class, sources on top of what is left, bottom first
+        live: dict[int, object] = {}  # slot allocated in the run -> its source
+        outside: list[int] = []  # slots from before the run that it frees
+        slot = first
+        delta, peak = 0, None
+        for e in events:
+            if e > 0:
+                size = sizes[slot]
+                if size not in depth:
+                    depth[size], pushed[size] = 0, []
+                stack = pushed[size]
+                if stack:
+                    live[slot] = stack.pop()
+                else:
+                    live[slot] = (size, depth[size])
+                    depth[size] += 1
+                slot += 1
+                delta += size
+                if peak is None or delta > peak:
+                    peak = delta
+            else:
+                j = ~e
+                if j in live:
+                    source = live.pop(j)
+                else:
+                    source = j
+                    outside.append(j)
+                size = sizes[j]
+                if size not in depth:
+                    depth[size], pushed[size] = 0, []
+                pushed[size].append(source)
+                delta -= size
+        self.n_allocs, self.delta, self.peak = slot - first, delta, peak
+        kept = {
+            size for size, d in depth.items()
+            if pushed[size] == [(size, k) for k in range(d - 1, -1, -1)]
+        }
+        self.checks = tuple((size, d) for size, d in depth.items() if d and size in kept)
+        self.takes = tuple((size, d) for size, d in depth.items() if d and size not in kept)
+        bottom, at = {}, 0  # class -> pool position of its bottom taken block
+        for size, d in self.takes:
+            bottom[size] = at
+            at += d
+        out = {j: at + i for i, j in enumerate(outside)}
+
+        def position(source) -> int:
+            if source.__class__ is int:
+                return out[source]
+            size, k = source
+            return bottom[size] + depth[size] - 1 - k
+
+        self.frees = tuple((j, sizes[j]) for j in outside)
+        self.puts = tuple(  # a class the run only frees into may be new: it is made
+            (size, tuple(map(position, pushed[size])))
+            for size, d in depth.items() if not d or (size not in kept and pushed[size])
+        )
+        self.survivors = tuple((slot, position(source)) for slot, source in live.items())
 
 
 @dataclass
@@ -198,6 +308,59 @@ class CachingAllocator:
             stack = self._classes[size] = []
             insort(self._sizes, size)
         stack.append(live)
+
+    def apply(self, t: Transition, extents: list, tags: list) -> bool:
+        """Make the run ``t`` summarises as if each of its events were an
+        ``alloc`` / ``free`` here, every allocation an exact size-class hit;
+        False, with nothing changed, if one would not be (a class's stack
+        is too shallow) or a block the run frees is not a live one of the
+        size the summary assumed (it was not an exact hit). ``extents``
+        and ``tags`` are per slot: the run reads the extents of the slots
+        it frees and writes its survivors', tagged ``tags[slot]``."""
+        if t.mask != self._align_mask:
+            return False
+        classes, live = self._classes, self._live
+        pool = []
+        try:  # a missing class or a stack shallower than ``depth`` raises
+            for size, depth in t.checks:
+                classes[size][-depth]
+            for size, depth in t.takes:
+                stack = classes[size]
+                stack[-depth]
+                pool += stack[-depth:]
+        except (KeyError, IndexError):
+            return False
+        handles = []
+        for slot, size in t.frees:
+            extent = extents[slot]
+            handle = extent.handle
+            if live.get(handle) is not extent or extent.size != size:
+                return False
+            pool += (extent,)
+            handles += (handle,)
+        owners = self._tags
+        for handle in handles:
+            del live[handle], owners[handle]
+        for size, depth in t.takes:
+            del classes[size][-depth:]
+        for size, positions in t.puts:
+            stack = classes.get(size)
+            if stack is None:
+                stack = classes[size] = []
+                insort(self._sizes, size)
+            for at in positions:
+                stack += (pool[at],)
+        for slot, at in t.survivors:
+            extent = extents[slot] = pool[at]
+            live[extent.handle] = extent
+            owners[extent.handle] = tags[slot]
+        allocated = self._allocated
+        if t.n_allocs:
+            self.n_cache_hits += t.n_allocs
+            if allocated + t.peak > self.max_allocated:
+                self.max_allocated = allocated + t.peak
+        self._allocated = allocated + t.delta
+        return True
 
     def empty_cache(self) -> int:
         """Return all cached blocks to the device; returns bytes released."""

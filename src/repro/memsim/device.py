@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.memsim.block_allocator import BlockAllocator, Extent
-from repro.memsim.caching_allocator import CachingAllocator
+from repro.memsim.caching_allocator import CachingAllocator, Transition
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 from repro.utils.doors import Doors
 
@@ -51,6 +51,8 @@ class Device(Doors):
         # tag -> "does the predicate route it into the region?", filled as
         # tags are first seen (a step re-uses a few hundred tag strings).
         self._md_routes: dict[str, bool] = {}
+        # The last per-slot tag list ``apply`` found no tag of routed in.
+        self._md_clear: list | None = None
 
     # -- ZeRO-R MD (memory defragmentation, Section 6.3) --------------------
 
@@ -121,6 +123,30 @@ class Device(Doors):
         if told:
             for sub in told:
                 sub._free(extent, extent.size)
+
+    def apply(self, transition: Transition, extents: list, tags: list) -> bool:
+        """A run of ``alloc`` / ``free`` calls in one: the run ``transition``
+        summarises, over the per-slot ``extents`` and ``tags`` (see
+        ``CachingAllocator.apply``). Made only where it is bitwise what
+        calling the doors gives and nobody would miss a call: nothing
+        subscribes to the doors, no tag in ``tags`` (every slot's, checked
+        once per list) routes into the MD region, and the cache serves
+        every allocation with an exact size-class hit. Otherwise False,
+        with nothing changed, and the caller makes the run through the
+        doors."""
+        if self.on_alloc or self.on_free or self.cache is None:
+            return False
+        if self._md_allocator is not None and tags is not self._md_clear:
+            routes = self._md_routes
+            for tag in tags:
+                try:
+                    routed = routes[tag]
+                except KeyError:
+                    routed = routes[tag] = bool(self._md_predicate(tag))
+                if routed:
+                    return False
+            self._md_clear = tags
+        return self.cache.apply(transition, extents, tags)
 
     def tag_of(self, extent: Extent) -> str:
         """The tag a live ``extent`` from ``alloc`` was allocated under,

@@ -37,14 +37,23 @@ its output (``block.forward``, or recompute + backward) and the
 ``cache.free()`` that follows the unit listener — and everything between
 them (stage-3 gathers and reduces, the activation store) stays live.
 
-Re-issue goes through the same doors: ``device.alloc`` / ``device.free``
-(so every subscriber, ``MemoryProfiler`` and ``MemoryTimeline`` among
-them, and any class-level probe see every event), collectives through the
-target block's own groups, gradients through its own parameters; tags and phases
-take the target block's name prefix. The region's output and each taped
-gradient come back as ``Tensor``s bound to the re-issued extents, so the
-device stream, the ledger, the peaks and an OOM (same exception at the
-same allocator state) are what running the block gives.
+Re-issue goes through the same doors: collectives through the target
+block's own groups, gradients through its own parameters; tags and phases
+take the target block's name prefix. A kept tape holds each run of
+allocator events between two collectives or gradient handoffs as one step
+with a ``Transition`` (``repro.memsim.caching_allocator``), summarised
+once when the tape is kept; a run of one event has none, since one door
+call is no dearer. A run is one ``Device.apply`` where the device takes
+it: nothing subscribes to its doors, no tag of the target block routes
+into the MD region, and the cache serves every allocation with an exact
+size-class hit, which makes the one call bitwise the events. Otherwise
+that run goes event by event through ``device.alloc`` / ``device.free``,
+so every subscriber (``MemoryProfiler``, ``MemoryTimeline``, a capture)
+hears every event, and a best-fit choice, split, flush or OOM happens at
+the same event from the same allocator state; the next run is asked
+again. The region's output and each taped gradient come back as
+``Tensor``s bound to the re-issued extents, so the device stream, the
+ledger, the peaks and an OOM are what running the block gives.
 
 The recorder subscribes to those doors (``repro.utils.doors``) only
 while capturing, and to a shared group for its own rank only, so the
@@ -82,12 +91,12 @@ recompute would compute, bit for bit, what the forward did: the stashed
 input is the very tensor with the very array, every parameter holds the
 forward's array or a bitwise-equal one (a stage-3 re-gather; a corrupted
 one fails), and the step trains. The recompute's stream — the forward
-region's allocations and frees, then its output's free — goes through
-``device.alloc`` / ``device.free`` as above; the cache
-comes back with the kept arrays bound to the re-issued extents, and
-``block.backward`` runs on it for real. A block holding an MP group, a
-region freeing what it did not allocate, or a cache tensor the region did
-not allocate keeps no tape, and its recompute runs the forward.
+region's allocations and frees, then its output's free — is one run,
+made as above; the cache comes back with the kept arrays bound to the
+re-issued extents, and ``block.backward`` runs on it for real. A block
+holding an MP group, a region freeing what it did not allocate, or a
+cache tensor the region did not allocate keeps no tape, and its
+recompute runs the forward.
 """
 
 from __future__ import annotations
@@ -95,6 +104,7 @@ from __future__ import annotations
 from operator import attrgetter
 from weakref import WeakKeyDictionary
 
+from repro.memsim.caching_allocator import Transition
 from repro.nn.module import Cache
 from repro.tensor.tensor import Tensor, op_result
 
@@ -102,8 +112,10 @@ from repro.tensor.tensor import Tensor, op_result
 #: tape's ``tags``), ``~i`` for the free of the block's ``i``-th allocation,
 #: or a tuple for the rare kinds: ``(_COLLECTIVE, holder, rank, op, nbytes,
 #: phase)`` and ``(_GRAD, parameter, allocation, shape, dtype, tag)``. Ints
-#: keep the recorder from building a tracked object per event.
-_COLLECTIVE, _GRAD = 0, 1
+#: keep the recorder from building a tracked object per event. A kept tape
+#: replaces each run of ints between two tuples with one
+#: ``(_ALLOCS, transition, ints, first allocation)`` step.
+_COLLECTIVE, _GRAD, _ALLOCS = 0, 1, 2
 
 
 def signature(block, inputs: list[Tensor]) -> tuple:
@@ -115,6 +127,35 @@ def signature(block, inputs: list[Tensor]) -> tuple:
         [(p.data.shape, p.data.dtype, p.data.device) for p in block._flat_parameters()],
         [(t.shape, t.dtype, t.device) for t in inputs],
     )
+
+
+def _steps(regions, device) -> list[list]:
+    """Each region's events, every run of allocator events between two
+    tuples replaced by one ``_ALLOCS`` step carrying its ``Transition``;
+    ``regions`` holds ``(events, index of the first allocation)``."""
+    mask = device.raw.alignment - 1
+    sizes = [
+        (e + mask) & ~mask for events, _ in regions for e in events if e.__class__ is int and e > 0
+    ]
+    kept = []
+    for events, n in regions:
+        steps, run = [], []
+        for e in [*events, None]:
+            if e.__class__ is int:
+                run.append(e)
+                continue
+            if len(run) > 1:
+                transition = Transition(run, n, sizes, mask)
+                steps.append((_ALLOCS, transition, run, n))
+                n += transition.n_allocs
+            elif run:  # one event is one door call either way: no transition
+                steps.append((_ALLOCS, None, run, n))
+                n += run[0] > 0
+            run = []
+            if e is not None:
+                steps.append(e)
+        kept.append(steps)
+    return kept
 
 
 def _holder_paths(block) -> list[str] | None:
@@ -304,7 +345,7 @@ class _Tape:
     def __init__(self, rec: _Recorder):
         self.signature = rec.signature
         self.output = rec.output
-        self.regions = rec.regions
+        self.regions = _steps(rec.regions, rec.device)
         self.tags = rec.tags
         self._groups = [attrgetter(path + ".group") for path in rec.paths]
         # Every tag and phase, with what follows the block's name prefix
@@ -312,32 +353,39 @@ class _Tape:
         prefix = rec.block.name + "."
         cut = len(prefix)
         names = {self.output[5]}.union(rec.tags)
-        for events, _ in self.regions:
+        for events, _ in rec.regions:
             names.update(e[5] for e in events if e.__class__ is tuple)
         self._names = [(n, n[cut:] if n[:cut] == prefix else None) for n in names]
+        #: block name -> its tags and phases (taped -> the block's) and its
+        #: per-allocation tags, made at the block's first re-issue
+        self._renamed: dict[str, tuple[dict, list]] = {}
 
     def reissue(self, block, ref: Tensor):
-        prefix = block.name + "."
-        names = {n: n if rest is None else prefix + rest for n, rest in self._names}
+        renamed = self._renamed.get(block.name)
+        if renamed is None:
+            prefix = block.name + "."
+            names = {n: n if rest is None else prefix + rest for n, rest in self._names}
+            renamed = self._renamed[block.name] = (names, [names[t] for t in self.tags])
         groups = [group_of(block) for group_of in self._groups]
-        run = _Run(self, block._flat_parameters(), groups, names, ref)
-        run.play(*self.regions[0])
+        run = _Run(self, block._flat_parameters(), groups, *renamed, ref)
+        run.play(self.regions[0])
         return run.bound(self.output), run
 
 
 class _Run:
     """One block's re-issue; its ``free()`` is the second region. ``names``
-    maps each taped tag and phase to the target block's (None: as taped)."""
+    maps each taped tag and phase to the target block's (None: as taped),
+    and ``tags`` holds the target block's tag per allocation."""
 
     def __init__(self, tape: _Tape | ForwardTape, params, groups, names: dict[str, str] | None,
-                 ref: Tensor):
+                 tags: list[str], ref: Tensor):
         self._tape = tape
         self._params = params
         self._groups = groups
         self._names = names
         self._ref = ref
-        self._tags = tape.tags if names is None else [names[t] for t in tape.tags]
-        self._extents: list = [None] * len(tape.tags)
+        self._tags = tags
+        self._extents: list = [None] * len(tags)
 
     def bound(self, event: tuple) -> Tensor:
         """The tensor a taped output or gradient names, bound to its
@@ -347,27 +395,33 @@ class _Run:
         t.extent = self._extents[at]
         return t
 
-    def play(self, events: list, n: int) -> None:
-        """Re-issue ``events``; the region's first allocation is the ``n``-th
-        of the block."""
+    def play(self, steps: list) -> None:
+        """Re-issue a region's ``steps``. A run of allocator events is one
+        ``Device.apply`` if it has a transition and the device takes it,
+        and otherwise goes event by event through ``alloc`` / ``free``."""
         device = self._ref.device
         alloc, free = device.alloc, device.free
         tags, extents = self._tags, self._extents
-        for e in events:
-            if e.__class__ is int:
-                if e > 0:
-                    extents[n] = alloc(e, tags[n])
-                    n += 1
-                else:
-                    free(extents[~e])
-            elif e[0] == _COLLECTIVE:
-                _, holder, rank, op, nbytes, phase = e
+        for step in steps:
+            kind = step[0]
+            if kind == _ALLOCS:
+                _, transition, events, n = step
+                if transition is not None and device.apply(transition, extents, tags):
+                    continue
+                for e in events:
+                    if e > 0:
+                        extents[n] = alloc(e, tags[n])
+                        n += 1
+                    else:
+                        free(extents[~e])
+            elif kind == _COLLECTIVE:
+                _, holder, rank, op, nbytes, phase = step
                 self._groups[holder].meta_collective(rank, op, nbytes, self._names[phase])
             else:
-                self._params[e[1]].accumulate_grad(self.bound(e))
+                self._params[step[1]].accumulate_grad(self.bound(step))
 
     def free(self) -> None:
-        self.play(*self._tape.regions[1])
+        self.play(self._tape.regions[1])
 
 
 # -- real mode: a checkpointed block's recompute --------------------------------
@@ -388,7 +442,15 @@ class ForwardTape:
 
     def __init__(self, rec: _Recorder, plan: tuple, x: Tensor, params: list):
         self.tags = rec.tags
-        self.events = rec.regions[0][0] + [~rec.output[2]]
+        events = rec.regions[0][0] + [~rec.output[2]]
+        # A block's forward stream is the same step after step: its steps
+        # (and their transitions) are made once and kept with the block.
+        kept = _RECOMPUTES.get(rec.block)
+        if kept is None or kept[0] is not rec.device or kept[1] != events:
+            kept = _RECOMPUTES[rec.block] = (
+                rec.device, events, _steps([(events, 0)], rec.device)[0]
+            )
+        self.steps = kept[2]
         self.nodes, self.specs, self.allocated = plan
         self.x = x
         self.x_data = x.data
@@ -444,8 +506,8 @@ class ForwardTape:
         where the recomputed ones were released."""
         x, specs = self.x, self.specs
         self.specs = self.params = None
-        run = _Run(self, (), (), None, x)
-        run.play(self.events, 0)
+        run = _Run(self, (), (), None, self.tags, x)
+        run.play(self.steps)
         tensors = [x]
         tensors += [
             op_result(x, data, shape, dtype, tag, alloc=False)
@@ -472,6 +534,9 @@ class ForwardTape:
 _PLAIN = frozenset({tuple, int, float, str, bool, type(None)})
 #: block -> whether a module in it holds an MP ``group``
 _GROUP_HOLDERS: WeakKeyDictionary = WeakKeyDictionary()
+#: block -> (device, its forward region's stream, that stream's steps), the
+#: last a ``ForwardTape`` of the block kept
+_RECOMPUTES: WeakKeyDictionary = WeakKeyDictionary()
 
 
 def _holds_groups(block) -> bool:

@@ -109,12 +109,6 @@ def transpose(x: Tensor, axes: tuple[int, ...], tag: str = "transpose") -> Tenso
     return _result(x, data, shape, x.dtype, tag, alloc=False)
 
 
-def cast(x: Tensor, dtype, tag: str = "cast") -> Tensor:
-    dtype = supported_dtype(dtype)
-    data = None if x.data is None else x.data.astype(dtype)
-    return _result(x, data, x.shape, dtype, tag)
-
-
 def index_axis0(x: Tensor, i: int, tag: str = "index0") -> Tensor:
     """x[i] along the first axis (QKV split helper)."""
     if not 0 <= i < x.shape[0]:
@@ -135,15 +129,6 @@ def stack_axis0(tensors: list[Tensor], tag: str = "stack0") -> Tensor:
     if _any_meta(*tensors):
         return _result(first, None, shape, first.dtype, tag)
     return _result(first, np.stack([t.data for t in tensors]), shape, first.dtype, tag)
-
-
-def slice_last(x: Tensor, lo: int, hi: int, tag: str = "slice") -> Tensor:
-    """x[..., lo:hi] (tensor-parallel sharding helper)."""
-    if not 0 <= lo <= hi <= x.shape[-1]:
-        raise IndexError(f"slice [{lo}:{hi}] out of range for last dim {x.shape[-1]}")
-    shape = x.shape[:-1] + (int(hi - lo),)
-    data = None if x.data is None else x.data[..., lo:hi].copy()
-    return _result(x, data, shape, x.dtype, tag)
 
 
 # -- matmul -------------------------------------------------------------------

@@ -5,8 +5,11 @@ the host takes to do it:
 
 * a pool's allocator stream — ``"+size,tag;"`` per alloc and
   ``"-size,tag;"`` per free (``"-size;"`` on a ``HostMemory``, which keeps
-  no tags) — recorded by patching the pool *class*, so every observer and
-  every path into the pool runs underneath the recorder;
+  no tags). A ``Device``'s is heard through its doors, by a subscriber
+  each watched device gets as it is built: a subscriber makes a block
+  tape re-issue event by event, so the stream holds every event, and
+  ``Device.apply`` (a run of events in one call) is never taken unheard.
+  A ``HostMemory``'s is recorded by patching the pool *class*;
 * every rank's ledger — ``"op,bytes,group,phase,peer;"`` per event and
   ``"|"`` after each rank.
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.memsim.device import Device, HostMemory
+from repro.memsim.errors import OutOfMemoryError
 
 
 class _Stream:
@@ -34,26 +38,60 @@ class _Stream:
         return self._sha.hexdigest()
 
 
+def watch_devices(monkeypatch, index: int, make_subscriber) -> None:
+    """Subscribe ``make_subscriber(device)`` to the doors of every
+    ``Device`` numbered ``index`` built while ``monkeypatch`` holds
+    ``Device.__init__``."""
+    init = Device.__init__
+
+    def watched_init(device, *args, **kwargs):
+        init(device, *args, **kwargs)
+        if device.index == index:
+            device.subscribe(make_subscriber(device))
+
+    monkeypatch.setattr(Device, "__init__", watched_init)
+
+
+class _DeviceNotes:
+    """A door subscriber noting one device's events into a stream."""
+
+    def __init__(self, stream: _Stream, device: Device):
+        self.stream = stream
+        self.device = device
+
+    def _alloc(self, extent, size: int, tag: str) -> None:
+        self.stream._note(f"+{size},{tag};")
+
+    def _freeing(self, extent) -> None:
+        self.stream._note(f"-{extent.size},{self.device.tag_of(extent)};")
+
+    def _free(self, extent, size: int) -> None:
+        pass  # noted at ``_freeing``, while the pool still knows the tag
+
+
 class DeviceStream(_Stream):
-    """The stream of the ``Device`` numbered ``index`` (rank 0's by default)
-    while ``monkeypatch`` holds ``Device.alloc`` / ``Device.free``."""
+    """The stream of every ``Device`` numbered ``index`` (rank 0's by
+    default) built while ``monkeypatch`` holds ``Device.__init__``.
+
+    A door tells only what succeeded, and a stream also holds the request
+    an out-of-memory job ends on (as it was asked, ``"+size,tag;"``), so
+    ``Device.alloc`` is wrapped to note a request that raises
+    ``OutOfMemoryError``; it notes nothing else."""
 
     def __init__(self, monkeypatch, index: int = 0):
         super().__init__()
-        alloc, free = Device.alloc, Device.free
+        watch_devices(monkeypatch, index, lambda device: _DeviceNotes(self, device))
+        alloc = Device.alloc
 
-        def recording_alloc(device, size, tag=""):
-            if device.index == index:
-                self._note(f"+{size},{tag};")
-            return alloc(device, size, tag)
+        def noting_refusal(device, size, tag=""):
+            try:
+                return alloc(device, size, tag)
+            except OutOfMemoryError:
+                if device.index == index:
+                    self._note(f"+{size},{tag};")
+                raise
 
-        def recording_free(device, extent):
-            if device.index == index:
-                self._note(f"-{extent.size},{device.tag_of(extent)};")
-            return free(device, extent)
-
-        monkeypatch.setattr(Device, "alloc", recording_alloc)
-        monkeypatch.setattr(Device, "free", recording_free)
+        monkeypatch.setattr(Device, "alloc", noting_refusal)
 
 
 class HostStream(_Stream):

@@ -5,10 +5,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.block_allocator import BlockAllocator
-from repro.memsim.caching_allocator import CachingAllocator
+from repro.memsim.caching_allocator import CachingAllocator, Transition
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
+from tests.streams import watch_devices
 
 KB = 1024
 MB = 1024 * KB
@@ -272,9 +275,108 @@ def test_an_emptied_class_is_forgotten_only_when_a_search_walks_over_it():
     assert c.stats().n_cache_hits == 2 and c.stats().n_cache_misses == 3
 
 
+# -- a run of events in one call: Transition + apply -------------------------------
+
+#: request sizes a run draws from: 1000 aligns to 1024, and a 3072 request
+#: finds no class of its own but may take a cached 4096 block whole
+RUN_SIZES = (512, 1000, 1536, 3072, 4096)
+
+
+def _state(c: CachingAllocator) -> tuple:
+    """Everything a later event can read: counters, the snapshot, each
+    class's stack in order, the live blocks in insertion order with tags."""
+    return (
+        c.stats(), c.snapshot(), list(c._sizes),
+        [(size, [e.handle for e in stack]) for size, stack in c._classes.items()],
+        [(handle, c._tags[handle]) for handle in c._live],
+    )
+
+
+def _each(c: CachingAllocator, events, first, extents, tags) -> None:
+    """The run through ``alloc`` / ``free``, one call per event."""
+    slot = first
+    for e in events:
+        if e > 0:
+            extents[slot] = c.alloc(e, tags[slot])
+            slot += 1
+        else:
+            c.free(extents[~e])
+
+
+def _aligned(size: int) -> int:
+    return (size + 511) & ~511
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_is_the_run_event_by_event_or_changes_nothing(data):
+    """Twin allocators warmed alike: ``apply`` on one leaves it as the run
+    event by event leaves the other, survivors bound to the same blocks,
+    or declines and leaves it as it was."""
+    warm = data.draw(st.lists(st.sampled_from(RUN_SIZES), max_size=10))
+    order = data.draw(st.permutations(range(len(warm))))
+    n_freed = data.draw(st.integers(0, len(warm)))
+    before = data.draw(st.lists(st.sampled_from(RUN_SIZES), max_size=4))
+    events, sizes = [], [_aligned(s) for s in before]
+    live = list(range(len(before)))
+    for _ in range(data.draw(st.integers(0, 12))):
+        if live and data.draw(st.booleans()):
+            slot = data.draw(st.sampled_from(live))
+            live.remove(slot)
+            events.append(~slot)
+        else:
+            size = data.draw(st.sampled_from(RUN_SIZES))
+            live.append(len(sizes))
+            sizes.append(_aligned(size))
+            events.append(size)
+    tags = [f"t{i}" for i in range(len(sizes))]
+    twins = []
+    for c in (make(), make()):
+        held = [c.alloc(size, "warm") for size in warm]
+        for i in order[:n_freed]:
+            c.free(held[i])
+        extents = [c.alloc(size, tags[i]) for i, size in enumerate(before)]
+        twins.append((c, extents + [None] * (len(sizes) - len(before))))
+    (a, a_extents), (b, b_extents) = twins
+    transition = Transition(events, len(before), sizes, 511)
+    if a.apply(transition, a_extents, tags):
+        _each(b, events, len(before), b_extents, tags)
+        assert _state(a) == _state(b)
+        assert [a_extents[i].handle for i in live] == [b_extents[i].handle for i in live]
+    else:
+        assert _state(a) == _state(b)
+
+
+def test_apply_declines_a_block_that_was_not_an_exact_hit():
+    """A 3072-byte request served whole by a cached 4096-byte block frees
+    into the 4096 class, not the 3072 one the summary assumes."""
+    c = make()
+    c.free(c.alloc(4096))
+    extents = [c.alloc(3072, "odd")]
+    assert extents[0].size == 4096
+    transition = Transition([~0], 1, [3072], 511)
+    before = _state(c)
+    assert not c.apply(transition, extents, ["odd"])
+    assert _state(c) == before
+
+
+def test_apply_declines_a_block_that_is_not_live():
+    """A run freeing a block already freed declines; through the doors the
+    same run raises ``InvalidFreeError``."""
+    c = make()
+    extents = [c.alloc(4096, "x")]
+    c.free(extents[0])
+    transition = Transition([~0], 1, [4096], 511)
+    before = _state(c)
+    assert not c.apply(transition, extents, ["x"])
+    assert _state(c) == before
+    with pytest.raises(InvalidFreeError):
+        _each(c, [~0], 1, extents, ["x"])
+
+
 # -- placement golden: what peaks do not show ------------------------------------
 
-# sha256 over "size,tag,pool,offset;" of every Device.alloc of two steps of a
+# sha256 over "size,tag,pool,offset;" of every allocation of two steps of a
 # shrunk C4 job (MD on, a 512 KiB region that fills), computed at the commit
 # before the size-class cache (0c84923). The roomy device flushes once and
 # fits; the tight one flushes three times and ends in a FragmentationError.
@@ -288,20 +390,19 @@ _PLACEMENT_GOLDEN = {
 def test_meta_step_placement_matches_the_golden_stream(capacity, monkeypatch):
     from repro.experiments.common import meta_memory_step
     from repro.hardware.specs import GPUSpec
-    from repro.memsim.device import Device
     from repro.nn.transformer import GPTConfig
     from repro.zero.config import C4
 
     digest, count = hashlib.sha256(), [0]
-    original = Device.alloc
 
-    def recording(self, size, tag=""):
-        extent = original(self, size, tag)
-        digest.update(f"{size},{tag},{extent.pool},{extent.offset};".encode())
-        count[0] += 1
-        return extent
+    class Placements:
+        """Notes each allocation of the job's one device at its door."""
 
-    monkeypatch.setattr(Device, "alloc", recording)
+        def _alloc(self, extent, size, tag):
+            digest.update(f"{size},{tag},{extent.pool},{extent.offset};".encode())
+            count[0] += 1
+
+    watch_devices(monkeypatch, 0, lambda _: Placements())
     result = meta_memory_step(
         GPTConfig(n_layers=4, hidden=512, n_heads=8, vocab_size=4096), C4,
         n_gpus=16, mp=4, batch=4, seq_len=128, steps=2,

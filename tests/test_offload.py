@@ -25,7 +25,7 @@ from repro.comm.ledger import CommLedger
 from repro.data import SyntheticCorpus
 from repro.analysis.perf_model import SEQ_LEN
 from repro.hardware.specs import NVME_RAID, PCIE_3_X16, V100_32GB, GPUSpec, InterconnectSpec
-from repro.memsim.device import Device, HostMemory
+from repro.memsim.device import HostMemory
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 from repro.infinity import InfinityConfig, TierStream
 from repro.infinity.schedule import PCIE_LANES, StepInputs, cpu_adam_seconds, steady_step
@@ -41,6 +41,7 @@ from repro.zero.checkpoint_io import (
     save_checkpoint,
 )
 from repro.zero.factory import build_model_and_engine
+from tests.streams import watch_devices
 from tests.test_infinity import FOLD_MODELS, assert_schedule_meets_oracles
 
 pytestmark = pytest.mark.offload
@@ -518,7 +519,7 @@ def test_folded_cost_model_reproduces_offload_cost_model(case):
 # change (ad00da6), of everything an offload-flag run lets a rank observe
 # over three steps on two ranks: losses and the final fp32 master, every
 # step report's floats, the ``(op, bytes, group)`` ledger stream, the
-# tracer's spans and side-lane spans, the rank's ``Device.alloc`` stream and
+# tracer's spans and side-lane spans, the rank's device allocation stream and
 # the job's host/NVMe-pool allocations. The ledger *phase* label is the one
 # thing the change renames (``offload-*`` -> ``infinity-*``) and is left out.
 # The stage-3 cells were re-pinned when stage 3 began charging
@@ -557,20 +558,27 @@ FLAG_GOLDEN = {
 }
 
 
+class _AllocNotes:
+    """A door subscriber listing a device's allocations."""
+
+    def __init__(self, allocs: list):
+        self.allocs = allocs
+
+    def _alloc(self, extent, size, tag):
+        self.allocs.append(f"{size},{tag}")
+
+
 def flag_run_digests(stage, grads, dpu, meta, monkeypatch):
     device_allocs = {0: [], 1: []}
     pool_allocs = []
-    device_alloc, pool_alloc = Device.alloc, HostMemory.alloc
-
-    def recording_device_alloc(self, size, tag=""):
-        device_allocs[self.index].append(f"{size},{tag}")
-        return device_alloc(self, size, tag)
+    pool_alloc = HostMemory.alloc
 
     def recording_pool_alloc(self, size, tag=""):
         pool_allocs.append(f"{self.name},{size},{tag}")
         return pool_alloc(self, size, tag)
 
-    monkeypatch.setattr(Device, "alloc", recording_device_alloc)
+    for index, allocs in device_allocs.items():
+        watch_devices(monkeypatch, index, lambda _, allocs=allocs: _AllocNotes(allocs))
     monkeypatch.setattr(HostMemory, "alloc", recording_pool_alloc)
     session = TelemetrySession()
     cluster = Cluster(2, gpu=GPU, timeout_s=60.0, telemetry=session)

@@ -43,9 +43,7 @@ PUBLIC_API = {
     # Only their own tests call these; the ROADMAP item "The test-only
     # names" deletes them with those tests, a few tests per change.
     "utils.units.params_to_str": ("decided-later", "What's implemented"),
-    "tensor.functional.cast": ("decided-later", "Numerics contract"),
     "tensor.functional.mul": ("decided-later", "Numerics contract"),
-    "tensor.functional.slice_last": ("decided-later", "Numerics contract"),
     "tensor.functional.dropout": ("decided-later", "Numerics contract"),
     "tensor.functional.dropout_grad": ("decided-later", "Numerics contract"),
     "tensor.tensor.Tensor.like": ("decided-later", "4. Real vs meta execution"),
@@ -83,7 +81,7 @@ def definitions(modules: dict[str, str]) -> dict[str, str]:
 def _ignored_strings(tree) -> set[int]:
     """ids of the string constants that are no reference: what an
     ``__all__`` assignment holds, and a ``def`` line's default equal to
-    its own name (``def cast(x, dtype, tag="cast")``)."""
+    its own name (``def reshape(x, shape, tag="reshape")``)."""
     ids = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -170,8 +170,27 @@ def test_a_changed_batch_shape_captures_again_once(monkeypatch):
 
 #: calls (Python + C, as ``sys.setprofile`` counts them) of one steady
 #: 4-rank, 2-layer stage-3 meta step, summed over ranks; 19 604 while every
-#: step captured its first block of each direction
-META_STAGE3_STEP_CALLS = 13_048
+#: step captured its first block of each direction, 12 972 while a
+#: re-issued block made one door call per allocator event
+META_STAGE3_STEP_CALLS = 8_600
+#: the same for one steady step of Figure 6's C4 point (one virtual rank of
+#: 128 GPUs, MP 16, batch 16, h 8192, MD on) at four layers; 5 425 while a
+#: re-issued block made one door call per allocator event
+META_C4_STEP_CALLS = 3_150
+
+
+def _calls(step) -> int:
+    """What ``step()`` costs in calls, as ``sys.setprofile`` counts them."""
+    calls = [0]
+
+    def on_event(frame, event, arg):
+        if event == "call" or event == "c_call":
+            calls[0] += 1
+
+    sys.setprofile(on_event)
+    step()
+    sys.setprofile(None)
+    return calls[0] - 1  # less the closing setprofile call
 
 
 def test_a_steady_meta_stage3_step_stays_within_its_call_budget():
@@ -191,16 +210,7 @@ def test_a_steady_meta_stage3_step_stays_within_its_call_budget():
         ids, tgt = _meta_batch(BATCH, ctx.device)
         for _ in range(2):
             engine.train_step(ids, tgt)
-        calls = [0]
-
-        def on_event(frame, event, arg):
-            if event == "call" or event == "c_call":
-                calls[0] += 1
-
-        sys.setprofile(on_event)
-        engine.train_step(ids, tgt)
-        sys.setprofile(None)
-        return calls[0] - 1  # less the closing setprofile call
+        return _calls(lambda: engine.train_step(ids, tgt))
 
     gc.collect()
     gc.disable()
@@ -210,3 +220,27 @@ def test_a_steady_meta_stage3_step_stays_within_its_call_budget():
         gc.enable()
     # a MemoryProfiler an earlier test left attached costs every allocation
     assert sum(counts) <= META_STAGE3_STEP_CALLS, (counts, sys.version, profiling_active())
+
+
+def test_a_steady_virtual_rank_c4_step_stays_within_its_call_budget():
+    """Step 3 of Figure 6's C4 point at four layers makes at most
+    ``META_C4_STEP_CALLS`` calls: a re-issued block that went back to one
+    door call per allocator event (``Device.apply`` declining, or never
+    asked) fails here. Calibrated on CPython 3.11.7, like the stage-3
+    budget."""
+    ctx = virtual_rank_context(128)
+    dp, mp = virtual_groups(ctx, 128, 16)
+    _, engine = build_model_and_engine(
+        ctx, GPTConfig(n_layers=4, hidden=8192, n_heads=64), C4, dp_group=dp, mp_group=mp,
+        meta=True, md_region_bytes=2 << 30,
+    )
+    ids, tgt = _meta_batch((16, 1024), ctx.device)
+    for _ in range(2):
+        engine.train_step(ids, tgt)
+    gc.collect()
+    gc.disable()
+    try:
+        calls = _calls(lambda: engine.train_step(ids, tgt))
+    finally:
+        gc.enable()
+    assert calls <= META_C4_STEP_CALLS, (calls, sys.version, profiling_active())
