@@ -1,19 +1,30 @@
 """Thread-SPMD rendezvous fabric.
 
 Every simulated rank is an OS thread running the same program (the mpi4py
-model from the domain guides). A collective is a rendezvous on shared slots:
+model from the domain guides). Each rank set has one rendezvous, shared
+by every process group over it, and one SPMD sequence in it: every
+collective a member issues takes that member's next position. The first
+member to reach a position stores its tag there; every later member
+compares its own, under the rendezvous's mutex, and a mismatch raises
+``CollectiveMismatchError`` instead of deadlocking. A position every
+member has passed is dropped, so the sequence holds only the members' lag.
 
-    deposit own contribution -> arrive (one mutex section) -> wait to be
-    woken by the last arriver -> read everyone's
+Only a collective that carries something waits. A data-free collective
+(a meta-mode one: nothing deposited) takes its position, is checked and
+returns. One that deposits a contribution (or a barrier's token) also
+rendezvous on shared slots:
 
-There is one wait per collective, not two, because the slots are
+    deposit own contribution -> arrive (the same mutex section) -> wait
+    to be woken by the last arriver -> read everyone's
+
+There is one wait per such collective, not two, because the slots are
 double-buffered by generation parity: a rank cannot deposit generation
 g+2 (the next use of g's buffer) before every peer has arrived at g+1,
-and a peer arrives at g+1 only after it has read g. All ranks must issue
-collectives in the same order with the same tag; a mismatch is detected
-on arrival and raised as ``CollectiveMismatchError`` instead of
-deadlocking, and any rank failure or timeout aborts the rendezvous so
-peers fail fast instead of hanging (``FabricAbortedError``).
+and a peer arrives at g+1 only after it has read g. Any rank failure or
+timeout aborts the fabric so peers fail fast instead of hanging
+(``FabricAbortedError``), at their next collective if none is waiting.
+A rank that returns before a collective its peers issued is found when
+the launcher joins the threads (``Fabric._unmatched``).
 
 The rendezvous does not know what it carries. A deposit may be one
 collective's contribution or a batch of them (``ProcessGroup.coalesced``:
@@ -89,6 +100,21 @@ class Fabric:
             for box in self._mailboxes.values():
                 box.put(_ABORTED)
 
+    def _unmatched(self) -> CollectiveMismatchError | None:
+        """For the launcher, once every rank has returned: the error of a
+        rank set on which some member issued fewer collectives than its
+        peers, or None. A data-free collective does not wait for the
+        member that never comes, so only this count finds it. An aborted
+        fabric answers None: its abort already explains the run."""
+        if self._aborted:
+            return None
+        with self._rendezvous_lock:
+            for rv in self._rendezvous.values():
+                error = rv.unmatched()
+                if error is not None:
+                    return error
+        return None
+
     def _release_payloads(self) -> None:
         """Drop every payload reference the fabric still holds: the two
         buffered generations of each rendezvous and undelivered messages.
@@ -139,14 +165,20 @@ class Fabric:
 
 
 class _Rendezvous:
-    """Arrival counter + wake locks + double-buffered slots for one rank group.
+    """One rank set's SPMD sequence, plus the arrival counter, wake locks
+    and double-buffered slots of the collectives that carry something.
 
-    Each member owns one wake lock, held (pre-acquired) whenever its owner
-    is not being woken. A collective costs a rank one section under
-    ``_mutex`` (abort check, tag check, count) and one blocking acquire of
-    its own wake lock; the last arriver does not block and releases the
-    others' locks instead. A woken rank holds its lock again, which is
-    the pre-acquired state the next generation needs.
+    ``_sequence`` maps each position that not every member has passed to
+    ``[tag, members still to pass it]``; ``_issued`` counts each member's
+    collectives, which is the position its next one takes.
+
+    A collective that deposits costs a rank one section under ``_mutex``
+    (abort check, sequence check, count) and one blocking acquire of its
+    own wake lock, held (pre-acquired) whenever its owner is not being
+    woken; the last arriver does not block and releases the others' locks
+    instead. A woken rank holds its lock again, which is the pre-acquired
+    state the next generation needs. A data-free collective is that mutex
+    section without the count.
     """
 
     def __init__(self, ranks: tuple[int, ...], timeout_s: float):
@@ -155,9 +187,10 @@ class _Rendezvous:
         self.timeout_s = timeout_s
         n = self._size = len(ranks)
         self._mutex = threading.Lock()
+        self._issued = [0] * n
+        self._sequence: dict[int, list[Any]] = {}
         self._arrived = 0
         self._completed = 0  # generations whose last member arrived
-        self._tag: Any = None  # the current generation's first arriver's tag
         self._aborted = False
         self._wake = [threading.Lock() for _ in range(n)]
         for lock in self._wake:
@@ -185,40 +218,69 @@ class _Rendezvous:
         for slots in self._slots:
             slots[:] = [None] * len(slots)
 
-    def exchange(self, rank: int, value: Any, tag: Any) -> list[Any]:
-        """All-to-all deposit-and-read. Returns all group members' values
-        ordered by group index. ``value`` objects must be treated read-only
-        by receivers."""
+    def unmatched(self) -> CollectiveMismatchError | None:
+        """Once no member runs: the error naming a member that issued
+        fewer collectives than a peer, or None."""
+        with self._mutex:
+            fewest, most = min(self._issued), max(self._issued)
+            if fewest == most:
+                return None
+            rank = self.ranks[self._issued.index(fewest)]
+            return CollectiveMismatchError(
+                f"rank {rank} returned after {fewest} collective(s) in group "
+                f"{self.ranks}, but a peer issued {most}; the next was "
+                f"{self._sequence[fewest][0]!r}"
+            )
+
+    def exchange(self, rank: int, value: Any, tag: Any) -> list[Any] | None:
+        """Take ``rank``'s next position in the SPMD sequence with ``tag``.
+
+        A ``value`` of None is a data-free collective: checked, it returns
+        None without waiting. Any other value is deposited, and the call
+        returns all group members' values ordered by group index once every
+        member has arrived. ``value`` objects must be treated read-only by
+        receivers."""
         try:
             idx = self.index_of[rank]
         except KeyError:
             raise self.not_a_member(rank) from None
-        parity = self._parity[idx]
-        self._parity[idx] = parity ^ 1
-        slots = self._slots[parity]
-        slots[idx] = value
-        own = self._wake[idx]
+        if value is not None:
+            parity = self._parity[idx]
+            self._parity[idx] = parity ^ 1
+            slots = self._slots[parity]
+            slots[idx] = value
         with self._mutex:
             if self._aborted:
                 raise self._aborted_error()
-            if self._arrived == 0:
-                self._tag = tag
-            elif tag != self._tag:
-                self._abort_locked()
-                raise CollectiveMismatchError(
-                    f"rank {rank} ran collective {tag!r} but a peer in group "
-                    f"{self.ranks} ran {self._tag!r}"
-                )
+            position = self._issued[idx]
+            self._issued[idx] = position + 1
+            sequence = self._sequence
+            if position in sequence:
+                entry = sequence[position]
+                if tag != entry[0]:
+                    self._abort_locked()
+                    raise CollectiveMismatchError(
+                        f"rank {rank} ran collective {tag!r} but a peer in group "
+                        f"{self.ranks} ran {entry[0]!r}"
+                    )
+                entry[1] -= 1
+                if not entry[1]:
+                    del sequence[position]
+            elif self._size > 1:
+                sequence[position] = [tag, self._size - 1]
+            if value is None:
+                return None
             self._arrived += 1
             generation = self._completed
             if self._arrived == self._size:
                 self._arrived = 0
                 self._completed = generation + 1
+                own = self._wake[idx]
                 for lock in self._wake:
                     if lock is not own:
                         lock.release()
                 return list(slots)
-        if not own.acquire(True, self.timeout_s):
+        if not self._wake[idx].acquire(True, self.timeout_s):
             self.abort()
             raise FabricAbortedError(
                 f"rendezvous timed out in group {self.ranks}: rank {rank} waited "

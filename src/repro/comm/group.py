@@ -18,13 +18,16 @@ What the simulated job communicates and how the simulator moves it are
 separate things. A *logical* collective is the unit of the first: one
 ledger event, one fault admission (``_admit``: the ``"pre"`` question, then
 ``_attempting`` told per attempt, with retry/backoff and kill handling),
-one ``"post"`` question per result, one reduction in group-index order. A
-*rendezvous* is the unit of the second: one deposit, one tag check, one
-wake-up. ``_exchange`` pairs one with one; ``coalesced`` carries a batch of
-K same-kind logical collectives (a bucket's per-owner reduces, a unit's
-per-owner broadcasts) in one rendezvous whose tag names every member, so
-the ledger, the fault plan and every result are what K single calls give
-while the host pays for one.
+one ``"post"`` question per result, one reduction in group-index order. An
+*exchange* is the unit of the second: one position in the rank set's SPMD
+sequence and one tag check there, after admission; and, only when it
+carries data or is a barrier, one deposit and one wake-up. A data-free
+collective (``meta_collective``, a data-free ``coalesced``) waits for no
+peer. ``_exchange`` pairs one logical collective with one exchange;
+``coalesced`` carries a batch of K same-kind logical collectives (a
+bucket's per-owner reduces, a unit's per-owner broadcasts) in one exchange
+whose tag names every member, so the ledger, the fault plan and every
+result are what K single calls give while the host pays for one.
 """
 
 from __future__ import annotations
@@ -196,10 +199,11 @@ class ProcessGroup(RankDoors):
                 raise
             return value
 
-    def _exchange(self, rank: int, value, tag, op: str) -> list:
-        """Admission, then the rendezvous — which checks membership
+    def _exchange(self, rank: int, value, tag, op: str) -> list | None:
+        """Admission, then the exchange — which checks membership
         (``ValueError`` for a rank outside the group), so callers do not
-        look the index up first."""
+        look the index up first. A ``value`` of None is data-free: checked
+        against the SPMD sequence, it returns None without waiting."""
         if self.on_carrying or self.on_attempting:
             value = self._admit(rank, op, value)
         return self._rendezvous.exchange(rank, value, tag)
@@ -223,10 +227,10 @@ class ProcessGroup(RankDoors):
         nothing they did not declare: the tag carries every size. (A
         broadcast member *no* rank declares is sized by its payload.)
         Without ``arrays`` the batch is data-free — K ``meta_collective``s
-        of ``nbytes``. The batch shares the deposit, the wake-up and the tag
-        check; each member keeps its own ledger event, fault admission,
-        pre/post corruption and group-index-order reduction, in member
-        order. Returns one result per member (None where the single call
+        of ``nbytes``, checked and not waited on. The batch shares the
+        deposit, the wake-up and the tag check; each member keeps its own
+        ledger event, fault admission, pre/post corruption and
+        group-index-order reduction, in member order. Returns one result per member (None where the single call
         would return None), or None for a data-free batch. A broadcast
         member reaches its receivers as a read-only view of the root's
         array (the root gets its own array back), so the root must not
@@ -297,12 +301,15 @@ class ProcessGroup(RankDoors):
     # -- collectives ---------------------------------------------------------
 
     def barrier(self, rank: int) -> None:
-        self._exchange(rank, None, "barrier", "barrier")
+        # The rank is a token: a barrier's only purpose is the wait, and
+        # only an exchange that deposits something waits.
+        self._exchange(rank, rank, "barrier", "barrier")
         self._record(rank, "barrier", 0, "")
 
     def meta_collective(self, rank: int, op: str, message_bytes: int, phase: str = "") -> None:
-        """Meta-mode collective: synchronize SPMD order and record volume
-        without moving data (the 100B-scale engines run on meta tensors)."""
+        """Meta-mode collective: check SPMD order and record volume without
+        moving data or waiting for a peer (the 100B-scale engines run on
+        meta tensors)."""
         message_bytes = int(message_bytes)
         self._exchange(rank, None, ("meta", op, message_bytes), op)
         self._record(rank, op, message_bytes, phase, meta=True)

@@ -86,12 +86,6 @@ class PerfscopeAnalysis:
                 return g
         raise KeyError(f"no analyzed step {step}")
 
-    def report(self, step: int) -> StepReport:
-        for r in self.reports:
-            if r.step_index == step:
-                return r
-        raise KeyError(f"no analyzed step {step}")
-
     def summary(self) -> str:
         if not self.reports:
             return "(no steps analyzed)"

@@ -227,7 +227,10 @@ class Cluster:
 
         The first rank exception (by rank order) is re-raised after all
         threads stop; sibling ranks blocked in collectives are released by
-        aborting the fabric.
+        aborting the fabric. When every rank returned, a rank that issued
+        fewer collectives than its peers on some rank set (which a
+        data-free collective does not wait to find) raises
+        ``CollectiveMismatchError`` here.
         """
         results: list[Any] = [None] * self.world_size
         errors: list[BaseException | None] = [None] * self.world_size
@@ -259,7 +262,12 @@ class Cluster:
         chained = [e for e in secondary if e.__cause__ is not None]
         failure = (root or chained or secondary or [None])[0]
         if failure is None:
-            return results
+            # No rank raised, so none was left waiting; a data-free
+            # collective that some rank never issued is found here.
+            failure = self.fabric._unmatched()
+            if failure is None:
+                return results
+            self.fabric.abort()
         try:
             raise failure
         finally:

@@ -171,14 +171,6 @@ def add(a: Tensor, b: Tensor, tag: str = "add") -> Tensor:
     return _result(a, (a.data + b.data).astype(dtype, copy=False), shape, dtype, tag)
 
 
-def mul(a: Tensor, b: Tensor, tag: str = "mul") -> Tensor:
-    shape = _broadcast_shape(a.shape, b.shape)
-    dtype = a.dtype if a.dtype == b.dtype else np.result_type(a.dtype, b.dtype)
-    meta = a.data is None or b.data is None
-    data = None if meta else (a.data * b.data).astype(dtype, copy=False)
-    return _result(a, data, shape, dtype, tag)
-
-
 def scale(x: Tensor, factor: float, tag: str = "scale") -> Tensor:
     """Multiply by a scalar in the compute dtype (an fp16 tensor scaled by
     a factor beyond fp16 range saturates only after the multiply, matching
@@ -469,35 +461,3 @@ def cross_entropy_grad(probs: Tensor, targets: Tensor, dtype=np.float16, tag: st
     grad[np.arange(n), targets.data] -= 1.0
     grad /= n
     return _result(probs, grad.astype(dtype, copy=False), (n, v), dtype, tag)
-
-
-# -- dropout ----------------------------------------------------------------------
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None, tag: str = "dropout") -> tuple[Tensor, Tensor | None]:
-    """Inverted dropout; returns (y, mask). p=0 is an accounted pass-through."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout p must be in [0, 1), got {p}")
-    if p == 0.0:
-        y = _result(x, None if x.data is None else x.data.copy(), x.shape, x.dtype, tag)
-        return y, None
-    if x.data is None:
-        y = _result(x, None, x.shape, x.dtype, tag)
-        mask = _result(x, None, x.shape, _F32, tag + ".mask")
-        return y, mask
-    if rng is None:
-        raise ValueError("dropout with p > 0 needs an rng in real mode")
-    keep = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    y32 = x.data.astype(np.float32, copy=False) * keep
-    y = _result(x, y32.astype(x.dtype, copy=False), x.shape, x.dtype, tag)
-    mask = _result(x, keep, x.shape, _F32, tag + ".mask")
-    return y, mask
-
-
-def dropout_grad(dy: Tensor, mask: Tensor | None, tag: str = "dropout_grad") -> Tensor:
-    if mask is None:
-        return _result(dy, None if dy.data is None else dy.data.copy(), dy.shape, dy.dtype, tag)
-    if dy.data is None or mask.data is None:
-        return _result(dy, None, dy.shape, dy.dtype, tag)
-    data = (dy.data.astype(np.float32, copy=False) * mask.data).astype(dy.dtype, copy=False)
-    return _result(dy, data, dy.shape, dy.dtype, tag)

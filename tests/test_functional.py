@@ -91,10 +91,6 @@ class TestElementwise:
         assert y.shape == (2, 3)
         np.testing.assert_array_equal(y.numpy(), np.tile(1 + np.arange(3.0), (2, 1)))
 
-    def test_mul(self):
-        y = F.mul(t64([2.0, 3.0]), t64([4.0, 5.0]))
-        np.testing.assert_array_equal(y.numpy(), [8.0, 15.0])
-
     def test_scale(self):
         y = F.scale(t64([2.0, -4.0]), 0.5)
         np.testing.assert_array_equal(y.numpy(), [1.0, -2.0])
@@ -235,33 +231,6 @@ class TestEmbeddingAndXent:
         assert float(loss.numpy()) == pytest.approx(np.log(10), rel=1e-6)
 
 
-class TestDropout:
-    def test_p_zero_is_identity(self):
-        x = t64(np.arange(4.0))
-        y, mask = F.dropout(x, 0.0, None)
-        assert mask is None
-        np.testing.assert_array_equal(y.numpy(), x.numpy())
-
-    def test_inverted_scaling_preserves_expectation(self):
-        rng = np.random.default_rng(0)
-        x = Tensor.from_numpy(np.ones((100, 100), np.float32))
-        y, mask = F.dropout(x, 0.5, rng)
-        assert abs(float(y.numpy().mean()) - 1.0) < 0.05
-
-    def test_grad_uses_same_mask(self):
-        rng = np.random.default_rng(0)
-        x = Tensor.from_numpy(np.ones((10, 10), np.float32))
-        y, mask = F.dropout(x, 0.3, rng)
-        dy = F.dropout_grad(Tensor.from_numpy(np.ones((10, 10), np.float32)), mask)
-        np.testing.assert_array_equal(dy.numpy(), y.numpy())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            F.dropout(t64([1.0]), 1.0, None)
-        with pytest.raises(ValueError):
-            F.dropout(t64([1.0]), 0.5, None)  # real mode needs rng
-
-
 class TestMetaPropagation:
     """Every primitive must propagate meta-ness with correct shapes."""
 
@@ -378,7 +347,6 @@ def _op_cases(dtype, *, meta=False, device=None):
     logits = f(6, 16)
     targets = from_numpy(rng.integers(0, 16, 6))
     _, probs = F.cross_entropy(logits, targets)
-    _, keep = F.dropout(x, 0.5, np.random.default_rng(1))
     dy = f(2, 4, 8)
     return {
         "index_axis0": (lambda: F.index_axis0(x, 1), [x]),
@@ -386,7 +354,6 @@ def _op_cases(dtype, *, meta=False, device=None):
         "stack_axis0": (lambda: F.stack_axis0([x, dy]), [x, dy]),
         "matmul": (lambda: F.matmul(x, w), [x, w]),
         "add": (lambda: F.add(x, bias), [x, bias]),
-        "mul": (lambda: F.mul(x, dy), [x, dy]),
         "scale": (lambda: F.scale(x, 1.0), [x]),
         "sum_to": (lambda: F.sum_to(x, x.shape), [x]),  # nothing to reduce
         "gelu": (lambda: F.gelu(x), [x]),
@@ -405,10 +372,6 @@ def _op_cases(dtype, *, meta=False, device=None):
         "cross_entropy_grad": (
             lambda: F.cross_entropy_grad(probs, targets, dtype=probs.dtype), [probs, targets]
         ),
-        "dropout": (lambda: F.dropout(x, 0.0, None), [x]),
-        "dropout_grad": (lambda: F.dropout_grad(dy, None), [dy]),
-        "dropout(p>0)": (lambda: F.dropout(x, 0.5, np.random.default_rng(2)), [x]),
-        "dropout_grad(mask)": (lambda: F.dropout_grad(dy, keep), [dy, keep]),
     }
 
 
@@ -500,7 +463,6 @@ class TestTrustedResults:
                 x, Tensor.meta((8,), np.float16), Tensor.meta((4, 6, 1), np.float32),
                 Tensor.meta((4, 6, 1), np.float32), x,
             )[1],
-            "dropout.mask": F.dropout(x, 0.1, None)[1],
         }
         for name, got in cases.items():
             self._assert_as_constructed(got, name)
@@ -599,7 +561,7 @@ class TestCausalMaskCache:
 
 
 def test_result_shapes_follow_numpy_broadcasting():
-    """add/mul/matmul short-cut ``np.broadcast_shapes`` when one operand
+    """add/matmul short-cut ``np.broadcast_shapes`` when one operand
     shape is a suffix of the other; every pair must still agree with it."""
     import itertools
 
@@ -612,7 +574,7 @@ def test_result_shapes_follow_numpy_broadcasting():
             with pytest.raises(ValueError):
                 F.add(ta, tb)
             continue
-        assert F.add(ta, tb).shape == want and F.mul(tb, ta).shape == want
+        assert F.add(ta, tb).shape == want and F.add(tb, ta).shape == want
         assert F.add(ta, tb).dtype == np.float32
         # the same pair as batch dims of a (.., 2, 5) @ (.., 5, 7) product
         ma, mb = Tensor.meta(a + (2, 5), np.float32), Tensor.meta(b + (5, 7), np.float32)

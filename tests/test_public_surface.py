@@ -37,21 +37,26 @@ PUBLIC_API = {
         "fault-api", "Corruption taxonomy and injection (`comm/faults.py`)"),
     "telemetry.session.TelemetrySession.write_metrics_jsonl": (
         "documented", "Telemetry: trace any run"),
+    "telemetry.session.TelemetrySession.chrome_trace": (
+        "documented", "Perfscope: where does a step go?"),
+    "perfscope.PerfscopeAnalysis.annotate_chrome_trace": (
+        "documented", "Perfscope: where does a step go?"),
     "parallel.pipeline.GPipeEngine": ("decided-later", "5. Engines"),
     "parallel.pipeline.GPipeEngine.local_param_count": ("decided-later", "5. Engines"),
     "obs.exporters.write_stitched_chrome_trace": ("decided-later", "Exporters (`obs.exporters`)"),
     # Only their own tests call these; the ROADMAP item "The test-only
     # names" deletes them with those tests, a few tests per change.
     "utils.units.params_to_str": ("decided-later", "What's implemented"),
-    "tensor.functional.mul": ("decided-later", "Numerics contract"),
-    "tensor.functional.dropout": ("decided-later", "Numerics contract"),
-    "tensor.functional.dropout_grad": ("decided-later", "Numerics contract"),
     "tensor.tensor.Tensor.like": ("decided-later", "4. Real vs meta execution"),
+    "telemetry.spans.Tracer.span": ("decided-later", "The span tracer (`telemetry.spans`)"),
     "tensor.tensor.Tensor.freed": ("observation", "3. The NN framework's ownership contract"),
     "memsim.timeline.MemoryTimeline.peak_allocated": ("observation", "2. Memory accounting"),
     "memprof.provenance.current_phase": ("observation", "Provenance: who owns every byte"),
     "memprof.provenance.profiling_active": ("observation", "Provenance: who owns every byte"),
     "optim.decay.default_weight_decay_filter": ("observation", "What's implemented"),
+    "comm.ledger.CommLedger.by_op": ("observation", "1. Thread-SPMD execution"),
+    "redundancy.store.RecoverySnapshot.arrays": (
+        "observation", "The fast path (`redundancy.recovery`, `supervisor`)"),
 }
 
 
@@ -94,12 +99,14 @@ def _ignored_strings(tree) -> set[int]:
     return ids
 
 
-def references(sources: dict[str, str]) -> set[str]:
-    """Every name that ``{filename: source}`` refers to: a name, an
-    attribute, a ``from``-import outside an ``__init__.py``, or a string
-    constant equal to the name or ending in ``.<name>``. ``__all__``
-    strings and package re-exports never count."""
-    names = set()
+def references(sources: dict[str, str]) -> tuple[set[str], set[str]]:
+    """What ``{filename: source}`` refers to, as two sets: every name it
+    uses as a name, an attribute, a ``from``-import outside an
+    ``__init__.py``, or a string constant equal to the name or ending in
+    ``.<name>``; and the subset used as an attribute or such a string —
+    the only ways to reach a method, which a local of the same name does
+    not. ``__all__`` strings and package re-exports never count."""
+    names, members = set(), set()
     for filename, source in sources.items():
         tree = ast.parse(source)
         skip = _ignored_strings(tree)
@@ -108,18 +115,24 @@ def references(sources: dict[str, str]) -> set[str]:
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+                members.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and not in_init:
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skip:
-                names.add(node.value.rsplit(".", 1)[-1])
-    return names
+                members.add(node.value.rsplit(".", 1)[-1])
+    return names | members, members
 
 
 def uncalled(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
-    """Qualified names that nothing in ``sources`` refers to."""
-    refs = references(sources)
-    return sorted(q for q, name in definitions(modules).items() if name not in refs)
+    """Qualified names that nothing in ``sources`` refers to. A method or
+    property (a definition inside a defined class) needs an attribute or
+    a string; a top-level name may be referred to any way."""
+    names, members = references(sources)
+    found = definitions(modules)
+    return sorted(
+        q for q, name in found.items()
+        if name not in (members if q.rsplit(".", 1)[0] in found else names)
+    )
 
 
 def _modules() -> dict[str, str]:
@@ -207,6 +220,26 @@ getattr(s, "mod.by_string")
 ''',
     }
     assert uncalled(modules, sources) == ["pkg.mod.Store.drop", "pkg.mod.unused"]
+
+
+def test_a_local_named_like_a_method_is_no_caller():
+    """A method is reached through an attribute or a string: a local, a
+    parameter or a function of the same name does not call it. A
+    top-level function is still called by its bare name."""
+    modules = {"pkg.mod": '''
+class Store:
+    def drop(self): pass
+    def put(self): pass
+    def size(self): pass
+def helper(): pass
+'''}
+    sources = {"tools/run.py": '''
+from pkg.mod import Store
+def size(drop):
+    put = drop
+    return helper(put), Store().size
+'''}
+    assert uncalled(modules, sources) == ["pkg.mod.Store.drop", "pkg.mod.Store.put"]
 
 
 

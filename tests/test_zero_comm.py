@@ -1,5 +1,7 @@
 """Section 7 communication volumes, measured from the per-rank ledger."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,36 @@ def test_stage3_step_rendezvous_budget(monkeypatch):
     (e1, l1), (e2, l2), (e3, l3) = per_step
     assert (l2 - l1, l3 - l2) == (33, 33)
     assert e2 - e1 == e3 - e2 <= 13, per_step
+
+
+def _meta_world_streams(switch_interval):
+    """Three meta stage-3 steps of ``STREAM_MODEL`` on 16 ranks under an
+    interpreter switch interval: every rank's ledger as ``(op, bytes,
+    group, phase)`` and rank 0's device stream (event count, digest)."""
+    previous = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        device = DeviceStream(mp)
+        sys.setswitchinterval(switch_interval)
+        try:
+            cluster, _ = run_stream_model(3, world=16, meta=True, steps=3)
+        finally:
+            sys.setswitchinterval(previous)
+    ledgers = [
+        [(e.op, e.message_bytes, e.group_ranks, e.phase) for e in ledger.events]
+        for ledger in cluster.ledgers
+    ]
+    return ledgers, (device.events, device.digest)
+
+
+@pytest.mark.timeout_guard(120)
+def test_a_meta_world_does_not_depend_on_the_host_scheduler():
+    """Data-free collectives wait for nobody, so how far one rank runs
+    ahead of its peers is the host scheduler's choice. What each rank
+    communicates and allocates must not be: switching threads every
+    microsecond or every 50 ms gives the same streams."""
+    fast_ledgers, fast_device = _meta_world_streams(1e-6)
+    slow_ledgers, slow_device = _meta_world_streams(0.05)
+    assert len(fast_ledgers) == 16 and all(fast_ledgers)
+    for rank, (fast, slow) in enumerate(zip(fast_ledgers, slow_ledgers)):
+        assert fast == slow, rank
+    assert fast_device == slow_device
