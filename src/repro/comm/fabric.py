@@ -23,8 +23,9 @@ g+2 (the next use of g's buffer) before every peer has arrived at g+1,
 and a peer arrives at g+1 only after it has read g. Any rank failure or
 timeout aborts the fabric so peers fail fast instead of hanging
 (``FabricAbortedError``), at their next collective if none is waiting.
-A rank that returns before a collective its peers issued is found when
-the launcher joins the threads (``Fabric._unmatched``).
+A rank that returns before a collective its peers issued, or before a
+message sent to it, is found when the launcher joins the threads
+(``Fabric._unmatched``).
 
 The rendezvous does not know what it carries. A deposit may be one
 collective's contribution or a batch of them (``ProcessGroup.coalesced``:
@@ -103,9 +104,10 @@ class Fabric:
     def _unmatched(self) -> CollectiveMismatchError | None:
         """For the launcher, once every rank has returned: the error of a
         rank set on which some member issued fewer collectives than its
-        peers, or None. A data-free collective does not wait for the
-        member that never comes, so only this count finds it. An aborted
-        fabric answers None: its abort already explains the run."""
+        peers, or of a message no rank received, or None. A data-free
+        collective does not wait for the member that never comes, and a
+        ``send`` waits for no one, so only this check finds them. An
+        aborted fabric answers None: its abort already explains the run."""
         if self._aborted:
             return None
         with self._rendezvous_lock:
@@ -113,6 +115,13 @@ class Fabric:
                 error = rv.unmatched()
                 if error is not None:
                     return error
+        with self._mailbox_lock:
+            for (src, dst, tag), box in self._mailboxes.items():
+                if box.qsize():
+                    return CollectiveMismatchError(
+                        f"rank {dst} returned without receiving {box.qsize()} message(s) "
+                        f"rank {src} sent it with tag {tag!r}"
+                    )
         return None
 
     def _release_payloads(self) -> None:

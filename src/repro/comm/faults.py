@@ -538,13 +538,12 @@ class FaultPlan:
             return
         rank, step = engine.ctx.rank, engine.step_count
         self.note_step(rank, step)
-        owned = getattr(engine, "integrity_shards", None)  # a pipeline stage has none
-        if owned is None or not self._scribbles:
+        if not self._scribbles:
             return
         with self._lock:
             due = [r for r in self._scribbles if not r.fired and r.rank == rank and step >= r.at_step]
             # no shards to hit in a meta engine; no param_shard below stage 3
-            shards = owned() if due and not engine.is_meta else {}
+            shards = engine.integrity_shards() if due and not engine.is_meta else {}
             for rule in due:
                 rule.fired = True
                 self._record_event(FaultEvent(

@@ -391,3 +391,10 @@ class ProcessGroup(RankDoors):
         array = self.fabric.recv(src, rank, tag)
         self._record(rank, "recv", array.nbytes, phase, peer=(src, rank))
         return array
+
+    def meta_p2p(self, rank: int, op: str, peer: int, message_bytes: int, phase: str = "") -> None:
+        """Meta-mode ``send`` (to ``peer``) or ``recv`` (from it): recorded
+        as the real one is, carrying nothing and waiting for no one."""
+        self.group_index(peer)
+        self._record(rank, op, int(message_bytes), phase,
+                     peer=(rank, peer) if op == "send" else (peer, rank), meta=True)

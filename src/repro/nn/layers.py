@@ -173,7 +173,9 @@ def _shard_param(
         shape = data.shape
     with memprof_category("param_fp16", site=name):
         tensor = Tensor(shape, np.dtype(dtype), data=data, device=device, tag=name)
-    return Parameter(name, tensor, grad_dtype=dtype)
+    param = Parameter(name, tensor, grad_dtype=dtype)
+    param.mp_sharded = True
+    return param
 
 
 def _as_indices(take: "slice | np.ndarray", dim: int) -> np.ndarray:

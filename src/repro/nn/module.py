@@ -51,6 +51,9 @@ class Parameter(Doors):
     """
 
     POINTS = ("_accumulating", "_accumulated")
+    #: True for a Megatron shard (each MP rank holds different values);
+    #: False for a parameter every MP rank holds whole.
+    mp_sharded = False
 
     def __init__(self, name: str, data: Tensor, grad_dtype=np.float16):
         self.name = name

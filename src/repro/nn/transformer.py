@@ -12,6 +12,12 @@ per transformer block, head unit — and invokes an optional ``UnitListener``
 around each unit's forward/backward. That hook is how ZeRO stage 3
 materializes a unit's partitioned parameters just-in-time and discards them
 right after use (Section 5.3's "one layer at a time" schedule).
+
+A pipeline stage (GPipe, Huang et al. [10], the paper's Section 2.1
+comparator) is the same model holding a contiguous slice of those units
+(``split_units``): its forward receives the previous stage's activation and
+sends its own output on, its backward the reverse, as point-to-point
+messages in phases ``pp-act`` / ``pp-grad``.
 """
 
 from __future__ import annotations
@@ -285,6 +291,20 @@ class HeadUnit(Module):
         return dh
 
 
+def split_units(n_units: int, n_stages: int) -> list[tuple[int, int]]:
+    """Contiguous [lo, hi) unit ranges per stage, balanced like np.array_split."""
+    if not 1 <= n_stages <= n_units:
+        raise ValueError(f"need 1 <= stages <= units, got {n_stages} stages / {n_units} units")
+    base, extra = divmod(n_units, n_stages)
+    bounds = []
+    lo = 0
+    for s in range(n_stages):
+        hi = lo + base + (1 if s < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
 @dataclass(frozen=True)
 class GPTConfig:
     """GPT-2-like model shape (paper Table 4 parameterization)."""
@@ -342,6 +362,12 @@ class GPT2Model(Module):
     rank is no MP. Embeddings stay replicated (Megatron proper shards the
     input embedding too, saving another V x h x 2 bytes per rank; see
     DESIGN.md substitutions), and the loss is vocab-parallel.
+
+    ``pp_group`` makes this model one pipeline stage: the units
+    ``split_units(L + 2, S)[stage]`` of the ranks' ``S`` stages. The other
+    units are built uncharged in order, for their rng draws only, and
+    dropped one by one, so every kept parameter is bitwise the whole
+    model's; ``embedding`` / ``head`` are None on a stage without them.
     """
 
     def __init__(
@@ -349,6 +375,7 @@ class GPT2Model(Module):
         config: GPTConfig,
         *,
         mp_group: ProcessGroup | None = None,
+        pp_group: ProcessGroup | None = None,
         rank: int = 0,
         dtype=np.float16,
         device: Device | None = None,
@@ -363,25 +390,39 @@ class GPT2Model(Module):
         self.dtype = np.dtype(dtype)
         if mp_group is not None and mp_group.size == 1:
             mp_group = None
-        self.mp_group, self._rank = mp_group, rank
-        common = dict(dtype=dtype, device=device, rng=rng,
-                      init_std=config.init_std, meta=meta)
+        if pp_group is not None and pp_group.size == 1:
+            pp_group = None
+        self.mp_group, self.pp_group, self._rank = mp_group, pp_group, rank
+        n_units = config.n_layers + 2
+        lo, hi = 0, n_units
+        # The neighbouring stages' global ranks (None at either end).
+        self._prev = self._next = None
+        if pp_group is not None:
+            stage = pp_group.group_index(rank)
+            lo, hi = split_units(n_units, pp_group.size)[stage]
+            if stage > 0:
+                self._prev = pp_group.ranks[stage - 1]
+            if stage < pp_group.size - 1:
+                self._next = pp_group.ranks[stage + 1]
+        self.embedding = self.head = None
+        self.blocks = []
         with memprof_category("param_fp16", site=name):
-            self.embedding = self.register_module(
-                EmbeddingUnit(f"{name}.emb", config.vocab_size, config.max_seq_len,
-                              config.hidden, **common)
-            )
-            self.blocks = [
-                self.register_module(
-                    TransformerBlock(f"{name}.h{i}", config.hidden, config.n_heads,
-                                     mp_group=mp_group, rank=rank, **common)
+            for i in range(n_units):
+                owned = lo <= i < hi
+                unit = self._build_unit(
+                    i, name, dtype=dtype, device=device if owned else None, rng=rng,
+                    init_std=config.init_std, meta=meta,
                 )
-                for i in range(config.n_layers)
-            ]
-            self.head = self.register_module(
-                HeadUnit(f"{name}.head", config.hidden, config.vocab_size,
-                         mp_group=mp_group, rank=rank, **common)
-            )
+                if not owned:
+                    del unit  # before the next is built: one at a time
+                    continue
+                self.register_module(unit)
+                if i == 0:
+                    self.embedding = unit
+                elif i == n_units - 1:
+                    self.head = unit
+                else:
+                    self.blocks.append(unit)
         self.checkpoint_activations = checkpoint_activations
         if activation_store is None:
             from repro.nn.checkpoint import KeepStore
@@ -392,9 +433,22 @@ class GPT2Model(Module):
         # The meta block loops' tapes, one per direction (repro.nn.tape)
         self._forward_tape, self._backward_tape = BlockTape(), BlockTape()
 
+    def _build_unit(self, i: int, name: str, **common) -> Module:
+        """Unit ``i`` of [embedding, block_0 .. block_{L-1}, head]."""
+        config = self.config
+        if i == 0:
+            return EmbeddingUnit(f"{name}.emb", config.vocab_size, config.max_seq_len,
+                                 config.hidden, **common)
+        mp = dict(mp_group=self.mp_group, rank=self._rank)
+        if i == config.n_layers + 1:
+            return HeadUnit(f"{name}.head", config.hidden, config.vocab_size, **mp, **common)
+        return TransformerBlock(f"{name}.h{i - 1}", config.hidden, config.n_heads,
+                                **mp, **common)
+
     def units(self) -> list[Module]:
-        """Ordered units: [embedding, block_0 .. block_{L-1}, head]."""
-        return [self.embedding, *self.blocks, self.head]
+        """This model's units in order: [embedding, block_0 .. block_{L-1},
+        head], or a pipeline stage's contiguous slice of them."""
+        return [u for u in (self.embedding, *self.blocks, self.head) if u is not None]
 
     def make_loss_head(self):
         """The loss matching this model's logits layout: full vocabulary,
@@ -406,18 +460,24 @@ class GPT2Model(Module):
         return VocabParallelCausalLMLoss(self.mp_group, self._rank)
 
     def forward(self, token_ids: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
-        """token_ids: (B, S) ints -> logits (B, S, V)."""
-        _, s = token_ids.shape
+        """token_ids: (B, S) ints -> logits (B, S, V). A pipeline stage
+        without the head returns its last hidden state (B, S, H) instead,
+        sent on and owned by the cache; one without the embedding reads
+        only the shape of ``token_ids``."""
+        b, s = token_ids.shape
         if s > self.config.max_seq_len:
             raise ValueError(f"sequence length {s} exceeds max {self.config.max_seq_len}")
         listener = self.unit_listener
         cache = Cache()
         cache.ref(ctx=ctx)
 
-        listener.before_unit(self.embedding)
-        h, c_emb = self.embedding.forward(token_ids, ctx)
-        listener.after_unit(self.embedding)
-        cache.child("emb", c_emb)
+        if self.embedding is None:
+            h = self._recv((b, s, self.config.hidden), token_ids, "pp-act", self._prev)
+        else:
+            listener.before_unit(self.embedding)
+            h, c_emb = self.embedding.forward(token_ids, ctx)
+            listener.after_unit(self.embedding)
+            cache.child("emb", c_emb)
 
         if self.checkpoint_activations:
             handles = []
@@ -456,17 +516,28 @@ class GPT2Model(Module):
                 hiddens.append(h)
             cache.own_list("hiddens", hiddens)
 
+        if self.head is None:
+            self._send(h, "pp-act", self._next)
+            cache.ref(out=h)
+            return h, cache
         listener.before_unit(self.head)
         logits, c_head = self.head.forward(h, ctx)
         listener.after_unit(self.head)
         cache.child("head", c_head)
         return logits, cache
 
-    def backward(self, cache: Cache, dlogits: Tensor) -> Tensor:
+    def backward(self, cache: Cache, dlogits: Tensor | None) -> Tensor:
+        """Gradients of every parameter this model holds; returns the
+        gradient of its input hidden state. ``dlogits`` is None on a
+        pipeline stage without the head: it receives its output's gradient."""
         listener = self.unit_listener
-        listener.before_unit(self.head)
-        dh = self.head.backward(cache.children["head"], dlogits)
-        listener.after_unit(self.head)
+        if self.head is None:
+            out = cache["out"]
+            dh = self._recv(out.shape, out, "pp-grad", self._next)
+        else:
+            listener.before_unit(self.head)
+            dh = self.head.backward(cache.children["head"], dlogits)
+            listener.after_unit(self.head)
 
         if self.checkpoint_activations:
             dh = self._backward_checkpointed(cache, dh)
@@ -478,10 +549,42 @@ class GPT2Model(Module):
                 dh.free()
                 dh = dprev
 
+        if self.embedding is None:
+            self._send(dh, "pp-grad", self._prev)
+            return dh
         listener.before_unit(self.embedding)
         self.embedding.backward(cache.children["emb"], dh)
         listener.after_unit(self.embedding)
         return dh
+
+    # -- pipeline stage boundaries ------------------------------------------------
+
+    def _send(self, t: Tensor, phase: str, dst: int) -> None:
+        """Hand ``t`` to the stage on global rank ``dst``; a meta tensor is
+        ledgered with the same bytes and carries nothing."""
+        if t.is_meta:
+            self.pp_group.meta_p2p(self._rank, "send", dst, t.nbytes, phase)
+        else:
+            self.pp_group.send(self._rank, dst, t.numpy(), tag=phase, phase=phase)
+
+    def _recv(self, shape: tuple[int, ...], like: Tensor, phase: str, src: int) -> Tensor:
+        """The tensor of ``shape`` the stage on global rank ``src`` sent, on
+        ``like``'s device (meta iff ``like`` is)."""
+        with memprof_category("activation", site="pp-boundary"):
+            if like.is_meta:
+                data = None
+                self.pp_group.meta_p2p(
+                    self._rank, "recv", src, int(np.prod(shape)) * self.dtype.itemsize, phase
+                )
+            else:
+                data = self.pp_group.recv(self._rank, src, tag=phase, phase=phase)
+                if data.shape != tuple(shape):
+                    raise ValueError(
+                        f"rank {self._rank} received {phase} of shape {data.shape} from "
+                        f"rank {src}, expected {tuple(shape)}: every stage must be fed "
+                        "the same micro-batch"
+                    )
+            return Tensor(shape, self.dtype, data=data, device=like.device, tag=phase)
 
     def _backward_checkpointed(self, cache: Cache, dh: Tensor) -> Tensor:
         """Recompute each block's forward from its stashed input — or

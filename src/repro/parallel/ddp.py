@@ -159,9 +159,14 @@ class DDPEngine(BaseEngine):
             if LossScaler.has_overflow(piece):
                 overflow = True
             piece64 = piece.astype(np.float64) / denom
+            if self._mp_copies is not None:
+                piece64[self._mp_copies[lo:hi]] = 0.0
             norm_sq += float(np.dot(piece64, piece64))
 
         self.with_fused_buffer(numel, check)
+        if self._model_groups:  # MP / pipeline partners hold the rest of the replica
+            flag = np.array([float(overflow)], dtype=np.float32)
+            overflow = bool(self._control_all_reduce(flag, "max", self._model_groups)[0] > 0)
         if not self.scaler.update(overflow):
             return False
         # Replicated gradients: the local norm is already the global one.

@@ -6,6 +6,13 @@ optimizer update to its subclass — baseline DDP or a ZeRO-DP stage. The
 step structure, loss scaling, meta-mode handling, and temporary fused
 buffer accounting (Section 6.2's CB) are identical across engines and
 live here so the equivalence tests compare only what differs.
+
+A model built with a ``pp_group`` is one pipeline stage, and any engine
+runs it: the stage's flat space is what ZeRO partitions over ``dp``. The
+GPipe schedule is the gradient-accumulation loop with backward deferred:
+each micro-step runs its forward only, and the boundary micro-step runs
+every kept backward in reverse micro order (all-forward / all-backward,
+with M = ``gradient_accumulation_steps`` micro-batches in flight).
 """
 
 from __future__ import annotations
@@ -105,12 +112,40 @@ class BaseEngine:
         params = model.parameters()
         if not params:
             raise ValueError("model has no parameters")
+        # Imported here: repro.zero's engines import this module.
+        from repro.zero.placement import Mesh, state_placement
+
+        mp_group, pp_group = model.mp_group, model.pp_group
+        #: the DP x MP x PP degrees this rank runs under, resolved once.
+        self.mesh = Mesh(
+            dp=dp_group.size, mp=1 if mp_group is None else mp_group.size,
+            pp=1 if pp_group is None else pp_group.size,
+        )
+        if self.config.infinity is not None and self.mesh.pp > 1:
+            raise ValueError(
+                f"tier placement (infinity) does not run on a pipeline mesh: the pp axis "
+                f"is {self.mesh.pp}; build the stage with every state on the device"
+            )
+        #: the groups beside DP that hold the rest of this replica's gradient
+        self._model_groups = tuple(g for g in (mp_group, pp_group) if g is not None)
+        #: micro-batches whose backward waits for the boundary (pipeline only)
+        self._deferred: list = []
         self.is_meta = params[0].data.is_meta
         self.layout = FlatLayout(params, pad_multiple=dp_group.size)
         self.scaler = LossScaler(
             init_scale=self.config.loss_scale, dynamic=self.config.dynamic_loss_scale
         )
-        self.loss_head = model.make_loss_head()
+        # A pipeline stage before the last has no head: it sends its output on.
+        self.loss_head = None if model.head is None else model.make_loss_head()
+        #: flat elements this rank holds as a copy of MP index 0's (the
+        #: MP-replicated parameters): a gradient norm counts them there only.
+        self._mp_copies = None
+        if mp_group is not None and mp_group.group_index(ctx.rank) and not self.is_meta:
+            self._mp_copies = np.zeros(self.layout.numel, bool)
+            for p in params:
+                if not p.mp_sharded:
+                    slot = self.layout.slot(p.name)
+                    self._mp_copies[slot.offset : slot.end] = True
         if self.config.gradient_accumulation_steps < 1:
             raise ValueError("gradient_accumulation_steps must be >= 1")
         self.step_count = 0
@@ -143,15 +178,9 @@ class BaseEngine:
                     (self.config.fused_buffer_numel,), np.dtype(np.float32),
                     data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
-        # Imported here: repro.zero's engines import this module.
-        from repro.zero.placement import Mesh, state_placement
-
         #: (partitioned, tier) per state class; raises the one validity
         #: error when a tier config parks a class this stage replicates.
         self.placement = state_placement(self.stage, self.config.infinity)
-        #: the DP x MP degrees this rank runs under, resolved once.
-        mp_group = getattr(model, "mp_group", None)
-        self.mesh = Mesh(dp=dp_group.size, mp=1 if mp_group is None else mp_group.size)
         # The tier runtime: owns the transfer streams and the step-time
         # model. Placement changes live in the ZeRO engines.
         self.offload = None
@@ -222,20 +251,24 @@ class BaseEngine:
         self.phase = "forward"
         for sub in life.enter_phase:
             sub.enter_phase(self, "forward")
-        logits, cache = self.model.forward(ids_t, ctx)
-        loss, lcache = self.loss_head.forward(logits, tgt_t)
-        loss_value = None if loss.is_meta else float(loss.numpy())
-        dlogits = self.loss_head.backward(lcache, loss_scale=self.scaler.scale)
-        self.phase = "backward"
-        for sub in life.enter_phase:
-            sub.enter_phase(self, "backward")
-        dh = self.model.backward(cache, dlogits)
-        dh.free_if_alive()
-        dlogits.free_if_alive()
-        lcache.free()
-        cache.free()
-        logits.free_if_alive()
-        loss.free_if_alive()
+        loss_value, micro = self._forward(ids_t, tgt_t, ctx)
+        if self.mesh.pp == 1:
+            self._enter_backward(life)
+            self._backward(micro)
+        else:
+            # GPipe: every backward waits for the boundary's forward, then
+            # runs in reverse micro order, reduced between as accumulated.
+            self._deferred.append((micro, free_inputs))
+            free_inputs = ()
+            if boundary:
+                self._enter_backward(life)
+                for i, (micro, inputs) in enumerate(reversed(self._deferred)):
+                    if i:
+                        self._micro_reduce()
+                    self._backward(micro)
+                    for t in inputs:
+                        t.free_if_alive()
+                self._deferred.clear()
 
         if boundary:
             for sub in life.pre_optimizer:
@@ -262,6 +295,35 @@ class BaseEngine:
         for sub in life.step_end:
             sub.step_end(self)
         return result
+
+    def _forward(self, ids_t: Tensor, tgt_t: Tensor, ctx: ExecutionContext) -> tuple:
+        """One micro-batch's forward, and the loss's backward on the stage
+        with the head: (loss value, what ``_backward`` takes)."""
+        logits, cache = self.model.forward(ids_t, ctx)
+        if self.loss_head is None:
+            return None, (cache, None, None, None, None)
+        loss, lcache = self.loss_head.forward(logits, tgt_t)
+        loss_value = None if loss.is_meta else float(loss.numpy())
+        dlogits = self.loss_head.backward(lcache, loss_scale=self.scaler.scale)
+        return loss_value, (cache, dlogits, lcache, logits, loss)
+
+    def _enter_backward(self, life: Lifecycle) -> None:
+        self.phase = "backward"
+        for sub in life.enter_phase:
+            sub.enter_phase(self, "backward")
+
+    def _backward(self, micro: tuple) -> None:
+        """One micro-batch's backward; frees what its forward kept."""
+        cache, dlogits, lcache, logits, loss = micro
+        self.model.backward(cache, dlogits).free_if_alive()
+        if lcache is None:  # a stage before the last: its output is the cache's
+            cache.free()
+            return
+        dlogits.free_if_alive()
+        lcache.free()
+        cache.free()
+        logits.free_if_alive()
+        loss.free_if_alive()
 
     def _assemble_lifecycle(self) -> Lifecycle:
         """Once per engine, at the first step: build the detectors that
@@ -317,10 +379,11 @@ class BaseEngine:
     def _clip_factor(self, local_norm_sq: float, *, partitioned: bool) -> float:
         """Global-norm clip factor for this step (1.0 when clipping is off).
 
-        ``partitioned`` engines contribute a partition's norm^2 and sum it
-        across the DP group (a tiny control message, excluded from volume
-        accounting); replicated-gradient engines already hold the global
-        norm locally.
+        ``local_norm_sq`` covers the gradient elements this rank holds
+        uniquely in its replica (``_mp_copies`` excluded). It is summed
+        across the MP and pipeline partners, which hold the rest of the
+        replica, and ``partitioned`` engines also sum it across the DP
+        group; replicated-gradient engines already hold their DP share.
         """
         if self.integrity is not None:
             # Every engine routes its (applied-step) gradient norm^2
@@ -335,22 +398,27 @@ class BaseEngine:
         if clip <= 0:
             raise ValueError(f"grad_clip_norm must be positive, got {clip}")
         total_sq = local_norm_sq
+        groups = self._model_groups
         if partitioned and self.dp_group.size > 1:
+            groups = (self.dp_group, *groups)
+        if groups:
             total_sq = float(self._control_all_reduce(
-                np.array([local_norm_sq], dtype=np.float64), "sum"
+                np.array([local_norm_sq], dtype=np.float64), "sum", groups
             )[0])
         norm = float(np.sqrt(total_sq))
         if norm <= clip:
             return 1.0
         return clip / (norm + 1e-6)
 
-    def _control_all_reduce(self, value: np.ndarray, op: str) -> np.ndarray:
+    def _control_all_reduce(self, value: np.ndarray, op: str, groups: tuple) -> np.ndarray:
         """All-reduce a tiny control message (the overflow vote, the clip
-        norm) across the DP group, excluded from volume accounting on
-        purpose."""
+        norm) across each of ``groups`` in turn, excluded from volume
+        accounting on purpose. Every rank ends with the same value."""
         self.ctx.ledger.enabled = False
         try:
-            return self.dp_group.all_reduce(self.ctx.rank, value, op=op, phase="control")
+            for group in groups:
+                value = group.all_reduce(self.ctx.rank, value, op=op, phase="control")
+            return value
         finally:
             self.ctx.ledger.enabled = True
 
@@ -371,11 +439,13 @@ class BaseEngine:
         traced forward/backward spans advance the clock by)."""
         from repro.analysis.perf_model import compute_split_seconds
 
-        return compute_split_seconds(
+        forward_s, backward_s = compute_split_seconds(
             self.model.config, batch, seq_len,
             checkpointing=bool(getattr(self.model, "checkpoint_activations", False)),
             mesh=self.mesh, peak_flops=self.ctx.device.spec.peak_flops,
         )
+        # A pipeline's boundary micro-step runs every deferred backward too.
+        return forward_s, backward_s * (len(self._deferred) + 1)
 
     def _micro_reduce(self) -> None:
         """Per-micro-step work on non-boundary steps. Engines with

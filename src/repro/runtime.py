@@ -229,8 +229,8 @@ class Cluster:
         threads stop; sibling ranks blocked in collectives are released by
         aborting the fabric. When every rank returned, a rank that issued
         fewer collectives than its peers on some rank set (which a
-        data-free collective does not wait to find) raises
-        ``CollectiveMismatchError`` here.
+        data-free collective does not wait to find), or one that left a
+        message sent to it unreceived, raises ``CollectiveMismatchError`` here.
         """
         results: list[Any] = [None] * self.world_size
         errors: list[BaseException | None] = [None] * self.world_size
@@ -250,9 +250,6 @@ class Cluster:
             t.start()
         for t in threads:
             t.join()
-        # Success or failure, the fabric must not keep the last collectives'
-        # arrays (two generations per rendezvous) or undelivered messages alive.
-        self.fabric._release_payloads()
         # Prefer the root cause: a rank's own failure outranks the
         # FabricAbortedError its peers raised when the fabric was torn down.
         # Among aborts, one chained to a cause (e.g. a collective whose
@@ -263,11 +260,16 @@ class Cluster:
         failure = (root or chained or secondary or [None])[0]
         if failure is None:
             # No rank raised, so none was left waiting; a data-free
-            # collective that some rank never issued is found here.
+            # collective that some rank never issued, or a message that no
+            # rank received, is found here.
             failure = self.fabric._unmatched()
-            if failure is None:
-                return results
-            self.fabric.abort()
+            if failure is not None:
+                self.fabric.abort()
+        # Success or failure, the fabric must not keep the last collectives'
+        # arrays (two generations per rendezvous) or undelivered messages alive.
+        self.fabric._release_payloads()
+        if failure is None:
+            return results
         try:
             raise failure
         finally:

@@ -27,7 +27,6 @@ owns its tracer), so there is no locking on the hot path.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.utils.phase import normalize_phase
@@ -191,14 +190,6 @@ class Tracer:
                 # the fail-slow analogue of a kill firing in note_step.
                 self.health.on_step(self, span.duration_s)
         return span
-
-    @contextmanager
-    def span(self, name: str, **args):
-        self.begin(name, **args)
-        try:
-            yield
-        finally:
-            self.end()
 
     def close_open_spans(self) -> None:
         """Close every open span at the current clock (crash unwinding)."""

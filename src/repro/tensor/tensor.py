@@ -133,18 +133,6 @@ class Tensor:
     def zeros(cls, shape: tuple[int, ...], dtype: np.dtype, *, device: Device | None = None, tag: str = "") -> "Tensor":
         return cls(shape, dtype, data=np.zeros(shape, dtype=dtype), device=device, tag=tag)
 
-    def like(self, data: Optional[np.ndarray], shape: tuple[int, ...] | None = None, dtype: np.dtype | None = None, tag: str | None = None) -> "Tensor":
-        """New tensor on this tensor's device; meta iff ``data is None``."""
-        if data is not None:
-            shape = data.shape
-            dtype = data.dtype if dtype is None else dtype
-        if shape is None or dtype is None:
-            raise ValueError("meta result needs explicit shape and dtype")
-        return Tensor(
-            shape, dtype, data=data, device=self.device,
-            tag=self.tag if tag is None else tag,
-        )
-
     # -- properties ------------------------------------------------------------
 
     @property

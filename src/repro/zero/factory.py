@@ -63,6 +63,7 @@ def build_model_and_engine(
     *,
     dp_group: ProcessGroup,
     mp_group: ProcessGroup | None = None,
+    pp_group: ProcessGroup | None = None,
     engine_config: EngineConfig | None = None,
     dtype=np.float16,
     seed: int = 0,
@@ -81,6 +82,10 @@ def build_model_and_engine(
     initialization), so the whole model is never resident — which is what
     lets configurations like the 1T one fit. The other stages keep
     persistent full parameters and build them charged.
+
+    ``pp_group`` makes the model one pipeline stage (``Mesh.pp_group``):
+    it builds and charges only its own units, and the engine runs the
+    GPipe schedule over ``gradient_accumulation_steps`` micro-batches.
     """
     placed = zero.placement
     activation = placed["activation"]
@@ -90,7 +95,7 @@ def build_model_and_engine(
     if activation.partitioned:
         store = PA_STORE_BY_TIER[activation.tier](mp_group, ctx)
     model = GPT2Model(
-        model_config, mp_group=mp_group, rank=ctx.rank, dtype=dtype,
+        model_config, mp_group=mp_group, pp_group=pp_group, rank=ctx.rank, dtype=dtype,
         device=None if placed["param"].partitioned else ctx.device,
         rng=np.random.default_rng(seed), meta=meta,
         checkpoint_activations=zero.checkpoint_activations,

@@ -99,6 +99,12 @@ class Mesh:
         start = rank - rank % stage + rank % self.mp
         return range(start, start + stage, self.mp)
 
+    def pp_group(self, rank: int) -> range:
+        """``rank``'s pipeline partners, one per stage in stage order: the
+        ranks with its DP and MP index."""
+        stage = self.dp * self.mp
+        return range(rank % stage, self.world, stage)
+
 
 class Placed(NamedTuple):
     partitioned: bool  # a 1/N shard per rank of the row's group; otherwise a full replica

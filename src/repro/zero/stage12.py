@@ -235,14 +235,18 @@ class _ZeroDPBase(BaseEngine):
             )
         grad32 /= self.grad_divisor
         # Agree on the overflow decision across ranks: each rank only sees
-        # its own shard, so the flag must be reduced.
+        # its own shard of its own stage's MP slice, so the flag is reduced
+        # over every rank that holds a piece of the gradient.
         flag = np.array([float(LossScaler.has_overflow(grad32))], dtype=np.float32)
-        overflow = bool(self._control_all_reduce(flag, "max")[0] > 0)
+        groups = (self.dp_group, *self._model_groups)
+        overflow = bool(self._control_all_reduce(flag, "max", groups)[0] > 0)
         if not self.scaler.update(overflow):
             # Other ranks reached the same decision; skip in lockstep.
             self._publish_params(None)
             return False
         grad64 = grad32.astype(np.float64)
+        if self._mp_copies is not None:
+            grad64[self._mp_copies[self.part_lo : self.part_hi]] = 0.0
         clip_factor = self._clip_factor(float(np.dot(grad64, grad64)), partitioned=True)
         if clip_factor != 1.0:
             grad32 *= np.float32(clip_factor)

@@ -97,6 +97,23 @@ def test_p2p_messages_ordered_per_tag():
     assert cluster.run(fn)[1] == [0, 1, 2]
 
 
+def test_a_message_no_rank_receives_fails_the_join():
+    """A skipped ``recv`` is an SPMD mismatch like a skipped collective:
+    the clean join names the undelivered message's src, dst and tag."""
+
+    def fn(ctx):
+        if ctx.rank == 0:
+            ctx.world.send(0, dst=1, array=np.zeros(2, np.float32), tag=9)
+        return ctx.rank
+
+    with pytest.raises(CollectiveMismatchError, match=r"rank 1 .* rank 0 .* tag 9"):
+        make_cluster(2).run(fn)
+    aborted = Fabric(2)
+    aborted.send(0, 1, "lost", tag=9)
+    aborted.abort()
+    assert aborted._unmatched() is None  # its abort already explains the run
+
+
 def test_collective_tag_mismatch_raises_not_hangs():
     """Two ranks issuing collectives with different tags (same op, different
     shapes) must raise within the timeout, not deadlock."""
@@ -270,9 +287,10 @@ def test_group_is_shared_on_a_cluster_and_virtual_on_a_virtual_context():
 
 
 def test_no_payload_outlives_the_run():
-    """After ``Cluster.run`` has joined its threads — success or failure —
-    neither a rendezvous slot (two generations are buffered) nor a mailbox
-    keeps an array alive. gc is off so only reference counts can free."""
+    """After ``Cluster.run`` has joined its threads — a clean join that
+    finds the undelivered message, or a failure — neither a rendezvous slot
+    (two generations are buffered) nor a mailbox keeps an array alive. gc
+    is off so only reference counts can free."""
 
     class Tracked(np.ndarray):
         pass  # plain ndarrays cannot be weakly referenced
@@ -303,10 +321,7 @@ def test_no_payload_outlives_the_run():
         for fail in (False, True):
             refs: list = []
             cluster = make_cluster(4, timeout_s=5.0)
-            if fail:
-                with pytest.raises(RuntimeError, match="rank 3 dies"):
-                    cluster.run(fn, refs, fail)
-            else:
+            with pytest.raises(RuntimeError, match="rank 3 dies" if fail else "undelivered"):
                 cluster.run(fn, refs, fail)
             assert len(refs) >= 4 * 6  # the world-group loop at least
             alive = [r() for r in refs if r() is not None]

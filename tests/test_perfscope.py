@@ -140,16 +140,19 @@ class TestExactness:
         (which hide the partner's bubble); uncoupled replay reproduces the
         local clock exactly, while rendezvous coupling surfaces the bubble
         as its own stall category."""
-        from repro.parallel.pipeline import GPipeEngine
+        from repro.parallel.engine import EngineConfig
 
         session = TelemetrySession(perfscope=True)
         cluster = Cluster(2, gpu=GPU, timeout_s=60.0, telemetry=session)
 
         def fn(ctx):
-            engine = GPipeEngine(ctx, CFG, ctx.world, n_microbatches=2,
-                                 dtype=np.float32, seed=0)
-            ids = np.zeros((4, 16), dtype=np.int64)
-            for _ in range(STEPS):
+            model, engine = build_model_and_engine(
+                ctx, CFG, stage_config(0), dp_group=ctx.group([ctx.rank]),
+                pp_group=ctx.world, dtype=np.float32, seed=0,
+                engine_config=EngineConfig(gradient_accumulation_steps=2),
+            )
+            ids = np.zeros((2, 16), dtype=np.int64)
+            for _ in range(STEPS * 2):  # two micro-batches a step
                 engine.train_step(ids, ids % CFG.vocab_size)
 
         cluster.run(fn)

@@ -347,6 +347,22 @@ def test_a_degree_below_one_fails_at_the_door(enter, message):
         enter()
 
 
+@pytest.mark.parametrize("mesh", [Mesh(2, 2, 2), Mesh(3, 2, 1), Mesh(1, 2, 3), Mesh(4, 1, 2)])
+def test_each_axis_groups_partition_the_world(mesh):
+    """Every axis's groups cover each rank exactly once, and a rank's
+    three groups meet only in that rank; a pipeline group lists the
+    stages in order, stage outermost."""
+    world = set(range(mesh.world))
+    for axis in ("dp", "mp", "pp"):
+        groups = {tuple(getattr(mesh, f"{axis}_group")(r)) for r in world}
+        assert sorted(r for g in groups for r in g) == sorted(world), axis
+        assert all(len(g) == getattr(mesh, axis) for g in groups), axis
+    for rank in world:
+        dp, mp, pp = (set(getattr(mesh, f"{a}_group")(rank)) for a in ("dp", "mp", "pp"))
+        assert dp & mp == dp & pp == mp & pp == {rank}
+        assert list(mesh.pp_group(rank))[rank // (mesh.dp * mesh.mp)] == rank
+
+
 def test_one_tier_config_and_one_runtime():
     """No signature under ``src/repro`` takes an ``offload=`` keyword or
     names ``OffloadConfig`` — ``InfinityConfig`` is the tier config — and

@@ -41,15 +41,13 @@ PUBLIC_API = {
         "documented", "Perfscope: where does a step go?"),
     "perfscope.PerfscopeAnalysis.annotate_chrome_trace": (
         "documented", "Perfscope: where does a step go?"),
-    "parallel.pipeline.GPipeEngine": ("decided-later", "5. Engines"),
-    "parallel.pipeline.GPipeEngine.local_param_count": ("decided-later", "5. Engines"),
     "obs.exporters.write_stitched_chrome_trace": ("decided-later", "Exporters (`obs.exporters`)"),
     # Only their own tests call these; the ROADMAP item "The test-only
     # names" deletes them with those tests, a few tests per change.
     "utils.units.params_to_str": ("decided-later", "What's implemented"),
-    "tensor.tensor.Tensor.like": ("decided-later", "4. Real vs meta execution"),
-    "telemetry.spans.Tracer.span": ("decided-later", "The span tracer (`telemetry.spans`)"),
     "tensor.tensor.Tensor.freed": ("observation", "3. The NN framework's ownership contract"),
+    "nn.module.Module.free_parameters": (
+        "observation", "3. The NN framework's ownership contract"),
     "memsim.timeline.MemoryTimeline.peak_allocated": ("observation", "2. Memory accounting"),
     "memprof.provenance.current_phase": ("observation", "Provenance: who owns every byte"),
     "memprof.provenance.profiling_active": ("observation", "Provenance: who owns every byte"),

@@ -14,6 +14,7 @@ from repro.hardware.specs import GPUSpec
 from repro.parallel.engine import EngineConfig
 from repro.tensor.tensor import Tensor
 from repro.zero.factory import build_model_and_engine
+from repro.zero.placement import Mesh
 from tests.streams import DeviceStream, ledger_digest
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
@@ -23,13 +24,19 @@ CORPUS = SyntheticCorpus(61, seed=7)
 EXPECTED_PSI = {0: 2.0, 1: 2.0, 2: 2.0, 3: 3.0}
 
 
-def measure(stage, *, meta=False, world=4, bucket=1500):
-    cluster = Cluster(world, gpu=GPU, timeout_s=60.0)
+def measure(stage, *, meta=False, world=4, bucket=1500, mesh=None):
+    """Per rank: ledger volume and per-phase volume in units of the rank's
+    fp16 flat space; ``mesh`` (default: all of ``world`` on ``dp``) places
+    the ranks."""
+    mesh = mesh or Mesh(dp=world)
+    cluster = Cluster(mesh.world, gpu=GPU, timeout_s=60.0)
 
     def fn(ctx):
         zero = ZeROConfig(stage=stage, checkpoint_activations=True, memory_defrag=False)
         model, engine = build_model_and_engine(
-            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float16, seed=0, meta=meta,
+            ctx, CFG, zero, dp_group=ctx.group(mesh.dp_group(ctx.rank)),
+            pp_group=ctx.group(mesh.pp_group(ctx.rank)),
+            dtype=np.float16, seed=0, meta=meta,
             engine_config=EngineConfig(bucket_numel=bucket),
         )
         ctx.ledger.clear()
@@ -57,11 +64,14 @@ def test_nominal_volume_matches_paper(stage):
 
 @pytest.mark.parametrize("stage", [0, 1, 2, 3])
 def test_meta_mode_volume_identical_to_real(stage):
-    real = measure(stage, meta=False)
-    meta = measure(stage, meta=True)
-    for (rv, rp), (mv, mp_) in zip(real, meta):
-        assert rv == pytest.approx(mv)
-        assert set(rp) == set(mp_)
+    for mesh in (Mesh(dp=4), Mesh(dp=2, pp=2)):
+        real = measure(stage, meta=False, mesh=mesh)
+        meta = measure(stage, meta=True, mesh=mesh)
+        for (rv, rp), (mv, mp_) in zip(real, meta):
+            assert rv == pytest.approx(mv)
+            assert rp == pytest.approx(mp_)
+            if mesh.pp > 1:  # a stage boundary, both directions
+                assert {"pp-act", "pp-grad"} <= set(rp)
 
 
 def test_stage2_breakdown_is_reduce_plus_allgather():
