@@ -14,7 +14,7 @@ equals the engine's own simulated step clock to the last ulp.
 
 import numpy as np
 
-from repro import Cluster, GPTConfig, ZeROConfig
+from repro import Cluster, GPTConfig, InfinityConfig, ZeROConfig
 from repro.hardware.specs import GPUSpec, InterconnectSpec
 from repro.telemetry import TelemetrySession
 from repro.zero import build_model_and_engine
@@ -27,8 +27,9 @@ WORLD, STEPS = 4, 3
 def main():
     session = TelemetrySession(perfscope=True)
     cluster = Cluster(WORLD, gpu=GPU, telemetry=session)
-    zero = ZeROConfig(stage=2, offload_optimizer=True, offload_gradients=True,
-                      checkpoint_activations=False, memory_defrag=False)
+    offload = InfinityConfig(optimizer_tier="host", grad_tier="host", param_tier="device")
+    zero = ZeROConfig(stage=2, infinity=offload, checkpoint_activations=False,
+                      memory_defrag=False)
 
     def fn(ctx):
         model, engine = build_model_and_engine(

@@ -80,7 +80,8 @@ def main():
 
     runtime = engine.offload  # the InfinityEngine driving the tier clock
     inputs = StepInputs.uniform(
-        CONFIG, PLACEMENT, batch=BATCH, seq_len=SEQ, numel=engine.part_numel,
+        CONFIG, PLACEMENT, batch=BATCH, seq_len=SEQ,
+        checkpointing=zero.checkpoint_activations, numel=engine.part_numel,
         peak_flops=ctx.device.spec.peak_flops,
         grad_chunks=max(len(runtime.last_grad_pieces), 1), gathers=runtime.last_gathers,
     )

@@ -58,7 +58,6 @@ from repro.infinity.engine import InfinityEngine
 from repro.infinity.tiers import TierTopology
 from repro.integrity import (
     CorruptionDetectedError,
-    IntegrityConfig,
     VerifiedCheckpointRing,
 )
 from repro.obs import (
@@ -86,7 +85,6 @@ __all__ = [
     "Incident",
     "InfinityConfig",
     "InfinityEngine",
-    "IntegrityConfig",
     "LinkDegradeRule",
     "RankContext",
     "RankJitterRule",

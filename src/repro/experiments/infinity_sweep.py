@@ -189,7 +189,8 @@ def run_time() -> list[InfinityTimeRow]:
         sim = result.step_time_model_s
         runtime = engine.offload  # the InfinityEngine driving the clock
         inputs = StepInputs.uniform(
-            TIME_MODEL, inf, batch=TIME_BATCH, seq_len=TIME_SEQ, numel=engine.part_numel,
+            TIME_MODEL, inf, batch=TIME_BATCH, seq_len=TIME_SEQ,
+            checkpointing=zero.checkpoint_activations, numel=engine.part_numel,
             peak_flops=ctx.device.spec.peak_flops,
             grad_chunks=max(len(runtime.last_grad_pieces), 1), gathers=runtime.last_gathers,
         )

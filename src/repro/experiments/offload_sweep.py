@@ -15,7 +15,7 @@ Two results, in the spirit of the paper's Figure 4 democratization story:
    per-step transfer timeline. ``evaluate_step`` on
    ``StepInputs.uniform`` — equal gradient pieces, the inputs of
    ZeRO-Offload's closed-form streaming regimes — over the host-only
-   tiers the ``offload_*`` flags spell must land within 5% of the
+   placement (``offload_tiers``) must land within 5% of the
    engine's step time on its real pieces, across stages, gradient
    streaming, and DPU.
 """
@@ -29,6 +29,7 @@ import numpy as np
 from repro.analysis.max_model import max_layers
 from repro.analysis.memory_model import state_bytes_by_tier
 from repro.hardware.topology import ClusterTopology
+from repro.infinity.config import InfinityConfig
 from repro.infinity.schedule import StepInputs, steady_step
 from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
@@ -49,6 +50,15 @@ TIME_BATCH = 4
 TIME_SEQ = 1024
 TIME_ND = 2
 TIME_STEPS = 3  # last step is DPU steady state
+
+
+def offload_tiers(streamed: bool, dpu: bool = False) -> InfinityConfig:
+    """ZeRO-Offload's placement: host Adam state, gradients streamed to
+    the host or kept on the device, parameters on the device."""
+    return InfinityConfig(
+        optimizer_tier="host", grad_tier="host" if streamed else "device",
+        param_tier="device", delayed_param_update=dpu,
+    )
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class OffloadSweepResult:
 def run_fit(budgets_gb=BUDGETS_GB) -> list[OffloadFitRow]:
     """Single-GPU max trainable model, offload off vs on."""
     device_cfg = ZeROConfig(stage=2)
-    offload_cfg = replace(device_cfg, offload_optimizer=True, offload_gradients=True)
+    offload_cfg = replace(device_cfg, infinity=offload_tiers(streamed=True))
     host_budget = ClusterTopology.for_world_size(1).host_bytes_per_gpu
     rows = []
     for budget in budgets_gb:
@@ -116,9 +126,7 @@ def run_time() -> list[OffloadTimeRow]:
     rows = []
     for label, stage, streamed, dpu in TIME_CASES:
         zero = ZeROConfig(
-            stage=stage, memory_defrag=False,
-            offload_optimizer=True, offload_gradients=streamed,
-            delayed_param_update=dpu,
+            stage=stage, memory_defrag=False, infinity=offload_tiers(streamed, dpu),
         )
         ctx = virtual_rank_context(TIME_ND)
         model, engine = build_model_and_engine(
@@ -129,9 +137,10 @@ def run_time() -> list[OffloadTimeRow]:
         for _ in range(TIME_STEPS):
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
-        runtime, tiers = engine.offload, zero.tiers
+        runtime, tiers = engine.offload, zero.infinity
         inputs = StepInputs.uniform(
             TIME_MODEL, tiers, batch=TIME_BATCH, seq_len=TIME_SEQ,
+            checkpointing=zero.checkpoint_activations,
             numel=engine.part_numel, peak_flops=ctx.device.spec.peak_flops,
             grad_chunks=max(len(runtime.last_grad_pieces), 1),
         )

@@ -16,15 +16,15 @@ Detector math (row-aligned, deterministic):
   every rank has reported it, under one lock, so the verdict sequence is
   a pure function of the simulated durations — independent of thread
   interleaving.
-* Per rank, the observation is the **median of its last ``smooth``
+* Per rank, the observation is the **median of its last ``SMOOTH``
   samples** (de-noises single-step jitter); the baseline is the
   **median and MAD of the pooled last ``window`` rows across all
   ranks** (robust to <50% contamination, so the straggler's own inflated
   samples cannot drag the baseline up).
 * A rank is *anomalous* on a row when both its robust z-score
-  ``(x - med) / (1.4826 * MAD_floored)`` exceeds ``z_threshold`` **and**
+  ``(x - med) / (1.4826 * MAD_floored)`` exceeds ``Z_THRESHOLD`` **and**
   its slowdown ratio ``x / med`` exceeds ``slowdown_threshold``. The MAD
-  is floored at ``mad_floor_rel * med`` so noiseless (zero-jitter) runs
+  is floored at ``MAD_FLOOR_REL * med`` so noiseless (zero-jitter) runs
   do not divide by zero, and the ratio gate keeps small-sigma jitter
   from ever looking anomalous no matter how tight the MAD gets.
 * Verdict state machine with hysteresis::
@@ -67,6 +67,13 @@ CONFIRMED = "confirmed-slow"
 #: gauge encoding for health_verdict{rank}
 VERDICT_CODES = {HEALTHY: 0, SUSPECT: 1, CONFIRMED: 2}
 
+SMOOTH = 3  # per-rank smoothing (median of the last k samples)
+Z_THRESHOLD = 4.0  # robust z-score gate
+MAD_FLOOR_REL = 0.02  # MAD floor as a fraction of the median
+LINK_BASELINE_EVENTS = 8  # events pooled into the link baseline
+LINK_THRESHOLD = 2.0  # EWMA / baseline ratio -> degraded
+MIN_LINK_BYTES = 1024  # ignore latency-dominated tiny messages
+
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -75,27 +82,19 @@ class HealthConfig:
     ``healthy`` (the ratio gate alone guarantees that)."""
 
     window: int = 16            # pooled baseline rows (median + MAD)
-    smooth: int = 3             # per-rank smoothing (median of last k samples)
     min_history: int = 4        # rows before any verdict can change
-    z_threshold: float = 4.0    # robust z-score gate
     slowdown_threshold: float = 1.5  # x / median ratio gate
     suspect_after: int = 2      # consecutive anomalous rows -> suspect
     confirm_after: int = 4      # consecutive anomalous rows -> confirmed
     clear_after: int = 2        # consecutive clean rows -> healthy again
-    mad_floor_rel: float = 0.02  # MAD floor as a fraction of the median
     ewma_alpha: float = 0.3     # link s/byte EWMA weight
-    link_baseline_events: int = 8    # events pooled into the link baseline
-    link_threshold: float = 2.0      # EWMA / baseline ratio -> degraded
-    min_link_bytes: int = 1024       # ignore latency-dominated tiny messages
     evict_on_confirm: bool = True    # raise SlowRankDetectedError on confirm
 
     def __post_init__(self):
-        if self.window < 1 or self.smooth < 1 or self.min_history < 1:
-            raise ValueError("window, smooth, and min_history must be >= 1")
-        if self.z_threshold <= 0 or self.slowdown_threshold <= 1.0:
-            raise ValueError(
-                "z_threshold must be > 0 and slowdown_threshold > 1"
-            )
+        if self.window < 1 or self.min_history < 1:
+            raise ValueError("window and min_history must be >= 1")
+        if self.slowdown_threshold <= 1.0:
+            raise ValueError("slowdown_threshold must be > 1")
         if min(self.suspect_after, self.confirm_after, self.clear_after) < 1:
             raise ValueError("hysteresis counts must be >= 1")
         if self.confirm_after < self.suspect_after:
@@ -105,10 +104,6 @@ class HealthConfig:
             )
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
-        if self.mad_floor_rel < 0 or self.link_threshold <= 1.0:
-            raise ValueError(
-                "mad_floor_rel must be >= 0 and link_threshold > 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -299,7 +294,7 @@ class HealthMonitor:
         bridge: update the rank's s/byte EWMA and baseline."""
         bytes_ = event.message_bytes
         if (
-            bytes_ < self.config.min_link_bytes
+            bytes_ < MIN_LINK_BYTES
             or seconds <= 0.0
             or event.op in ("h2d", "d2h", "barrier")
         ):
@@ -308,9 +303,9 @@ class HealthMonitor:
         flagged = None
         with self._lock:
             state = self._state_locked(tracer.rank)
-            if len(state.link_samples) < self.config.link_baseline_events:
+            if len(state.link_samples) < LINK_BASELINE_EVENTS:
                 state.link_samples.append(sec_per_byte)
-                if len(state.link_samples) == self.config.link_baseline_events:
+                if len(state.link_samples) == LINK_BASELINE_EVENTS:
                     state.link_baseline = float(np.median(state.link_samples))
             a = self.config.ewma_alpha
             state.link_ewma = (
@@ -325,7 +320,7 @@ class HealthMonitor:
                             "link_slowdown_factor", rank=tracer.rank
                         )
                     state.link_gauge.set(factor)
-                if factor > self.config.link_threshold and not state.link_flagged:
+                if factor > LINK_THRESHOLD and not state.link_flagged:
                     state.link_flagged = True
                     flagged = factor
         if flagged is not None:
@@ -359,17 +354,17 @@ class HealthMonitor:
         ]
         med = float(np.median(pooled))
         mad = float(np.median([abs(v - med) for v in pooled]))
-        sigma = 1.4826 * max(mad, cfg.mad_floor_rel * med, 1e-12)
+        sigma = 1.4826 * max(mad, MAD_FLOOR_REL * med, 1e-12)
         transitions: list[HealthTransition] = []
         for r in range(self.world_size):
             state = self._ranks[r]
-            s_lo = max(0, row - cfg.smooth + 1)
+            s_lo = max(0, row - SMOOTH + 1)
             x = float(np.median(state.samples[s_lo:row + 1]))
             state.slowdown = x / med if med > 0 else 1.0
             state.z = (x - med) / sigma
             anomalous = (
                 row + 1 >= cfg.min_history
-                and state.z > cfg.z_threshold
+                and state.z > Z_THRESHOLD
                 and state.slowdown > cfg.slowdown_threshold
             )
             before = state.verdict
@@ -406,7 +401,7 @@ class HealthMonitor:
                         state.link_baseline
                         and state.link_ewma is not None
                         and state.link_ewma / state.link_baseline
-                        > cfg.link_threshold
+                        > LINK_THRESHOLD
                     )
                     else "compute"
                 )

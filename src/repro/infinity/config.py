@@ -5,8 +5,8 @@ shards, the fp16 gradient shards, and the fp32 optimizer state (master +
 Adam moments) each get a tier — device HBM, host DRAM, or NVMe. The
 config also carries the overlap knobs (prefetch depth, optimizer paging
 chunk size, memory-centric tile size) and the link/throughput overrides.
-ZeRO-Offload is the placement that stops at the host tier —
-``ZeROConfig``'s ``offload_*`` flags spell it.
+ZeRO-Offload is the placement that stops at the host tier:
+``InfinityConfig(optimizer_tier="host", grad_tier=..., param_tier="device")``.
 
 Placement never changes numerics: a tier is *where the bytes are
 accounted and what the transfers cost on the modeled clock*; the values
@@ -55,7 +55,6 @@ class InfinityConfig:
     pcie: InterconnectSpec | None = None
     nvme: InterconnectSpec | None = None
     cpu_adam_elements_per_s: float = CPU_ADAM_ELEMENTS_PER_S
-    checkpointing: bool = True
 
     def __post_init__(self):
         for label, tier in (

@@ -72,10 +72,13 @@ class InfinityEngine:
         config: InfinityConfig,
         model_config: GPTConfig,
         *,
+        checkpointing: bool,
         mesh: Mesh = Mesh(),
     ):
         self.config = config
         self.model_config = model_config
+        #: the model's recompute switch: whether backward prices a forward again
+        self.checkpointing = checkpointing
         self.mesh = mesh
         self.peak_flops = ctx.device.spec.peak_flops
         self.pcie = TierStream(
@@ -115,7 +118,7 @@ class InfinityEngine:
     def begin_micro(self, batch: int, seq_len: int) -> None:
         """Accrue one micro-batch's forward/backward compute time."""
         fwd, bwd = compute_split_seconds(
-            self.model_config, batch, seq_len, checkpointing=self.config.checkpointing,
+            self.model_config, batch, seq_len, checkpointing=self.checkpointing,
             mesh=self.mesh, peak_flops=self.peak_flops,
         )
         self._pending.fwd_s += fwd

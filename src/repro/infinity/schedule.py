@@ -110,6 +110,7 @@ class StepInputs:
         *,
         batch: int,
         seq_len: int,
+        checkpointing: bool,
         numel: int,
         peak_flops: float,
         grad_chunks: int = 1,
@@ -118,11 +119,13 @@ class StepInputs:
         """One micro-batch over a ``numel``-element fp16 shard, cut the way
         the closed forms assume: ``grad_chunks`` equal gradient pieces (or
         one boundary d2h when gradients stay on the device under a host
-        Adam). ``gathers`` is a per-pass ``(nbytes, tiles)`` profile, e.g.
-        an engine's ``last_gathers``; none by default."""
+        Adam). ``checkpointing`` is the model's recompute switch
+        (``ZeROConfig.checkpoint_activations``). ``gathers`` is a per-pass
+        ``(nbytes, tiles)`` profile, e.g. an engine's ``last_gathers``; none
+        by default."""
         part = 2 * numel
         fwd, bwd = compute_split_seconds(
-            model_config, batch, seq_len, checkpointing=config.checkpointing,
+            model_config, batch, seq_len, checkpointing=checkpointing,
             mesh=Mesh(), peak_flops=peak_flops,
         )
         streamed = config.grad_tier != "device"

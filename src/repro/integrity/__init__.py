@@ -11,20 +11,19 @@ package is the *detection and recovery* side of the SDC story (the
   plus a faster weighted-sum hash for the per-boundary guard);
 * ``audit``    — ``IntegrityAuditor``: per-boundary shard-digest guard,
   cadence-gated cross-rank audit of replicated state, anomaly sentinels
-  (enabled per-engine via ``IntegrityConfig`` /
-  ``ZeROConfig(audit_cadence=N)``);
+  (enabled per-engine via ``ZeROConfig(audit_cadence=N)``);
 * ``sentinel`` — rolling-median loss / grad-norm spike windows;
 * ``ring``     — ``VerifiedCheckpointRing``: last-K checksummed-and-
   verified checkpoints, the supervisor's rollback targets;
 * ``errors``   — ``CorruptionDetectedError``, which the ``Supervisor``
   maps to rollback (and quarantine on recurrence).
 
-Everything here is strictly opt-in: without an ``IntegrityConfig`` the
+Everything here is strictly opt-in: with ``audit_cadence=0`` the
 engines allocate nothing and behave byte-identically to builds that
 predate this package.
 """
 
-from repro.integrity.audit import IntegrityAuditor, IntegrityConfig
+from repro.integrity.audit import IntegrityAuditor
 from repro.integrity.digest import (
     digest_array,
     digest_scalars,
@@ -37,7 +36,6 @@ from repro.integrity.sentinel import SpikeWindow
 __all__ = [
     "CorruptionDetectedError",
     "IntegrityAuditor",
-    "IntegrityConfig",
     "SpikeWindow",
     "VerifiedCheckpointRing",
     "digest_array",

@@ -26,16 +26,14 @@ detectors over an engine, ordered cheapest-first:
    *applied* steps are observed, so an ordinary overflow-and-skip is
    never mistaken for corruption.
 
-Everything is off unless an ``IntegrityConfig`` is threaded through
-``EngineConfig.integrity`` (the factory does this when
-``ZeROConfig.audit_cadence > 0``); a disabled build allocates nothing
-and is byte-identical to pre-integrity behavior.
+Everything is off unless ``ZeROConfig.audit_cadence > 0``, which the
+engine reads; a disabled build allocates nothing and is byte-identical
+to pre-integrity behavior.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,52 +43,28 @@ from repro.integrity.sentinel import SpikeWindow
 from repro.zero.owned import capture_scalars
 
 
-@dataclass(frozen=True)
-class IntegrityConfig:
-    """Which detectors run, and how often."""
-
-    #: cross-rank replicated-state audit every N optimizer steps (>= 1).
-    audit_cadence: int = 10
-    #: verify owned-shard digests at every optimizer boundary.
-    guard_shards: bool = True
-    #: loss / grad-norm spike sentinels on applied steps.
-    sentinels: bool = True
-    sentinel_window: int = 16
-    sentinel_min_history: int = 4
-    #: flag a loss (grad norm) exceeding this factor x the rolling median.
-    loss_spike_factor: float = 1e3
-    grad_spike_factor: float = 1e4
-
-    def __post_init__(self):
-        if self.audit_cadence < 1:
-            raise ValueError(
-                f"audit_cadence must be >= 1, got {self.audit_cadence} "
-                "(leave EngineConfig.integrity as None to disable)"
-            )
+#: rolling window and warm-up of both spike sentinels (applied steps).
+SENTINEL_WINDOW = 16
+SENTINEL_MIN_HISTORY = 4
+#: flag a loss (grad norm) exceeding this factor x the rolling median.
+LOSS_SPIKE_FACTOR = 1e3
+GRAD_SPIKE_FACTOR = 1e4
 
 
 class IntegrityAuditor:
     """Per-engine SDC detector stack (see module docstring)."""
 
-    def __init__(self, engine, config: IntegrityConfig):
+    def __init__(self, engine, audit_cadence: int):
         # The engine owns its auditor; a strong back-pointer would make a
         # cycle that keeps a dead incarnation's state alive until a gc pass.
         self.engine = weakref.proxy(engine)
-        self.config = config
+        #: cross-rank replicated-state audit every N optimizer steps.
+        self.audit_cadence = audit_cadence
         self.rank = engine.ctx.rank
         self._recorded: dict[str, int] = {}
-        self._loss_sentinel = self._grad_sentinel = None
-        if config.sentinels:
-            common = dict(
-                window=config.sentinel_window,
-                min_history=config.sentinel_min_history,
-            )
-            self._loss_sentinel = SpikeWindow(
-                "loss", spike_factor=config.loss_spike_factor, **common
-            )
-            self._grad_sentinel = SpikeWindow(
-                "grad-norm", spike_factor=config.grad_spike_factor, **common
-            )
+        common = dict(window=SENTINEL_WINDOW, min_history=SENTINEL_MIN_HISTORY)
+        self._loss_sentinel = SpikeWindow("loss", spike_factor=LOSS_SPIKE_FACTOR, **common)
+        self._grad_sentinel = SpikeWindow("grad-norm", spike_factor=GRAD_SPIKE_FACTOR, **common)
         self.record_shards()
 
     # -- telemetry ---------------------------------------------------------
@@ -204,18 +178,16 @@ class IntegrityAuditor:
         """Optimizer-boundary hook, before gradients are reduced: verify
         the owned shards the optimizer is about to consume, then (at the
         configured cadence) run the cross-rank audit."""
-        if self.config.guard_shards:
-            self.verify_shards(step)
-        if step % self.config.audit_cadence == 0:
+        self.verify_shards(step)
+        if step % self.audit_cadence == 0:
             self.cross_rank_audit(step)
 
     def after_optimizer(self, step: int, applied: bool, loss: float | None) -> None:
         """Post-update hook: re-fingerprint the legitimately rewritten
         shards, then feed the sentinels (applied steps only — overflow
         skips belong to the loss scaler, not the corruption detectors)."""
-        if self.config.guard_shards:
-            self.record_shards()
-        if applied and loss is not None and self._loss_sentinel is not None:
+        self.record_shards()
+        if applied and loss is not None:
             reason = self._loss_sentinel.observe(loss)
             if reason is not None:
                 raise self._detected(
@@ -224,8 +196,6 @@ class IntegrityAuditor:
 
     def note_grad_norm(self, norm_sq: float) -> None:
         """Global-grad-norm observation from the clip path (applied steps)."""
-        if self._grad_sentinel is None:
-            return
         reason = self._grad_sentinel.observe(float(np.sqrt(norm_sq)))
         if reason is not None:
             raise self._detected(

@@ -30,7 +30,7 @@ from repro.utils.units import bytes_to_str
 _KNOB_BY_CATEGORY = {
     "optimizer_state": (
         "zero_stage>=1 (Pos, §5.1) — partition optimizer state across ranks, "
-        "or offload_optimizer=True to move it to host DRAM"
+        "or infinity=InfinityConfig(optimizer_tier='host') to move it to host DRAM"
     ),
     "grad_fp16": "zero_stage>=2 (Pos+g, §5.2) — partition fp16 gradients",
     "param_fp16": "zero_stage=3 (Pos+g+p, §5.3) — partition fp16 parameters",

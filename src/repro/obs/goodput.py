@@ -145,9 +145,7 @@ class SLOPolicy:
     """Configurable run-level SLO monitors; ``None`` disables a monitor."""
 
     min_goodput_pct: float | None = None
-    max_mttd_s: float | None = None
     max_mttr_s: float | None = None
-    max_lost_steps: int | None = None
     max_incidents: int | None = None
 
     def check(
@@ -171,16 +169,6 @@ class SLOPolicy:
             ))
         for inc in incidents:
             if (
-                self.max_mttd_s is not None
-                and inc.mttd_s is not None
-                and inc.mttd_s > self.max_mttd_s
-            ):
-                violations.append(SLOViolation(
-                    "max_mttd_s", self.max_mttd_s, inc.mttd_s,
-                    f"incident {inc.index} ({inc.kind}) took "
-                    f"{inc.mttd_s:.6f}s to detect",
-                ))
-            if (
                 self.max_mttr_s is not None
                 and inc.mttr_s is not None
                 and inc.mttr_s > self.max_mttr_s
@@ -190,16 +178,6 @@ class SLOPolicy:
                     f"incident {inc.index} ({inc.kind}) took "
                     f"{inc.mttr_s:.6f}s to recover",
                 ))
-        if (
-            self.max_lost_steps is not None
-            and report.lost_steps_total > self.max_lost_steps
-        ):
-            violations.append(SLOViolation(
-                "max_lost_steps", float(self.max_lost_steps),
-                float(report.lost_steps_total),
-                f"{report.lost_steps_total} completed steps were lost "
-                f"(budget {self.max_lost_steps})",
-            ))
         if (
             self.max_incidents is not None
             and report.n_incidents > self.max_incidents

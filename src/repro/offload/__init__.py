@@ -1,6 +1,6 @@
 """ZeRO-Offload is the host-only placement of ``repro.infinity``:
-``ZeROConfig(offload_*=...)`` spells an ``InfinityConfig`` that stops at the
-host tier, and one runtime and one schedule serve both (the host Adam's
-cost lives in ``repro.infinity.schedule``). What is left here is
-``engine``, a stub hostbench's probe resolves by name.
+``InfinityConfig(optimizer_tier="host", ...)`` stops at the host tier, and
+one runtime and one schedule serve both (the host Adam's cost lives in
+``repro.infinity.schedule``). What is left here is ``engine``, a stub
+hostbench's probe resolves by name.
 """

@@ -25,6 +25,7 @@ from repro.optim.scaler import LossScaler
 from repro.parallel.engine import BaseEngine, EngineConfig
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
+from repro.zero.config import ZeROConfig
 
 
 def _unhook(params: Sequence[Parameter]) -> None:
@@ -86,9 +87,10 @@ class DDPEngine(BaseEngine):
         ctx: RankContext,
         model: GPT2Model,
         dp_group: ProcessGroup,
+        zero: ZeROConfig,
         config: EngineConfig | None = None,
     ):
-        super().__init__(ctx, model, dp_group, config)
+        super().__init__(ctx, model, dp_group, zero, config)
         self.opt_state = FlatAdamState(
             self.layout.numel, device=ctx.device, hp=self.config.adam,
             meta=self.is_meta, tag="ddp-adam",

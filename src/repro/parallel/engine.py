@@ -31,11 +31,13 @@ from repro.optim.scaler import LossScaler
 from repro.parallel.lifecycle import Lifecycle
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
+from repro.zero.config import ZeROConfig
 
 
 @dataclass
 class EngineConfig:
-    """Knobs shared by all engines."""
+    """Training knobs shared by all engines. What ZeRO decides (stage,
+    tiers, CB, the SDC audit) is the engine's ``ZeROConfig``."""
 
     adam: AdamHyperparams = field(default_factory=AdamHyperparams)
     loss_scale: float = 1.0
@@ -49,12 +51,6 @@ class EngineConfig:
     # gradients (stages 2-3) reduce every micro-step and accumulate in
     # their 1/Nd shard, keeping gradient memory at 2 Psi / Nd throughout.
     gradient_accumulation_steps: int = 1
-    # Fused fp32 working buffer for the optimizer/reduction path:
-    #   None -> a transient full-model fp32 buffer (the Section 3.2
-    #           "temporary buffer" that grows with Psi; 6 GB at 1.5B);
-    #   int  -> ZeRO-R CB: a persistent constant-size buffer; work is
-    #           chunked through it regardless of model size.
-    fused_buffer_numel: int | None = None
     # Optional step -> lr schedule (repro.optim.lr_schedule). When set, it
     # overrides adam.lr at every optimizer boundary, identically on every
     # rank, so the cross-stage equivalence guarantees are unaffected.
@@ -68,15 +64,6 @@ class EngineConfig:
     # partition norm^2, summed across the DP group, sqrt — then every rank
     # applies the identical scale factor.
     grad_clip_norm: float | None = None
-    # Optional repro.integrity.IntegrityConfig: SDC detectors (shard
-    # digest guard, cross-rank replicated-state audit, loss/grad-norm
-    # sentinels). None (the default) allocates nothing.
-    integrity: "IntegrityConfig | None" = None
-    # Optional repro.infinity.InfinityConfig: the tier (device -> host ->
-    # NVMe) each model-state class lives on, with a modeled transfer
-    # timeline; ZeRO-Offload is the placement that stops at the host.
-    # Only the partitioned engines (ZeRO stages 1-3) support it.
-    infinity: "InfinityConfig | None" = None
 
 
 @dataclass
@@ -102,18 +89,29 @@ class BaseEngine:
         ctx: RankContext,
         model: GPT2Model,
         dp_group: ProcessGroup,
+        zero: ZeROConfig,
         config: EngineConfig | None = None,
     ):
+        if zero.stage != self.stage:
+            raise ValueError(
+                f"{type(self).__name__} runs ZeRO stage {self.stage}, "
+                f"got a stage-{zero.stage} ZeROConfig"
+            )
+        #: (partitioned, tier) per state class, resolved from the config
+        #: again: one that got around its constructor still meets the one
+        #: validity error when a tier parks a class this stage replicates.
+        self.placement = zero.placement
         self.ctx = ctx
         self.model = model
         self.dp_group = dp_group
+        self.zero = zero
         self.config = config or EngineConfig()
         dp_group.attach_ledger(ctx.rank, ctx.ledger)
         params = model.parameters()
         if not params:
             raise ValueError("model has no parameters")
         # Imported here: repro.zero's engines import this module.
-        from repro.zero.placement import Mesh, state_placement
+        from repro.zero.placement import Mesh
 
         mp_group, pp_group = model.mp_group, model.pp_group
         #: the DP x MP x PP degrees this rank runs under, resolved once.
@@ -121,7 +119,7 @@ class BaseEngine:
             dp=dp_group.size, mp=1 if mp_group is None else mp_group.size,
             pp=1 if pp_group is None else pp_group.size,
         )
-        if self.config.infinity is not None and self.mesh.pp > 1:
+        if zero.infinity is not None and self.mesh.pp > 1:
             raise ValueError(
                 f"tier placement (infinity) does not run on a pipeline mesh: the pp axis "
                 f"is {self.mesh.pp}; build the stage with every state on the device"
@@ -169,26 +167,24 @@ class BaseEngine:
             )
         # Persistent constant-size fused buffer (CB) if configured.
         self._cb_buffer: Tensor | None = None
-        if self.config.fused_buffer_numel is not None:
+        if zero.constant_buffers:
             with memprof_category("comm_buffer", site="cb-fused-buffer"):
                 # An accounting reservation, like the transient one in
                 # ``with_fused_buffer``: nothing reads its bytes, so it
                 # carries none even in real mode.
                 self._cb_buffer = Tensor(
-                    (self.config.fused_buffer_numel,), np.dtype(np.float32),
+                    (zero.constant_buffer_numel,), np.dtype(np.float32),
                     data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
-        #: (partitioned, tier) per state class; raises the one validity
-        #: error when a tier config parks a class this stage replicates.
-        self.placement = state_placement(self.stage, self.config.infinity)
         # The tier runtime: owns the transfer streams and the step-time
         # model. Placement changes live in the ZeRO engines.
         self.offload = None
-        if self.config.infinity is not None:
+        if zero.infinity is not None:
             from repro.infinity.engine import InfinityEngine
 
             self.offload = InfinityEngine(
-                ctx, self.config.infinity, model.config, mesh=self.mesh
+                ctx, zero.infinity, model.config, mesh=self.mesh,
+                checkpointing=model.checkpoint_activations,
             )
         # repro.integrity's detectors and repro.redundancy's manager are built
         # with the lifecycle, at the first train_step: the subclass's optimizer
@@ -328,10 +324,10 @@ class BaseEngine:
     def _assemble_lifecycle(self) -> Lifecycle:
         """Once per engine, at the first step: build the detectors that
         need the optimizer state, then fix who acts at which point."""
-        if self.config.integrity is not None and not self.is_meta:
+        if self.zero.audit_cadence and not self.is_meta:
             from repro.integrity.audit import IntegrityAuditor
 
-            self.integrity = IntegrityAuditor(self, self.config.integrity)
+            self.integrity = IntegrityAuditor(self, self.zero.audit_cadence)
         if self.ctx.redundancy is not None and not self.is_meta:
             from repro.redundancy.manager import RedundancyManager
 
@@ -441,7 +437,7 @@ class BaseEngine:
 
         forward_s, backward_s = compute_split_seconds(
             self.model.config, batch, seq_len,
-            checkpointing=bool(getattr(self.model, "checkpoint_activations", False)),
+            checkpointing=self.model.checkpoint_activations,
             mesh=self.mesh, peak_flops=self.ctx.device.spec.peak_flops,
         )
         # A pipeline's boundary micro-step runs every deferred backward too.

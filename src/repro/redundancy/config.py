@@ -21,8 +21,8 @@ TIERS = ("host", "nvme")
 class RedundancyConfig:
     """Where each rank's owned shards get a second home.
 
-    ``buddy_offset`` picks the replica holder ``(rank + offset) % world``
-    (replica scheme). ``group_size`` is the number of *data* members per
+    The replica holder is the next rank, ``(rank + 1) % world`` (replica
+    scheme). ``group_size`` is the number of *data* members per
     XOR parity group (ec scheme); the parity block is held by the rank
     after the group's last member. ``tier`` is the landing tier on the
     holder ("host" DRAM or "nvme"). ``refresh_every`` trades refresh
@@ -33,7 +33,6 @@ class RedundancyConfig:
     """
 
     scheme: str = "replica"
-    buddy_offset: int = 1
     group_size: int = 2
     tier: str = "host"
     refresh_every: int = 1
@@ -44,8 +43,6 @@ class RedundancyConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.tier not in TIERS:
             raise ValueError(f"tier must be one of {TIERS}, got {self.tier!r}")
-        if self.buddy_offset < 1:
-            raise ValueError(f"buddy_offset must be >= 1, got {self.buddy_offset}")
         if self.group_size < 2:
             raise ValueError(f"group_size must be >= 2, got {self.group_size}")
         if self.refresh_every < 1:
@@ -58,7 +55,7 @@ class RedundancyConfig:
     def replica_holder(self, owner: int, world: int) -> int | None:
         """Rank whose tier holds ``owner``'s replica (None when the world
         is too small for the holder to differ from the owner)."""
-        holder = (owner + self.buddy_offset) % world
+        holder = (owner + 1) % world
         return None if holder == owner else holder
 
     def group_members(self, owner: int, world: int) -> tuple[int, ...]:

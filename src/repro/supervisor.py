@@ -70,7 +70,6 @@ propagate immediately.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
@@ -90,7 +89,6 @@ class RestartPolicy:
 
     max_restarts: int = 3       # relaunches before the failure is re-raised
     min_world_size: int = 1     # below this many survivors, give up
-    restart_backoff_s: float = 0.0  # pause between teardown and relaunch
     # Corruption detections attributed to the same rank before that rank
     # is presumed bad hardware and quarantined (elastic shrink by one).
     # Below the threshold a detection triggers a same-world rollback.
@@ -364,8 +362,6 @@ class Supervisor:
                         f"min_world_size {self.policy.min_world_size}"
                     )
                     raise
-                if self.policy.restart_backoff_s:
-                    time.sleep(self.policy.restart_backoff_s)
                 world = new_world
                 continue
             if rec is not None:

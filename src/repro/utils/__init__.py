@@ -11,7 +11,6 @@ from repro.utils.units import (
     TFLOP,
     TRILLION,
     bytes_to_str,
-    params_to_str,
 )
 from repro.utils.seeding import derive_seed, rng_for
 from repro.utils.tables import format_table
@@ -27,7 +26,6 @@ __all__ = [
     "TFLOP",
     "TRILLION",
     "bytes_to_str",
-    "params_to_str",
     "derive_seed",
     "rng_for",
     "format_table",

@@ -11,7 +11,6 @@ are genuinely wanted (never for reproducing paper numbers).
 from __future__ import annotations
 
 # Parameter-count units (decimal, as in "7.5B parameters").
-THOUSAND = 1_000
 MILLION = 1_000_000
 BILLION = 1_000_000_000
 TRILLION = 1_000_000_000_000
@@ -30,16 +29,6 @@ GIB = 1024.0**3
 GFLOP = 1e9
 TFLOP = 1e12
 PFLOP = 1e15
-
-
-def params_to_str(n_params: float) -> str:
-    """Render a parameter count the way the paper writes it (e.g. '7.5B')."""
-    for unit, suffix in ((TRILLION, "T"), (BILLION, "B"), (MILLION, "M"), (THOUSAND, "K")):
-        if n_params >= unit:
-            value = n_params / unit
-            text = f"{value:.2f}".rstrip("0").rstrip(".")
-            return f"{text}{suffix}"
-    return str(int(n_params))
 
 
 def bytes_to_str(n_bytes: float) -> str:

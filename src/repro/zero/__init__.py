@@ -15,7 +15,7 @@ from repro.zero.activation import PartitionedCPUStore, PartitionedStore
 from repro.zero.config import C1, C2, C3, C4, C5, PAPER_CONFIGS, ZeROConfig
 from repro.zero.stage12 import ZeroStage1Engine, ZeroStage2Engine
 from repro.zero.stage3 import ZeroStage3Engine
-from repro.zero.factory import build_engine, build_model_and_engine
+from repro.zero.factory import build_model_and_engine
 from repro.zero.checkpoint_io import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ZeroStage1Engine",
     "ZeroStage2Engine",
     "ZeroStage3Engine",
-    "build_engine",
     "build_model_and_engine",
     "load_checkpoint",
     "save_checkpoint",

@@ -25,14 +25,6 @@ class ZeROConfig:
     constant_buffer_numel: int = 1 << 22  # 4M elements (16 MB fp32)
     memory_defrag: bool = True  # MD
     checkpoint_activations: bool = True
-    # ZeRO-Offload: host-resident fp32 Adam state + update (drops the
-    # K Psi / Nd term from device memory), optionally with the gradient
-    # shard host-resident too (drops 2 Psi / Nd more, streamed over PCIe
-    # during backward) and the one-step delayed parameter update schedule.
-    # Sugar for the host-only ``infinity`` placement (see ``tiers``).
-    offload_optimizer: bool = False
-    offload_gradients: bool = False
-    delayed_param_update: bool = False
     # SDC defense (repro.integrity): run the cross-rank replicated-state
     # audit every N optimizer steps, plus the per-boundary shard-digest
     # guard and the loss/grad-norm sentinels. 0 (the default) disables
@@ -41,9 +33,11 @@ class ZeROConfig:
     audit_cadence: int = 0
     # ZeRO-Infinity (repro.infinity): place each state class (fp16 params,
     # grads, fp32 optimizer state) on a device/host/NVMe tier, with paged
-    # stage-3 gathers and memory-centric tiling. Mutually exclusive with
-    # the offload_* flags above, which spell its (os@host, g@device|host,
-    # p@device) special case.
+    # stage-3 gathers and memory-centric tiling. ZeRO-Offload is its
+    # host-only case: InfinityConfig(optimizer_tier="host", grad_tier=
+    # "device" or "host", param_tier="device"), optionally with the
+    # one-step delayed parameter update. None keeps every state on the
+    # device.
     infinity: "InfinityConfig | None" = None
 
     def __post_init__(self):
@@ -53,9 +47,6 @@ class ZeROConfig:
             )
         # The one placement rule: a state class may leave the device only
         # if it is partitioned — by this stage, or by Pa for Pa+cpu.
-        # (Resolving the tier config runs its checks too: infinity excludes
-        # the offload_* flags, and host gradients and DPU need the host
-        # optimizer.)
         self.placement
 
     @property
@@ -64,34 +55,7 @@ class ZeROConfig:
         to — what the factory, the stores and ``repro.analysis`` read."""
         activation_tier = "host" if self.cpu_offload_activations else "device"
         return state_placement(
-            self.stage, self.tiers, Placed(self.partition_activations, activation_tier)
-        )
-
-    @property
-    def tiers(self) -> "InfinityConfig | None":
-        """The tier config this asks for: ``infinity``, else the host-only
-        ``InfinityConfig`` the ``offload_*`` flags spell, else None (every
-        state class on the device)."""
-        flags = self.offload_optimizer or self.offload_gradients or self.delayed_param_update
-        if self.infinity is not None:
-            if flags:
-                raise ValueError(
-                    "infinity and the offload_* flags are mutually exclusive — "
-                    "express ZeRO-Offload as InfinityConfig(optimizer_tier='host')"
-                )
-            return self.infinity
-        if not flags:
-            return None
-        # Imported here: repro.infinity reaches repro.analysis, which
-        # imports this module.
-        from repro.infinity.config import InfinityConfig
-
-        return InfinityConfig(
-            optimizer_tier="host" if self.offload_optimizer else "device",
-            grad_tier="host" if self.offload_gradients else "device",
-            param_tier="device",
-            delayed_param_update=self.delayed_param_update,
-            checkpointing=self.checkpoint_activations,
+            self.stage, self.infinity, Placed(self.partition_activations, activation_tier)
         )
 
     @property
@@ -104,10 +68,6 @@ class ZeROConfig:
             extras.append("MD")
         if self.partition_activations:
             extras.append("Pa+cpu" if self.cpu_offload_activations else "Pa")
-        if self.offload_optimizer:
-            extras.append("off-g+os" if self.offload_gradients else "off-os")
-        if self.delayed_param_update:
-            extras.append("DPU")
         if self.audit_cadence:
             extras.append(f"SDC@{self.audit_cadence}")
         if self.infinity is not None:

@@ -3,8 +3,9 @@
 ``build_model_and_engine`` assembles the full stack one rank sees:
 optionally MP-parallel model, activation checkpointing with the configured
 store (Pa / Pa+cpu), MD defrag region on the device, and the engine for
-the configured ZeRO stage. The paper's usability pitch (Section 10.4) is
-that this is all a user does — no model surgery.
+the configured ZeRO stage, which reads every ZeRO decision (tiers, CB, the
+SDC audit) from the same ``ZeROConfig``. The paper's usability pitch
+(Section 10.4) is that this is all a user does — no model surgery.
 """
 
 from __future__ import annotations
@@ -30,30 +31,6 @@ ENGINE_BY_STAGE = {
 }
 #: the partitioned-activation store for each tier of the ``activation`` row
 PA_STORE_BY_TIER = {"device": PartitionedStore, "host": PartitionedCPUStore}
-
-
-def build_engine(
-    ctx: RankContext,
-    model: GPT2Model,
-    dp_group: ProcessGroup,
-    zero: ZeROConfig,
-    engine_config: EngineConfig | None = None,
-) -> BaseEngine:
-    """Wrap an existing model in the engine for ``zero.stage``."""
-    from dataclasses import replace
-
-    config = engine_config or EngineConfig()
-    if zero.constant_buffers and config.fused_buffer_numel is None:
-        config = replace(config, fused_buffer_numel=zero.constant_buffer_numel)
-    if config.infinity is None:
-        config = replace(config, infinity=zero.tiers)
-    if zero.audit_cadence and config.integrity is None:
-        from repro.integrity import IntegrityConfig
-
-        config = replace(
-            config, integrity=IntegrityConfig(audit_cadence=zero.audit_cadence)
-        )
-    return ENGINE_BY_STAGE[zero.stage](ctx, model, dp_group, config)
 
 
 def build_model_and_engine(
@@ -103,7 +80,7 @@ def build_model_and_engine(
     )
     if zero.memory_defrag and md_region_bytes:
         ctx.device.enable_defrag(md_region_bytes, _md_tag_predicate)
-    engine = build_engine(ctx, model, dp_group, zero, engine_config)
+    engine = ENGINE_BY_STAGE[zero.stage](ctx, model, dp_group, zero, engine_config)
     return model, engine
 
 

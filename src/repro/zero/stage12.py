@@ -41,6 +41,7 @@ from repro.parallel.ddp import GradBucketQueue
 from repro.parallel.engine import BaseEngine, EngineConfig
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
+from repro.zero.config import ZeROConfig
 
 
 class _ZeroDPBase(BaseEngine):
@@ -53,9 +54,10 @@ class _ZeroDPBase(BaseEngine):
         ctx: RankContext,
         model: GPT2Model,
         dp_group: ProcessGroup,
+        zero: ZeROConfig,
         config: EngineConfig | None = None,
     ):
-        super().__init__(ctx, model, dp_group, config)
+        super().__init__(ctx, model, dp_group, zero, config)
         self.nd = dp_group.size
         self.my_index = dp_group.group_index(ctx.rank)
         self.part_lo, self.part_hi = self.layout.partition_bounds(self.nd, self.my_index)
@@ -66,7 +68,7 @@ class _ZeroDPBase(BaseEngine):
         # numeric change (staleness contract in repro.infinity.engine).
         self._host_adam = placed["optimizer"].tier != "device"
         self._stream_grads = placed["grad"].tier != "device"
-        self._dpu = self.offload is not None and self.offload.config.delayed_param_update
+        self._dpu = zero.infinity is not None and zero.infinity.delayed_param_update
         # Allocation order on every pool is optimizer state, parameter
         # shard, gradient shard — the reserved-bytes baselines depend on it.
         part32 = None if self.is_meta else self.layout.gather_param_range(

@@ -42,6 +42,7 @@ from repro.optim.flat import ParamSlot
 from repro.parallel.engine import EngineConfig
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
+from repro.zero.config import ZeROConfig
 from repro.zero.stage12 import _ZeroDPBase
 
 
@@ -64,9 +65,10 @@ class ZeroStage3Engine(_ZeroDPBase):
         ctx: RankContext,
         model: GPT2Model,
         dp_group: ProcessGroup,
+        zero: ZeROConfig,
         config: EngineConfig | None = None,
     ):
-        super().__init__(ctx, model, dp_group, config)
+        super().__init__(ctx, model, dp_group, zero, config)
         # ZeRO-Infinity: the fp16 parameter shard itself sits on a lower
         # tier and is paged in per unit gather.
         self._page_params = self.placement["param"].tier != "device"
@@ -96,7 +98,7 @@ class ZeroStage3Engine(_ZeroDPBase):
             lo, hi = slots[0].offset, slots[-1].end
             tiles = None
             if self._page_params:
-                tiles = plan_unit_tiles(hi - lo, itemsize, self.config.infinity.tile_bytes)
+                tiles = plan_unit_tiles(hi - lo, itemsize, zero.infinity.tile_bytes)
             self._units[unit.name] = (lo, hi, params, slots, tiles)
             self._charge(unit.name, [p.data.data for p in params], model.name, model.name)
             for p in params:

@@ -12,6 +12,7 @@ from repro.parallel.ddp import GradBucketQueue
 from repro.parallel.engine import EngineConfig
 from repro.nn.layers import make_param
 from repro.zero.config import C1, C2, C3, C4, C5, PAPER_CONFIGS
+from repro.runtime import virtual_rank_context
 from repro.zero.factory import build_model_and_engine
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
@@ -49,15 +50,14 @@ class TestGradBucketQueue:
 
 
 class TestConstantBuffers:
-    def _run(self, fused_numel):
+    def _run(self, constant_buffers):
         cluster = Cluster(2, gpu=GPU, timeout_s=60.0)
 
         def fn(ctx):
-            zero = ZeROConfig(stage=0, checkpoint_activations=False,
-                              memory_defrag=False, constant_buffers=False)
+            zero = ZeROConfig(stage=0, checkpoint_activations=False, memory_defrag=False,
+                              constant_buffers=constant_buffers, constant_buffer_numel=4096)
             model, engine = build_model_and_engine(
                 ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=0,
-                engine_config=EngineConfig(fused_buffer_numel=fused_numel),
             )
             ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=0)
             r = engine.train_step(ids, tgt)
@@ -67,11 +67,11 @@ class TestConstantBuffers:
         return cluster.run(fn)
 
     def test_cb_buffer_size_is_constant_config(self):
-        results = self._run(4096)
+        results = self._run(True)
         assert results[0][1] == 4096 * 4  # fp32 elements
 
     def test_no_cb_means_transient_full_buffer(self):
-        results = self._run(None)
+        results = self._run(False)
         assert results[0][1] is None
 
     def test_cb_chunking_changes_nothing_numerically(self):
@@ -204,10 +204,20 @@ class TestEngineInputs:
         def fn(ctx):
             empty = Module("empty")
             with pytest.raises(ValueError, match="no parameters"):
-                DDPEngine(ctx, empty, ctx.world)
+                DDPEngine(ctx, empty, ctx.world, ZeROConfig())
             return True
 
         assert cluster.run(fn) == [True]
+
+    def test_an_engine_refuses_a_config_of_another_stage(self):
+        from repro.zero.factory import ENGINE_BY_STAGE
+
+        ctx = virtual_rank_context(2, gpu=GPU)
+        model, _ = build_model_and_engine(ctx, CFG, ZeROConfig(), dp_group=ctx.world, meta=True)
+        for stage, engine_cls in ENGINE_BY_STAGE.items():
+            other = ZeROConfig(stage=(stage + 1) % 4)
+            with pytest.raises(ValueError, match=f"runs ZeRO stage {stage}"):
+                engine_cls(ctx, model, ctx.world, other)
 
 
 class TestStepLifecycle:

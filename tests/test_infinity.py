@@ -311,9 +311,6 @@ def test_zero_config_gates_infinity_by_stage():
         ZeROConfig(stage=1, infinity=InfinityConfig(grad_tier="host"))
     with pytest.raises(ValueError):  # paged params need stage 3
         ZeROConfig(stage=2, infinity=InfinityConfig(param_tier="nvme"))
-    with pytest.raises(ValueError):  # legacy offload flags are exclusive
-        ZeROConfig(stage=2, offload_optimizer=True,
-                   infinity=InfinityConfig(grad_tier="device"))
     label = ZeROConfig(
         stage=3, infinity=InfinityConfig(param_tier="nvme")
     ).label
@@ -321,14 +318,16 @@ def test_zero_config_gates_infinity_by_stage():
 
 
 def test_unpartitioned_engine_rejects_infinity():
+    """The DDP engine resolves the config's placement itself: a tier config
+    set around ``ZeROConfig``'s constructor meets the same refusal."""
+    from repro.parallel.ddp import DDPEngine
+
     ctx = virtual_rank_context(1, gpu=GPU)
-    with pytest.raises(ValueError):
-        build_model_and_engine(
-            ctx, CFG, ZeROConfig(stage=0), dp_group=ctx.world, meta=True,
-            engine_config=EngineConfig(
-                infinity=InfinityConfig(grad_tier="device")
-            ),
-        )
+    model, _ = build_model_and_engine(ctx, CFG, ZeROConfig(), dp_group=ctx.world, meta=True)
+    zero = ZeROConfig()
+    object.__setattr__(zero, "infinity", InfinityConfig(grad_tier="device"))
+    with pytest.raises(ValueError, match="requires a partitioned"):
+        DDPEngine(ctx, model, ctx.world, zero)
 
 
 # -- checkpoints: tier-placement-independent ----------------------------------
@@ -489,8 +488,8 @@ def assert_schedule_meets_oracles(
     unit = part // gather_units if gather_units else 0
     gathers = {"forward": [(unit, 1)] * gather_units, "backward": [(unit, 1)] * gather_units}
     inputs = StepInputs.uniform(
-        model, cfg, batch=4, seq_len=1024, numel=numel, peak_flops=peak_flops,
-        grad_chunks=grad_chunks, gathers=gathers,
+        model, cfg, batch=4, seq_len=1024, checkpointing=True, numel=numel,
+        peak_flops=peak_flops, grad_chunks=grad_chunks, gathers=gathers,
     )
     sched = steady_step(inputs, cfg, PCIE_3_X16, NVME_RAID)
     chain = pcie(unit) + hop(cfg.param_tier, unit)
@@ -600,41 +599,30 @@ def meta_clock(zero, *, world=2, mp=1, steps=3):
     return cluster.run(fn)
 
 
-@pytest.mark.parametrize("dpu", [False, True], ids=["sync", "dpu"])
-def test_offload_flags_equal_host_only_placement_exactly(dpu):
-    """``offload_*`` flags and the equivalent host-only ``InfinityConfig``
-    are evaluated by one schedule: same clock to the bit, same traffic."""
-    legacy = meta_clock(ZeROConfig(
-        stage=2, memory_defrag=False, offload_optimizer=True,
-        offload_gradients=True, delayed_param_update=dpu,
-    ))
-    tiered = meta_clock(ZeROConfig(
-        stage=2, memory_defrag=False,
-        infinity=InfinityConfig(delayed_param_update=dpu, **HOST_ONLY),
-    ))
-    for (off_reports, off_ledger), (inf_reports, inf_ledger) in zip(legacy, tiered):
-        assert len(off_reports) == len(inf_reports) == 3
-        for off, inf in zip(off_reports, inf_reports):
-            assert off.step_s == inf.step_s
-            assert off.grads_ready_s == inf.grads_ready_s
-            assert off.carry_in_s == inf.carry_in_s
-        assert off_ledger == inf_ledger
-    if dpu:
-        assert legacy[0][0][-1].carry_in_s > 0.0  # the carry really was exercised
+def test_tier_runtime_prices_the_recompute_the_model_runs():
+    """The tier runtime's compute window is the traced forward + backward:
+    without activation checkpointing it prices no recompute."""
+    ctx = virtual_rank_context(4, gpu=GPU)
+    zero = ZeROConfig(
+        stage=2, checkpoint_activations=False, memory_defrag=False,
+        infinity=InfinityConfig(optimizer_tier="host", grad_tier="device", param_tier="device"),
+    )
+    _, engine = build_model_and_engine(ctx, CFG, zero, dp_group=ctx.world, meta=True)
+    ids = Tensor.meta((2, 16), np.int64, device=ctx.device)
+    engine.train_step(ids, ids)
+    assert engine.offload.reports[-1].compute_s == sum(engine._compute_split(2, 16))
 
 
 def test_offload_compute_window_divides_by_mp_degree():
-    """Under tensor parallelism both runtimes price the compute window
+    """Under tensor parallelism the runtime prices the compute window
     over this rank's 1/mp share of the FLOPs."""
-    base = dict(stage=1, memory_defrag=False)
-    legacy = meta_clock(ZeROConfig(offload_optimizer=True, **base), world=4, mp=2)
-    tiered = meta_clock(
-        ZeROConfig(infinity=InfinityConfig(**{**HOST_ONLY, "grad_tier": "device"}), **base),
-        world=4, mp=2,
+    zero = ZeROConfig(
+        stage=1, memory_defrag=False,
+        infinity=InfinityConfig(**{**HOST_ONLY, "grad_tier": "device"}),
     )
-    unsharded = meta_clock(ZeROConfig(offload_optimizer=True, **base), world=2)
-    for (off_reports, _), (inf_reports, _) in zip(legacy, tiered):
-        assert off_reports[-1].compute_s == inf_reports[-1].compute_s
-        assert off_reports[-1].compute_s == pytest.approx(
+    tiered = meta_clock(zero, world=4, mp=2)
+    unsharded = meta_clock(zero, world=2)
+    for inf_reports, _ in tiered:
+        assert inf_reports[-1].compute_s == pytest.approx(
             unsharded[0][0][-1].compute_s / 2
         )

@@ -38,7 +38,8 @@ from repro.comm.fabric import Fabric
 from repro.comm.group import ProcessGroup
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
-from repro.integrity import IntegrityConfig, SpikeWindow
+from repro.experiments.offload_sweep import offload_tiers
+from repro.integrity import SpikeWindow
 from repro.integrity.digest import (
     digest_array,
     digest_scalars,
@@ -283,7 +284,7 @@ class TestDetection:
         def fn(ctx):
             zero = ZeROConfig(stage=2, checkpoint_activations=False,
                               memory_defrag=False, audit_cadence=2,
-                              offload_optimizer=True, offload_gradients=True)
+                              infinity=offload_tiers(streamed=True))
             model, engine = build_model_and_engine(
                 ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
                 engine_config=EngineConfig(adam=AdamHyperparams(lr=1e-3)),
@@ -610,5 +611,3 @@ class TestZeroOverhead:
         assert "SDC" not in ZeROConfig(stage=2).label
         with pytest.raises(ValueError, match="audit_cadence"):
             ZeROConfig(stage=2, audit_cadence=-1)
-        with pytest.raises(ValueError, match="audit_cadence"):
-            IntegrityConfig(audit_cadence=0)

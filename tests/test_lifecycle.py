@@ -10,6 +10,7 @@ import pytest
 from repro import Cluster, GPTConfig, RedundancyConfig, ZeROConfig
 from repro.comm.faults import FaultPlan
 from repro.data import SyntheticCorpus
+from repro.experiments.offload_sweep import offload_tiers
 from repro.health import HealthConfig, HealthMonitor
 from repro.infinity import InfinityConfig
 from repro.memprof import MemoryProfiler
@@ -253,7 +254,8 @@ def test_order_table_declares_the_two_safety_rules():
     def fn(ctx):
         _, engine = build_model_and_engine(
             ctx, MODEL,
-            ZeROConfig(stage=2, memory_defrag=False, audit_cadence=1, offload_optimizer=True),
+            ZeROConfig(stage=2, memory_defrag=False, audit_cadence=1,
+                       infinity=offload_tiers(streamed=False)),
             dp_group=ctx.world, dtype=np.float32, seed=3,
         )
         engine.train_step(*CORPUS.sample_batch(2, 32, rank=ctx.rank, step=0))

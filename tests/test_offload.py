@@ -31,6 +31,7 @@ from repro.infinity import InfinityConfig, TierStream
 from repro.infinity.schedule import PCIE_LANES, StepInputs, cpu_adam_seconds, steady_step
 from repro.optim.adam import AdamHyperparams
 from repro.optim.mixed_precision import FlatAdamState
+from repro.experiments.offload_sweep import offload_tiers
 from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
 from repro.telemetry import TelemetrySession
@@ -103,7 +104,7 @@ def all_device_baseline():
 )
 def test_offload_bitwise_identical_to_all_device(stage, off_grads, all_device_baseline):
     """Host-resident Adam (+ host gradient shard) changes placement only."""
-    off = train_run(stage, offload_optimizer=True, offload_gradients=off_grads)
+    off = train_run(stage, infinity=offload_tiers(off_grads))
     ref = all_device_baseline[stage]
     for rank in range(2):
         assert off[rank][0] == ref[rank][0], f"rank {rank} losses diverged"
@@ -112,7 +113,7 @@ def test_offload_bitwise_identical_to_all_device(stage, off_grads, all_device_ba
 
 
 def test_offload_places_state_on_host_and_reports_step_time(all_device_baseline):
-    off = train_run(2, offload_optimizer=True, offload_gradients=True)
+    off = train_run(2, infinity=offload_tiers(streamed=True))
     ref = all_device_baseline[2]
     for rank in range(2):
         # 12 bytes/element of Adam state per rank moved off-device, at least.
@@ -133,7 +134,7 @@ def test_dpu_staleness_contract(stage):
     def fn(ctx):
         zero = ZeROConfig(
             stage=stage, checkpoint_activations=False, memory_defrag=False,
-            offload_optimizer=True, delayed_param_update=True,
+            infinity=offload_tiers(streamed=False, dpu=True),
         )
         model, engine = build_model_and_engine(
             ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
@@ -263,7 +264,7 @@ def test_offload_moves_optimizer_bytes_off_device():
         ctx = virtual_rank_context(2, gpu=GPU)
         zero = ZeROConfig(
             stage=2, memory_defrag=False,
-            offload_optimizer=offload, offload_gradients=offload,
+            infinity=offload_tiers(streamed=True) if offload else None,
         )
         model, engine = build_model_and_engine(
             ctx, CFG, zero, dp_group=ctx.world, meta=True
@@ -283,49 +284,37 @@ def test_offload_moves_optimizer_bytes_off_device():
 
 
 def test_zero_config_rejects_invalid_offload_combinations():
-    with pytest.raises(ValueError):
-        ZeROConfig(stage=0, offload_optimizer=True)
-    with pytest.raises(ValueError):
-        ZeROConfig(stage=1, offload_optimizer=True, offload_gradients=True)
-    with pytest.raises(ValueError):
-        ZeROConfig(stage=2, offload_gradients=True)  # needs the optimizer too
-    with pytest.raises(ValueError):
-        ZeROConfig(stage=2, delayed_param_update=True)
-    label = ZeROConfig(
-        stage=2, offload_optimizer=True, offload_gradients=True,
-        delayed_param_update=True,
-    ).label
-    assert "off" in label and "DPU" in label
+    """ZeRO-Offload is a tier config; the stage decides what may leave the device."""
+    with pytest.raises(ValueError, match="requires a partitioned"):
+        ZeROConfig(stage=0, infinity=offload_tiers(streamed=False))
+    with pytest.raises(ValueError, match="requires a partitioned"):
+        ZeROConfig(stage=1, infinity=offload_tiers(streamed=True))
+    label = ZeROConfig(stage=2, infinity=offload_tiers(streamed=True, dpu=True)).label
+    assert "os@host,g@host" in label and "DPU" in label
 
 
 def test_offload_config_rejects_invalid_combinations():
-    """The flags resolve to a host-only ``InfinityConfig`` and inherit its
-    checks (stage 3 partitions everything, so only they can object)."""
+    """The host-side Adam is what consumes host gradients and what the
+    delayed update defers: without it, the tier config itself objects."""
     with pytest.raises(ValueError, match="off-device optimizer"):
-        ZeROConfig(stage=3, offload_gradients=True)
+        InfinityConfig(optimizer_tier="device", grad_tier="host")
     with pytest.raises(ValueError, match="off-device optimizer"):
-        ZeROConfig(stage=3, delayed_param_update=True)
+        InfinityConfig(optimizer_tier="device", grad_tier="device", delayed_param_update=True)
     with pytest.raises(ValueError):
         InfinityConfig(optimizer_tier="host", cpu_adam_elements_per_s=0.0)
-    tiers = ZeROConfig(
-        stage=2, offload_optimizer=True, offload_gradients=True,
-        delayed_param_update=True, checkpoint_activations=False,
-    ).tiers
-    assert tiers == InfinityConfig(
-        optimizer_tier="host", grad_tier="host", param_tier="device",
-        delayed_param_update=True, checkpointing=False,
-    )
 
 
 def test_unpartitioned_engine_rejects_offload():
+    """The DDP engine resolves the placement from the config it is given:
+    host Adam state on a stage that replicates it is the one rule's refusal."""
+    from repro.parallel.ddp import DDPEngine
+
     ctx = virtual_rank_context(1, gpu=GPU)
+    model, _ = build_model_and_engine(ctx, CFG, ZeROConfig(), dp_group=ctx.world, meta=True)
+    zero = ZeROConfig()
+    object.__setattr__(zero, "infinity", offload_tiers(streamed=False))
     with pytest.raises(ValueError, match="does not support offload"):
-        build_model_and_engine(
-            ctx, CFG, ZeROConfig(stage=0), dp_group=ctx.world, meta=True,
-            engine_config=EngineConfig(
-                infinity=InfinityConfig(optimizer_tier="host", grad_tier="device")
-            ),
-        )
+        DDPEngine(ctx, model, ctx.world, zero)
 
 
 # -- checkpoints: placement-independent -------------------------------------
@@ -335,7 +324,7 @@ def test_checkpoint_roundtrip_is_placement_independent(tmp_path, all_device_base
     """Host-resident optimizer state checkpoints and resumes bitwise — into
     an offloaded engine or an all-device one."""
     root = tmp_path / "ckpts"
-    offload_kw = dict(offload_optimizer=True, offload_gradients=True)
+    offload_kw = dict(infinity=offload_tiers(streamed=True))
 
     def run_phase(resume, **zero_kw):
         cluster = Cluster(2, gpu=GPU, timeout_s=60.0)
@@ -387,7 +376,7 @@ def test_offload_composes_with_elastic_recovery(tmp_path):
         def train_fn(ctx):
             zero = ZeROConfig(
                 stage=2, checkpoint_activations=False, memory_defrag=False,
-                offload_optimizer=True, offload_gradients=True,
+                infinity=offload_tiers(streamed=True),
             )
             model, engine = build_model_and_engine(
                 ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
@@ -414,7 +403,7 @@ def test_offload_composes_with_elastic_recovery(tmp_path):
     def ref_resume(ctx):
         zero = ZeROConfig(
             stage=2, checkpoint_activations=False, memory_defrag=False,
-            offload_optimizer=True, offload_gradients=True,
+            infinity=offload_tiers(streamed=True),
         )
         model, engine = build_model_and_engine(
             ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
@@ -442,13 +431,6 @@ def test_cpu_adam_seconds_model():
     assert cpu_adam_seconds(10**6, elements_per_s=10**6) == pytest.approx(50e-6 + 1.0)
 
 
-def flag_tiers(*, grads=True, dpu=False):
-    """The ``InfinityConfig`` the ``offload_*`` flags spell."""
-    return ZeROConfig(
-        stage=2, offload_optimizer=True, offload_gradients=grads, delayed_param_update=dpu
-    ).tiers
-
-
 def test_cost_model_tracks_simulated_timeline():
     """On uniform gradient pieces the closed forms *are* the schedule: the
     host-only placements (boundary d2h, streamed), with and without DPU,
@@ -458,7 +440,7 @@ def test_cost_model_tracks_simulated_timeline():
         (False, True), (False, True), (1, 4, 8), (1 << 20, 3 << 22)
     ):
         assert_schedule_meets_oracles(
-            flag_tiers(grads=grads, dpu=dpu), numel=numel, grad_chunks=chunks
+            offload_tiers(grads, dpu), numel=numel, grad_chunks=chunks
         )
     from repro.experiments.offload_sweep import run_time
 
@@ -498,9 +480,9 @@ PIECE_SPLIT = 1e-8
 @pytest.mark.parametrize("case", sorted(FOLD_GOLDEN))
 def test_folded_cost_model_reproduces_offload_cost_model(case):
     model, grads, dpu = case
-    tiers = flag_tiers(grads=grads, dpu=dpu)
+    tiers = offload_tiers(grads, dpu)
     inputs = StepInputs.uniform(
-        FOLD_MODELS[model], tiers, batch=4, seq_len=SEQ_LEN,
+        FOLD_MODELS[model], tiers, batch=4, seq_len=SEQ_LEN, checkpointing=True,
         numel=-(-FOLD_MODELS[model].total_params // 4),
         peak_flops=V100_32GB.peak_flops, grad_chunks=7,
     )
@@ -511,12 +493,13 @@ def test_folded_cost_model_reproduces_offload_cost_model(case):
     ) == pytest.approx(tuple(map(float.fromhex, FOLD_GOLDEN[case])), rel=PIECE_SPLIT, abs=0)
 
 
-# -- the offload flags, pinned before the second runtime went ------------------
+# -- ZeRO-Offload, pinned before the second runtime went -----------------------
 #
-# ``ZeROConfig(offload_*=...)`` used to build an ``OffloadRuntime``; it now
-# spells a host-only ``InfinityConfig`` and builds the one tier runtime.
-# sha256 digests (first 32 hex digits), computed at the commit before that
-# change (ad00da6), of everything an offload-flag run lets a rank observe
+# ZeRO-Offload used to be spelled by ``offload_*`` flags on ``ZeROConfig``,
+# which built an ``OffloadRuntime``; it is now the host-only
+# ``InfinityConfig`` (``offload_tiers``) and builds the one tier runtime.
+# sha256 digests (first 32 hex digits), computed at the commit before the
+# runtimes merged (ad00da6), of everything an offload run lets a rank observe
 # over three steps on two ranks: losses and the final fp32 master, every
 # step report's floats, the ``(op, bytes, group)`` ledger stream, the
 # tracer's spans and side-lane spans, the rank's device allocation stream and
@@ -585,8 +568,7 @@ def flag_run_digests(stage, grads, dpu, meta, monkeypatch):
 
     def fn(ctx):
         zero = ZeROConfig(
-            stage=stage, memory_defrag=False, offload_optimizer=True,
-            offload_gradients=grads, delayed_param_update=dpu,
+            stage=stage, memory_defrag=False, infinity=offload_tiers(grads, dpu),
         )
         _, engine = build_model_and_engine(
             ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3, meta=meta,

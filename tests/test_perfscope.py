@@ -32,6 +32,7 @@ import pytest
 
 from repro import Cluster, GPTConfig, InfinityConfig, ZeROConfig
 from repro.data import SyntheticCorpus
+from repro.experiments.offload_sweep import offload_tiers
 from repro.hardware.specs import DGX2, GPUSpec, InterconnectSpec
 from repro.hardware.topology import ClusterTopology
 from repro.perfscope import CATEGORIES, analyze, rank_scores, rank_stalls
@@ -91,7 +92,7 @@ def stage_config(stage):
                       memory_defrag=False)
 
 
-OFFLOAD = ZeROConfig(stage=2, offload_optimizer=True, offload_gradients=True,
+OFFLOAD = ZeROConfig(stage=2, infinity=offload_tiers(streamed=True),
                      checkpoint_activations=False, memory_defrag=False)
 
 

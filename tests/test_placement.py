@@ -35,11 +35,10 @@ from repro.analysis.memory_model import ActivationModel, model_state_bytes, stat
 from repro.analysis.perf_model import PerfModel
 from repro.analysis.pp_model import gpipe_device_bytes
 from repro.experiments.common import virtual_groups
-from repro.parallel.engine import EngineConfig
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.zero.config import C3, C4, C5
-from repro.zero.factory import build_model_and_engine
+from repro.zero.factory import ENGINE_BY_STAGE, build_model_and_engine
 from repro.zero.placement import MODEL_AXES, STATE_CLASSES, Mesh, Placed, state_placement
 from tests.test_infinity import CFG, GPU, PLACEMENTS, train_run
 
@@ -135,18 +134,11 @@ def test_forbidden_combinations_raise_from_the_one_rule(row):
     # around its own front door cannot tell it the row.
     with pytest.raises(ValueError, match=ONE_RULE):
         device_bytes_for(CFG, _smuggled(stage, infinity=inf), mesh=Mesh(dp=4), batch=1)
+    # The engine resolves the placement from the config it is given.
     ctx = virtual_rank_context(4, gpu=GPU)
+    model, _ = build_model_and_engine(ctx, CFG, ZeROConfig(), dp_group=ctx.world, meta=True)
     with pytest.raises(ValueError, match=ONE_RULE):
-        build_model_and_engine(
-            ctx, CFG, ZeROConfig(stage=stage, memory_defrag=False),
-            dp_group=ctx.world, meta=True, engine_config=EngineConfig(infinity=inf),
-        )
-    if "nvme" not in combo and inf.param_tier == "device":
-        with pytest.raises(ValueError, match=ONE_RULE):  # the ZeRO-Offload flags
-            ZeROConfig(
-                stage=stage, offload_optimizer=inf.optimizer_tier != "device",
-                offload_gradients=inf.grad_tier != "device",
-            )
+        ENGINE_BY_STAGE[stage](ctx, model, ctx.world, _smuggled(stage, infinity=inf))
 
 
 @pytest.mark.parametrize("stage", (0, 1, 2, 3))

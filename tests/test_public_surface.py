@@ -1,7 +1,9 @@
 """A public surface with callers: every public top-level function or class
 in ``src/repro``, and every public method or property of a top-level
 class, is referenced by code outside ``tests/`` or has an entry in
-``PUBLIC_API`` saying why it stays and where it is documented."""
+``PUBLIC_API`` saying why it stays and where it is documented. Every
+settable field of a config or policy dataclass is set by keyword
+somewhere in the repo or has an entry in ``UNSET_KNOBS``."""
 
 import ast
 import importlib
@@ -42,9 +44,6 @@ PUBLIC_API = {
     "perfscope.PerfscopeAnalysis.annotate_chrome_trace": (
         "documented", "Perfscope: where does a step go?"),
     "obs.exporters.write_stitched_chrome_trace": ("decided-later", "Exporters (`obs.exporters`)"),
-    # Only their own tests call these; the ROADMAP item "The test-only
-    # names" deletes them with those tests, a few tests per change.
-    "utils.units.params_to_str": ("decided-later", "What's implemented"),
     "tensor.tensor.Tensor.freed": ("observation", "3. The NN framework's ownership contract"),
     "nn.module.Module.free_parameters": (
         "observation", "3. The NN framework's ownership contract"),
@@ -292,3 +291,126 @@ def test_every_experiment_runner_is_exported():
     }
     assert runners <= set(experiments.__all__)
     assert experiments.infinity_sweep.run
+
+
+# -- knobs: every settable field of a config or policy is set somewhere -------
+
+#: where a keyword setter counts; tests do
+SETTER_DIRS = (*CALLER_DIRS, "tests")
+#: ``*Config`` / ``*Policy`` dataclasses whose fields are not knobs
+NOT_KNOBS = {"GPTConfig"}  # a model shape: every field describes the model
+
+#: ``module.Class.field`` -> why a knob nothing sets by keyword stays
+UNSET_KNOBS = {
+    "health.monitor.HealthConfig.min_history": (
+        "the detector's warm-up in rows, the partner of `window`: a run shorter "
+        "than the default needs it lowered"),
+    "infinity.config.InfinityConfig.pcie": (
+        "a link override for hardware other than the topology's; Perfscope's "
+        "what-if reprices the same link from outside"),
+    "infinity.config.InfinityConfig.nvme": (
+        "a link override for hardware other than the topology's; Perfscope's "
+        "what-if reprices the same link from outside"),
+    "redundancy.config.RedundancyConfig.tier": (
+        "the buddy store's landing tier; `nvme` is the one other value it validates"),
+}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for decorator in cls.decorator_list:
+        fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(fn, "id", getattr(fn, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _settable(member) -> bool:
+    """An annotated dataclass field the constructor takes: not a
+    ``ClassVar`` and not ``field(init=False)``."""
+    if not (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)):
+        return False
+    if "ClassVar" in ast.unparse(member.annotation):
+        return False
+    value = member.value
+    return not (isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords
+    ))
+
+
+def knobs(modules: dict[str, str]) -> dict[str, tuple[str, str]]:
+    """``module.Class.field`` -> ``(Class, field)`` for each settable field of
+    each top-level dataclass named ``*Config`` or ``*Policy``."""
+    found = {}
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if (isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Policy"))
+                    and node.name not in NOT_KNOBS and _is_dataclass(node)):
+                for member in filter(_settable, node.body):
+                    found[f"{module}.{node.name}.{member.target.id}"] = (node.name, member.target.id)
+    return found
+
+
+def keyword_setters(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """``(callee, keyword)`` for every call in ``sources`` that passes a
+    keyword; the callee is the called name or attribute."""
+    found = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                found.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+    return found
+
+
+def unset_knobs(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Knobs no call in ``sources`` sets by keyword, through the class's
+    own constructor or ``dataclasses.replace``."""
+    setters = keyword_setters(sources)
+    return sorted(
+        q for q, (cls, name) in knobs(modules).items()
+        if (cls, name) not in setters and ("replace", name) not in setters
+    )
+
+
+def _setters() -> dict[str, str]:
+    return {
+        str(path.relative_to(ROOT)): path.read_text()
+        for d in SETTER_DIRS for path in sorted((ROOT / d).rglob("*.py"))
+    }
+
+
+def test_every_knob_is_set_somewhere_or_has_an_entry():
+    assert sorted(set(unset_knobs(_modules(), _setters())) - set(UNSET_KNOBS)) == []
+
+
+def test_no_knob_entry_is_stale():
+    """An entry whose knob is now set by keyword, or no longer exists, goes."""
+    assert sorted(set(UNSET_KNOBS) - set(unset_knobs(_modules(), _setters()))) == []
+
+
+def test_the_guard_flags_a_fresh_unset_knob():
+    """A field only its default sets is flagged; one set through the
+    constructor or ``replace`` is not, nor one set on another callee, a
+    ``ClassVar``, an ``init=False`` field or a plain class's attribute."""
+    modules = {"pkg.cfg": '''
+from dataclasses import dataclass, field
+from typing import ClassVar
+@dataclass(frozen=True)
+class RunConfig:
+    steps: int = 1
+    fresh: int = 0
+    kind: ClassVar[str] = "run"
+    cache: dict = field(default_factory=dict, init=False)
+@dataclass
+class RetryPolicy:
+    tries: int = 3
+    backoff: float = 0.0
+class PlainConfig:
+    loose: int = 0
+'''}
+    sources = {"tests/t.py": "RunConfig(steps=2)\nreplace(p, tries=4)\nsleep(backoff=1.0)\n"}
+    assert unset_knobs(modules, sources) == [
+        "pkg.cfg.RetryPolicy.backoff", "pkg.cfg.RunConfig.fresh",
+    ]
+

@@ -163,7 +163,10 @@ JOBS = {
 # hashed material (``tools/golden_lines.py``) showed construction's device
 # events moved and, where a profiler watched, the reserved bytes and block
 # layout; every step's allocated bytes, the ledgers, losses and masters
-# held, and the peaks fell to the steps'.
+# held, and the peaks fell to the steps'. The OOM postmortem's digest was
+# re-pinned when its optimizer-state advice named the tier config instead
+# of the retired ``offload_optimizer`` flag; the same diff showed that one
+# line alone changed.
 #: job -> what it recorded before the re-issue existed (lists for tuples)
 RECOMPUTE_GOLDEN = {
     "generate": {
@@ -192,7 +195,7 @@ RECOMPUTE_GOLDEN = {
         "oom": [
             "dcbcc0dab8f4451df9798200a1d5c101d1af30889672f5482f08f1d9728ba846",
             [65536, 65520, 32768, 21024256, 21024256, 21089776],
-            "ab75dcdd616e40c1522d7145aacca3b64a767bae3a712866946bf25cf27eaa23",
+            "57aad8e4cd170303041d85633333f252f02e6be9fcef743c5632b8e956a17d55",
             "backward",
         ],
         "snapshot": "8fa8c207d10ede5ba7decb067f6056566a62b6f737e636c037625b53519a2485",

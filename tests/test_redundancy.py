@@ -37,6 +37,7 @@ from repro import (
     resume_from_buddies,
 )
 from repro.data import SyntheticCorpus
+from repro.experiments.offload_sweep import offload_tiers
 from repro.hardware.specs import GPUSpec
 from repro.integrity.digest import fast_digest_array
 from repro.optim.adam import AdamHyperparams
@@ -63,8 +64,8 @@ CKPT_EVERY = 2
 def build(ctx, stage, *, audit=0, offload=False, dpu=False):
     zero = ZeROConfig(
         stage=stage, checkpoint_activations=False, memory_defrag=False,
-        audit_cadence=audit, offload_optimizer=offload,
-        delayed_param_update=dpu,
+        audit_cadence=audit,
+        infinity=offload_tiers(streamed=False, dpu=dpu) if offload else None,
     )
     return build_model_and_engine(
         ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,

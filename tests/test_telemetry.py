@@ -25,6 +25,7 @@ from repro.analysis.perf_model import transformer_flops_per_replica
 from repro.analysis.sim_time import LedgerTimeEstimator
 from repro.comm.fabric import FabricAbortedError
 from repro.comm.faults import FaultPlan, RetryPolicy
+from repro.experiments.offload_sweep import offload_tiers
 from repro.hardware.specs import GPUSpec
 from repro.memsim.device import Device
 from repro.memsim.timeline import MemoryTimeline
@@ -39,7 +40,8 @@ from repro.telemetry import (
     validate_metrics_jsonl,
 )
 from repro.zero.config import ZeROConfig
-from repro.zero.factory import build_engine, build_model_and_engine
+from repro.zero.factory import build_model_and_engine
+from repro.zero.stage12 import ZeroStage1Engine
 
 pytestmark = pytest.mark.telemetry
 
@@ -172,7 +174,7 @@ class TestDisabled:
         from repro.nn.transformer import GPT2Model
 
         model = GPT2Model(CFG, meta=True)
-        engine = build_engine(ctx, model, ctx.world, ZeROConfig(stage=1))
+        engine = ZeroStage1Engine(ctx, model, ctx.world, ZeROConfig(stage=1))
         assert ctx.tracer is None and engine.tracer is None
 
 
@@ -440,7 +442,7 @@ class TestSdcTelemetry:
 class TestOffloadTrace:
     def test_pcie_and_host_lanes_exported_as_complete_events(self):
         session = TelemetrySession()
-        zero = ZeROConfig(stage=2, offload_optimizer=True, offload_gradients=True,
+        zero = ZeROConfig(stage=2, infinity=offload_tiers(streamed=True),
                           checkpoint_activations=False, memory_defrag=False)
         run_meta_stage2(session, zero=zero)
         tracer = session.tracers[0]

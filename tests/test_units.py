@@ -1,4 +1,4 @@
-"""Unit helpers: byte/param/FLOP formatting and conversion."""
+"""Unit helpers: byte formatting and conversion."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.utils.units import (
     TB,
     TRILLION,
     bytes_to_str,
-    params_to_str,
 )
 
 
@@ -20,22 +19,6 @@ def test_paper_gb_convention_is_decimal():
 def test_trillion_parameter_adam_footprint():
     # Section 1: a 1T-parameter model with Adam in 16-bit needs ~16 TB.
     assert 16 * TRILLION / TB == pytest.approx(16.0)
-
-
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (7.5e9, "7.5B"),
-        (1e12, "1T"),
-        (1.5e9, "1.5B"),
-        (330e6, "330M"),
-        (17e9, "17B"),
-        (999, "999"),
-        (1000, "1K"),
-    ],
-)
-def test_params_to_str(n, expected):
-    assert params_to_str(n) == expected
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,8 @@ from repro.nn.transformer import GPT2Model
 from repro.runtime import virtual_rank_context
 from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
-from repro.zero.factory import build_engine, build_model_and_engine
+from repro.zero.factory import build_model_and_engine
+from repro.zero.stage3 import ZeroStage3Engine
 
 GPU = GPUSpec("t", 2 * 10**9, 1e12)
 CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=61, max_seq_len=16)
@@ -201,4 +202,4 @@ def test_stage3_refuses_a_charged_model():
     ctx = virtual_rank_context(WORLD, gpu=GPU)
     model = GPT2Model(CFG, meta=True, device=ctx.device)
     with pytest.raises(ValueError, match="arrived charged"):
-        build_engine(ctx, model, ctx.world, ZeROConfig(stage=3, memory_defrag=False))
+        ZeroStage3Engine(ctx, model, ctx.world, ZeROConfig(stage=3, memory_defrag=False))
