@@ -3,14 +3,17 @@
 from repro.experiments import fig2
 
 
+def _metrics(rows):
+    return {
+        **{f"speedup_{r.label}": (r.speedup, "x") for r in rows},
+        **{f"zero_tflops_{r.label}": (r.zero_tflops, "TFLOPs/GPU") for r in rows},
+    }
+
+
 def test_fig2_throughput(benchmark, record_table):
     rows = benchmark(fig2.run)
     record_table(
-        fig2.render(rows),
-        metrics={
-            **{f"speedup_{r.label}": (r.speedup, "x") for r in rows},
-            **{f"zero_tflops_{r.label}": (r.zero_tflops, "TFLOPs/GPU") for r in rows},
-        },
+        fig2.render(rows), metrics=_metrics(rows),
         config={"figure": "fig2", "source": "analytic"},
     )
     by_label = {r.label: r for r in rows}
@@ -25,10 +28,7 @@ def test_fig2_throughput_measured_schedules(benchmark, record_table):
         fig2.render(rows).replace(
             "Figure 2 —", "Figure 2 (recorded meta-mode schedules) —"
         ),
-        metrics={
-            **{f"speedup_{r.label}": (r.speedup, "x") for r in rows},
-            **{f"zero_tflops_{r.label}": (r.zero_tflops, "TFLOPs/GPU") for r in rows},
-        },
+        metrics=_metrics(rows),
         config={"figure": "fig2", "source": "measured-schedules"},
     )
     by_label = {r.label: r for r in rows}

@@ -87,35 +87,21 @@ def offload_sweep_smoke():
 
 
 @pytest.fixture(scope="session", autouse=True)
-def redundancy_gate_smoke():
-    """The redundancy benchmark's perf-regression gate must stay armed:
-    its committed baseline has to exist and pass ``compare_bench --check``
-    against itself, even in sessions that deselect the benchmark."""
+def baseline_gate_smoke():
+    """The redundancy and Mission Control overhead benchmarks' perf-regression
+    gates must stay armed: each committed baseline has to exist and pass
+    ``compare_bench --check`` against itself, even in sessions that deselect
+    the benchmark."""
     from compare_bench import BASELINE_DIR, check_file
 
-    baseline = BASELINE_DIR / "BENCH_redundancy_recovery.json"
-    assert baseline.exists(), (
-        "missing benchmarks/baselines/BENCH_redundancy_recovery.json — "
-        "seed it with `python benchmarks/compare_bench.py --update`"
-    )
-    ok, table = check_file(baseline)
-    assert ok, table
-
-
-@pytest.fixture(scope="session", autouse=True)
-def obs_gate_smoke():
-    """Same guard for the Mission Control overhead benchmark: its
-    committed baseline must exist and pass the gate against itself, even
-    in sessions that deselect ``bench_obs_overhead.py``."""
-    from compare_bench import BASELINE_DIR, check_file
-
-    baseline = BASELINE_DIR / "BENCH_obs_overhead.json"
-    assert baseline.exists(), (
-        "missing benchmarks/baselines/BENCH_obs_overhead.json — "
-        "seed it with `python benchmarks/compare_bench.py --update`"
-    )
-    ok, table = check_file(baseline)
-    assert ok, table
+    for name in ("BENCH_redundancy_recovery.json", "BENCH_obs_overhead.json"):
+        baseline = BASELINE_DIR / name
+        assert baseline.exists(), (
+            f"missing benchmarks/baselines/{name} — "
+            "seed it with `python benchmarks/compare_bench.py --update`"
+        )
+        ok, table = check_file(baseline)
+        assert ok, table
 
 
 @pytest.fixture(scope="session", autouse=True)

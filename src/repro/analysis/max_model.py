@@ -47,15 +47,18 @@ def device_bytes_for(
     return total_device_bytes(float(config.total_params), act, zero, mesh=mesh)
 
 
-def _largest(fits, max_search: int) -> int:
-    """Largest n in [1, max_search] with ``fits(n)`` by doubling, then
-    binary search in (lo, hi]; 0 if even 1 does not fit."""
+def _largest(fits, max_search: int, start: int = 2) -> int:
+    """Largest n in [1, max_search] with ``fits(n)`` by doubling from
+    ``start`` (a guess near the answer saves probes), then binary search
+    between the last n that fit and the first that did not; 0 if even 1
+    does not fit. ``fits`` need not be monotone (a
+    meta-mode fit is not), so the probe order is part of the answer."""
     if not fits(1):
         return 0
-    lo, hi = 1, 2
+    lo, hi = 1, max(2, start)
     while hi <= max_search and fits(hi):
         lo, hi = hi, hi * 2
-    hi = min(hi, max_search)
+    hi = min(hi, max_search + 1)  # max_search itself may be the answer
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if fits(mid):

@@ -1,15 +1,13 @@
-"""One runner per paper table/figure. Each module exposes run() -> data,
-render(data) -> str, and main() for CLI use:
+"""One runner per paper table/figure. Each module exposes run() -> data
+and render(data) -> str; print any of them from the command line:
 
-    python -m repro.experiments.fig2
-    python -m repro.experiments.table1
-    ...
+    python -m repro.experiments fig2 table1 ...
 
 Modules: fig1-fig8, sec7, sec8, sec9, table1, table2, offload_sweep,
-infinity_sweep; ``report`` runs them all. See
-DESIGN.md's per-experiment index for what each reproduces. Submodules are
-imported lazily (import repro.experiments.fig2 directly) to keep
-`python -m` invocations clean.
+infinity_sweep; ``python -m repro.experiments.report`` runs the paper's
+tables and figures into one document. See DESIGN.md's per-experiment
+index for what each reproduces. Submodules are imported lazily (import
+repro.experiments.fig2 directly).
 """
 
 __all__ = [

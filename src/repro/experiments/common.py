@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.max_model import _largest
 from repro.comm.virtual import VirtualGroup
 from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.memsim.errors import OutOfMemoryError
@@ -18,6 +19,8 @@ from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 
 SEQ_LEN = 1024
+#: the allocator fit's layer cap (Table 2's largest row trains under it)
+MAX_MEASURED_LAYERS = 2048
 
 
 def virtual_groups(ctx: RankContext, n_gpus: int, mp: int) -> tuple[VirtualGroup, VirtualGroup]:
@@ -25,6 +28,31 @@ def virtual_groups(ctx: RankContext, n_gpus: int, mp: int) -> tuple[VirtualGroup
     volume recorded in ``ctx.ledger``."""
     mesh = Mesh.of_world(n_gpus, mp)
     return ctx.group(mesh.dp_group(ctx.rank)), ctx.group(mesh.mp_group(ctx.rank))
+
+
+def meta_engine(
+    ctx: RankContext,
+    model_config: GPTConfig,
+    zero: ZeROConfig,
+    *,
+    mp: int = 1,
+    batch: int,
+    seq_len: int = SEQ_LEN,
+    md_region_bytes: int | None = None,
+):
+    """``ctx``'s rank of ``Mesh.of_world(ctx.world_size, mp)``: its engine,
+    built in meta mode, and meta ``(batch, seq_len)`` token ids and targets.
+    ``ctx`` is a ``virtual_rank_context``; the caller makes it, so that a
+    profiler can attach before the first allocation."""
+    dp_group, mp_group = virtual_groups(ctx, ctx.world_size, mp)
+    _, engine = build_model_and_engine(
+        ctx, model_config, zero,
+        dp_group=dp_group, mp_group=mp_group if mp > 1 else None,
+        meta=True, md_region_bytes=md_region_bytes,
+    )
+    ids = Tensor.meta((batch, seq_len), np.int64, device=ctx.device)
+    targets = Tensor.meta((batch, seq_len), np.int64, device=ctx.device)
+    return engine, ids, targets
 
 
 @dataclass(frozen=True)
@@ -85,7 +113,6 @@ def meta_memory_step(
     postmortem whose advisor hint is surfaced as ``oom_hint``.
     """
     ctx = virtual_rank_context(n_gpus, gpu=gpu)
-    dp_group, mp_group = virtual_groups(ctx, n_gpus, mp)
     if md_region_bytes is None and zero.memory_defrag:
         md_region_bytes = int(2 * GB)
     profiler = None
@@ -118,13 +145,10 @@ def meta_memory_step(
         )
 
     try:
-        model, engine = build_model_and_engine(
-            ctx, model_config, zero,
-            dp_group=dp_group, mp_group=mp_group if mp > 1 else None,
-            meta=True, md_region_bytes=md_region_bytes,
+        engine, ids, targets = meta_engine(
+            ctx, model_config, zero, mp=mp, batch=batch, seq_len=seq_len,
+            md_region_bytes=md_region_bytes,
         )
-        ids = Tensor.meta((batch, seq_len), np.int64, device=ctx.device)
-        targets = Tensor.meta((batch, seq_len), np.int64, device=ctx.device)
         for _ in range(steps):
             engine.train_step(ids, targets)
     except OutOfMemoryError as exc:
@@ -133,3 +157,19 @@ def meta_memory_step(
             hint = exc.postmortem.advisor_hint or exc.postmortem.headline()
         return _result(False, oom_reason=type(exc).__name__, oom_hint=hint)
     return _result(True)
+
+
+def measured_max_layers(
+    zero: ZeROConfig, *, hidden: int, heads: int, n_gpus: int, mp: int, batch: int,
+    start: int = 2,
+) -> int:
+    """Largest layer count of an ``hidden``-wide GPT whose meta-mode step
+    fits one rank's 32 GB device — the allocator's answer, as
+    ``analysis.max_model.max_layers`` is the closed form's; 0 if one layer
+    does not fit. Doubling starts at ``start``."""
+
+    def fits(n_layers: int) -> bool:
+        cfg = GPTConfig(n_layers=n_layers, hidden=hidden, n_heads=heads)
+        return meta_memory_step(cfg, zero, n_gpus=n_gpus, mp=mp, batch=batch).fits
+
+    return _largest(fits, MAX_MEASURED_LAYERS, start)

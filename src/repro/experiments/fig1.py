@@ -114,11 +114,3 @@ def render(rows: list[Fig1Row]) -> str:
         table_rows,
         title="Figure 1 — per-device model-state memory",
     )
-
-
-def main() -> None:
-    print(render(run(measure=True)))
-
-
-if __name__ == "__main__":
-    main()

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.perf_model import PerfModel, transformer_flops_per_replica
 from repro.analysis.sim_time import LedgerTimeEstimator
 from repro.configs import TABLE5_FIGURE2, ExperimentPoint
-from repro.experiments.common import virtual_groups
+from repro.experiments.common import meta_engine
 from repro.hardware.specs import GPUSpec
 from repro.hardware.topology import ClusterTopology
+from repro.runtime import virtual_rank_context
 from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
@@ -52,12 +51,12 @@ def zero_config(point: ExperimentPoint) -> ZeROConfig:
     return ZeROConfig(stage=0, memory_defrag=False)
 
 
-def run() -> list[Fig2Row]:
-    pm = PerfModel()
+def _rows(tflops_per_gpu) -> list[Fig2Row]:
+    """One row per model size from ``tflops_per_gpu(point)`` of its ZeRO
+    and baseline points."""
     per_label: dict[str, dict[str, tuple[ExperimentPoint, float]]] = {}
     for point in TABLE5_FIGURE2:
-        est = pm.estimate(point.model, zero_config(point), mesh=point.mesh, batch=point.batch)
-        per_label.setdefault(point.label, {})[point.system] = (point, est.tflops_per_gpu)
+        per_label.setdefault(point.label, {})[point.system] = (point, tflops_per_gpu(point))
     rows = []
     for label, systems in per_label.items():
         zp, zt = systems["zero"]
@@ -72,25 +71,22 @@ def run() -> list[Fig2Row]:
     return rows
 
 
+def run() -> list[Fig2Row]:
+    pm = PerfModel()
+    return _rows(
+        lambda p: pm.estimate(p.model, zero_config(p), mesh=p.mesh, batch=p.batch).tflops_per_gpu
+    )
+
+
 def _measured_tflops(point: ExperimentPoint) -> float:
     """Record one meta-mode step of this configuration; price the ledger."""
-    from repro.runtime import virtual_rank_context
-    from repro.tensor.tensor import Tensor
-    from repro.zero.factory import build_model_and_engine
-
     # A roomy virtual device: the baseline's big-MP configs only fit the
     # paper's cluster marginally, and this experiment measures *time*, not
     # capacity (Figure 6/7 measure capacity).
-    gpu = GPUSpec("fig2-virtual", 64 * int(GB), 125e12)
-    ctx = virtual_rank_context(point.n_gpus, gpu=gpu)
-    dp_group, mp_group = virtual_groups(ctx, point.n_gpus, point.mp)
-    model, engine = build_model_and_engine(
-        ctx, point.model, zero_config(point),
-        dp_group=dp_group, mp_group=mp_group if point.mp > 1 else None,
-        meta=True,
+    ctx = virtual_rank_context(point.n_gpus, gpu=GPUSpec("fig2-virtual", 64 * int(GB), 125e12))
+    engine, ids, targets = meta_engine(
+        ctx, point.model, zero_config(point), mp=point.mp, batch=point.batch,
     )
-    ids = Tensor.meta((point.batch, 1024), np.int64, device=ctx.device)
-    targets = Tensor.meta((point.batch, 1024), np.int64, device=ctx.device)
     ctx.ledger.clear()
     engine.train_step(ids, targets)
     flops = transformer_flops_per_replica(point.model, point.batch) / point.mp
@@ -101,24 +97,9 @@ def _measured_tflops(point: ExperimentPoint) -> float:
 
 
 def run_measured() -> list[Fig2Row]:
-    """Figure 2 from recorded meta-mode schedules instead of formulas."""
-    per_label: dict[str, dict[str, tuple[ExperimentPoint, float]]] = {}
-    for point in TABLE5_FIGURE2:
-        per_label.setdefault(point.label, {})[point.system] = (
-            point, _measured_tflops(point),
-        )
-    rows = []
-    for label, systems in per_label.items():
-        zp, zt = systems["zero"]
-        _, bt = systems["baseline"]
-        rows.append(
-            Fig2Row(
-                label=label, zero_tflops=zt, baseline_tflops=bt,
-                speedup=zt / bt if bt else float("inf"),
-                zero_aggregate_pflops=zt * zp.n_gpus / 1000.0,
-            )
-        )
-    return rows
+    """Figure 2 from recorded meta-mode schedules instead of formulas (the
+    measured column of ``benchmarks/bench_fig2_throughput.py``)."""
+    return _rows(_measured_tflops)
 
 
 def render(rows: list[Fig2Row]) -> str:
@@ -131,17 +112,3 @@ def render(rows: list[Fig2Row]) -> str:
         ],
         title="Figure 2 — throughput per GPU, ZeRO-100B vs Megatron baseline",
     )
-
-
-def main() -> None:
-    print(render(run()))
-    print()
-    measured = run_measured()
-    print(render(measured).replace(
-        "Figure 2 — throughput per GPU",
-        "Figure 2 (recorded meta-mode schedules) — throughput per GPU",
-    ))
-
-
-if __name__ == "__main__":
-    main()

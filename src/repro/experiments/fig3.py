@@ -64,11 +64,3 @@ def render(rows: list[Fig3Row]) -> str:
         ],
         title="Figure 3 — 60B model scalability (super-linear vs 64-GPU baseline)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

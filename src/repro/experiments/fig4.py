@@ -59,11 +59,3 @@ def render(rows: list[Fig4Row]) -> str:
         ],
         title="Figure 4 — DP-only training on 128 GPUs (ZeRO-100B vs baseline DP)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -117,15 +117,3 @@ def render(curves: list[TrainingCurve]) -> str:
         rows,
         title="Figure 5 — Turing-NLG shape: ZeRO == DDP curves; larger model wins",
     )
-
-
-def main() -> None:
-    curves = run()
-    print(render(curves))
-    same = curves[0].val_perplexity == curves[1].val_perplexity
-    print(f"\nZeRO-2 curve identical to DDP curve: {same}")
-    print(f"larger model reaches lower perplexity: {curves[2].final < curves[0].final}")
-
-
-if __name__ == "__main__":
-    main()

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.max_model import max_layers
-from repro.experiments.common import meta_memory_step
+from repro.experiments.common import measured_max_layers
+from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
-
-from repro.zero.config import PAPER_CONFIGS, ZeROConfig
+from repro.zero.config import PAPER_CONFIGS
 from repro.zero.placement import Mesh
 
 N_GPUS = 128
@@ -34,37 +34,15 @@ class Fig6Row:
     analytic_params_b: float  # closed-form memory model's answer
 
 
-def _allocator_max_layers(zero, *, start: int) -> int:
-    """Bisect the layer count against the meta-mode allocator."""
-    from repro.nn.transformer import GPTConfig
-
-    def fits(layers: int) -> bool:
-        cfg = GPTConfig(n_layers=layers, hidden=HIDDEN, n_heads=HEADS)
-        return meta_memory_step(cfg, zero, n_gpus=N_GPUS, mp=MP, batch=BATCH).fits
-
-    if not fits(1):
-        return 0
-    lo = 1
-    hi = max(2, start)
-    while fits(hi):
-        lo, hi = hi, hi * 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def run() -> list[Fig6Row]:
-    from repro.nn.transformer import GPTConfig
-
     rows = []
     mesh = Mesh.of_world(N_GPUS, MP)
     for name, zero in PAPER_CONFIGS.items():
         analytic = max_layers(zero, mesh=mesh, hidden=HIDDEN, heads=HEADS, batch=BATCH)
-        layers = _allocator_max_layers(zero, start=analytic.config.n_layers)
+        layers = measured_max_layers(
+            zero, hidden=HIDDEN, heads=HEADS, n_gpus=N_GPUS, mp=MP, batch=BATCH,
+            start=analytic.config.n_layers,
+        )
         cfg = GPTConfig(n_layers=max(layers, 1), hidden=HIDDEN, n_heads=HEADS)
         rows.append(
             Fig6Row(
@@ -87,11 +65,3 @@ def render(rows: list[Fig6Row]) -> str:
         ],
         title=f"Figure 6 — max model size (MP={MP}, batch={BATCH}, {N_GPUS} GPUs)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

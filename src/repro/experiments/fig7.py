@@ -80,11 +80,3 @@ def render(cells: list[Fig7Cell]) -> str:
         ],
         title="Figure 7 — max cached memory per iteration (meta-mode allocator)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

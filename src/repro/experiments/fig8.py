@@ -61,11 +61,3 @@ def render(rows: list[Fig8Row]) -> str:
         ],
         title="Figure 8 — best achievable throughput per config (C1-C5)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

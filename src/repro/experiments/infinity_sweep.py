@@ -20,27 +20,25 @@ full memory hierarchy:
    the inputs the ZeRO-Infinity closed forms assume, over the engine's
    own links and gather profile — must land within 5% of the engine's
    step time on its real pieces, across placements, paged gathers,
-   tiling, and DPU.
+   tiling, and DPU. ``run_time`` takes its cases, so ZeRO-Offload's
+   host-only placements (``offload_sweep.TIME_CASES``) run the same sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.analysis.max_model import SEQ_LEN, VOCAB, device_bytes_for
+from repro.analysis.max_model import SEQ_LEN, VOCAB, _largest, device_bytes_for
 from repro.analysis.memory_model import state_bytes_by_tier
+from repro.experiments.common import meta_engine
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
 from repro.infinity.schedule import StepInputs, steady_step
 from repro.nn.transformer import GPTConfig
 from repro.runtime import virtual_rank_context
-from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
-from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 
 BUDGETS_GB = (8, 32)
@@ -130,16 +128,7 @@ def run_fit(budgets_gb=BUDGETS_GB) -> list[InfinityFitRow]:
             def fits(n: int) -> bool:
                 return _fit_point(zero, n, budget * GB, host_cap, nvme_cap)[0]
 
-            lo, hi = 1, 2
-            while hi <= MAX_SEARCH and fits(hi):
-                lo, hi = hi, hi * 2
-            hi = min(hi, MAX_SEARCH)
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if fits(mid):
-                    lo = mid
-                else:
-                    hi = mid
+            lo = max(_largest(fits, MAX_SEARCH), 1)
             _, cfg, dev, tiers, _ = _fit_point(
                 zero, lo, budget * GB, host_cap, nvme_cap)
             # The capacity the *next* layer count trips is what binds.
@@ -173,17 +162,16 @@ TIME_CASES: tuple[tuple[str, int, InfinityConfig], ...] = (
 )
 
 
-def run_time() -> list[InfinityTimeRow]:
-    """Meta-mode simulated step time vs the same schedule on uniform inputs."""
+def run_time(cases: tuple[tuple[str, int, InfinityConfig], ...]) -> list[InfinityTimeRow]:
+    """Meta-mode simulated step time vs the same schedule on uniform
+    inputs, one row per ``(label, stage, InfinityConfig)`` case."""
     rows = []
-    for label, stage, inf in TIME_CASES:
+    for label, stage, inf in cases:
         zero = ZeROConfig(stage=stage, memory_defrag=False, infinity=inf)
         ctx = virtual_rank_context(TIME_ND)
-        model, engine = build_model_and_engine(
-            ctx, TIME_MODEL, zero, dp_group=ctx.world, meta=True,
+        engine, ids, targets = meta_engine(
+            ctx, TIME_MODEL, zero, batch=TIME_BATCH, seq_len=TIME_SEQ,
         )
-        ids = Tensor.meta((TIME_BATCH, TIME_SEQ), np.int64, device=ctx.device)
-        targets = Tensor.meta((TIME_BATCH, TIME_SEQ), np.int64, device=ctx.device)
         for _ in range(TIME_STEPS):
             result = engine.train_step(ids, targets)
         sim = result.step_time_model_s
@@ -205,7 +193,7 @@ def run_time() -> list[InfinityTimeRow]:
 
 
 def run() -> InfinitySweepResult:
-    return InfinitySweepResult(fit_rows=run_fit(), time_rows=run_time())
+    return InfinitySweepResult(fit_rows=run_fit(), time_rows=run_time(TIME_CASES))
 
 
 def render(result: InfinitySweepResult) -> str:
@@ -231,11 +219,3 @@ def render(result: InfinitySweepResult) -> str:
         title="Infinity schedule, uniform pieces vs simulated timeline (meta engines)",
     )
     return fit + "\n\n" + time
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -24,32 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.analysis.max_model import max_layers
 from repro.analysis.memory_model import state_bytes_by_tier
+from repro.experiments.infinity_sweep import InfinityTimeRow, run_time
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
-from repro.infinity.schedule import StepInputs, steady_step
-from repro.nn.transformer import GPTConfig
-from repro.runtime import virtual_rank_context
-from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
-from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 
 BUDGETS_GB = (4, 8, 16, 32)
 HIDDEN = 2048
 HEADS = 16
 BATCH = 1
-
-TIME_MODEL = GPTConfig(n_layers=4, hidden=512, n_heads=8, vocab_size=50257, max_seq_len=1024)
-TIME_BATCH = 4
-TIME_SEQ = 1024
-TIME_ND = 2
-TIME_STEPS = 3  # last step is DPU steady state
 
 
 def offload_tiers(streamed: bool, dpu: bool = False) -> InfinityConfig:
@@ -72,20 +60,9 @@ class OffloadFitRow:
 
 
 @dataclass(frozen=True)
-class OffloadTimeRow:
-    label: str
-    stage: int
-    streamed: bool
-    dpu: bool
-    sim_step_s: float
-    uniform_step_s: float
-    rel_err: float
-
-
-@dataclass(frozen=True)
 class OffloadSweepResult:
     fit_rows: list[OffloadFitRow]
-    time_rows: list[OffloadTimeRow]
+    time_rows: list[InfinityTimeRow]
 
 
 def run_fit(budgets_gb=BUDGETS_GB) -> list[OffloadFitRow]:
@@ -113,49 +90,17 @@ def run_fit(budgets_gb=BUDGETS_GB) -> list[OffloadFitRow]:
     return rows
 
 
+#: the host-only placements the tier time sweep runs (``run_time``)
 TIME_CASES = (
-    ("stage1 boundary d2h", 1, False, False),
-    ("stage2 streamed", 2, True, False),
-    ("stage2 streamed + DPU", 2, True, True),
-    ("stage3 streamed", 3, True, False),
+    ("stage1 boundary d2h", 1, offload_tiers(streamed=False)),
+    ("stage2 streamed", 2, offload_tiers(streamed=True)),
+    ("stage2 streamed + DPU", 2, offload_tiers(streamed=True, dpu=True)),
+    ("stage3 streamed", 3, offload_tiers(streamed=True)),
 )
 
 
-def run_time() -> list[OffloadTimeRow]:
-    """Meta-mode simulated step time vs the same schedule on uniform inputs."""
-    rows = []
-    for label, stage, streamed, dpu in TIME_CASES:
-        zero = ZeROConfig(
-            stage=stage, memory_defrag=False, infinity=offload_tiers(streamed, dpu),
-        )
-        ctx = virtual_rank_context(TIME_ND)
-        model, engine = build_model_and_engine(
-            ctx, TIME_MODEL, zero, dp_group=ctx.world, meta=True,
-        )
-        ids = Tensor.meta((TIME_BATCH, TIME_SEQ), np.int64, device=ctx.device)
-        targets = Tensor.meta((TIME_BATCH, TIME_SEQ), np.int64, device=ctx.device)
-        for _ in range(TIME_STEPS):
-            result = engine.train_step(ids, targets)
-        sim = result.step_time_model_s
-        runtime, tiers = engine.offload, zero.infinity
-        inputs = StepInputs.uniform(
-            TIME_MODEL, tiers, batch=TIME_BATCH, seq_len=TIME_SEQ,
-            checkpointing=zero.checkpoint_activations,
-            numel=engine.part_numel, peak_flops=ctx.device.spec.peak_flops,
-            grad_chunks=max(len(runtime.last_grad_pieces), 1),
-        )
-        uniform = steady_step(inputs, tiers, runtime.pcie.link, runtime.nvme_stream.link).step_s
-        rows.append(
-            OffloadTimeRow(
-                label=label, stage=stage, streamed=streamed, dpu=dpu, sim_step_s=sim,
-                uniform_step_s=uniform, rel_err=abs(uniform - sim) / sim,
-            )
-        )
-    return rows
-
-
 def run() -> OffloadSweepResult:
-    return OffloadSweepResult(fit_rows=run_fit(), time_rows=run_time())
+    return OffloadSweepResult(fit_rows=run_fit(), time_rows=run_time(TIME_CASES))
 
 
 def render(result: OffloadSweepResult) -> str:
@@ -171,18 +116,11 @@ def render(result: OffloadSweepResult) -> str:
     time = format_table(
         ["case", "stage", "streamed", "DPU", "sim step s", "uniform step s", "err %"],
         [
-            [r.label, r.stage, "yes" if r.streamed else "no", "yes" if r.dpu else "no",
+            [r.label, r.stage, "yes" if r.config.grad_tier != "device" else "no",
+             "yes" if r.config.delayed_param_update else "no",
              f"{r.sim_step_s:.5f}", f"{r.uniform_step_s:.5f}", f"{100 * r.rel_err:.2f}"]
             for r in result.time_rows
         ],
         title="Offload schedule, uniform pieces vs simulated timeline (meta engines)",
     )
     return fit + "\n\n" + time
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -75,11 +75,3 @@ def render(rows: list[Sec7Row]) -> str:
         ],
         title="Section 7 — per-rank DP communication volume per step",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -17,13 +17,9 @@ from repro import Cluster, GPTConfig
 from repro.analysis.comm_model import MPCommModel
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
-from repro.nn.module import ExecutionContext
-from repro.nn.checkpoint import KeepStore
-from repro.nn.transformer import GPT2Model
-from repro.tensor.tensor import Tensor
 from repro.utils.tables import format_table
-from repro.zero.activation import PartitionedCPUStore, PartitionedStore
-from repro.zero.config import C2  # Pa on: the row the analytic Pa column prices
+from repro.zero.config import C2, ZeROConfig  # C2: Pa on, the row the analytic Pa column prices
+from repro.zero.factory import build_model_and_engine
 
 CFG = GPTConfig(n_layers=3, hidden=64, n_heads=4, vocab_size=64, max_seq_len=16)
 BATCH, SEQ = 2, 16
@@ -41,34 +37,30 @@ class Sec8Result:
     analytic_pa_elems: float
 
 
+#: each activation store and the ZeRO config that builds it (plain DDP
+#: under Megatron MP; Pa and Pa+cpu partition checkpoints over the MP group)
+STORES = {
+    "none": ZeROConfig(memory_defrag=False),
+    "pa": ZeROConfig(partition_activations=True, memory_defrag=False),
+    "pa+cpu": ZeROConfig(
+        partition_activations=True, cpu_offload_activations=True, memory_defrag=False,
+    ),
+}
+
+
 def measure(store_kind: str) -> Sec8Result:
     gpu = GPUSpec("sec8-gpu", 2 * 10**9, 1e12)
     cluster = Cluster(MP, gpu=gpu)
     corpus = SyntheticCorpus(64, seed=5)
 
     def run(ctx):
-        store = {
-            "none": lambda: KeepStore(),
-            "pa": lambda: PartitionedStore(ctx.world, ctx),
-            "pa+cpu": lambda: PartitionedCPUStore(ctx.world, ctx),
-        }[store_kind]()
-        rng = np.random.default_rng(0)
-        model = GPT2Model(
-            CFG, mp_group=ctx.world, rank=ctx.rank, dtype=np.float32, rng=rng, device=ctx.device,
-            checkpoint_activations=True, activation_store=store,
+        _, engine = build_model_and_engine(
+            ctx, CFG, STORES[store_kind], dp_group=ctx.group([ctx.rank]),
+            mp_group=ctx.world, dtype=np.float32,
         )
-        loss_head = model.make_loss_head()
         ids, tgt = corpus.sample_batch(BATCH, SEQ, rank=0, step=0)
         ctx.ledger.clear()
-        ec = ExecutionContext()
-        logits, cache = model.forward(Tensor.from_numpy(ids), ec)
-        loss, lcache = loss_head.forward(logits, Tensor.from_numpy(tgt))
-        dlogits = loss_head.backward(lcache)
-        model.backward(cache, dlogits).free_if_alive()
-        dlogits.free_if_alive()
-        lcache.free()
-        cache.free()
-        logits.free_if_alive()
+        engine.train_step(ids, tgt)
         by_phase = ctx.ledger.by_phase()
         # Block-level MP traffic only (exclude the LM head / loss stats,
         # which Section 8's analysis does not count).
@@ -111,11 +103,3 @@ def render(results: list[Sec8Result]) -> str:
         ],
         title="Section 8 — MP communication and Pa overhead (measured vs analytic)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -60,11 +60,3 @@ def render(rows: list[Sec9Row]) -> str:
         [[r.claim, r.paper, r.reproduced] for r in rows],
         title="Section 9 — step towards 1 trillion parameters",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -62,11 +62,3 @@ def render(cells: list[Table1Cell]) -> str:
         headers, rows,
         title="Table 1 — per-device model-state memory (GB); '*' fits a 32GB V100",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

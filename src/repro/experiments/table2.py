@@ -4,7 +4,7 @@ Left half — closed form: the largest Psi whose per-device model states fit
 32 GB, for baseline/Pos/Pos+g/Pos+g+p across the paper's (MP, GPUs) rows.
 
 Right half — "measured": the paper ran real configs until OOM; we bisect
-the layer count of an h=8192 GPT family in meta mode on the simulated
+the layer count of an h=4096 GPT family in meta mode on the simulated
 32 GB device (one virtual rank of the full job), with activation
 checkpointing, CB and Pa, reading actual allocator behaviour. As in the
 paper, measured sizes land below the theoretical bound because
@@ -13,11 +13,11 @@ activations, embeddings and buffers also occupy the device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.memory_model import max_model_params
 from repro.configs import TABLE2_ROWS
-from repro.experiments.common import meta_memory_step
+from repro.experiments.common import measured_max_layers
 from repro.hardware.specs import V100_32GB
 from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
@@ -36,35 +36,19 @@ class Table2Row:
 
 
 STAGES = {"baseline": 0, "Pos": 1, "Pos+g": 2, "Pos+g+p": 3}
+#: the measured half's GPT family and per-replica batch
+HIDDEN, HEADS, BATCH = 4096, 32, 8
 
 
-def _measured_max_b(stage: int, mp: int, gpus: int, *, batch: int = 8, hidden: int = 4096,
-                    heads: int = 32) -> float:
-    """Bisect layers until the meta-mode step stops fitting on 32 GB."""
+def _measured_max_b(stage: int, mp: int, gpus: int) -> float:
+    """Billions of parameters in the largest model whose meta-mode step
+    fits 32 GB, with checkpointing and (under MP) Pa; 0 if none does."""
     zero = ZeROConfig(stage=stage, checkpoint_activations=True,
-                      partition_activations=(mp > 1), memory_defrag=False)
-    if mp <= 1:
-        zero = replace(zero, partition_activations=False)
-
-    def fits(layers: int) -> bool:
-        cfg = GPTConfig(n_layers=layers, hidden=hidden, n_heads=heads)
-        return meta_memory_step(
-            cfg, zero, n_gpus=gpus, mp=mp, batch=batch, gpu=V100_32GB
-        ).fits
-
-    if not fits(1):
+                      partition_activations=mp > 1, memory_defrag=False)
+    layers = measured_max_layers(zero, hidden=HIDDEN, heads=HEADS, n_gpus=gpus, mp=mp, batch=BATCH)
+    if not layers:
         return 0.0
-    lo, hi = 1, 2
-    while hi <= 2048 and fits(hi):
-        lo, hi = hi, hi * 2
-    hi = min(hi, 2048)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return GPTConfig(n_layers=lo, hidden=hidden, n_heads=heads).total_params / BILLION
+    return GPTConfig(n_layers=layers, hidden=HIDDEN, n_heads=HEADS).total_params / BILLION
 
 
 def run(*, measure: bool = True) -> list[Table2Row]:
@@ -103,11 +87,3 @@ def render(rows: list[Table2Row]) -> str:
         table,
         title="Table 2 — max model size: theory (model states only) vs measured (meta-mode allocator)",
     )
-
-
-def main() -> None:
-    print(render(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -31,9 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.perf_model import compute_split_seconds
 from repro.infinity.config import InfinityConfig
-from repro.zero.placement import Mesh
 from repro.infinity.schedule import (
     NVME_LANES,
     PCIE_LANES,
@@ -43,7 +41,6 @@ from repro.infinity.schedule import (
 )
 from repro.infinity.tiers import TierStream
 from repro.memsim.device import Device, HostMemory
-from repro.nn.transformer import GPTConfig
 from repro.runtime import RankContext
 
 
@@ -66,21 +63,8 @@ class InfinityStepReport:
 class InfinityEngine:
     """Per-rank multi-tier movement engine: owns the streams and step clock."""
 
-    def __init__(
-        self,
-        ctx: RankContext,
-        config: InfinityConfig,
-        model_config: GPTConfig,
-        *,
-        checkpointing: bool,
-        mesh: Mesh = Mesh(),
-    ):
+    def __init__(self, ctx: RankContext, config: InfinityConfig):
         self.config = config
-        self.model_config = model_config
-        #: the model's recompute switch: whether backward prices a forward again
-        self.checkpointing = checkpointing
-        self.mesh = mesh
-        self.peak_flops = ctx.device.spec.peak_flops
         self.pcie = TierStream(
             config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
             directions=PCIE_LANES,
@@ -115,14 +99,11 @@ class InfinityEngine:
         """Byte-accounting pool for a tier."""
         return self._pools[tier]
 
-    def begin_micro(self, batch: int, seq_len: int) -> None:
-        """Accrue one micro-batch's forward/backward compute time."""
-        fwd, bwd = compute_split_seconds(
-            self.model_config, batch, seq_len, checkpointing=self.checkpointing,
-            mesh=self.mesh, peak_flops=self.peak_flops,
-        )
-        self._pending.fwd_s += fwd
-        self._pending.bwd_s += bwd
+    def begin_micro(self, forward_s: float, backward_s: float) -> None:
+        """Accrue one micro-batch's modeled forward/backward compute time
+        (the engine prices it once, for the tracer too)."""
+        self._pending.fwd_s += forward_s
+        self._pending.bwd_s += backward_s
 
     def queue_grad_d2h(self, nbytes: int) -> None:
         """One owned gradient piece became tier-bound during backward."""

@@ -182,10 +182,7 @@ class BaseEngine:
         if zero.infinity is not None:
             from repro.infinity.engine import InfinityEngine
 
-            self.offload = InfinityEngine(
-                ctx, zero.infinity, model.config, mesh=self.mesh,
-                checkpointing=model.checkpoint_activations,
-            )
+            self.offload = InfinityEngine(ctx, zero.infinity)
         # repro.integrity's detectors and repro.redundancy's manager are built
         # with the lifecycle, at the first train_step: the subclass's optimizer
         # state (what they fingerprint and copy) does not exist yet.
@@ -241,8 +238,20 @@ class BaseEngine:
                 tgt_t = Tensor.from_numpy(np.asarray(targets), device=self.ctx.device, tag="batch.targets")
                 free_inputs.append(tgt_t)
         ctx = ExecutionContext(training=True)
-        for sub in life.micro_begin:
-            sub.micro_begin(self, boundary, ids_t.shape[0], ids_t.shape[-1])
+        if life.micro_begin:
+            # The micro-step's modeled compute, priced once for every
+            # subscriber; perf-fault rules stretch it, never the numerics.
+            forward_s, backward_s = self._compute_split(ids_t.shape[0], ids_t.shape[-1])
+            plan = self.ctx.faults
+            if plan is not None and plan.has_perf_rules:
+                # Micro-steps before a boundary belong to the upcoming
+                # optimizer step (the plan notes it at the boundary).
+                scale = plan.compute_scale(
+                    self.ctx.rank, self.step_count if boundary else self.step_count + 1
+                )
+                forward_s, backward_s = forward_s * scale, backward_s * scale
+            for sub in life.micro_begin:
+                sub.micro_begin(self, boundary, forward_s, backward_s)
 
         self.phase = "forward"
         for sub in life.enter_phase:

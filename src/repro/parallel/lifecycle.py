@@ -22,7 +22,7 @@ from repro.memprof.provenance import set_phase as memprof_set_phase
 #: detectors rejected (they raise) never reaches the buddy store.
 ORDER = {
     "step_begin": ("faults",),                      # (engine, boundary)
-    "micro_begin": ("tiers", "telemetry"),          # (engine, boundary, batch, seq_len)
+    "micro_begin": ("tiers", "telemetry"),          # (engine, boundary, forward_s, backward_s)
     "enter_phase": ("telemetry", "memory"),         # (engine, phase); leaves the last one
     "pre_optimizer": ("telemetry", "integrity"),    # (engine)
     "post_optimizer": ("tiers", "telemetry"),       # (engine, result); result.applied known
@@ -38,8 +38,8 @@ class _Tiers:
     """``engine.offload`` (the ``InfinityEngine`` tier runtime): the
     step's transfer timeline and modeled step time."""
 
-    def micro_begin(self, engine, boundary, batch, seq_len):
-        engine.offload.begin_micro(batch, seq_len)
+    def micro_begin(self, engine, boundary, forward_s, backward_s):
+        engine.offload.begin_micro(forward_s, backward_s)
 
     def post_optimizer(self, engine, result):
         # Host Adam over the partition, that many fp16 bytes shipped back,
@@ -61,17 +61,9 @@ class _Telemetry:
 
     __slots__ = ("t0", "seconds", "phase")
 
-    def micro_begin(self, engine, boundary, batch, seq_len):
+    def micro_begin(self, engine, boundary, forward_s, backward_s):
         tr = engine.tracer
-        seconds = engine._compute_split(batch, seq_len)
-        plan = engine.ctx.faults
-        if plan is not None and plan.has_perf_rules:
-            # Micro-steps before a boundary belong to the upcoming
-            # optimizer step (the plan notes it at the boundary).
-            step = engine.step_count if boundary else engine.step_count + 1
-            scale = plan.compute_scale(engine.ctx.rank, step)
-            seconds = [s * scale for s in seconds]
-        self.seconds = dict(zip(("forward", "backward"), seconds))
+        self.seconds = {"forward": forward_s, "backward": backward_s}
         self.phase = None
         self.t0 = tr.clock_s
         tr.begin("step", **engine._step_labels(boundary))

@@ -1,5 +1,10 @@
 """Experiment runners: each table/figure reproduces the paper's shape."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -203,3 +208,30 @@ class TestRendering:
         mod = importlib.import_module(f"repro.experiments.{module}")
         text = mod.render(mod.run())
         assert len(text.splitlines()) > 3
+
+
+class TestCommandLine:
+    """``python -m repro.experiments <id>...`` prints ``render(run())``."""
+
+    @staticmethod
+    def _run(*ids):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", "repro.experiments", *ids], capture_output=True,
+            text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_an_id_prints_its_table(self):
+        from repro.experiments import table1
+
+        proc = self._run("table1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == table1.render(table1.run()) + "\n"
+
+    @pytest.mark.parametrize("ids", [(), ("table1", "fig99")])
+    def test_no_id_or_an_unknown_one_exits_2_with_the_ids(self, ids):
+        proc = self._run(*ids)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "table1" in proc.stderr and "infinity_sweep" in proc.stderr

@@ -554,9 +554,9 @@ def test_infinity_cost_model_tracks_simulated_timeline():
             chunked = replace(all_nvme, opt_chunk_bytes=all_nvme.opt_chunk_bytes // 4)
             assert_schedule_meets_oracles(chunked, model, gather_units=4, rel=1e-5, **shape)
     assert regimes == {0, 1, 2}  # no lane, PCIe, and the drive lane saturated
-    from repro.experiments.infinity_sweep import run_time
+    from repro.experiments.infinity_sweep import TIME_CASES, run_time
 
-    rows = run_time()  # the sweep itself still runs; its bound is the benchmark's
+    rows = run_time(TIME_CASES)  # the sweep itself still runs; its bound is the benchmark's
     assert len(rows) == 6 and all(row.sim_step_s > 0.0 < row.uniform_step_s for row in rows)
 
 
@@ -611,6 +611,33 @@ def test_tier_runtime_prices_the_recompute_the_model_runs():
     ids = Tensor.meta((2, 16), np.int64, device=ctx.device)
     engine.train_step(ids, ids)
     assert engine.offload.reports[-1].compute_s == sum(engine._compute_split(2, 16))
+
+
+def test_a_compute_throttle_stretches_the_tier_runtime_as_it_does_the_trace():
+    """A micro-step's compute is priced once, for the tracer and the tier
+    runtime alike: a throttled rank's ``compute_s`` is its traced forward +
+    backward, three times the healthy rank's."""
+    from repro.telemetry import TelemetrySession
+
+    session = TelemetrySession()
+    plan = FaultPlan().throttle_rank(rank=1, compute_factor=3.0)
+    zero = ZeROConfig(
+        stage=2, memory_defrag=False,
+        infinity=InfinityConfig(**{**HOST_ONLY, "grad_tier": "device"}),
+    )
+
+    def fn(ctx):
+        _, engine = build_model_and_engine(ctx, CFG, zero, dp_group=ctx.world, meta=True)
+        ids = np.zeros((2, 16), dtype=np.int64)
+        for _ in range(2):
+            engine.train_step(ids, ids)
+        return engine.offload.reports[-1].compute_s
+
+    compute = Cluster(2, gpu=GPU, timeout_s=60.0, fault_plan=plan, telemetry=session).run(fn)
+    for rank, compute_s in enumerate(compute):
+        last = {s.name: s.duration_s for s in session.tracers[rank].spans}  # the last step's
+        assert compute_s == pytest.approx(last["forward"] + last["backward"], rel=1e-9), rank
+    assert compute[1] == pytest.approx(3.0 * compute[0], rel=1e-12)
 
 
 def test_offload_compute_window_divides_by_mp_degree():

@@ -2,11 +2,30 @@
 
 import pytest
 
-from repro.analysis.max_model import device_bytes_for, max_batch, max_layers
+from repro.analysis.max_model import _largest, device_bytes_for, max_batch, max_layers
 from repro.nn.transformer import GPTConfig
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
 from repro.zero.placement import Mesh
+
+
+@pytest.mark.parametrize("start", [None, 1, 2, 5, 64, 99, 100, 101, 5000])
+@pytest.mark.parametrize("answer", [0, 1, 2, 3, 63, 64, 65, 99, 100, 1000])
+def test_the_fit_search_is_a_brute_force_scan(answer, start):
+    """On a monotone predicate the doubling/bisect search returns what a scan
+    of [1, max_search] returns, wherever it starts doubling: 0 when 1 does
+    not fit, ``max_search`` when everything does."""
+    max_search = 100
+    probes = []
+
+    def fits(n):
+        probes.append(n)
+        return n <= answer
+
+    scan = max((n for n in range(1, max_search + 1) if n <= answer), default=0)
+    found = _largest(fits, max_search) if start is None else _largest(fits, max_search, start)
+    assert found == scan
+    assert all(1 <= n <= max_search for n in probes)
 
 
 def test_solution_is_maximal():

@@ -442,9 +442,10 @@ def test_cost_model_tracks_simulated_timeline():
         assert_schedule_meets_oracles(
             offload_tiers(grads, dpu), numel=numel, grad_chunks=chunks
         )
-    from repro.experiments.offload_sweep import run_time
+    from repro.experiments.infinity_sweep import run_time
+    from repro.experiments.offload_sweep import TIME_CASES
 
-    rows = run_time()  # the sweep itself still runs; its bound is the benchmark's
+    rows = run_time(TIME_CASES)  # the sweep itself still runs; its bound is the benchmark's
     assert len(rows) == 4 and all(row.sim_step_s > 0.0 < row.uniform_step_s for row in rows)
 
 
