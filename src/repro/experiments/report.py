@@ -28,6 +28,8 @@ EXPERIMENTS = [
     ("sec7", "Section 7 — DP communication volume"),
     ("sec8", "Section 8 — MP volume and Pa overhead"),
     ("sec9", "Section 9 — 1T feasibility and compute gap"),
+    ("offload_sweep", "ZeRO-Offload — max model vs device budget, tier schedule"),
+    ("infinity_sweep", "ZeRO-Infinity — max model per tier reach, tier schedule"),
 ]
 
 

@@ -133,10 +133,12 @@ class Device(Doors):
         once per list) routes into the MD region, and the cache serves
         every allocation with an exact size-class hit. Otherwise False,
         with nothing changed, and the caller makes the run through the
-        doors."""
+        doors. A run of frees alone routes nothing: its ``tags`` are not
+        read."""
         if self.on_alloc or self.on_free or self.cache is None:
             return False
-        if self._md_allocator is not None and tags is not self._md_clear:
+        if (self._md_allocator is not None and transition.n_allocs
+                and tags is not self._md_clear):
             routes = self._md_routes
             for tag in tags:
                 try:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.memprof.provenance import category as memprof_category
 from repro.memsim.device import Device
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, op_result
 from repro.utils.doors import Doors
 
 
@@ -43,11 +43,22 @@ class Parameter(Doors):
     gradients are accumulated in fp32 and stored back in the gradient dtype
     (fp16, giving the paper's 2-Psi gradient footprint).
 
+    Where the gradient's values live is its bucket's business
+    (``repro.optim.flat.GradRecord``): once a bucket is fixed, ``grad_view``
+    is this parameter's view of the bucket's flat host buffer, at a fixed
+    offset, and a handoff writes or accumulates into it; before that (and
+    for a parameter no engine buckets) a handoff writes into an array of
+    the gradient's own. The device sees the gradient's bytes exactly as
+    backward produced them: the handed-over extent is kept, or, for a cast,
+    one ``.grad`` extent is allocated and the incoming one freed.
+
     ``accumulate_grad`` is a door (``repro.utils.doors``): a subscriber
     hears ``_accumulated(param)`` once the call that took a gradient is
     done, and one that also has ``_accumulating(param, g)`` hears that as
     the gradient arrives, so it can tell the call's own effects (a cast,
-    the grad hook's) from the caller's.
+    the grad hook's) from the caller's. ``hand_over`` is the same handoff
+    for a meta gradient that is only an extent (a block tape's re-issue);
+    with a subscriber it goes through ``accumulate_grad`` as a ``Tensor``.
     """
 
     POINTS = ("_accumulating", "_accumulated")
@@ -60,6 +71,10 @@ class Parameter(Doors):
         self.data = data
         self.grad: Tensor | None = None
         self.grad_dtype = np.dtype(grad_dtype)
+        self.grad_tag = f"{name}.grad"  # a cast gradient's tag and memprof site
+        #: this parameter's view of its bucket's flat buffer, once fixed
+        self.grad_view: np.ndarray | None = None
+        self._meta_grad: Tensor | None = None  # see ``hand_over``
         # Called with this Parameter the first time a gradient lands during
         # a backward pass — how DDP/ZeRO engines overlap bucketed gradient
         # reduction with backward computation.
@@ -87,39 +102,85 @@ class Parameter(Doors):
             raise ValueError(
                 f"grad shape {g.shape} != parameter {self.name} shape {self.shape}"
             )
-        if self.grad is None:
+        grad = self.grad
+        if grad is None:
+            if g.data is not None:
+                view = self.grad_view
+                if view is None:
+                    view = np.empty(g.shape, self.grad_dtype)
+                if g.dtype == self.grad_dtype:
+                    view[...] = g.data
+                else:
+                    with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
+                        np.copyto(view, g.data, casting="unsafe")
+                g.data = view
             if g.dtype == self.grad_dtype:
                 self.grad = g
             else:
-                data = None
-                if not g.is_meta:
-                    with np.errstate(over="ignore"):  # fp16 saturates to inf, as hardware does
-                        data = g.data.astype(self.grad_dtype)
-                with memprof_category("grad_fp16", site=f"{self.name}.grad"):
+                with memprof_category("grad_fp16", site=self.grad_tag):
                     self.grad = Tensor(
-                        g.shape, self.grad_dtype, data=data, device=g.device,
-                        tag=f"{self.name}.grad",
+                        g.shape, self.grad_dtype, data=g.data, device=g.device,
+                        tag=self.grad_tag,
                     )
                 g.free()
             # The retained tensor changes role here (backward temporary ->
             # parameter gradient); tell the observatory, if one is attached.
-            if self.grad.device is not None and self.grad.extent is not None:
-                prof = self.grad.device.profiler
+            grad = self.grad
+            if grad.device is not None and grad.extent is not None:
+                prof = grad.device.profiler
                 if prof is not None:
-                    prof.recategorize(
-                        self.grad.extent, "grad_fp16", site=f"{self.name}.grad"
-                    )
+                    prof.recategorize(grad.extent, "grad_fp16", site=self.grad_tag)
             if self.grad_ready_hook is not None:
                 self.grad_ready_hook(self)
         else:
-            if not self.grad.is_meta and not g.is_meta:
-                with np.errstate(over="ignore", invalid="ignore"):  # saturate, as above
-                    acc = self.grad.data.astype(np.float32) + g.data.astype(np.float32)
-                    self.grad.data = acc.astype(self.grad_dtype)
+            if grad.data is not None and g.data is not None:
+                # The add runs in fp32 and rounds once into the gradient's
+                # dtype, in place (saturating; inf - inf is NaN: overflow).
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.add(grad.data, g.data, out=grad.data, dtype=np.float32, casting="unsafe")
             g.free()
         if told:
             for sub in told:
                 sub._accumulated(self)
+
+    def hand_over(self, extent, dtype: np.dtype, tag: str, ref: Tensor) -> None:
+        """``accumulate_grad`` of a meta gradient of this parameter's shape,
+        ``dtype`` and ``tag`` that ``extent`` holds on ``ref``'s device,
+        without building it unless a subscriber is to hear it."""
+        if self.on_accumulated:
+            g = op_result(ref, None, self.data.shape, dtype, tag, alloc=False)
+            g.extent = extent
+            self.accumulate_grad(g)
+            return
+        device = ref.device
+        if self.grad is not None:
+            device.free(extent)  # a meta accumulation adds nothing
+            return
+        if dtype != self.grad_dtype:
+            dtype, tag = self.grad_dtype, self.grad_tag
+            nbytes = dtype.itemsize * self.data.size
+            if device.on_alloc:  # a memory observatory may read the scope
+                with memprof_category("grad_fp16", site=tag):
+                    cast = device.alloc(nbytes, tag)
+            else:
+                cast = device.alloc(nbytes, tag)
+            device.free(extent)
+            extent = cast
+        # The meta gradient's Tensor is this parameter's, built once and
+        # re-bound: a released gradient leaves ``grad``, and nothing else
+        # holds it.
+        grad = self._meta_grad
+        if grad is None or grad.dtype != dtype or grad.device is not device:
+            grad = self._meta_grad = op_result(ref, None, self.data.shape, dtype, tag, alloc=False)
+        grad.extent = extent
+        grad.tag = tag
+        grad._freed = False
+        self.grad = grad
+        prof = device.profiler  # as in ``accumulate_grad``
+        if prof is not None:
+            prof.recategorize(extent, "grad_fp16", site=self.grad_tag)
+        if self.grad_ready_hook is not None:
+            self.grad_ready_hook(self)
 
     def zero_grad(self) -> None:
         if self.grad is not None:

@@ -30,7 +30,10 @@ tape holds them in order:
 * a gradient handed to ``Parameter.accumulate_grad``. What that call does
   itself — the cast, the grad hook, a bucket flush, memprof's
   recategorisation — is not taped: on re-issue it runs live, on the target
-  block's own ``Parameter``, with a real ``Tensor``.
+  block's own ``Parameter``, through ``Parameter.hand_over``, which takes
+  the re-issued extent as it is and re-binds the one meta gradient
+  ``Tensor`` the parameter keeps (a ``Tensor`` for the handoff itself is
+  built only for a subscriber to the door).
 
 A block contributes two regions per direction — the region that returns
 its output (``block.forward``, or recompute + backward) and the
@@ -51,9 +54,10 @@ that run goes event by event through ``device.alloc`` / ``device.free``,
 so every subscriber (``MemoryProfiler``, ``MemoryTimeline``, a capture)
 hears every event, and a best-fit choice, split, flush or OOM happens at
 the same event from the same allocator state; the next run is asked
-again. The region's output and each taped gradient come back as
-``Tensor``s bound to the re-issued extents, so the device stream, the
-ledger, the peaks and an OOM are what running the block gives.
+again. The region's output comes back as a ``Tensor`` bound to its
+re-issued extent, and each taped gradient is handed over on its extent,
+so the device stream, the ledger, the peaks and an OOM are what running
+the block gives.
 
 The recorder subscribes to those doors (``repro.utils.doors``) only
 while capturing, and to a shared group for its own rank only, so the
@@ -75,8 +79,7 @@ Re-issuing a tape at a later step is safe for the reason re-issuing it
 for a later block is: a block region's effects are a function of its
 ``signature`` and its name prefix. What changes between steps and not
 between blocks cannot reach a region. A gradient already held (gradient
-accumulation) only changes what ``accumulate_grad`` does, and that runs
-live. Optimizer and loss-scaler state sit outside the regions. An
+accumulation) only changes what the handoff does, and that runs live. Optimizer and loss-scaler state sit outside the regions. An
 observer attached after the capture sees every re-issued event, since it
 subscribes to the doors the re-issue goes through. A fault rule acts in the
 collective, which goes through the target block's live group. Blocks keep
@@ -388,8 +391,8 @@ class _Run:
         self._extents: list = [None] * len(tags)
 
     def bound(self, event: tuple) -> Tensor:
-        """The tensor a taped output or gradient names, bound to its
-        re-issued extent."""
+        """The tensor a taped output names, bound to its re-issued
+        extent."""
         _, _, at, shape, dtype, tag = event
         t = op_result(self._ref, None, shape, dtype, self._names[tag], alloc=False)
         t.extent = self._extents[at]
@@ -418,7 +421,8 @@ class _Run:
                 _, holder, rank, op, nbytes, phase = step
                 self._groups[holder].meta_collective(rank, op, nbytes, self._names[phase])
             else:
-                self._params[step[1]].accumulate_grad(self.bound(step))
+                _, i, at, _, dtype, tag = step
+                self._params[i].hand_over(extents[at], dtype, self._names[tag], self._ref)
 
     def free(self) -> None:
         self.play(self._tape.regions[1])

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.memsim.caching_allocator import Transition
+from repro.memsim.device import Device
 from repro.nn.module import Parameter
 
 
@@ -161,36 +163,24 @@ class FlatLayout:
             piece[a - lo : b - lo] = src[a - s.offset : b - s.offset].astype(dtype)
         return piece
 
-    def scatter_grad_range(self, flat_piece: np.ndarray, lo: int, hi: int) -> None:
-        """Write values for the flat range [lo, hi) into overlapping grads."""
-        if flat_piece.shape != (hi - lo,):
-            raise ValueError(f"piece shape {flat_piece.shape} != ({hi - lo},)")
-        for i in self._overlapping(lo, hi):
-            p, s = self.parameters[i], self.slots[i]
-            a, b = max(s.offset, lo), min(s.end, hi)
-            if a >= b or p.grad is None:
-                continue
-            target = p.grad.numpy().reshape(-1)
-            target[a - s.offset : b - s.offset] = flat_piece[a - lo : b - lo].astype(
-                p.grad.dtype
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class OwnerSegment:
     """One partition owner's share of a bucket or unit.
 
-    ``pieces`` are the flat ``[lo, hi)`` ranges the owner holds of each
-    parameter, in the bucket's parameter order; concatenated in that order
-    they are the owner's fused buffer of ``numel`` elements. ``copies``
-    has one ``(parameter, source, destination)`` per piece: the slice of
-    the parameter's flat view and the slice of the fused buffer it fills.
+    ``lo`` / ``hi`` bound the owner's run of the record's flat buffer
+    (``numel`` elements); ``pieces`` are the flat-layout ``[lo, hi)``
+    ranges that run holds, ascending, adjacent ranges merged.
     """
 
     owner: int
     pieces: tuple[tuple[int, int], ...]
-    numel: int
-    copies: tuple[tuple[Parameter, slice, slice], ...]
+    lo: int
+    hi: int
+
+    @property
+    def numel(self) -> int:
+        return self.hi - self.lo
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,48 +200,131 @@ class SegmentPlan:
     mine: int | None
 
 
-class SegmentPlans:
-    """One rank's segment plans over an Nd-way partitioned layout.
+def plan_segments(
+    layout: FlatLayout, ranks: tuple[int, ...], my_index: int, itemsize: int,
+    params: Sequence[Parameter],
+) -> SegmentPlan:
+    """The per-owner split of ``params`` — ascending in ``layout`` — over
+    the ``len(ranks)``-way partition, as seen by group index ``my_index``.
 
-    A plan is a pure function of the layout, the group (``ranks``, this
-    rank's ``my_index`` in it), the element size and the bucket's parameter
-    names — none of which change while an engine lives — so each distinct
-    bucket or unit is planned once and never invalidated.
+    Laid end to end in layout order, the parameters' elements ascend in
+    the flat space, so every owner's elements are one run of that
+    concatenation: the run is the owner's message, with no gather."""
+    nd = len(ranks)
+    by_owner: dict[int, list[tuple[int, int]]] = {}
+    for p in params:
+        slot = layout.slot(p.name)
+        for owner, lo, hi in layout.owner_segments(nd, slot.offset, slot.end):
+            held = by_owner.setdefault(owner, [])
+            if held and held[-1][1] == lo:
+                held[-1] = (held[-1][0], hi)
+            else:
+                held.append((lo, hi))
+    segments, cursor = [], 0
+    for owner, held in by_owner.items():  # ascending: params ascend in the layout
+        numel = sum(hi - lo for lo, hi in held)
+        segments.append(OwnerSegment(owner, tuple(held), cursor, cursor + numel))
+        cursor += numel
+    owners = [seg.owner for seg in segments]
+    return SegmentPlan(
+        segments=tuple(segments),
+        roots=tuple(ranks[o] for o in owners),
+        nbytes=tuple(seg.numel * itemsize for seg in segments),
+        mine=owners.index(my_index) if my_index in owners else None,
+    )
+
+
+class GradRecord:
+    """One bucket's (stages 0-2) or stage-3 unit's gradients.
+
+    ``params`` are in the order backward handed them in (a bucket's ready
+    order), which is the order they are released in. ``pending`` counts
+    the handoffs still due this round (the last ``pending`` of ``params``;
+    0 while the bucket first grows); ``auto`` says the bucket closed itself
+    on reaching its size (it flushes at its last handoff), rather than at
+    the round's explicit ``flush``. ``plan`` is the engine's
+    ``SegmentPlan``, made at the record's first flush.
+
+    ``fix`` gives a real record its one flat host buffer in the gradient
+    dtype, the parameters laid out in layout order: from then on each
+    ``Parameter.grad`` is a view of it at a fixed offset, which handoffs
+    write or accumulate into and a flush sends without a copy loop.
     """
 
-    def __init__(self, layout: FlatLayout, ranks: tuple[int, ...], my_index: int, itemsize: int):
-        self.layout = layout
-        self.ranks = ranks
-        self.my_index = my_index
-        self.itemsize = itemsize
-        self._plans: dict[tuple[str, ...], SegmentPlan] = {}
+    __slots__ = ("params", "numel", "pending", "auto", "plan", "buffer", "_frees")
 
-    def plan(self, params: Sequence[Parameter]) -> SegmentPlan:
-        key = tuple([p.name for p in params])
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._build(params)
-        return plan
+    def __init__(self, params: Sequence[Parameter] = ()):
+        self.params = list(params)
+        self.numel = sum(p.size for p in self.params)
+        self.pending = 0
+        self.auto = False
+        self.plan: SegmentPlan | None = None
+        self.buffer: np.ndarray | None = None
+        self._frees: tuple | None = None  # (extent sizes, Transition) of the last release
 
-    def _build(self, params: Sequence[Parameter]) -> SegmentPlan:
-        layout, nd = self.layout, len(self.ranks)
-        by_owner: dict[int, list[tuple[int, int, Parameter, int]]] = {}
-        for p in params:
-            slot = layout.slot(p.name)
-            for owner, lo, hi in layout.owner_segments(nd, slot.offset, slot.end):
-                by_owner.setdefault(owner, []).append((lo, hi, p, slot.offset))
-        segments = []
-        for owner, held in sorted(by_owner.items()):
-            pieces, copies, cursor = [], [], 0
-            for lo, hi, p, offset in held:
-                pieces.append((lo, hi))
-                copies.append((p, slice(lo - offset, hi - offset), slice(cursor, cursor + hi - lo)))
-                cursor += hi - lo
-            segments.append(OwnerSegment(owner, tuple(pieces), cursor, tuple(copies)))
-        owners = [seg.owner for seg in segments]
-        return SegmentPlan(
-            segments=tuple(segments),
-            roots=tuple(self.ranks[o] for o in owners),
-            nbytes=tuple(seg.numel * self.itemsize for seg in segments),
-            mine=owners.index(self.my_index) if self.my_index in owners else None,
-        )
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def add(self, param: Parameter) -> None:
+        self.params.append(param)
+        self.numel += param.size
+
+    def fix(self, layout: FlatLayout) -> list[Parameter]:
+        """The parameters in layout order; a real record's buffer, made
+        here, holds what their gradients hold, and each gradient becomes a
+        view of it."""
+        ordered = sorted(self.params, key=lambda p: layout.slot(p.name).offset)
+        if any(p.grad is None or p.grad.data is None for p in ordered):
+            return ordered  # meta: nothing to hold
+        dtypes = {p.grad_dtype for p in ordered}
+        if len(dtypes) != 1:
+            raise ValueError(f"a bucket holds one gradient dtype, not {sorted(map(str, dtypes))}")
+        self.buffer = np.empty(self.numel, dtypes.pop())
+        offset = 0
+        for p in ordered:
+            view = self.buffer[offset : offset + p.size].reshape(p.shape)
+            view[...] = p.grad.data
+            p.grad.data = p.grad_view = view
+            offset += p.size
+        return ordered
+
+    def release(self) -> None:
+        """Free every parameter's gradient, in ``params`` order. Where the
+        device has no subscriber, the frees into its cache are one
+        ``Device.apply``, whose ``Transition`` is kept for the next release
+        of the same sizes (through the door if the device declines it), and
+        an MD region's frees go through the door as they come: the pools
+        are disjoint and a free moves no peak, so that is what freeing in
+        order gives. Otherwise every free goes through the door, in order."""
+        extents, sizes, n, device = [], [], 0, None
+        for p in self.params:
+            g = p.grad
+            if g is None:
+                continue
+            p.grad = None
+            if g._freed:
+                continue
+            g._freed = True
+            g.data = None
+            extent, pool = g.extent, g.device
+            if extent is None:
+                continue
+            g.extent = None
+            if (pool.__class__ is not Device or pool.on_free or extent.pool == "md"
+                    or (device is not None and pool is not device)):
+                pool.free(extent)
+            else:
+                device = pool
+                extents += (extent,)
+                sizes += (extent.size,)
+                n += 1
+        if n > 1:
+            kept = self._frees
+            if kept is None or kept[0] != sizes:
+                kept = self._frees = (
+                    sizes, Transition([~i for i in range(n)], n, sizes, device.raw.alignment - 1)
+                )
+            if device.apply(kept[1], extents, ()):
+                return
+        for extent in extents:
+            device.free(extent)

@@ -6,6 +6,18 @@ memory at ~1.4B parameters on a 32 GB device (Section 1). Gradients are
 averaged with bucketed all-reduce overlapped with backward (the hook fires
 as each parameter's gradient lands), mirroring torch DDP / NVIDIA AMP
 bucketing (Section 5.2's reference point).
+
+``GradBucketQueue`` groups the gradients, for DDP and ZeRO stages 1-2
+alike, into buckets fixed from the first round's ready order, as torch DDP
+fixes its buckets from the first iteration: each bucket is one
+``repro.optim.flat.GradRecord`` — its parameters, a count of the handoffs
+still due, the engine's plan and, with real data, one flat host buffer
+that every ``Parameter.grad`` of the bucket is a view of. A bucket flushes
+once, at exactly the handoff (or the round's end) where grouping afresh
+would flush it; a handoff out of that order re-plans from there. The
+simulated device still sees one event per parameter, in the order
+backward makes them; a bucket's frees are one ``Device.apply`` where the
+device takes it.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from repro.memprof.provenance import category as memprof_category
 from repro.nn.module import Parameter
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import adam_step_inplace
+from repro.optim.flat import GradRecord
 from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
 from repro.parallel.engine import BaseEngine, EngineConfig
@@ -34,14 +47,29 @@ def _unhook(params: Sequence[Parameter]) -> None:
 
 
 class GradBucketQueue:
-    """Collects parameters as their gradients become ready; flushes groups
-    of ~bucket_numel elements to a callback (the engine's reduction)."""
+    """Groups parameters, as their gradients become ready, into buckets of
+    ~bucket_numel elements, and hands each full bucket — a ``GradRecord`` —
+    to a callback (the engine's reduction).
+
+    The buckets are fixed from the first round's ready order (a round ends
+    at the explicit ``flush``): ``records`` keeps them, and a later round
+    only counts each handoff against the record it is due in, flushing a
+    record that closed itself on reaching its size at its last handoff and
+    the round's last (partial) record at ``flush`` — the points where
+    grouping that round afresh would flush. A handoff that arrives out of
+    that order, or a round that ends short of it, re-plans from there:
+    the record under way keeps what it was handed and grows afresh, and
+    the records after it are dropped, to be re-learned.
+    """
 
     def __init__(self, bucket_numel: int | None, flush_fn):
         self.bucket_numel = bucket_numel
         self.flush_fn = flush_fn
-        self._pending: list[Parameter] = []
-        self._pending_numel = 0
+        #: the buckets, in the order a round fills them
+        self.records: list[GradRecord] = []
+        self._at = 0  # index into ``records`` of the bucket filling now
+        #: a bucket still growing (a round off the fixed order), else None
+        self._growing: GradRecord | None = None
 
     @classmethod
     def for_engine(cls, engine, hooked: Sequence[Parameter]) -> "GradBucketQueue":
@@ -52,8 +80,8 @@ class GradBucketQueue:
         the model, without a gc pass (a Supervisor relaunch abandons a
         whole world's engines): the queue reaches the engine through a
         weak reference, and the parameters — which point at the queue
-        while the queue lists those with a gradient pending — are unhooked
-        when the engine goes.
+        while the queue's records list them — are unhooked when the engine
+        goes.
         """
         weak_engine = weakref.proxy(engine)
         queue = cls(engine.config.bucket_numel, lambda bucket: weak_engine._flush_bucket(bucket))
@@ -64,17 +92,56 @@ class GradBucketQueue:
         return queue
 
     def on_grad_ready(self, param: Parameter) -> None:
-        self._pending.append(param)
-        self._pending_numel += param.size
-        if self.bucket_numel is not None and self._pending_numel >= self.bucket_numel:
-            self.flush()
+        rec = self._growing
+        if rec is None:
+            try:
+                rec = self.records[self._at]
+                n = rec.pending
+                due = n and rec.params[-n] is param
+            except IndexError:  # past the fixed order's end
+                due = False
+            if due:
+                if n == 1 and rec.auto:
+                    self._flush_at()
+                else:
+                    rec.pending = n - 1
+                return
+            rec = self._regrow()
+        rec.add(param)
+        if self.bucket_numel is not None and rec.numel >= self.bucket_numel:
+            rec.auto = True
+            self._flush_at()
 
     def flush(self) -> None:
-        if not self._pending:
-            return
-        bucket, self._pending = self._pending, []
-        self._pending_numel = 0
-        self.flush_fn(bucket)
+        """End the round: flush the bucket under way, if it holds any."""
+        rec = self._growing
+        if rec is None and self._at < len(self.records):
+            rec = self.records[self._at]
+            if rec.pending:  # the round ends short of the fixed order
+                rec = self._regrow() if rec.pending < len(rec.params) else None
+        if rec is not None:
+            self._flush_at()
+        self._at = 0
+        self._growing = None
+
+    def _regrow(self) -> GradRecord:
+        """Leave the fixed order at ``_at``: the bucket there keeps what
+        this round handed it, and everything after is re-learned."""
+        rec = GradRecord()
+        if self._at < len(self.records):
+            held = self.records[self._at]
+            rec = GradRecord(held.params[: len(held.params) - held.pending])
+        del self.records[self._at :]
+        self.records.append(rec)
+        self._growing = rec
+        return rec
+
+    def _flush_at(self) -> None:
+        rec = self.records[self._at]
+        rec.pending = len(rec.params)  # all due again next round
+        self._at += 1
+        self._growing = None
+        self.flush_fn(rec)
 
 
 class DDPEngine(BaseEngine):
@@ -107,31 +174,24 @@ class DDPEngine(BaseEngine):
 
     # -- gradient reduction -----------------------------------------------------
 
-    def _flush_bucket(self, bucket: list[Parameter]) -> None:
-        """Fuse the bucket's fp16 gradients, all-reduce, scatter back."""
-        numel = sum(p.size for p in bucket)
+    def _flush_bucket(self, bucket: GradRecord) -> None:
+        """All-reduce the bucket's gradients, and hold the sums."""
         dtype = np.dtype(self.model.dtype)
         if self.is_meta:
             self.dp_group.meta_collective(
-                self.ctx.rank, "all_reduce", numel * dtype.itemsize, "grad-allreduce"
+                self.ctx.rank, "all_reduce", bucket.numel * dtype.itemsize, "grad-allreduce"
             )
             return
         with memprof_category("comm_buffer", site="grad-bucket"):
-            fused = Tensor(
-                (numel,), dtype, data=np.empty(numel, dtype),
-                device=self.ctx.device, tag="grad-bucket",
-            )
-        offset = 0
-        for p in bucket:
-            fused.data[offset : offset + p.size] = p.grad.numpy().reshape(-1)
-            offset += p.size
+            fused = Tensor((bucket.numel,), dtype, device=self.ctx.device, tag="grad-bucket")
+        if bucket.buffer is None:
+            bucket.fix(self.layout)
+        # Every peer reads a deposit after the rendezvous returns: the
+        # buffer the sums land in is not deposited itself.
         reduced = self.dp_group.all_reduce(
-            self.ctx.rank, fused.data, op="sum", phase="grad-allreduce"
+            self.ctx.rank, bucket.buffer.copy(), op="sum", phase="grad-allreduce"
         )
-        offset = 0
-        for p in bucket:
-            p.grad.data = reduced[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        bucket.buffer[...] = reduced
         fused.free()
 
     def _reduce_gradients(self) -> None:

@@ -26,7 +26,7 @@ from repro.memprof.provenance import category as memprof_category
 from repro.nn.module import ExecutionContext
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import AdamHyperparams
-from repro.optim.flat import FlatLayout
+from repro.optim.flat import FlatLayout, GradRecord
 from repro.optim.scaler import LossScaler
 from repro.parallel.lifecycle import Lifecycle
 from repro.runtime import RankContext
@@ -130,6 +130,8 @@ class BaseEngine:
         self._deferred: list = []
         self.is_meta = params[0].data.is_meta
         self.layout = FlatLayout(params, pad_multiple=dp_group.size)
+        #: the whole replica's gradients, released as one at each boundary
+        self._grads = GradRecord(params)
         self.scaler = LossScaler(
             init_scale=self.config.loss_scale, dynamic=self.config.dynamic_loss_scale
         )
@@ -474,7 +476,7 @@ class BaseEngine:
         raise NotImplementedError
 
     def _release_gradients(self) -> None:
-        self.model.zero_grad()
+        self._grads.release()
 
     # -- checkpointing -----------------------------------------------------------
 

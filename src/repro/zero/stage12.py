@@ -34,7 +34,7 @@ from repro.memsim.device import Device, HostMemory
 from repro.nn.module import Parameter
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import adam_step_inplace
-from repro.optim.flat import SegmentPlans
+from repro.optim.flat import GradRecord, SegmentPlan, plan_segments
 from repro.optim.mixed_precision import FlatAdamState
 from repro.optim.scaler import LossScaler
 from repro.parallel.ddp import GradBucketQueue
@@ -112,12 +112,6 @@ class _ZeroDPBase(BaseEngine):
         self._queue = GradBucketQueue.for_engine(
             self, self.layout.parameters if overlap else ()
         )
-        #: every bucket's (and, at stage 3, unit's) per-owner split, planned
-        #: at its first flush; ``_flush_bucket`` and stage 3's
-        #: ``_materialize`` are the only readers.
-        self._segments = SegmentPlans(
-            self.layout, dp_group.ranks, self.my_index, np.dtype(self.model.dtype).itemsize
-        )
 
     def pool_of(self, state_class: str) -> Device | HostMemory:
         """The allocator ``state_class`` is accounted on: this rank's
@@ -137,12 +131,22 @@ class _ZeroDPBase(BaseEngine):
 
     # -- gradient reduction: reduce each owner's piece to that owner ---------
 
-    def _flush_bucket(self, bucket: list[Parameter]) -> None:
+    def _plan(self, params: list[Parameter]) -> SegmentPlan:
+        """The per-owner split of ``params``, ascending in the layout."""
+        return plan_segments(
+            self.layout, self.dp_group.ranks, self.my_index,
+            np.dtype(self.model.dtype).itemsize, params,
+        )
+
+    def _flush_bucket(self, bucket: GradRecord) -> None:
         """Reduce each owner's piece of the bucket to that owner — the
         bucketized reduce-scatter of Section 5.2, one logical ``reduce`` per
         owner and one rendezvous for the bucket. The bucket queue calls
-        this per bucket, stage 3 per unit."""
-        plan = self._segments.plan(bucket)
+        this per bucket, stage 3 per unit. Each owner's piece is one run of
+        the bucket's flat buffer, planned at the bucket's first flush."""
+        plan = bucket.plan
+        if plan is None:
+            plan = bucket.plan = self._plan(bucket.fix(self.layout))
         rank = self.ctx.rank
         if self.is_meta:
             self.dp_group.coalesced(
@@ -150,36 +154,35 @@ class _ZeroDPBase(BaseEngine):
             )
         else:
             dtype = np.dtype(self.model.dtype)
-            fused = []
             for seg in plan.segments:
-                # The simulated job holds one owner's fused buffer at a
-                # time; the host arrays of the whole bucket live until the
-                # batch is exchanged.
+                # The simulated job holds one owner's fused buffer at a time.
                 with memprof_category("comm_buffer", site="grad-bucket"):
                     Tensor(
                         (seg.numel,), dtype, data=None,
                         device=self.ctx.device, tag="grad-bucket",
                     ).free()
-                piece = np.empty(seg.numel, dtype)
-                for p, src, dst in seg.copies:
-                    if p.grad is None:
-                        raise ValueError(f"parameter {p.name} has no gradient")
-                    piece[dst] = p.grad.numpy().reshape(-1)[src]
-                fused.append(piece)
+            # Every root reads its deposits after the rendezvous returns:
+            # the buffer the next handoffs write is not deposited itself.
+            staged = bucket.buffer.copy()
             reduced = self.dp_group.coalesced(
-                rank, "reduce", plan.roots, fused, phase="grad-reduce"
+                rank, "reduce", plan.roots, [staged[seg.lo : seg.hi] for seg in plan.segments],
+                phase="grad-reduce",
             )
             if plan.mine is not None:  # this rank owns a segment
-                mine = reduced[plan.mine]
-                cursor = 0
-                for lo, hi in plan.segments[plan.mine].pieces:
-                    if self.grad_shard is not None:
-                        # Accumulate (fp32) so micro-batches under gradient
-                        # accumulation sum into the shard; the shard is
-                        # zeroed after each optimizer step, so with a
-                        # single micro-batch this is a plain write. The
-                        # add runs in fp32 and rounds once more into the
-                        # shard's dtype, with no temporaries.
+                seg, mine = plan.segments[plan.mine], reduced[plan.mine]
+                if self.grad_shard is None:
+                    # Stage 1: the reduced values replace the full-size
+                    # gradients' own, in place.
+                    bucket.buffer[seg.lo : seg.hi] = mine
+                else:
+                    # Accumulate (fp32) so micro-batches under gradient
+                    # accumulation sum into the shard; the shard is zeroed
+                    # after each optimizer step, so with a single
+                    # micro-batch this is a plain write. The add runs in
+                    # fp32 and rounds once more into the shard's dtype,
+                    # with no temporaries.
+                    cursor = 0
+                    for lo, hi in seg.pieces:
                         view = self.grad_shard.data[lo - self.part_lo : hi - self.part_lo]
                         # Saturate like hardware (inf - inf is NaN: overflow).
                         with np.errstate(over="ignore", invalid="ignore"):
@@ -187,11 +190,7 @@ class _ZeroDPBase(BaseEngine):
                                 view, mine[cursor : cursor + hi - lo], out=view,
                                 dtype=np.float32, casting="unsafe",
                             )
-                    else:
-                        self.layout.scatter_grad_range(
-                            mine[cursor : cursor + hi - lo], lo, hi
-                        )
-                    cursor += hi - lo
+                        cursor += hi - lo
         if self._stream_grads and plan.mine is not None:
             # The piece this rank owns just landed in the tier shard: one
             # streamed d2h transfer, overlapped with the rest of backward.
@@ -199,8 +198,7 @@ class _ZeroDPBase(BaseEngine):
         if self.grad_shard is not None:
             # Partitioned gradients: the full-size ones are released as
             # soon as they are reduced (the one line stage 2 adds to 1).
-            for p in bucket:
-                p.zero_grad()
+            bucket.release()
 
     def _micro_reduce(self) -> None:
         if self.grad_shard is not None:

@@ -38,7 +38,7 @@ from repro.infinity.tiling import TilePlan, plan_unit_tiles
 from repro.memprof.provenance import category as memprof_category
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import GPT2Model
-from repro.optim.flat import ParamSlot
+from repro.optim.flat import GradRecord, ParamSlot, SegmentPlan
 from repro.parallel.engine import EngineConfig
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
@@ -76,13 +76,17 @@ class ZeroStage3Engine(_ZeroDPBase):
         # Unit index: each unit's params occupy a contiguous flat range
         # [lo, hi), in ascending layout order (``_materialize`` reads each
         # owner's pieces as one run on that basis); kept with the
-        # parameters, their slots and, when paged, the unit's tile plan.
+        # parameters, their slots, when paged the unit's tile plan, and the
+        # gather's per-owner plan (None for a plain meta gather, which needs
+        # none). Each unit's gradients are one record, in ``_unit_grads``.
         # The model arrives uncharged (``build_model_and_engine``): each
         # unit's construction is charged here, beside the shards, and
         # released before the next, so the whole model is never resident.
         self._units: dict[
-            str, tuple[int, int, list[Parameter], list[ParamSlot], TilePlan | None]
+            str, tuple[int, int, list[Parameter], list[ParamSlot], TilePlan | None,
+                       SegmentPlan | None]
         ] = {}
+        self._unit_grads: dict[str, GradRecord] = {}
         itemsize = np.dtype(model.dtype).itemsize
         for unit in model.units():
             params = unit.parameters()
@@ -99,7 +103,9 @@ class ZeroStage3Engine(_ZeroDPBase):
             tiles = None
             if self._page_params:
                 tiles = plan_unit_tiles(hi - lo, itemsize, zero.infinity.tile_bytes)
-            self._units[unit.name] = (lo, hi, params, slots, tiles)
+            plan = self._plan(params) if self._page_params or not self.is_meta else None
+            self._units[unit.name] = (lo, hi, params, slots, tiles, plan)
+            self._unit_grads[unit.name] = GradRecord(params)
             self._charge(unit.name, [p.data.data for p in params], model.name, model.name)
             for p in params:
                 p.data.free()
@@ -126,11 +132,7 @@ class ZeroStage3Engine(_ZeroDPBase):
             return
         if self.tracer is not None:
             self.tracer.begin("param-allgather", unit=unit.name)
-        ulo, uhi, params, slots, tiles = self._units[unit.name]
-        # Who owns which run of the unit; a plain meta gather needs none of it.
-        gather = (
-            self._segments.plan(params) if self._page_params or not self.is_meta else None
-        )
+        ulo, uhi, params, slots, tiles, gather = self._units[unit.name]
         dtype = np.dtype(self.model.dtype)
         if self._page_params:
             # This rank pages its own shard piece in from the parameter
@@ -163,8 +165,7 @@ class ZeroStage3Engine(_ZeroDPBase):
             )
             full = np.empty(uhi - ulo, dtype)
             for seg, piece in zip(gather.segments, pieces):
-                lo = seg.pieces[0][0] - ulo
-                full[lo : lo + seg.numel] = piece
+                full[seg.lo : seg.hi] = piece
             values = [full[s.offset - ulo : s.end - ulo].reshape(s.shape) for s in slots]
         self._charge(unit.name, values, "zero3-materialize", "infinity-tile")
         self._materialized.add(unit.name)
@@ -177,7 +178,7 @@ class ZeroStage3Engine(_ZeroDPBase):
         memory-centric tiling the device is charged one staged tile at a
         time instead (at ``tile_site``) and the parameters attach
         unaccounted: they are never co-resident."""
-        _, _, params, slots, tiles = self._units[name]
+        _, _, params, slots, tiles, _ = self._units[name]
         dtype = self.model.dtype
         device = self.ctx.device
         if tiles is not None and tiles.is_tiled:
@@ -200,11 +201,17 @@ class ZeroStage3Engine(_ZeroDPBase):
     # -- gradient reduction -------------------------------------------------------
 
     def _reduce_unit_grads(self, unit: Module) -> None:
-        """Reduce this unit's gradients to their owners, free the full grads."""
+        """Reduce this unit's gradients to their owners, free the full
+        grads. The unit's record holds the parameters that had a gradient
+        at its last reduce; it is re-planned when that set changes."""
         if self.tracer is not None:
             self.tracer.begin("grad-reduce", unit=unit.name)
         try:
-            self._flush_bucket([p for p in unit.named_parameters() if p.grad is not None])
+            grads = self._unit_grads[unit.name]
+            held = [p for p in self._units[unit.name][2] if p.grad is not None]
+            if held != grads.params:
+                grads = self._unit_grads[unit.name] = GradRecord(held)
+            self._flush_bucket(grads)
         finally:
             if self.tracer is not None:
                 self.tracer.end()

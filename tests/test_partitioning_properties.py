@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro import Cluster, GPTConfig, ZeROConfig
 from repro.hardware.specs import GPUSpec
 from repro.nn.layers import make_param
-from repro.optim.flat import FlatLayout, SegmentPlans
+from repro.optim.flat import FlatLayout, GradRecord, plan_segments
 from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
 from repro.zero.factory import build_model_and_engine
@@ -208,17 +208,13 @@ class TestFlatLayoutBisection:
             # Scatter other values over the range, check only it moved, put
             # the gathered ones back: bit for bit where it started.
             layout.scatter_param_range(got_p + 1.0, lo, hi)
-            layout.scatter_grad_range(got_g + 1.0, lo, hi)
-            moved_p, moved_g = layout.gather_params(np.float32), layout.gather_grads(np.float32)
+            moved_p = layout.gather_params(np.float32)
             covered = np.zeros(layout.numel, bool)
             covered[lo:min(hi, layout.numel_unpadded)] = True
-            for moved, full in ((moved_p, full_p), (moved_g, full_g)):
-                np.testing.assert_array_equal(moved[~covered], full[~covered])
-                np.testing.assert_array_equal(moved[covered], full[covered] + 1.0)
+            np.testing.assert_array_equal(moved_p[~covered], full_p[~covered])
+            np.testing.assert_array_equal(moved_p[covered], full_p[covered] + 1.0)
             layout.scatter_param_range(got_p, lo, hi)
-            layout.scatter_grad_range(got_g, lo, hi)
             assert layout.gather_params(np.float32).tobytes() == full_p.tobytes()
-            assert layout.gather_grads(np.float32).tobytes() == full_g.tobytes()
 
     def test_missing_gradients_keep_their_contract(self):
         layout = _random_layout(np.random.default_rng(7), values=True)
@@ -229,54 +225,65 @@ class TestFlatLayoutBisection:
             layout.gather_grad_range(slot.offset, slot.end, np.float32)
         piece = layout.gather_grad_range(slot.offset, slot.end, np.float64, missing_ok=True)
         assert piece.dtype == np.float64 and not piece.any()
-        layout.scatter_grad_range(np.ones(slot.size, np.float32), slot.offset, slot.end)
-        assert victim.grad is None
         with pytest.raises(ValueError, match="piece shape"):
             layout.scatter_param_range(np.ones(3, np.float32), 0, 2)
 
 
 class TestSegmentPlan:
     @pytest.mark.parametrize("seed", range(12))
-    def test_cached_plan_is_a_fresh_owner_segments_derivation(self, seed):
+    def test_a_fixed_record_sends_each_owner_one_run_of_its_buffer(self, seed):
+        """A bucket in any ready order, fixed: its buffer holds the
+        gradients in layout order, each gradient is a view of it, and each
+        owner's message is one run of it — what a range gather of that
+        owner's pieces reads."""
         rng = np.random.default_rng(200 + seed)
         nd = int(rng.integers(1, 17))
         layout = _random_layout(rng, pad_multiple=nd)
         params = layout.parameters
         ranks = tuple(range(3, 3 + 2 * nd, 2))  # global ranks are not group indexes
         my_index = int(rng.integers(0, nd))
-        plans = SegmentPlans(layout, ranks, my_index, itemsize=2)
         for _ in range(6):
             bucket = [params[i] for i in rng.permutation(len(params))[: rng.integers(1, len(params) + 1)]]
-            plan = plans.plan(bucket)
-            assert plans.plan(list(bucket)) is plan  # planned once per distinct bucket
+            for p in bucket:
+                p.grad = Tensor.from_numpy(rng.standard_normal(p.shape).astype(np.float32))
+            held = {p.name: p.grad.data.copy() for p in bucket}
+            record = GradRecord(bucket)
+            ordered = record.fix(layout)
+            plan = plan_segments(layout, ranks, my_index, 2, ordered)
+            assert record.params == bucket  # released in ready order
+            assert [layout.slot(p.name).offset for p in ordered] == sorted(
+                layout.slot(p.name).offset for p in bucket
+            )
 
             by_owner = {}
-            for p in bucket:  # the derivation the engines ran every step
+            for p in ordered:  # the derivation the engines ran every step
                 slot = layout.slot(p.name)
                 for owner, lo, hi in layout.owner_segments(nd, slot.offset, slot.end):
-                    by_owner.setdefault(owner, []).append((lo, hi))
+                    held_runs = by_owner.setdefault(owner, [])
+                    if held_runs and held_runs[-1][1] == lo:
+                        held_runs[-1] = (held_runs[-1][0], hi)
+                    else:
+                        held_runs.append((lo, hi))
             owners = sorted(by_owner)
             assert [seg.owner for seg in plan.segments] == owners
             assert [list(seg.pieces) for seg in plan.segments] == [by_owner[o] for o in owners]
             assert [seg.numel for seg in plan.segments] == [
                 sum(hi - lo for lo, hi in by_owner[o]) for o in owners
             ]
+            assert [seg.lo for seg in plan.segments] == [0] + [seg.hi for seg in plan.segments][:-1]
+            assert plan.segments[-1].hi == record.numel == record.buffer.size
             assert plan.nbytes == tuple(2 * seg.numel for seg in plan.segments)
             assert plan.roots == tuple(ranks[o] for o in owners)
             assert plan.mine == (owners.index(my_index) if my_index in owners else None)
 
-            # The copies fill each fused buffer exactly, one per piece, with
-            # what a range gather of that piece reads.
             for p in bucket:
-                p.grad = Tensor.from_numpy(rng.standard_normal(p.shape).astype(np.float32))
+                assert p.grad.data is p.grad_view
+                assert np.shares_memory(p.grad_view, record.buffer)
+                assert p.grad.data.tobytes() == held[p.name].tobytes()
             for seg in plan.segments:
-                fused = np.full(seg.numel, np.nan, np.float32)
-                for p, src, dst in seg.copies:
-                    fused[dst] = p.grad.numpy().reshape(-1)[src]
                 want = np.concatenate(
                     [layout.gather_grad_range(lo, hi, np.float32) for lo, hi in seg.pieces]
                 )
-                assert fused.tobytes() == want.tobytes()
-            for p in bucket:
-                p.grad = None
-        assert len(plans._plans) <= 6
+                assert record.buffer[seg.lo : seg.hi].tobytes() == want.tobytes()
+            for p in params:
+                p.grad = p.grad_view = None

@@ -29,7 +29,7 @@ def test_full_experiment_list_is_complete():
     ids = [module for module, _ in report.EXPERIMENTS]
     assert ids == [
         "fig1", "table1", "table2", "fig2", "fig3", "fig4", "fig5",
-        "fig6", "fig7", "fig8", "sec7", "sec8", "sec9",
+        "fig6", "fig7", "fig8", "sec7", "sec8", "sec9", "offload_sweep", "infinity_sweep",
     ]
 
 

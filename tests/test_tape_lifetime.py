@@ -171,12 +171,16 @@ def test_a_changed_batch_shape_captures_again_once(monkeypatch):
 #: calls (Python + C, as ``sys.setprofile`` counts them) of one steady
 #: 4-rank, 2-layer stage-3 meta step, summed over ranks; 19 604 while every
 #: step captured its first block of each direction, 12 972 while a
-#: re-issued block made one door call per allocator event
-META_STAGE3_STEP_CALLS = 8_600
+#: re-issued block made one door call per allocator event, 8 464 while
+#: every gradient handoff built a ``Tensor`` and every unit was planned by
+#: its parameter names (7 156 since)
+META_STAGE3_STEP_CALLS = 7_250
 #: the same for one steady step of Figure 6's C4 point (one virtual rank of
 #: 128 GPUs, MP 16, batch 16, h 8192, MD on) at four layers; 5 425 while a
-#: re-issued block made one door call per allocator event
-META_C4_STEP_CALLS = 3_150
+#: re-issued block made one door call per allocator event, 3 104 while a
+#: bucket was a per-parameter pending list freed one gradient at a time
+#: (2 406 since)
+META_C4_STEP_CALLS = 2_450
 
 
 def _calls(step) -> int:

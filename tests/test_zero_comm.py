@@ -10,9 +10,12 @@ from repro.analysis.comm_model import dp_volume_elements
 from repro.comm.fabric import Fabric
 from repro.comm.ledger import CommEvent, exact_ring_factor
 from repro.data import SyntheticCorpus
+from repro.experiments.common import virtual_groups
 from repro.hardware.specs import GPUSpec
 from repro.parallel.engine import EngineConfig
+from repro.runtime import virtual_rank_context
 from repro.tensor.tensor import Tensor
+from repro.zero.config import C4
 from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 from tests.streams import DeviceStream, ledger_digest
@@ -213,14 +216,45 @@ STREAM_GOLDEN = {
         168, "f42446efdfa2fc6aed0c090718e773509834c182cb3d95b115ae6840633bacb3",
         1538, "4ad5c57575735a331fb0751b3f68345a9aaa6fee5bc499699b607d1e568846bd",
     ),
+    # Stage 1 under accumulation hooks nothing: the boundary hands every
+    # resident gradient to the buckets, in reversed layout order.
+    "stage1-accumulate2": (
+        dict(stage=1, accumulation=2, bucket=20_000),
+        72, "521745e2d6eacc597390e96e2d1a729d9abc02df0508f37a6eefdd4f5df23a3c",
+        1489, "f32903ad06ace34b6de432a13eaa4795c1e3acaeb3061c7b846ebacb8ce23739",
+    ),
+    # One virtual rank of a C4 job (MP 4, Pa and MD on) at four layers:
+    # ``meta_rank_100b``'s path, block tapes re-issuing every block.
+    "c4-virtual-rank": (
+        dict(n_gpus=16, mp=4),
+        135, "2f544a55c0087c04e9fe670fb05a9bbf51e403e462a6c7aee0a01017e83affb9",
+        2382, "47f4e3c67ad3cc021e31ca4f859b0ba1e7182a96182411463b5847b9a28b95a7",
+    ),
 }
+
+
+def run_virtual_rank(*, n_gpus, mp, steps=3) -> list:
+    """``steps`` steps of rank 0 of a C4 job on ``virtual_rank_context(n_gpus)``
+    at MP ``mp``, the way hostbench's ``meta_rank_100b`` builds it (shrunk:
+    four layers, batch 4 x 128). Returns the rank's ledger in a list."""
+    ctx = virtual_rank_context(n_gpus)
+    dp, mp_group = virtual_groups(ctx, n_gpus, mp)
+    _, engine = build_model_and_engine(
+        ctx, GPTConfig(n_layers=4, hidden=512, n_heads=8), C4, dp_group=dp,
+        mp_group=mp_group, meta=True, md_region_bytes=2 << 30, seed=3,
+    )
+    ids, tgt = (Tensor.meta((4, 128), np.int64, device=ctx.device) for _ in range(2))
+    for _ in range(steps):
+        engine.train_step(ids, tgt)
+    return [ctx.ledger]
 
 
 def run_stream_model(stage, *, world=4, meta=False, accumulation=1, bucket=1 << 19, steps=2,
                      after_step=None):
     """``steps`` optimizer steps of ``STREAM_MODEL`` the way hostbench's
     ``fabric_w8_s3`` builds it (fp32, ``memory_defrag=False``). Returns the
-    cluster and each rank's segment-plan count."""
+    cluster and, per rank, how many segment plans its bucket records held
+    over the run (a re-planned bucket's new plan counts again)."""
     cluster = Cluster(world, timeout_s=60.0)
 
     def fn(ctx):
@@ -231,6 +265,7 @@ def run_stream_model(stage, *, world=4, meta=False, accumulation=1, bucket=1 << 
                 gradient_accumulation_steps=accumulation, bucket_numel=bucket
             ),
         )
+        plans = {}
         for step in range(steps * accumulation):
             if meta:
                 batch = [Tensor.meta((2, 32), np.int64, device=ctx.device) for _ in range(2)]
@@ -239,7 +274,8 @@ def run_stream_model(stage, *, world=4, meta=False, accumulation=1, bucket=1 << 
             engine.train_step(*batch)
             if after_step is not None:
                 after_step(ctx)
-        return len(engine._segments._plans)
+            plans.update((id(r.plan), r.plan) for r in engine._queue.records)
+        return len(plans)
 
     return cluster, cluster.run(fn)
 
@@ -248,9 +284,13 @@ def run_stream_model(stage, *, world=4, meta=False, accumulation=1, bucket=1 << 
 def test_ledger_and_device_streams_match_the_parent_commit(name, monkeypatch):
     how, n_ledger, ledger_sha, n_device, device_sha = STREAM_GOLDEN[name]
     device = DeviceStream(monkeypatch)
-    cluster, plans = run_stream_model(**how)
-    assert sum(len(ledger.events) for ledger in cluster.ledgers) == n_ledger
-    assert ledger_digest(cluster.ledgers) == ledger_sha
+    if "n_gpus" in how:
+        ledgers, plans = run_virtual_rank(**how), None
+    else:
+        cluster, plans = run_stream_model(**how)
+        ledgers = cluster.ledgers
+    assert sum(len(ledger.events) for ledger in ledgers) == n_ledger
+    assert ledger_digest(ledgers) == ledger_sha
     assert device.events == n_device
     assert device.digest == device_sha
     if name == "stage2-accumulate2":
