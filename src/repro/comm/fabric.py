@@ -31,12 +31,22 @@ The rendezvous does not know what it carries. A deposit may be one
 collective's contribution or a batch of them (``ProcessGroup.coalesced``:
 a list of arrays and a tag naming every member's kind, root and size);
 either way it is one slot write, one tag comparison and one wake-up.
+
+A meta world's rank class (``repro.runtime``) needs two things more. A
+rendezvous can note the tags one member exchanges (``tape`` /
+``untape``) and take a member's next positions for a list of tags in one
+mutex section (``replay``), which checks each as a data-free exchange
+would. A ``_Board`` carries the class leader's step records to the other
+members: a member that waits for one waits at most the fabric's timeout,
+and an abort wakes it, so a leader that fails or never steps leaves
+``FabricAbortedError`` behind, not a hang.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
+import time
 from typing import Any
 
 from repro.comm.faults import RetryPolicy
@@ -52,6 +62,8 @@ class FabricAbortedError(RuntimeError):
 
 #: what ``abort()`` puts in every mailbox to wake a rank blocked in ``recv``
 _ABORTED = object()
+#: step records a board keeps at most for members that have not passed them
+_KEPT_RECORDS = 64
 
 
 class Fabric:
@@ -77,6 +89,7 @@ class Fabric:
         self._rendezvous_lock = threading.Lock()
         self._mailboxes: dict[tuple[int, int, Any], queue.Queue] = {}
         self._mailbox_lock = threading.Lock()
+        self._boards: list[_Board] = []
         self._aborted = False
 
     def rendezvous_for(self, ranks: tuple[int, ...]) -> "_Rendezvous":
@@ -90,13 +103,24 @@ class Fabric:
                 self._rendezvous[ranks] = rv
             return rv
 
+    def board(self, members: int) -> "_Board":
+        """A new board for a rank class of a leader and ``members`` others."""
+        with self._rendezvous_lock:
+            board = _Board(self, members)
+            if self._aborted:
+                board.abort()
+            self._boards.append(board)
+            return board
+
     def abort(self) -> None:
-        """Break every rendezvous and wake every mailbox so all blocked
-        ranks raise promptly."""
+        """Break every rendezvous and board and wake every mailbox so all
+        blocked ranks raise promptly."""
         self._aborted = True
         with self._rendezvous_lock:
             for rv in self._rendezvous.values():
                 rv.abort()
+            for board in self._boards:
+                board.abort()
         with self._mailbox_lock:
             for box in self._mailboxes.values():
                 box.put(_ABORTED)
@@ -198,6 +222,8 @@ class _Rendezvous:
         self._mutex = threading.Lock()
         self._issued = [0] * n
         self._sequence: dict[int, list[Any]] = {}
+        # Per member, the tags its exchanges are noting (``tape``), or None.
+        self._tapes: list[list | None] = [None] * n
         self._arrived = 0
         self._completed = 0  # generations whose last member arrived
         self._aborted = False
@@ -253,6 +279,9 @@ class _Rendezvous:
             idx = self.index_of[rank]
         except KeyError:
             raise self.not_a_member(rank) from None
+        tape = self._tapes[idx]
+        if tape is not None:
+            tape.append(tag)
         if value is not None:
             parity = self._parity[idx]
             self._parity[idx] = parity ^ 1
@@ -267,11 +296,7 @@ class _Rendezvous:
             if position in sequence:
                 entry = sequence[position]
                 if tag != entry[0]:
-                    self._abort_locked()
-                    raise CollectiveMismatchError(
-                        f"rank {rank} ran collective {tag!r} but a peer in group "
-                        f"{self.ranks} ran {entry[0]!r}"
-                    )
+                    raise self._mismatch_locked(rank, tag, entry[0])
                 entry[1] -= 1
                 if not entry[1]:
                     del sequence[position]
@@ -301,6 +326,46 @@ class _Rendezvous:
             raise self._aborted_error()
         return list(slots)
 
+    def tape(self, rank: int) -> None:
+        """Note the tags of ``rank``'s exchanges from here to ``untape``."""
+        self._tapes[self.index_of[rank]] = []
+
+    def untape(self, rank: int) -> list:
+        """Stop noting; the tags ``rank`` exchanged, in order."""
+        idx = self.index_of[rank]
+        tags, self._tapes[idx] = self._tapes[idx], None
+        return tags
+
+    def replay(self, rank: int, tags: list) -> None:
+        """Take ``rank``'s next positions with ``tags``, in one section under
+        the mutex: each is checked as a data-free ``exchange`` checks it."""
+        idx = self.index_of[rank]
+        with self._mutex:
+            if self._aborted:
+                raise self._aborted_error()
+            position = self._issued[idx]
+            self._issued[idx] = position + len(tags)
+            sequence, peers = self._sequence, self._size - 1
+            for tag in tags:
+                entry = sequence.get(position)
+                if entry is None:
+                    if peers:
+                        sequence[position] = [tag, peers]
+                elif tag != entry[0]:
+                    raise self._mismatch_locked(rank, tag, entry[0])
+                elif entry[1] == 1:
+                    del sequence[position]
+                else:
+                    entry[1] -= 1
+                position += 1
+
+    def _mismatch_locked(self, rank: int, tag: Any, expected: Any) -> CollectiveMismatchError:
+        self._abort_locked()
+        return CollectiveMismatchError(
+            f"rank {rank} ran collective {tag!r} but a peer in group "
+            f"{self.ranks} ran {expected!r}"
+        )
+
     def not_a_member(self, rank: int) -> ValueError:
         return ValueError(f"rank {rank} is not in group {self.ranks}")
 
@@ -308,3 +373,98 @@ class _Rendezvous:
         return FabricAbortedError(
             f"rendezvous aborted in group {self.ranks} (a peer failed or timed out)"
         )
+
+
+class _Board:
+    """One rank class's step records, from its leader to its other members.
+
+    The leader ``publish``es every step it runs from ``first`` on: the
+    step's record, or None where no member can replay it. A member
+    ``take``s the record of the step it is about to make, waiting for it
+    only when asked to; either way it has then passed that step. A record
+    is dropped once every member has passed its step, or when more than
+    ``_KEPT_RECORDS`` are kept (the oldest: a member that needs it runs
+    the step itself).
+
+    A waiting member blocks on the gate of the next publication, a lock
+    the leader made held and releases when it publishes; each member
+    woken by it releases it again for the next, so a publication costs
+    the leader one release however many members wait. A member waits at
+    most the fabric's timeout in all, then aborts the fabric.
+    """
+
+    def __init__(self, fabric: Fabric, members: int):
+        self._fabric = fabric
+        #: the first step the leader publishes; None before it leads
+        self.first: int | None = None
+        self._latest = 0  # the last step published
+        self._records: dict[int, Any] = {}
+        self._passed = [0] * members  # per member, the last step it took
+        self._lock = threading.Lock()
+        self._aborted = False
+        self._gate = self._closed_gate()
+
+    def _closed_gate(self) -> threading.Lock:
+        gate = threading.Lock()
+        if not self._aborted:
+            gate.acquire()
+        return gate
+
+    def abort(self) -> None:
+        self._aborted = True
+        _open(self._gate)
+
+    def publish(self, step: int, record: Any) -> None:
+        with self._lock:
+            records = self._records
+            if record is not None and step > min(self._passed):
+                records[step] = record
+                if len(records) > _KEPT_RECORDS:
+                    del records[next(iter(records))]
+            # The step is published before the next gate is: a member that
+            # reads the new gate then reads this step too.
+            self._latest = step
+            gate, self._gate = self._gate, self._closed_gate()
+        _open(gate)
+
+    def take(self, member: int, step: int, wait: bool) -> Any:
+        """The leader's record of ``step`` for the ``member``-th member, or
+        None (not published, not replayable, or dropped); with ``wait``,
+        once the leader has published it."""
+        deadline = None
+        while wait and self._latest < step:
+            gate = self._gate  # read before the step: see ``publish``
+            if self._latest >= step:
+                break
+            if self._aborted:
+                raise FabricAbortedError(
+                    f"waiting for step {step} of the rank class leader: the fabric was "
+                    "aborted (a peer failed or timed out)"
+                )
+            if deadline is None:
+                deadline = time.monotonic() + self._fabric.timeout_s
+            if not gate.acquire(True, max(deadline - time.monotonic(), 0.0)):
+                self._fabric.abort()
+                raise FabricAbortedError(
+                    f"the rank class leader did not publish step {step} within "
+                    f"{self._fabric.timeout_s}s"
+                )
+            _open(gate)  # the next waiter's turn
+        with self._lock:
+            records, passed = self._records, self._passed
+            record = records.get(step)
+            passed[member] = step
+            if records:
+                low = min(passed)
+                for kept in [s for s in records if s <= low]:
+                    del records[kept]
+        return record
+
+
+def _open(gate: threading.Lock) -> None:
+    """Release a board's ``gate`` unless it is open already: an abort and a
+    publication (or two aborts) may both open the same gate."""
+    try:
+        gate.release()
+    except RuntimeError:
+        pass

@@ -83,13 +83,19 @@ class Transition:
       the end, in allocation order;
     * ``delta`` and ``peak`` — the net change of ``allocated`` and its
       maximum just after an allocation (``n_allocs`` of them).
+
+    It keeps the run itself too (``events``, ``first``, ``sizes``, the
+    caller's lists, not copies), and the slots of ``frees`` and of
+    ``survivors`` (``freed_slots``, ``survivor_slots``), so that a longer
+    run made of it can be summarised in turn (``Device.step_transition``).
     """
 
     __slots__ = ("mask", "n_allocs", "delta", "peak", "checks", "takes", "frees", "puts",
-                 "survivors")
+                 "survivors", "events", "first", "sizes", "freed_slots", "survivor_slots")
 
     def __init__(self, events: list[int], first: int, sizes: list[int], mask: int):
         self.mask = mask
+        self.events, self.first, self.sizes = events, first, sizes
         # A run-local source is (size, k), the class's k-th block from the
         # top when the run began, or an int, a slot freed from before.
         depth: dict[int, int] = {}  # per class, in the order the run touches them
@@ -150,6 +156,7 @@ class Transition:
             for size, d in depth.items() if not d or (size not in kept and pushed[size])
         )
         self.survivors = tuple((slot, position(source)) for slot, source in live.items())
+        self.freed_slots, self.survivor_slots = tuple(outside), tuple(live)
 
 
 @dataclass

@@ -10,9 +10,19 @@ ZeRO-R's memory defragmentation (MD, Section 6.3) is ``enable_defrag``:
 one long-lived extent carved out up front, with its own block allocator
 inside, so long-lived tensors (activation checkpoints, parameter
 gradients) never interleave with short-lived ones in the general heap.
+
+A device can also note what one training step does to it
+(``record_step`` / ``step_transition``): a step that frees only what it
+allocated and leaves nothing allocated is *closed*, and summarises to one
+``Transition`` that another device applies in one call. That is how a
+member of a meta ``Cluster``'s rank class makes its leader's step
+(ARCHITECTURE §1, "Meta worlds").
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import add, attrgetter
 
 from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.memsim.block_allocator import BlockAllocator, Extent
@@ -51,8 +61,23 @@ class Device(Doors):
         # tag -> "does the predicate route it into the region?", filled as
         # tags are first seen (a step re-uses a few hundred tag strings).
         self._md_routes: dict[str, bool] = {}
-        # The last per-slot tag list ``apply`` found no tag of routed in.
+        # id of a per-slot tag list ``apply`` has checked -> (the list, does
+        # a tag in it route?). The entry holds its list, so the id stays
+        # that list's; a block tape keeps a list per block for its life.
+        # ``_md_clear`` is the last list found clear, checked first.
+        self._md_verdicts: dict[int, tuple[list, bool]] = {}
         self._md_clear: list | None = None
+        # The step being noted (``record_step``; ``_summarise`` has the
+        # notes' form): its notes, its live blocks by handle, whether it
+        # freed a block from before it. Then the last closed step
+        # summarised, its notes and its ``Transition``: at first the empty
+        # step's, so the first summary replaces one instead of adding one.
+        self._noted: list | None = None
+        self._noted_live: dict[int, int] = {}
+        self._noted_outside = False
+        self._stepped: tuple[list, Transition] = (
+            [], Transition([], 0, [], self.raw.alignment - 1)
+        )
 
     # -- ZeRO-R MD (memory defragmentation, Section 6.3) --------------------
 
@@ -95,6 +120,10 @@ class Device(Doors):
         if self.on_alloc:
             for sub in self.on_alloc:
                 sub._alloc(extent, size, tag)
+        if self._noted is not None:
+            noted = self._noted
+            self._noted_live[extent.handle] = len(noted)
+            noted.append(size)
         return extent
 
     def _annotate_oom(self, exc: OutOfMemoryError) -> None:
@@ -123,6 +152,11 @@ class Device(Doors):
         if told:
             for sub in told:
                 sub._free(extent, extent.size)
+        if self._noted is not None:
+            try:
+                self._noted.append(~self._noted_live.pop(extent.handle))
+            except KeyError:
+                self._noted_outside = True  # a block from before the step
 
     def apply(self, transition: Transition, extents: list, tags: list) -> bool:
         """A run of ``alloc`` / ``free`` calls in one: the run ``transition``
@@ -134,21 +168,75 @@ class Device(Doors):
         every allocation with an exact size-class hit. Otherwise False,
         with nothing changed, and the caller makes the run through the
         doors. A run of frees alone routes nothing: its ``tags`` are not
-        read."""
+        read; a list that was read keeps its verdict."""
         if self.on_alloc or self.on_free or self.cache is None:
             return False
         if (self._md_allocator is not None and transition.n_allocs
                 and tags is not self._md_clear):
-            routes = self._md_routes
-            for tag in tags:
-                try:
-                    routed = routes[tag]
-                except KeyError:
-                    routed = routes[tag] = bool(self._md_predicate(tag))
-                if routed:
-                    return False
+            try:
+                verdict = self._md_verdicts[id(tags)]
+            except KeyError:
+                verdict = None
+            if verdict is None or verdict[0] is not tags:
+                verdict = self._md_verdicts[id(tags)] = (tags, self._routes_any(tags))
+            if verdict[1]:
+                return False
             self._md_clear = tags
-        return self.cache.apply(transition, extents, tags)
+        if not self.cache.apply(transition, extents, tags):
+            return False
+        noted = self._noted
+        if noted is not None:
+            # Note the run: the refs of the blocks from before it that it
+            # frees, and its survivors' refs.
+            live, freed, before = self._noted_live, transition.freed_slots, ()
+            if freed:
+                try:
+                    before = tuple(map(live.pop, map(_handle, map(extents.__getitem__, freed))))
+                except KeyError:  # a block from before the step
+                    self._noted_outside = True
+            kept = transition.survivor_slots
+            if kept:
+                refs = map(add, repeat((len(noted) + 1) * _RUN_STRIDE - transition.first), kept)
+                live.update(zip(map(_handle, map(extents.__getitem__, kept)), refs))
+            noted.append((transition, before))
+        return True
+
+    def _routes_any(self, tags) -> bool:
+        """Whether the MD predicate routes any of ``tags`` into the region."""
+        routes = self._md_routes
+        for tag in tags:
+            try:
+                routed = routes[tag]
+            except KeyError:
+                routed = routes[tag] = bool(self._md_predicate(tag))
+            if routed:
+                return True
+        return False
+
+    # -- a step in one transition ------------------------------------------
+
+    def record_step(self) -> None:
+        """Note every allocator event from here to ``step_transition``: an
+        ``alloc`` or ``free`` appends one note, an applied run one. A
+        device with an MD region or no cache notes nothing."""
+        if self.cache is not None and self._md_allocator is None:
+            self._noted, self._noted_outside = [], False
+            self._noted_live.clear()
+
+    def step_transition(self) -> Transition | None:
+        """Stop noting; the noted step as one ``Transition`` over slots of
+        its own, or None unless it was *closed*: it freed only blocks it
+        allocated and left none of them allocated. Applied to another
+        device in the state this one started from (``apply(t, [], ())``),
+        it is that step. A step noted as the last closed one was reuses
+        its summary."""
+        noted, self._noted = self._noted, None
+        if noted is None or self._noted_outside or self._noted_live:
+            return None
+        stepped = self._stepped
+        if stepped[0] != noted:
+            stepped = self._stepped = (noted, _summarise(noted, self.cache._align_mask))
+        return stepped[1]
 
     def tag_of(self, extent: Extent) -> str:
         """The tag a live ``extent`` from ``alloc`` was allocated under,
@@ -212,6 +300,51 @@ class Device(Doors):
         if self._md_allocator is not None:
             snap["md"] = self._md_allocator.snapshot()
         return snap
+
+
+#: A noted step's allocation is named by a *ref*: a door's allocation by
+#: the index of its note, the ``k``-th allocation of the run noted at index
+#: ``i`` by ``(i + 1) * _RUN_STRIDE + k`` (no step has that many notes,
+#: nor a run that many allocations).
+_RUN_STRIDE = 1 << 40
+_handle = attrgetter("handle")
+
+
+def _summarise(noted: list, mask: int) -> Transition:
+    """A closed step's notes as one run over its own allocations, numbered
+    in the order it made them. A note is a door's allocation (its
+    requested size), a door's free (``~ref`` of the block), or an applied
+    run (``(transition, the refs of the blocks from before the run that
+    it frees)``)."""
+    events, sizes = [], []
+    slot_of: dict[int, int] = {}  # a door allocation's note index -> its slot
+    run_base: dict[int, int] = {}  # a run's note index -> its first allocation's slot
+
+    def slot(ref: int) -> int:
+        if ref < _RUN_STRIDE:
+            return slot_of[ref]
+        return run_base[ref // _RUN_STRIDE - 1] + ref % _RUN_STRIDE
+
+    for i, note in enumerate(noted):
+        if note.__class__ is tuple:
+            t, before = note
+            first, base = t.first, len(sizes)
+            run_base[i] = base
+            sizes += t.sizes[first : first + t.n_allocs]
+            outside = {j: slot(ref) for (j, _), ref in zip(t.frees, before)}
+            for e in t.events:
+                if e > 0:
+                    events.append(e)
+                else:
+                    j = ~e
+                    events.append(~(base + j - first) if j >= first else ~outside[j])
+        elif note > 0:
+            slot_of[i] = len(sizes)
+            sizes.append((int(note) + mask) & ~mask)
+            events.append(note)
+        else:
+            events.append(~slot(~note))
+    return Transition(events, 0, sizes, mask)
 
 
 class HostMemory(Doors):

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.memprof.provenance import category as memprof_category
+from repro.memprof.provenance import profiling_active
 from repro.nn.module import ExecutionContext
 from repro.nn.transformer import GPT2Model
 from repro.optim.adam import AdamHyperparams
@@ -72,6 +73,17 @@ class StepResult:
     applied: bool  # False when the loss scaler skipped on overflow
     is_boundary: bool = True  # False on non-final gradient-accumulation steps
     step_time_model_s: float = 0.0
+
+
+def _batch_signature(*batch) -> tuple | None:
+    """What a step's inputs contribute to it in meta mode: each one's
+    class, shape and dtype; None for an input of another kind."""
+    signature = []
+    for x in batch:
+        if x.__class__ is not Tensor and x.__class__ is not np.ndarray:
+            return None
+        signature.append((x.__class__, x.shape, x.dtype))
+    return tuple(signature)
 
 
 class BaseEngine:
@@ -191,6 +203,29 @@ class BaseEngine:
         self.integrity = None
         self.redundancy = None
         self._lifecycle: Lifecycle | None = None
+        #: this engine's seat in its rank class (``RankContext.rank_class``)
+        self._seat = ctx.rank_class(self._class_key())
+
+    def _class_key(self) -> tuple | None:
+        """What this engine's step depends on besides its inputs' shapes,
+        for ``RankContext.rank_class``; None where a peer's step cannot
+        stand for it. Only a meta engine over the world group alone, with
+        nothing attached that acts on its own rank's step and no MD region
+        on its device (whose steps never summarise), is classed: its step
+        issues data-free world collectives only, so it never waits for a
+        peer, and what it allocates, records and exchanges follows from
+        this key and the inputs' shapes (every rank's shards are the same
+        size)."""
+        ctx = self.ctx
+        if (not self.is_meta or self._model_groups or self.dp_group.ranks != ctx.world.ranks
+                or self.offload is not None or ctx.device.md_region_bytes
+                or ctx.faults is not None or ctx.tracer is not None
+                or ctx.recorder is not None or ctx.redundancy is not None):
+            return None
+        return (
+            type(self), self.zero, self.config, self.model.config, self.model.dtype,
+            self.model.checkpoint_activations, self.layout.numel, ctx.device.spec,
+        )
 
     # -- fused working buffer ------------------------------------------------
 
@@ -219,7 +254,88 @@ class BaseEngine:
         """One micro-batch forward/backward; the optimizer runs on
         gradient-accumulation boundaries (every step by default). Whatever
         else is attached acts at the points of ``repro.parallel.lifecycle``,
-        walked here in order."""
+        walked here in order.
+
+        In a rank class of a meta ``Cluster`` the leader also publishes
+        what its step did, and another member makes that step from it
+        where it can (``_lead``, ``_follow``)."""
+        seat = self._seat
+        if seat is None or seat.board is None:
+            return self._step(token_ids, targets)
+        if seat.leads:
+            return self._lead(seat.board, token_ids, targets)
+        return self._follow(seat, token_ids, targets)
+
+    def _lead(self, board, token_ids, targets) -> StepResult:
+        """Run the step, noting its device events and world tags, then
+        publish its record: None unless a member can make it in one apply
+        (its device step was closed, ``Device.step_transition``)."""
+        step = self._micro_step + 1
+        if board.first is None:
+            board.first = step
+        rank, device, ledger = self.ctx.rank, self.ctx.device, self.ctx.ledger
+        rendezvous = self.dp_group._rendezvous
+        n0 = len(ledger.events)
+        device.record_step()
+        rendezvous.tape(rank)
+        try:
+            result = self._step(token_ids, targets)
+        finally:
+            transition = device.step_transition()
+            tags = rendezvous.untape(rank)
+        inputs = _batch_signature(token_ids, targets)
+        record = None
+        if transition is not None and inputs is not None and ledger.enabled:
+            record = (
+                transition, ledger.events[n0:], tags, inputs, self._counters(),
+                (result.loss, result.applied, result.is_boundary, result.step_time_model_s),
+            )
+        board.publish(step, record)
+        return result
+
+    def _follow(self, seat, token_ids, targets) -> StepResult:
+        """Make the leader's record of this step, or run the step: where
+        something observes this rank's step (a door or lifecycle
+        subscriber, a profiler, a ledger listener) or its ledger is off,
+        where the leader's step has no record (not published yet, not
+        closed, or dropped), where the inputs' shapes differ, or where
+        this device declines the transition."""
+        step = self._micro_step + 1
+        ctx, board = self.ctx, seat.board
+        first = board.first
+        if first is None or step < first:  # the leader has not led it: no record
+            return self._step(token_ids, targets)
+        device, ledger = ctx.device, ctx.ledger
+        life = self._lifecycle or self._assemble_lifecycle()
+        unobserved = (
+            life.quiet and self.timeline is None and not profiling_active()
+            and ledger.enabled and ledger.listener is None
+            and not device.heard() and not self.dp_group.heard(ctx.rank)
+        )
+        record = board.take(seat.member, step, unobserved)
+        if (record is None or not unobserved or record[3] != _batch_signature(token_ids, targets)
+                or not device.apply(record[0], [], ())):
+            return self._step(token_ids, targets)
+        _, events, tags, _, counters, result = record
+        ledger.events += events
+        self.dp_group._rendezvous.replay(ctx.rank, tags)
+        self._set_counters(counters)
+        return StepResult(*result)
+
+    def _counters(self) -> tuple:
+        """What a step advances beside the device, the ledger and the
+        rendezvous: the step counters, the phase, the scaler, Adam's count."""
+        scaler = self.scaler
+        return (self.step_count, self._micro_step, self.phase, scaler.scale,
+                scaler.good_steps, scaler.n_skipped, self.opt_state.step_count)
+
+    def _set_counters(self, counters: tuple) -> None:
+        scaler = self.scaler
+        (self.step_count, self._micro_step, self.phase, scaler.scale,
+         scaler.good_steps, scaler.n_skipped, self.opt_state.step_count) = counters
+
+    def _step(self, token_ids: np.ndarray | Tensor, targets: np.ndarray | Tensor) -> StepResult:
+        """The step itself (``train_step``)."""
         life = self._lifecycle or self._assemble_lifecycle()
         self._micro_step += 1
         boundary = self._micro_step % self.config.gradient_accumulation_steps == 0

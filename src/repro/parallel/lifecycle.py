@@ -153,7 +153,7 @@ class Lifecycle:
     it holds beside the fault plan and tracer; ``None`` is not attached.
     The ``faults`` subscriber is ``ctx.faults``, the ``FaultPlan`` itself."""
 
-    __slots__ = POINTS
+    __slots__ = (*POINTS, "quiet")
 
     def __init__(self, engine, **attached):
         attached["memory"] = True
@@ -164,3 +164,6 @@ class Lifecycle:
             subs["telemetry"] = _Telemetry()
         for point, names in ORDER.items():
             setattr(self, point, tuple(subs[n] for n in names if n in subs))
+        #: only the memory subscriber, which acts only once a timeline or
+        #: profiler attaches: a step nobody here observes
+        self.quiet = subs.keys() == {"memory"}

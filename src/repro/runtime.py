@@ -14,6 +14,17 @@ Usage::
         return ctx.world.all_reduce(ctx.rank, grads, op="avg")
 
     results = cluster.run(train)   # list of 4 per-rank return values
+
+Ranks of a meta world that build the same engine over the world group
+run the same step, so a ``Cluster`` groups them into *rank classes*
+(``RankContext.rank_class``): each engine registers what its step
+depends on, and once every rank has registered its engine the ranks with
+equal keys form a class. Its lowest rank, the leader, runs each step and
+publishes a record of it on the class's board (``repro.comm.fabric``);
+every other member makes that same step from the record in one
+``Device.apply``, its ledger events and its rendezvous tags, and runs the
+step itself wherever that would not be bitwise (ARCHITECTURE §1, "Meta
+worlds"). The threads stay: each rank still runs its program on its own.
 """
 
 from __future__ import annotations
@@ -69,6 +80,9 @@ class RankContext:
     #: ``virtual_rank_context``, a peerless ``VirtualGroup``. Required.
     _new_group: Callable[[tuple[int, ...]], ProcessGroup | VirtualGroup] = field(kw_only=True)
     _groups: dict[tuple[int, ...], ProcessGroup | VirtualGroup] = field(default_factory=dict)
+    #: the cluster's rank classes; None on a virtual context, whose one
+    #: rank replays no peer's step
+    _classes: _RankClasses | None = field(default=None, kw_only=True)
 
     def group(self, ranks: Sequence[int]) -> ProcessGroup | VirtualGroup:
         """The process group over ``ranks``, this rank's ledger attached.
@@ -84,9 +98,67 @@ class RankContext:
             pg.attach_ledger(self.rank, self.ledger)
         return pg
 
+    def rank_class(self, key: Any) -> _Seat | None:
+        """Register an engine whose step depends on ``key`` (None: on
+        nothing a peer can vouch for) and return its seat in its rank
+        class, or None where this context has no classes. Every engine a
+        rank builds registers, in build order, so each rank's n-th engine
+        is classed with its peers' n-th."""
+        return None if self._classes is None else self._classes.join(self.rank, key)
+
     # Convenience pass-throughs for the world group.
     def barrier(self) -> None:
         self.world.barrier(self.rank)
+
+
+class _Seat:
+    """One engine's place in its rank class. ``board`` is None until every
+    rank has registered its engine, and stays None for a rank alone in its
+    class; ``leads`` marks the class's lowest rank, and ``member`` numbers
+    the others."""
+
+    __slots__ = ("board", "leads", "member")
+
+    def __init__(self):
+        self.leads = False
+        self.member = 0
+        self.board = None
+
+
+class _RankClasses:
+    """A cluster's engines by rank and build order, classed by key."""
+
+    def __init__(self, fabric: Fabric, world_size: int):
+        self._fabric = fabric
+        self._joined: list[list[tuple[Any, _Seat]]] = [[] for _ in range(world_size)]
+        self._lock = threading.Lock()
+
+    def join(self, rank: int, key: Any) -> _Seat:
+        seat = _Seat()
+        with self._lock:
+            joined = self._joined[rank]
+            n = len(joined)
+            joined.append((key, seat))
+            if all(len(j) > n for j in self._joined):
+                self._fix([j[n] for j in self._joined])
+        return seat
+
+    def _fix(self, row: list[tuple[Any, _Seat]]) -> None:
+        """Class one build-order position of every rank: equal keys (never
+        None) form a class; one of two or more ranks gets a board."""
+        left = list(range(len(row)))
+        while left:
+            key, seat = row[left[0]]
+            members = [r for r in left[1:] if key is not None and row[r][0] == key]
+            classed = set(members)
+            left = [r for r in left[1:] if r not in classed]
+            if members:
+                board = self._fabric.board(len(members))
+                for i, r in enumerate(members):
+                    row[r][1].member = i
+                    row[r][1].board = board
+                seat.leads = True
+                seat.board = board
 
 
 def virtual_rank_context(
@@ -184,6 +256,7 @@ class Cluster:
         self.nvme = HostMemory(self.topology.node.nvme_bytes, name="nvme")
         self.ledgers = [CommLedger(rank=i) for i in range(world_size)]
         self._world_group = self._shared_group(tuple(range(world_size)))
+        self._classes = _RankClasses(self.fabric, world_size)
 
     def _shared_group(self, ranks: tuple[int, ...]) -> ProcessGroup:
         with self._groups_lock:
@@ -220,6 +293,7 @@ class Cluster:
             recorder=self.recorder,
             faults=self.fault_plan,
             _new_group=self._shared_group,
+            _classes=self._classes,
         )
 
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:

@@ -64,6 +64,10 @@ class Doors:
                 i = subs.index(sub)
                 self._put("on" + point, rank, subs[:i] + subs[i + 1:])
 
+    def heard(self, rank: int | None = None) -> bool:
+        """Whether any point has a subscriber (``rank``'s, for ``RankDoors``)."""
+        return any(self._get("on" + point, rank) for point in self.POINTS)
+
     def _get(self, attr: str, rank) -> tuple:
         return getattr(self, attr)
 

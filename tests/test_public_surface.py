@@ -49,7 +49,6 @@ PUBLIC_API = {
         "observation", "3. The NN framework's ownership contract"),
     "memsim.timeline.MemoryTimeline.peak_allocated": ("observation", "2. Memory accounting"),
     "memprof.provenance.current_phase": ("observation", "Provenance: who owns every byte"),
-    "memprof.provenance.profiling_active": ("observation", "Provenance: who owns every byte"),
     "optim.decay.default_weight_decay_filter": ("observation", "What's implemented"),
     "comm.ledger.CommLedger.by_op": ("observation", "1. Thread-SPMD execution"),
     "redundancy.store.RecoverySnapshot.arrays": (

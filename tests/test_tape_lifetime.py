@@ -173,8 +173,10 @@ def test_a_changed_batch_shape_captures_again_once(monkeypatch):
 #: step captured its first block of each direction, 12 972 while a
 #: re-issued block made one door call per allocator event, 8 464 while
 #: every gradient handoff built a ``Tensor`` and every unit was planned by
-#: its parameter names (7 156 since)
-META_STAGE3_STEP_CALLS = 7_250
+#: its parameter names, 7 156 before a rank joined a rank class (7 161
+#: since: ``train_step`` runs the step through ``_step``, and the last rank
+#: to register its engine through ``_follow`` too)
+META_STAGE3_STEP_CALLS = 7_170
 #: the same for one steady step of Figure 6's C4 point (one virtual rank of
 #: 128 GPUs, MP 16, batch 16, h 8192, MD on) at four layers; 5 425 while a
 #: re-issued block made one door call per allocator event, 3 104 while a
