@@ -9,13 +9,17 @@ defense layer (docs/ARCHITECTURE.md §12). Two measurements:
   rank. Post-eviction throughput must recover to within tolerance of the
   pre-fault baseline scaled by the world shrink (the throughput-recovery
   contract, asserted here and in tests/test_failslow.py).
-* **Overhead**: wall-clock cost of health monitoring with *no* faults,
-  target <5% of step time. Recorded to ``BENCH_failslow_recovery.json``;
-  the assert is a gross-regression bound only, since CI wall-clock
-  jitter on a thread-simulated cluster dwarfs the median/MAD arithmetic
-  being measured.
+* **Overhead**: cost of health monitoring with *no* faults, target <5%
+  of step time. Wall-clock jitter on a thread-simulated cluster dwarfs
+  the median/MAD arithmetic being measured, so the target is asserted in
+  a machine-stable unit: the Python calls (call + c_call, as
+  ``sys.setprofile`` counts them) the rank threads make over the timed
+  steps, health on vs off. The wall readings are recorded to
+  ``BENCH_failslow_recovery.json`` beside that ratio, not asserted.
 """
 
+import gc
+import sys
 import time
 
 import numpy as np
@@ -117,7 +121,9 @@ def test_failslow_recovery_and_detector_overhead(record_table, tmp_path):
     assert recovered_pct > 90.0  # the asserted recovery contract
 
     # -- overhead: health on, no faults ------------------------------------
-    def _run_healthy(with_health):
+    def _run_healthy(with_health, count_calls=False):
+        """Wall seconds of the timed steps; with ``count_calls``, the
+        Python calls the rank threads make over them, summed over ranks."""
         monitor = HealthMonitor(HealthConfig()) if with_health else None
         tel = TelemetrySession(health=monitor)
         cluster = Cluster(2, gpu=GPU, timeout_s=30.0, telemetry=tel)
@@ -126,18 +132,38 @@ def test_failslow_recovery_and_detector_overhead(record_table, tmp_path):
             model, engine = _build(ctx)
             ids, tgt = CORPUS.sample_batch(BATCH, SEQ, rank=ctx.rank, step=0)
             engine.train_step(ids, tgt)  # warm-up outside the timed window
+            calls = [0]
+
+            def on_event(frame, event, arg):
+                if event == "call" or event == "c_call":
+                    calls[0] += 1
+
+            if count_calls:
+                sys.setprofile(on_event)
             t0 = time.perf_counter()
             for step in range(1, TOTAL_STEPS + 1):
                 ids, tgt = CORPUS.sample_batch(BATCH, SEQ, rank=ctx.rank,
                                                step=step)
                 engine.train_step(ids, tgt)
-            return time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
+            sys.setprofile(None)
+            return calls[0] if count_calls else elapsed
 
-        return min(cluster.run(fn))
+        if not count_calls:
+            return min(cluster.run(fn))
+        gc.collect()
+        gc.disable()
+        try:
+            return sum(cluster.run(fn))
+        finally:
+            gc.enable()
 
     t_off = min(_run_healthy(False) for _ in range(3))
     t_on = min(_run_healthy(True) for _ in range(3))
     overhead_pct = (t_on - t_off) / t_off * 100.0
+    calls_off = _run_healthy(False, count_calls=True)
+    calls_on = _run_healthy(True, count_calls=True)
+    calls_pct = (calls_on - calls_off) / calls_off * 100.0
 
     record_table(
         "fail-slow recovery: 3 ranks, rank 2 throttled 4x at step "
@@ -146,13 +172,16 @@ def test_failslow_recovery_and_detector_overhead(record_table, tmp_path):
         f"  throughput during fault : {mean(during):10.0f} tok/s (gated)\n"
         f"  throughput after evict  : {mean(after):10.0f} tok/s (2 ranks)\n"
         f"  recovery vs scaled base : {recovered_pct:8.1f} %  (target > 90%)\n"
-        f"  detector overhead       : {overhead_pct:+8.2f} %  (target < 5%)",
+        f"  detector wall overhead  : {overhead_pct:+8.2f} %\n"
+        f"  detector py calls       : {calls_off} off, {calls_on} on\n"
+        f"  detector call overhead  : {calls_pct:+8.2f} %  (target < 5%)",
         metrics={
             "throughput_before": (mean(before), "tokens/s"),
             "throughput_during": (mean(during), "tokens/s"),
             "throughput_after": (mean(after), "tokens/s"),
             "recovered": (recovered_pct, "%"),
             "detector_overhead": (overhead_pct, "%"),
+            "detector_call_overhead": (calls_pct, "%"),
             # eviction lands when the real-time detector confirms, so the
             # checkpoint the relaunch resumes from (and the replay bill)
             # varies run to run: recorded, not gated.
@@ -163,6 +192,4 @@ def test_failslow_recovery_and_detector_overhead(record_table, tmp_path):
                 "steps": TOTAL_STEPS, "stage": 2, "target_overhead_pct": 5.0},
         name="failslow_recovery",
     )
-    # Gross-regression guard only; the 5% target is tracked via the
-    # recorded artifact, not asserted against CI timing jitter.
-    assert overhead_pct < 25.0
+    assert calls_pct < 5.0

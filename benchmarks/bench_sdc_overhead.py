@@ -3,12 +3,16 @@
 Not a paper figure — a cost guard for the SDC defense layer
 (docs/ARCHITECTURE.md §10). At the default cadence (cross-rank audit
 every 10 steps, shard-digest guard every boundary) the layer's target
-budget is <5% of step time; this benchmark records the measured overhead
-to ``BENCH_sdc_overhead.json`` and fails only on a gross regression,
-since CI wall-clock jitter on a 2-thread simulated cluster is far
-noisier than the CRC-32 work being measured.
+budget is <5% of step time. Wall-clock jitter on a 2-thread simulated
+cluster is far noisier than the CRC-32 work being measured, so the budget
+is asserted in a machine-stable unit instead: the Python calls (call +
+c_call, as ``sys.setprofile`` counts them) the rank threads make over the
+timed steps, audit on vs off. Both wall readings are recorded to
+``BENCH_sdc_overhead.json`` beside that ratio, not asserted.
 """
 
+import gc
+import sys
 import time
 
 import numpy as np
@@ -34,8 +38,10 @@ STEPS = 20
 DEFAULT_CADENCE = 10
 
 
-def _run(audit_cadence: int) -> float:
-    """Wall seconds for STEPS real fp32 steps on a 2-rank cluster."""
+def _run(audit_cadence: int, count_calls: bool = False) -> float:
+    """Wall seconds for STEPS real fp32 steps on a 2-rank cluster; with
+    ``count_calls``, the Python calls its rank threads make over those
+    steps instead, summed over ranks (cyclic collector off)."""
     cluster = Cluster(2, gpu=GPU, timeout_s=120.0)
 
     def fn(ctx):
@@ -47,13 +53,30 @@ def _run(audit_cadence: int) -> float:
         # Warm up outside the timed window (allocator pools, numpy caches).
         ids, tgt = CORPUS.sample_batch(2, 32, rank=ctx.rank, step=0)
         engine.train_step(ids, tgt)
+        calls = [0]
+
+        def on_event(frame, event, arg):
+            if event == "call" or event == "c_call":
+                calls[0] += 1
+
+        if count_calls:
+            sys.setprofile(on_event)
         t0 = time.perf_counter()
         for step in range(1, STEPS + 1):
             ids, tgt = CORPUS.sample_batch(2, 32, rank=ctx.rank, step=step)
             engine.train_step(ids, tgt)
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        sys.setprofile(None)
+        return calls[0] if count_calls else elapsed
 
-    return min(cluster.run(fn))  # ranks run in lockstep; min = least-noisy
+    if not count_calls:
+        return min(cluster.run(fn))  # ranks run in lockstep; min = least-noisy
+    gc.collect()
+    gc.disable()
+    try:
+        return sum(cluster.run(fn))
+    finally:
+        gc.enable()
 
 
 def test_audit_overhead_fraction(record_table):
@@ -61,24 +84,26 @@ def test_audit_overhead_fraction(record_table):
     t_off = min(_run(0) for _ in range(3))
     t_on = min(_run(DEFAULT_CADENCE) for _ in range(3))
     overhead_pct = (t_on - t_off) / t_off * 100.0
+    calls_off, calls_on = _run(0, count_calls=True), _run(DEFAULT_CADENCE, count_calls=True)
+    calls_pct = (calls_on - calls_off) / calls_off * 100.0
 
     record_table(
         f"SDC integrity-audit overhead at default cadence {DEFAULT_CADENCE}\n"
-        f"  {STEPS} steps audit-off : {t_off * 1e3:8.1f} ms\n"
-        f"  {STEPS} steps audit-on  : {t_on * 1e3:8.1f} ms\n"
-        f"  overhead              : {overhead_pct:+8.2f} %  (target < 5%)",
+        f"  {STEPS} steps audit-off : {t_off * 1e3:8.1f} ms, {calls_off} py calls\n"
+        f"  {STEPS} steps audit-on  : {t_on * 1e3:8.1f} ms, {calls_on} py calls\n"
+        f"  wall overhead         : {overhead_pct:+8.2f} %\n"
+        f"  py-call overhead      : {calls_pct:+8.2f} %  (target < 5%)",
         metrics={
             "step_time_audit_off": (t_off / STEPS, "s"),
             "step_time_audit_on": (t_on / STEPS, "s"),
             "audit_overhead": (overhead_pct, "%"),
+            "audit_call_overhead": (calls_pct, "%"),
         },
         config={"audit_cadence": DEFAULT_CADENCE, "steps": STEPS,
                 "stage": 2, "world": 2, "target_pct": 5.0},
         name="sdc_overhead",
     )
-    # Gross-regression guard only; the 5% target is tracked via the
-    # recorded artifact, not asserted against CI timing jitter.
-    assert overhead_pct < 25.0
+    assert calls_pct < 5.0
 
 
 # -- rollback bill: what a detected scribble costs without redundancy --------

@@ -42,9 +42,6 @@ from repro.nn.transformer import GPTConfig
 from repro.zero.config import ZeROConfig
 from repro.comm.faults import (
     FaultPlan,
-    LinkDegradeRule,
-    RankJitterRule,
-    RankThrottleRule,
     RetryPolicy,
 )
 from repro.health import (
@@ -85,10 +82,7 @@ __all__ = [
     "Incident",
     "InfinityConfig",
     "InfinityEngine",
-    "LinkDegradeRule",
     "RankContext",
-    "RankJitterRule",
-    "RankThrottleRule",
     "RedundancyConfig",
     "RestartKind",
     "RestartPolicy",

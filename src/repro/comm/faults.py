@@ -6,69 +6,58 @@ irreplaceable shard of optimizer state — fault tolerance is part of the
 system, not an afterthought. This module provides the *injection* side: a
 ``FaultPlan`` is a seeded, deterministic schedule of failures. It enters
 the job only as a subscriber of the doors it injects at
-(``repro.utils.doors``), answering the question each door asks:
+(``repro.utils.doors``). ``Cluster(fault_plan=...)`` subscribes the plan
+to every group it makes, for each member rank, and sets each
+``RankContext.faults``. Without a plan no door has a subscriber, and
+behavior is byte-identical to a fault-free build. How a fault is applied
+is known here and nowhere else; retrying a transient fault is
+``ProcessGroup._admit``'s semantics.
 
-* ``_attempting``  — may this collective attempt proceed? (told by a
-  ``ProcessGroup`` before every attempt: kill-after-N-collectives and
-  transient-failure rules raise here);
-* ``_carrying``    — what does this collective carry? (asked ``"pre"`` for
-  a contribution, ``"post"`` for a result: flip rules answer);
-* ``_sending``     — does this send arrive, and when? (drop / delay rules);
-* ``step_begin``   — the step lifecycle's ``faults`` point (kill-at-step
-  and scribble rules fire at optimizer boundaries; it also advances the
-  perf-rule window clock);
-* ``checkpoint_written`` — told by ``save_checkpoint`` once a rank file
-  is durable (rot rules).
+A fault is one rule: *at which door, on what match, in which window, with
+what effect*. The twelve builders only validate their arguments and file
+one ``_Rule`` in the list of its door (docs/ARCHITECTURE.md §7 has the
+full table)::
 
-``Cluster(fault_plan=...)`` subscribes the plan to every group it makes,
-for each member rank, and sets each ``RankContext.faults``. Without a plan
-no door has a subscriber, and behavior is byte-identical to a fault-free
-build. How a fault is applied is known here and nowhere else; retrying a
-transient fault is ``ProcessGroup._admit``'s semantics.
+    door     answered by               window             effects
+    step     step_begin / note_step    step, fires once   kill, scribble
+    attempt  _attempting               per-rank count     kill, transient, random
+    send     _sending                  per-src count      drop, delay
+    carry    _carrying                 per-rank count     flip
+    save     checkpoint_written        per-rank count     rot
+    compute  compute_scale             step range         throttle, jitter
+    link     adjust_alpha_beta         step range         link
 
-Fault taxonomy:
+A door evaluates its rules in one loop, in effect order (kills before
+scribbles and transients, transients before random faults, throttles
+before jitter) and by insertion within an effect; the first rule that
+raises ends the loop. A count window fires on matches ``nth ..
+nth+times-1`` per rank; a step window while the rank's optimizer step is
+in ``from_step .. until_step``; a random rule has no window, only a budget
+of ``max_faults`` fires over all ranks.
 
-* **Transient** collective faults raise ``TransientCollectiveFault``.
-  ``ProcessGroup`` retries them with exponential backoff under a
-  ``RetryPolicy`` and records every retry in the rank's ``CommLedger``;
-  a retried step produces results bitwise identical to a fault-free run
-  because the rendezvous only happens once the fault clears.
-* **Permanent** rank kills raise ``RankKilledError`` on the victim. The
-  fabric is aborted so every peer blocked in a rendezvous raises
-  ``FabricAbortedError`` promptly; the ``Supervisor`` (repro.supervisor)
-  can then re-form a smaller world from the survivors.
-* **P2P faults** drop a send (the receiver's timeout then aborts the
-  whole fabric — see ``Fabric.recv``) or delay it by a fixed interval.
-* **Performance faults** (gray failures) also raise *nothing*: the rank
-  keeps participating in every collective and produces bitwise-correct
-  results — it is just *slow*. ``throttle_rank`` stretches the victim's
-  modeled compute time by a constant factor, ``jitter`` stretches it by
-  a seeded per-step random factor, and ``degrade_link`` scales the
-  alpha-beta cost of any collective whose group includes the degraded
-  link. All three carry onset/duration windows (``from_step`` /
-  ``until_step``) so a fault can be transient or persistent. Because a
-  ZeRO step is a synchronous collective, one degraded rank gates the
-  whole data-parallel world — observable only through the
-  ``repro.health`` detectors reading the telemetry clock.
-* **Corruption faults** raise *nothing* — that is the point. They model
-  silent data corruption (SDC), the failure mode sharded state is most
-  fragile to, and are only observable through the ``repro.integrity``
-  detectors. Three corruption rules mirror the crash taxonomy:
-  ``flip_bits`` flips seeded bits in collective payloads (``when="pre"``
-  corrupts this rank's contribution before the reduction, so *every*
-  rank agrees on the wrong sum — only the anomaly sentinels can see it;
-  ``when="post"`` corrupts this rank's received result, so its replica
-  diverges — the cross-rank audit catches it), ``scribble_tensor``
-  flips bits in a resident owned shard (master / Adam moments / the
-  stage-3 parameter shard) at a step boundary, and ``rot_checkpoint``
-  flips bits in a checkpoint rank-file right after it is durably
-  written (bit rot at rest; caught by checksum verify-on-load).
+Effects by family:
 
-Rules fire a bounded number of times and stay consumed afterwards, so a
-supervisor restart does not immediately re-trigger the same failure.
-All bookkeeping is lock-guarded; random injection draws from per-rank
-``numpy`` generators seeded from ``(seed, rank)`` so outcomes do not
-depend on thread interleaving.
+* **Transient** collective faults raise ``TransientCollectiveFault``;
+  ``ProcessGroup`` retries them under a ``RetryPolicy`` and ledgers every
+  retry, and the retried step is bitwise a fault-free one.
+* **Kills** raise ``RankKilledError`` on the victim; the fabric aborts so
+  every peer raises promptly and the ``Supervisor`` can re-form a smaller
+  world from the survivors.
+* **P2P faults** drop a send (the receiver's timeout aborts the fabric)
+  or delay it.
+* **Performance faults** (gray failures: throttle, jitter, link) raise
+  nothing and keep results bitwise correct; they only stretch the modeled
+  clock, so only the ``repro.health`` detectors see them. Each records one
+  onset event, and the ``Supervisor`` retires them when it evicts the
+  victim.
+* **Corruption faults** (flip, scribble, rot) raise nothing either: they
+  model silent data corruption, seen only by the ``repro.integrity``
+  detectors.
+
+Rules stay consumed after they fire, so a supervisor restart does not
+re-trigger the same failure. All bookkeeping is lock-guarded; random
+injection draws from per-rank ``numpy`` generators seeded from ``(seed,
+rank)`` so outcomes do not depend on thread interleaving.
 """
 
 from __future__ import annotations
@@ -145,168 +134,44 @@ class FaultEvent:
     detail: str = ""
 
 
-@dataclass
-class _KillRule:
-    rank: int
-    at_step: int | None = None
-    after_collectives: int | None = None
-    fired: bool = False
+#: The doors a plan answers at, each with its own list of rules.
+_DOORS = ("step", "attempt", "send", "carry", "save", "compute", "link")
+#: An effect's place in its door's evaluation order; equal places keep
+#: insertion order (drops and delays share one, as do all the rest).
+_EVAL_ORDER = {"scribble": 1, "transient": 1, "jitter": 1, "random": 2}
 
 
-@dataclass
-class _TransientRule:
-    rank: int | None  # None = any rank
-    op: str | None    # None = any collective
-    nth: int          # first matching attempt to fail (1-based)
-    times: int        # number of consecutive matching attempts to fail
-    counts: dict[int, int] = field(default_factory=dict)  # per-rank matches
+@dataclass(eq=False)
+class _Rule:
+    """One fault: the ``effect`` it has, the door fields it ``match``es
+    (a tuple in the door's field order, None = any), its ``window``, the
+    effect's ``argument`` and its ``state``: per-rank match counts keyed by
+    rank, ``"fired"`` (fires so far) and ``"retired"``."""
 
+    effect: str
+    match: tuple
+    window: tuple  # (nth, times) a count window; (from_step, until_step) a step window
+    argument: Any = None
+    state: dict = field(default_factory=dict)
 
-@dataclass
-class _RandomRule:
-    prob: float
-    op: str | None
-    max_faults: int
-    fired: int = 0
+    def count(self, rank: int) -> int:
+        """Count one more match for ``rank``: its number when it is one of
+        ``nth .. nth+times-1``, else 0."""
+        c = self.state[rank] = self.state.get(rank, 0) + 1
+        nth, times = self.window
+        return c if nth <= c < nth + times else 0
 
-
-@dataclass
-class _SendRule:
-    kind: str  # "drop" | "delay"
-    src: int
-    dst: int | None
-    tag: Any | None
-    nth: int
-    times: int
-    delay_s: float = 0.0
-    counts: dict[int, int] = field(default_factory=dict)  # per-src matches
-
-
-@dataclass
-class _FlipRule:
-    rank: int | None  # None = any rank
-    op: str | None    # None = any collective payload
-    when: str         # "pre" (contribution) | "post" (received result)
-    nth: int
-    times: int
-    bits: int
-    counts: dict[int, int] = field(default_factory=dict)  # per-rank matches
-
-
-@dataclass
-class _ScribbleRule:
-    rank: int
-    target: str  # "master" | "m" | "v" | "param_shard"
-    at_step: int
-    bits: int
-    fired: bool = False
+    def active(self, step: int) -> bool:
+        """Whether ``step`` is in the step window (never once retired)."""
+        lo, hi = self.window
+        return lo <= step and (hi is None or step <= hi) and not self.state.get("retired")
 
 
 def _check_window(from_step: int, until_step: int | None) -> None:
     if from_step < 1:
         raise ValueError(f"from_step must be >= 1, got {from_step}")
     if until_step is not None and until_step < from_step:
-        raise ValueError(
-            f"until_step {until_step} must be >= from_step {from_step}"
-        )
-
-
-@dataclass
-class LinkDegradeRule:
-    """Gray failure on one link: collectives whose group contains both
-    endpoints run with bandwidth scaled by ``bw_factor`` (0 < f <= 1)
-    and per-message latency increased by ``latency_add_s``. ``dst=None``
-    degrades every link out of ``src`` (a sick NIC rather than one bad
-    cable). Active while the *pricing* rank's optimizer step is inside
-    [``from_step``, ``until_step``]; ``until_step=None`` is persistent.
-    Never raises — only the alpha-beta clock sees it."""
-
-    src: int
-    dst: int | None = None
-    bw_factor: float = 0.25
-    latency_add_s: float = 0.0
-    from_step: int = 1
-    until_step: int | None = None
-    fired: bool = False    # onset event recorded
-    retired: bool = False  # deactivated (victim evicted)
-
-    def __post_init__(self):
-        if not 0.0 < self.bw_factor <= 1.0:
-            raise ValueError(f"bw_factor must be in (0, 1], got {self.bw_factor}")
-        if self.latency_add_s < 0:
-            raise ValueError(
-                f"latency_add_s must be non-negative, got {self.latency_add_s}"
-            )
-        _check_window(self.from_step, self.until_step)
-
-    def matches_group(self, group_ranks: tuple[int, ...]) -> bool:
-        if self.src not in group_ranks:
-            return False
-        return self.dst is None or self.dst in group_ranks
-
-
-@dataclass
-class RankThrottleRule:
-    """Gray failure on one GPU: the victim's modeled compute time is
-    stretched by ``compute_factor`` (>= 1) while its optimizer step is
-    inside the window. Never raises."""
-
-    rank: int
-    compute_factor: float = 4.0
-    from_step: int = 1
-    until_step: int | None = None
-    fired: bool = False
-    retired: bool = False
-
-    def __post_init__(self):
-        if self.compute_factor < 1.0:
-            raise ValueError(
-                f"compute_factor must be >= 1, got {self.compute_factor}"
-            )
-        _check_window(self.from_step, self.until_step)
-
-
-@dataclass
-class RankJitterRule:
-    """Stochastic slowdown: the victim's modeled compute time is
-    stretched by ``1 + |N(0, sigma)|`` drawn deterministically per
-    ``(plan seed, rank, step)`` — thread-interleaving independent.
-    Never raises."""
-
-    rank: int
-    sigma: float = 0.05
-    from_step: int = 1
-    until_step: int | None = None
-    fired: bool = False
-    retired: bool = False
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        _check_window(self.from_step, self.until_step)
-
-
-def _match(rule, rank: int) -> int:
-    """Count one more match of a count-window rule (transient, send, flip,
-    rot) for ``rank``: its number when it is one of ``nth .. nth+times-1``,
-    else 0."""
-    c = rule.counts[rank] = rule.counts.get(rank, 0) + 1
-    return c if rule.nth <= c < rule.nth + rule.times else 0
-
-
-def _window_active(rule, step: int) -> bool:
-    if rule.retired or step < rule.from_step:
-        return False
-    return rule.until_step is None or step <= rule.until_step
-
-
-@dataclass
-class _RotRule:
-    rank: int | None  # None = any rank's checkpoint file
-    nth: int
-    times: int
-    bits: int
-    counts: dict[int, int] = field(default_factory=dict)  # per-rank saves
+        raise ValueError(f"until_step {until_step} must be >= from_step {from_step}")
 
 
 class FaultPlan:
@@ -322,19 +187,10 @@ class FaultPlan:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._lock = threading.Lock()
-        self._kills: list[_KillRule] = []
-        self._transients: list[_TransientRule] = []
-        self._randoms: list[_RandomRule] = []
-        self._sends: list[_SendRule] = []
-        self._flips: list[_FlipRule] = []
-        self._scribbles: list[_ScribbleRule] = []
-        self._rots: list[_RotRule] = []
-        # Performance (gray-failure) rules — never raise; observable only
-        # through the telemetry clock and the repro.health detectors.
-        self._links: list[LinkDegradeRule] = []
-        self._throttles: list[RankThrottleRule] = []
-        self._jitters: list[RankJitterRule] = []
+        #: each door's rules, in evaluation order
+        self._rules: dict[str, list[_Rule]] = {door: [] for door in _DOORS}
         self._rngs: dict[int, np.random.Generator] = {}
+        #: collective attempts seen per rank
         self._collective_count: dict[int, int] = {}
         #: last optimizer step noted per rank (perf-rule window clock)
         self._steps: dict[int, int] = {}
@@ -354,69 +210,66 @@ class FaultPlan:
         if rec is not None:
             rec.on_fault_injected(event)
 
+    def _add(self, door: str, effect: str, match: tuple, window: tuple,
+             argument: Any = None) -> "FaultPlan":
+        """File one rule in ``door``'s list, in evaluation order. The list
+        is replaced, not edited, so a door reading it never sees it move."""
+        with self._lock:
+            rules = [*self._rules[door], _Rule(effect, match, window, argument)]
+            rules.sort(key=lambda rule: _EVAL_ORDER.get(rule.effect, 0))
+            self._rules[door] = rules
+        return self
+
     # -- builders ----------------------------------------------------------
 
-    def kill_rank(
-        self, rank: int, *, at_step: int | None = None,
-        after_collectives: int | None = None,
-    ) -> "FaultPlan":
+    def kill_rank(self, rank: int, *, at_step: int | None = None,
+                  after_collectives: int | None = None) -> "FaultPlan":
         """Permanently kill ``rank`` when its optimizer step reaches
         ``at_step``, or after it has issued ``after_collectives``
         collective attempts. Exactly one trigger must be given; the rule
         fires once."""
         if (at_step is None) == (after_collectives is None):
             raise ValueError("specify exactly one of at_step / after_collectives")
-        self._kills.append(_KillRule(rank, at_step, after_collectives))
-        return self
+        if at_step is not None:
+            return self._add("step", "kill", (rank,), (at_step, None))
+        return self._add("attempt", "kill", (rank, None), (after_collectives + 1, 1))
 
-    def fail_collective(
-        self, *, rank: int | None = None, op: str | None = None,
-        nth: int = 1, times: int = 1,
-    ) -> "FaultPlan":
+    def fail_collective(self, *, rank: int | None = None, op: str | None = None,
+                        nth: int = 1, times: int = 1) -> "FaultPlan":
         """Make matching collective attempts fail transiently: per rank,
         matching attempts ``nth .. nth+times-1`` (1-based) raise
         ``TransientCollectiveFault``. Retries count as new attempts, so
         ``times`` consecutive failures are cleared by ``times`` retries."""
         if nth < 1 or times < 1:
             raise ValueError("nth and times must be >= 1")
-        self._transients.append(_TransientRule(rank, op, nth, times))
-        return self
+        return self._add("attempt", "transient", (rank, op), (nth, times))
 
-    def fail_randomly(
-        self, *, prob: float, op: str | None = None, max_faults: int = 8
-    ) -> "FaultPlan":
+    def fail_randomly(self, *, prob: float, op: str | None = None,
+                      max_faults: int = 8) -> "FaultPlan":
         """Fail collective attempts at probability ``prob`` (per attempt,
         per rank), drawn from a per-rank generator seeded from the plan
-        seed — deterministic regardless of thread scheduling."""
+        seed — deterministic regardless of thread scheduling. At most
+        ``max_faults`` fire over all ranks."""
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"prob must be in [0, 1], got {prob}")
-        self._randoms.append(_RandomRule(prob, op, max_faults))
-        return self
+        return self._add("attempt", "random", (None, op), (), (prob, max_faults))
 
-    def drop_send(
-        self, *, src: int, dst: int | None = None, tag: Any | None = None,
-        nth: int = 1, times: int = 1,
-    ) -> "FaultPlan":
+    def drop_send(self, *, src: int, dst: int | None = None, tag: Any | None = None,
+                  nth: int = 1, times: int = 1) -> "FaultPlan":
         """Silently drop matching point-to-point sends (matches
         ``nth .. nth+times-1``). The receiver's timeout then aborts the
         fabric so every rank fails fast."""
-        self._sends.append(_SendRule("drop", src, dst, tag, nth, times))
-        return self
+        return self._add("send", "drop", (src, dst, tag), (nth, times))
 
-    def delay_send(
-        self, *, src: int, delay_s: float, dst: int | None = None,
-        tag: Any | None = None, nth: int = 1, times: int = 1,
-    ) -> "FaultPlan":
+    def delay_send(self, *, src: int, delay_s: float, dst: int | None = None,
+                   tag: Any | None = None, nth: int = 1, times: int = 1) -> "FaultPlan":
         """Delay matching point-to-point sends by ``delay_s`` seconds."""
         if delay_s < 0:
             raise ValueError(f"delay_s must be non-negative, got {delay_s}")
-        self._sends.append(_SendRule("delay", src, dst, tag, nth, times, delay_s))
-        return self
+        return self._add("send", "delay", (src, dst, tag), (nth, times), delay_s)
 
-    def flip_bits(
-        self, *, rank: int | None = None, op: str | None = None,
-        when: str = "post", nth: int = 1, times: int = 1, bits: int = 1,
-    ) -> "FaultPlan":
+    def flip_bits(self, *, rank: int | None = None, op: str | None = None,
+                  when: str = "post", nth: int = 1, times: int = 1, bits: int = 1) -> "FaultPlan":
         """Silently flip ``bits`` seeded bits in matching collective
         payloads — matches ``nth .. nth+times-1`` per rank (1-based),
         counting only data-bearing payloads (barriers and meta
@@ -430,12 +283,10 @@ class FaultPlan:
             raise ValueError(f"when must be 'pre' or 'post', got {when!r}")
         if nth < 1 or times < 1 or bits < 1:
             raise ValueError("nth, times, and bits must be >= 1")
-        self._flips.append(_FlipRule(rank, op, when, nth, times, bits))
-        return self
+        return self._add("carry", "flip", (rank, op, when), (nth, times), bits)
 
-    def scribble_tensor(
-        self, *, rank: int, at_step: int, target: str = "master", bits: int = 1,
-    ) -> "FaultPlan":
+    def scribble_tensor(self, *, rank: int, at_step: int, target: str = "master",
+                        bits: int = 1) -> "FaultPlan":
         """Silently flip ``bits`` seeded bits in a resident owned shard of
         ``rank`` at the start of optimizer step ``at_step`` — modeling a
         device-memory bit flip in state nobody else holds a copy of.
@@ -443,67 +294,53 @@ class FaultPlan:
         ``"m"``, ``"v"`` (fp32 Adam state), or ``"param_shard"``
         (stage 3). Fires once; raises nothing."""
         if target not in ("master", "m", "v", "param_shard"):
-            raise ValueError(
-                f"target must be master/m/v/param_shard, got {target!r}"
-            )
+            raise ValueError(f"target must be master/m/v/param_shard, got {target!r}")
         if at_step < 1 or bits < 1:
             raise ValueError("at_step and bits must be >= 1")
-        self._scribbles.append(_ScribbleRule(rank, target, at_step, bits))
-        return self
+        return self._add("step", "scribble", (rank,), (at_step, None), (target, bits))
 
-    def degrade_link(
-        self, *, src: int, dst: int | None = None, bw_factor: float = 0.25,
-        latency_add_s: float = 0.0, from_step: int = 1,
-        until_step: int | None = None,
-    ) -> "FaultPlan":
+    def degrade_link(self, *, src: int, dst: int | None = None, bw_factor: float = 0.25,
+                     latency_add_s: float = 0.0, from_step: int = 1,
+                     until_step: int | None = None) -> "FaultPlan":
         """Degrade the ``src``<->``dst`` link (all of ``src``'s links when
-        ``dst`` is None): any collective whose group contains the link
-        runs at ``bw_factor`` x bandwidth with ``latency_add_s`` extra
-        latency, while the window is active. Raises nothing, ever — the
+        ``dst`` is None — a sick NIC rather than one bad cable): any
+        collective whose group contains the link runs at ``bw_factor``
+        (0 < f <= 1) x bandwidth with ``latency_add_s`` extra latency,
+        while the *pricing* rank's optimizer step is inside the window
+        (``until_step=None`` is persistent). Raises nothing, ever — the
         fault is visible only to the alpha-beta cost model (and hence the
         telemetry clock and the health detectors)."""
-        return self.add_perf_rule(LinkDegradeRule(
-            src, dst, bw_factor, latency_add_s, from_step, until_step,
-        ))
+        if not 0.0 < bw_factor <= 1.0:
+            raise ValueError(f"bw_factor must be in (0, 1], got {bw_factor}")
+        if latency_add_s < 0:
+            raise ValueError(f"latency_add_s must be non-negative, got {latency_add_s}")
+        _check_window(from_step, until_step)
+        return self._add("link", "link", (src, dst), (from_step, until_step),
+                         (bw_factor, latency_add_s))
 
-    def throttle_rank(
-        self, *, rank: int, compute_factor: float = 4.0, from_step: int = 1,
-        until_step: int | None = None,
-    ) -> "FaultPlan":
+    def throttle_rank(self, *, rank: int, compute_factor: float = 4.0, from_step: int = 1,
+                      until_step: int | None = None) -> "FaultPlan":
         """Stretch ``rank``'s modeled compute time by ``compute_factor``
-        while the window is active (a thermally throttled / degraded
-        GPU). Raises nothing, ever."""
-        return self.add_perf_rule(RankThrottleRule(
-            rank, compute_factor, from_step, until_step,
-        ))
+        (>= 1) while the window is active (a thermally throttled /
+        degraded GPU). Raises nothing, ever."""
+        if compute_factor < 1.0:
+            raise ValueError(f"compute_factor must be >= 1, got {compute_factor}")
+        _check_window(from_step, until_step)
+        return self._add("compute", "throttle", (rank,), (from_step, until_step), compute_factor)
 
-    def jitter(
-        self, *, rank: int, sigma: float = 0.05, from_step: int = 1,
-        until_step: int | None = None,
-    ) -> "FaultPlan":
-        """Stretch ``rank``'s modeled compute time by a seeded random
-        ``1 + |N(0, sigma)|`` factor, redrawn each step (OS noise,
-        shared-host interference). Raises nothing, ever."""
-        return self.add_perf_rule(RankJitterRule(rank, sigma, from_step, until_step))
+    def jitter(self, *, rank: int, sigma: float = 0.05, from_step: int = 1,
+               until_step: int | None = None) -> "FaultPlan":
+        """Stretch ``rank``'s modeled compute time by a random
+        ``1 + |N(0, sigma)|`` factor, drawn per ``(plan seed, rank, step)``
+        (OS noise, shared-host interference) — thread-interleaving
+        independent. Raises nothing, ever."""
+        if sigma < 0:
+            raise ValueError(f"sigma must be non-negative, got {sigma}")
+        _check_window(from_step, until_step)
+        return self._add("compute", "jitter", (rank,), (from_step, until_step), sigma)
 
-    def add_perf_rule(
-        self, rule: "LinkDegradeRule | RankThrottleRule | RankJitterRule",
-    ) -> "FaultPlan":
-        """Attach an already-constructed performance-fault rule."""
-        if isinstance(rule, LinkDegradeRule):
-            self._links.append(rule)
-        elif isinstance(rule, RankThrottleRule):
-            self._throttles.append(rule)
-        elif isinstance(rule, RankJitterRule):
-            self._jitters.append(rule)
-        else:
-            raise TypeError(f"not a performance-fault rule: {rule!r}")
-        return self
-
-    def rot_checkpoint(
-        self, *, rank: int | None = None, nth: int = 1, times: int = 1,
-        bits: int = 1,
-    ) -> "FaultPlan":
+    def rot_checkpoint(self, *, rank: int | None = None, nth: int = 1, times: int = 1,
+                       bits: int = 1) -> "FaultPlan":
         """Silently flip ``bits`` seeded bits in a rank's checkpoint file
         right after it is durably written — bit rot at rest, matching
         saves ``nth .. nth+times-1`` per rank. The save itself succeeds;
@@ -512,98 +349,97 @@ class FaultPlan:
         Raises nothing."""
         if nth < 1 or times < 1 or bits < 1:
             raise ValueError("nth, times, and bits must be >= 1")
-        self._rots.append(_RotRule(rank, nth, times, bits))
-        return self
+        return self._add("save", "rot", (rank,), (nth, times), bits)
 
     # -- door answers (ProcessGroup points, the step lifecycle, saves) ------
 
-    def note_step(self, rank: int, step: int) -> None:
-        """Advance ``rank``'s perf-rule window clock to optimizer step
-        ``step`` and fire its kill-at-step rules (``RankKilledError``)."""
-        with self._lock:
-            self._steps[rank] = step
-            for rule in self._kills:
-                if rule.fired or rule.rank != rank or rule.at_step is None:
-                    continue
-                if step >= rule.at_step:
-                    self._fire_kill(rule, f"at step {step}")
-
     def step_begin(self, engine, boundary: bool) -> None:
         """The lifecycle's ``faults`` subscriber: at a boundary, note the
-        step, then silently flip bits in the owned shards scribble rules
-        aim at — only the integrity detectors can tell. A consumed rule
-        stays consumed across restarts, so a rolled-back run does not
-        re-corrupt itself."""
-        if not boundary:
-            return
-        rank, step = engine.ctx.rank, engine.step_count
-        self.note_step(rank, step)
-        if not self._scribbles:
-            return
+        step (``note_step``) with ``engine`` as the scribble rules' target."""
+        if boundary:
+            self.note_step(engine.ctx.rank, engine.step_count, engine)
+
+    def note_step(self, rank: int, step: int, engine=None) -> None:
+        """Advance ``rank``'s perf-rule window clock to optimizer step
+        ``step`` and fire its due step rules, each once: a kill raises
+        ``RankKilledError``; a scribble silently flips bits in ``engine``'s
+        owned shard (none in a meta engine; no ``param_shard`` below stage
+        3) — only the integrity detectors can tell. A consumed rule stays
+        consumed across restarts, so a rolled-back run does not re-corrupt
+        itself."""
+        shards, hit = None, []
         with self._lock:
-            due = [r for r in self._scribbles if not r.fired and r.rank == rank and step >= r.at_step]
-            # no shards to hit in a meta engine; no param_shard below stage 3
-            shards = engine.integrity_shards() if due and not engine.is_meta else {}
-            for rule in due:
-                rule.fired = True
+            self._steps[rank] = step
+            for rule in self._rules["step"]:
+                if rule.match[0] != rank or "fired" in rule.state or not rule.active(step):
+                    continue
+                if rule.effect == "kill":
+                    self._fire_kill(rule, "step", f"at step {step}")
+                if engine is None:
+                    continue
+                rule.state["fired"] = 1
+                target, bits = rule.argument
                 self._record_event(FaultEvent(
-                    "scribble", rank, "step", f"{rule.target} at step {step}, {rule.bits} bit(s)"
+                    "scribble", rank, "step", f"{target} at step {step}, {bits} bit(s)"
                 ))
-                if rule.target in shards:
-                    self._flip_array_locked(rank, shards[rule.target], rule.bits)
-        if engine.tracer is not None:
-            for rule in due:
-                if rule.target in shards:
-                    engine.tracer.sdc_injected("sdc-scribble", "scribble", target=rule.target, step=step)
+                if shards is None:
+                    shards = {} if engine.is_meta else engine.integrity_shards()
+                if target in shards:
+                    self._flip_array_locked(rank, shards[target], bits)
+                    hit.append(target)
+        if hit and engine.tracer is not None:
+            for target in hit:
+                engine.tracer.sdc_injected("sdc-scribble", "scribble", target=target, step=step)
 
     def _attempting(self, group, rank: int, op: str) -> None:
-        """Before every collective attempt: kill-after-N-collectives rules
-        raise ``RankKilledError``, transient rules
+        """Before every collective attempt: kill rules raise
+        ``RankKilledError``, transient and random rules
         ``TransientCollectiveFault``."""
         with self._lock:
-            count = self._collective_count.get(rank, 0) + 1
-            self._collective_count[rank] = count
-            for rule in self._kills:
-                if rule.fired or rule.rank != rank or rule.after_collectives is None:
+            self._collective_count[rank] = self._collective_count.get(rank, 0) + 1
+            for rule in self._rules["attempt"]:
+                r, o = rule.match
+                if r not in (None, rank) or o not in (None, op):
                     continue
-                if count > rule.after_collectives:
-                    self._fire_kill(rule, f"after {rule.after_collectives} collectives")
-            for t in self._transients:
-                if t.rank not in (None, rank) or t.op not in (None, op):
-                    continue
-                c = _match(t, rank)
-                if c:
-                    self._record_event(FaultEvent("transient", rank, op, f"match {c}"))
-                    raise TransientCollectiveFault(
-                        f"injected transient fault: {op!r} on rank {rank} "
-                        f"(match {c} in group {group.ranks})"
-                    )
-            for r in self._randoms:
-                if r.op not in (None, op) or r.fired >= r.max_faults:
-                    continue
-                rng = self._rng_for_locked(rank)
-                if rng.random() < r.prob:
-                    r.fired += 1
+                if rule.effect == "random":
+                    prob, budget = rule.argument
+                    fired = rule.state.get("fired", 0)
+                    if fired >= budget or self._rng_for_locked(rank).random() >= prob:
+                        continue
+                    rule.state["fired"] = fired + 1
                     self._record_event(FaultEvent("transient", rank, op, "random"))
                     raise TransientCollectiveFault(
                         f"injected random transient fault: {op!r} on rank {rank}"
                     )
+                c = rule.count(rank)
+                if not c:
+                    continue
+                if rule.effect == "kill":
+                    self._fire_kill(rule, "collective", f"after {rule.window[0] - 1} collectives")
+                self._record_event(FaultEvent("transient", rank, op, f"match {c}"))
+                raise TransientCollectiveFault(
+                    f"injected transient fault: {op!r} on rank {rank} "
+                    f"(match {c} in group {group.ranks})"
+                )
 
     def _sending(self, group, src: int, payload, dst: int, tag: Any):
         """What a point-to-point send delivers: the payload, after a delay
         rule's sleep, or None when a drop rule fires."""
         with self._lock:
             # each rule that matches counts the send, up to the first that fires
-            rule = next((r for r in self._sends if r.src == src and r.dst in (None, dst)
-                         and r.tag in (None, tag) and _match(r, src)), None)
-            if rule is None:
+            for rule in self._rules["send"]:
+                s, d, t = rule.match
+                if s == src and d in (None, dst) and t in (None, tag) and rule.count(src):
+                    break
+            else:
                 return payload
             detail = f"dst {dst} tag {tag!r}"
-            if rule.kind == "drop":
+            if rule.effect == "drop":
                 self._record_event(FaultEvent("drop_send", src, "send", detail))
                 return None
-            self._record_event(FaultEvent("delay_send", src, "send", f"{detail} delay {rule.delay_s}s"))
-        time.sleep(rule.delay_s)
+            self._record_event(
+                FaultEvent("delay_send", src, "send", f"{detail} delay {rule.argument}s"))
+        time.sleep(rule.argument)
         return payload
 
     def _carrying(self, group, rank: int, payload, op: str, when: str):
@@ -611,23 +447,24 @@ class FaultPlan:
         of a data payload (the caller's resident array is never touched —
         in-flight corruption) and tell the rank's tracer; otherwise the
         payload itself. Never raises."""
-        if not self._flips or not isinstance(payload, np.ndarray) or payload.size == 0:
+        rules = self._rules["carry"]
+        if not rules or not isinstance(payload, np.ndarray) or payload.size == 0:
             return payload
         with self._lock:
             out = payload
-            for rule in self._flips:
-                if rule.when != when or rule.rank not in (None, rank) or rule.op not in (None, op):
+            for rule in rules:
+                r, o, w = rule.match
+                if w != when or r not in (None, rank) or o not in (None, op):
                     continue
-                c = _match(rule, rank)
+                c = rule.count(rank)
                 if not c:
                     continue
                 if out is payload:
                     out = np.array(payload, copy=True)
-                self._flip_array_locked(rank, out, rule.bits)
-                self._record_event(
-                    FaultEvent("bitflip", rank, op,
-                               f"{when}-reduce, {rule.bits} bit(s), match {c}")
-                )
+                self._flip_array_locked(rank, out, rule.argument)
+                self._record_event(FaultEvent(
+                    "bitflip", rank, op, f"{when}-reduce, {rule.argument} bit(s), match {c}"
+                ))
         if out is not payload:
             tracer = getattr(group._ledgers.get(rank), "listener", None)
             if tracer is not None:
@@ -639,22 +476,22 @@ class FaultPlan:
         written: rot rules flip bits in it. The save itself succeeded; only
         checksum verify-on-load or the ``VerifiedCheckpointRing``'s
         post-save verification can tell. Never raises."""
-        if not self._rots:
+        rules = self._rules["save"]
+        if not rules:
             return
         rank, path = engine.ctx.rank, pathlib.Path(path)
         rotted = False
         with self._lock:
-            for rule in self._rots:
-                if rule.rank not in (None, rank):
+            for rule in rules:
+                if rule.match[0] not in (None, rank):
                     continue
-                c = _match(rule, rank)
+                c = rule.count(rank)
                 if not c:
                     continue
-                self._rot_file_locked(rank, path, rule.bits)
-                self._record_event(
-                    FaultEvent("ckpt-rot", rank, "checkpoint",
-                               f"{path.name}, {rule.bits} bit(s), save {c}")
-                )
+                self._rot_file_locked(rank, path, rule.argument)
+                self._record_event(FaultEvent(
+                    "ckpt-rot", rank, "checkpoint", f"{path.name}, {rule.argument} bit(s), save {c}"
+                ))
                 rotted = True
         if rotted and engine.tracer is not None:
             engine.tracer.sdc_injected("sdc-ckpt-rot", "ckpt-rot", path=str(path))
@@ -663,7 +500,7 @@ class FaultPlan:
 
     @property
     def has_perf_rules(self) -> bool:
-        return bool(self._links or self._throttles or self._jitters)
+        return bool(self._rules["compute"] or self._rules["link"])
 
     def compute_scale(self, rank: int, step: int) -> float:
         """Engine hook: multiplier on this rank's modeled compute seconds
@@ -671,29 +508,24 @@ class FaultPlan:
         draws are deterministic per ``(seed, rank, step)`` so the scale
         does not depend on thread interleaving or call count. Never
         raises."""
-        if not (self._throttles or self._jitters):
-            return 1.0
+        rules = self._rules["compute"]
         scale = 1.0
+        if not rules:
+            return scale
         with self._lock:
-            for rule in self._throttles:
-                if rule.rank != rank or not _window_active(rule, step):
+            for rule in rules:
+                if rule.match[0] != rank or not rule.active(step):
                     continue
-                scale *= rule.compute_factor
-                self._note_perf_onset_locked(
-                    rule, "throttle", rank,
-                    f"compute x{rule.compute_factor} from step {step}",
-                )
-            for rule in self._jitters:
-                if rule.rank != rank or not _window_active(rule, step):
+                if rule.effect == "throttle":
+                    scale *= rule.argument
+                    self._onset_locked(rule, "throttle", rank,
+                                       f"compute x{rule.argument} from step {step}")
                     continue
                 draw = np.random.default_rng(
                     np.random.SeedSequence([self.seed, rank, step, 0x7177E5])
-                ).normal(0.0, rule.sigma)
+                ).normal(0.0, rule.argument)
                 scale *= 1.0 + abs(float(draw))
-                self._note_perf_onset_locked(
-                    rule, "jitter", rank,
-                    f"sigma {rule.sigma} from step {step}",
-                )
+                self._onset_locked(rule, "jitter", rank, f"sigma {rule.argument} from step {step}")
         return scale
 
     def adjust_alpha_beta(
@@ -706,46 +538,44 @@ class FaultPlan:
         link, so every group containing the degraded link pays. The
         window is checked against the pricing rank's last noted step.
         Never raises."""
-        if not self._links:
+        rules = self._rules["link"]
+        if not rules:
             return alpha, beta
         with self._lock:
             # Events priced before the first noted boundary belong to
             # step 1 (the boundary increments before compute and comm).
             step = max(self._steps.get(rank, 0), 1) if rank is not None else 1
-            for rule in self._links:
-                if not _window_active(rule, step):
+            for rule in rules:
+                src, dst = rule.match
+                hit = src in group_ranks and (dst is None or dst in group_ranks)
+                if not hit or not rule.active(step):
                     continue
-                if not rule.matches_group(group_ranks):
-                    continue
-                alpha += rule.latency_add_s
-                beta /= rule.bw_factor
-                self._note_perf_onset_locked(
-                    rule, "degrade-link", rule.src,
-                    f"dst {rule.dst if rule.dst is not None else 'any'} "
-                    f"bw x{rule.bw_factor} +{rule.latency_add_s}s latency",
-                )
+                bw_factor, latency_add_s = rule.argument
+                alpha += latency_add_s
+                beta /= bw_factor
+                self._onset_locked(rule, "degrade-link", src,
+                                   f"dst {'any' if dst is None else dst} "
+                                   f"bw x{bw_factor} +{latency_add_s}s latency")
         return alpha, beta
 
     def retire_perf_rules(self, rank: int) -> int:
-        """Deactivate every performance rule whose victim is ``rank`` —
-        called by the Supervisor when the slow rank is evicted, so rules
-        keyed on old-world numbering cannot re-attach to the survivor
-        that inherits the number. Returns how many rules were retired."""
+        """Deactivate every performance rule whose victim is ``rank`` (a
+        link rule's either end) — called by the Supervisor when the slow
+        rank is evicted, so rules keyed on old-world numbering cannot
+        re-attach to the survivor that inherits the number. Returns how
+        many rules were retired."""
         retired = 0
         with self._lock:
-            for rule in self._throttles + self._jitters:
-                if rule.rank == rank and not rule.retired:
-                    rule.retired = True
-                    retired += 1
-            for rule in self._links:
-                if not rule.retired and (rule.src == rank or rule.dst == rank):
-                    rule.retired = True
+            for rule in self._rules["compute"] + self._rules["link"]:
+                if rank in rule.match and not rule.state.get("retired"):
+                    rule.state["retired"] = True
                     retired += 1
         return retired
 
-    def _note_perf_onset_locked(self, rule, kind: str, rank: int, detail: str) -> None:
-        if not rule.fired:
-            rule.fired = True
+    def _onset_locked(self, rule: _Rule, kind: str, rank: int, detail: str) -> None:
+        """A perf rule fires continuously; record its first firing only."""
+        if "fired" not in rule.state:
+            rule.state["fired"] = 1
             self._record_event(FaultEvent(kind, rank, "perf", detail))
 
     # -- internals ---------------------------------------------------------
@@ -753,18 +583,15 @@ class FaultPlan:
     def _rng_for_locked(self, rank: int) -> np.random.Generator:
         rng = self._rngs.get(rank)
         if rng is None:
-            rng = self._rngs[rank] = np.random.default_rng(
-                np.random.SeedSequence([self.seed, rank])
-            )
+            seq = np.random.SeedSequence([self.seed, rank])
+            rng = self._rngs[rank] = np.random.default_rng(seq)
         return rng
 
     def _flip_array_locked(self, rank: int, array: np.ndarray, bits: int) -> None:
         rng = self._rng_for_locked(rank)
         flat = array.reshape(-1).view(np.uint8)
         for _ in range(bits):
-            flat[int(rng.integers(flat.size))] ^= np.uint8(
-                1 << int(rng.integers(8))
-            )
+            flat[int(rng.integers(flat.size))] ^= np.uint8(1 << int(rng.integers(8)))
 
     def _rot_file_locked(self, rank: int, path: pathlib.Path, bits: int) -> None:
         rng = self._rng_for_locked(rank)
@@ -777,10 +604,9 @@ class FaultPlan:
                 f.seek(offset)
                 f.write(bytes([byte ^ (1 << int(rng.integers(8)))]))
 
-    def _fire_kill(self, rule: _KillRule, detail: str) -> None:
-        rule.fired = True
-        self.killed_ranks.append(rule.rank)
-        self._record_event(FaultEvent("kill", rule.rank, "step"
-                                      if rule.at_step is not None else "collective",
-                                      detail))
-        raise RankKilledError(rule.rank, detail)
+    def _fire_kill(self, rule: _Rule, op: str, detail: str) -> None:
+        rule.state["fired"] = 1
+        rank = rule.match[0]
+        self.killed_ranks.append(rank)
+        self._record_event(FaultEvent("kill", rank, op, detail))
+        raise RankKilledError(rank, detail)

@@ -42,6 +42,7 @@ import json
 import os
 import pathlib
 import re
+import threading
 import zipfile
 import zlib
 
@@ -61,6 +62,11 @@ _META_FIELDS = {
     "flat_numel": "flat_numel", "flat_numel_unpadded": "flat_numel_unpadded",
     "step_count": "step",
 }
+
+#: Rank threads parse ``.npz`` headers one at a time: numpy parses each with
+#: ``ast.literal_eval``, and CPython 3.11's AST validator keeps shared state,
+#: so concurrent loads could raise an untyped ``SystemError``.
+_NPZ_READ_LOCK = threading.Lock()
 
 
 def _atomic_write_npz(path: pathlib.Path, payload: dict) -> None:
@@ -162,7 +168,7 @@ def _read_rank(path: pathlib.Path, header: Header, index: int) -> OwnedState:
     is replicated (DDP), any other is rank ``index``'s equal partition.
     """
     try:
-        with np.load(path) as data:
+        with _NPZ_READ_LOCK, np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
     except (zipfile.BadZipFile, zlib.error, OSError) as exc:
         raise ValueError(

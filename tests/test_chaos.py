@@ -10,6 +10,8 @@ schedule. Any silent divergence (a lost step, a resurrected stale
 shard, a collapsed DPU carry) fails the oracle.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,84 @@ WORLD = 4
 TOTAL_STEPS = 8
 CKPT_EVERY = 2
 
+
+# Each seed's injected ``FaultEvent``s ``(kind, rank, op, detail)`` per
+# rank, in that rank's firing order (pinned at 5fc718f). Only per-rank order
+# is pinned: ``FaultPlan.events`` orders cross-rank events by arrival, and
+# seeds 0, 3 and 9 reorder their four ranks' ``ckpt-rot`` events between runs.
+EVENTS_GOLDEN = {
+    0: {
+        0: [
+            ("ckpt-rot", 0, "checkpoint", "rank0.npz, 1 bit(s), save 1"),
+            ("scribble", 0, "step", "m at step 5, 1 bit(s)"),
+        ],
+        1: [("ckpt-rot", 1, "checkpoint", "rank1.npz, 1 bit(s), save 1")],
+        2: [
+            ("transient", 2, "barrier", "match 8"),
+            ("ckpt-rot", 2, "checkpoint", "rank2.npz, 1 bit(s), save 1"),
+        ],
+        3: [
+            ("ckpt-rot", 3, "checkpoint", "rank3.npz, 1 bit(s), save 1"),
+            ("kill", 3, "step", "at step 3"),
+        ],
+    },
+    1: {
+        0: [
+            ("scribble", 0, "step", "master at step 3, 1 bit(s)"),
+            ("scribble", 0, "step", "m at step 5, 1 bit(s)"),
+        ],
+        3: [("transient", 3, "all_gather", "match 7")],
+    },
+    2: {},
+    3: {
+        0: [
+            ("transient", 0, "reduce", "match 10"),
+            ("ckpt-rot", 0, "checkpoint", "rank0.npz, 1 bit(s), save 1"),
+            ("scribble", 0, "step", "m at step 4, 1 bit(s)"),
+            ("scribble", 0, "step", "v at step 7, 1 bit(s)"),
+        ],
+        1: [("ckpt-rot", 1, "checkpoint", "rank1.npz, 1 bit(s), save 1")],
+        2: [("ckpt-rot", 2, "checkpoint", "rank2.npz, 1 bit(s), save 1")],
+        3: [("ckpt-rot", 3, "checkpoint", "rank3.npz, 1 bit(s), save 1")],
+    },
+    4: {
+        0: [("scribble", 0, "step", "v at step 3, 1 bit(s)")],
+        3: [("transient", 3, "reduce", "match 3")],
+    },
+    5: {
+        0: [("scribble", 0, "step", "v at step 3, 1 bit(s)")],
+        1: [("kill", 1, "step", "at step 8")],
+        2: [("kill", 2, "step", "at step 5")],
+    },
+    6: {
+        1: [
+            ("kill", 1, "step", "at step 5"),
+            ("kill", 1, "step", "at step 6"),
+        ],
+    },
+    7: {
+        3: [("kill", 3, "step", "at step 6")],
+    },
+    8: {
+        0: [("scribble", 0, "step", "master at step 6, 1 bit(s)")],
+    },
+    9: {
+        0: [
+            ("ckpt-rot", 0, "checkpoint", "rank0.npz, 1 bit(s), save 1"),
+            ("scribble", 0, "step", "v at step 4, 1 bit(s)"),
+            ("scribble", 0, "step", "master at step 8, 1 bit(s)"),
+        ],
+        1: [
+            ("ckpt-rot", 1, "checkpoint", "rank1.npz, 1 bit(s), save 1"),
+            ("kill", 1, "step", "at step 5"),
+        ],
+        2: [("ckpt-rot", 2, "checkpoint", "rank2.npz, 1 bit(s), save 1")],
+        3: [
+            ("transient", 3, "reduce", "match 10"),
+            ("ckpt-rot", 3, "checkpoint", "rank3.npz, 1 bit(s), save 1"),
+        ],
+    },
+}
 
 def build(ctx):
     zero = ZeROConfig(stage=2, checkpoint_activations=False,
@@ -116,6 +196,12 @@ def test_campaign_survived_and_bitwise_identical(seed, tmp_path):
         redundancy=RedundancyConfig(),
     )
     report = sup.run(make_train_fn(tmp_path / "ckpts"))
+
+    fired = [(e.kind, e.rank, e.op, e.detail) for e in plan.events]
+    for rank in range(campaign.world):
+        assert [e for e in fired if e[1] == rank] == EVENTS_GOLDEN[seed].get(rank, [])
+    want = [e for events in EVENTS_GOLDEN[seed].values() for e in events]
+    assert Counter(fired) == Counter(want)
 
     assert report.restarts == campaign.expected_restarts, campaign.describe()
     assert report.final_world_size == campaign.final_world

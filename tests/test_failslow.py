@@ -30,7 +30,6 @@ from repro import (
     verify_recovery,
 )
 from repro.comm.costmodel import CommCostModel
-from repro.comm.faults import LinkDegradeRule, RankJitterRule, RankThrottleRule
 from repro.comm.ledger import CommEvent
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import GPUSpec
@@ -104,8 +103,6 @@ class TestPerfRules:
             plan.throttle_rank(rank=0, from_step=0)
         with pytest.raises(ValueError):
             plan.throttle_rank(rank=0, from_step=5, until_step=4)
-        with pytest.raises(TypeError):
-            plan.add_perf_rule(object())
         assert not plan.has_perf_rules  # nothing half-registered
 
     def test_builders_chain_and_register(self):
@@ -167,14 +164,6 @@ class TestPerfRules:
         assert plan.adjust_alpha_beta(0, (0, 1), 1e-6, 1e-9) == (1e-6, 1e-9)
         # The src=0,dst=2 link survives.
         assert plan.adjust_alpha_beta(0, (0, 2), 1e-6, 1e-9) != (1e-6, 1e-9)
-
-    def test_rule_constructors_exported(self):
-        plan = FaultPlan().add_perf_rule(
-            RankThrottleRule(rank=0, compute_factor=2.0)
-        ).add_perf_rule(RankJitterRule(rank=1)).add_perf_rule(
-            LinkDegradeRule(src=0)
-        )
-        assert plan.has_perf_rules
 
 
 class TestCostModelDegradation:

@@ -504,3 +504,195 @@ def test_faulted_engine_step_counts_collectives_as_the_parent_commit_did():
         for (loss, master), (clean_loss, clean_master) in zip(faulted, clean):
             assert loss == clean_loss
             np.testing.assert_array_equal(master, clean_master)
+
+
+# -- every builder's event stream, driven through its door ---------------------
+#
+# Each case builds a plan, drives it through the door its rules answer at
+# (no threads), and pins the ``FaultEvent`` stream in order. Order, count
+# and detail all count: a rule evaluated out of turn, fired once too often
+# or described differently changes the stream.
+
+
+def _door_group(plan):
+    group = ProcessGroup(Fabric(2), (0, 1))
+    for rank in group.ranks:
+        group.subscribe(plan, rank)
+    return group
+
+
+def _engine(rank, step, shards=None):
+    """What ``step_begin`` / ``checkpoint_written`` read of an engine."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(
+        ctx=SimpleNamespace(rank=rank), step_count=step, is_meta=False, tracer=None,
+        integrity_shards=lambda: shards,
+    )
+
+
+def _attempts(plan, calls):
+    group = _door_group(plan)
+    for rank, op in calls:
+        try:
+            group._tell("_attempting", rank, op)
+        except (TransientCollectiveFault, RankKilledError):
+            pass
+
+
+def _steps(plan, calls):
+    shards = {k: np.zeros(8, np.float32) for k in ("master", "m", "v")}
+    for rank, step in calls:
+        try:
+            plan.step_begin(_engine(rank, step, shards), True)
+        except RankKilledError:
+            pass
+
+
+def _carries(plan, calls):
+    group, arr = _door_group(plan), np.arange(16, dtype=np.float32)
+    for rank, op, when in calls:
+        group._ask("_carrying", rank, arr, op, when)
+
+
+def _sends(plan, calls):
+    group = _door_group(plan)
+    for src, dst, tag in calls:
+        group._ask("_sending", src, b"payload", dst, tag)
+
+
+def _saves(plan, ranks, tmp_path):
+    for i, rank in enumerate(ranks):
+        path = tmp_path / f"rank{rank}.npz"
+        if not path.exists():
+            path.write_bytes(bytes(range(256)))
+        plan.checkpoint_written(_engine(rank, i + 1), path)
+
+
+def _priced(plan, calls):
+    for rank, step, group_ranks in calls:
+        plan.note_step(rank, step)
+        plan.adjust_alpha_beta(rank, group_ranks, 1e-6, 1e-9)
+
+
+def _scaled(plan, calls):
+    for rank, step in calls:
+        plan.compute_scale(rank, step)
+
+
+ATTEMPTS = [(0, "all_reduce"), (1, "all_reduce"), (0, "all_gather"), (1, "all_gather"),
+            (0, "all_reduce"), (1, "all_reduce"), (0, "all_reduce"), (1, "all_reduce")]
+
+BUILDER_STREAMS = {
+    "kill_rank-at_step": (
+        lambda p: p.kill_rank(1, at_step=3).kill_rank(0, at_step=2),
+        lambda p, tmp: _steps(p, [(0, 1), (1, 1), (1, 2), (0, 2), (1, 3), (0, 3), (1, 4)]),
+        [("kill", 0, "step", "at step 2"), ("kill", 1, "step", "at step 3")],
+    ),
+    "kill_rank-after_collectives": (
+        lambda p: p.kill_rank(1, after_collectives=3),
+        lambda p, tmp: _attempts(p, ATTEMPTS),
+        [("kill", 1, "collective", "after 3 collectives")],
+    ),
+    "fail_collective": (
+        lambda p: p.fail_collective(op="all_reduce", nth=2, times=2).fail_collective(rank=1, nth=3),
+        lambda p, tmp: _attempts(p, ATTEMPTS),
+        [("transient", 0, "all_reduce", "match 2"), ("transient", 1, "all_reduce", "match 2"),
+         ("transient", 0, "all_reduce", "match 3"), ("transient", 1, "all_reduce", "match 3")],
+    ),
+    "fail_randomly": (
+        lambda p: p.fail_randomly(prob=0.5, max_faults=3),
+        lambda p, tmp: _attempts(p, ATTEMPTS),
+        [("transient", 1, "all_gather", "random"), ("transient", 1, "all_reduce", "random"),
+         ("transient", 0, "all_reduce", "random")],
+    ),
+    "evaluation-order-at-attempting": (
+        lambda p: (p.fail_randomly(prob=1.0, max_faults=2).fail_collective(rank=0, times=2)
+                   .kill_rank(1, after_collectives=2)),
+        lambda p, tmp: _attempts(p, ATTEMPTS),
+        [("transient", 0, "all_reduce", "match 1"), ("transient", 1, "all_reduce", "random"),
+         ("transient", 0, "all_gather", "match 2"), ("transient", 1, "all_gather", "random"),
+         ("kill", 1, "collective", "after 2 collectives")],
+    ),
+    "drop_send": (
+        lambda p: p.drop_send(src=0, dst=1, tag=5, nth=2).drop_send(src=1, times=2),
+        lambda p, tmp: _sends(p, [(0, 1, 5), (0, 1, 6), (1, 0, 5), (0, 1, 5), (1, 0, 7),
+                                  (0, 1, 5), (1, 0, 5)]),
+        [("drop_send", 1, "send", "dst 0 tag 5"), ("drop_send", 0, "send", "dst 1 tag 5"),
+         ("drop_send", 1, "send", "dst 0 tag 7")],
+    ),
+    "delay_send": (
+        lambda p: p.delay_send(src=0, delay_s=0.0, tag=5, times=2).drop_send(src=0, nth=2),
+        lambda p, tmp: _sends(p, [(0, 1, 5), (0, 1, 5), (0, 1, 6), (0, 1, 5)]),
+        [("delay_send", 0, "send", "dst 1 tag 5 delay 0.0s"),
+         ("delay_send", 0, "send", "dst 1 tag 5 delay 0.0s"),
+         ("drop_send", 0, "send", "dst 1 tag 5")],
+    ),
+    "flip_bits": (
+        lambda p: (p.flip_bits(rank=1, op="all_gather", nth=2, bits=3)
+                   .flip_bits(when="pre", times=2).flip_bits(op="all_reduce")),
+        lambda p, tmp: _carries(p, [(1, "all_gather", "post"), (1, "all_gather", "post"),
+                                    (0, "all_reduce", "pre"), (1, "all_reduce", "pre"),
+                                    (0, "all_reduce", "post"), (0, "all_reduce", "pre"),
+                                    (0, "all_reduce", "pre")]),
+        [("bitflip", 1, "all_gather", "post-reduce, 3 bit(s), match 2"),
+         ("bitflip", 0, "all_reduce", "pre-reduce, 1 bit(s), match 1"),
+         ("bitflip", 1, "all_reduce", "pre-reduce, 1 bit(s), match 1"),
+         ("bitflip", 0, "all_reduce", "post-reduce, 1 bit(s), match 1"),
+         ("bitflip", 0, "all_reduce", "pre-reduce, 1 bit(s), match 2")],
+    ),
+    "scribble_tensor": (
+        lambda p: (p.scribble_tensor(rank=1, at_step=3, target="v", bits=2)
+                   .scribble_tensor(rank=1, at_step=2)
+                   .scribble_tensor(rank=0, at_step=1, target="param_shard")),
+        lambda p, tmp: _steps(p, [(0, 1), (1, 1), (1, 3), (1, 4), (0, 2)]),
+        [("scribble", 0, "step", "param_shard at step 1, 1 bit(s)"),
+         ("scribble", 1, "step", "v at step 3, 2 bit(s)"),
+         ("scribble", 1, "step", "master at step 3, 1 bit(s)")],
+    ),
+    "rot_checkpoint": (
+        lambda p: p.rot_checkpoint(rank=1, nth=2, times=2, bits=2).rot_checkpoint(bits=1),
+        lambda p, tmp: _saves(p, [0, 1, 1, 0, 1, 1], tmp),
+        [("ckpt-rot", 0, "checkpoint", "rank0.npz, 1 bit(s), save 1"),
+         ("ckpt-rot", 1, "checkpoint", "rank1.npz, 1 bit(s), save 1"),
+         ("ckpt-rot", 1, "checkpoint", "rank1.npz, 2 bit(s), save 2"),
+         ("ckpt-rot", 1, "checkpoint", "rank1.npz, 2 bit(s), save 3")],
+    ),
+    "degrade_link": (
+        lambda p: (p.degrade_link(src=1, bw_factor=0.5, latency_add_s=1e-6, from_step=3)
+                   .degrade_link(src=0, dst=2, until_step=2).degrade_link(src=0, dst=1)),
+        lambda p, tmp: _priced(p, [(0, 1, (0, 2)), (0, 2, (0, 1)), (1, 3, (0, 1)),
+                                   (0, 4, (0, 1, 2)), (1, 5, (1, 2))]),
+        [("degrade-link", 0, "perf", "dst 2 bw x0.25 +0.0s latency"),
+         ("degrade-link", 0, "perf", "dst 1 bw x0.25 +0.0s latency"),
+         ("degrade-link", 1, "perf", "dst any bw x0.5 +1e-06s latency")],
+    ),
+    "throttle_rank": (
+        lambda p: (p.throttle_rank(rank=1, compute_factor=2.5, from_step=2, until_step=3)
+                   .throttle_rank(rank=0, from_step=4)),
+        lambda p, tmp: _scaled(p, [(1, 1), (0, 2), (1, 2), (1, 3), (0, 4), (0, 5), (1, 4)]),
+        [("throttle", 1, "perf", "compute x2.5 from step 2"),
+         ("throttle", 0, "perf", "compute x4.0 from step 4")],
+    ),
+    "jitter": (
+        lambda p: p.jitter(rank=0, sigma=0.2, from_step=2).jitter(rank=1, until_step=1),
+        lambda p, tmp: _scaled(p, [(0, 1), (1, 1), (0, 2), (1, 2), (0, 3)]),
+        [("jitter", 1, "perf", "sigma 0.05 from step 1"),
+         ("jitter", 0, "perf", "sigma 0.2 from step 2")],
+    ),
+    "evaluation-order-of-perf-rules": (
+        lambda p: p.jitter(rank=0, sigma=0.1).throttle_rank(rank=0, compute_factor=3.0),
+        lambda p, tmp: _scaled(p, [(0, 1), (0, 2)]),
+        [("throttle", 0, "perf", "compute x3.0 from step 1"),
+         ("jitter", 0, "perf", "sigma 0.1 from step 1")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILDER_STREAMS))
+def test_each_builder_fires_its_pinned_event_stream(case, tmp_path):
+    """The stream each builder's rules fire, in order (pinned at 5fc718f)."""
+    build, drive, want = BUILDER_STREAMS[case]
+    plan = build(FaultPlan(seed=7))
+    drive(plan, tmp_path)
+    assert [(e.kind, e.rank, e.op, e.detail) for e in plan.events] == want

@@ -3,6 +3,9 @@ or docstring. Given a directory (default ``src/repro``) prints one row per
 package; given file paths, one row per file. Then the total beside ``wc -l``.
 
     python tools/code_lines.py [root | file ...]
+
+A path that does not exist exits 1 with a one-line message; ``-h`` /
+``--help`` prints this text.
 """
 
 import ast
@@ -31,7 +34,13 @@ def code_lines(path: Path) -> int:
 
 
 if __name__ == "__main__":
+    if {"-h", "--help"} & set(sys.argv[1:]):
+        print(__doc__)
+        sys.exit(0)
     args = [Path(a) for a in sys.argv[1:]] or [Path("src/repro")]
+    missing = [str(path) for path in args if not path.exists()]
+    if missing:
+        sys.exit(f"code_lines.py: no such file or directory: {', '.join(missing)}")
     code, wc = Counter(), Counter()
     if len(args) == 1 and args[0].is_dir():
         root = args[0]
