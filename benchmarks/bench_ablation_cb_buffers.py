@@ -5,6 +5,7 @@ parameter without it."""
 from repro.analysis.memory_model import temporary_buffer_bytes
 from repro.utils.tables import format_table
 from repro.utils.units import GB
+from repro.zero.config import ZeROConfig
 
 
 def run_ablation():
@@ -14,8 +15,8 @@ def run_ablation():
         rows.append(
             (
                 psi,
-                temporary_buffer_bytes(psi, constant_buffers=False),
-                temporary_buffer_bytes(psi, constant_buffers=True),
+                temporary_buffer_bytes(psi, ZeROConfig(constant_buffers=False)),
+                temporary_buffer_bytes(psi, ZeROConfig(constant_buffers=True)),
             )
         )
     return rows

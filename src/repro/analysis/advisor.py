@@ -26,6 +26,8 @@ from repro.nn.transformer import GPTConfig
 from repro.zero.config import ZeROConfig
 from repro.zero.placement import Mesh
 
+BATCH_CAP = 64  # the largest per-replica batch a variant is credited with
+
 
 @dataclass(frozen=True)
 class VariantEstimate:
@@ -57,10 +59,9 @@ def _estimate(
     *,
     mesh: Mesh,
     budget_bytes: float,
-    batch_cap: int,
     perf: PerfModel,
 ) -> VariantEstimate:
-    b = min(max_batch(model, zero, mesh=mesh, budget_bytes=budget_bytes), batch_cap)
+    b = min(max_batch(model, zero, mesh=mesh, budget_bytes=budget_bytes), BATCH_CAP)
     if b == 0:
         return VariantEstimate(label, zero, 0, 0.0)
     est = perf.estimate(model, zero, mesh=mesh, batch=b)
@@ -73,7 +74,6 @@ def advise_activation_strategy(
     mesh: Mesh,
     stage: int = 2,
     budget_bytes: float = DEFAULT_BUDGET_BYTES,
-    batch_cap: int = 64,
 ) -> Advice:
     """Decide Pa / Pa+cpu for a fixed ZeRO stage (the Section 8 question)."""
     perf = PerfModel()
@@ -83,8 +83,7 @@ def advise_activation_strategy(
         pa = replace(base, partition_activations=True)
         candidates += [("Pa", pa), ("Pa+cpu", replace(pa, cpu_offload_activations=True))]
     variants = [
-        _estimate(label, zero, model, mesh=mesh,
-                  budget_bytes=budget_bytes, batch_cap=batch_cap, perf=perf)
+        _estimate(label, zero, model, mesh=mesh, budget_bytes=budget_bytes, perf=perf)
         for label, zero in candidates
     ]
     feasible = [v for v in variants if v.feasible]
@@ -114,23 +113,19 @@ def recommend_zero_config(
     *,
     mesh: Mesh,
     budget_bytes: float = DEFAULT_BUDGET_BYTES,
-    batch_cap: int = 64,
-    min_batch: int = 1,
 ) -> Advice:
     """Lightest ZeRO stage (plus Pa decision) that trains this model.
 
     Walks stages 0 -> 3; within each stage applies the Section 8 activation
-    decision; returns the first stage whose best variant fits with at
-    least ``min_batch``.
+    decision; returns the first stage whose best variant fits at all.
     """
     last = None
     for stage in (0, 1, 2, 3):
         advice = advise_activation_strategy(
-            model, mesh=mesh, stage=stage,
-            budget_bytes=budget_bytes, batch_cap=batch_cap,
+            model, mesh=mesh, stage=stage, budget_bytes=budget_bytes,
         )
         last = advice
-        if advice.batch >= min_batch:
+        if advice.batch > 0:
             return advice
     assert last is not None
     return last

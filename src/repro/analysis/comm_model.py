@@ -59,10 +59,8 @@ class MPCommModel:
         — <10% of baseline MP volume."""
         return self.message_elements if placement["activation"].partitioned else 0.0
 
-    def pa_overhead_fraction(self, *, checkpointing: bool = True) -> float:
-        return self.message_elements / self.baseline_elements_per_block(
-            checkpointing=checkpointing
-        )
+    def pa_overhead_fraction(self) -> float:
+        return self.message_elements / self.baseline_elements_per_block()
 
     def pcie_elements_per_block(self, placement: dict[str, Placed], mesh: Mesh) -> float:
         """An off-device activation row (Pa+cpu) moves each rank's 1/Nm

@@ -20,28 +20,27 @@ from dataclasses import dataclass
 BERT_LARGE_PARAMS = 330e6
 BERT_LARGE_TRAIN_MINUTES = 67.0
 BERT_LARGE_CLUSTER_GPUS = 1024
+#: the reference cluster sustains ~40 TFlops/GPU
+BERT_LARGE_CLUSTER_FLOPS = BERT_LARGE_CLUSTER_GPUS * 40e12
+#: the token-budget growth of the "data and sequence length" variant
+TOKEN_GROWTH = 3.0
 
 
-def compute_scale_factor(target_params: float, base_params: float = BERT_LARGE_PARAMS) -> float:
+def compute_scale_factor(target_params: float) -> float:
     """Per-sample compute multiple vs the Bert-Large reference (~3000x at 1T)."""
-    if target_params <= 0 or base_params <= 0:
+    if target_params <= 0:
         raise ValueError("parameter counts must be positive")
-    return target_params / base_params
+    return target_params / BERT_LARGE_PARAMS
 
 
-def training_days_same_hardware(
-    target_params: float,
-    *,
-    base_minutes: float = BERT_LARGE_TRAIN_MINUTES,
-    data_scale: float = 1.0,
-) -> float:
+def training_days_same_hardware(target_params: float, *, data_scale: float = 1.0) -> float:
     """Days to train ``target_params`` on the Bert-Large cluster, assuming
     identical efficiency and (by default) identical token budget.
 
     ``data_scale`` multiplies the token budget for the "data and sequence
     length are likely to increase" variant of the estimate.
     """
-    minutes = base_minutes * compute_scale_factor(target_params) * data_scale
+    minutes = BERT_LARGE_TRAIN_MINUTES * compute_scale_factor(target_params) * data_scale
     return minutes / 60.0 / 24.0
 
 
@@ -63,17 +62,15 @@ class ComputeGapSummary:
     exaflops_for_two_weeks: float
 
 
-def summarize_1t_gap(
-    *, cluster_sustained_flops: float = 1024 * 40e12, token_growth: float = 3.0
-) -> ComputeGapSummary:
+def summarize_1t_gap() -> ComputeGapSummary:
     """The paper's 1T headline numbers with explicit assumptions:
     the reference cluster sustains ~40 TFlops/GPU x 1024 GPUs."""
     days = training_days_same_hardware(1e12)
     return ComputeGapSummary(
         compute_multiple=compute_scale_factor(1e12),
         days_same_tokens=days,
-        days_scaled_tokens=training_days_same_hardware(1e12, data_scale=token_growth),
+        days_scaled_tokens=training_days_same_hardware(1e12, data_scale=TOKEN_GROWTH),
         exaflops_for_two_weeks=required_sustained_flops(
-            1e12, train_days=14, base_sustained_flops=cluster_sustained_flops
+            1e12, train_days=14, base_sustained_flops=BERT_LARGE_CLUSTER_FLOPS
         ) / 1e18,
     )

@@ -98,12 +98,9 @@ def max_batch(
     *,
     mesh: Mesh,
     budget_bytes: float = DEFAULT_BUDGET_BYTES,
-    seq_len: int = SEQ_LEN,
-    max_search: int = 1 << 14,
 ) -> int:
     """Largest per-replica batch that fits; 0 if even batch 1 does not."""
     return _largest(
-        lambda b: device_bytes_for(config, zero, mesh=mesh, batch=b, seq_len=seq_len)
-        <= budget_bytes,
-        max_search,
+        lambda b: device_bytes_for(config, zero, mesh=mesh, batch=b) <= budget_bytes,
+        1 << 14,
     )

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.optim.mixed_precision import ADAM_K
 from repro.zero.placement import MODEL_AXES, STATE_CLASSES, Mesh, Placed, state_placement
 
 if TYPE_CHECKING:
@@ -42,7 +41,6 @@ def state_bytes_by_tier(
     psi: float,
     mesh: Mesh,
     placement: dict[str, Placed],
-    k: int = ADAM_K,
     tile_bytes: int | None = None,
 ) -> dict[str, float]:
     """Per-rank model-state bytes on each tier under a resolved placement:
@@ -57,7 +55,7 @@ def state_bytes_by_tier(
         raise ValueError(f"need psi >= 0, got psi={psi}")
     psi = mesh.divide(psi, MODEL_AXES)  # this rank's parameters: every per-Psi row's split
     rows = [  # summed in Figure 1's order: parameters, gradients, optimizer state
-        (k if row.name == "optimizer" else row.bytes_per_param, row.group, *placement[row.name])
+        (row.bytes_per_param, row.group, *placement[row.name])
         for row in reversed(STATE_CLASSES)
         if row.bytes_per_param is not None
     ]
@@ -71,18 +69,16 @@ def state_bytes_by_tier(
     return out
 
 
-def model_state_bytes(psi: float, mesh: Mesh = Mesh(), stage: int = 0, k: int = ADAM_K) -> float:
+def model_state_bytes(psi: float, mesh: Mesh = Mesh(), stage: int = 0) -> float:
     """Per-device model-state bytes for a Psi-parameter model with every
     class on the device (Figure 1)."""
-    return state_bytes_by_tier(psi, mesh, state_placement(stage), k)["device"]
+    return state_bytes_by_tier(psi, mesh, state_placement(stage))["device"]
 
 
-def max_model_params(
-    memory_bytes: float, mesh: Mesh = Mesh(), stage: int = 0, k: int = ADAM_K
-) -> float:
+def max_model_params(memory_bytes: float, mesh: Mesh = Mesh(), stage: int = 0) -> float:
     """Largest Psi whose model states fit in ``memory_bytes`` on every rank
     of ``mesh`` (Table 2 left)."""
-    denom = model_state_bytes(1.0, mesh, stage, k)
+    denom = model_state_bytes(1.0, mesh, stage)
     return memory_bytes / denom
 
 
@@ -161,11 +157,12 @@ class ActivationModel:
         return self.checkpoint_bytes(placement, mesh) + self.working_bytes(mesh)
 
 
-def temporary_buffer_bytes(psi: float, *, constant_buffers: bool, cb_numel: int = 1 << 22) -> float:
+def temporary_buffer_bytes(psi: float, zero: ZeROConfig) -> float:
     """Fused-buffer footprint (Section 6.2): a full fp32 flattened buffer
-    (4 Psi bytes — 6 GB at 1.5B) without CB, a fixed-size buffer with CB."""
-    if constant_buffers:
-        return 4.0 * cb_numel
+    (4 Psi bytes — 6 GB at 1.5B) without CB, the configured fixed-size
+    buffer (``zero.constant_buffer_numel`` fp32 elements) with CB."""
+    if zero.constant_buffers:
+        return 4.0 * zero.constant_buffer_numel
     return 4.0 * psi
 
 
@@ -175,7 +172,6 @@ def total_device_bytes(
     zero: ZeROConfig,
     *,
     mesh: Mesh = Mesh(),
-    k: int = ADAM_K,
 ) -> float:
     """End-to-end per-GPU memory of one rank of ``mesh`` under ``zero``'s
     placement: model states + activations + temporary buffers. MP splits
@@ -183,7 +179,7 @@ def total_device_bytes(
     group (the Nd x Nm compounding of Section 1)."""
     placement = zero.placement
     tile_bytes = None if zero.infinity is None else zero.infinity.tile_bytes
-    states = state_bytes_by_tier(psi, mesh, placement, k, tile_bytes)["device"]
+    states = state_bytes_by_tier(psi, mesh, placement, tile_bytes)["device"]
     acts = activation.iteration_bytes(placement, mesh, checkpointing=zero.checkpoint_activations)
     if placement["optimizer"].tier != "device" and not zero.constant_buffers:
         # The fp32 update runs host-side, so the transient full-model
@@ -192,7 +188,5 @@ def total_device_bytes(
         # it unconditionally.)
         buffers = 0.0
     else:
-        buffers = temporary_buffer_bytes(
-            mesh.divide(psi, MODEL_AXES), constant_buffers=zero.constant_buffers
-        )
+        buffers = temporary_buffer_bytes(mesh.divide(psi, MODEL_AXES), zero)
     return states + acts + buffers

@@ -16,7 +16,6 @@ related restrictions".
 from __future__ import annotations
 
 from repro.analysis.memory_model import ActivationModel, model_state_bytes
-from repro.optim.mixed_precision import ADAM_K
 from repro.zero.placement import Mesh
 
 
@@ -44,7 +43,6 @@ def gpipe_device_bytes(
     *,
     mesh: Mesh,
     n_microbatches: int,
-    k: int = ADAM_K,
 ) -> float:
     """Per-device bytes for a GPipe stage of ``mesh``.
 
@@ -56,7 +54,7 @@ def gpipe_device_bytes(
     micro-batches are in flight at the schedule's peak. ``activation`` must
     describe ONE micro-batch (batch = microbatch size).
     """
-    states = model_state_bytes(psi, mesh, 0, k)
+    states = model_state_bytes(psi, mesh, 0)
     boundary = (
         activation.batch * activation.seq_len * activation.hidden
         * activation.bytes_per_element
@@ -73,9 +71,8 @@ def zero_device_bytes_for_comparison(
     *,
     mesh: Mesh,
     stage: int = 2,
-    k: int = ADAM_K,
 ) -> float:
     """ZeRO per-device bytes for the same total device count (Nd = S)."""
-    states = model_state_bytes(psi, mesh, stage, k)
+    states = model_state_bytes(psi, mesh, stage)
     acts = activation.iteration_bytes(mesh=mesh, checkpointing=True)
     return states + acts

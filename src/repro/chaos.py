@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from repro.comm.faults import FaultPlan
 
 SCRIBBLE_TARGETS = ("master", "m", "v")
+#: at most this many kills (and scribbles) per campaign
+MAX_KILLS = MAX_SCRIBBLES = 2
 
 
 @dataclass(frozen=True)
@@ -103,8 +105,6 @@ def generate_campaign(
     *,
     world: int = 4,
     total_steps: int = 8,
-    max_kills: int = 2,
-    max_scribbles: int = 2,
 ) -> ChaosCampaign:
     """Draw one survivable mixed campaign from ``seed``.
 
@@ -115,8 +115,8 @@ def generate_campaign(
     if world < 3:
         raise ValueError("chaos campaigns need world >= 3 (a kill must leave >= 2)")
     rng = random.Random(seed)
-    n_kills = rng.randint(0, min(max_kills, world - 2))
-    n_scribbles = rng.randint(0, max_scribbles)
+    n_kills = rng.randint(0, min(MAX_KILLS, world - 2))
+    n_scribbles = rng.randint(0, MAX_SCRIBBLES)
     steps = rng.sample(range(3, total_steps + 1), n_kills + n_scribbles)
 
     kills = []

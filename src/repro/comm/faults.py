@@ -244,15 +244,14 @@ class FaultPlan:
             raise ValueError("nth and times must be >= 1")
         return self._add("attempt", "transient", (rank, op), (nth, times))
 
-    def fail_randomly(self, *, prob: float, op: str | None = None,
-                      max_faults: int = 8) -> "FaultPlan":
+    def fail_randomly(self, *, prob: float, max_faults: int = 8) -> "FaultPlan":
         """Fail collective attempts at probability ``prob`` (per attempt,
         per rank), drawn from a per-rank generator seeded from the plan
         seed — deterministic regardless of thread scheduling. At most
         ``max_faults`` fire over all ranks."""
         if not 0.0 <= prob <= 1.0:
             raise ValueError(f"prob must be in [0, 1], got {prob}")
-        return self._add("attempt", "random", (None, op), (), (prob, max_faults))
+        return self._add("attempt", "random", (None, None), (), (prob, max_faults))
 
     def drop_send(self, *, src: int, dst: int | None = None, tag: Any | None = None,
                   nth: int = 1, times: int = 1) -> "FaultPlan":
@@ -262,11 +261,11 @@ class FaultPlan:
         return self._add("send", "drop", (src, dst, tag), (nth, times))
 
     def delay_send(self, *, src: int, delay_s: float, dst: int | None = None,
-                   tag: Any | None = None, nth: int = 1, times: int = 1) -> "FaultPlan":
+                   tag: Any | None = None, times: int = 1) -> "FaultPlan":
         """Delay matching point-to-point sends by ``delay_s`` seconds."""
         if delay_s < 0:
             raise ValueError(f"delay_s must be non-negative, got {delay_s}")
-        return self._add("send", "delay", (src, dst, tag), (nth, times), delay_s)
+        return self._add("send", "delay", (src, dst, tag), (1, times), delay_s)
 
     def flip_bits(self, *, rank: int | None = None, op: str | None = None,
                   when: str = "post", nth: int = 1, times: int = 1, bits: int = 1) -> "FaultPlan":

@@ -329,10 +329,8 @@ class ProcessGroup(RankDoors):
         """Sum to the group member with global rank ``dst``; others get None."""
         return self.coalesced(rank, "reduce", [dst], [array], phase=phase)[0]
 
-    def reduce_scatter(
-        self, rank: int, array: np.ndarray, op: str = "sum", phase: str = ""
-    ) -> np.ndarray:
-        """Reduce a full-length array; each rank keeps its 1/N shard.
+    def reduce_scatter(self, rank: int, array: np.ndarray) -> np.ndarray:
+        """Sum a full-length array; each rank keeps its 1/N shard.
 
         ``len(array)`` must be divisible by the group size (pad upstream).
         """
@@ -345,11 +343,11 @@ class ProcessGroup(RankDoors):
         contributions = self._exchange(
             rank, array, ("reduce_scatter", array.shape), "reduce_scatter"
         )
-        self._record(rank, "reduce_scatter", array.nbytes, phase)
+        self._record(rank, "reduce_scatter", array.nbytes, "")
         shard = array.shape[0] // n
         idx = self.group_index(rank)
         lo, hi = idx * shard, (idx + 1) * shard
-        out = _reduce_arrays([c[lo:hi] for c in contributions], op)
+        out = _reduce_arrays([c[lo:hi] for c in contributions], "sum")
         if self.on_carrying:
             out = self._ask("_carrying", rank, out, "reduce_scatter", "post")
         return out

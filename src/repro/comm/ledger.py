@@ -184,11 +184,8 @@ class CommLedger:
     def nominal_bytes(self, *, op: str | None = None, phase: str | None = None) -> float:
         return sum(e.nominal_bytes for e in self._select(op, phase))
 
-    def exact_bytes(self, *, op: str | None = None, phase: str | None = None) -> float:
-        return sum(e.exact_bytes for e in self._select(op, phase))
-
-    def message_bytes(self, *, op: str | None = None, phase: str | None = None) -> int:
-        return sum(e.message_bytes for e in self._select(op, phase))
+    def exact_bytes(self) -> float:
+        return sum(e.exact_bytes for e in self.events)
 
     def by_op(self) -> dict[str, float]:
         """Nominal bytes per op name."""

@@ -13,6 +13,8 @@ import numpy as np
 
 from repro.utils.seeding import rng_for
 
+ZIPF_A = 1.2  # the unigram's Zipf exponent
+
 
 class SyntheticCorpus:
     """Zipf + Markov token stream with per-rank deterministic batches."""
@@ -22,7 +24,6 @@ class SyntheticCorpus:
         vocab_size: int,
         *,
         seed: int = 1234,
-        zipf_a: float = 1.2,
         markov_weight: float = 0.5,
         markov_fanout: int = 4,
     ):
@@ -35,7 +36,7 @@ class SyntheticCorpus:
         self.markov_weight = markov_weight
         rng = rng_for(seed, "corpus-structure")
         ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
-        self.unigram = ranks**-zipf_a
+        self.unigram = ranks**-ZIPF_A
         self.unigram /= self.unigram.sum()
         # ``Generator.choice(p=unigram)`` re-validates ``p`` and rebuilds this
         # table on every draw; ``sample_batch`` inverts it directly, which

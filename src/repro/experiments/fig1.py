@@ -26,6 +26,7 @@ from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 
 STAGE_LABELS = {0: "baseline", 1: "Pos", 2: "Pos+g", 3: "Pos+g+p"}
+MESH = Mesh(dp=FIGURE1_ND)  # the worked example's DP degree
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,10 @@ class Fig1Row:
     measured_bytes_per_param: float | None = None
 
 
-def analytic_rows(psi: float = FIGURE1_PSI, mesh: Mesh = Mesh(dp=FIGURE1_ND)) -> list[Fig1Row]:
+def analytic_rows() -> list[Fig1Row]:
     return [
         Fig1Row(stage=s, label=STAGE_LABELS[s],
-                analytic_gb=model_state_bytes(psi, mesh, s) / GB)
+                analytic_gb=model_state_bytes(FIGURE1_PSI, MESH, s) / GB)
         for s in (0, 1, 2, 3)
     ]
 
@@ -99,7 +100,7 @@ def run(measure: bool = True) -> list[Fig1Row]:
 def render(rows: list[Fig1Row]) -> str:
     table_rows = []
     for r in rows:
-        formula_nd64 = model_state_bytes(1.0, Mesh(dp=FIGURE1_ND), r.stage)
+        formula_nd64 = model_state_bytes(1.0, MESH, r.stage)
         formula_nd4 = model_state_bytes(1.0, Mesh(dp=4), r.stage)
         table_rows.append([
             r.label,

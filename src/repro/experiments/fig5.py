@@ -32,6 +32,9 @@ from repro.zero.factory import build_model_and_engine
 
 VOCAB = 101
 SEQ = 32
+EVAL_EVERY = 5  # steps between validation points
+WORLD_SIZE = 4
+SEED = 11
 
 
 @dataclass(frozen=True)
@@ -68,25 +71,22 @@ def train_curve(
     stage: int,
     label: str,
     steps: int = 30,
-    eval_every: int = 5,
-    world_size: int = 4,
-    seed: int = 11,
 ) -> TrainingCurve:
     corpus = SyntheticCorpus(VOCAB, seed=91)
     gpu = GPUSpec("fig5-gpu", 4 * 10**9, 1e12)
-    cluster = Cluster(world_size, gpu=gpu)
+    cluster = Cluster(WORLD_SIZE, gpu=gpu)
 
     def run(ctx):
         zero = ZeROConfig(stage=stage, checkpoint_activations=False, memory_defrag=False)
         model, engine = build_model_and_engine(
-            ctx, config, zero, dp_group=ctx.world, dtype=np.float32, seed=seed,
+            ctx, config, zero, dp_group=ctx.world, dtype=np.float32, seed=SEED,
             engine_config=EngineConfig(adam=AdamHyperparams(lr=3e-3)),
         )
         curve = []
         for step in range(steps):
             ids, tgt = corpus.sample_batch(4, SEQ, rank=ctx.rank, step=step)
             engine.train_step(ids, tgt)
-            if (step + 1) % eval_every == 0:
+            if (step + 1) % EVAL_EVERY == 0:
                 curve.append(_val_perplexity(model, corpus, rank=0))
         return curve
 

@@ -14,23 +14,9 @@ import importlib
 import sys
 import time
 
-EXPERIMENTS = [
-    ("fig1", "Figure 1 — model-state memory per stage"),
-    ("table1", "Table 1 — memory vs DP degree"),
-    ("table2", "Table 2 — max theoretical/measured model size"),
-    ("fig2", "Figure 2 — throughput vs baseline"),
-    ("fig3", "Figure 3 — super-linear scalability"),
-    ("fig4", "Figure 4 — democratization (DP-only)"),
-    ("fig5", "Figure 5 — Turing-NLG shape"),
-    ("fig6", "Figure 6 — max model size per config"),
-    ("fig7", "Figure 7 — max cached memory"),
-    ("fig8", "Figure 8 — throughput per config"),
-    ("sec7", "Section 7 — DP communication volume"),
-    ("sec8", "Section 8 — MP volume and Pa overhead"),
-    ("sec9", "Section 9 — 1T feasibility and compute gap"),
-    ("offload_sweep", "ZeRO-Offload — max model vs device budget, tier schedule"),
-    ("infinity_sweep", "ZeRO-Infinity — max model per tier reach, tier schedule"),
-]
+from repro.experiments import TITLES
+
+EXPERIMENTS = list(TITLES.items())
 
 
 def run_all() -> str:

@@ -22,6 +22,7 @@ from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
 
 CFG = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=64, max_seq_len=16)
+WORLD_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,9 @@ class Sec7Row:
     by_phase: dict[str, float]
 
 
-def measure_stage(stage: int, world_size: int = 4) -> Sec7Row:
+def measure_stage(stage: int) -> Sec7Row:
     gpu = GPUSpec("sec7-gpu", 2 * 10**9, 1e12)
-    cluster = Cluster(world_size, gpu=gpu)
+    cluster = Cluster(WORLD_SIZE, gpu=gpu)
     corpus = SyntheticCorpus(64, seed=5)
 
     def run(ctx):

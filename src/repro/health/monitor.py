@@ -68,6 +68,7 @@ CONFIRMED = "confirmed-slow"
 VERDICT_CODES = {HEALTHY: 0, SUSPECT: 1, CONFIRMED: 2}
 
 SMOOTH = 3  # per-rank smoothing (median of the last k samples)
+MIN_HISTORY = 4  # rows before any verdict can change
 Z_THRESHOLD = 4.0  # robust z-score gate
 MAD_FLOOR_REL = 0.02  # MAD floor as a fraction of the median
 LINK_BASELINE_EVENTS = 8  # events pooled into the link baseline
@@ -82,7 +83,6 @@ class HealthConfig:
     ``healthy`` (the ratio gate alone guarantees that)."""
 
     window: int = 16            # pooled baseline rows (median + MAD)
-    min_history: int = 4        # rows before any verdict can change
     slowdown_threshold: float = 1.5  # x / median ratio gate
     suspect_after: int = 2      # consecutive anomalous rows -> suspect
     confirm_after: int = 4      # consecutive anomalous rows -> confirmed
@@ -91,8 +91,8 @@ class HealthConfig:
     evict_on_confirm: bool = True    # raise SlowRankDetectedError on confirm
 
     def __post_init__(self):
-        if self.window < 1 or self.min_history < 1:
-            raise ValueError("window and min_history must be >= 1")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
         if self.slowdown_threshold <= 1.0:
             raise ValueError("slowdown_threshold must be > 1")
         if min(self.suspect_after, self.confirm_after, self.clear_after) < 1:
@@ -218,11 +218,9 @@ class HealthMonitor:
             # verdict_history / transitions are kept: they are the run's
             # forensic record across attempts (rows keep counting up).
 
-    def reset(self, world_size: int | None = None) -> None:
+    def reset(self) -> None:
         """Full reset, history included (tests / reuse across jobs)."""
         with self._lock:
-            if world_size is not None:
-                self.world_size = world_size
             self._ranks = {}
             self._rows_evaluated = 0
             self._raised_for = set()
@@ -363,7 +361,7 @@ class HealthMonitor:
             state.slowdown = x / med if med > 0 else 1.0
             state.z = (x - med) / sigma
             anomalous = (
-                row + 1 >= cfg.min_history
+                row + 1 >= MIN_HISTORY
                 and state.z > Z_THRESHOLD
                 and state.slowdown > cfg.slowdown_threshold
             )

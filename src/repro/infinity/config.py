@@ -4,7 +4,8 @@ ZeRO-Infinity's placement policy is per state class: the fp16 parameter
 shards, the fp16 gradient shards, and the fp32 optimizer state (master +
 Adam moments) each get a tier — device HBM, host DRAM, or NVMe. The
 config also carries the overlap knobs (prefetch depth, optimizer paging
-chunk size, memory-centric tile size) and the link/throughput overrides.
+chunk size, memory-centric tile size) and the CPU Adam throughput; the
+links are the topology's.
 ZeRO-Offload is the placement that stops at the host tier:
 ``InfinityConfig(optimizer_tier="host", grad_tier=..., param_tier="device")``.
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.specs import InterconnectSpec
 from repro.infinity.tiers import TIER_NAMES
 from repro.infinity.schedule import CPU_ADAM_ELEMENTS_PER_S
 
@@ -51,9 +51,6 @@ class InfinityConfig:
     #: optimizer-state paging chunk (bytes) for the in->update->out
     #: pipeline around the boundary when the optimizer tier is NVMe.
     opt_chunk_bytes: int = 1 << 27
-    #: link overrides; None reads hardware truth from the topology.
-    pcie: InterconnectSpec | None = None
-    nvme: InterconnectSpec | None = None
     cpu_adam_elements_per_s: float = CPU_ADAM_ELEMENTS_PER_S
 
     def __post_init__(self):

@@ -66,11 +66,11 @@ class InfinityEngine:
     def __init__(self, ctx: RankContext, config: InfinityConfig):
         self.config = config
         self.pcie = TierStream(
-            config.pcie or ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
+            ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
             directions=PCIE_LANES,
         )
         self.nvme_stream = TierStream(
-            config.nvme or ctx.topology.nvme, ledger=ctx.ledger, rank=ctx.rank,
+            ctx.topology.nvme, ledger=ctx.ledger, rank=ctx.rank,
             directions=NVME_LANES,
         )
         # Tier pools: the rank's own device, and the context's DRAM and

@@ -78,24 +78,15 @@ class TierTopology:
                 raise ValueError(f"non-device tier {t.name!r} needs a link")
 
     @classmethod
-    def from_cluster(
-        cls,
-        topology: ClusterTopology,
-        *,
-        pcie: InterconnectSpec | None = None,
-        nvme: InterconnectSpec | None = None,
-    ) -> "TierTopology":
-        """Device -> host -> NVMe stack for one GPU of ``topology``.
-
-        Capacities are the per-GPU fair shares; ``pcie``/``nvme`` override
-        the link specs (e.g. to model a faster drive array).
-        """
+    def from_cluster(cls, topology: ClusterTopology) -> "TierTopology":
+        """Device -> host -> NVMe stack for one GPU of ``topology``: the
+        per-GPU fair shares of capacity over the node's own links."""
         node = topology.node
         return cls(
             tiers=(
                 Tier("device", node.gpu.memory_bytes),
-                Tier("host", topology.host_bytes_per_gpu, pcie or node.pcie),
-                Tier("nvme", topology.nvme_bytes_per_gpu, nvme or node.nvme),
+                Tier("host", topology.host_bytes_per_gpu, node.pcie),
+                Tier("nvme", topology.nvme_bytes_per_gpu, node.nvme),
             )
         )
 

@@ -25,6 +25,9 @@ from dataclasses import dataclass, field
 from repro.memprof.provenance import CATEGORIES
 from repro.utils.units import bytes_to_str
 
+_BAR_WIDTH = 24  # characters of the largest category's bar
+_MAX_SITES = 4  # allocation sites listed under each category
+
 # Dominant-category -> the knob that removes that state class from the
 # device (paper section in parens).
 _KNOB_BY_CATEGORY = {
@@ -140,7 +143,7 @@ class OOMReport:
             "advisor_hint": self.advisor_hint,
         }
 
-    def render(self, *, bar_width: int = 24, max_sites: int = 4) -> str:
+    def render(self) -> str:
         """Flamegraph-style ASCII tree: category bars with per-site leaves."""
         lines = [
             f"OOM postmortem — {self.device}: failed allocating "
@@ -169,13 +172,13 @@ class OOMReport:
         for s in self.sites:
             by_cat_sites.setdefault(s.category, []).append(s)
         for c in self.categories:
-            bar = "█" * max(1, round(bar_width * c.live_bytes / peak)) if peak else ""
+            bar = "█" * max(1, round(_BAR_WIDTH * c.live_bytes / peak)) if peak else ""
             lines.append(
-                f"  {c.category:<16} {bar:<{bar_width}} "
+                f"  {c.category:<16} {bar:<{_BAR_WIDTH}} "
                 f"{bytes_to_str(c.live_bytes):>10}  {c.share * 100:5.1f}%  "
                 f"({c.n_blocks} blocks)"
             )
-            sites = by_cat_sites.get(c.category, [])[:max_sites]
+            sites = by_cat_sites.get(c.category, [])[:_MAX_SITES]
             for i, s in enumerate(sites):
                 branch = "└─" if i == len(sites) - 1 else "├─"
                 lines.append(

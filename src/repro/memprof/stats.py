@@ -95,8 +95,9 @@ def compute_stats(profiler) -> MemprofStats:
     )
 
 
-def build_snapshot(profiler, *, top_n: int = 20) -> dict:
-    """JSON-serializable observatory snapshot (schema ``SNAPSHOT_SCHEMA``)."""
+def build_snapshot(profiler) -> dict:
+    """JSON-serializable observatory snapshot (schema ``SNAPSHOT_SCHEMA``),
+    listing the 20 largest live allocations."""
     stats = compute_stats(profiler)
     snap = {
         "schema": SNAPSHOT_SCHEMA,
@@ -112,7 +113,7 @@ def build_snapshot(profiler, *, top_n: int = 20) -> dict:
         },
         "untracked_bytes": stats.untracked_bytes,
         "n_events": stats.n_events,
-        "top_allocations": profiler.live_blocks()[:top_n],
+        "top_allocations": profiler.live_blocks()[:20],
         "leak_suspects": list(stats.leak_suspects),
     }
     if profiler._is_device:

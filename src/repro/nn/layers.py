@@ -28,6 +28,8 @@ from repro.nn.module import Cache, ExecutionContext, Module, Parameter
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
+LN_EPS = 1e-5  # LayerNorm's variance epsilon
+
 
 def make_param(
     name: str,
@@ -39,7 +41,6 @@ def make_param(
     init: str = "normal",
     std: float = 0.02,
     meta: bool = False,
-    grad_dtype=None,
 ) -> Parameter:
     """Build a parameter; ``meta=True`` skips data but still reserves memory."""
     if meta:
@@ -57,7 +58,7 @@ def make_param(
     tensor = Tensor(shape, np.dtype(dtype), data=data, device=device, tag=name)
     # Gradients live in the parameter's own dtype (fp16 grads for fp16
     # params — the paper's 2-Psi gradient footprint).
-    return Parameter(name, tensor, grad_dtype=dtype if grad_dtype is None else grad_dtype)
+    return Parameter(name, tensor, grad_dtype=dtype)
 
 
 class Linear(Module):
@@ -382,14 +383,12 @@ class LayerNorm(Module):
         name: str,
         dim: int,
         *,
-        eps: float = 1e-5,
         dtype=np.float16,
         device: Device | None = None,
         meta: bool = False,
     ):
         super().__init__(name)
         self.dim = dim
-        self.eps = eps
         self.gamma = self.register_parameter(
             make_param(f"{name}.gamma", (dim,), dtype=dtype, device=device, init="ones", meta=meta)
         )
@@ -398,7 +397,7 @@ class LayerNorm(Module):
         )
 
     def forward(self, x: Tensor, ctx: ExecutionContext) -> tuple[Tensor, Cache]:
-        y, mean, rstd = F.layernorm(x, self.gamma.data, self.beta.data, self.eps, tag=f"{self.name}")
+        y, mean, rstd = F.layernorm(x, self.gamma.data, self.beta.data, LN_EPS, tag=f"{self.name}")
         cache = Cache()
         cache.ref(x=x)
         cache.own(mean=mean, rstd=rstd)

@@ -381,11 +381,10 @@ class GPT2Model(Module):
         device: Device | None = None,
         rng: np.random.Generator | None = None,
         meta: bool = False,
-        name: str = "gpt2",
         checkpoint_activations: bool = False,
         activation_store: "object | None" = None,
     ):
-        super().__init__(name)
+        super().__init__("gpt2")
         self.config = config
         self.dtype = np.dtype(dtype)
         if mp_group is not None and mp_group.size == 1:
@@ -406,11 +405,11 @@ class GPT2Model(Module):
                 self._next = pp_group.ranks[stage + 1]
         self.embedding = self.head = None
         self.blocks = []
-        with memprof_category("param_fp16", site=name):
+        with memprof_category("param_fp16", site=self.name):
             for i in range(n_units):
                 owned = lo <= i < hi
                 unit = self._build_unit(
-                    i, name, dtype=dtype, device=device if owned else None, rng=rng,
+                    i, self.name, dtype=dtype, device=device if owned else None, rng=rng,
                     init_std=config.init_std, meta=meta,
                 )
                 if not owned:

@@ -201,7 +201,7 @@ def _timeline_lines(events) -> list[str]:
     return lines
 
 
-def run_report(ledger, *, title: str = "Mission Control run report") -> str:
+def run_report(ledger) -> str:
     """Render the Markdown run report — a pure function of the ledger's
     events, so a replayed ledger produces identical bytes."""
     events = list(ledger.events)
@@ -214,7 +214,7 @@ def run_report(ledger, *, title: str = "Mission Control run report") -> str:
     ]
     aborted = any(ev.kind == EventKind.RUN_ABORTED for ev in events)
 
-    out = [f"# {title}", ""]
+    out = ["# Mission Control run report", ""]
     out += [
         "## Run summary",
         "",

@@ -101,15 +101,13 @@ class MixedPrecisionAdam:
         *,
         hp: AdamHyperparams | None = None,
         scaler: LossScaler | None = None,
-        device: Device | None = None,
-        pad_multiple: int = 1,
     ):
         self.model = model
-        self.layout = FlatLayout(model.parameters(), pad_multiple=pad_multiple)
+        self.layout = FlatLayout(model.parameters())
         params = self.layout.parameters
         meta = bool(params) and params[0].data.is_meta
         self.state = FlatAdamState(
-            self.layout.numel, device=device, hp=hp, meta=meta, tag="adam"
+            self.layout.numel, hp=hp, meta=meta, tag="adam"
         )
         self.scaler = scaler or LossScaler(dynamic=False, init_scale=1.0)
         if not meta:

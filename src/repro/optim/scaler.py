@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+GROWTH_FACTOR = 2.0  # the dynamic scale's step up after a clean window
+BACKOFF_FACTOR = 0.5  # and down on an overflow
+
 
 class LossScaler:
     """Static or dynamic loss scaler."""
@@ -20,8 +23,6 @@ class LossScaler:
         init_scale: float = 2.0**15,
         *,
         dynamic: bool = True,
-        growth_factor: float = 2.0,
-        backoff_factor: float = 0.5,
         growth_interval: int = 200,
         min_scale: float = 1.0,
         max_scale: float = 2.0**24,
@@ -30,8 +31,6 @@ class LossScaler:
             raise ValueError(f"scale must be positive, got {init_scale}")
         self.scale = float(init_scale)
         self.dynamic = dynamic
-        self.growth_factor = growth_factor
-        self.backoff_factor = backoff_factor
         self.growth_interval = growth_interval
         self.min_scale = min_scale
         self.max_scale = max_scale
@@ -52,11 +51,11 @@ class LossScaler:
             self.n_skipped += 1
             self.good_steps = 0
             if self.dynamic:
-                self.scale = max(self.scale * self.backoff_factor, self.min_scale)
+                self.scale = max(self.scale * BACKOFF_FACTOR, self.min_scale)
             return False
         if self.dynamic:
             self.good_steps += 1
             if self.good_steps >= self.growth_interval:
-                self.scale = min(self.scale * self.growth_factor, self.max_scale)
+                self.scale = min(self.scale * GROWTH_FACTOR, self.max_scale)
                 self.good_steps = 0
         return True

@@ -16,6 +16,7 @@ from repro.perfscope.critpath import CATEGORIES, RankStats
 from repro.perfscope.graph import StepGraph
 
 _US = 1e6
+_BAR_WIDTH = 36  # characters of a whole critical path's bar
 
 #: chrome://tracing reserved color names per stall category.
 _CNAME = {
@@ -68,7 +69,7 @@ class StepReport:
         vals = [rs.compute_utilization for rs in self.per_rank.values()]
         return sum(vals) / len(vals)
 
-    def render(self, *, width: int = 36) -> str:
+    def render(self) -> str:
         lines = [
             f"step {self.step_index}: critical path "
             f"{self.critical_path_s * 1e3:.3f} ms  "
@@ -81,9 +82,9 @@ class StepReport:
             if val <= 0 and cat != "compute":
                 continue
             frac = val / cp if cp > 0 else 0.0
-            bar = "#" * round(width * frac)
+            bar = "#" * round(_BAR_WIDTH * frac)
             lines.append(
-                f"  {cat:<15}|{bar:<{width}}| {val * 1e3:9.3f} ms {100 * frac:5.1f}%"
+                f"  {cat:<15}|{bar:<{_BAR_WIDTH}}| {val * 1e3:9.3f} ms {100 * frac:5.1f}%"
             )
         for rank, rs in sorted(self.per_rank.items()):
             lines.append(

@@ -92,11 +92,11 @@ def reprice(
     return ng
 
 
-def whatif_zero_comm(g: StepGraph, *, label: str = "zero-cost-comm") -> WhatIf:
+def whatif_zero_comm(g: StepGraph) -> WhatIf:
     """Step time if every collective/p2p event were free."""
     baseline = reprice(g)
     predicted = reprice(g, zero_collectives=True)
-    return WhatIf(label, baseline.critical_path_s, predicted.critical_path_s)
+    return WhatIf("zero-cost-comm", baseline.critical_path_s, predicted.critical_path_s)
 
 
 def whatif_links(

@@ -1,10 +1,10 @@
 """Redundancy placement policy.
 
 The config answers four questions: *what shape* the redundancy takes
-(full replica vs. XOR parity group), *where* it lands (which buddy rank,
-which memory tier), *how often* it refreshes, and *how much history* is
-kept. Costs scale accordingly: a replica ships K Psi / Nd bytes per
-refresh per rank and doubles the stored optimizer state; an XOR group of
+(full replica vs. XOR parity group), *where* it lands (which buddy rank;
+always the holder's host DRAM), *how often* it refreshes, and *how much
+history* is kept. Costs scale accordingly: a replica ships K Psi / Nd
+bytes per refresh per rank and doubles the stored optimizer state; an XOR group of
 ``group_size`` data members stores only 1/group_size extra but tolerates
 a single loss per group instead of per buddy pair.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 SCHEMES = ("replica", "ec")
-TIERS = ("host", "nvme")
 
 
 @dataclass(frozen=True)
@@ -24,9 +23,9 @@ class RedundancyConfig:
     The replica holder is the next rank, ``(rank + 1) % world`` (replica
     scheme). ``group_size`` is the number of *data* members per
     XOR parity group (ec scheme); the parity block is held by the rank
-    after the group's last member. ``tier`` is the landing tier on the
-    holder ("host" DRAM or "nvme"). ``refresh_every`` trades refresh
-    traffic against recovery currency: with cadence k, a fault can lose
+    after the group's last member. Both land in the holder's host DRAM.
+    ``refresh_every`` trades refresh traffic against recovery
+    currency: with cadence k, a fault can lose
     up to k-1 steps instead of zero. ``keep`` is the per-rank snapshot
     history depth — 2 covers the one-step skew between a rank that
     raised mid-boundary and peers that finished it.
@@ -34,15 +33,12 @@ class RedundancyConfig:
 
     scheme: str = "replica"
     group_size: int = 2
-    tier: str = "host"
     refresh_every: int = 1
     keep: int = 2
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.tier not in TIERS:
-            raise ValueError(f"tier must be one of {TIERS}, got {self.tier!r}")
         if self.group_size < 2:
             raise ValueError(f"group_size must be >= 2, got {self.group_size}")
         if self.refresh_every < 1:

@@ -13,7 +13,6 @@ costs on this rank's modeled hardware:
 - a ``d2h`` staging copy over the PCIe ``TierStream`` for the device-
   resident fraction of the shards (host-resident Adam state under
   ZeRO-Offload/Infinity skips it);
-- an ``nvme-out`` landing copy when the replica tier is NVMe;
 - a ``buddy-replicate`` span on the serialized clock plus explicit-
   interval lane spans on the ``redundancy`` track, so Perfscope can
   attribute replication stalls exactly like offload traffic.
@@ -21,8 +20,8 @@ costs on this rank's modeled hardware:
 The refresh itself is asynchronous in the modeled timeline (lane spans
 overlap the next step's compute); the serialized clock charges the
 submission cost the same way the offload runtime does. Bytes parked on
-the buddy tier are accounted against the landing pool (host or NVMe) so
-tier capacity stays honest.
+the buddy are accounted against its host pool so tier capacity stays
+honest.
 """
 
 from __future__ import annotations
@@ -71,13 +70,6 @@ class RedundancyManager:
         self.pcie = TierStream(
             tiers.tier("host").link, ledger=ctx.ledger, rank=ctx.rank,
             directions=("d2h", "h2d"),
-        )
-        self.nvme = (
-            TierStream(
-                tiers.tier("nvme").link, ledger=ctx.ledger, rank=ctx.rank,
-                directions=("nvme-out", "nvme-in"),
-            )
-            if cfg.tier == "nvme" else None
         )
         self.refreshes = 0
         self.bytes_published = 0
@@ -150,11 +142,6 @@ class RedundancyManager:
                 phase="buddy-replicate",
                 peer=(self._world_rank(src), ctx.rank),
             )
-        if self.nvme is not None and in_bytes:
-            self.nvme.reset()
-            handles.append(self.nvme.copy_async(
-                in_bytes, "nvme-out", submit_t=0.0, phase="buddy-replicate"
-            ))
         if tr is not None:
             tr.end()  # buddy-replicate
             for h in handles:
@@ -194,21 +181,17 @@ class RedundancyManager:
         for src in self.incoming:
             link = topo.link_for_group((self._world_rank(src), self.ctx.rank))
             total += wire_seconds(link, out_bytes)
-        # NVMe landings ride the drive lane (priced 0 on the serialized
-        # clock, like the infinity engine's paging traffic) — excluded.
         return total
 
     def _account_residency(self, out_bytes: int, in_bytes: int) -> None:
         """Park the steady-state replica bytes against the landing pools
-        once (history depth x incoming bytes on host or NVMe, history
-        depth x own bytes on the local host tier)."""
+        once (history depth x own and incoming bytes on the host tier)."""
         if self._resident is not None:
             return
         keep = self.config.keep
-        pool = self.ctx.nvme if self.config.tier == "nvme" else self.ctx.host
         nbytes = keep * (out_bytes + in_bytes)
         if nbytes <= 0:
             return
         self._resident = Tensor(
-            (nbytes,), np.dtype(np.uint8), device=pool, tag="redundancy-replica"
+            (nbytes,), np.dtype(np.uint8), device=self.ctx.host, tag="redundancy-replica"
         )

@@ -36,11 +36,8 @@ from repro.telemetry.spans import InstantEvent, Tracer
 class TelemetrySession:
     """Per-run container for tracers, metrics, and global events."""
 
-    def __init__(
-        self, *, registry: MetricsRegistry | None = None, health=None,
-        perfscope: bool = False,
-    ):
-        self.registry = registry or MetricsRegistry()
+    def __init__(self, *, health=None, perfscope: bool = False):
+        self.registry = MetricsRegistry()
         self.tracers: dict[int, Tracer] = {}
         self.global_instants: list[InstantEvent] = []
         #: optional ``repro.health.HealthMonitor``; when attached every

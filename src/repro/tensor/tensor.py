@@ -130,8 +130,8 @@ class Tensor:
         return cls(shape, dtype, data=None, device=device, tag=tag)
 
     @classmethod
-    def zeros(cls, shape: tuple[int, ...], dtype: np.dtype, *, device: Device | None = None, tag: str = "") -> "Tensor":
-        return cls(shape, dtype, data=np.zeros(shape, dtype=dtype), device=device, tag=tag)
+    def zeros(cls, shape: tuple[int, ...], dtype: np.dtype, *, device: Device | None = None) -> "Tensor":
+        return cls(shape, dtype, data=np.zeros(shape, dtype=dtype), device=device)
 
     # -- properties ------------------------------------------------------------
 

@@ -71,12 +71,12 @@ class Mesh:
                 raise ValueError(f"mesh axis {axis} must be >= 1, got {getattr(self, axis)}")
 
     @classmethod
-    def of_world(cls, n_gpus: int, mp: int = 1, pp: int = 1) -> Mesh:
-        """The mesh of ``n_gpus`` ranks cut into ``mp`` x ``pp`` model slices."""
-        slices = cls(mp=mp, pp=pp)
-        if n_gpus % (mp * pp):
-            raise ValueError(f"n_gpus {n_gpus} not divisible by mp {mp} x pp {pp}")
-        return replace(slices, dp=n_gpus // (mp * pp))
+    def of_world(cls, n_gpus: int, mp: int = 1) -> Mesh:
+        """The mesh of ``n_gpus`` ranks cut into ``mp``-wide model slices."""
+        slices = cls(mp=mp)
+        if n_gpus % mp:
+            raise ValueError(f"n_gpus {n_gpus} not divisible by mp {mp}")
+        return replace(slices, dp=n_gpus // mp)
 
     @property
     def world(self) -> int:

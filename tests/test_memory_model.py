@@ -1,5 +1,7 @@
 """Closed-form memory model vs the paper's published numbers."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,11 @@ from repro.analysis.memory_model import (
     temporary_buffer_bytes,
     total_device_bytes,
 )
+from repro.nn.transformer import GPTConfig
+from repro.runtime import virtual_rank_context
 from repro.utils.units import BILLION, GB
 from repro.zero.config import C1, C2, C5, ZeROConfig
+from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 
 
@@ -129,12 +134,26 @@ class TestActivationModel:
 class TestBuffersAndTotal:
     def test_paper_6gb_fused_buffer(self):
         """Section 3.2: 1.5B params -> 6 GB fp32 fused buffer without CB."""
-        assert temporary_buffer_bytes(1.5e9, constant_buffers=False) / GB == pytest.approx(6.0)
+        assert temporary_buffer_bytes(1.5e9, ZeROConfig(constant_buffers=False)) / GB == pytest.approx(6.0)
 
     def test_cb_is_constant(self):
-        small = temporary_buffer_bytes(1e9, constant_buffers=True)
-        large = temporary_buffer_bytes(1e12, constant_buffers=True)
+        small = temporary_buffer_bytes(1e9, ZeROConfig(constant_buffers=True))
+        large = temporary_buffer_bytes(1e12, ZeROConfig(constant_buffers=True))
         assert small == large
+
+    def test_total_charges_the_configured_constant_buffer(self):
+        """A smaller CB lowers the closed form by exactly the bytes it
+        saves, and what is left is what a meta engine allocates for it."""
+        act = ActivationModel(64, 2, 16, 1)
+        default = ZeROConfig(stage=1, constant_buffers=True)
+        small = replace(default, constant_buffer_numel=2048)
+        drop = (total_device_bytes(1e6, act, default, mesh=Mesh(dp=4))
+                - total_device_bytes(1e6, act, small, mesh=Mesh(dp=4)))
+        assert drop == 4 * ((1 << 22) - 2048) == 16_769_024
+        ctx = virtual_rank_context(4)
+        cfg = GPTConfig(n_layers=2, hidden=64, n_heads=4, vocab_size=64, max_seq_len=16)
+        _, engine = build_model_and_engine(ctx, cfg, small, dp_group=ctx.world, meta=True)
+        assert engine._cb_buffer.nbytes == temporary_buffer_bytes(1e6, small) == 8192
 
     def test_total_compounds_mp_and_dp(self):
         """Section 1: max theoretical reduction Nd x Nm on model states."""

@@ -2,13 +2,15 @@
 in ``src/repro``, and every public method or property of a top-level
 class, is referenced by code outside ``tests/`` or has an entry in
 ``PUBLIC_API`` saying why it stays and where it is documented. Every
-settable field of a config or policy dataclass is set by keyword
-somewhere in the repo or has an entry in ``UNSET_KNOBS``."""
+knob — a settable field of a config or policy dataclass, or a parameter
+with a default of a public function, method or constructor — is set by
+some call in the repo or has an entry in ``UNSET_KNOBS``."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
@@ -292,27 +294,26 @@ def test_every_experiment_runner_is_exported():
     assert experiments.infinity_sweep.run
 
 
-# -- knobs: every settable field of a config or policy is set somewhere -------
+# -- knobs: every settable value is set somewhere ----------------------------
 
-#: where a keyword setter counts; tests do
+#: where a setter counts; tests do
 SETTER_DIRS = (*CALLER_DIRS, "tests")
 #: ``*Config`` / ``*Policy`` dataclasses whose fields are not knobs
 NOT_KNOBS = {"GPTConfig"}  # a model shape: every field describes the model
 
-#: ``module.Class.field`` -> why a knob nothing sets by keyword stays
-UNSET_KNOBS = {
-    "health.monitor.HealthConfig.min_history": (
-        "the detector's warm-up in rows, the partner of `window`: a run shorter "
-        "than the default needs it lowered"),
-    "infinity.config.InfinityConfig.pcie": (
-        "a link override for hardware other than the topology's; Perfscope's "
-        "what-if reprices the same link from outside"),
-    "infinity.config.InfinityConfig.nvme": (
-        "a link override for hardware other than the topology's; Perfscope's "
-        "what-if reprices the same link from outside"),
-    "redundancy.config.RedundancyConfig.tier": (
-        "the buddy store's landing tier; `nvme` is the one other value it validates"),
-}
+#: ``module.Qual.name`` -> why a knob nothing sets stays
+UNSET_KNOBS: dict[str, str] = {}
+
+
+class Knob(NamedTuple):
+    """A settable value: what a call names to reach it, the value's own
+    name, its position among the call's positional arguments (None when
+    it is keyword-only), and whether ``dataclasses.replace`` sets it."""
+
+    callee: str
+    name: str
+    position: int | None
+    replaceable: bool = False
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -337,38 +338,126 @@ def _settable(member) -> bool:
     ))
 
 
-def knobs(modules: dict[str, str]) -> dict[str, tuple[str, str]]:
-    """``module.Class.field`` -> ``(Class, field)`` for each settable field of
-    each top-level dataclass named ``*Config`` or ``*Policy``."""
+def _defaulted(fn, callee: str, skip: int) -> dict[str, Knob]:
+    """Each parameter of ``fn`` with a default, positioned after the
+    ``skip`` leading ones a call does not pass (``self`` / ``cls``)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = {a.arg: Knob(callee, a.arg, i - skip) for i, a in enumerate(positional) if i >= first}
+    found.update(
+        (a.arg, Knob(callee, a.arg, None))
+        for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    )
+    return found
+
+
+def knobs(modules: dict[str, str]) -> dict[str, Knob]:
+    """``module.Qual.name`` -> ``Knob`` for every settable value: each field
+    of a top-level ``*Config`` / ``*Policy`` dataclass (``module.Class.field``),
+    and each parameter with a default of a public top-level function
+    (``module.fn.param``), of a public method of a public top-level class
+    (``module.Class.method.param``) and of that class's ``__init__``
+    (``module.Class.param``, reached by calling the class)."""
     found = {}
     for module, source in modules.items():
         for node in ast.parse(source).body:
-            if (isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Policy"))
-                    and node.name not in NOT_KNOBS and _is_dataclass(node)):
-                for member in filter(_settable, node.body):
-                    found[f"{module}.{node.name}.{member.target.id}"] = (node.name, member.target.id)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _public(node.name):
+                for name, knob in _defaulted(node, node.name, 0).items():
+                    found[f"{module}.{node.name}.{name}"] = knob
+            if not (isinstance(node, ast.ClassDef) and _public(node.name)):
+                continue
+            if (node.name.endswith(("Config", "Policy")) and node.name not in NOT_KNOBS
+                    and _is_dataclass(node)):
+                for i, member in enumerate(filter(_settable, node.body)):
+                    field = member.target.id
+                    found[f"{module}.{node.name}.{field}"] = Knob(node.name, field, i, True)
+            for member in node.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod" for d in member.decorator_list)
+                if member.name == "__init__":
+                    for name, knob in _defaulted(member, node.name, 1).items():
+                        found[f"{module}.{node.name}.{name}"] = knob
+                elif _public(member.name):
+                    for name, knob in _defaulted(member, member.name, 0 if static else 1).items():
+                        found[f"{module}.{node.name}.{member.name}.{name}"] = knob
     return found
 
 
-def keyword_setters(sources: dict[str, str]) -> set[tuple[str, str]]:
-    """``(callee, keyword)`` for every call in ``sources`` that passes a
-    keyword; the callee is the called name or attribute."""
-    found = set()
-    for source in sources.values():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call):
-                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                found.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+def _name(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _tables(trees) -> dict[str, set[str]]:
+    """Name -> what a dict, list or tuple literal of names bound to it
+    holds: a call through ``NAME[...]`` calls each of them."""
+    found: dict[str, set[str]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Dict, ast.List, ast.Tuple)):
+                held = node.value.values if isinstance(node.value, ast.Dict) else node.value.elts
+                if held and all(isinstance(v, (ast.Name, ast.Attribute)) for v in held):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            found.setdefault(target.id, set()).update(map(_name, held))
     return found
+
+
+def setters(sources: dict[str, str]) -> tuple[set[tuple[str, str]], dict[str, int], set[str]]:
+    """What the calls in ``sources`` set: ``(callee, keyword)`` pairs, the
+    most positional arguments any call passes each callee, and the callees
+    some call passes a ``*`` / ``**`` splat (it may set anything). A callee
+    is the called name or attribute, the original name behind an
+    ``import ... as`` alias, each base class for ``super().__init__``, and
+    each entry of a constructor table for ``TABLE[...]``."""
+    keywords, most, splatted = set(), {}, set()
+    trees = [ast.parse(source) for source in sources.values()]
+    tables = _tables(trees)
+    for tree in trees:
+        aliases = {
+            a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for a in node.names if a.asname
+        }
+        bases = {}  # id(call) -> the enclosing class's bases; inner classes win
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                bases.update((id(n), [_name(b) for b in cls.bases]) for n in ast.walk(cls))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            if isinstance(fn, ast.Name):
+                callees = [aliases.get(fn.id, fn.id)]
+            elif (isinstance(fn, ast.Attribute) and fn.attr == "__init__"
+                    and isinstance(fn.value, ast.Call) and _name(fn.value.func) == "super"):
+                callees = bases.get(id(node), [])
+            elif isinstance(fn, ast.Subscript):
+                callees = sorted(tables.get(_name(fn.value), ()))
+            else:
+                callees = [_name(fn)]
+            n = sum(not isinstance(a, ast.Starred) for a in node.args)
+            splat = (any(isinstance(a, ast.Starred) for a in node.args)
+                     or any(kw.arg is None for kw in node.keywords))
+            for callee in callees:
+                keywords.update((callee, kw.arg) for kw in node.keywords if kw.arg)
+                most[callee] = max(most.get(callee, 0), n)
+                if splat:
+                    splatted.add(callee)
+    return keywords, most, splatted
 
 
 def unset_knobs(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
-    """Knobs no call in ``sources`` sets by keyword, through the class's
-    own constructor or ``dataclasses.replace``."""
-    setters = keyword_setters(sources)
+    """Knobs no call in ``sources`` sets: by keyword, by position or
+    through a splat, on the knob's callee (or, for a config field, by
+    keyword through ``dataclasses.replace``)."""
+    keywords, most, splatted = setters(sources)
     return sorted(
-        q for q, (cls, name) in knobs(modules).items()
-        if (cls, name) not in setters and ("replace", name) not in setters
+        q for q, knob in knobs(modules).items()
+        if (knob.callee, knob.name) not in keywords
+        and not (knob.replaceable and ("replace", knob.name) in keywords)
+        and not (knob.position is not None and knob.position < most.get(knob.callee, 0))
+        and knob.callee not in splatted
     )
 
 
@@ -384,7 +473,7 @@ def test_every_knob_is_set_somewhere_or_has_an_entry():
 
 
 def test_no_knob_entry_is_stale():
-    """An entry whose knob is now set by keyword, or no longer exists, goes."""
+    """An entry whose knob is now set, or no longer exists, goes."""
     assert sorted(set(UNSET_KNOBS) - set(unset_knobs(_modules(), _setters()))) == []
 
 
@@ -413,3 +502,48 @@ class PlainConfig:
         "pkg.cfg.RetryPolicy.backoff", "pkg.cfg.RunConfig.fresh",
     ]
 
+
+def test_the_guard_flags_a_fresh_unset_keyword():
+    """A parameter with a default that no call passes is flagged. A call
+    sets one by keyword, by position (past ``self`` / ``cls``, not past a
+    ``staticmethod``'s first), through any splat, through
+    ``super().__init__`` in a subclass, through an ``import ... as`` alias
+    and through a constructor table; ``replace`` sets no parameter, and a
+    private name or a nested function has no knobs."""
+    modules = {"pkg.mod": '''
+def keyed(x, *, fresh=0, width=1): pass
+def placed(x, a=1, b=2): pass
+def splatted(x, *, c=3): pass
+def aliased(x, d=4): pass
+def _private(e=5): pass
+class Base:
+    def __init__(self, name, size=8): pass
+    def render(self, *, wide=False): pass
+    @classmethod
+    def of(cls, n, mp=1, pp=1): pass
+    @staticmethod
+    def pure(a=0, b=0): pass
+class Stage1(Base):
+    def __init__(self, name, depth=1):
+        super().__init__(name, depth)
+class Stage2(Base):
+    def __init__(self, name, depth=2):
+        def helper(g=7): pass
+        super().__init__(name)
+'''}
+    sources = {"src/pkg/mod.py": modules["pkg.mod"], "tests/t.py": '''
+from pkg.mod import aliased as al
+ENGINES = {1: Stage1, 2: Stage2}
+keyed(1, width=3)
+placed(1, 2)
+splatted(1, **opts)
+al(1, 9)
+Base.of(4, 2)
+Base.pure(1)
+ENGINES[stage]("unit", 3)
+replace(cfg, wide=True)
+'''}
+    assert unset_knobs(modules, sources) == [
+        "pkg.mod.Base.of.pp", "pkg.mod.Base.pure.b", "pkg.mod.Base.render.wide",
+        "pkg.mod.keyed.fresh", "pkg.mod.placed.b",
+    ]

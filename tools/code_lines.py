@@ -1,8 +1,9 @@
 """Count code lines: lines that carry a token other than a comment, blank
-or docstring. Given a directory (default ``src/repro``) prints one row per
-package; given file paths, one row per file. Then the total beside ``wc -l``.
+or docstring. Given one directory (default ``src/repro``) prints one row per
+package; given several paths, one row per path (a directory's ``.py`` files
+summed). Then the total beside ``wc -l``.
 
-    python tools/code_lines.py [root | file ...]
+    python tools/code_lines.py [root | path ...]
 
 A path that does not exist exits 1 with a one-line message; ``-h`` /
 ``--help`` prints this text.
@@ -46,7 +47,10 @@ if __name__ == "__main__":
         root = args[0]
         rows = [(path.relative_to(root).parts[0], path) for path in sorted(root.rglob("*.py"))]
     else:
-        rows = [(str(path), path) for path in args]
+        rows = [
+            (str(arg), path) for arg in args
+            for path in (sorted(arg.rglob("*.py")) if arg.is_dir() else [arg])
+        ]
     for row, path in rows:
         code[row] += code_lines(path)
         wc[row] += len(path.read_text().splitlines())

@@ -16,7 +16,10 @@ Run it in a copy of the parent commit and in the change, then compare:
 
 which prints, per digest that differs, the span of differing lines,
 whether the lines only moved (same multiset), the free events (``-size,tag;``)
-whose size alone changed, and what else was added or removed.
+whose size alone changed, and what else was added or removed. A test file
+or a digest present on one side only is reported as "only in before" or
+"only in after". ``-h`` / ``--help`` prints this text; any other argument
+count exits 2 with the usage line.
 """
 
 from __future__ import annotations
@@ -125,10 +128,38 @@ def compare(before: list[str], after: list[str]) -> str:
     return "\n".join(out)
 
 
-if __name__ == "__main__":
-    before_dir, after_dir = sys.argv[1:3]
-    for name in sorted(os.listdir(before_dir)):
+USAGE = "usage: python tools/golden_lines.py before_dir after_dir"
+
+
+def report(before_dir: str, after_dir: str) -> list[str]:
+    """One line (or verdict) per test file or digest that differs between
+    the two record directories, including those present on one side only."""
+    out = []
+    before_names, after_names = set(os.listdir(before_dir)), set(os.listdir(after_dir))
+    for name in sorted(before_names | after_names):
+        if name not in after_names:
+            out.append(f"{name}: only in before")
+            continue
+        if name not in before_names:
+            out.append(f"{name}: only in after")
+            continue
         before, after = _read(os.path.join(before_dir, name)), _read(os.path.join(after_dir, name))
-        for i, (b, a) in enumerate(zip(before, after)):
-            if b != a:
-                print(f"{name} digest {i}: {compare(b, a)}")
+        for i in range(max(len(before), len(after))):
+            if i >= len(after):
+                out.append(f"{name} digest {i}: only in before")
+            elif i >= len(before):
+                out.append(f"{name} digest {i}: only in after")
+            elif before[i] != after[i]:
+                out.append(f"{name} digest {i}: {compare(before[i], after[i])}")
+    return out
+
+
+if __name__ == "__main__":
+    if {"-h", "--help"} & set(sys.argv[1:]):
+        print(__doc__)
+        sys.exit(0)
+    if len(sys.argv) != 3:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
+    for line in report(*sys.argv[1:3]):
+        print(line)
