@@ -33,7 +33,7 @@ def run_comparison():
         per_rank = max(1, (MICRO_BATCH * micro) // devices)
         act_full = ActivationModel(hidden=HIDDEN, n_layers=LAYERS, seq_len=SEQ,
                                    batch=per_rank)
-        z3 = zero_device_bytes_for_comparison(PSI, act_full, mesh=data, stage=3)
+        z3 = zero_device_bytes_for_comparison(PSI, act_full, mesh=data)
         rows.append((devices, micro, bubble, MICRO_BATCH * micro, pp, z3))
     return rows
 

@@ -129,7 +129,7 @@ def test_rollback_lost_steps(record_table, tmp_path):
         model, engine = build_model_and_engine(
             ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=0,
         )
-        ring = VerifiedCheckpointRing(tmp_path / "ring", keep=3)
+        ring = VerifiedCheckpointRing(tmp_path / "ring")
         latest = ring.latest_verified()
         if latest is not None:
             load_checkpoint_resharded(engine, latest)

@@ -121,9 +121,7 @@ def main():
                 + goodput.recovery_s + goodput.idle_s) == goodput.total_s
         registry = session.registry
         publish_goodput(goodput, registry)
-        violations = SLOPolicy(min_goodput_pct=99.9).check(
-            goodput, incidents, registry=registry,
-        )
+        violations = SLOPolicy(min_goodput_pct=99.9).check(goodput, registry=registry)
 
         # -- the run report, live and replayed -----------------------------
         report_text = run_report(sup.recorder)

@@ -51,7 +51,7 @@ def make_train_fn(root):
         model, engine = build_model_and_engine(
             ctx, CONFIG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
         )
-        ring = VerifiedCheckpointRing(root, keep=3)
+        ring = VerifiedCheckpointRing(root)
         latest = ring.latest_verified()
         if latest is not None:
             load_checkpoint_resharded(engine, latest)

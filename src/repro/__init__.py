@@ -52,7 +52,6 @@ from repro.health import (
 )
 from repro.infinity.config import InfinityConfig
 from repro.infinity.engine import InfinityEngine
-from repro.infinity.tiers import TierTopology
 from repro.integrity import (
     CorruptionDetectedError,
     VerifiedCheckpointRing,
@@ -92,7 +91,6 @@ __all__ = [
     "SlowRankDetectedError",
     "Supervisor",
     "SupervisorReport",
-    "TierTopology",
     "VerifiedCheckpointRing",
     "ZeROConfig",
     "__version__",

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.zero.config import CONSTANT_BUFFER_NUMEL
 from repro.zero.placement import MODEL_AXES, STATE_CLASSES, Mesh, Placed, state_placement
 
 if TYPE_CHECKING:
@@ -159,10 +160,10 @@ class ActivationModel:
 
 def temporary_buffer_bytes(psi: float, zero: ZeROConfig) -> float:
     """Fused-buffer footprint (Section 6.2): a full fp32 flattened buffer
-    (4 Psi bytes — 6 GB at 1.5B) without CB, the configured fixed-size
-    buffer (``zero.constant_buffer_numel`` fp32 elements) with CB."""
+    (4 Psi bytes — 6 GB at 1.5B) without CB, the fixed-size buffer
+    (``CONSTANT_BUFFER_NUMEL`` fp32 elements) with CB."""
     if zero.constant_buffers:
-        return 4.0 * zero.constant_buffer_numel
+        return 4.0 * CONSTANT_BUFFER_NUMEL
     return 4.0 * psi
 
 

@@ -70,9 +70,8 @@ def zero_device_bytes_for_comparison(
     activation: ActivationModel,
     *,
     mesh: Mesh,
-    stage: int = 2,
 ) -> float:
-    """ZeRO per-device bytes for the same total device count (Nd = S)."""
-    states = model_state_bytes(psi, mesh, stage)
+    """ZeRO-3 per-device bytes for the same total device count (Nd = S)."""
+    states = model_state_bytes(psi, mesh, 3)
     acts = activation.iteration_bytes(mesh=mesh, checkpointing=True)
     return states + acts

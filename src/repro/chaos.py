@@ -110,7 +110,7 @@ def generate_campaign(
 
     Fault steps are sampled without replacement from ``[3, total_steps]``
     (late enough that at least two boundaries have refreshed — the
-    buddy store's ``keep=2`` skew margin is always satisfiable).
+    buddy store's ``KEEP`` (2) skew margin is always satisfiable).
     """
     if world < 3:
         raise ValueError("chaos campaigns need world >= 3 (a kill must leave >= 2)")

@@ -71,6 +71,9 @@ from typing import Any
 
 import numpy as np
 
+BACKOFF_MULTIPLIER = 2.0  # each retry's backoff over the previous one
+MAX_BACKOFF_S = 0.25  # the backoff's cap
+
 
 class TransientCollectiveFault(RuntimeError):
     """A collective attempt failed transiently; the caller may retry."""
@@ -87,33 +90,28 @@ class RankKilledError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry/backoff/deadline policy for transient collective faults.
+    """Retry/backoff policy for transient collective faults.
 
     ``max_attempts`` counts *total* tries (first try + retries). The
     backoff before retry ``k`` (1-based failure count) is
-    ``base_backoff_s * backoff_multiplier**(k-1)`` capped at
-    ``max_backoff_s``. ``deadline_s``, when set, bounds the wall-clock
-    budget of one logical collective across all its attempts; a retry
-    that would overshoot the deadline escalates instead of sleeping.
+    ``base_backoff_s * BACKOFF_MULTIPLIER**(k-1)`` capped at
+    ``MAX_BACKOFF_S``.
     """
 
     max_attempts: int = 4
     base_backoff_s: float = 0.005
-    backoff_multiplier: float = 2.0
-    max_backoff_s: float = 0.25
-    deadline_s: float | None = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
+        if self.base_backoff_s < 0:
             raise ValueError("backoff times must be non-negative")
 
     def backoff_s(self, failure_count: int) -> float:
         """Sleep before the retry following the ``failure_count``-th failure."""
         return min(
-            self.base_backoff_s * self.backoff_multiplier ** max(failure_count - 1, 0),
-            self.max_backoff_s,
+            self.base_backoff_s * BACKOFF_MULTIPLIER ** max(failure_count - 1, 0),
+            MAX_BACKOFF_S,
         )
 
 

@@ -155,29 +155,21 @@ class ProcessGroup(RankDoors):
         ``RetryPolicy``) while its peers wait at the rendezvous — once the
         fault clears, the exchange happens exactly once and the result is
         bitwise identical to a fault-free run. Every failed attempt is
-        recorded in this rank's ledger. Exhausted retries (or a blown
-        per-collective deadline) and permanent kills abort the fabric so
-        *all* ranks raise promptly.
+        recorded in this rank's ledger. Exhausted retries and permanent
+        kills abort the fabric so *all* ranks raise promptly.
         """
         if self.on_carrying:
             value = self._ask("_carrying", rank, value, op, "pre")
         if not self.on_attempting:
             return value
         policy = self.fabric.retry_policy
-        deadline = (
-            time.monotonic() + policy.deadline_s
-            if policy.deadline_s is not None
-            else None
-        )
         attempt = 1
         while True:
             try:
                 self._tell("_attempting", rank, op)
             except TransientCollectiveFault as fault:
                 backoff = policy.backoff_s(attempt)
-                exhausted = attempt >= policy.max_attempts or (
-                    deadline is not None and time.monotonic() + backoff > deadline
-                )
+                exhausted = attempt >= policy.max_attempts
                 ledger = self._ledgers.get(rank)
                 if ledger is not None:
                     ledger.record_retry(
@@ -325,9 +317,9 @@ class ProcessGroup(RankDoors):
             out = self._ask("_carrying", rank, out, "all_reduce", "post")
         return out
 
-    def reduce(self, rank: int, array: np.ndarray, dst: int, phase: str = "") -> np.ndarray | None:
+    def reduce(self, rank: int, array: np.ndarray, dst: int) -> np.ndarray | None:
         """Sum to the group member with global rank ``dst``; others get None."""
-        return self.coalesced(rank, "reduce", [dst], [array], phase=phase)[0]
+        return self.coalesced(rank, "reduce", [dst], [array])[0]
 
     def reduce_scatter(self, rank: int, array: np.ndarray) -> np.ndarray:
         """Sum a full-length array; each rank keeps its 1/N shard.

@@ -181,8 +181,8 @@ class CommLedger:
 
     # -- aggregation -------------------------------------------------------
 
-    def nominal_bytes(self, *, op: str | None = None, phase: str | None = None) -> float:
-        return sum(e.nominal_bytes for e in self._select(op, phase))
+    def nominal_bytes(self, *, phase: str | None = None) -> float:
+        return sum(e.nominal_bytes for e in self.events if phase is None or e.phase == phase)
 
     def exact_bytes(self) -> float:
         return sum(e.exact_bytes for e in self.events)
@@ -202,10 +202,3 @@ class CommLedger:
             totals[normalize_phase(e.phase)] += e.nominal_bytes
         return dict(totals)
 
-    def _select(self, op: str | None, phase: str | None):
-        for e in self.events:
-            if op is not None and e.op != op:
-                continue
-            if phase is not None and e.phase != phase:
-                continue
-            yield e

@@ -23,13 +23,13 @@ def all_gather_flat(
     shard_numel: int,
     dtype,
     is_meta: bool,
-    phase: str = "",
 ) -> np.ndarray | None:
-    """Own shard in, full concatenated vector out."""
+    """Own shard in, full concatenated vector out (phase
+    ``param-allgather``)."""
     if is_meta:
         full_bytes = shard_numel * group.size * dtype_size(np.dtype(dtype))
-        group.meta_collective(rank, "all_gather", full_bytes, phase)
+        group.meta_collective(rank, "all_gather", full_bytes, "param-allgather")
         return None
     if shard is None or shard.shape != (shard_numel,):
         raise ValueError(f"all_gather_flat needs a ({shard_numel},) shard in real mode")
-    return group.all_gather(rank, shard, phase=phase)
+    return group.all_gather(rank, shard, phase="param-allgather")

@@ -14,26 +14,18 @@ import numpy as np
 from repro.utils.seeding import rng_for
 
 ZIPF_A = 1.2  # the unigram's Zipf exponent
+MARKOV_WEIGHT = 0.5  # share of tokens drawn from the predecessor's successors
+MARKOV_FANOUT = 4  # successors each token prefers
 
 
 class SyntheticCorpus:
     """Zipf + Markov token stream with per-rank deterministic batches."""
 
-    def __init__(
-        self,
-        vocab_size: int,
-        *,
-        seed: int = 1234,
-        markov_weight: float = 0.5,
-        markov_fanout: int = 4,
-    ):
+    def __init__(self, vocab_size: int, *, seed: int = 1234):
         if vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-        if not 0.0 <= markov_weight <= 1.0:
-            raise ValueError(f"markov_weight must be in [0, 1], got {markov_weight}")
         self.vocab_size = vocab_size
         self.seed = seed
-        self.markov_weight = markov_weight
         rng = rng_for(seed, "corpus-structure")
         ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
         self.unigram = ranks**-ZIPF_A
@@ -44,7 +36,7 @@ class SyntheticCorpus:
         self._unigram_cdf = self.unigram.cumsum()
         self._unigram_cdf /= self._unigram_cdf[-1]
         # Each token deterministically prefers a few successor tokens.
-        self.successors = rng.integers(0, vocab_size, size=(vocab_size, markov_fanout))
+        self.successors = rng.integers(0, vocab_size, size=(vocab_size, MARKOV_FANOUT))
 
     def sample_batch(
         self, batch: int, seq_len: int, *, rank: int, step: int
@@ -60,7 +52,7 @@ class SyntheticCorpus:
         tokens[:, 0] = cdf.searchsorted(rng.random(batch), side="right")
         fanout = self.successors.shape[1]
         for t in range(1, seq_len + 1):
-            use_markov = rng.random(batch) < self.markov_weight
+            use_markov = rng.random(batch) < MARKOV_WEIGHT
             succ_pick = self.successors[tokens[:, t - 1], rng.integers(0, fanout, size=batch)]
             fresh = cdf.searchsorted(rng.random(batch), side="right")
             tokens[:, t] = np.where(use_markov, succ_pick, fresh)

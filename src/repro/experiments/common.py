@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.analysis.max_model import _largest
 from repro.comm.virtual import VirtualGroup
-from repro.hardware.specs import GPUSpec, V100_32GB
 from repro.memsim.errors import OutOfMemoryError
 from repro.nn.transformer import GPTConfig
 from repro.runtime import RankContext, virtual_rank_context
@@ -97,13 +96,11 @@ def meta_memory_step(
     mp: int,
     batch: int,
     seq_len: int = SEQ_LEN,
-    gpu: GPUSpec = V100_32GB,
-    md_region_bytes: int | None = None,
-    steps: int = 1,
     memprof: bool = False,
 ) -> MetaMemoryResult:
-    """Run ``steps`` meta-mode training steps on one virtual rank and report
-    the allocator's peak/cached figures (the Figure 7 measurement).
+    """Run one meta-mode training step on one virtual rank of V100s and
+    report the allocator's peak/cached figures (the Figure 7 measurement).
+    A config that defragments gets a 2 GB MD region.
 
     With ``memprof=True`` a ``MemoryProfiler`` with ``self_check=True``
     rides along: every allocation is attributed to a ZeRO state class and
@@ -112,9 +109,7 @@ def meta_memory_step(
     invariant for the Figure 7 reproduction). OOMs then carry a
     postmortem whose advisor hint is surfaced as ``oom_hint``.
     """
-    ctx = virtual_rank_context(n_gpus, gpu=gpu)
-    if md_region_bytes is None and zero.memory_defrag:
-        md_region_bytes = int(2 * GB)
+    ctx = virtual_rank_context(n_gpus)
     profiler = None
     if memprof:
         from repro.memprof import MemoryProfiler, Workload
@@ -147,10 +142,9 @@ def meta_memory_step(
     try:
         engine, ids, targets = meta_engine(
             ctx, model_config, zero, mp=mp, batch=batch, seq_len=seq_len,
-            md_region_bytes=md_region_bytes,
+            md_region_bytes=int(2 * GB) if zero.memory_defrag else None,
         )
-        for _ in range(steps):
-            engine.train_step(ids, targets)
+        engine.train_step(ids, targets)
     except OutOfMemoryError as exc:
         hint = ""
         if exc.postmortem is not None:

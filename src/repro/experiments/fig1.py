@@ -46,16 +46,16 @@ def analytic_rows() -> list[Fig1Row]:
     ]
 
 
-def measured_bytes_per_param(stage: int, world_size: int = 4) -> float:
+def measured_bytes_per_param(stage: int) -> float:
     """Model-state bytes per parameter measured from a real engine.
 
-    Runs one step on a tiny model over ``world_size`` ranks and reads the
+    Runs one step on a tiny model over four ranks and reads the
     device bytes that persist across steps (params + grads + optimizer
     state), normalized per parameter for comparison with 16, 4+12/Nd etc.
     """
     cfg = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=64, max_seq_len=16)
     gpu = GPUSpec("fig1-gpu", 2 * 10**9, 1e12)
-    cluster = Cluster(world_size, gpu=gpu)
+    cluster = Cluster(4, gpu=gpu)
 
     def run(ctx):
         from repro.data import SyntheticCorpus

@@ -39,10 +39,10 @@ class ClusterTopology:
         object.__setattr__(self, "world_size", size)
 
     @classmethod
-    def for_world_size(cls, world_size: int, node: NodeSpec = DGX2) -> "ClusterTopology":
-        """Smallest cluster of ``node``-type servers holding ``world_size`` ranks."""
-        n_nodes = -(-world_size // node.gpus_per_node)  # ceil division
-        return cls(node=node, n_nodes=n_nodes, world_size=world_size)
+    def for_world_size(cls, world_size: int) -> "ClusterTopology":
+        """Smallest cluster of DGX-2 servers holding ``world_size`` ranks."""
+        n_nodes = -(-world_size // DGX2.gpus_per_node)  # ceil division
+        return cls(node=DGX2, n_nodes=n_nodes, world_size=world_size)
 
     @property
     def pcie(self) -> InterconnectSpec:

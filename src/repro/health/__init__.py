@@ -2,8 +2,8 @@
 
 ``HealthMonitor`` turns the telemetry layer's existing per-step spans and
 priced communication events into per-rank health verdicts (healthy ->
-suspect -> confirmed-slow) with hysteresis, and — when configured — hands
-confirmed stragglers to the Supervisor for eviction via the elastic
+suspect -> confirmed-slow) with hysteresis, and hands confirmed
+stragglers to the Supervisor for eviction via the elastic
 N->M re-shard path. See ``monitor`` for the detector math and
 ``docs/ARCHITECTURE.md`` section 12 for the end-to-end story.
 """

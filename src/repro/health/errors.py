@@ -10,10 +10,9 @@ from __future__ import annotations
 class SlowRankDetectedError(RuntimeError):
     """A rank was confirmed slow by the HealthMonitor.
 
-    Raised (when ``HealthConfig.evict_on_confirm`` is set) from the
-    telemetry step hook of whichever rank thread completed the confirming
-    detector row — the *victim* is ``rank``, which is not necessarily the
-    raising thread. The Supervisor treats this like a rank death: evict
+    Raised from the telemetry step hook of whichever rank thread
+    completed the confirming detector row — the *victim* is ``rank``,
+    which is not necessarily the raising thread. The Supervisor treats this like a rank death: evict
     the victim, re-form the world at N-1 via checkpoint re-sharding, and
     resume.
     """

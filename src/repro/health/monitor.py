@@ -18,28 +18,28 @@ Detector math (row-aligned, deterministic):
   interleaving.
 * Per rank, the observation is the **median of its last ``SMOOTH``
   samples** (de-noises single-step jitter); the baseline is the
-  **median and MAD of the pooled last ``window`` rows across all
+  **median and MAD of the pooled last ``WINDOW`` rows across all
   ranks** (robust to <50% contamination, so the straggler's own inflated
   samples cannot drag the baseline up).
 * A rank is *anomalous* on a row when both its robust z-score
   ``(x - med) / (1.4826 * MAD_floored)`` exceeds ``Z_THRESHOLD`` **and**
-  its slowdown ratio ``x / med`` exceeds ``slowdown_threshold``. The MAD
+  its slowdown ratio ``x / med`` exceeds ``SLOWDOWN_THRESHOLD``. The MAD
   is floored at ``MAD_FLOOR_REL * med`` so noiseless (zero-jitter) runs
   do not divide by zero, and the ratio gate keeps small-sigma jitter
   from ever looking anomalous no matter how tight the MAD gets.
 * Verdict state machine with hysteresis::
 
-      healthy --anomalous x suspect_after--> suspect
-      suspect --anomalous x confirm_after--> confirmed-slow
-      suspect --clean x clear_after--> healthy     (streaks reset)
+      healthy --anomalous x SUSPECT_AFTER--> suspect
+      suspect --anomalous x CONFIRM_AFTER--> confirmed-slow
+      suspect --clean x CLEAR_AFTER--> healthy     (streaks reset)
 
-  On confirm (``evict_on_confirm``) the evaluating thread raises
+  On confirm the evaluating thread raises
   ``SlowRankDetectedError`` naming the victim; the Supervisor evicts it
   through the same elastic N->M re-shard path a dead rank takes.
 
 Link health rides the same event stream: every priced collective event
-updates a per-rank EWMA of seconds-per-byte, compared against a baseline
-captured from the rank's first few events. A degraded link inflates the
+updates a per-rank EWMA (weight ``EWMA_ALPHA``) of seconds-per-byte,
+compared against a baseline captured from the rank's first few events. A degraded link inflates the
 alpha-beta price of every group containing it — symmetrically, for all
 members — so the EWMA separates *link* causes from *compute* causes
 (throttled GPUs pay more compute seconds but unchanged s/byte) in the
@@ -74,36 +74,23 @@ MAD_FLOOR_REL = 0.02  # MAD floor as a fraction of the median
 LINK_BASELINE_EVENTS = 8  # events pooled into the link baseline
 LINK_THRESHOLD = 2.0  # EWMA / baseline ratio -> degraded
 MIN_LINK_BYTES = 1024  # ignore latency-dominated tiny messages
+# The thresholds confirm a persistent ~4x straggler within half a dozen
+# steps while sigma<=0.1 jitter never leaves ``healthy`` (the ratio gate
+# alone guarantees that).
+WINDOW = 16  # pooled baseline rows (median + MAD)
+SLOWDOWN_THRESHOLD = 1.5  # x / median ratio gate
+SUSPECT_AFTER = 2  # consecutive anomalous rows -> suspect
+CONFIRM_AFTER = 4  # consecutive anomalous rows -> confirmed
+CLEAR_AFTER = 2  # consecutive clean rows -> healthy again
+EWMA_ALPHA = 0.3  # link s/byte EWMA weight
+RECOVERY_TOLERANCE = 0.10  # the recovery contract's step-time band
 
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Detector thresholds. Defaults confirm a persistent ~4x straggler
-    within half a dozen steps while sigma<=0.1 jitter never leaves
-    ``healthy`` (the ratio gate alone guarantees that)."""
-
-    window: int = 16            # pooled baseline rows (median + MAD)
-    slowdown_threshold: float = 1.5  # x / median ratio gate
-    suspect_after: int = 2      # consecutive anomalous rows -> suspect
-    confirm_after: int = 4      # consecutive anomalous rows -> confirmed
-    clear_after: int = 2        # consecutive clean rows -> healthy again
-    ewma_alpha: float = 0.3     # link s/byte EWMA weight
-    evict_on_confirm: bool = True    # raise SlowRankDetectedError on confirm
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.slowdown_threshold <= 1.0:
-            raise ValueError("slowdown_threshold must be > 1")
-        if min(self.suspect_after, self.confirm_after, self.clear_after) < 1:
-            raise ValueError("hysteresis counts must be >= 1")
-        if self.confirm_after < self.suspect_after:
-            raise ValueError(
-                f"confirm_after {self.confirm_after} must be >= "
-                f"suspect_after {self.suspect_after}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
+    """The monitor's configuration. The detector's thresholds are the
+    module constants above; a confirm always raises
+    ``SlowRankDetectedError``."""
 
 
 @dataclass(frozen=True)
@@ -131,23 +118,21 @@ class RecoveryReport:
     steps: int
 
 
-def verify_recovery(
-    step_durations, predicted_step_s: float, *, tolerance: float = 0.10,
-) -> RecoveryReport:
+def verify_recovery(step_durations, predicted_step_s: float) -> RecoveryReport:
     """The throughput-recovery contract: post-eviction simulated step time
-    must sit within ``tolerance`` of the healthy-world analytic
+    must sit within ``RECOVERY_TOLERANCE`` of the healthy-world analytic
     prediction (``analysis.sim_time`` / a fault-free cost model)."""
     durations = [float(d) for d in step_durations]
     if not durations or predicted_step_s <= 0:
-        return RecoveryReport(False, 0.0, predicted_step_s, 0.0, tolerance, 0)
+        return RecoveryReport(False, 0.0, predicted_step_s, 0.0, RECOVERY_TOLERANCE, 0)
     mean = sum(durations) / len(durations)
     ratio = mean / predicted_step_s
     return RecoveryReport(
-        ok=abs(ratio - 1.0) <= tolerance,
+        ok=abs(ratio - 1.0) <= RECOVERY_TOLERANCE,
         mean_step_s=mean,
         predicted_step_s=predicted_step_s,
         ratio=ratio,
-        tolerance=tolerance,
+        tolerance=RECOVERY_TOLERANCE,
         steps=len(durations),
     )
 
@@ -176,25 +161,19 @@ class _RankState:
 class HealthMonitor:
     """Per-rank fail-slow verdicts from bridged telemetry samples.
 
-    Attach through the session (``TelemetrySession(health=...)``); the
-    tracers call ``on_step`` / ``on_comm_event`` and the ``Cluster``
-    binds the world size (``bind_world``) at launch — a Supervisor
-    relaunch therefore resets the detector windows automatically, which
+    Attach through the session (``TelemetrySession(health=...)``, which
+    sets ``registry``); the tracers call ``on_step`` / ``on_comm_event``
+    and the ``Cluster`` binds the world size (``bind_world``) at launch —
+    a Supervisor relaunch therefore resets the detector windows automatically, which
     is required: survivor ranks are renumbered and the world shrinks, so
     stale per-rank history would both misattribute and stall row
     completion.
     """
 
-    def __init__(
-        self,
-        config: HealthConfig | None = None,
-        *,
-        world_size: int | None = None,
-        registry=None,
-    ):
+    def __init__(self, config: HealthConfig | None = None):
         self.config = config or HealthConfig()
-        self.registry = registry
-        self.world_size = world_size
+        self.registry = None
+        self.world_size: int | None = None
         self._lock = threading.Lock()
         self._ranks: dict[int, _RankState] = {}
         self._rows_evaluated = 0
@@ -252,10 +231,9 @@ class HealthMonitor:
 
     def on_step(self, tracer, duration_s: float) -> None:
         """One completed ``step`` span on ``tracer``'s rank. Appends the
-        sample, evaluates every newly completed row, and — on a confirm
-        with ``evict_on_confirm`` — raises ``SlowRankDetectedError``
-        from this thread (the victim is named in the error; the
-        Supervisor treats it like a rank death)."""
+        sample, evaluates every newly completed row, and — on a confirm —
+        raises ``SlowRankDetectedError`` from this thread (the victim is
+        named in the error; the Supervisor treats it like a rank death)."""
         new_transitions: list[HealthTransition] = []
         evict: HealthTransition | None = None
         with self._lock:
@@ -265,11 +243,7 @@ class HealthMonitor:
             while self._row_complete_locked():
                 for tr in self._evaluate_row_locked(self._rows_evaluated):
                     new_transitions.append(tr)
-                    if (
-                        tr.after == CONFIRMED
-                        and self.config.evict_on_confirm
-                        and tr.rank not in self._raised_for
-                    ):
+                    if tr.after == CONFIRMED and tr.rank not in self._raised_for:
                         self._raised_for.add(tr.rank)
                         evict = tr
                 self._rows_evaluated += 1
@@ -305,10 +279,9 @@ class HealthMonitor:
                 state.link_samples.append(sec_per_byte)
                 if len(state.link_samples) == LINK_BASELINE_EVENTS:
                     state.link_baseline = float(np.median(state.link_samples))
-            a = self.config.ewma_alpha
             state.link_ewma = (
                 sec_per_byte if state.link_ewma is None
-                else a * sec_per_byte + (1.0 - a) * state.link_ewma
+                else EWMA_ALPHA * sec_per_byte + (1.0 - EWMA_ALPHA) * state.link_ewma
             )
             if state.link_baseline:
                 factor = state.link_ewma / state.link_baseline
@@ -343,8 +316,7 @@ class HealthMonitor:
         )
 
     def _evaluate_row_locked(self, row: int) -> list[HealthTransition]:
-        cfg = self.config
-        lo = max(0, row - cfg.window + 1)
+        lo = max(0, row - WINDOW + 1)
         pooled = [
             self._ranks[r].samples[j]
             for r in range(self.world_size)
@@ -363,7 +335,7 @@ class HealthMonitor:
             anomalous = (
                 row + 1 >= MIN_HISTORY
                 and state.z > Z_THRESHOLD
-                and state.slowdown > cfg.slowdown_threshold
+                and state.slowdown > SLOWDOWN_THRESHOLD
             )
             before = state.verdict
             if anomalous:
@@ -371,19 +343,19 @@ class HealthMonitor:
                 state.clean_streak = 0
                 if (
                     state.verdict == HEALTHY
-                    and state.anomalous_streak >= cfg.suspect_after
+                    and state.anomalous_streak >= SUSPECT_AFTER
                 ):
                     state.verdict = SUSPECT
                 if (
                     state.verdict == SUSPECT
-                    and state.anomalous_streak >= cfg.confirm_after
+                    and state.anomalous_streak >= CONFIRM_AFTER
                 ):
                     state.verdict = CONFIRMED
             else:
                 state.clean_streak += 1
                 state.anomalous_streak = 0
                 # Confirmed is sticky: remediation, not recovery, clears it.
-                if state.verdict == SUSPECT and state.clean_streak >= cfg.clear_after:
+                if state.verdict == SUSPECT and state.clean_streak >= CLEAR_AFTER:
                     state.verdict = HEALTHY
             if self.registry is not None:
                 self.registry.gauge("health_verdict", rank=r).set(

@@ -2,10 +2,9 @@
 engine, and memory-centric tiling.
 
 One device -> host -> NVMe hierarchy serves ZeRO-Offload (the placement
-that stops at the host) and ZeRO-Infinity alike: ``TierTopology``
-describes the stack one GPU sees (per-
-tier capacity + alpha-beta links from ``repro.hardware``), ``TierStream``
-schedules full-duplex transfers per link, ``InfinityConfig`` assigns each
+that stops at the host) and ZeRO-Infinity alike: the stack one GPU sees
+(per-tier capacity + alpha-beta links) is ``repro.hardware`` truth,
+``TierStream`` schedules full-duplex transfers per link, ``InfinityConfig`` assigns each
 ZeRO state class (fp16 params, grads, fp32 optimizer state) to a tier,
 ``repro.infinity.schedule.evaluate_step`` lays one step's movement out
 against compute, and ``InfinityEngine`` captures each step and keeps the
@@ -22,9 +21,7 @@ from repro.infinity.engine import InfinityEngine, InfinityStepReport
 from repro.infinity.schedule import OPT_STATE_BYTES_PER_ELEM
 from repro.infinity.tiers import (
     TIER_NAMES,
-    Tier,
     TierStream,
-    TierTopology,
     TransferHandle,
     wire_seconds,
 )
@@ -36,9 +33,7 @@ __all__ = [
     "InfinityStepReport",
     "OPT_STATE_BYTES_PER_ELEM",
     "TIER_NAMES",
-    "Tier",
     "TierStream",
-    "TierTopology",
     "TilePlan",
     "TransferHandle",
     "plan_unit_tiles",

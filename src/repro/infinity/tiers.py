@@ -2,9 +2,9 @@
 
 ZeRO-Infinity's central abstraction is a *memory hierarchy*: each rung has
 a capacity and is reached over a full-duplex link with alpha-beta cost.
-``Tier`` describes one rung, ``TierTopology`` the ordered stack one GPU
-sees (built from ``repro.hardware`` specs so capacities and link numbers
-are hardware truth), and ``TierStream`` the per-link transfer scheduler.
+The capacities and links are ``repro.hardware`` truth (``ClusterTopology``'s
+``pcie`` / ``nvme`` links and per-GPU shares); ``TierStream`` is the
+per-link transfer scheduler.
 
 ``TierStream`` models one link as two independent lanes (full duplex: one
 away from the device, one toward it — traffic in opposite directions does
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.comm.ledger import CommLedger
 from repro.hardware.specs import InterconnectSpec
-from repro.hardware.topology import ClusterTopology
 
 #: canonical tier names, ordered from fastest to coldest.
 TIER_NAMES = ("device", "host", "nvme")
@@ -32,69 +31,6 @@ def wire_seconds(link: InterconnectSpec, nbytes: int | float) -> float:
     if nbytes <= 0:
         return 0.0
     return link.latency_s + nbytes / link.bandwidth_bytes_per_s
-
-
-@dataclass(frozen=True)
-class Tier:
-    """One rung of the hierarchy: a capacity behind a (possibly None) link.
-
-    ``link`` is the hop from the *previous* (faster) tier: the device tier
-    has no link, host is behind PCIe, NVMe behind the drive array's
-    effective per-GPU bandwidth.
-    """
-
-    name: str
-    capacity_bytes: int
-    link: InterconnectSpec | None = None
-
-    def __post_init__(self):
-        if self.name not in TIER_NAMES:
-            raise ValueError(f"tier name must be one of {TIER_NAMES}, got {self.name!r}")
-        if self.capacity_bytes <= 0:
-            raise ValueError(f"tier capacity must be positive, got {self.capacity_bytes}")
-
-
-@dataclass(frozen=True)
-class TierTopology:
-    """The ordered tier stack one rank sees (fastest first).
-
-    Built from hardware specs via ``from_cluster`` so per-tier capacities
-    (device HBM, DRAM share, NVMe share) and link alpha-beta numbers stay
-    anchored to ``repro.hardware``.
-    """
-
-    tiers: tuple[Tier, ...]
-
-    def __post_init__(self):
-        names = [t.name for t in self.tiers]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tier names: {names}")
-        if not self.tiers or names[0] != "device":
-            raise ValueError("tier stack must start at the device tier")
-        if self.tiers[0].link is not None:
-            raise ValueError("the device tier has no upstream link")
-        for t in self.tiers[1:]:
-            if t.link is None:
-                raise ValueError(f"non-device tier {t.name!r} needs a link")
-
-    @classmethod
-    def from_cluster(cls, topology: ClusterTopology) -> "TierTopology":
-        """Device -> host -> NVMe stack for one GPU of ``topology``: the
-        per-GPU fair shares of capacity over the node's own links."""
-        node = topology.node
-        return cls(
-            tiers=(
-                Tier("device", node.gpu.memory_bytes),
-                Tier("host", topology.host_bytes_per_gpu, node.pcie),
-                Tier("nvme", topology.nvme_bytes_per_gpu, node.nvme),
-            )
-        )
-
-    def tier(self, name: str) -> Tier:
-        for t in self.tiers:
-            if t.name == name:
-                return t
-        raise KeyError(f"no tier named {name!r} in {[t.name for t in self.tiers]}")
 
 
 @dataclass

@@ -5,8 +5,8 @@ ring (1) runs the engine's shard-digest guard before saving, so known-
 corrupted state never becomes a "verified" checkpoint, (2) verifies the
 written files (completeness, step agreement, per-array checksums — see
 ``zero/checkpoint_io``) immediately after the save, and (3) prunes
-verified checkpoints beyond the newest K, bounding disk usage while
-always keeping a rollback target.
+verified checkpoints beyond the newest ``KEEP``, bounding disk usage
+while always keeping a rollback target.
 
 A save that fails post-write verification (e.g. injected bit rot) is
 reported — not raised — and the previous verified checkpoint remains the
@@ -25,6 +25,8 @@ import shutil
 
 import numpy as np
 
+KEEP = 3  # verified checkpoints the ring retains
+
 
 def _ckpt_io():
     # Deferred: checkpoint_io itself imports repro.integrity.digest (for
@@ -35,13 +37,10 @@ def _ckpt_io():
 
 
 class VerifiedCheckpointRing:
-    """Last-K verified checkpoints under one root directory."""
+    """Last-``KEEP`` verified checkpoints under one root directory."""
 
-    def __init__(self, root: str | pathlib.Path, *, keep: int = 3):
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+    def __init__(self, root: str | pathlib.Path):
         self.root = pathlib.Path(root)
-        self.keep = keep
 
     def path_for(self, step: int) -> pathlib.Path:
         return self.root / f"step{step:08d}"
@@ -113,7 +112,7 @@ class VerifiedCheckpointRing:
                 ).add(1)
         if rank == rank0:
             kept = self.verified_checkpoints()
-            for old in kept[: -self.keep]:
+            for old in kept[:-KEEP]:
                 shutil.rmtree(old, ignore_errors=True)
         if group.size > 1:
             group.barrier(rank)  # prune is visible before anyone proceeds

@@ -18,9 +18,9 @@ separate ledger, because ``Device.allocated_bytes`` intentionally excludes
 the defrag region (ZeRO-R MD reserves it up front).
 
 A step-boundary **leak sentinel** (``note_step``/``leak_suspects``) flags
-categories whose live bytes grow monotonically across K consecutive steps
-— the steady-state training loop should return every category to its
-baseline at each optimizer boundary.
+categories whose live bytes grow monotonically across ``LEAK_WINDOW``
+consecutive steps — the steady-state training loop should return every
+category to its baseline at each optimizer boundary.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from collections import deque
 
 from repro.memprof import provenance
 from repro.memprof.provenance import CATEGORIES, _tls, classify_tag
+
+LEAK_WINDOW = 3  # step boundaries of strict growth that flag a leak
 
 
 class _LiveBlock:
@@ -50,14 +52,6 @@ class MemoryProfiler:
     ----------
     device:
         A ``memsim.Device`` or ``memsim.HostMemory``.
-    tracer:
-        Optional ``repro.telemetry.Tracer``; when given, every allocator
-        event emits a ``memprof/<category>`` counter sample, rendering as
-        per-category allocated-bytes counter tracks in the Chrome trace.
-    registry:
-        Optional ``repro.telemetry.MetricsRegistry``; live/peak bytes per
-        category are kept in ``memprof_live_bytes`` / ``memprof_peak_bytes``
-        gauges labelled by category and pool name.
     self_check:
         Verify the accounting invariant on *every* alloc/free (cheap int
         compare; used by the Figure 7 reproduction to prove attribution is
@@ -74,16 +68,12 @@ class MemoryProfiler:
         self,
         device,
         *,
-        tracer=None,
-        registry=None,
         self_check: bool = False,
         workload=None,
     ):
         if getattr(device, "profiler", None) is not None:
             raise ValueError(f"{getattr(device, 'name', device)}: profiler already attached")
         self.device = device
-        self.tracer = tracer
-        self.registry = registry
         self.self_check = self_check
         self.workload = workload
         self.pool_name = getattr(device, "name", "device")
@@ -167,8 +157,6 @@ class MemoryProfiler:
         combined = self.live_by_category[category] + self.md_live_by_category[category]
         if combined > self.peak_by_category[category]:
             self.peak_by_category[category] = combined
-        if self.tracer is not None or self.registry is not None:
-            self._publish(category, combined)
         self.n_events += 1
         if self.self_check:
             self.verify_accounting()
@@ -189,25 +177,9 @@ class MemoryProfiler:
         else:
             self.live_by_category[block.category] -= block.size
             self._main_live -= block.size
-        if self.tracer is not None or self.registry is not None:
-            self._publish(
-                block.category,
-                self.live_by_category[block.category] + self.md_live_by_category[block.category],
-            )
         self.n_events += 1
         if self.self_check:
             self.verify_accounting()
-
-    def _publish(self, category: str, value: int) -> None:
-        if self.tracer is not None:
-            self.tracer.counter(f"memprof/{category}", value)
-        if self.registry is not None:
-            self.registry.gauge(
-                "memprof_live_bytes", category=category, pool=self.pool_name
-            ).set(value)
-            self.registry.gauge(
-                "memprof_peak_bytes", category=category, pool=self.pool_name
-            ).set_max(value)
 
     def recategorize(self, extent, category: str, site: str = "") -> None:
         """Re-attribute an already-live extent to a new owner/category.
@@ -228,15 +200,12 @@ class MemoryProfiler:
         else:
             self.live_by_category[block.category] -= block.size
             self.live_by_category[category] += block.size
-        old = block.category
         block.category = category
         if site:
             block.site = site
         combined = self.live_by_category[category] + self.md_live_by_category[category]
         if combined > self.peak_by_category[category]:
             self.peak_by_category[category] = combined
-        self._publish(old, self.live_by_category[old] + self.md_live_by_category[old])
-        self._publish(category, combined)
 
     # -- invariants ------------------------------------------------------
 
@@ -270,9 +239,11 @@ class MemoryProfiler:
             }
         )
 
-    def leak_suspects(self, k: int = 3) -> list[str]:
+    def leak_suspects(self) -> list[str]:
         """Categories whose live bytes grew strictly monotonically across
-        the last ``k`` step boundaries. Empty until k+1 boundaries exist."""
+        the last ``LEAK_WINDOW`` step boundaries. Empty until
+        ``LEAK_WINDOW + 1`` boundaries exist."""
+        k = LEAK_WINDOW
         hist = list(self._step_history)
         if len(hist) < k + 1:
             return []

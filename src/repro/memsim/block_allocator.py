@@ -16,6 +16,11 @@ from typing import NamedTuple
 
 from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemoryError
 
+#: every allocation's granularity, in bytes: the CUDA caching allocator's
+#: minimum block size
+ALIGNMENT = 512
+ALIGN_MASK = ALIGNMENT - 1
+
 
 class Extent(NamedTuple):
     """A pool's block: a contiguous byte range and the pool that owns it.
@@ -80,20 +85,14 @@ class AllocatorStats:
 class BlockAllocator:
     """First-fit allocator with split-on-alloc and coalesce-on-free.
 
-    Alignment: every allocation is rounded up to ``alignment`` bytes (default
-    512, matching the CUDA caching allocator's minimum block granularity).
+    Alignment: every allocation is rounded up to ``ALIGNMENT`` bytes.
     ``pool`` is the name stamped on every extent this allocator hands out.
     """
 
-    def __init__(
-        self, capacity: int, *, alignment: int = 512, name: str = "gpu", pool: str = "main"
-    ):
+    def __init__(self, capacity: int, *, name: str = "gpu", pool: str = "main"):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if alignment <= 0 or alignment & (alignment - 1):
-            raise ValueError(f"alignment must be a positive power of two, got {alignment}")
         self.capacity = int(capacity)
-        self.alignment = alignment
         self.name = name
         self.pool = pool
         # Free list kept sorted by offset; live extents and their owners'
@@ -171,8 +170,7 @@ class BlockAllocator:
         """Size after alignment rounding (what an allocation actually consumes)."""
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
-        mask = self.alignment - 1
-        return (int(size) + mask) & ~mask
+        return (int(size) + ALIGN_MASK) & ~ALIGN_MASK
 
     # -- allocate / free -------------------------------------------------
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from repro.memsim.block_allocator import BlockAllocator, Extent, _tag_of
+from repro.memsim.block_allocator import ALIGN_MASK, ALIGNMENT, BlockAllocator, Extent, _tag_of
 from repro.memsim.errors import InvalidFreeError
 
 # A cached block may be reused un-split if the request wastes at most this
@@ -63,9 +63,9 @@ class Transition:
     The run is a list of ints over numbered *slots*: a positive ``size``
     allocates that many bytes into the next slot (``first``, ``first + 1``,
     ...) and ``~j`` frees slot ``j``. A slot below ``first`` was filled
-    before the run; ``sizes`` holds every slot's aligned size (``mask`` is
-    the alignment less one). The summary assumes each allocation pops its
-    class's stack and each free pushes onto it. ``apply`` builds a *pool*:
+    before the run; ``sizes`` holds every slot's aligned size. The summary
+    assumes each allocation pops its class's stack and each free pushes
+    onto it. ``apply`` builds a *pool*:
     the blocks the run takes from under what it pushed itself, class by
     class, each class's bottom first, then the blocks of the slots it frees
     from before. The summary records, with blocks as pool positions:
@@ -90,11 +90,10 @@ class Transition:
     run made of it can be summarised in turn (``Device.step_transition``).
     """
 
-    __slots__ = ("mask", "n_allocs", "delta", "peak", "checks", "takes", "frees", "puts",
+    __slots__ = ("n_allocs", "delta", "peak", "checks", "takes", "frees", "puts",
                  "survivors", "events", "first", "sizes", "freed_slots", "survivor_slots")
 
-    def __init__(self, events: list[int], first: int, sizes: list[int], mask: int):
-        self.mask = mask
+    def __init__(self, events: list[int], first: int, sizes: list[int]):
         self.events, self.first, self.sizes = events, first, sizes
         # A run-local source is (size, k), the class's k-th block from the
         # top when the run began, or an int, a slot freed from before.
@@ -182,7 +181,6 @@ class CachingAllocator:
 
     def __init__(self, backing: BlockAllocator):
         self.backing = backing
-        self._align_mask = backing.alignment - 1
         # Cached (free but reserved) extents: size -> stack, newest on top.
         # ``_sizes`` holds every key of ``_classes`` in ascending order; a
         # class whose stack has emptied stays until a best-fit search walks
@@ -276,8 +274,7 @@ class CachingAllocator:
         """
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
-        mask = self._align_mask
-        need = (int(size) + mask) & ~mask
+        need = (int(size) + ALIGN_MASK) & ~ALIGN_MASK
         stack = self._classes.get(need)
         if stack:
             extent = stack.pop()
@@ -324,8 +321,6 @@ class CachingAllocator:
         size the summary assumed (it was not an exact hit). ``extents``
         and ``tags`` are per slot: the run reads the extents of the slots
         it frees and writes its survivors', tagged ``tags[slot]``."""
-        if t.mask != self._align_mask:
-            return False
         classes, live = self._classes, self._live
         pool = []
         try:  # a missing class or a stack shallower than ``depth`` raises
@@ -397,7 +392,7 @@ class CachingAllocator:
             # Small block, poor fit: leave it cached, force a fresh allocation.
             return None
         stack.pop()
-        if waste >= self.backing.alignment and block.size >= _SPLIT_THRESHOLD:
+        if waste >= ALIGNMENT and block.size >= _SPLIT_THRESHOLD:
             # Split: return the tail to the device, keep the head.
             self.backing.free(block)
             self._reserved -= block.size

@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, attrgetter
 
 from repro.hardware.specs import GPUSpec, V100_32GB
-from repro.memsim.block_allocator import BlockAllocator, Extent
+from repro.memsim.block_allocator import ALIGN_MASK, BlockAllocator, Extent
 from repro.memsim.caching_allocator import CachingAllocator, Transition
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 from repro.utils.doors import Doors
@@ -76,7 +76,7 @@ class Device(Doors):
         self._noted_live: dict[int, int] = {}
         self._noted_outside = False
         self._stepped: tuple[list, Transition] = (
-            [], Transition([], 0, [], self.raw.alignment - 1)
+            [], Transition([], 0, [])
         )
 
     # -- ZeRO-R MD (memory defragmentation, Section 6.3) --------------------
@@ -235,7 +235,7 @@ class Device(Doors):
             return None
         stepped = self._stepped
         if stepped[0] != noted:
-            stepped = self._stepped = (noted, _summarise(noted, self.cache._align_mask))
+            stepped = self._stepped = (noted, _summarise(noted))
         return stepped[1]
 
     def tag_of(self, extent: Extent) -> str:
@@ -310,7 +310,7 @@ _RUN_STRIDE = 1 << 40
 _handle = attrgetter("handle")
 
 
-def _summarise(noted: list, mask: int) -> Transition:
+def _summarise(noted: list) -> Transition:
     """A closed step's notes as one run over its own allocations, numbered
     in the order it made them. A note is a door's allocation (its
     requested size), a door's free (``~ref`` of the block), or an applied
@@ -340,11 +340,11 @@ def _summarise(noted: list, mask: int) -> Transition:
                     events.append(~(base + j - first) if j >= first else ~outside[j])
         elif note > 0:
             slot_of[i] = len(sizes)
-            sizes.append((int(note) + mask) & ~mask)
+            sizes.append((int(note) + ALIGN_MASK) & ~ALIGN_MASK)
             events.append(note)
         else:
             events.append(~slot(~note))
-    return Transition(events, 0, sizes, mask)
+    return Transition(events, 0, sizes)
 
 
 class HostMemory(Doors):

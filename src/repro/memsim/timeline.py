@@ -38,13 +38,10 @@ class MemorySample:
 class MemoryTimeline:
     """Samples the device on every allocator event."""
 
-    def __init__(self, device: Device, *, listener=None):
+    def __init__(self, device: Device):
         self.device = device
         self.samples: list[MemorySample] = []
         self.phase = ""
-        #: optional telemetry bridge: an object with ``on_memory_sample``
-        #: (duck-typed; ``repro.telemetry.Tracer``).
-        self.listener = listener
         self._tag = ""  # the tag of the free under way
         device.subscribe(self)
 
@@ -66,17 +63,14 @@ class MemoryTimeline:
         self._sample(-size, self._tag)
 
     def _sample(self, delta: int, tag: str) -> None:
-        sample = MemorySample(
+        self.samples.append(MemorySample(
             index=len(self.samples),
             allocated=self.device.allocated_bytes,
             reserved=self.device.reserved_bytes,
             delta=delta,
             tag=tag,
             phase=self.phase,
-        )
-        self.samples.append(sample)
-        if self.listener is not None:
-            self.listener.on_memory_sample(sample)
+        ))
 
     # -- caller API ---------------------------------------------------------------
 
@@ -89,9 +83,8 @@ class MemoryTimeline:
 
     # -- analysis ------------------------------------------------------------------
 
-    def peak_allocated(self, phase: str | None = None) -> int:
-        selected = [s for s in self.samples if phase is None or s.phase == phase]
-        return max((s.allocated for s in selected), default=0)
+    def peak_allocated(self) -> int:
+        return max((s.allocated for s in self.samples), default=0)
 
     def phase_peaks(self) -> dict[str, int]:
         """Peak allocated bytes per phase label; samples taken before any

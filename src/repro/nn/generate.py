@@ -20,7 +20,6 @@ def generate(
     *,
     max_new_tokens: int,
     temperature: float = 1.0,
-    top_k: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Greedy (temperature=0) or sampled continuation of ``prompt_ids``.
@@ -50,9 +49,6 @@ def generate(
             nxt = last.argmax(axis=-1)
         else:
             scaled = last / temperature
-            if top_k is not None:
-                kth = np.partition(scaled, -top_k, axis=-1)[:, -top_k][:, None]
-                scaled = np.where(scaled < kth, -np.inf, scaled)
             scaled -= scaled.max(axis=-1, keepdims=True)
             probs = np.exp(scaled)
             probs /= probs.sum(axis=-1, keepdims=True)

@@ -29,7 +29,7 @@ class CausalLMLoss:
         b, s, v = logits.shape
         flat_logits = F.reshape(logits, (b * s, v), tag="loss.logits2d")  # view
         flat_targets = F.reshape(targets, (b * s,), tag="loss.targets")  # view
-        loss, probs = F.cross_entropy(flat_logits, flat_targets, tag="loss")
+        loss, probs = F.cross_entropy(flat_logits, flat_targets)
         cache = Cache()
         cache.own(probs=probs)
         cache.ref(targets=flat_targets, logits_shape=logits.shape, dtype=logits.dtype)
@@ -37,9 +37,7 @@ class CausalLMLoss:
 
     def backward(self, cache: Cache, loss_scale: float = 1.0) -> Tensor:
         probs: Tensor = cache["probs"]
-        dflat = F.cross_entropy_grad(
-            probs, cache["targets"], dtype=cache["dtype"], tag="loss.dlogits"
-        )
+        dflat = F.cross_entropy_grad(probs, cache["targets"], dtype=cache["dtype"])
         if loss_scale != 1.0:
             scaled = F.scale(dflat, loss_scale, tag="loss.dlogits")
             dflat.free()

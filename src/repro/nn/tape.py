@@ -107,6 +107,7 @@ from __future__ import annotations
 from operator import attrgetter
 from weakref import WeakKeyDictionary
 
+from repro.memsim.block_allocator import ALIGN_MASK
 from repro.memsim.caching_allocator import Transition
 from repro.nn.module import Cache
 from repro.tensor.tensor import Tensor, op_result
@@ -132,13 +133,13 @@ def signature(block, inputs: list[Tensor]) -> tuple:
     )
 
 
-def _steps(regions, device) -> list[list]:
+def _steps(regions) -> list[list]:
     """Each region's events, every run of allocator events between two
     tuples replaced by one ``_ALLOCS`` step carrying its ``Transition``;
     ``regions`` holds ``(events, index of the first allocation)``."""
-    mask = device.raw.alignment - 1
     sizes = [
-        (e + mask) & ~mask for events, _ in regions for e in events if e.__class__ is int and e > 0
+        (e + ALIGN_MASK) & ~ALIGN_MASK
+        for events, _ in regions for e in events if e.__class__ is int and e > 0
     ]
     kept = []
     for events, n in regions:
@@ -148,7 +149,7 @@ def _steps(regions, device) -> list[list]:
                 run.append(e)
                 continue
             if len(run) > 1:
-                transition = Transition(run, n, sizes, mask)
+                transition = Transition(run, n, sizes)
                 steps.append((_ALLOCS, transition, run, n))
                 n += transition.n_allocs
             elif run:  # one event is one door call either way: no transition
@@ -348,7 +349,7 @@ class _Tape:
     def __init__(self, rec: _Recorder):
         self.signature = rec.signature
         self.output = rec.output
-        self.regions = _steps(rec.regions, rec.device)
+        self.regions = _steps(rec.regions)
         self.tags = rec.tags
         self._groups = [attrgetter(path + ".group") for path in rec.paths]
         # Every tag and phase, with what follows the block's name prefix
@@ -452,7 +453,7 @@ class ForwardTape:
         kept = _RECOMPUTES.get(rec.block)
         if kept is None or kept[0] is not rec.device or kept[1] != events:
             kept = _RECOMPUTES[rec.block] = (
-                rec.device, events, _steps([(events, 0)], rec.device)[0]
+                rec.device, events, _steps([(events, 0)])[0]
             )
         self.steps = kept[2]
         self.nodes, self.specs, self.allocated = plan

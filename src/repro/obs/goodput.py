@@ -142,17 +142,12 @@ class SLOViolation:
 
 @dataclass(frozen=True)
 class SLOPolicy:
-    """Configurable run-level SLO monitors; ``None`` disables a monitor."""
+    """The run-level goodput SLO; ``None`` disables the monitor."""
 
     min_goodput_pct: float | None = None
-    max_mttr_s: float | None = None
-    max_incidents: int | None = None
 
-    def check(
-        self, report: GoodputReport, incidents: list[Incident],
-        registry=None,
-    ) -> list[SLOViolation]:
-        """Evaluate every armed monitor; structured violations out.
+    def check(self, report: GoodputReport, registry=None) -> list[SLOViolation]:
+        """Evaluate the monitor, if armed; structured violations out.
 
         With a registry attached, each violation also bumps the
         ``slo_violations`` counter labelled by monitor name.
@@ -166,26 +161,6 @@ class SLOPolicy:
                 "min_goodput_pct", self.min_goodput_pct, report.goodput_pct,
                 f"run goodput {report.goodput_pct:.2f}% is below the "
                 f"{self.min_goodput_pct:.2f}% floor",
-            ))
-        for inc in incidents:
-            if (
-                self.max_mttr_s is not None
-                and inc.mttr_s is not None
-                and inc.mttr_s > self.max_mttr_s
-            ):
-                violations.append(SLOViolation(
-                    "max_mttr_s", self.max_mttr_s, inc.mttr_s,
-                    f"incident {inc.index} ({inc.kind}) took "
-                    f"{inc.mttr_s:.6f}s to recover",
-                ))
-        if (
-            self.max_incidents is not None
-            and report.n_incidents > self.max_incidents
-        ):
-            violations.append(SLOViolation(
-                "max_incidents", float(self.max_incidents),
-                float(report.n_incidents),
-                f"{report.n_incidents} incidents (budget {self.max_incidents})",
             ))
         if registry is not None:
             for v in violations:

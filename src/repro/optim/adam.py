@@ -77,8 +77,8 @@ class Adam:
     tests and examples that do not exercise the distributed engines.
     """
 
-    def __init__(self, parameters, hp: AdamHyperparams | None = None):
-        self.hp = hp or AdamHyperparams()
+    def __init__(self, parameters):
+        self.hp = AdamHyperparams()
         self.parameters = list(parameters)
         self.step_count = 0
         self._state: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

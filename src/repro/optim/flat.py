@@ -101,14 +101,12 @@ class FlatLayout:
             flat[s.offset : s.end] = p.data.numpy().reshape(-1).astype(dtype)
         return flat
 
-    def gather_grads(self, dtype=np.float32, *, missing_ok: bool = False) -> np.ndarray:
-        """Concatenate gradients (zeros where a parameter has no grad)."""
+    def gather_grads(self, dtype=np.float32) -> np.ndarray:
+        """Concatenate gradients; every parameter must have one."""
         flat = np.zeros(self.numel, dtype=dtype)
         for p, s in zip(self.parameters, self.slots):
             if p.grad is None:
-                if not missing_ok:
-                    raise ValueError(f"parameter {p.name} has no gradient")
-                continue
+                raise ValueError(f"parameter {p.name} has no gradient")
             flat[s.offset : s.end] = p.grad.numpy().reshape(-1).astype(dtype)
         return flat
 
@@ -322,7 +320,7 @@ class GradRecord:
             kept = self._frees
             if kept is None or kept[0] != sizes:
                 kept = self._frees = (
-                    sizes, Transition([~i for i in range(n)], n, sizes, device.raw.alignment - 1)
+                    sizes, Transition([~i for i in range(n)], n, sizes)
                 )
             if device.apply(kept[1], extents, ()):
                 return

@@ -95,21 +95,13 @@ class MixedPrecisionAdam:
     layout the paper's baseline DP replicates on every rank.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        *,
-        hp: AdamHyperparams | None = None,
-        scaler: LossScaler | None = None,
-    ):
+    def __init__(self, model: Module):
         self.model = model
         self.layout = FlatLayout(model.parameters())
         params = self.layout.parameters
         meta = bool(params) and params[0].data.is_meta
-        self.state = FlatAdamState(
-            self.layout.numel, hp=hp, meta=meta, tag="adam"
-        )
-        self.scaler = scaler or LossScaler(dynamic=False, init_scale=1.0)
+        self.state = FlatAdamState(self.layout.numel, meta=meta, tag="adam")
+        self.scaler = LossScaler(dynamic=False, init_scale=1.0)
         if not meta:
             self.state.init_master(self.layout.gather_params(np.float32))
 

@@ -13,27 +13,19 @@ import numpy as np
 
 GROWTH_FACTOR = 2.0  # the dynamic scale's step up after a clean window
 BACKOFF_FACTOR = 0.5  # and down on an overflow
+GROWTH_INTERVAL = 200  # clean steps in that window
+MIN_SCALE = 1.0  # the dynamic scale's bounds
+MAX_SCALE = 2.0**24
 
 
 class LossScaler:
     """Static or dynamic loss scaler."""
 
-    def __init__(
-        self,
-        init_scale: float = 2.0**15,
-        *,
-        dynamic: bool = True,
-        growth_interval: int = 200,
-        min_scale: float = 1.0,
-        max_scale: float = 2.0**24,
-    ):
+    def __init__(self, init_scale: float = 2.0**15, *, dynamic: bool = True):
         if init_scale <= 0:
             raise ValueError(f"scale must be positive, got {init_scale}")
         self.scale = float(init_scale)
         self.dynamic = dynamic
-        self.growth_interval = growth_interval
-        self.min_scale = min_scale
-        self.max_scale = max_scale
         self.good_steps = 0
         self.n_skipped = 0
 
@@ -51,11 +43,11 @@ class LossScaler:
             self.n_skipped += 1
             self.good_steps = 0
             if self.dynamic:
-                self.scale = max(self.scale * BACKOFF_FACTOR, self.min_scale)
+                self.scale = max(self.scale * BACKOFF_FACTOR, MIN_SCALE)
             return False
         if self.dynamic:
             self.good_steps += 1
-            if self.good_steps >= self.growth_interval:
-                self.scale = min(self.scale * GROWTH_FACTOR, self.max_scale)
+            if self.good_steps >= GROWTH_INTERVAL:
+                self.scale = min(self.scale * GROWTH_FACTOR, MAX_SCALE)
                 self.good_steps = 0
         return True

@@ -32,7 +32,7 @@ from repro.optim.scaler import LossScaler
 from repro.parallel.lifecycle import Lifecycle
 from repro.runtime import RankContext
 from repro.tensor.tensor import Tensor
-from repro.zero.config import ZeROConfig
+from repro.zero.config import CONSTANT_BUFFER_NUMEL, ZeROConfig
 
 
 @dataclass
@@ -187,7 +187,7 @@ class BaseEngine:
                 # ``with_fused_buffer``: nothing reads its bytes, so it
                 # carries none even in real mode.
                 self._cb_buffer = Tensor(
-                    (zero.constant_buffer_numel,), np.dtype(np.float32),
+                    (CONSTANT_BUFFER_NUMEL,), np.dtype(np.float32),
                     data=None, device=ctx.device, tag="cb-fused-buffer",
                 )
         # The tier runtime: owns the transfer streams and the step-time

@@ -112,11 +112,9 @@ class PerfscopeAnalysis:
         return self.graphs[-1] if step is None else self.graph(step)
 
 
-def analyze(source, *, couple: bool = True) -> PerfscopeAnalysis:
+def analyze(source) -> PerfscopeAnalysis:
     """Analyze a run: accepts a ``TelemetrySession``, a rank->Tracer dict,
-    or an iterable of tracers (with Perfscope recording having been on).
-    ``couple=False`` drops the cross-rank rendezvous/p2p edges (see
-    ``build_step_graph``)."""
+    or an iterable of tracers (with Perfscope recording having been on)."""
     if hasattr(source, "tracers"):
         tracers = dict(source.tracers)
     elif isinstance(source, dict):
@@ -124,5 +122,5 @@ def analyze(source, *, couple: bool = True) -> PerfscopeAnalysis:
     else:
         tracers = {t.rank: t for t in source}
     n_steps = max((len(t.step_durations) for t in tracers.values()), default=0)
-    graphs = (build_step_graph(tracers, step, couple=couple) for step in range(n_steps))
+    graphs = (build_step_graph(tracers, step) for step in range(n_steps))
     return PerfscopeAnalysis([g for g in graphs if g is not None])

@@ -373,18 +373,11 @@ def couple_ranks(g: StepGraph) -> None:
     add_fleet_end(g)
 
 
-def build_step_graph(
-    tracers: dict[int, object], step: int, *, couple: bool = True,
-) -> StepGraph | None:
-    """Assemble and schedule one step's fleet graph (None if untraced).
-
-    ``couple=False`` skips the cross-rank rendezvous/p2p edges, leaving
-    each rank's chain on its own local clock — on a pipeline engine
-    (whose local clocks do not contain the bubble waits) this is the
-    configuration where every rank's critical path equals its traced
-    step time exactly; the coupled default reconstructs the true fleet
-    timeline instead.
-    """
+def build_step_graph(tracers: dict[int, object], step: int) -> StepGraph | None:
+    """Assemble and schedule one step's fleet graph (None if untraced),
+    its ranks coupled by the cross-rank rendezvous/p2p edges — the true
+    fleet timeline, which on a pipeline engine shows the bubble waits
+    the local clocks do not contain."""
     from repro.perfscope.runtime_replay import replay_runtime
 
     g = StepGraph(step)
@@ -401,9 +394,6 @@ def build_step_graph(
             _add_main_rank(g, rank, entries, duration)
     if not g.rank_end:
         return None
-    if couple:
-        couple_ranks(g)
-    else:
-        add_fleet_end(g)
+    couple_ranks(g)
     g.schedule()
     return g

@@ -30,8 +30,9 @@ import weakref
 
 import numpy as np
 
-from repro.infinity.tiers import TierStream, TierTopology, wire_seconds
+from repro.infinity.tiers import TierStream, wire_seconds
 from repro.integrity.digest import fast_digest_array
+from repro.redundancy.config import KEEP
 from repro.redundancy.store import BuddyStore, ShardSnapshot
 from repro.tensor.tensor import Tensor
 from repro.zero.owned import ADAM_KEYS, capture
@@ -52,23 +53,14 @@ class RedundancyManager:
         self.world = world
         self.owner = engine.dp_group.group_index(ctx.rank)
         cfg = self.config
-        if cfg.scheme == "replica":
-            self.dst = cfg.replica_holder(self.owner, world)
-            # Ranks whose redundancy lands on *this* rank's tier.
-            self.incoming = tuple(
-                r for r in range(world)
-                if r != self.owner and cfg.replica_holder(r, world) == self.owner
-            )
-        else:
-            self.dst = cfg.parity_holder(self.owner, world)
-            self.incoming = tuple(
-                r for r in range(world)
-                if r != self.owner and cfg.parity_holder(r, world) == self.owner
-            )
-        tiers = TierTopology.from_cluster(ctx.topology)
-        self.tiers = tiers
+        self.dst = cfg.replica_holder(self.owner, world)
+        # Ranks whose replicas land on *this* rank's tier.
+        self.incoming = tuple(
+            r for r in range(world)
+            if r != self.owner and cfg.replica_holder(r, world) == self.owner
+        )
         self.pcie = TierStream(
-            tiers.tier("host").link, ledger=ctx.ledger, rank=ctx.rank,
+            ctx.topology.pcie, ledger=ctx.ledger, rank=ctx.rank,
             directions=("d2h", "h2d"),
         )
         self.refreshes = 0
@@ -84,8 +76,6 @@ class RedundancyManager:
     def on_boundary(self, applied: bool) -> None:
         """Refresh this rank's snapshot after an optimizer boundary."""
         eng = self.engine
-        if eng.step_count % self.config.refresh_every != 0:
-            return
         snap = capture(eng)
         # The record's arrays are live views; a snapshot holds copies.
         snap.shards = {
@@ -171,7 +161,7 @@ class RedundancyManager:
         the same alpha-beta forms over the same links)."""
         total = 0.0
         if d2h_bytes:
-            total += wire_seconds(self.tiers.tier("host").link, d2h_bytes)
+            total += wire_seconds(self.pcie.link, d2h_bytes)
         topo = self.ctx.topology
         if self.dst is not None and out_bytes:
             link = topo.link_for_group(
@@ -188,8 +178,7 @@ class RedundancyManager:
         once (history depth x own and incoming bytes on the host tier)."""
         if self._resident is not None:
             return
-        keep = self.config.keep
-        nbytes = keep * (out_bytes + in_bytes)
+        nbytes = KEEP * (out_bytes + in_bytes)
         if nbytes <= 0:
             return
         self._resident = Tensor(

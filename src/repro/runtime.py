@@ -166,8 +166,6 @@ def virtual_rank_context(
     *,
     rank: int = 0,
     gpu: GPUSpec = V100_32GB,
-    topology: ClusterTopology | None = None,
-    telemetry=None,
 ) -> RankContext:
     """One simulated rank of an arbitrarily large world, no peer threads.
 
@@ -181,11 +179,7 @@ def virtual_rank_context(
     ledger = CommLedger(rank=rank)
     world.attach_ledger(rank, ledger)
     fabric = Fabric(1)
-    topo = topology or ClusterTopology.for_world_size(world_size)
-    tracer = None
-    if telemetry is not None:
-        tracer = telemetry.tracer_for(rank, topology=topo)
-        ledger.listener = tracer
+    topo = ClusterTopology.for_world_size(world_size)
     return RankContext(
         rank=rank,
         world_size=world_size,
@@ -195,7 +189,6 @@ def virtual_rank_context(
         ledger=ledger,
         topology=topo,
         fabric=fabric,
-        tracer=tracer,
         nvme=HostMemory(topo.node.nvme_bytes, name="nvme"),
         _new_group=lambda ranks: VirtualGroup(ranks, member_rank=rank),
     )

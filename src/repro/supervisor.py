@@ -88,7 +88,6 @@ class RestartPolicy:
     """When the supervisor keeps going and when it gives up."""
 
     max_restarts: int = 3       # relaunches before the failure is re-raised
-    min_world_size: int = 1     # below this many survivors, give up
     # Corruption detections attributed to the same rank before that rank
     # is presumed bad hardware and quarantined (elastic shrink by one).
     # Below the threshold a detection triggers a same-world rollback.
@@ -97,8 +96,6 @@ class RestartPolicy:
     def __post_init__(self):
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.min_world_size < 1:
-            raise ValueError(f"min_world_size must be >= 1, got {self.min_world_size}")
         if self.quarantine_after < 1:
             raise ValueError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
@@ -310,8 +307,7 @@ class Supervisor:
                     # the restart (or the give-up) on the supervisor track.
                     self.telemetry.close_open_spans()
                 gave_up = (
-                    restarts > self.policy.max_restarts
-                    or new_world < self.policy.min_world_size
+                    restarts > self.policy.max_restarts or new_world < 1
                 )
                 if self.telemetry is not None:
                     self.telemetry.instant(
@@ -356,11 +352,8 @@ class Supervisor:
                         f"({self.policy.max_restarts} max_restarts)"
                     )
                     raise
-                if new_world < self.policy.min_world_size:
-                    exc.add_note(
-                        f"supervisor gave up: {new_world} survivor(s) is below "
-                        f"min_world_size {self.policy.min_world_size}"
-                    )
+                if new_world < 1:
+                    exc.add_note("supervisor gave up: no rank survived")
                     raise
                 world = new_world
                 continue

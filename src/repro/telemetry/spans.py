@@ -14,9 +14,8 @@ Bridges rather than duplicates:
   and emits a cumulative-comm-volume counter track; every ``RetryEvent``
   becomes an instant event (recorded even while the ledger's volume
   accounting is disabled, matching the ledger's own retry contract).
-* ``MemoryTimeline`` with ``listener=tracer`` — every allocator sample
-  becomes an allocated/reserved-bytes counter track point at the current
-  clock.
+* ``sample_memory(device)`` — each step's start drops an
+  allocated/reserved-bytes counter track point at the current clock.
 
 Spans named ``"step"`` are the per-step unit of account: their durations
 feed the ``step_time_s`` histogram and the per-step summary table.
@@ -239,9 +238,6 @@ class Tracer:
         reserved = device.reserved_bytes
         self.counter("allocated_bytes", allocated)
         self.counter("reserved_bytes", reserved)
-        self._note_allocated(allocated, reserved)
-
-    def _note_allocated(self, allocated: int, reserved: int) -> None:
         if self.step_peak_alloc:
             self.step_peak_alloc[-1] = max(self.step_peak_alloc[-1], allocated)
         if self.registry is not None:
@@ -320,14 +316,6 @@ class Tracer:
                 self.registry.counter(
                     "retries_gave_up", rank=self.rank, op=retry.op
                 ).add(1)
-
-    # -- MemoryTimeline bridge ----------------------------------------------
-
-    def on_memory_sample(self, sample) -> None:
-        """Stamp one allocator sample onto the clock as counter points."""
-        self.counter("allocated_bytes", sample.allocated)
-        self.counter("reserved_bytes", sample.reserved)
-        self._note_allocated(sample.allocated, sample.reserved)
 
     # -- analysis ------------------------------------------------------------
 

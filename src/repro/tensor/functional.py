@@ -48,6 +48,9 @@ import numpy as np
 from repro.tensor.tensor import Tensor, op_result as _result, supported_dtype
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+#: what the causal mask writes over future positions: -1e4, not -inf,
+#: keeps fp16 finite, as real mixed-precision kernels do
+MASK_FILL = -1e4
 _F16 = np.dtype(np.float16)
 _F32 = np.dtype(np.float32)
 
@@ -296,18 +299,16 @@ def _causal_mask(s: int) -> np.ndarray:
     return mask
 
 
-def causal_mask_fill(scores: Tensor, value: float = -1e4, tag: str = "mask") -> Tensor:
-    """Fill strictly-upper-triangular (future) positions of the last two dims.
-
-    -1e4 (not -inf) keeps fp16 finite, as real mixed-precision kernels do.
-    """
+def causal_mask_fill(scores: Tensor, tag: str = "mask") -> Tensor:
+    """Fill strictly-upper-triangular (future) positions of the last two
+    dims with ``MASK_FILL``."""
     s = scores.shape[-1]
     if scores.shape[-2] != s:
         raise ValueError(f"causal mask needs square last dims, got {scores.shape}")
     if scores.data is None:
         return _result(scores, None, scores.shape, scores.dtype, tag)
     data = scores.data.copy()
-    np.copyto(data, scores.dtype.type(value), where=_causal_mask(s))
+    np.copyto(data, scores.dtype.type(MASK_FILL), where=_causal_mask(s))
     return _result(scores, data, scores.shape, scores.dtype, tag)
 
 
@@ -429,16 +430,17 @@ def embedding_grad(table: Tensor, ids: Tensor, dy: Tensor, tag: str = "embed_gra
 # -- cross entropy ---------------------------------------------------------------
 
 
-def cross_entropy(logits: Tensor, targets: Tensor, tag: str = "xent") -> tuple[Tensor, Tensor]:
+def cross_entropy(logits: Tensor, targets: Tensor) -> tuple[Tensor, Tensor]:
     """Mean token-level cross entropy. Returns (loss_scalar, probs_for_backward).
 
-    ``logits``: (N, V) fp16/fp32; ``targets``: (N,) int. Loss is fp32.
+    ``logits``: (N, V) fp16/fp32; ``targets``: (N,) int. Loss is fp32,
+    tagged ``loss``; the probabilities ``loss.probs``.
     """
     n, v = logits.shape
     ct = _compute_dtype(logits.dtype)
     if logits.data is None or targets.data is None:
-        loss = _result(logits, None, (), ct, tag)
-        probs = _result(logits, None, (n, v), ct, tag + ".probs")
+        loss = _result(logits, None, (), ct, "loss")
+        probs = _result(logits, None, (n, v), ct, "loss.probs")
         return loss, probs
     x32 = logits.data.astype(ct, copy=False)
     probs32 = x32 - x32.max(axis=-1, keepdims=True)
@@ -446,18 +448,19 @@ def cross_entropy(logits: Tensor, targets: Tensor, tag: str = "xent") -> tuple[T
     probs32 /= probs32.sum(axis=-1, keepdims=True)
     picked = probs32[np.arange(n), targets.data]
     loss32 = np.asarray(-np.log(np.maximum(picked, 1e-30)).mean(), dtype=ct)
-    loss = _result(logits, loss32, (), ct, tag)
-    probs = _result(logits, probs32, (n, v), ct, tag + ".probs")
+    loss = _result(logits, loss32, (), ct, "loss")
+    probs = _result(logits, probs32, (n, v), ct, "loss.probs")
     return loss, probs
 
 
-def cross_entropy_grad(probs: Tensor, targets: Tensor, dtype=np.float16, tag: str = "xent_grad") -> Tensor:
-    """d(mean CE)/dlogits = (probs - onehot)/N, cast to the model dtype."""
+def cross_entropy_grad(probs: Tensor, targets: Tensor, dtype=np.float16) -> Tensor:
+    """d(mean CE)/dlogits = (probs - onehot)/N, cast to the model dtype and
+    tagged ``loss.dlogits``."""
     n, v = probs.shape
     dtype = supported_dtype(dtype)
     if probs.data is None or targets.data is None:
-        return _result(probs, None, (n, v), dtype, tag)
+        return _result(probs, None, (n, v), dtype, "loss.dlogits")
     grad = probs.data.copy()
     grad[np.arange(n), targets.data] -= 1.0
     grad /= n
-    return _result(probs, grad.astype(dtype, copy=False), (n, v), dtype, tag)
+    return _result(probs, grad.astype(dtype, copy=False), (n, v), dtype, "loss.dlogits")

@@ -80,16 +80,13 @@ class Tensor:
         data: Optional[np.ndarray] = None,
         device: Optional[Device | HostMemory] = None,
         tag: str = "",
-        alloc: bool = True,
     ):
         """``device`` is the pool the bytes are accounted on — a ``Device``,
         or a ``HostMemory`` (host DRAM / NVMe) for state parked on a lower
         tier; the two share the ``alloc(size, tag)`` / ``free(handle)``
-        surface.
-
-        ``alloc=False`` builds a *view*: it carries ``device`` for
-        propagation to downstream results but reserves no memory itself
-        (reshape/transpose on a GPU are metadata ops, not copies).
+        surface. A *view* (reshape/transpose on a GPU: metadata ops, not
+        copies) carries ``device`` but reserves nothing; only ``op_result``
+        builds one.
 
         ``size`` and ``nbytes`` are computed here, once: they are plain
         attributes, and ``shape`` changes only through ``reshaped_inplace``,
@@ -115,7 +112,7 @@ class Tensor:
         self.tag = tag
         self._freed = False
         self.extent: Optional[Extent | int] = None  # the pool's allocation handle
-        if alloc and device is not None and nbytes > 0:
+        if device is not None and nbytes > 0:
             self.extent = device.alloc(nbytes, tag)
 
     # -- construction helpers ------------------------------------------------
@@ -126,12 +123,14 @@ class Tensor:
         return cls(array.shape, array.dtype, data=array, device=device, tag=tag)
 
     @classmethod
-    def meta(cls, shape: tuple[int, ...], dtype: np.dtype, *, device: Device | None = None, tag: str = "") -> "Tensor":
-        return cls(shape, dtype, data=None, device=device, tag=tag)
+    def meta(
+        cls, shape: tuple[int, ...], dtype: np.dtype, *, device: Device | None = None
+    ) -> "Tensor":
+        return cls(shape, dtype, data=None, device=device)
 
     @classmethod
-    def zeros(cls, shape: tuple[int, ...], dtype: np.dtype, *, device: Device | None = None) -> "Tensor":
-        return cls(shape, dtype, data=np.zeros(shape, dtype=dtype), device=device)
+    def zeros(cls, shape: tuple[int, ...], dtype: np.dtype) -> "Tensor":
+        return cls(shape, dtype, data=np.zeros(shape, dtype=dtype))
 
     # -- properties ------------------------------------------------------------
 

@@ -10,6 +10,9 @@ from repro.zero.placement import Placed, state_placement
 if TYPE_CHECKING:
     from repro.infinity.config import InfinityConfig
 
+#: CB's fused buffer: 4M fp32 elements (16 MB)
+CONSTANT_BUFFER_NUMEL = 1 << 22
+
 
 @dataclass(frozen=True)
 class ZeROConfig:
@@ -21,8 +24,7 @@ class ZeROConfig:
     stage: int = 0
     partition_activations: bool = False  # Pa (requires checkpointing + MP group)
     cpu_offload_activations: bool = False  # Pa+cpu (implies Pa)
-    constant_buffers: bool = True  # CB
-    constant_buffer_numel: int = 1 << 22  # 4M elements (16 MB fp32)
+    constant_buffers: bool = True  # CB (a CONSTANT_BUFFER_NUMEL buffer)
     memory_defrag: bool = True  # MD
     checkpoint_activations: bool = True
     # SDC defense (repro.integrity): run the cross-rank replicated-state

@@ -301,7 +301,7 @@ class _ZeroDPBase(BaseEngine):
         full = all_gather_flat(
             self.dp_group, self.ctx.rank, my_shard16,
             shard_numel=self.part_numel, dtype=self.model.dtype,
-            is_meta=self.is_meta, phase="param-allgather",
+            is_meta=self.is_meta,
         )
         if full is not None:
             self.layout.scatter_params(full.astype(self.model.dtype))

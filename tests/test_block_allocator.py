@@ -10,8 +10,8 @@ from repro.memsim.errors import FragmentationError, InvalidFreeError, OutOfMemor
 KB = 1024
 
 
-def make(capacity=64 * KB, alignment=512):
-    return BlockAllocator(capacity, alignment=alignment, name="t")
+def make(capacity=64 * KB):
+    return BlockAllocator(capacity, name="t")
 
 
 def test_alloc_free_roundtrip_restores_capacity():
@@ -109,8 +109,6 @@ def test_zero_or_negative_alloc_rejected():
 def test_bad_construction_rejected():
     with pytest.raises(ValueError):
         BlockAllocator(0)
-    with pytest.raises(ValueError):
-        BlockAllocator(1024, alignment=3)
 
 
 def test_tags_preserved():

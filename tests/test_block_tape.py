@@ -175,7 +175,7 @@ def _forward_free_of_a_foreign_tensor(monkeypatch, log: list):
         step = engine.train_step
 
         def train_step(*batch):
-            spare.append(Tensor.meta((64,), np.float16, device=ctx.device, tag="spare"))
+            spare.append(Tensor((64,), np.float16, device=ctx.device, tag="spare"))
             return step(*batch)
 
         engine.train_step = train_step

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.block_allocator import BlockAllocator
+from repro.memsim.block_allocator import ALIGNMENT, BlockAllocator
 from repro.memsim.caching_allocator import CachingAllocator, Transition
 from repro.memsim.errors import InvalidFreeError, OutOfMemoryError
 from tests.streams import watch_devices
@@ -193,7 +193,7 @@ class _TwoListCache(CachingAllocator):
             return None
         del self.sizes[idx]
         del self.blocks[idx]
-        if waste >= self.backing.alignment and block.size >= MB:
+        if waste >= ALIGNMENT and block.size >= MB:
             self.backing.free(block)
             self._reserved -= block.size
             self.n_cache_misses += 1
@@ -338,7 +338,7 @@ def test_apply_is_the_run_event_by_event_or_changes_nothing(data):
         extents = [c.alloc(size, tags[i]) for i, size in enumerate(before)]
         twins.append((c, extents + [None] * (len(sizes) - len(before))))
     (a, a_extents), (b, b_extents) = twins
-    transition = Transition(events, len(before), sizes, 511)
+    transition = Transition(events, len(before), sizes)
     if a.apply(transition, a_extents, tags):
         _each(b, events, len(before), b_extents, tags)
         assert _state(a) == _state(b)
@@ -354,7 +354,7 @@ def test_apply_declines_a_block_that_was_not_an_exact_hit():
     c.free(c.alloc(4096))
     extents = [c.alloc(3072, "odd")]
     assert extents[0].size == 4096
-    transition = Transition([~0], 1, [3072], 511)
+    transition = Transition([~0], 1, [3072])
     before = _state(c)
     assert not c.apply(transition, extents, ["odd"])
     assert _state(c) == before
@@ -366,7 +366,7 @@ def test_apply_declines_a_block_that_is_not_live():
     c = make()
     extents = [c.alloc(4096, "x")]
     c.free(extents[0])
-    transition = Transition([~0], 1, [4096], 511)
+    transition = Transition([~0], 1, [4096])
     before = _state(c)
     assert not c.apply(transition, extents, ["x"])
     assert _state(c) == before
@@ -388,9 +388,10 @@ _PLACEMENT_GOLDEN = {
 
 @pytest.mark.parametrize("capacity", sorted(_PLACEMENT_GOLDEN))
 def test_meta_step_placement_matches_the_golden_stream(capacity, monkeypatch):
-    from repro.experiments.common import meta_memory_step
+    from repro.experiments.common import meta_engine
     from repro.hardware.specs import GPUSpec
     from repro.nn.transformer import GPTConfig
+    from repro.runtime import virtual_rank_context
     from repro.zero.config import C4
 
     digest, count = hashlib.sha256(), [0]
@@ -403,12 +404,17 @@ def test_meta_step_placement_matches_the_golden_stream(capacity, monkeypatch):
             count[0] += 1
 
     watch_devices(monkeypatch, 0, lambda _: Placements())
-    result = meta_memory_step(
-        GPTConfig(n_layers=4, hidden=512, n_heads=8, vocab_size=4096), C4,
-        n_gpus=16, mp=4, batch=4, seq_len=128, steps=2,
-        md_region_bytes=512 * KB, gpu=GPUSpec("tiny", capacity, 1e12),
-    )
+    ctx = virtual_rank_context(16, gpu=GPUSpec("tiny", capacity, 1e12))
+    oom_reason = ""
+    try:
+        engine, ids, targets = meta_engine(
+            ctx, GPTConfig(n_layers=4, hidden=512, n_heads=8, vocab_size=4096), C4,
+            mp=4, batch=4, seq_len=128, md_region_bytes=512 * KB,
+        )
+        for _ in range(2):
+            engine.train_step(ids, targets)
+    except OutOfMemoryError as exc:
+        oom_reason = type(exc).__name__
     fits, n_allocs, want = _PLACEMENT_GOLDEN[capacity]
-    assert result.fits is fits
-    assert result.oom_reason == ("" if fits else "FragmentationError")
+    assert oom_reason == ("" if fits else "FragmentationError")
     assert (count[0], digest.hexdigest()) == (n_allocs, want)

@@ -11,7 +11,7 @@ from repro.optim.adam import AdamHyperparams
 from repro.parallel.ddp import GradBucketQueue
 from repro.parallel.engine import EngineConfig
 from repro.nn.layers import make_param
-from repro.zero.config import C1, C2, C3, C4, C5, PAPER_CONFIGS
+from repro.zero.config import C1, C2, C3, C4, C5, CONSTANT_BUFFER_NUMEL, PAPER_CONFIGS
 from repro.runtime import virtual_rank_context
 from repro.zero.factory import build_model_and_engine
 
@@ -107,7 +107,7 @@ class TestConstantBuffers:
 
         def fn(ctx):
             zero = ZeROConfig(stage=0, checkpoint_activations=False, memory_defrag=False,
-                              constant_buffers=constant_buffers, constant_buffer_numel=4096)
+                              constant_buffers=constant_buffers)
             model, engine = build_model_and_engine(
                 ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=0,
             )
@@ -120,30 +120,31 @@ class TestConstantBuffers:
 
     def test_cb_buffer_size_is_constant_config(self):
         results = self._run(True)
-        assert results[0][1] == 4096 * 4  # fp32 elements
+        assert results[0][1] == CONSTANT_BUFFER_NUMEL * 4  # fp32 elements
 
     def test_no_cb_means_transient_full_buffer(self):
         results = self._run(False)
         assert results[0][1] is None
 
-    def test_cb_chunking_changes_nothing_numerically(self):
-        with_cb = self._run(128)  # many tiny chunks through the buffer
-        without = self._run(None)
+    def test_cb_chunking_changes_nothing_numerically(self, monkeypatch):
+        # A buffer far smaller than the model: many tiny chunks through it.
+        monkeypatch.setattr("repro.parallel.engine.CONSTANT_BUFFER_NUMEL", 128)
+        with_cb = self._run(True)
+        without = self._run(False)
         assert with_cb[0][0] == without[0][0]
 
     def test_factory_wires_cb_from_zero_config(self):
         cluster = Cluster(2, gpu=GPU, timeout_s=60.0)
 
         def fn(ctx):
-            zero = ZeROConfig(stage=1, constant_buffers=True,
-                              constant_buffer_numel=2048, memory_defrag=False,
+            zero = ZeROConfig(stage=1, constant_buffers=True, memory_defrag=False,
                               checkpoint_activations=False)
             model, engine = build_model_and_engine(
                 ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=0,
             )
             return engine._cb_buffer.size
 
-        assert cluster.run(fn) == [2048, 2048]
+        assert cluster.run(fn) == [CONSTANT_BUFFER_NUMEL] * 2
 
 
 class TestDynamicLossScaling:

@@ -42,7 +42,7 @@ class TestFig1:
         from repro.experiments import fig1
 
         for stage, expected in [(0, 16.0), (2, 5.5)]:
-            measured = fig1.measured_bytes_per_param(stage, world_size=4)
+            measured = fig1.measured_bytes_per_param(stage)
             assert measured == pytest.approx(expected, rel=0.15)
 
 

@@ -193,9 +193,16 @@ class _FakeTracer:
         self.instants.append((name, args))
 
 
-def feed_rows(monitor, rows):
+def bound(world_size):
+    """A monitor bound to ``world_size`` ranks, as ``Cluster`` binds it."""
+    mon = HealthMonitor(HealthConfig())
+    mon.bind_world(world_size)
+    return mon
+
+
+def feed_rows(monitor, rows, tracers=None):
     """Feed one duration per rank per row, like lockstep rank threads."""
-    tracers = {r: _FakeTracer(r) for r in range(len(rows[0]))}
+    tracers = tracers or {r: _FakeTracer(r) for r in range(len(rows[0]))}
     for row in rows:
         for rank, duration in enumerate(row):
             monitor.on_step(tracers[rank], duration)
@@ -204,10 +211,10 @@ def feed_rows(monitor, rows):
 
 class TestHealthMonitor:
     def test_state_machine_confirms_persistent_straggler(self):
-        cfg = HealthConfig(evict_on_confirm=False)
-        mon = HealthMonitor(cfg, world_size=3)
+        mon = bound(3)
         rows = [[1.0, 1.0, 1.0]] * 6 + [[1.0, 1.0, 4.0]] * 8
-        feed_rows(mon, rows)
+        with pytest.raises(SlowRankDetectedError):
+            feed_rows(mon, rows)
         assert mon.verdict(2) == CONFIRMED
         assert mon.verdict(0) == HEALTHY and mon.verdict(1) == HEALTHY
         assert mon.slowdown(2) > 3.0
@@ -215,27 +222,24 @@ class TestHealthMonitor:
         assert kinds == [(2, SUSPECT), (2, CONFIRMED)]
 
     def test_transient_spike_never_leaves_healthy(self):
-        cfg = HealthConfig(evict_on_confirm=False)
-        mon = HealthMonitor(cfg, world_size=2)
+        mon = bound(2)
         rows = [[1.0, 1.0]] * 6 + [[1.0, 5.0]] + [[1.0, 1.0]] * 6
         feed_rows(mon, rows)
         assert mon.transitions == []
         assert mon.verdict(1) == HEALTHY
 
     def test_suspect_clears_with_hysteresis(self):
-        cfg = HealthConfig(evict_on_confirm=False, suspect_after=2,
-                           confirm_after=6, clear_after=2)
-        mon = HealthMonitor(cfg, world_size=2)
-        # Long enough to go suspect, then recover before confirm.
-        rows = [[1.0, 1.0]] * 6 + [[1.0, 4.0]] * 4 + [[1.0, 1.0]] * 6
+        mon = bound(2)
+        # Long enough to go suspect (three anomalous smoothed rows), then
+        # recover before confirm.
+        rows = [[1.0, 1.0]] * 6 + [[1.0, 4.0]] * 3 + [[1.0, 1.0]] * 6
         feed_rows(mon, rows)
         assert [(t.after) for t in mon.transitions] == [SUSPECT, HEALTHY]
         assert mon.verdict(1) == HEALTHY
 
     def test_no_false_positives_under_jitter(self):
         rng = np.random.default_rng(5)
-        cfg = HealthConfig(evict_on_confirm=False)
-        mon = HealthMonitor(cfg, world_size=4)
+        mon = bound(4)
         rows = [
             [1.0 * (1.0 + abs(rng.normal(0.0, 0.05))) for _ in range(4)]
             for _ in range(40)
@@ -244,7 +248,7 @@ class TestHealthMonitor:
         assert mon.transitions == []
 
     def test_confirm_raises_when_evicting(self):
-        mon = HealthMonitor(HealthConfig(), world_size=2)
+        mon = bound(2)
         rows = [[1.0, 1.0]] * 6 + [[1.0, 4.0]] * 10
         with pytest.raises(SlowRankDetectedError) as exc_info:
             feed_rows(mon, rows)
@@ -256,11 +260,11 @@ class TestHealthMonitor:
         from repro.telemetry.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        mon = HealthMonitor(
-            HealthConfig(evict_on_confirm=False), world_size=2,
-            registry=registry,
-        )
-        tracers = feed_rows(mon, [[1.0, 1.0]] * 6 + [[1.0, 4.0]] * 8)
+        mon = bound(2)
+        mon.registry = registry  # what ``TelemetrySession(health=...)`` does
+        tracers = {r: _FakeTracer(r) for r in range(2)}
+        with pytest.raises(SlowRankDetectedError):
+            feed_rows(mon, [[1.0, 1.0]] * 6 + [[1.0, 4.0]] * 8, tracers)
         names = [n for t in tracers.values() for n, _ in t.instants]
         assert names.count("health-verdict") == 2
         assert registry.gauge("health_verdict", rank=1).value == 2
@@ -271,16 +275,6 @@ class TestHealthMonitor:
         mon = HealthMonitor(HealthConfig())
         mon.on_step(_FakeTracer(0), 1.0)  # no world bound: collect nothing
         assert mon.verdict_history == []
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HealthConfig(window=0)
-        with pytest.raises(ValueError):
-            HealthConfig(slowdown_threshold=1.0)
-        with pytest.raises(ValueError):
-            HealthConfig(confirm_after=1, suspect_after=2)
-        with pytest.raises(ValueError):
-            HealthConfig(ewma_alpha=0.0)
 
     def test_verify_recovery_contract(self):
         ok = verify_recovery([1.0, 1.02, 0.98], 1.0)
@@ -346,7 +340,7 @@ class TestEngineIntegration:
         same losses, same simulated clocks, no health artifacts."""
         steps = 5
         plain_losses, plain_session, _ = run_steps(2, steps)
-        health = HealthMonitor(HealthConfig(evict_on_confirm=False))
+        health = HealthMonitor(HealthConfig())
         mon_losses, mon_session, _ = run_steps(2, steps, health=health)
         assert mon_losses == plain_losses
         for rank in (0, 1):
@@ -473,7 +467,7 @@ class TestSlowRankEviction:
         post = session.tracers[0].step_durations[-n_final:]
         ref_durations = ref_session.tracers[0].step_durations
         predicted = sum(ref_durations) / len(ref_durations)
-        recovery = verify_recovery(post, predicted, tolerance=0.10)
+        recovery = verify_recovery(post, predicted)
         assert recovery.ok, recovery
 
         # Satellite: the summary's straggler column carries the verdict.

@@ -23,7 +23,7 @@ from repro.runtime import Cluster
 pytestmark = pytest.mark.faults
 
 GPU = GPUSpec("t", 10**8, 1e12)
-FAST_RETRY = RetryPolicy(max_attempts=5, base_backoff_s=0.001, max_backoff_s=0.01)
+FAST_RETRY = RetryPolicy(max_attempts=5, base_backoff_s=0.001)
 
 
 def make_cluster(n=2, *, plan=None, retry=FAST_RETRY, timeout_s=5.0):
@@ -60,7 +60,7 @@ def test_transient_fault_retried_result_identical():
 
 def test_transient_backoff_is_exponential():
     plan = FaultPlan().fail_collective(rank=0, times=3)
-    policy = RetryPolicy(max_attempts=5, base_backoff_s=0.004, max_backoff_s=1.0)
+    policy = RetryPolicy(max_attempts=5, base_backoff_s=0.004)
     cluster = make_cluster(2, plan=plan, retry=policy)
     cluster.run(lambda ctx: ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32)))
     backoffs = [e.backoff_s for e in cluster.ledgers[0].retries]
@@ -80,21 +80,6 @@ def test_transient_fault_escalates_on_all_ranks():
     assert time.monotonic() - t0 < 4.0  # released by abort, not timeout
     last = cluster.ledgers[1].retries[-1]
     assert last.gave_up and last.attempt == 2
-
-
-def test_collective_deadline_escalates():
-    """A per-collective deadline bounds total retry time even when the
-    attempt budget would allow more."""
-    plan = FaultPlan().fail_collective(rank=0, times=50)
-    policy = RetryPolicy(
-        max_attempts=10_000, base_backoff_s=0.05, backoff_multiplier=1.0,
-        max_backoff_s=0.05, deadline_s=0.2,
-    )
-    cluster = make_cluster(2, plan=plan, retry=policy)
-    t0 = time.monotonic()
-    with pytest.raises(FabricAbortedError, match="failed permanently"):
-        cluster.run(lambda ctx: ctx.world.all_reduce(ctx.rank, np.ones(2, np.float32)))
-    assert time.monotonic() - t0 < 2.0
 
 
 def test_random_transients_deterministic_across_runs():
@@ -299,14 +284,14 @@ def _batch_arrays(rank):
 
 def _reduce_per_op(ctx):
     return [
-        ctx.world.reduce(ctx.rank, a, dst=dst, phase="g")
+        ctx.world.reduce(ctx.rank, a, dst=dst)
         for a, dst in zip(_batch_arrays(ctx.rank), BATCH_ROOTS)
     ]
 
 
 def _reduce_coalesced(ctx):
     arrays = _batch_arrays(ctx.rank)
-    return ctx.world.coalesced(ctx.rank, "reduce", BATCH_ROOTS, arrays, phase="g")
+    return ctx.world.coalesced(ctx.rank, "reduce", BATCH_ROOTS, arrays)
 
 
 def _broadcast_pieces(rank):

@@ -23,14 +23,13 @@ from repro import Cluster, FaultPlan, GPTConfig, InfinityConfig, Supervisor, ZeR
 from repro.comm.ledger import CommLedger
 from repro.data import SyntheticCorpus
 from repro.hardware.specs import NVME_RAID, PCIE_3_X16, GPUSpec, InterconnectSpec
-from repro.hardware.topology import ClusterTopology
 from repro.infinity.schedule import (
     CPU_ADAM_LATENCY_S,
     OPT_STATE_BYTES_PER_ELEM,
     StepInputs,
     steady_step,
 )
-from repro.infinity.tiers import Tier, TierStream, TierTopology, wire_seconds
+from repro.infinity.tiers import TierStream, wire_seconds
 from repro.infinity.tiling import TilePlan, plan_unit_tiles
 from repro.optim.adam import AdamHyperparams
 from repro.parallel.engine import EngineConfig
@@ -183,30 +182,33 @@ def test_wire_seconds_alpha_beta():
     assert wire_seconds(LINK, 100) == pytest.approx(2.0)  # 1s alpha + 1s bytes
 
 
-def test_tier_and_topology_validation():
-    with pytest.raises(ValueError):
-        Tier("tape", 10)
-    with pytest.raises(ValueError):
-        Tier("host", 0)
-    with pytest.raises(ValueError):
-        TierTopology(tiers=(Tier("host", 10, LINK),))  # must start at device
-    with pytest.raises(ValueError):
-        TierTopology(tiers=(Tier("device", 10, LINK),))  # device has no link
-    with pytest.raises(ValueError):
-        TierTopology(tiers=(Tier("device", 10), Tier("host", 10)))  # needs a link
-    with pytest.raises(ValueError):
-        TierTopology(tiers=(Tier("device", 10), Tier("device", 10)))
-
-
 def test_tier_topology_from_cluster_is_hardware_truth():
-    topo = ClusterTopology.for_world_size(1)
-    tiers = TierTopology.from_cluster(topo)
-    assert [t.name for t in tiers.tiers] == ["device", "host", "nvme"]
-    assert tiers.tier("device").capacity_bytes == topo.node.gpu.memory_bytes
-    assert tiers.tier("host").capacity_bytes == topo.host_bytes_per_gpu
-    assert tiers.tier("nvme").capacity_bytes == topo.nvme_bytes_per_gpu
-    with pytest.raises(KeyError):
-        tiers.tier("tape")
+    """Every tier stream rides the cluster's own links: the Infinity
+    engine's PCIe and NVMe streams and the buddy refresh's staging copy
+    are the node's ``pcie`` / ``nvme`` specs, and the tier pools hold the
+    node's per-GPU shares."""
+    from repro.redundancy import BuddyStore
+
+    def fn(ctx):
+        zero = ZeROConfig(stage=3, checkpoint_activations=False, memory_defrag=False,
+                          infinity=InfinityConfig(optimizer_tier="nvme", param_tier="host"))
+        model, engine = build_model_and_engine(
+            ctx, CFG, zero, dp_group=ctx.world, dtype=np.float32, seed=3,
+        )
+        ids, tgt = CORPUS.sample_batch(2, 16, rank=ctx.rank, step=0)
+        engine.train_step(ids, tgt)
+        node, topo = ctx.topology.node, ctx.topology
+        return (
+            engine.offload.pcie.link is node.pcie,
+            engine.offload.nvme_stream.link is node.nvme,
+            engine.redundancy.pcie.link is node.pcie,
+            ctx.host.capacity == node.host_memory_bytes,
+            topo.host_bytes_per_gpu == node.host_memory_bytes // node.gpus_per_node,
+            topo.nvme_bytes_per_gpu == node.nvme_bytes // node.gpus_per_node,
+        )
+
+    cluster = Cluster(2, gpu=GPU, timeout_s=60.0, redundancy=BuddyStore())
+    assert cluster.run(fn) == [(True,) * 6] * 2
 
 
 def test_tier_stream_custom_lanes_record_in_ledger():

@@ -433,9 +433,9 @@ class TestCheckpointIntegrity:
     def test_ring_saves_verify_and_prune(self, tmp_path):
         def fn(ctx):
             model, engine = build(ctx, 2, audit=2)
-            ring = VerifiedCheckpointRing(tmp_path / "ring", keep=2)
+            ring = VerifiedCheckpointRing(tmp_path / "ring")
             outcomes = []
-            for start in range(0, 6, 2):
+            for start in range(0, 8, 2):
                 train(engine, ctx, start, 2)
                 outcomes.append(ring.save(engine))
             return [str(p) for p in outcomes], [
@@ -446,7 +446,7 @@ class TestCheckpointIntegrity:
         outcomes, kept = out[0]
         assert out[1] == out[0]  # SPMD: all ranks agree on every verdict
         assert all(o != "None" for o in outcomes)
-        assert kept == ["step00000004", "step00000006"]  # keep=2 pruned step 2
+        assert kept == ["step00000004", "step00000006", "step00000008"]  # KEEP=3 pruned step 2
 
     def test_ring_falls_back_past_injected_rot(self, tmp_path):
         """Acceptance: bit rot on a ring save is rejected at verification
@@ -455,7 +455,7 @@ class TestCheckpointIntegrity:
 
         def fn(ctx):
             model, engine = build(ctx, 2, audit=2)
-            ring = VerifiedCheckpointRing(tmp_path / "ring", keep=3)
+            ring = VerifiedCheckpointRing(tmp_path / "ring")
             outcomes = []
             for start in range(0, 4, 2):
                 train(engine, ctx, start, 2)
@@ -484,7 +484,7 @@ def make_supervised_fn(root, *, audit=1):
 
     def train_fn(ctx):
         model, engine = build(ctx, 2, audit=audit)
-        ring = VerifiedCheckpointRing(root, keep=3)
+        ring = VerifiedCheckpointRing(root)
         latest = ring.latest_verified()
         if latest is not None:
             load_checkpoint_resharded(engine, latest)

@@ -38,7 +38,7 @@ class TestLedger:
         ledger.record("all_reduce", 100, (0, 1), phase="grads")
         ledger.record("all_gather", 50, (0, 1), phase="params")
         assert ledger.nominal_bytes() == 250
-        assert ledger.nominal_bytes(op="all_gather") == 50
+        assert ledger.nominal_bytes(phase="params") == 50
         assert ledger.by_phase() == {"grads": 200.0, "params": 50.0}
         assert ledger.by_op() == {"all_reduce": 200.0, "all_gather": 50.0}
         ledger.clear()

@@ -142,18 +142,18 @@ class TestBuffersAndTotal:
         assert small == large
 
     def test_total_charges_the_configured_constant_buffer(self):
-        """A smaller CB lowers the closed form by exactly the bytes it
-        saves, and what is left is what a meta engine allocates for it."""
+        """CB trades the closed form's full 4 Psi fused buffer for exactly
+        the fixed buffer's bytes, which is what a meta engine allocates."""
         act = ActivationModel(64, 2, 16, 1)
-        default = ZeROConfig(stage=1, constant_buffers=True)
-        small = replace(default, constant_buffer_numel=2048)
-        drop = (total_device_bytes(1e6, act, default, mesh=Mesh(dp=4))
-                - total_device_bytes(1e6, act, small, mesh=Mesh(dp=4)))
-        assert drop == 4 * ((1 << 22) - 2048) == 16_769_024
+        cb = ZeROConfig(stage=1, constant_buffers=True)
+        no_cb = replace(cb, constant_buffers=False)
+        drop = (total_device_bytes(1e8, act, no_cb, mesh=Mesh(dp=4))
+                - total_device_bytes(1e8, act, cb, mesh=Mesh(dp=4)))
+        assert drop == 4 * (10**8 - (1 << 22)) == 383_222_784
         ctx = virtual_rank_context(4)
         cfg = GPTConfig(n_layers=2, hidden=64, n_heads=4, vocab_size=64, max_seq_len=16)
-        _, engine = build_model_and_engine(ctx, cfg, small, dp_group=ctx.world, meta=True)
-        assert engine._cb_buffer.nbytes == temporary_buffer_bytes(1e6, small) == 8192
+        _, engine = build_model_and_engine(ctx, cfg, cb, dp_group=ctx.world, meta=True)
+        assert engine._cb_buffer.nbytes == temporary_buffer_bytes(1e6, cb) == 4 * (1 << 22)
 
     def test_total_compounds_mp_and_dp(self):
         """Section 1: max theoretical reduction Nd x Nm on model states."""

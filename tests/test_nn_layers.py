@@ -214,8 +214,8 @@ class TestModuleRegistry:
 class TestCache:
     def test_free_releases_owned_only(self):
         d = Device(SPEC)
-        owned = Tensor.zeros((10,), np.float32, device=d)
-        referenced = Tensor.zeros((10,), np.float32, device=d)
+        owned = Tensor((10,), np.float32, data=np.zeros(10, np.float32), device=d)
+        referenced = Tensor((10,), np.float32, data=np.zeros(10, np.float32), device=d)
         c = Cache()
         c.own(a=owned)
         c.ref(b=referenced)

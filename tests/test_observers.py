@@ -112,8 +112,8 @@ def test_profiled_tensor_life_call_budget():
     d = Device(SPEC)
     d.enable_defrag(1 * MB, _md_tag_predicate)
     prof = MemoryProfiler(d)
-    a = Tensor.meta((4, 8), np.float16, device=d, tag="a")
-    b = Tensor.meta((4, 8), np.float16, device=d, tag="b")
+    a = Tensor((4, 8), np.float16, device=d, tag="a")
+    b = Tensor((4, 8), np.float16, device=d, tag="b")
     F.add(a, b, "sum").free()
     before = dict(prof.live_by_category)
     calls, out = _profiled_add(a, b)
@@ -209,7 +209,9 @@ def _bridged_tracer():
     from repro.comm.ledger import CommLedger
     from repro.hardware.topology import ClusterTopology
 
-    session = TelemetrySession(perfscope=True, health=HealthMonitor(world_size=WORLD))
+    health = HealthMonitor()
+    health.bind_world(WORLD)  # as ``Cluster`` binds it at launch
+    session = TelemetrySession(perfscope=True, health=health)
     tracer = session.tracer_for(0, topology=ClusterTopology.for_world_size(WORLD))
     ledger = CommLedger(0)
     ledger.listener = tracer

@@ -12,7 +12,7 @@ from repro.nn.module import ExecutionContext
 from repro.optim.adam import Adam, AdamHyperparams, adam_step_inplace
 from repro.optim.flat import FlatLayout
 from repro.optim.mixed_precision import ADAM_K, FlatAdamState, MixedPrecisionAdam
-from repro.optim.scaler import LossScaler
+from repro.optim.scaler import GROWTH_INTERVAL, MAX_SCALE, MIN_SCALE, LossScaler
 from repro.tensor.tensor import Tensor
 
 SPEC = GPUSpec("t", 256 * 1024 * 1024, 1e12)
@@ -60,11 +60,11 @@ class TestAdamMath:
     def test_adam_reduces_quadratic_loss(self):
         rng = np.random.default_rng(0)
         lin = Linear("l", 4, 1, dtype=np.float32, rng=rng)
-        opt = Adam(lin.parameters(), AdamHyperparams(lr=0.05))
+        opt = Adam(lin.parameters())
         target = np.array([[1.0]], np.float32)
         x = rng.standard_normal((1, 4)).astype(np.float32)
         losses = []
-        for _ in range(120):
+        for _ in range(600):  # the default lr (1e-3) moves ~1e-3 a step
             y, cache = lin.forward(Tensor.from_numpy(x), ExecutionContext())
             err = y.numpy() - target
             losses.append(float((err**2).sum()))
@@ -82,21 +82,24 @@ class TestLossScaler:
         assert s.update(overflow=False) is True
 
     def test_dynamic_backoff_and_growth(self):
-        s = LossScaler(1024, dynamic=True, growth_interval=2)
+        s = LossScaler(1024, dynamic=True)
         s.update(True)
         assert s.scale == 512
+        for _ in range(GROWTH_INTERVAL - 1):
+            s.update(False)
+        assert s.scale == 512
         s.update(False)
-        s.update(False)
-        assert s.scale == 1024  # grew after 2 clean steps
+        assert s.scale == 1024  # grew after GROWTH_INTERVAL clean steps
 
     def test_scale_bounds(self):
-        s = LossScaler(2.0, dynamic=True, min_scale=1.0, max_scale=4.0, growth_interval=1)
+        s = LossScaler(2.0 * MIN_SCALE, dynamic=True)
         s.update(True)
         s.update(True)
-        assert s.scale == 1.0  # clamped at min
-        for _ in range(5):
+        assert s.scale == MIN_SCALE  # clamped at min
+        s = LossScaler(MAX_SCALE / 2, dynamic=True)
+        for _ in range(2 * GROWTH_INTERVAL):
             s.update(False)
-        assert s.scale == 4.0  # clamped at max
+        assert s.scale == MAX_SCALE  # clamped at max
 
     def test_overflow_detection(self):
         assert LossScaler.has_overflow(np.array([1.0, np.inf]))
@@ -246,8 +249,8 @@ class TestMixedPrecisionAdam:
         rng2 = np.random.default_rng(0)
         lin1 = Linear("l", 6, 6, dtype=np.float32, rng=rng1)
         lin2 = Linear("l", 6, 6, dtype=np.float32, rng=rng2)
-        mp = MixedPrecisionAdam(lin1, hp=AdamHyperparams(lr=0.01))
-        eager = Adam(lin2.parameters(), AdamHyperparams(lr=0.01))
+        mp = MixedPrecisionAdam(lin1)
+        eager = Adam(lin2.parameters())
         g = np.random.default_rng(1).standard_normal((6, 6)).astype(np.float32)
         for _ in range(3):
             lin1.weight.accumulate_grad(Tensor.from_numpy(g))
@@ -265,11 +268,11 @@ class TestMixedPrecisionAdam:
     def test_overflow_skips_update(self):
         rng = np.random.default_rng(0)
         lin = Linear("l", 4, 4, dtype=np.float32, rng=rng)
-        mp = MixedPrecisionAdam(lin, scaler=LossScaler(2.0, dynamic=True))
+        mp = MixedPrecisionAdam(lin)
         before = lin.weight.data.numpy().copy()
         bad = np.full((4, 4), np.inf, np.float32)
         lin.weight.accumulate_grad(Tensor.from_numpy(bad))
         lin.bias.accumulate_grad(Tensor.from_numpy(np.zeros(4, np.float32)))
         assert mp.step() is False
         np.testing.assert_array_equal(lin.weight.data.numpy(), before)
-        assert mp.loss_scale == 1.0  # halved from 2.0
+        assert mp.loss_scale == 1.0  # a static scale stays put

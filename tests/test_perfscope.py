@@ -136,11 +136,10 @@ class TestExactness:
         cluster.run(fn)
         assert_exact(analyze(session))
 
-    def test_gpipe_uncoupled_exact_coupled_shows_bubbles(self):
+    def test_gpipe_coupled_shows_bubbles(self):
         """Pipeline ranks price their own sends/recvs on local clocks
-        (which hide the partner's bubble); uncoupled replay reproduces the
-        local clock exactly, while rendezvous coupling surfaces the bubble
-        as its own stall category."""
+        (which hide the partner's bubble); rendezvous coupling surfaces the
+        bubble as its own stall category."""
         from repro.parallel.engine import EngineConfig
 
         session = TelemetrySession(perfscope=True)
@@ -157,7 +156,6 @@ class TestExactness:
                 engine.train_step(ids, ids % CFG.vocab_size)
 
         cluster.run(fn)
-        assert_exact(analyze(session, couple=False))
         coupled = analyze(session)
         g = coupled.graphs[-1]
         for rank, observed in g.observed_step_s.items():
@@ -240,7 +238,7 @@ class TestWhatIf:
         free = InterconnectSpec("free", 1e30, 0.0)
         node = dataclasses.replace(DGX2, gpu=GPU, intra_node=free,
                                    inter_node=free)
-        topo = ClusterTopology.for_world_size(WORLD, node=node)
+        topo = ClusterTopology(node=node, n_nodes=1, world_size=WORLD)
         free_session = run_meta(
             TelemetrySession(perfscope=True), stage_config(2), topology=topo,
         )

@@ -91,7 +91,7 @@ def serial_reference(steps=2, lr=1e-3):
         loss, lcache = loss_head.forward(logits, Tensor.from_numpy(tgt))
         model.backward(cache, loss_head.backward(lcache))
         losses.append(float(loss.numpy()))
-        master = opt.step(layout.gather_grads(np.float32, missing_ok=True))
+        master = opt.step(layout.gather_grads(np.float32))
         layout.scatter_params(master.astype(np.float64))
         model.zero_grad()
     return model, losses
@@ -426,7 +426,7 @@ class TestPPAnalysis:
         act_full = ActivationModel(
             hidden=4096, n_layers=50, seq_len=1024, batch=per_rank_batch
         )
-        zero = zero_device_bytes_for_comparison(psi, act_full, mesh=Mesh(dp=devices), stage=3)
+        zero = zero_device_bytes_for_comparison(psi, act_full, mesh=Mesh(dp=devices))
         assert zero <= gpipe
 
     def test_validation(self):

@@ -4,7 +4,8 @@ class, is referenced by code outside ``tests/`` or has an entry in
 ``PUBLIC_API`` saying why it stays and where it is documented. Every
 knob — a settable field of a config or policy dataclass, or a parameter
 with a default of a public function, method or constructor — is set by
-some call in the repo or has an entry in ``UNSET_KNOBS``."""
+some call outside ``tests/`` or has an entry in ``UNSET_KNOBS`` naming
+the test that sets it and the behaviour only its non-default value has."""
 
 import ast
 import importlib
@@ -32,7 +33,7 @@ REASONS = {
 #: ARCHITECTURE heading that documents it)
 PUBLIC_API = {
     "optim.adam.Adam": ("oracle", "What's implemented"),
-    "memprof.stats.validate_snapshot": ("checker", "Telemetry bridge"),
+    "memprof.stats.validate_snapshot": ("checker", "Snapshot export"),
     "telemetry.export.validate_metrics_jsonl": (
         "checker", "Metrics (`telemetry.metrics`) and exporters (`telemetry.export`)"),
     "memsim.block_allocator.BlockAllocator.check_invariants": ("checker", "2. Memory accounting"),
@@ -296,13 +297,111 @@ def test_every_experiment_runner_is_exported():
 
 # -- knobs: every settable value is set somewhere ----------------------------
 
-#: where a setter counts; tests do
-SETTER_DIRS = (*CALLER_DIRS, "tests")
+#: where a setter counts; a test is not a user, so tests never do
+SETTER_DIRS = CALLER_DIRS
 #: ``*Config`` / ``*Policy`` dataclasses whose fields are not knobs
 NOT_KNOBS = {"GPTConfig"}  # a model shape: every field describes the model
 
-#: ``module.Qual.name`` -> why a knob nothing sets stays
-UNSET_KNOBS: dict[str, str] = {}
+#: ``module.Qual.name`` -> ``"tests/<file>.py::[Class::]test — <behaviour>"``:
+#: a knob only tests set stays when the named test sets it and asserts
+#: behaviour that exists only at a non-default value — a fault builder's
+#: argument, or behaviour an open ROADMAP item builds on.
+UNSET_KNOBS: dict[str, str] = {
+    "comm.faults.FaultPlan.degrade_link.dst": (
+        "tests/test_failslow.py::TestPerfRules::test_retire_perf_rules"
+        " — a degraded link names its far end, and survives its near end's retirement"),
+    "comm.faults.FaultPlan.degrade_link.from_step": (
+        "tests/test_failslow.py::TestPerfRules::test_adjust_alpha_beta_window_and_group_matching"
+        " — a degradation opens at its first step"),
+    "comm.faults.FaultPlan.degrade_link.latency_add_s": (
+        "tests/test_failslow.py::TestPerfRules::test_adjust_alpha_beta_window_and_group_matching"
+        " — a degradation adds latency to the priced alpha"),
+    "comm.faults.FaultPlan.degrade_link.until_step": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — a degradation closes after its last step"),
+    "comm.faults.FaultPlan.delay_send.dst": (
+        "tests/test_faults.py::test_delayed_send_still_delivers — a delay hits one link"),
+    "comm.faults.FaultPlan.delay_send.tag": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — a delay hits one message tag"),
+    "comm.faults.FaultPlan.delay_send.times": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — a delay fires a bounded number of times"),
+    "comm.faults.FaultPlan.drop_send.dst": (
+        "tests/test_faults.py::test_dropped_send_aborts_all_ranks_fast — a drop hits one link"),
+    "comm.faults.FaultPlan.drop_send.nth": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — a drop hits the nth matching send"),
+    "comm.faults.FaultPlan.drop_send.tag": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — a drop hits one message tag"),
+    "comm.faults.FaultPlan.drop_send.times": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — a drop fires a bounded number of times"),
+    "comm.faults.FaultPlan.fail_collective.op": (
+        "tests/test_faults.py::test_transient_fault_retried_result_identical"
+        " — a transient fault hits one collective op"),
+    "comm.faults.FaultPlan.fail_randomly.max_faults": (
+        "tests/test_faults.py::test_random_transients_deterministic_across_runs"
+        " — random transients stop at a budget"),
+    "comm.faults.FaultPlan.flip_bits.bits": (
+        "tests/test_integrity.py::TestDetection::test_pre_reduce_flip_is_invisible_to_replica_comparison"
+        " — a flip corrupts a chosen number of bits"),
+    "comm.faults.FaultPlan.flip_bits.nth": (
+        "tests/test_faults.py::test_coalesced_post_flip_hits_one_logical_broadcast_on_one_rank"
+        " — a flip hits the nth matching collective"),
+    "comm.faults.FaultPlan.flip_bits.op": (
+        "tests/test_faults.py::test_coalesced_post_flip_hits_one_logical_broadcast_on_one_rank"
+        " — a flip hits one collective op"),
+    "comm.faults.FaultPlan.flip_bits.rank": (
+        "tests/test_faults.py::test_coalesced_post_flip_hits_one_logical_broadcast_on_one_rank"
+        " — a flip hits one rank"),
+    "comm.faults.FaultPlan.flip_bits.times": (
+        "tests/test_integrity.py::TestInjection::test_flip_fires_bounded_times_and_matches_rule"
+        " — a flip fires a bounded number of times"),
+    "comm.faults.FaultPlan.flip_bits.when": (
+        "tests/test_faults.py::test_coalesced_pre_flip_corrupts_what_every_peer_reads"
+        " — a flip lands before the exchange"),
+    "comm.faults.FaultPlan.jitter.from_step": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — jitter opens at its first step"),
+    "comm.faults.FaultPlan.jitter.until_step": (
+        "tests/test_faults.py::test_each_builder_fires_its_pinned_event_stream"
+        " — jitter closes after its last step"),
+    "comm.faults.FaultPlan.kill_rank.after_collectives": (
+        "tests/test_faults.py::test_kill_after_collectives_aborts_world"
+        " — a kill lands mid-step, after some collectives"),
+    "comm.faults.FaultPlan.rot_checkpoint.bits": (
+        "tests/test_integrity.py::TestInjection::test_rot_flips_file_bits_in_place"
+        " — rot flips a chosen number of bits"),
+    "comm.faults.FaultPlan.rot_checkpoint.rank": (
+        "tests/test_integrity.py::TestCheckpointIntegrity::test_injected_rot_rejected_at_load"
+        " — rot hits one rank's file"),
+    "comm.faults.FaultPlan.scribble_tensor.bits": (
+        "tests/test_lifecycle.py::test_a_scribbled_shard_is_rejected_before_the_optimizer_and_never_published"
+        " — a scribble flips a chosen number of bits"),
+    "comm.faults.FaultPlan.throttle_rank.until_step": (
+        "tests/test_failslow.py::TestPerfRules::test_throttle_window"
+        " — a throttle closes after its last step"),
+    "infinity.config.InfinityConfig.opt_chunk_bytes": (
+        "tests/test_infinity.py::test_infinity_cost_model_tracks_simulated_timeline"
+        " — chunked NVMe optimizer paging; the network-lane item gives it a caller"),
+    "infinity.config.InfinityConfig.prefetch_depth": (
+        "tests/test_perfscope.py::TestConservation::test_stall_seconds_sum_to_step_time"
+        " — a deeper gather window; the network-lane item gives it a caller"),
+    "parallel.engine.EngineConfig.grad_clip_norm": (
+        "tests/test_grad_clipping.py::test_clipped_training_identical_across_stages"
+        " — clipping by the partitioned global norm"),
+    "parallel.engine.EngineConfig.weight_decay_filter": (
+        "tests/test_weight_decay_groups.py::TestEngineIntegration::test_filter_changes_only_excluded_params"
+        " — decay groups by parameter name"),
+    "runtime.virtual_rank_context.rank": (
+        "tests/test_fabric_cluster.py::test_group_is_shared_on_a_cluster_and_virtual_on_a_virtual_context"
+        " — a virtual rank other than 0, which the every-rank world item builds on"),
+    "zero.factory.build_model_and_engine.pp_group": (
+        "tests/test_telemetry.py::TestPipelineTrace::test_gpipe_emits_schedule_spans"
+        " — a pipeline-parallel engine"),
+}
 
 
 class Knob(NamedTuple):
@@ -447,25 +546,78 @@ def setters(sources: dict[str, str]) -> tuple[set[tuple[str, str]], dict[str, in
     return keywords, most, splatted
 
 
-def unset_knobs(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
-    """Knobs no call in ``sources`` sets: by keyword, by position or
-    through a splat, on the knob's callee (or, for a config field, by
-    keyword through ``dataclasses.replace``)."""
-    keywords, most, splatted = setters(sources)
-    return sorted(
-        q for q, knob in knobs(modules).items()
-        if (knob.callee, knob.name) not in keywords
-        and not (knob.replaceable and ("replace", knob.name) in keywords)
-        and not (knob.position is not None and knob.position < most.get(knob.callee, 0))
-        and knob.callee not in splatted
+def _is_set(knob: Knob, found) -> bool:
+    """Whether ``found`` — what ``setters`` returned — sets ``knob``: by
+    keyword, by position or through a splat, on the knob's callee (or,
+    for a config field, by keyword through ``dataclasses.replace``)."""
+    keywords, most, splatted = found
+    return (
+        (knob.callee, knob.name) in keywords
+        or (knob.replaceable and ("replace", knob.name) in keywords)
+        or (knob.position is not None and knob.position < most.get(knob.callee, 0))
+        or knob.callee in splatted
     )
 
 
-def _setters() -> dict[str, str]:
+def unset_knobs(modules: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Knobs no call in ``sources`` sets."""
+    found = setters(sources)
+    return sorted(q for q, knob in knobs(modules).items() if not _is_set(knob, found))
+
+
+def stale_entries(
+    modules: dict[str, str], sources: dict[str, str], tests: dict[str, str],
+    entries: dict[str, str],
+) -> list[str]:
+    """Entries of an ``UNSET_KNOBS``-shaped table that no longer hold: the
+    knob is gone or set in ``sources``, the named test node is not in
+    ``tests`` (``{filename: source}``), or its file does not set the knob."""
+    all_knobs = knobs(modules)
+    unset = set(unset_knobs(modules, sources))
+    stale = []
+    for qualified, entry in entries.items():
+        node = entry.split(" — ", 1)[0]
+        filename, *names = node.split("::")
+        source = tests.get(filename)
+        if (qualified not in unset or source is None
+                or not _has_node(ast.parse(source), names)
+                or not _is_set(all_knobs[qualified], setters({filename: source}))):
+            stale.append(qualified)
+    return sorted(stale)
+
+
+def _has_node(tree, names: list[str]) -> bool:
+    """Whether ``names`` (``[Class, ..., test]``) is a path of class
+    definitions from the top of ``tree`` ending at a test function."""
+    body, match = tree.body, None
+    for name in names:
+        match = next((n for n in body if isinstance(n, (ast.ClassDef, ast.FunctionDef))
+                      and n.name == name), None)
+        if match is None:
+            return False
+        body = match.body
+    return isinstance(match, ast.FunctionDef) and match.name.startswith("test")
+
+
+def setter_sources(sources: dict[str, str]) -> dict[str, str]:
+    """The part of ``{filename: source}`` whose calls count as setters."""
+    return {f: src for f, src in sources.items() if Path(f).parts[0] in SETTER_DIRS}
+
+
+def _repo_sources() -> dict[str, str]:
+    """Every ``.py`` file under the caller directories and ``tests/``."""
     return {
         str(path.relative_to(ROOT)): path.read_text()
-        for d in SETTER_DIRS for path in sorted((ROOT / d).rglob("*.py"))
+        for d in (*CALLER_DIRS, "tests") for path in sorted((ROOT / d).rglob("*.py"))
     }
+
+
+def _setters() -> dict[str, str]:
+    return setter_sources(_repo_sources())
+
+
+def _tests() -> dict[str, str]:
+    return {f: src for f, src in _repo_sources().items() if Path(f).parts[0] == "tests"}
 
 
 def test_every_knob_is_set_somewhere_or_has_an_entry():
@@ -473,14 +625,16 @@ def test_every_knob_is_set_somewhere_or_has_an_entry():
 
 
 def test_no_knob_entry_is_stale():
-    """An entry whose knob is now set, or no longer exists, goes."""
-    assert sorted(set(UNSET_KNOBS) - set(unset_knobs(_modules(), _setters()))) == []
+    """An entry goes when its knob is gone or set outside ``tests/``, and
+    is mended when its named test is gone or no longer sets the knob."""
+    assert stale_entries(_modules(), _setters(), _tests(), UNSET_KNOBS) == []
 
 
 def test_the_guard_flags_a_fresh_unset_knob():
-    """A field only its default sets is flagged; one set through the
-    constructor or ``replace`` is not, nor one set on another callee, a
-    ``ClassVar``, an ``init=False`` field or a plain class's attribute."""
+    """A field only its default or a test sets is flagged; one set
+    through the constructor or ``replace`` outside ``tests/`` is not, nor
+    one set on another callee, a ``ClassVar``, an ``init=False`` field or
+    a plain class's attribute."""
     modules = {"pkg.cfg": '''
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -497,10 +651,44 @@ class RetryPolicy:
 class PlainConfig:
     loose: int = 0
 '''}
-    sources = {"tests/t.py": "RunConfig(steps=2)\nreplace(p, tries=4)\nsleep(backoff=1.0)\n"}
-    assert unset_knobs(modules, sources) == [
+    sources = {
+        "tools/t.py": "RunConfig(steps=2)\nreplace(p, tries=4)\nsleep(backoff=1.0)\n",
+        "tests/test_t.py": "RunConfig(fresh=1)\nRetryPolicy(backoff=0.5)\n",
+    }
+    assert unset_knobs(modules, setter_sources(sources)) == [
         "pkg.cfg.RetryPolicy.backoff", "pkg.cfg.RunConfig.fresh",
     ]
+    assert unset_knobs(modules, sources) == []  # were tests setters
+
+
+def test_the_guard_flags_a_stale_knob_entry():
+    """An entry holds while its knob exists, nothing outside ``tests/``
+    sets it, its named test exists and that test's file sets the knob."""
+    modules = {"pkg.cfg": '''
+from dataclasses import dataclass
+@dataclass(frozen=True)
+class RunConfig:
+    fresh: int = 0
+    other: int = 0
+'''}
+    tests = {"tests/test_run.py": '''
+class TestRun:
+    def test_fresh(self):
+        RunConfig(fresh=1)
+def test_other():
+    RunConfig()
+'''}
+    holds = {"pkg.cfg.RunConfig.fresh": "tests/test_run.py::TestRun::test_fresh — fresh runs"}
+    assert stale_entries(modules, {}, tests, holds) == []
+    for entries, sources in [
+        ({"pkg.cfg.RunConfig.fresh": "tests/test_run.py::test_gone — no such test"}, {}),
+        ({"pkg.cfg.RunConfig.fresh": "tests/test_run.py::TestRun — a class, no test"}, {}),
+        ({"pkg.cfg.RunConfig.fresh": "tests/test_gone.py::test_fresh — no such file"}, {}),
+        ({"pkg.cfg.RunConfig.other": "tests/test_run.py::test_other — its file sets no other"}, {}),
+        ({"pkg.cfg.RunConfig.gone": "tests/test_run.py::test_other — no such knob"}, {}),
+        (holds, {"tools/run.py": "RunConfig(fresh=2)\n"}),  # a user sets it now
+    ]:
+        assert stale_entries(modules, sources, tests, entries) == list(entries)
 
 
 def test_the_guard_flags_a_fresh_unset_keyword():

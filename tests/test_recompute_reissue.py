@@ -318,7 +318,7 @@ def test_a_region_freeing_a_foreign_extent_recomputes(monkeypatch):
 
     def train_step(engine, *batch):
         device = engine.ctx.device
-        spares[device] = Tensor.meta((64,), np.float32, device=device, tag="spare")
+        spares[device] = Tensor((64,), np.float32, device=device, tag="spare")
         return step(engine, *batch)
 
     monkeypatch.setattr(TransformerBlock, "forward", freeing)

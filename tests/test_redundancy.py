@@ -128,9 +128,9 @@ def downsized_reference(stage, resumed_at, new_world, root, *, old_world=3,
 
 
 class _LossyStore(BuddyStore):
-    """A buddy tier that silently loses the redundancy protecting ``lost``
-    owners (replicas and parity blocks alike) — the deterministic stand-in
-    for the owner-and-holder-die-together double fault."""
+    """A buddy tier that silently loses the replicas protecting ``lost``
+    owners — the deterministic stand-in for the owner-and-holder-die-together
+    double fault."""
 
     def __init__(self, config, *, lost):
         super().__init__(config)
@@ -142,9 +142,6 @@ class _LossyStore(BuddyStore):
             for by_owner in self._replicas.values():
                 for owner in self.lost:
                     by_owner.pop(owner, None)
-            for by_group in self._parity.values():
-                for members in [m for m in by_group if self.lost & set(m)]:
-                    by_group.pop(members)
 
 
 # -- end-to-end: kill -> fast recovery -> bitwise resume ---------------------
@@ -350,44 +347,6 @@ class TestDPUCarry:
             )
 
 
-# -- erasure coding: XOR parity groups ---------------------------------------
-
-
-class TestErasureCoding:
-    def test_single_loss_reconstructed_from_parity(self, tmp_path):
-        """scheme="ec" with group (0,1) and parity on rank 2: killing a
-        group member recovers its shards by XOR-ing the parity block with
-        the surviving member's primary, digest-verified, bitwise."""
-        root = tmp_path / "ckpts"
-        plan = FaultPlan().kill_rank(1, at_step=4)
-        store = BuddyStore(RedundancyConfig(scheme="ec", group_size=2))
-        sup = Supervisor(3, gpu=GPU, fault_plan=plan, timeout_s=15.0,
-                         redundancy=store)
-        report = sup.run(make_train_fn(root, 2, lockstep=True))
-        assert report.events[0].kind == RestartKind.FAST_RECOVERY
-        resumed_at = TOTAL_STEPS - len(report.results[0][0])
-        assert resumed_at == 3
-        ref = downsized_reference(2, resumed_at, 2, tmp_path)
-        for rank in range(2):
-            np.testing.assert_array_equal(report.results[rank][1], ref[rank][1])
-
-    def test_parity_loss_falls_back(self, tmp_path):
-        """XOR tolerates one loss per group; when the parity block is gone
-        too (holder lost with the member), reconstruction is unsolvable
-        -> ring fallback."""
-        root = tmp_path / "ckpts"
-        plan = FaultPlan().kill_rank(1, at_step=4)
-        sup = Supervisor(
-            3, gpu=GPU, fault_plan=plan, timeout_s=15.0,
-            redundancy=_LossyStore(
-                RedundancyConfig(scheme="ec", group_size=2), lost={1}
-            ),
-        )
-        report = sup.run(make_train_fn(root, 2))
-        assert report.events[0].kind == RestartKind.RING_FALLBACK
-        assert report.final_world_size == 2
-
-
 # -- the store, unit level ----------------------------------------------------
 
 
@@ -432,9 +391,9 @@ class TestBuddyStore:
         assert store.prepare_recovery() is None
 
     def test_refresh_cadence_thins_history(self, tmp_path):
-        """refresh_every=2 halves the refresh traffic: only even boundary
-        steps are published."""
-        store = BuddyStore(RedundancyConfig(refresh_every=2, keep=2))
+        """Every boundary refreshes, and each history is thinned to the
+        last ``KEEP`` (2) boundary steps, on the primary and the replica."""
+        store = BuddyStore(RedundancyConfig())
 
         def fn(ctx):
             model, engine = build(ctx, 2)
@@ -444,10 +403,10 @@ class TestBuddyStore:
 
         Cluster(2, gpu=GPU, timeout_s=15.0, redundancy=store).run(fn)
         for owner in (0, 1):
-            assert tuple(s.step for s in store._primary[owner]) == (2, 4)
+            assert tuple(s.step for s in store._primary[owner]) == (3, 4)
             assert sorted(
                 s.step for by_owner in store._replicas.values() for s in by_owner.get(owner, ())
-            ) == [2, 4]
+            ) == [3, 4]
 
     def test_world_change_invalidates_stale_snapshots(self):
         store = BuddyStore(RedundancyConfig())

@@ -133,14 +133,17 @@ def test_supervisor_gives_up_after_max_restarts(tmp_path):
 
 
 def test_supervisor_respects_min_world_size(tmp_path):
+    """With no survivor left the supervisor gives up however many
+    restarts remain."""
     root = tmp_path / "ckpts"
-    plan = FaultPlan().kill_rank(1, at_step=1)
+    plan = FaultPlan().kill_rank(0, at_step=1).kill_rank(1, at_step=1)
     sup = Supervisor(
         2, gpu=GPU, fault_plan=plan, timeout_s=15.0,
-        policy=RestartPolicy(max_restarts=3, min_world_size=2),
+        policy=RestartPolicy(max_restarts=3),
     )
-    with pytest.raises(RankKilledError):
+    with pytest.raises(RankKilledError) as info:
         sup.run(make_train_fn(root, stage=1))
+    assert "no rank survived" in "".join(getattr(info.value, "__notes__", []))
 
 
 def test_programming_errors_propagate_without_restart(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.hardware.specs import GPUSpec
 from repro.memsim.device import Device
-from repro.tensor.tensor import Tensor, dtype_size
+from repro.tensor.tensor import Tensor, dtype_size, op_result
 
 MB = 1024 * 1024
 SPEC = GPUSpec("t", 64 * MB, 1e12)
@@ -42,7 +42,7 @@ def test_meta_tensor_allocates_without_data():
 def test_view_does_not_allocate():
     d = Device(SPEC)
     base = Tensor((10, 10), np.float32, data=np.ones((10, 10), np.float32), device=d)
-    view = Tensor((100,), np.float32, data=base.data.reshape(-1), device=d, alloc=False)
+    view = op_result(base, base.data.reshape(-1), (100,), base.dtype, "view", alloc=False)
     base_alloc = d.allocated_bytes
     assert base_alloc == d.raw.aligned(base.nbytes)  # only the base
     view.free()  # freeing a view is a no-op on device memory
@@ -235,14 +235,14 @@ def test_pool_entry_points_are_looked_up_on_the_instance_every_time():
     from repro.tensor import functional as F
 
     d = Device(SPEC)
-    x = Tensor.meta((8,), np.float32, device=d, tag="x")
+    x = Tensor((8,), np.float32, device=d, tag="x")
     seen = []
     alloc, free = d.alloc, d.free
     d.alloc = lambda size, tag="": seen.append(("alloc", size, tag)) or alloc(size, tag)
     d.free = lambda extent: seen.append(("free", extent.size, d.tag_of(extent))) or free(extent)
     try:
         F.add(x, x, "trusted").free()
-        Tensor.meta((8,), np.float32, device=d, tag="public").free()
+        Tensor((8,), np.float32, device=d, tag="public").free()
         x.free()
     finally:
         del d.alloc, d.free
