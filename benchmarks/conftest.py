@@ -1,9 +1,10 @@
 """Benchmark harness helpers.
 
-Every benchmark regenerates one paper table/figure: it times the
-experiment runner with pytest-benchmark, prints the reproduced rows, and
-writes them to ``benchmarks/output/<name>.txt`` so the artifacts survive
-pytest's output capture. ``record_table(text, metrics=...)`` additionally
+Every benchmark regenerates a table (``bench_paper.py`` one per paper
+table/figure and source): it times the runner with pytest-benchmark,
+prints the reproduced rows, and writes them to
+``benchmarks/output/<name>.txt`` so the artifacts survive pytest's output
+capture. ``record_table(text, metrics=...)`` additionally
 writes machine-readable ``benchmarks/output/BENCH_<name>.json`` rows
 (metric name, value, unit, config) for dashboards and regression diffing.
 
@@ -73,20 +74,6 @@ def record_table(request):
 
 
 @pytest.fixture(scope="session", autouse=True)
-def offload_sweep_smoke():
-    """Cheap guard that the offload democratization sweep stays runnable.
-
-    Any benchmark session exercises one fit point, so the sweep behind
-    ``bench_offload_democratization.py`` cannot silently rot even when the
-    offload benchmark itself is deselected.
-    """
-    from repro.experiments.offload_sweep import run_fit
-
-    rows = run_fit(budgets_gb=(8,))
-    assert rows and rows[0].offload_psi_b > rows[0].device_psi_b
-
-
-@pytest.fixture(scope="session", autouse=True)
 def baseline_gate_smoke():
     """The redundancy and Mission Control overhead benchmarks' perf-regression
     gates must stay armed: each committed baseline has to exist and pass
@@ -102,15 +89,3 @@ def baseline_gate_smoke():
         )
         ok, table = check_file(baseline)
         assert ok, table
-
-
-@pytest.fixture(scope="session", autouse=True)
-def infinity_sweep_smoke():
-    """Same guard for the ZeRO-Infinity tier sweep: one fit point per
-    session keeps ``bench_infinity_trillion.py``'s machinery honest even
-    when the infinity benchmark is deselected."""
-    from repro.experiments.infinity_sweep import run_fit
-
-    rows = run_fit(budgets_gb=(8,))
-    by_label = {r.label: r for r in rows}
-    assert by_label["+host+NVMe"].psi_b > by_label["device only"].psi_b

@@ -1,12 +1,18 @@
-"""One runner per paper table/figure. Each module exposes run() -> data
-and render(data) -> str; print any of them from the command line:
+"""One runner per paper table/figure, each result stated once in its module:
 
-    python -m repro.experiments fig2 table1 ...
+* ``run() -> data`` and ``render(data) -> str``, printed from the command
+  line with ``python -m repro.experiments fig2 table1 ...``;
+* ``claims(data)``, the paper's claims as ``common.Claim`` rows (what the
+  paper states, what the run reproduced, whether it holds);
+* ``metrics(data)``, the ``(rows, config)`` a BENCH artifact records;
+* ``SOURCES``, BENCH artifact name -> the runner whose data it records
+  (fig2 has two: ``run`` and ``run_measured``).
 
-Modules: fig1-fig8, sec7, sec8, sec9, table1, table2, offload_sweep,
-infinity_sweep; ``python -m repro.experiments.report`` runs the paper's
-tables and figures into one document. See DESIGN.md's per-experiment
-index for what each reproduces. Submodules are imported lazily (import
+``benchmarks/bench_paper.py`` times and records every source and fails on
+an unmet claim; tier-1's ``tests/test_experiments.py`` asserts the same
+claims; ``python -m repro.experiments.report`` writes every table with its
+claims table into one document. See DESIGN.md's per-experiment index for
+what each reproduces. Submodules are imported lazily (import
 repro.experiments.fig2 directly).
 """
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from repro.memsim.errors import OutOfMemoryError
 from repro.nn.transformer import GPTConfig
 from repro.runtime import RankContext, virtual_rank_context
 from repro.tensor.tensor import Tensor
+from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
 from repro.zero.factory import build_model_and_engine
@@ -20,6 +22,29 @@ from repro.zero.placement import Mesh
 SEQ_LEN = 1024
 #: the allocator fit's layer cap (Table 2's largest row trains under it)
 MAX_MEASURED_LAYERS = 2048
+
+
+class Claim(NamedTuple):
+    """One paper claim set against a runner's rows: what the paper states,
+    what the run reproduced, and whether the run meets the claim's bound."""
+
+    claim: str
+    paper: str
+    reproduced: str
+    holds: bool
+
+
+def unmet(claims: list[Claim]) -> list[str]:
+    """One line, with the paper's value, per claim the run does not meet."""
+    return [f"{c.claim} (paper: {c.paper}; reproduced: {c.reproduced})" for c in claims if not c.holds]
+
+
+def render_claims(claims: list[Claim]) -> str:
+    return format_table(
+        ["claim", "paper", "reproduced", "holds"],
+        [[c.claim, c.paper, c.reproduced, "yes" if c.holds else "NO"] for c in claims],
+        title="claims",
+    )
 
 
 def virtual_groups(ctx: RankContext, n_gpus: int, mp: int) -> tuple[VirtualGroup, VirtualGroup]:
@@ -61,7 +86,6 @@ class MetaMemoryResult:
     fits: bool
     peak_allocated_bytes: int
     max_cached_bytes: int
-    end_allocated_bytes: int
     oom_reason: str = ""
     # Memory-observatory extras (memprof=True): per-category peak live
     # bytes, whether the exact-attribution invariant held at every
@@ -79,13 +103,9 @@ class MetaMemoryResult:
         return self.max_cached_bytes / GB
 
     @property
-    def cached_gap_bytes(self) -> int:
-        """Peak reserved minus peak allocated — Figure 7's gap."""
-        return self.max_cached_bytes - self.peak_allocated_bytes
-
-    @property
     def cached_gap_gb(self) -> float:
-        return self.cached_gap_bytes / GB
+        """Peak reserved minus peak allocated — Figure 7's gap."""
+        return (self.max_cached_bytes - self.peak_allocated_bytes) / GB
 
 
 def meta_memory_step(
@@ -122,21 +142,13 @@ def meta_memory_step(
 
     def _result(fits: bool, oom_reason: str = "", oom_hint: str = "") -> MetaMemoryResult:
         peaks = None
-        ok = False
         if profiler is not None:
             profiler.verify_accounting()
             peaks = dict(profiler.peak_by_category)
-            ok = True
             profiler.detach()
         return MetaMemoryResult(
-            fits=fits,
-            peak_allocated_bytes=ctx.device.max_allocated_bytes,
-            max_cached_bytes=ctx.device.max_reserved_bytes,
-            end_allocated_bytes=ctx.device.allocated_bytes,
-            oom_reason=oom_reason,
-            category_peaks=peaks,
-            memprof_ok=ok,
-            oom_hint=oom_hint,
+            fits, ctx.device.max_allocated_bytes, ctx.device.max_reserved_bytes, oom_reason,
+            category_peaks=peaks, memprof_ok=peaks is not None, oom_hint=oom_hint,
         )
 
     try:

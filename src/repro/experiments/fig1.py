@@ -17,15 +17,15 @@ import numpy as np
 from repro import Cluster, GPTConfig
 from repro.analysis.memory_model import model_state_bytes
 from repro.configs import FIGURE1_ND, FIGURE1_PSI
+from repro.experiments.common import Claim
 from repro.hardware.specs import GPUSpec
 from repro.parallel.engine import EngineConfig
 from repro.utils.tables import format_table
 from repro.utils.units import GB
-from repro.zero.config import ZeROConfig
+from repro.zero.config import STAGE_NAMES, ZeROConfig
 from repro.zero.factory import build_model_and_engine
 from repro.zero.placement import Mesh
 
-STAGE_LABELS = {0: "baseline", 1: "Pos", 2: "Pos+g", 3: "Pos+g+p"}
 MESH = Mesh(dp=FIGURE1_ND)  # the worked example's DP degree
 
 
@@ -35,15 +35,7 @@ class Fig1Row:
     label: str
     analytic_gb: float
     # From the small-model measured run: bytes per parameter element.
-    measured_bytes_per_param: float | None = None
-
-
-def analytic_rows() -> list[Fig1Row]:
-    return [
-        Fig1Row(stage=s, label=STAGE_LABELS[s],
-                analytic_gb=model_state_bytes(FIGURE1_PSI, MESH, s) / GB)
-        for s in (0, 1, 2, 3)
-    ]
+    measured_bytes_per_param: float
 
 
 def measured_bytes_per_param(stage: int) -> float:
@@ -87,14 +79,11 @@ def measured_bytes_per_param(stage: int) -> float:
     return float(np.mean(cluster.run(run)))
 
 
-def run(measure: bool = True) -> list[Fig1Row]:
-    rows = analytic_rows()
-    if measure:
-        rows = [
-            Fig1Row(r.stage, r.label, r.analytic_gb, measured_bytes_per_param(r.stage))
-            for r in rows
-        ]
-    return rows
+def run() -> list[Fig1Row]:
+    return [
+        Fig1Row(s, label, model_state_bytes(FIGURE1_PSI, MESH, s) / GB, measured_bytes_per_param(s))
+        for s, label in STAGE_NAMES.items()
+    ]
 
 
 def render(rows: list[Fig1Row]) -> str:
@@ -107,7 +96,7 @@ def render(rows: list[Fig1Row]) -> str:
             f"{r.analytic_gb:.1f}",
             f"{formula_nd64:.3f}",
             f"{formula_nd4:.3f}",
-            "-" if r.measured_bytes_per_param is None else f"{r.measured_bytes_per_param:.3f}",
+            f"{r.measured_bytes_per_param:.3f}",
         ])
     return format_table(
         ["config", "GB @ 7.5B/Nd=64", "bytes/param Nd=64", "bytes/param Nd=4",
@@ -115,3 +104,32 @@ def render(rows: list[Fig1Row]) -> str:
         table_rows,
         title="Figure 1 — per-device model-state memory",
     )
+
+
+def metrics(rows: list[Fig1Row]):
+    return {f"model_state_{r.label}": (r.analytic_gb, "GB") for r in rows}, {
+        "figure": "fig1", "psi": FIGURE1_PSI, "nd": FIGURE1_ND}
+
+
+def claims(rows: list[Fig1Row]) -> list[Claim]:
+    gb = {r.label: r.analytic_gb for r in rows}
+    measured = {r.stage: r.measured_bytes_per_param for r in rows}
+
+    def state(label: str, bound: str, paper: float, holds: bool) -> Claim:
+        return Claim(f"{label} model states {bound} GB", f"{paper} GB", f"{gb[label]:.3f} GB", holds)
+
+    return [
+        state("baseline", "== 120", 120, gb["baseline"] == 120.0),
+        state("Pos", "31.4 ± 0.05", 31.4, abs(gb["Pos"] - 31.4) <= 0.05),
+        state("Pos+g", "16.6 ± 0.05", 16.6, abs(gb["Pos+g"] - 16.6) <= 0.05),
+        state("Pos+g+p", "rounds to 1.9", 1.9, round(gb["Pos+g+p"], 1) == 1.9),
+        state("Pos+g+p", "1.88 ± 0.01", 1.9, abs(gb["Pos+g+p"] - 1.88) <= 0.01),
+        Claim("measured baseline bytes/param, within 15%", "2 + 2 + 12 = 16",
+              f"{measured[0]:.3f}", abs(measured[0] - 16.0) <= 0.15 * 16.0),
+        Claim("measured Pos+g bytes/param at Nd=4, within 15%", "2 + 14/4 = 5.5",
+              f"{measured[2]:.3f}", abs(measured[2] - 5.5) <= 0.15 * 5.5),
+    ]
+
+
+#: BENCH artifact name -> the runner whose rows it records
+SOURCES = {"test_fig1_memory_stages": run}

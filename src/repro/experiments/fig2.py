@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.analysis.perf_model import PerfModel, transformer_flops_per_replica
 from repro.analysis.sim_time import LedgerTimeEstimator
 from repro.configs import TABLE5_FIGURE2, ExperimentPoint
-from repro.experiments.common import meta_engine
+from repro.experiments.common import Claim, meta_engine
 from repro.hardware.specs import GPUSpec
 from repro.hardware.topology import ClusterTopology
 from repro.runtime import virtual_rank_context
@@ -39,6 +39,7 @@ class Fig2Row:
     baseline_tflops: float
     speedup: float
     zero_aggregate_pflops: float
+    measured: bool  # priced from a recorded schedule, not the formulas
 
 
 def zero_config(point: ExperimentPoint) -> ZeROConfig:
@@ -51,7 +52,7 @@ def zero_config(point: ExperimentPoint) -> ZeROConfig:
     return ZeROConfig(stage=0, memory_defrag=False)
 
 
-def _rows(tflops_per_gpu) -> list[Fig2Row]:
+def _rows(tflops_per_gpu, measured: bool) -> list[Fig2Row]:
     """One row per model size from ``tflops_per_gpu(point)`` of its ZeRO
     and baseline points."""
     per_label: dict[str, dict[str, tuple[ExperimentPoint, float]]] = {}
@@ -65,7 +66,7 @@ def _rows(tflops_per_gpu) -> list[Fig2Row]:
             Fig2Row(
                 label=label, zero_tflops=zt, baseline_tflops=bt,
                 speedup=zt / bt if bt else float("inf"),
-                zero_aggregate_pflops=zt * zp.n_gpus / 1000.0,
+                zero_aggregate_pflops=zt * zp.n_gpus / 1000.0, measured=measured,
             )
         )
     return rows
@@ -74,7 +75,8 @@ def _rows(tflops_per_gpu) -> list[Fig2Row]:
 def run() -> list[Fig2Row]:
     pm = PerfModel()
     return _rows(
-        lambda p: pm.estimate(p.model, zero_config(p), mesh=p.mesh, batch=p.batch).tflops_per_gpu
+        lambda p: pm.estimate(p.model, zero_config(p), mesh=p.mesh, batch=p.batch).tflops_per_gpu,
+        measured=False,
     )
 
 
@@ -97,12 +99,13 @@ def _measured_tflops(point: ExperimentPoint) -> float:
 
 
 def run_measured() -> list[Fig2Row]:
-    """Figure 2 from recorded meta-mode schedules instead of formulas (the
-    measured column of ``benchmarks/bench_fig2_throughput.py``)."""
-    return _rows(_measured_tflops)
+    """Figure 2 from recorded meta-mode schedules instead of formulas:
+    ``fig2``'s second source, ``test_fig2_throughput_measured_schedules``."""
+    return _rows(_measured_tflops, measured=True)
 
 
 def render(rows: list[Fig2Row]) -> str:
+    source = " (recorded meta-mode schedules)" if rows[0].measured else ""
     return format_table(
         ["model", "ZeRO TF/GPU", "baseline TF/GPU", "speedup", "ZeRO aggregate PF"],
         [
@@ -110,5 +113,35 @@ def render(rows: list[Fig2Row]) -> str:
              f"{r.speedup:.1f}x", f"{r.zero_aggregate_pflops:.1f}"]
             for r in rows
         ],
-        title="Figure 2 — throughput per GPU, ZeRO-100B vs Megatron baseline",
+        title=f"Figure 2{source} — throughput per GPU, ZeRO-100B vs Megatron baseline",
     )
+
+
+def metrics(rows: list[Fig2Row]):
+    return {
+        **{f"speedup_{r.label}": (r.speedup, "x") for r in rows},
+        **{f"zero_tflops_{r.label}": (r.zero_tflops, "TFLOPs/GPU") for r in rows},
+    }, {"figure": "fig2", "source": "measured-schedules" if rows[0].measured else "analytic"}
+
+
+def claims(rows: list[Fig2Row]) -> list[Claim]:
+    by_label = {r.label: r for r in rows}
+    big, small = by_label["100B"], by_label["1.5B"]
+    cross_node = [by_label[label].baseline_tflops for label in ("60B", "100B", "170B")]
+    return [
+        Claim("100B speedup > 7x", "up to 10x", f"{big.speedup:.1f}x", big.speedup > 7),
+        Claim("100B aggregate > 10 PF", "15 PF", f"{big.zero_aggregate_pflops:.1f} PF",
+              big.zero_aggregate_pflops > 10),
+        Claim("100B ZeRO in (30, 50) TF/GPU", "38-47 TF/GPU", f"{big.zero_tflops:.1f} TF/GPU",
+              30 < big.zero_tflops < 50),
+        Claim("1.5B speedup < 2x", "MP inside a node: no gap", f"{small.speedup:.1f}x",
+              small.speedup < 2),
+        Claim("baseline < 8 TF/GPU at 60B, 100B, 170B", "about 5 TF/GPU across nodes",
+              " / ".join(f"{t:.1f}" for t in cross_node), all(t < 8 for t in cross_node)),
+    ]
+
+
+SOURCES = {
+    "test_fig2_throughput": run,
+    "test_fig2_throughput_measured_schedules": run_measured,
+}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.max_model import max_batch
 from repro.analysis.perf_model import PerfModel
 from repro.configs import TABLE6_FIGURE3
+from repro.experiments.common import Claim
 from repro.utils.tables import format_table
 from repro.zero.config import C4  # Pos+g + Pa: the ZeRO-100B configuration
 
@@ -64,3 +65,25 @@ def render(rows: list[Fig3Row]) -> str:
         ],
         title="Figure 3 — 60B model scalability (super-linear vs 64-GPU baseline)",
     )
+
+
+def metrics(rows: list[Fig3Row]):
+    return {f"aggregate_pflops_{r.n_gpus}gpus": (r.aggregate_pflops, "PFLOPs") for r in rows}, {
+        "figure": "fig3", "model": "60B"}
+
+
+def claims(rows: list[Fig3Row]) -> list[Claim]:
+    first, second, last = rows[0], rows[1], rows[-1]
+    return [
+        Claim(f"{first.n_gpus} -> {second.n_gpus} GPUs more than doubles aggregate", "super-linear",
+              f"{first.aggregate_pflops:.2f} -> {second.aggregate_pflops:.2f} PF",
+              second.aggregate_pflops > 2 * first.aggregate_pflops),
+        Claim(f"super-linear at every Nd past {first.n_gpus}", "super-linear to 400 GPUs",
+              f"{sum(r.superlinear for r in rows[1:])} of {len(rows) - 1}",
+              all(r.superlinear for r in rows[1:])),
+        Claim(f"Table 6's batch fits at {last.n_gpus} GPUs", f"batch {last.batch}",
+              f"max batch {last.solver_max_batch}", last.solver_max_batch >= last.batch),
+    ]
+
+
+SOURCES = {"test_fig3_superlinear": run}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.max_model import device_bytes_for
 from repro.analysis.perf_model import PerfModel
 from repro.configs import TABLE10_FIGURE4_DP_ONLY
+from repro.experiments.common import Claim
 from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import ZeROConfig
@@ -59,3 +60,29 @@ def render(rows: list[Fig4Row]) -> str:
         ],
         title="Figure 4 — DP-only training on 128 GPUs (ZeRO-100B vs baseline DP)",
     )
+
+
+def _max_psi_b(rows: list[Fig4Row], system: str) -> float:
+    return max(r.psi_b for r in rows if r.system == system)
+
+
+def metrics(rows: list[Fig4Row]):
+    return {
+        "max_model_zero": (_max_psi_b(rows, "zero"), "B params"),
+        "max_model_baseline": (_max_psi_b(rows, "baseline"), "B params"),
+        **{f"tflops_{r.system}_{r.label}": (r.tflops_per_gpu, "TFLOPs/GPU") for r in rows},
+    }, {"figure": "fig4"}
+
+
+def claims(rows: list[Fig4Row]) -> list[Claim]:
+    zero = [r for r in rows if r.system == "zero"]
+    zero_max, base_max = _max_psi_b(rows, "zero"), _max_psi_b(rows, "baseline")
+    return [
+        Claim("largest ZeRO DP-only model > 12B", "13B", f"{zero_max:.1f}B", zero_max > 12),
+        Claim("every ZeRO DP-only model fits 32 GB", "up to 13B",
+              f"{sum(r.fits_32gb for r in zero)} of {len(zero)}", all(r.fits_32gb for r in zero)),
+        Claim("largest baseline DP model < 1.5B", "1.4B", f"{base_max:.2f}B", base_max < 1.5),
+    ]
+
+
+SOURCES = {"test_fig4_democratization": run}

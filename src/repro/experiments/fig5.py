@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import Cluster, GPTConfig
 from repro.data import SyntheticCorpus
+from repro.experiments.common import Claim
 from repro.hardware.specs import GPUSpec
 from repro.nn.module import ExecutionContext
 from repro.optim.adam import AdamHyperparams
@@ -70,7 +71,7 @@ def train_curve(
     *,
     stage: int,
     label: str,
-    steps: int = 30,
+    steps: int,
 ) -> TrainingCurve:
     corpus = SyntheticCorpus(VOCAB, seed=91)
     gpu = GPUSpec("fig5-gpu", 4 * 10**9, 1e12)
@@ -99,7 +100,7 @@ SMALL = GPTConfig(n_layers=2, hidden=32, n_heads=4, vocab_size=VOCAB, max_seq_le
 LARGE = GPTConfig(n_layers=4, hidden=64, n_heads=8, vocab_size=VOCAB, max_seq_len=SEQ)
 
 
-def run(steps: int = 30) -> list[TrainingCurve]:
+def run(steps: int = 20) -> list[TrainingCurve]:
     return [
         train_curve(SMALL, stage=0, label="small (8.3B-scale proxy), DDP", steps=steps),
         train_curve(SMALL, stage=2, label="small (8.3B-scale proxy), ZeRO-2", steps=steps),
@@ -117,3 +118,26 @@ def render(curves: list[TrainingCurve]) -> str:
         rows,
         title="Figure 5 — Turing-NLG shape: ZeRO == DDP curves; larger model wins",
     )
+
+
+def metrics(curves: list[TrainingCurve]):
+    return {f"final_val_ppl_{c.label}": c.final for c in curves}, {
+        "figure": "fig5", "steps": len(curves[0].val_perplexity) * EVAL_EVERY,
+    }
+
+
+def claims(curves: list[TrainingCurve]) -> list[Claim]:
+    ddp, zero_small, zero_large = curves
+    same = ddp.val_perplexity == zero_small.val_perplexity
+    return [
+        Claim("ZeRO-2 validation curve bitwise equal to DDP's", "accuracy unchanged",
+              "identical" if same else "differs", same),
+        Claim("larger model ends below the smaller", "17B below 8.3B",
+              f"{zero_large.final:.1f} vs {ddp.final:.1f}", zero_large.final < ddp.final),
+        Claim("perplexity falls over training, every run", "falling curves",
+              " / ".join(f"{c.val_perplexity[0]:.0f} -> {c.final:.0f}" for c in curves),
+              all(c.final < c.val_perplexity[0] for c in curves)),
+    ]
+
+
+SOURCES = {"test_fig5_turing_nlg": run}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.max_model import max_layers
-from repro.experiments.common import measured_max_layers
+from repro.experiments.common import Claim, measured_max_layers
 from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
 from repro.zero.config import PAPER_CONFIGS
@@ -65,3 +65,29 @@ def render(rows: list[Fig6Row]) -> str:
         ],
         title=f"Figure 6 — max model size (MP={MP}, batch={BATCH}, {N_GPUS} GPUs)",
     )
+
+
+def metrics(rows: list[Fig6Row]):
+    return {f"max_params_{r.config}": (r.max_params_b, "B params") for r in rows}, {"figure": "fig6"}
+
+
+#: the paper's Figure 6 bars, billions of parameters
+PAPER_B = {"C1": 40, "C2": 60, "C3": 140, "C4": 140, "C5": 150}
+
+
+def claims(rows: list[Fig6Row]) -> list[Claim]:
+    b = {r.config: r.max_params_b for r in rows}
+
+    def order(claim: str, left: str, right: str, holds: bool) -> Claim:
+        return Claim(claim, f"{PAPER_B[left]}B, {PAPER_B[right]}B",
+                     f"{b[left]:.0f}B, {b[right]:.0f}B", holds)
+
+    return [
+        order("Pa enlarges the model: C1 < C2", "C1", "C2", b["C1"] < b["C2"]),
+        order("C3 < C4", "C3", "C4", b["C3"] < b["C4"]),
+        order("Pa+cpu adds the last slice: C4 <= C5", "C4", "C5", b["C4"] <= b["C5"]),
+        order("Pos+g with Pa more than doubles it: C4 > 2 x C1", "C1", "C4", b["C4"] > 2 * b["C1"]),
+    ]
+
+
+SOURCES = {"test_fig6_max_model_configs": run}

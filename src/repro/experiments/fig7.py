@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.configs import TABLE8_FIGURE7, ExperimentPoint
-from repro.experiments.common import meta_memory_step
+from repro.configs import TABLE8_FIGURE7
+from repro.experiments.common import Claim, meta_memory_step
 from repro.utils.tables import format_table
 from repro.utils.units import GB
 from repro.zero.config import PAPER_CONFIGS
@@ -39,9 +39,9 @@ class Fig7Cell:
     memprof_ok: bool = False
 
 
-def run(points: list[ExperimentPoint] | None = None) -> list[Fig7Cell]:
+def run() -> list[Fig7Cell]:
     cells = []
-    for point in points or TABLE8_FIGURE7:
+    for point in TABLE8_FIGURE7:
         for name, zero in PAPER_CONFIGS.items():
             result = meta_memory_step(
                 point.model, zero, n_gpus=point.n_gpus, mp=point.mp, batch=point.batch,
@@ -80,3 +80,39 @@ def render(cells: list[Fig7Cell]) -> str:
         ],
         title="Figure 7 — max cached memory per iteration (meta-mode allocator)",
     )
+
+
+def metrics(cells: list[Fig7Cell]):
+    fits = [c for c in cells if c.fits]
+    return {
+        **{f"max_cached_gb_{c.model}_{c.config}": (c.max_cached_gb, "GB") for c in fits},
+        **{f"cached_gap_gb_{c.model}_{c.config}": (c.cached_gap_gb, "GB") for c in fits},
+    }, {"figure": "fig7", "memprof": True}
+
+
+def claims(cells: list[Fig7Cell]) -> list[Claim]:
+    index = {(c.model, c.config): c for c in cells}
+    gb = {key: c.max_cached_gb for key, c in index.items()}
+    fits = [c for c in cells if c.fits]
+    # Every cell's numbers come from a profiled run in which the sum of
+    # per-category live bytes equalled device allocated bytes at every
+    # allocator event (memprof self_check).
+    gap_ok = [abs(c.cached_gap_gb - (c.max_cached_gb - c.peak_allocated_gb)) < 1e-9
+              and bool(c.top_category) for c in fits]
+    c4, c5 = index["100B", "C4"], index["100B", "C5"]
+    return [
+        Claim("memprof self-check held, every cell", "-",
+              f"{sum(c.memprof_ok for c in cells)} of {len(cells)}", all(c.memprof_ok for c in cells)),
+        Claim("gap = cached - allocated, top category named, every fitting cell", "-",
+              f"{sum(gap_ok)} of {len(fits)}", all(gap_ok)),
+        Claim("40B: Pa lowers cached memory, C1 -> C2", "drops",
+              f"{gb['40B', 'C1']:.1f} -> {gb['40B', 'C2']:.1f} GB", gb["40B", "C2"] < gb["40B", "C1"]),
+        Claim("40B: C4 -> C5 within 1 GB", "flat", f"{gb['40B', 'C4']:.1f} -> {gb['40B', 'C5']:.1f} GB",
+              abs(gb["40B", "C5"] - gb["40B", "C4"]) < 1),
+        Claim("100B: C4 and C5 fit, C5 over 1 GB lower", "drops",
+              f"{c4.max_cached_gb:.1f} -> {c5.max_cached_gb:.1f} GB",
+              c4.fits and c5.fits and c5.max_cached_gb < c4.max_cached_gb - 1),
+    ]
+
+
+SOURCES = {"test_fig7_cached_memory": run}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.analysis.max_model import max_batch
 from repro.analysis.perf_model import PerfModel
+from repro.experiments.common import Claim
 from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
 from repro.zero.config import PAPER_CONFIGS
@@ -61,3 +62,26 @@ def render(rows: list[Fig8Row]) -> str:
         ],
         title="Figure 8 — best achievable throughput per config (C1-C5)",
     )
+
+
+def metrics(rows: list[Fig8Row]):
+    return {
+        f"tflops_{r.model}_{r.config}": (r.tflops_per_gpu, "TFLOPs/GPU") for r in rows if r.runnable
+    }, {"figure": "fig8"}
+
+
+def claims(rows: list[Fig8Row]) -> list[Claim]:
+    tf = {(r.model, r.config): r.tflops_per_gpu for r in rows}
+    runs = {(r.model, r.config): r.runnable for r in rows}
+    return [
+        Claim("60B: C4 faster than C1", "C4 above C1",
+              f"{tf['60B', 'C1']:.1f} -> {tf['60B', 'C4']:.1f} TF/GPU", tf["60B", "C4"] > tf["60B", "C1"]),
+        Claim("60B: C5 no faster than C4", "C5 below C4",
+              f"{tf['60B', 'C4']:.1f} -> {tf['60B', 'C5']:.1f} TF/GPU", tf["60B", "C5"] <= tf["60B", "C4"]),
+        Claim("170B runs with C5, not with C1", "only C5 runs",
+              f"C1 {runs['170B', 'C1']}, C5 {runs['170B', 'C5']}",
+              runs["170B", "C5"] and not runs["170B", "C1"]),
+    ]
+
+
+SOURCES = {"test_fig8_config_throughput": run}

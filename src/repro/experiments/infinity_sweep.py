@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.analysis.max_model import SEQ_LEN, VOCAB, _largest, device_bytes_for
 from repro.analysis.memory_model import state_bytes_by_tier
-from repro.experiments.common import meta_engine
+from repro.experiments.common import Claim, meta_engine
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
 from repro.infinity.schedule import StepInputs, steady_step
@@ -115,13 +115,13 @@ def _fit_point(
     return binding == "search", cfg, dev, tiers, binding
 
 
-def run_fit(budgets_gb=BUDGETS_GB) -> list[InfinityFitRow]:
+def run_fit() -> list[InfinityFitRow]:
     """Single-GPU (stage 3) max trainable model per tier reach."""
     topo = ClusterTopology.for_world_size(1)
     host_cap = topo.host_bytes_per_gpu
     nvme_cap = topo.nvme_bytes_per_gpu
     rows = []
-    for budget in budgets_gb:
+    for budget in BUDGETS_GB:
         for label, inf in FIT_TIERS:
             zero = ZeROConfig(stage=3, infinity=inf)
 
@@ -219,3 +219,45 @@ def render(result: InfinitySweepResult) -> str:
         title="Infinity schedule, uniform pieces vs simulated timeline (meta engines)",
     )
     return fit + "\n\n" + time
+
+
+def _reaches(result: InfinitySweepResult) -> list[tuple[float, float, float, float]]:
+    """(budget GB, then max params per ``FIT_TIERS`` reach) per budget, in ``run_fit``'s order."""
+    rows, n = result.fit_rows, len(FIT_TIERS)
+    return [(rows[i].budget_gb, *(r.psi_b for r in rows[i:i + n])) for i in range(0, len(rows), n)]
+
+
+def metrics(result: InfinitySweepResult):
+    return {
+        **{
+            f"max_psi_b_{row.budget_gb:.0f}gb_{row.label.replace(' ', '_').replace('+', '')}":
+                (row.psi_b, "B params")
+            for row in result.fit_rows
+        },
+        **{f"tier_ratio_{budget:.0f}gb": (nvme / device, "x") for budget, device, _, nvme in _reaches(result)},
+        "max_step_time_rel_err": max(r.rel_err for r in result.time_rows),
+    }, {"experiment": "infinity-trillion"}
+
+
+def schedule_claim(time_rows: list[InfinityTimeRow]) -> Claim:
+    """The schedule on uniform pieces tracks the simulated timeline."""
+    err = max(r.rel_err for r in time_rows)
+    return Claim("uniform schedule within 5% of the timeline, every case", "closed forms",
+                 f"max {100 * err:.2f}%", all(r.rel_err <= 0.05 for r in time_rows))
+
+
+def claims(result: InfinitySweepResult) -> list[Claim]:
+    found = []
+    for budget, device, host, nvme in _reaches(result):
+        found += [
+            Claim(f"host+NVMe >= 10x device-only, {budget:.0f} GB device", ">= 10x",
+                  f"{nvme / device:.1f}x", nvme / device >= 10.0),
+            Claim(f"host DRAM enlarges the model, {budget:.0f} GB device", "larger",
+                  f"{device:.2f}B -> {host:.2f}B", host > device),
+            Claim(f"NVMe enlarges it further, {budget:.0f} GB device", "larger",
+                  f"{host:.2f}B -> {nvme:.2f}B", nvme > host),
+        ]
+    return found + [schedule_claim(result.time_rows)]
+
+
+SOURCES = {"infinity_trillion": run}

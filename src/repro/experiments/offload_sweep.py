@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.max_model import max_layers
 from repro.analysis.memory_model import state_bytes_by_tier
-from repro.experiments.infinity_sweep import InfinityTimeRow, run_time
+from repro.experiments.common import Claim
+from repro.experiments.infinity_sweep import InfinityTimeRow, run_time, schedule_claim
 from repro.hardware.topology import ClusterTopology
 from repro.infinity.config import InfinityConfig
 from repro.utils.tables import format_table
@@ -65,13 +66,13 @@ class OffloadSweepResult:
     time_rows: list[InfinityTimeRow]
 
 
-def run_fit(budgets_gb=BUDGETS_GB) -> list[OffloadFitRow]:
+def run_fit() -> list[OffloadFitRow]:
     """Single-GPU max trainable model, offload off vs on."""
     device_cfg = ZeROConfig(stage=2)
     offload_cfg = replace(device_cfg, infinity=offload_tiers(streamed=True))
     host_budget = ClusterTopology.for_world_size(1).host_bytes_per_gpu
     rows = []
-    for budget in budgets_gb:
+    for budget in BUDGETS_GB:
         common = dict(mesh=Mesh(), hidden=HIDDEN, heads=HEADS, batch=BATCH,
                       budget_bytes=budget * GB)
         base = max_layers(device_cfg, **common)
@@ -124,3 +125,24 @@ def render(result: OffloadSweepResult) -> str:
         title="Offload schedule, uniform pieces vs simulated timeline (meta engines)",
     )
     return fit + "\n\n" + time
+
+
+def metrics(result: OffloadSweepResult):
+    return {
+        **{f"offload_max_psi_b_{r.budget_gb:.0f}gb": (r.offload_psi_b, "B params")
+           for r in result.fit_rows},
+        **{f"device_max_psi_b_{r.budget_gb:.0f}gb": (r.device_psi_b, "B params")
+           for r in result.fit_rows},
+        "max_step_time_rel_err": max(r.rel_err for r in result.time_rows),
+    }, {"experiment": "offload-democratization"}
+
+
+def claims(result: OffloadSweepResult) -> list[Claim]:
+    return [
+        Claim(f"offload trains a larger model, {r.budget_gb:.0f} GB device", "10x on one GPU",
+              f"{r.device_psi_b:.2f}B -> {r.offload_psi_b:.2f}B", r.offload_psi_b > r.device_psi_b)
+        for r in result.fit_rows
+    ] + [schedule_claim(result.time_rows)]
+
+
+SOURCES = {"test_offload_democratization": run}

@@ -4,8 +4,9 @@ Usage:
     python -m repro.experiments.report [output.md]
 
 Executes all table/figure runners (the same code the benchmarks call) and
-writes their reproduced rows into a single document, in paper order —
-the one-command regeneration of EXPERIMENTS.md's measured content.
+writes their reproduced rows, each section's claims table under them, into
+a single document, in paper order — the one-command regeneration of
+EXPERIMENTS.md's measured content.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 import time
 
 from repro.experiments import TITLES
+from repro.experiments.common import render_claims
 
 EXPERIMENTS = list(TITLES.items())
 
@@ -25,7 +27,7 @@ def run_all() -> str:
         module = importlib.import_module(f"repro.experiments.{module_name}")
         start = time.time()
         data = module.run()
-        rendered = module.render(data)
+        rendered = module.render(data) + "\n\n" + render_claims(module.claims(data))
         elapsed = time.time() - start
         sections.append(f"## {title}")
         sections.append("")

@@ -15,6 +15,7 @@ import numpy as np
 from repro import Cluster, GPTConfig
 from repro.analysis.comm_model import dp_volume_elements
 from repro.data import SyntheticCorpus
+from repro.experiments.common import Claim
 from repro.hardware.specs import GPUSpec
 from repro.parallel.engine import EngineConfig
 from repro.utils.tables import format_table
@@ -76,3 +77,19 @@ def render(rows: list[Sec7Row]) -> str:
         ],
         title="Section 7 — per-rank DP communication volume per step",
     )
+
+
+def metrics(rows: list[Sec7Row]):
+    return {f"comm_volume_psi_stage{r.stage}": (r.measured_psi, "elements/psi") for r in rows}, {
+        "section": "7"}
+
+
+def claims(rows: list[Sec7Row]) -> list[Claim]:
+    return [
+        Claim(f"stage {r.stage} DP volume, within 1e-6 Psi", f"{r.expected_psi:g} Psi",
+              f"{r.measured_psi:.6f} Psi", abs(r.measured_psi - r.expected_psi) <= 1e-6)
+        for r in rows
+    ]
+
+
+SOURCES = {"test_sec7_comm_volume": run}

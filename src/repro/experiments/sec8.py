@@ -16,6 +16,7 @@ import numpy as np
 from repro import Cluster, GPTConfig
 from repro.analysis.comm_model import MPCommModel
 from repro.data import SyntheticCorpus
+from repro.experiments.common import Claim
 from repro.hardware.specs import GPUSpec
 from repro.utils.tables import format_table
 from repro.zero.config import C2, ZeROConfig  # C2: Pa on, the row the analytic Pa column prices
@@ -88,7 +89,7 @@ def measure(store_kind: str) -> Sec8Result:
 
 
 def run() -> list[Sec8Result]:
-    return [measure(kind) for kind in ("none", "pa", "pa+cpu")]
+    return [measure(kind) for kind in STORES]
 
 
 def render(results: list[Sec8Result]) -> str:
@@ -103,3 +104,27 @@ def render(results: list[Sec8Result]) -> str:
         ],
         title="Section 8 — MP communication and Pa overhead (measured vs analytic)",
     )
+
+
+def metrics(results: list[Sec8Result]):
+    return {
+        **{f"pa_overhead_fraction_{r.store}": r.pa_overhead_fraction for r in results},
+        **{f"cpu_transfer_elems_{r.store}": (r.cpu_transfer_elems, "elements") for r in results},
+    }, {"section": "8"}
+
+
+def claims(results: list[Sec8Result]) -> list[Claim]:
+    none, pa, cpu = results  # in STORES order
+    return [
+        Claim("MP volume equals 12 x batch x seq x hidden per block", f"{none.analytic_mp_elems:.0f}",
+              f"{none.mp_volume_elems:.0f}", none.mp_volume_elems == none.analytic_mp_elems),
+        Claim("Pa all-gather equals batch x seq x hidden per block", f"{pa.analytic_pa_elems:.0f}",
+              f"{pa.activation_gather_elems:.0f}", pa.activation_gather_elems == pa.analytic_pa_elems),
+        Claim("Pa overhead < 10% of MP volume", "< 10%", f"{100 * pa.pa_overhead_fraction:.1f}%",
+              pa.pa_overhead_fraction < 0.10),
+        Claim("Pa+cpu moves the checkpoint over PCIe", "2x the shard",
+              f"{cpu.cpu_transfer_elems:.0f} elements", cpu.cpu_transfer_elems > 0),
+    ]
+
+
+SOURCES = {"test_sec8_mp_comm": run}

@@ -9,6 +9,7 @@ from repro.analysis.compute_gap import (
     training_days_same_hardware,
 )
 from repro.analysis.memory_model import model_state_bytes
+from repro.experiments.common import Claim
 from repro.hardware.specs import V100_32GB
 from repro.utils.tables import format_table
 from repro.zero.placement import Mesh
@@ -60,3 +61,20 @@ def render(rows: list[Sec9Row]) -> str:
         [[r.claim, r.paper, r.reproduced] for r in rows],
         title="Section 9 — step towards 1 trillion parameters",
     )
+
+
+def metrics(rows: list[Sec9Row]):
+    return {"n_claims": len(rows)}, {"section": "9", "claims": {r.claim: r.reproduced for r in rows}}
+
+
+def claims(rows: list[Sec9Row]) -> list[Claim]:
+    by_claim = {r.claim: r for r in rows}
+    fits, days = by_claim["1T fits on 1024 GPUs with Pos+g+p"], by_claim["train time, same hardware+tokens"]
+    return [
+        Claim(fits.claim, fits.paper, fits.reproduced, "fits=True" in fits.reproduced),
+        Claim(f"{days.claim}, 140-141 days", days.paper, days.reproduced,
+              days.reproduced.startswith(("140", "141"))),
+    ]
+
+
+SOURCES = {"test_sec9_compute_gap": run}

@@ -10,9 +10,11 @@ from dataclasses import dataclass
 
 from repro.analysis.memory_model import model_state_bytes
 from repro.configs import TABLE1_DP_DEGREES, TABLE1_MODEL_SIZES
+from repro.experiments.common import Claim
 from repro.hardware.specs import V100_32GB
 from repro.utils.tables import format_table
 from repro.utils.units import GB
+from repro.zero.config import STAGE_NAMES
 from repro.zero.placement import Mesh
 
 
@@ -57,8 +59,31 @@ def render(cells: list[Table1Cell]) -> str:
         rows.append(row)
     headers = ["DP"]
     for model in TABLE1_MODEL_SIZES:
-        headers += [f"{model} Pos", f"{model} Pos+g", f"{model} Pos+g+p"]
+        headers += [f"{model} {STAGE_NAMES[stage]}" for stage in (1, 2, 3)]
     return format_table(
         headers, rows,
         title="Table 1 — per-device model-state memory (GB); '*' fits a 32GB V100",
     )
+
+
+def metrics(cells: list[Table1Cell]):
+    return {f"gb_{c.model}_nd{c.nd}_stage{c.stage}": (c.gb, "GB") for c in cells}, {"table": "table1"}
+
+
+#: (model, Nd, stage, whether the paper sets the cell in bold: fits 32 GB)
+PAPER_FITS = (
+    ("7.5B", 64, 1, True), ("7.5B", 16, 1, False), ("7.5B", 16, 2, True), ("7.5B", 4, 2, False),
+    ("7.5B", 4, 3, True), ("1T", 1024, 3, True), ("1T", 1024, 2, False),
+)
+
+
+def claims(cells: list[Table1Cell]) -> list[Claim]:
+    index = {(c.model, c.nd, c.stage): c for c in cells}
+    return [
+        Claim(f"{model} {STAGE_NAMES[stage]} at Nd={nd}", "fits 32 GB" if bold else "over 32 GB",
+              f"{index[model, nd, stage].gb:.3g} GB", index[model, nd, stage].fits_32gb == bold)
+        for model, nd, stage, bold in PAPER_FITS
+    ]
+
+
+SOURCES = {"test_table1_memory_vs_dp": run}

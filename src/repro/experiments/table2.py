@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 from repro.analysis.memory_model import max_model_params
 from repro.configs import TABLE2_ROWS
-from repro.experiments.common import measured_max_layers
+from repro.experiments.common import Claim, measured_max_layers
 from repro.hardware.specs import V100_32GB
 from repro.nn.transformer import GPTConfig
 from repro.utils.tables import format_table
 from repro.utils.units import BILLION
-from repro.zero.config import ZeROConfig
+from repro.zero.config import STAGE_NAMES, ZeROConfig
 from repro.zero.placement import Mesh
 
 
@@ -35,7 +35,6 @@ class Table2Row:
     measured_pos_b: float
 
 
-STAGES = {"baseline": 0, "Pos": 1, "Pos+g": 2, "Pos+g+p": 3}
 #: the measured half's GPT family and per-replica batch
 HIDDEN, HEADS, BATCH = 4096, 32, 8
 
@@ -51,21 +50,16 @@ def _measured_max_b(stage: int, mp: int, gpus: int) -> float:
     return GPTConfig(n_layers=layers, hidden=HIDDEN, n_heads=HEADS).total_params / BILLION
 
 
-def run(*, measure: bool = True) -> list[Table2Row]:
+def run() -> list[Table2Row]:
     rows = []
     mem = V100_32GB.memory_bytes
     for mp, gpus in TABLE2_ROWS:
         mesh = Mesh.of_world(gpus, mp)
         theo = {
             label: max_model_params(mem, mesh, stage) / BILLION
-            for label, stage in STAGES.items()
+            for stage, label in STAGE_NAMES.items()
         }
-        measured_base = _measured_max_b(0, mp, gpus) if measure else 0.0
-        measured_pos = _measured_max_b(1, mp, gpus) if measure else 0.0
-        rows.append(
-            Table2Row(mp=mp, gpus=gpus, theoretical_b=theo,
-                      measured_baseline_b=measured_base, measured_pos_b=measured_pos)
-        )
+        rows.append(Table2Row(mp, gpus, theo, _measured_max_b(0, mp, gpus), _measured_max_b(1, mp, gpus)))
     return rows
 
 
@@ -87,3 +81,32 @@ def render(rows: list[Table2Row]) -> str:
         table,
         title="Table 2 — max model size: theory (model states only) vs measured (meta-mode allocator)",
     )
+
+
+def metrics(rows: list[Table2Row]):
+    return {
+        **{f"measured_baseline_b_mp{r.mp}": (r.measured_baseline_b, "B params") for r in rows},
+        **{f"measured_pos_b_mp{r.mp}": (r.measured_pos_b, "B params") for r in rows},
+    }, {"table": "table2"}
+
+
+def claims(rows: list[Table2Row]) -> list[Claim]:
+    by_mp = {r.mp: r for r in rows}
+    base, pos = by_mp[1].measured_baseline_b, by_mp[1].measured_pos_b
+
+    def theory(mp: int, label: str, paper: float, tol: float, bound: str) -> Claim:
+        b = by_mp[mp].theoretical_b[label]
+        return Claim(f"theory {label}, MP={mp}, {bound}", f"{paper:g}B", f"{b:.2f}B", abs(b - paper) <= tol)
+
+    return [
+        theory(1, "baseline", 2.0, 0.05, "± 0.05B"),
+        theory(1, "Pos", 7.6, 0.1, "± 0.1B"),
+        theory(1, "Pos+g+p", 128, 1.28, "± 1%"),
+        theory(16, "Pos+g+p", 2048, 20.48, "± 1%"),
+        Claim("measured baseline, MP=1, in [1, 2]B", "1.3B", f"{base:.2f}B", 1.0 <= base <= 2.0),
+        Claim("measured Pos, MP=1, in [4.5, 7.5]B", "6.2B", f"{pos:.2f}B", 4.5 <= pos <= 7.5),
+        Claim("measured Pos / baseline, MP=1, > 3", "4.8x", f"{pos / base:.1f}x", pos / base > 3),
+    ]
+
+
+SOURCES = {"test_table2_max_model": run}

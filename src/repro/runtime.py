@@ -173,7 +173,8 @@ def virtual_rank_context(
     this context execute every allocation and record every communication
     volume exactly as rank ``rank`` of a ``world_size``-GPU job would —
     the single-thread path behind the Table 2 / Figure 6 / Figure 7
-    memory measurements.
+    memory measurements. Its host and NVMe pools hold one GPU's share of
+    the node's (``ClusterTopology.host_bytes_per_gpu`` / ``nvme_bytes_per_gpu``).
     """
     world = VirtualGroup.of_size(world_size, member_rank=rank)
     ledger = CommLedger(rank=rank)
@@ -185,11 +186,11 @@ def virtual_rank_context(
         world_size=world_size,
         world=world,
         device=Device(gpu, index=rank),
-        host=HostMemory(topo.node.host_memory_bytes),
+        host=HostMemory(topo.host_bytes_per_gpu),
         ledger=ledger,
         topology=topo,
         fabric=fabric,
-        nvme=HostMemory(topo.node.nvme_bytes, name="nvme"),
+        nvme=HostMemory(topo.nvme_bytes_per_gpu, name="nvme"),
         _new_group=lambda ranks: VirtualGroup(ranks, member_rank=rank),
     )
 

@@ -5,8 +5,8 @@ The observability layer of the reproduction (docs/ARCHITECTURE.md §9):
 * ``Tracer`` (``telemetry.spans``) — nested phase spans on the simulated
   per-rank clock, priced with the alpha-beta ``CommCostModel``; instant
   events for fault retries and supervisor actions; counter tracks for
-  memory and cumulative communication volume. Bridges ``CommLedger`` and
-  ``MemoryTimeline`` instead of duplicating them.
+  memory and cumulative communication volume. Bridges ``CommLedger``
+  instead of duplicating it.
 * ``MetricsRegistry`` (``telemetry.metrics``) — counters, gauges, and
   histograms with cross-rank min/max/mean/p95 aggregation and JSONL
   export.
@@ -15,9 +15,8 @@ The observability layer of the reproduction (docs/ARCHITECTURE.md §9):
 * ``TelemetrySession`` (``telemetry.session``) — the cluster-level hub:
   ``Cluster(world_size, telemetry=TelemetrySession())``.
 
-Telemetry is strictly opt-in: without a session (``Cluster(telemetry=)``
-or ``virtual_rank_context(telemetry=)``) no tracer objects are allocated
-and the engines record nothing.
+Telemetry is strictly opt-in: without a session (``Cluster(telemetry=)``)
+no tracer objects are allocated and the engines record nothing.
 """
 
 from repro.telemetry.export import (

@@ -14,6 +14,10 @@ if TYPE_CHECKING:
 CONSTANT_BUFFER_NUMEL = 1 << 22
 
 
+#: the paper's name for each ZeRO-DP stage
+STAGE_NAMES = {0: "baseline", 1: "Pos", 2: "Pos+g", 3: "Pos+g+p"}
+
+
 @dataclass(frozen=True)
 class ZeROConfig:
     """Which ZeRO optimizations are on (paper Sections 5 and 6).
@@ -62,7 +66,7 @@ class ZeROConfig:
 
     @property
     def label(self) -> str:
-        stage_name = {0: "baseline", 1: "Pos", 2: "Pos+g", 3: "Pos+g+p"}[self.stage]
+        stage_name = STAGE_NAMES[self.stage]
         extras = []
         if self.constant_buffers:
             extras.append("CB")

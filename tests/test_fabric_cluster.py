@@ -286,6 +286,15 @@ def test_group_is_shared_on_a_cluster_and_virtual_on_a_virtual_context():
         ctx.group([0, 1])  # a virtual rank can only build groups it belongs to
 
 
+@pytest.mark.parametrize("world_size", [1, 400])
+def test_a_virtual_rank_gets_its_gpus_share_of_host_and_nvme(world_size):
+    """A virtual rank's pools hold one GPU's share of a DGX-2 node (1.5 TB
+    DRAM, 28 TB NVMe over 16 GPUs): the budgets the tier sweeps charge."""
+    ctx = virtual_rank_context(world_size)
+    assert ctx.host.capacity == ctx.topology.host_bytes_per_gpu == 93_750_000_000
+    assert ctx.nvme.capacity == ctx.topology.nvme_bytes_per_gpu == 1_750_000_000_000
+
+
 def test_no_payload_outlives_the_run():
     """After ``Cluster.run`` has joined its threads — a clean join that
     finds the undelivered message, or a failure — neither a rendezvous slot

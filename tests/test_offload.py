@@ -435,18 +435,14 @@ def test_cost_model_tracks_simulated_timeline():
     """On uniform gradient pieces the closed forms *are* the schedule: the
     host-only placements (boundary d2h, streamed), with and without DPU,
     agree to float re-association. (The engines' real pieces are not
-    uniform; that gap is gated at <= 5% by ``BENCH_offload_democratization``.)"""
+    uniform; that gap is gated at <= 5% by ``offload_sweep``'s schedule
+    claim, which ``tests/test_experiments.py`` checks on the full sweep.)"""
     for grads, dpu, chunks, numel in itertools.product(
         (False, True), (False, True), (1, 4, 8), (1 << 20, 3 << 22)
     ):
         assert_schedule_meets_oracles(
             offload_tiers(grads, dpu), numel=numel, grad_chunks=chunks
         )
-    from repro.experiments.infinity_sweep import run_time
-    from repro.experiments.offload_sweep import TIME_CASES
-
-    rows = run_time(TIME_CASES)  # the sweep itself still runs; its bound is the benchmark's
-    assert len(rows) == 4 and all(row.sim_step_s > 0.0 < row.uniform_step_s for row in rows)
 
 
 # The offload closed form's (compute, grads_ready, cpu_adam, param_h2d,

@@ -14,6 +14,7 @@ def test_run_all_subset(monkeypatch, tmp_path):
     assert text.startswith("# ZeRO reproduction report")
     for title in ("## Table 1", "## Section 9", "## Figure 2"):
         assert title in text
+    assert text.count("\nclaims\n") == 3  # each section's claims under its rows
     assert "regenerated in" in text
 
 
